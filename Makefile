@@ -60,12 +60,14 @@ trace:
 	$(GO) test -race -run 'TestTraced|TestChromeTrace|TestValidateChromeTrace|TestWithTrace|TestWithEventSink' ./internal/obs/ .
 	$(GO) run ./cmd/mpeg2bench -timeline -trace /tmp/mpeg2par-trace.json > /dev/null
 
-# Adaptive-scheduler gate: cost model, LPT packing and auto-tune policy
-# units plus ordering-invariance under the race detector, and the
+# Adaptive-scheduler gate: the slice queue (readiness rule, affinity,
+# packing, auto mode), the simulator and the cost-model/LPT/auto-tune
+# policy under the race detector — by package, so a renamed or new test
+# cannot drop out of the gate (the scheduler tests of ./internal/stream/
+# and the root package run by package in `make stream`) — and the
 # LPT-vs-FIFO imbalance smoke (profiled costs replayed in the simulator).
 sched:
-	$(GO) test -race ./internal/sched/
-	$(GO) test -race -run 'TestPack|TestModeAuto|TestSliceBytes|TestStreamingPacking|TestStreamingAutoTune|TestScanReaderSliceBytes|TestWithAutoTune|TestWithPacking' ./internal/core/ ./internal/stream/ .
+	$(GO) test -race ./internal/core/ ./internal/simsched/ ./internal/sched/
 	$(GO) test -run TestSchedCompareSmoke -v ./internal/bench/
 
 # Multi-stream service gate: the 64-stream overload smoke (zero wedged

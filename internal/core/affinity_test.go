@@ -43,6 +43,17 @@ func affinityTestPic(n int) *picState {
 	return &picState{rng: pr, nTasks: n, remaining: n}
 }
 
+// pickHead runs the ungated pickTask (every task runnable) and returns
+// the task it moved to the head of p's handout order.
+func pickHead(q *sliceQueue, p *picState, wi int) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if !q.pickTask(p, wi, false) {
+		return -1
+	}
+	return p.handout(p.nextSlice)
+}
+
 // TestPickTaskSteering checks the queue-level steering directly: with
 // row affinity a worker receives rows ≡ its index (mod workers) while
 // any remain, then falls back to whatever is left (work conservation),
@@ -54,9 +65,7 @@ func TestPickTaskSteering(t *testing.T) {
 	p := affinityTestPic(rows)
 
 	take := func(wi int) int {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		ti := q.pickTask(p, wi)
+		ti := pickHead(q, p, wi)
 		p.nextSlice++
 		return p.rng.Slices[ti].Row
 	}
@@ -86,10 +95,8 @@ func TestPickTaskSteering(t *testing.T) {
 	q2.cond = sync.NewCond(&q2.mu)
 	p2 := affinityTestPic(rows)
 	for want := 0; want < rows; want++ {
-		q2.mu.Lock()
-		ti := q2.pickTask(p2, 1)
+		ti := pickHead(q2, p2, 1)
 		p2.nextSlice++
-		q2.mu.Unlock()
 		if p2.rng.Slices[ti].Row != want {
 			t.Fatalf("AffinityNone: got row %d, want %d", p2.rng.Slices[ti].Row, want)
 		}
@@ -104,9 +111,7 @@ func TestPickTaskSteeringGroups(t *testing.T) {
 	q := &sliceQueue{workers: 3, affinity: AffinityRow}
 	q.cond = sync.NewCond(&q.mu)
 
-	q.mu.Lock()
-	gi := q.pickTask(p, 2) // worker 2 should get the row-2 group
-	q.mu.Unlock()
+	gi := pickHead(q, p, 2) // worker 2 should get the row-2 group
 	if want := 2; gi != want {
 		t.Fatalf("worker 2: got group %d, want %d", gi, want)
 	}
@@ -117,9 +122,7 @@ func TestPickTaskSteeringGroups(t *testing.T) {
 	// Substitute pictures (nil group) have no row: steering must not
 	// panic and must fall back to the head task.
 	sub := &picState{rng: pr, groups: [][]int{nil}, nTasks: 1, remaining: 1}
-	q.mu.Lock()
-	gi = q.pickTask(sub, 1)
-	q.mu.Unlock()
+	gi = pickHead(q, sub, 1)
 	if gi != 0 {
 		t.Fatalf("substitute: got task %d, want 0", gi)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -52,9 +51,7 @@ func decodeAssistPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, o
 	if p.bwd >= 0 {
 		refs.Bwd = pics[p.bwd].frame
 	}
-	total := p.params.MBWidth * p.params.MBHeight
-	covered := make([]bool, total)
-	nCovered := 0
+	scr.cov.reset(p.params.MBWidth * p.params.MBHeight)
 	last := len(p.rng.Slices) - 1
 	optSplit := opt
 	optSplit.SplitParts = parts
@@ -82,32 +79,11 @@ func decodeAssistPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, o
 				continue
 			}
 			for _, a := range addrs {
-				if a >= 0 && a < total && !covered[a] {
-					covered[a] = true
-					nCovered++
-				}
+				scr.cov.add(a)
 			}
 		}
 	}
-	if nCovered != total {
-		if opt.Resilience == FailFast {
-			return work, es, fmt.Errorf("core: picture at display %d covered %d of %d macroblocks", p.displayIdx, nCovered, total)
-		}
-		var ref *frame.Frame
-		if p.fwd >= 0 {
-			ref = pics[p.fwd].frame
-		} else if p.bwd >= 0 {
-			ref = pics[p.bwd].frame
-		}
-		mbw := p.params.MBWidth
-		for a := 0; a < total; a++ {
-			if !covered[a] {
-				decoder.ConcealMB(f, ref, a%mbw, a/mbw)
-				es.ConcealedMBs++
-			}
-		}
-	}
-	return work, es, nil
+	return work, es, concealUncovered(pics, p, &scr.cov, opt, &es)
 }
 
 // runSegmentsAssist executes every segment of one split slice across up

@@ -35,9 +35,13 @@ const (
 	// ModeSliceSimple is the fine-grained decoder with a barrier after
 	// every picture (§5.2, "simple slice version").
 	ModeSliceSimple
-	// ModeSliceImproved synchronizes only at the end of reference (I/P)
-	// pictures, letting B pictures and the next reference overlap (§5.2,
-	// "improved slice version").
+	// ModeSliceImproved is the fine-grained decoder without the picture
+	// barrier (§5.2, "improved slice version"). The paper synchronizes at
+	// the end of every reference (I/P) picture; this decoder synchronizes
+	// on the data itself: a slice runs as soon as the reference rows its
+	// motion vectors can reach are decoded (see sliceQueue), so B
+	// pictures, the next reference and the next group of pictures all
+	// overlap the tail of the picture before them.
 	ModeSliceImproved
 	// ModeSequential decodes on a single worker from the same scanned
 	// plan as the parallel modes. It is the reference the error-resilience
@@ -199,6 +203,10 @@ type PicProfile struct {
 	SliceCosts []time.Duration
 	HeaderCost time.Duration // per-picture overhead (header parse, open)
 	DisplayIdx int
+	// RowWindow is how many macroblock rows around its own a slice reads
+	// in the picture's reference frames (refRowWindow of its f_code; 0
+	// for an intra picture or a window of the whole frame).
+	RowWindow int
 }
 
 // Stats reports a parallel decode run.

@@ -69,9 +69,6 @@ type planBuilder struct {
 	scratch  []mpeg2.MB
 
 	displayBase int
-	lastRef     int // most recent reference picture, across GOPs (a
-	// scheduling barrier for the improved slice mode, not a data
-	// dependency: prediction references never cross GOP boundaries here).
 
 	// Degradation inputs (the multi-stream service sets them between
 	// addGOP calls; the batch paths leave them zero). shed selects load
@@ -84,7 +81,7 @@ type planBuilder struct {
 }
 
 func newPlanBuilder(seq *mpeg2.SequenceHeader, policy Resilience, packing Packing, seed int64) *planBuilder {
-	return &planBuilder{seq: seq, policy: policy, packing: packing, seed: seed, lastRef: -1}
+	return &planBuilder{seq: seq, policy: policy, packing: packing, seed: seed}
 }
 
 // setSplit arms intra-slice task splitting for subsequently planned
@@ -138,7 +135,7 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	cands := make([]*picState, n)
 	for pi := range gop.Pictures {
 		pr := &gop.Pictures[pi]
-		ps := &picState{rng: pr, data: data, gop: g, fwd: -1, bwd: -1, lastRef: -1, subFrom: -1}
+		ps := &picState{rng: pr, data: data, gop: g, fwd: -1, bwd: -1, subFrom: -1}
 		if pr.Damaged {
 			if policy <= ConcealSlice {
 				return nil, fmt.Errorf("core: GOP %d: picture %d at byte %d: unreadable picture header", g, pi, pr.Offset)
@@ -227,7 +224,6 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	refOld, refNew := -1, -1
 	for pi, ps := range cands {
 		ps.displayIdx = b.displayBase + slotOf[pi]
-		ps.lastRef = b.lastRef
 		ps.isRef = ps.typeKnown && ps.hdr.Type != vlc.CodingB
 		ps.params = decoder.PictureParams(b.seq, &ps.hdr)
 
@@ -313,6 +309,9 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 						return -1
 					}, &b.scratch)
 			}
+			// A row group owns its rows outright unless its slice split.
+			ps.minRow, _ = minSliceRow(ps.rng.Slices)
+			ps.rowwise = ps.tasks == nil
 		}
 		ps.remaining = ps.nTasks
 
@@ -330,7 +329,6 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 		pl.pics = append(pl.pics, ps)
 		if ps.isRef {
 			refOld, refNew = refNew, idx
-			b.lastRef = idx
 		}
 	}
 	pl.gops = append(pl.gops, planGOP{g: g, first: first, n: n})

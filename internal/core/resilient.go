@@ -78,9 +78,7 @@ func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt
 	if p.bwd >= 0 {
 		refs.Bwd = pics[p.bwd].frame
 	}
-	total := p.params.MBWidth * p.params.MBHeight
-	covered := make([]bool, total)
-	nCovered := 0
+	scr.cov.reset(p.params.MBWidth * p.params.MBHeight)
 	last := len(p.rng.Slices) - 1
 	for _, group := range p.groups {
 		for _, si := range group {
@@ -97,32 +95,37 @@ func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt
 				continue
 			}
 			for _, a := range addrs {
-				if a >= 0 && a < total && !covered[a] {
-					covered[a] = true
-					nCovered++
-				}
+				scr.cov.add(a)
 			}
 		}
 	}
-	if nCovered != total {
-		if opt.Resilience == FailFast {
-			return work, es, fmt.Errorf("core: picture at display %d covered %d of %d macroblocks", p.displayIdx, nCovered, total)
-		}
-		var ref *frame.Frame
-		if p.fwd >= 0 {
-			ref = pics[p.fwd].frame
-		} else if p.bwd >= 0 {
-			ref = pics[p.bwd].frame
-		}
-		mbw := p.params.MBWidth
-		for a := 0; a < total; a++ {
-			if !covered[a] {
-				decoder.ConcealMB(f, ref, a%mbw, a/mbw)
-				es.ConcealedMBs++
-			}
+	return work, es, concealUncovered(pics, p, &scr.cov, opt, &es)
+}
+
+// concealUncovered is the completion step of a picture decoded on one
+// worker: every macroblock cov lacks is concealed from the picture's
+// reference and tallied into es — or, under FailFast, reported.
+func concealUncovered(pics []*picState, p *picState, cov *coverage, opt Options, es *ErrorStats) error {
+	if cov.full() {
+		return nil
+	}
+	if opt.Resilience == FailFast {
+		return fmt.Errorf("core: picture at display %d covered %d of %d macroblocks", p.displayIdx, cov.n, cov.total)
+	}
+	var ref *frame.Frame
+	if p.fwd >= 0 {
+		ref = pics[p.fwd].frame
+	} else if p.bwd >= 0 {
+		ref = pics[p.bwd].frame
+	}
+	mbw := p.params.MBWidth
+	for a := 0; a < cov.total; a++ {
+		if !cov.has(a) {
+			decoder.ConcealMB(p.frame, ref, a%mbw, a/mbw)
+			es.ConcealedMBs++
 		}
 	}
-	return work, es, nil
+	return nil
 }
 
 // finishPlan is the shared epilogue: drain the display process and fill

@@ -29,7 +29,6 @@ type picState struct {
 	displayIdx int
 
 	fwd, bwd int // decode-order indices of reference pictures, -1 if none
-	lastRef  int // most recent reference picture before this one, -1
 	isRef    bool
 	deps     int32 // number of later pictures that reference this one
 
@@ -49,9 +48,19 @@ type picState struct {
 	// bounds holds the per-slice inclusive macroblock address bound
 	// (sliceSpanBounds): the span a slice may legally cover before the
 	// next slice's first row, which keeps concurrent slices disjoint.
-	bounds   []int
-	covered  []bool // macroblocks actually reconstructed
-	nCovered int
+	bounds []int
+	// minRow is the lowest macroblock row any slice claims (taskRows).
+	minRow int
+	// rowwise is set when every task owns its macroblock rows outright —
+	// no two slices share a row and no slice is split — so a row is final
+	// the moment a finished task has covered all of it, and readers may
+	// be let at it before the picture completes. Other pictures publish
+	// as a whole, at completePic.
+	rowwise bool
+	cov     coverage // macroblocks actually reconstructed
+	// rowCov counts the covered macroblocks of each row (it shares cov's
+	// allocation): row r of a rowwise picture is published at MBWidth.
+	rowCov   []uint64
 	complete bool
 
 	// Resilient-plan fields (see plan.go); unused by the legacy paths.
@@ -74,9 +83,14 @@ type picState struct {
 }
 
 // sliceQueue is the shared 2-D task queue plus the synchronization the
-// two slice variants differ in. The batch paths construct it closed over
-// the full picture list; the streaming path appends pictures as the scan
-// discovers them and closes the queue at end of stream.
+// two slice variants differ in. The simple variant puts a barrier after
+// every picture. The improved variant synchronises on the data dependency
+// itself: a task is runnable once the reference rows inside its motion
+// window (refRowWindow) have been published, so a worker that reaches the
+// end of a reference picture finds most of the next picture runnable
+// instead of going to sleep. The batch paths construct the queue closed
+// over the full picture list; the streaming path appends pictures as the
+// scan discovers them and closes the queue at end of stream.
 type sliceQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -94,8 +108,8 @@ type sliceQueue struct {
 
 	// workers and affinity configure row→worker task steering (see
 	// Affinity). With affinity on, take prefers handing worker wi a task
-	// whose row ≡ wi (mod workers), falling back to the head task so no
-	// worker ever idles while work exists.
+	// whose row ≡ wi (mod workers), falling back to the first runnable
+	// task so no worker ever idles while work exists.
 	workers  int
 	affinity Affinity
 
@@ -131,44 +145,121 @@ func (q *sliceQueue) close() {
 	q.mu.Unlock()
 }
 
-// open reports whether the picture at issueIdx may start issuing slices.
-func (q *sliceQueue) open(i int) bool {
-	p := q.pics[i]
-	if q.depth > 0 && i >= q.depth && !q.pics[i-q.depth].complete {
-		return false // pipeline-depth flow control
+// rowsReady reports whether rows [lo, hi] of reference picture ref may be
+// read (the caller holds q.mu, which orders the read after the writes of
+// every task whose finish published them).
+func rowsReady(ref *picState, lo, hi int) bool {
+	if ref.complete {
+		return true
 	}
-	if q.improved {
-		// Improved version: wait only for the last reference picture.
-		return p.lastRef < 0 || q.pics[p.lastRef].complete
+	if !ref.rowwise || ref.rowCov == nil {
+		return false
 	}
-	// Simple version: barrier after every picture.
-	return i == 0 || q.pics[i-1].complete
+	full := uint64(ref.params.MBWidth)
+	for r := lo; r <= hi; r++ {
+		if ref.rowCov[r] != full {
+			return false
+		}
+	}
+	return true
+}
+
+// refsComplete reports whether every frame p reads is complete, in which
+// case all of p's tasks are runnable.
+func (q *sliceQueue) refsComplete(p *picState) bool {
+	for _, ri := range [...]int{p.fwd, p.bwd, p.subFrom} {
+		if ri >= 0 && !q.pics[ri].complete {
+			return false
+		}
+	}
+	return true
+}
+
+// ready reports whether task ti of p may run now: in each frame it
+// predicts from, every macroblock row inside the vertical reach of the
+// picture's f_code around the task's own rows is published. A task
+// without rows of its own, and a substitute (which copies its source
+// frame), wait for the whole frame.
+func (q *sliceQueue) ready(p *picState, ti int) bool {
+	last := p.params.MBHeight - 1
+	if p.subFrom >= 0 && !rowsReady(q.pics[p.subFrom], 0, last) {
+		return false
+	}
+	r0, r1, spans := taskRows(p, ti)
+	for dir, ri := range [...]int{p.fwd, p.bwd} {
+		if ri < 0 {
+			continue
+		}
+		lo, hi := 0, last
+		if w := refRowWindow(p.params.FCode[dir][1], !p.params.FramePredFrameDCT); spans && w >= 0 {
+			lo, hi = max(r0-w, 0), min(r1+w, last)
+		}
+		if !rowsReady(q.pics[ri], lo, hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// next picks the task worker wi runs next and moves it to the head of its
+// picture's handout order, or returns nil when nothing is runnable yet
+// (the caller holds q.mu; issueIdx names a picture with tasks left).
+func (q *sliceQueue) next(wi int) *picState {
+	for i := q.issueIdx; i < len(q.pics); i++ {
+		if q.depth > 0 && i >= q.depth && !q.pics[i-q.depth].complete {
+			return nil // pipeline-depth flow control
+		}
+		p := q.pics[i]
+		if !q.improved {
+			// Simple version: barrier after every picture.
+			if i > 0 && !q.pics[i-1].complete {
+				return nil
+			}
+			q.pickTask(p, wi, false)
+			return p
+		}
+		// Improved version: any picture inside the depth window may issue
+		// a task whose reference rows are published. The common case —
+		// every reference complete — skips the per-task check.
+		if p.nextSlice < p.nTasks && q.pickTask(p, wi, !q.refsComplete(p)) {
+			return p
+		}
+	}
+	return nil
 }
 
 // take blocks until a slice task is available (returning picture and
 // slice index) or the queue is exhausted/failed (ok=false). The caller
-// receives the time spent waiting; wi identifies the taking worker for
-// the wait events take records (a block on a not-yet-open picture is a
-// barrier wait, a block on an empty queue is starvation).
+// receives the time spent blocked; wi identifies the taking worker for
+// the wait event a blocked take records (a block with tasks queued behind
+// the barrier discipline is a barrier wait, a block on an empty queue is
+// starvation). A take that never blocks reads no clock and records nothing.
 func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, ok bool) {
-	t0 := time.Now()
-	barrier := false
-	record := func(w time.Duration) {
-		if q.obs != nil {
-			kind := obs.KindWait
-			if barrier {
-				kind = obs.KindBarrier
-			}
-			q.obs.Record(kind, wi, t0, w, -1, -1, -1)
+	var t0 time.Time
+	blocked, barrier := false, false
+	block := func() {
+		if !blocked {
+			blocked = true
+			t0 = time.Now()
 		}
+		q.cond.Wait()
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	defer func() {
+		if !blocked {
+			return
+		}
+		wait = time.Since(t0)
+		kind := obs.KindWait
+		if barrier {
+			kind = obs.KindBarrier
+		}
+		q.obs.Record(kind, wi, t0, wait, -1, -1, -1)
+	}()
 	for {
 		if q.failed {
-			wait = time.Since(t0)
-			record(wait)
-			return nil, 0, wait, false
+			return nil, 0, 0, false
 		}
 		// Skip over fully-issued pictures.
 		for q.issueIdx < len(q.pics) && q.pics[q.issueIdx].nextSlice >= q.pics[q.issueIdx].nTasks {
@@ -176,15 +267,12 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, o
 		}
 		if q.issueIdx >= len(q.pics) {
 			if q.closed {
-				wait = time.Since(t0)
-				record(wait)
-				return nil, 0, wait, false
+				return nil, 0, 0, false
 			}
-			q.cond.Wait() // more pictures may still be appended
+			block() // more pictures may still be appended
 			continue
 		}
-		if q.open(q.issueIdx) {
-			p = q.pics[q.issueIdx]
+		if p = q.next(wi); p != nil {
 			if p.frame == nil {
 				// Lazy allocation keeps live frames to the in-flight
 				// pictures plus references — the memory property the
@@ -195,55 +283,67 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, o
 				p.frame.PictureType = "?IPB"[int(p.hdr.Type)]
 				p.frame.TemporalRef = p.hdr.TemporalReference
 			}
-			slice = q.pickTask(p, wi)
+			slice = p.handout(p.nextSlice)
 			p.nextSlice++
-			wait = time.Since(t0)
-			record(wait)
-			return p, slice, wait, true
+			return p, slice, 0, true
 		}
-		// A task exists but its picture is gated on the barrier
-		// discipline (or pipeline depth): synchronization, not starvation.
+		// Tasks exist but none is runnable under the barrier discipline
+		// (or pipeline depth): synchronization, not starvation.
 		barrier = true
-		q.cond.Wait()
+		block()
 	}
 }
 
-// pickTask chooses which of p's unissued tasks worker wi receives (the
-// caller holds q.mu and advances p.nextSlice). Without affinity this is
-// the packed head task. With row affinity the remaining tasks are
-// scanned for one whose row ≡ wi (mod workers); a match is swapped to
-// the head position so every task is still handed out exactly once, and
-// a miss degrades to the head task (work conservation). The scan is
-// O(tasks-per-picture) per take — a few dozen rows — and runs only on
-// multi-worker affinity queues.
-func (q *sliceQueue) pickTask(p *picState, wi int) int {
-	head := p.nextSlice
-	taskAt := func(pos int) int {
-		if p.order != nil {
-			return p.order[pos]
-		}
-		return pos
+// handout returns the task at position pos of p's handout order.
+func (p *picState) handout(pos int) int {
+	if p.order != nil {
+		return p.order[pos]
 	}
-	if q.affinity == AffinityRow && q.workers > 1 {
-		for pos := head; pos < p.nTasks; pos++ {
-			r := taskRow(p, taskAt(pos))
-			if r >= 0 && r%q.workers == wi {
-				if pos != head {
-					if p.order == nil {
-						// Materialize the identity order so positions
-						// can swap.
-						p.order = make([]int, p.nTasks)
-						for i := range p.order {
-							p.order[i] = i
-						}
-					}
-					p.order[head], p.order[pos] = p.order[pos], p.order[head]
-				}
-				break
+	return pos
+}
+
+// pickTask chooses which of p's unissued tasks worker wi receives and
+// swaps it to the head position p.nextSlice, so every task is still
+// handed out exactly once (the caller holds q.mu and advances
+// p.nextSlice). With gated set only tasks that are ready qualify, and
+// pickTask reports false when none is. Among the qualifying tasks row
+// affinity prefers one whose row ≡ wi (mod workers); otherwise, and on a
+// miss (work conservation), the first in packed order wins. The scan is
+// O(tasks-per-picture) per take — a few dozen rows.
+func (q *sliceQueue) pickTask(p *picState, wi int, gated bool) bool {
+	head := p.nextSlice
+	steer := q.affinity == AffinityRow && q.workers > 1
+	pick := -1
+	for pos := head; pos < p.nTasks; pos++ {
+		ti := p.handout(pos)
+		if gated && !q.ready(p, ti) {
+			continue
+		}
+		if pick < 0 {
+			pick = pos
+		}
+		if !steer {
+			break
+		}
+		if r := taskRow(p, ti); r >= 0 && r%q.workers == wi {
+			pick = pos
+			break
+		}
+	}
+	if pick < 0 {
+		return false
+	}
+	if pick != head {
+		if p.order == nil {
+			// Materialize the identity order so positions can swap.
+			p.order = make([]int, p.nTasks)
+			for i := range p.order {
+				p.order[i] = i
 			}
 		}
+		p.order[head], p.order[pick] = p.order[pick], p.order[head]
 	}
-	return taskAt(head)
+	return true
 }
 
 func (q *sliceQueue) fail() {
@@ -254,21 +354,34 @@ func (q *sliceQueue) fail() {
 }
 
 // finish records one completed task of p (and which macroblocks it
-// reconstructed) and reports whether it was the picture's last. The
-// picture is NOT yet marked complete: the finishing worker still owns the
-// frame for completion work (concealing missing macroblocks) and must
-// call completePic afterwards — publishing completeness first would let
-// dependent pictures read the frame while concealment writes it.
+// reconstructed) and reports whether it was the picture's last. A row of
+// a rowwise picture that the task filled is published here, under q.mu,
+// to the tasks waiting on it: every macroblock of it is final, because
+// the task that owns the row has returned and concealment only ever
+// writes macroblocks nothing covered. The picture is NOT yet marked
+// complete: the finishing worker still owns the frame for completion
+// work (concealing missing macroblocks) and must call completePic
+// afterwards — publishing completeness first would let dependent
+// pictures read the frame while concealment writes it.
 func (q *sliceQueue) finish(p *picState, addrs []int) bool {
 	q.mu.Lock()
-	if p.covered == nil {
-		p.covered = make([]bool, p.params.MBWidth*p.params.MBHeight)
+	if p.rowCov == nil {
+		mbw, mbh := p.params.MBWidth, p.params.MBHeight
+		words := (mbw*mbh + 63) / 64
+		buf := make([]uint64, words+mbh)
+		p.cov = coverage{bits: buf[:words:words], total: mbw * mbh}
+		p.rowCov = buf[words:]
 	}
+	published := false
 	for _, a := range addrs {
-		if a >= 0 && a < len(p.covered) && !p.covered[a] {
-			p.covered[a] = true
-			p.nCovered++
+		if p.cov.add(a) {
+			r := a / p.params.MBWidth
+			p.rowCov[r]++
+			published = published || p.rowCov[r] == uint64(p.params.MBWidth)
 		}
+	}
+	if published && p.rowwise && p.deps > 0 {
+		q.cond.Broadcast()
 	}
 	p.remaining--
 	done := p.remaining == 0
@@ -287,17 +400,16 @@ func (q *sliceQueue) completePic(p *picState) {
 }
 
 // missing returns the addresses of macroblocks never reconstructed (call
-// only after the picture completed).
+// only after finish returned true for the picture).
 func (q *sliceQueue) missing(p *picState) []int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	total := p.params.MBWidth * p.params.MBHeight
-	if p.nCovered == total {
+	if p.cov.full() {
 		return nil
 	}
 	var out []int
-	for a := 0; a < total; a++ {
-		if p.covered == nil || !p.covered[a] {
+	for a := 0; a < p.cov.total; a++ {
+		if !p.cov.has(a) {
 			out = append(out, a)
 		}
 	}
@@ -312,9 +424,6 @@ func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error)
 	var pics []*picState
 	var splitScratch []mpeg2.MB
 	refOld, refNew := -1, -1
-	lastRef := -1 // most recent reference picture across the whole stream:
-	// the improved version synchronizes at the end of every I/P picture
-	// even across GOP boundaries, exactly like the paper's scheme.
 	for g := range m.GOPs {
 		gop := &m.GOPs[g]
 		if gop.Closed {
@@ -338,7 +447,6 @@ func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error)
 				displayIdx: gop.FirstDisplay + pr.TemporalRef,
 				fwd:        -1,
 				bwd:        -1,
-				lastRef:    lastRef,
 				isRef:      hdr.Type != vlc.CodingB,
 				nTasks:     len(pr.Slices),
 				remaining:  len(pr.Slices),
@@ -353,6 +461,11 @@ func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error)
 				buildSplitTasks(ps, data, opt, opt.PackSeed+int64(len(pics)),
 					len(pr.Slices), func(b int) int { return b }, &splitScratch)
 			}
+			// Tasks here are single slices, so two slices on one row are
+			// two tasks: such a picture publishes as a whole.
+			var distinct bool
+			ps.minRow, distinct = minSliceRow(pr.Slices)
+			ps.rowwise = distinct && ps.tasks == nil
 			switch hdr.Type {
 			case vlc.CodingP:
 				if refNew < 0 {
@@ -374,7 +487,6 @@ func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error)
 			}
 			if ps.isRef {
 				refOld, refNew = refNew, idx
-				lastRef = idx
 			}
 		}
 	}
@@ -416,6 +528,7 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 				Type:       "?IPB"[int(p.hdr.Type)],
 				SliceCosts: make([]time.Duration, p.nTasks),
 				DisplayIdx: p.displayIdx,
+				RowWindow:  picRowWindow(p),
 			}
 		}
 	}
@@ -553,12 +666,15 @@ func pindex(pics []*picState, p *picState) int {
 }
 
 // sliceScratch is one worker's reusable decode state: a bit reader, a
-// macroblock buffer and a coverage address list, recycled across every
-// slice the worker decodes so the steady-state loop is allocation-free.
+// macroblock buffer, a coverage address list and (for the executors that
+// decode a whole picture on one worker) a coverage bitmap, recycled across
+// every slice the worker decodes so the steady-state loop is
+// allocation-free.
 type sliceScratch struct {
 	r     bits.Reader
 	mbs   []mpeg2.MB
 	addrs []int
+	cov   coverage
 }
 
 // decodeOneSlice parses and reconstructs a single slice — the unit of

@@ -1,0 +1,136 @@
+package core
+
+// Row-window readiness: the data dependency the improved slice mode
+// synchronises on. A task of picture p may run once every macroblock row
+// it can read in p's reference frames has been published; which rows those
+// are follows from the picture's f_code alone.
+
+// refRowWindow returns how many macroblock rows above and below its own
+// row a macroblock can read in a reference frame, given the vertical
+// f_code of the prediction direction and whether the picture may use field
+// prediction (frame_pred_frame_dct = 0). It returns -1 — the whole frame —
+// for an f_code the slice layer rejects.
+//
+// decodeVector wraps every vertical component into [-16f, 16f-1] half-pels,
+// f = 2^(f_code-1). A frame vector displaces the 16-line block by at most
+// 8f lines up and, with the half-pel line, 8f lines down: ⌈f/2⌉ rows either
+// way. A field vector is in field lines, each two frame lines, so the same
+// range reaches f rows. Chroma halves both the vector and the row height,
+// and motion.PredictBlock's edge clamp only ever moves a block back towards
+// its own row, so neither widens the window.
+func refRowWindow(fcode int, field bool) int {
+	if fcode < 1 || fcode > 9 {
+		return -1
+	}
+	f := 1 << uint(fcode-1)
+	if field {
+		return f
+	}
+	return (f + 1) / 2
+}
+
+// picRowWindow returns the widest window p's tasks read their references
+// through (0 when p predicts from nothing, or from whole frames).
+func picRowWindow(p *picState) int {
+	w := 0
+	for dir, ri := range [...]int{p.fwd, p.bwd} {
+		if ri < 0 {
+			continue
+		}
+		d := refRowWindow(p.params.FCode[dir][1], !p.params.FramePredFrameDCT)
+		if d < 0 {
+			return 0
+		}
+		w = max(w, d)
+	}
+	return w
+}
+
+// taskRows returns the macroblock rows [r0, r1] queue task ti of p may
+// write. Widened by refRowWindow they are the reference rows it reads:
+// prediction reads around every row it decodes, and concealment of
+// whatever it fails to cover reads the co-located rows. The task that
+// claims the picture's lowest row also answers for the unclaimed rows
+// above it, so the spans of a picture's tasks tile the picture and the
+// completion-time concealment never reads a row no task waited for. A
+// segment of a split slice spans its whole slice: a verify miss
+// re-decodes all of it on the joining worker. ok is false for tasks
+// without a span — substitutes, empty groups, rows outside the picture —
+// which wait for their whole reference frames instead.
+func taskRows(p *picState, ti int) (r0, r1 int, ok bool) {
+	if p.fate == fateSubstitute {
+		return 0, 0, false
+	}
+	si, j, _ := p.taskAt(ti)
+	switch {
+	case j != nil:
+		si = j.si
+	case p.groups != nil:
+		if len(p.groups[si]) == 0 {
+			return 0, 0, false
+		}
+		si = p.groups[si][0]
+	}
+	r0 = p.rng.Slices[si].Row
+	r1 = p.sliceBound(si) / p.params.MBWidth
+	if r0 < 0 || r0 > r1 || r1 >= p.params.MBHeight {
+		return 0, 0, false
+	}
+	if r0 == p.minRow {
+		r0 = 0
+	}
+	return r0, r1, true
+}
+
+// minSliceRow returns the lowest macroblock row any slice claims, and
+// whether every slice claims a row of its own.
+func minSliceRow(slices []SliceRange) (minRow int, distinct bool) {
+	var seen [256]bool // slice startcodes name rows 0..174
+	minRow, distinct = -1, true
+	for i := range slices {
+		r := slices[i].Row
+		if minRow < 0 || r < minRow {
+			minRow = r
+		}
+		if r >= 0 && r < len(seen) {
+			distinct = distinct && !seen[r]
+			seen[r] = true
+		}
+	}
+	return minRow, distinct
+}
+
+// coverage records which macroblocks of one picture have been
+// reconstructed: one bit per macroblock and the running count.
+type coverage struct {
+	bits  []uint64
+	total int
+	n     int
+}
+
+// reset clears c for a picture of total macroblocks, keeping its storage.
+func (c *coverage) reset(total int) {
+	words := (total + 63) / 64
+	if cap(c.bits) < words {
+		c.bits = make([]uint64, words)
+	} else {
+		c.bits = c.bits[:words]
+		clear(c.bits)
+	}
+	c.total, c.n = total, 0
+}
+
+// add marks macroblock a and reports whether it was new; addresses
+// outside the picture are ignored.
+func (c *coverage) add(a int) bool {
+	if a < 0 || a >= c.total || c.has(a) {
+		return false
+	}
+	c.bits[a>>6] |= 1 << uint(a&63)
+	c.n++
+	return true
+}
+
+func (c *coverage) has(a int) bool { return c.bits[a>>6]>>uint(a&63)&1 != 0 }
+
+func (c *coverage) full() bool { return c.n == c.total }

@@ -121,3 +121,28 @@ func TestDSMQueuesStealingKeepsWorkersBusy(t *testing.T) {
 		t.Fatalf("one cluster should match SMP: %v vs %v", local.Makespan, plain.Makespan)
 	}
 }
+
+// TestMaxConcurrencyPerPictureWindow pins vrange 0: each picture's own
+// Window is its reach, and a picture without one waits for its whole
+// references — still no slower than the improved version's barrier, which
+// also holds pictures back that read nothing of the barrier picture.
+func TestMaxConcurrencyPerPictureWindow(t *testing.T) {
+	pics := markIntra(uniformPics(26, 15, ms(1), "IPBBPBBPBBPBB"), "IPBBPBBPBBPBB")
+	for _, w := range []int{2, 8, 20} {
+		whole := SimulateSlicesMax(pics, w, 0)
+		if improved := SimulateSlices(pics, w, true); whole.Makespan > improved.Makespan {
+			t.Fatalf("%d workers: whole-picture dependencies (%v) slower than the I/P barrier (%v)",
+				w, whole.Makespan, improved.Makespan)
+		}
+		windowed := append([]SimPicture(nil), pics...)
+		for i := range windowed {
+			windowed[i].Window = 2
+		}
+		if got, want := SimulateSlicesMax(windowed, w, 0), SimulateSlicesMax(pics, w, 2); got.Makespan != want.Makespan {
+			t.Fatalf("%d workers: Window 2 replayed as %v, vrange 2 as %v", w, got.Makespan, want.Makespan)
+		}
+		if improved := SimulateSlices(windowed, w, true); improved.Makespan != SimulateSlices(pics, w, true).Makespan {
+			t.Fatalf("%d workers: SimulateSlices must not look at Window", w)
+		}
+	}
+}

@@ -15,11 +15,13 @@ import (
 // pics must be in decode order; refs are resolved like the decoder does
 // (fwd = previous reference or the one before, bwd = previous reference
 // for B pictures). vrange is the vertical motion reach in slice rows
-// (≥1; half-pel vectors of ±(16·vrange−1) pixels stay inside it).
+// (half-pel vectors of ±(16·vrange−1) pixels stay inside it), applied to
+// every picture. vrange 0 takes each picture's own Window instead — the
+// readiness rule of core's improved slice queue, so a profile that
+// carries the windows of its f_codes replays what the decoder now does
+// (minus its pipeline-depth bound); a picture with Window 0 then waits
+// for its whole reference pictures.
 func SimulateSlicesMax(pics []SimPicture, workers, vrange int) Result {
-	if vrange < 1 {
-		vrange = 1
-	}
 	type task struct {
 		pic, slice int
 		cost       time.Duration
@@ -64,7 +66,14 @@ func SimulateSlicesMax(pics []SimPicture, workers, vrange int) Result {
 				if r < 0 {
 					continue
 				}
-				for rs := s - vrange; rs <= s+vrange; rs++ {
+				reach := vrange
+				if reach < 1 {
+					reach = p.Window
+				}
+				if reach < 1 {
+					reach = len(pics[r].SliceCosts)
+				}
+				for rs := s - reach; rs <= s+reach; rs++ {
 					if rs < 0 || rs >= len(pics[r].SliceCosts) {
 						continue
 					}

@@ -12,6 +12,12 @@ type SimPicture struct {
 	Intra      bool // I picture (needs no references at all)
 	DisplayIdx int
 	SliceCosts []time.Duration
+	// Window is the vertical reach of the picture's motion vectors in
+	// slice rows: a slice reads rows within Window of its own in each
+	// reference picture. 0 means the whole picture. SimulateSlices does
+	// not look at it (its rule is the paper's I/P barrier);
+	// SimulateSlicesMax with vrange 0 replays it.
+	Window int
 }
 
 // SimulateSlices runs the fine-grained decoder under P workers. Slices

@@ -359,6 +359,7 @@ func SliceProfileToSim(prof []core.PicProfile) []SimPicture {
 			Intra:      p.Type == 'I',
 			DisplayIdx: p.DisplayIdx,
 			SliceCosts: p.SliceCosts,
+			Window:     p.RowWindow,
 		}
 	}
 	return pics
@@ -389,8 +390,9 @@ func SimulateGOP(tasks []GOPTask, workers int) SimResult {
 }
 
 // SimulateSlices replays slice tasks under P simulated workers with the
-// simple (barrier every picture) or improved (barrier after references)
-// discipline.
+// paper's simple (barrier every picture) or improved (barrier after
+// references) discipline. The decoder's own improved mode waits on
+// reference rows instead; SimulateSlicesMax with vrange 0 replays that.
 func SimulateSlices(pics []SimPicture, workers int, improved bool) SimResult {
 	return simsched.SimulateSlices(pics, workers, improved)
 }
@@ -403,7 +405,9 @@ func SimulateSlicesDSM(pics []SimPicture, workers int, improved bool, cfg DSMCon
 // SimulateSlicesMax replays slice tasks under the maximum-concurrency
 // discipline the paper sketched but did not build: no picture barriers,
 // only slice-level data dependencies (a slice waits for the reference
-// slices within ±vrange rows).
+// slices within ±vrange rows). With vrange 0 each picture waits within
+// its own SimPicture.Window, which ProfileSlices fills from the
+// picture's f_code — the rule the improved slice mode decodes under.
 func SimulateSlicesMax(pics []SimPicture, workers, vrange int) SimResult {
 	return simsched.SimulateSlicesMax(pics, workers, vrange)
 }
