@@ -7,17 +7,21 @@ verify: vet build race bench stream compat trace sched kernels cross service vld
 vet:
 	$(GO) vet ./...
 
-# Kernel-dispatch gate: the tier-equivalence matrix (each equivalence
-# test internally sweeps scalar/SWAR/asm against the scalar oracle), the
-# same matrix under the race detector with the asm tier force-disabled
-# (the race runtime cannot see into assembly, so race coverage comes from
-# the pure-Go tiers), golden bit-exactness with every forced tier, and
-# the per-kernel micro-benchmarks.
+# Kernel gate: every test of the kernel packages — by package, so a renamed
+# or new test cannot drop out of the gate — which covers the
+# tier-equivalence matrix (each equivalence test internally sweeps
+# scalar/SWAR/asm against the scalar oracle), the coefficient path (block
+# VLD kernel against its bit-serial reference, mask-driven dequant against
+# the dense one) and the goldens; the same matrix under the race detector
+# with the asm tier force-disabled (the race runtime cannot see into
+# assembly, so race coverage comes from the pure-Go tiers), golden
+# bit-exactness with every forced tier, and the per-kernel
+# micro-benchmarks.
 kernels:
-	$(GO) test -run 'TierEquivalence|AsmEquivalence|Extremes|TestKernels|TestStoreBlock|TestPaddedLayoutGolden|TestAffinity|TestPickTask' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
+	$(GO) test ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/ ./internal/vlc/ ./internal/quant/ ./internal/mpeg2/
 	MPEG2_KERNELS=scalar $(GO) test -race -run 'TierEquivalence|AsmEquivalence|Golden|MatchesSequential' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
 	MPEG2_KERNELS=swar $(GO) test -race -run 'TierEquivalence|AsmEquivalence|Golden|MatchesSequential' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
-	$(GO) test -run=NONE -bench 'PredictBlock|AverageMB|StoreBlock|InverseTiers' -benchtime=10x ./internal/motion/ ./internal/dct/ ./internal/decoder/
+	$(GO) test -run=NONE -bench 'PredictBlock|AverageMB|StoreBlock|InverseTiers|DecodeBlock|InverseMasked' -benchtime=10x ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/mpeg2/ ./internal/quant/
 
 # Cross-compile + per-arch vet gate: both SIMD targets must build and
 # their assembly must pass vet's asmdecl checks even when developing on
@@ -112,7 +116,8 @@ apicheck:
 perf:
 	$(GO) run ./cmd/mpeg2bench -perf -label $(or $(LABEL),local)
 
-# Short corpus-seeded fuzz runs over the scan and the resilient decoder.
+# Short corpus-seeded fuzz runs: the one list of the repo's fuzz targets
+# (CI calls this target).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFindStartCode -fuzztime=$(FUZZTIME) ./internal/core
@@ -121,6 +126,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSpeculativeSplit -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=NONE -fuzz=FuzzStreamScan -fuzztime=$(FUZZTIME) ./internal/stream
+	$(GO) test -run=NONE -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/mpeg2
 
 # Corruption sweep: PSNR vs loss rate under each resilience policy.
 faults:

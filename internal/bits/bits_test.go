@@ -449,6 +449,33 @@ func TestPeekExhaustiveTail(t *testing.T) {
 	}
 }
 
+// TestWindowExhaustiveTail checks Window at every position of a small
+// buffer against the reference gather, 32 bits at a time: the bits it
+// reports, left-justified, zeros below them and past the end of the buffer,
+// and a position and error left alone.
+func TestWindowExhaustiveTail(t *testing.T) {
+	data := make([]byte, 19)
+	for i := range data {
+		data[i] = byte(0x9E*i + 0x37)
+	}
+	for pos := int64(0); pos <= int64(len(data))*8; pos++ {
+		r := NewReader(data)
+		r.SeekBit(pos)
+		w, n := r.Window()
+		if n != 64-uint(pos&7) {
+			t.Fatalf("Window at bit %d holds %d bits, want %d", pos, n, 64-uint(pos&7))
+		}
+		want := uint64(peekRef(data, pos, 32))<<32 | uint64(peekRef(data, pos+32, 32))
+		want &= ^uint64(0) << (64 - n)
+		if w != want {
+			t.Fatalf("Window at bit %d = %064b, want %064b", pos, w, want)
+		}
+		if r.BitPos() != pos || r.Err() != nil {
+			t.Fatalf("Window at bit %d moved the reader to %d (err %v)", pos, r.BitPos(), r.Err())
+		}
+	}
+}
+
 // TestPeekCacheInvalidation stresses the accumulator across interleaved
 // Read/Skip/SeekBit, including backward seeks into and out of the cached
 // window.

@@ -120,9 +120,21 @@ func (r *Reader) peekRefill(n uint) uint32 {
 		r.accBits = 64
 		return uint32(r.acc << bitOff >> (64 - n))
 	}
-	// Tail: gather the remaining bytes, zero-filled past the end. The
-	// cache records only the real bits, so reads running past the end
-	// keep taking this path (and keep their zero-fill semantics).
+	// Tail: the cache records only the real bits, so reads running past
+	// the end keep taking this path (and keep their zero-fill semantics).
+	acc := r.gatherTail(byteIdx)
+	r.acc = acc
+	r.accBase = int64(byteIdx) * 8
+	r.accBits = int64(len(r.data)-byteIdx) * 8
+	if r.accBits < 0 {
+		r.accBits = 0
+	}
+	return uint32(acc << bitOff >> (64 - n))
+}
+
+// gatherTail assembles the eight bytes starting at byteIdx big-endian,
+// zero-filled past the end of the buffer.
+func (r *Reader) gatherTail(byteIdx int) uint64 {
 	var acc uint64
 	for i := 0; i < 8; i++ {
 		var b byte
@@ -131,13 +143,23 @@ func (r *Reader) peekRefill(n uint) uint32 {
 		}
 		acc = acc<<8 | uint64(b)
 	}
-	r.acc = acc
-	r.accBase = int64(byteIdx) * 8
-	r.accBits = int64(len(r.data)-byteIdx) * 8
-	if r.accBits < 0 {
-		r.accBits = 0
+	return acc
+}
+
+// Window returns the stream from the current position as a left-justified
+// 64-bit word, and how many stream bits the word holds: 57 to 64, depending
+// on the position within its byte; the bits below them are zero. Like Peek
+// it does not move the position and reads bits past the end of the buffer
+// as zero without setting the error, so a caller that decodes several
+// symbols out of one window must bound what it consumes by Remaining and
+// hand the total to Skip.
+func (r *Reader) Window() (w uint64, n uint) {
+	byteIdx := int(r.pos >> 3)
+	bitOff := uint(r.pos & 7)
+	if byteIdx+8 <= len(r.data) {
+		return binary.BigEndian.Uint64(r.data[byteIdx:]) << bitOff, 64 - bitOff
 	}
-	return uint32(acc << bitOff >> (64 - n))
+	return r.gatherTail(byteIdx) << bitOff, 64 - bitOff
 }
 
 // Skip consumes n bits.

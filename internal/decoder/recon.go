@@ -12,6 +12,7 @@ package decoder
 import (
 	"encoding/binary"
 	"fmt"
+	mathbits "math/bits"
 
 	"mpeg2par/internal/dct"
 	"mpeg2par/internal/frame"
@@ -93,27 +94,28 @@ func ReconSlice(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, d
 // paths reconstruct bit-identical frames; it stays false in production.
 var denseKernels = false
 
-// inverseBlock runs dequantization plus IDCT on one coded block. nz must
-// be the exact count of nonzero quantized coefficients (it bounds the
-// dequant scan and is sourced from the VLC stage when available).
-func inverseBlock(blk *[64]int32, p quant.Params, nz int) {
+// inverseBlock runs dequantization plus IDCT on one coded block and returns
+// how many quantized coefficients it held. mask must name exactly the
+// nonzero ones (quant.InverseMasked walks it).
+func inverseBlock(blk *[64]int32, p quant.Params, mask uint64) int {
 	if denseKernels {
 		quant.Inverse(blk, p)
 		dct.Inverse(blk)
-		return
+	} else {
+		rowMask, dcOnly := quant.InverseMasked(blk, p, mask)
+		dct.InverseSparse(blk, rowMask, dcOnly)
 	}
-	rowMask, dcOnly := quant.InverseSparse(blk, p, nz)
-	dct.InverseSparse(blk, rowMask, dcOnly)
+	return mathbits.OnesCount64(mask)
 }
 
-// blockNNZ returns the nonzero-coefficient count of block b, trusting the
+// blockMask returns the nonzero-coefficient mask of block b, trusting the
 // VLC stage's record when present and rescanning otherwise (hand-built
 // macroblocks in tests, synthetic streams).
-func blockNNZ(mb *mpeg2.MB, b int) int {
+func blockMask(mb *mpeg2.MB, b int) uint64 {
 	if mb.SparseValid {
-		return int(mb.NNZ[b])
+		return mb.Mask[b]
 	}
-	return countNonZero(&mb.Blocks[b])
+	return quant.Mask(&mb.Blocks[b], 64)
 }
 
 func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, pred, pred2 *motion.MBPred, st *WorkStats, proc int, tr memtrace.Tracer) error {
@@ -122,9 +124,8 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 		p := quant.Params{Matrix: &seq.IntraMatrix, Scale: scale, Intra: true, DCPrecision: ph.IntraDCPrecision}
 		for b := 0; b < 6; b++ {
 			blk := mb.Blocks[b]
-			nz := blockNNZ(mb, b)
+			nz := inverseBlock(&blk, p, blockMask(mb, b))
 			st.Coefs += nz
-			inverseBlock(&blk, p, nz)
 			storeIntraBlock(dst, &blk, mbx, mby, b, mb.FieldDCT)
 			st.IntraBlocks++
 			traceBlock(proc, true, nz, tr)
@@ -188,9 +189,8 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 		coded := mb.CBP&(1<<uint(5-b)) != 0
 		if coded {
 			blk := mb.Blocks[b]
-			nz := blockNNZ(mb, b)
+			nz := inverseBlock(&blk, p, blockMask(mb, b))
 			st.Coefs += nz
-			inverseBlock(&blk, p, nz)
 			storePredBlock(dst, pred, &blk, mbx, mby, b, mb.FieldDCT)
 			st.CodedBlocks++
 			traceBlock(proc, false, nz, tr)
@@ -200,16 +200,6 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 	}
 	traceMBWrite(dst, mbx, mby, proc, tr)
 	return nil
-}
-
-func countNonZero(blk *[64]int32) int {
-	n := 0
-	for _, v := range blk {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // blockGeometry returns the destination plane, top-left pixel position,
@@ -371,6 +361,11 @@ func clampPixelRef(v int32) uint8 {
 // lookup tables). These small, hot structures are what forms the
 // program's working set — the frame planes mostly stream through the
 // cache — so the locality figures need them in the trace.
+//
+// The VLC region is one DCT coefficient decode table, the table a block
+// decode probes once per symbol: vlc.CoefTableBytes, 5 KB. (Before the
+// compact tables the model assumed 4 KB while the decoder indexed three
+// flat 2^16-entry tables, 3 × 256 KB.)
 var (
 	scratchKeys [64]byte
 	tablesKey   byte
@@ -378,12 +373,12 @@ var (
 
 const (
 	scratchBytes  = 4096
-	tablesBytes   = 8192
 	scratchCoef   = 0    // 256B coefficient block
 	scratchPred   = 512  // 384B prediction buffer
 	tabQuantIntra = 0    // 64B
 	tabQuantInter = 64   // 64B
-	tabVLC        = 1024 // VLC lookup region
+	tabVLC        = 1024 // VLC lookup region, vlc.CoefTableBytes long
+	tablesBytes   = tabVLC + vlc.CoefTableBytes
 )
 
 func scratchBase(tr memtrace.Tracer, proc int) uint64 {
@@ -399,10 +394,10 @@ func traceBlock(proc int, intra bool, coefs int, tr memtrace.Tracer) {
 	}
 	sb := scratchBase(tr, proc)
 	tb := tr.Base(&tablesKey, tablesBytes)
-	// VLD: one table probe per coded coefficient, spread over the VLC
-	// lookup region (positions vary with the code bits).
+	// VLD: one 4-byte table probe per coded coefficient, spread over the
+	// VLC lookup region (positions vary with the code bits).
 	for i := 0; i < coefs; i++ {
-		tr.Access(proc, tb+tabVLC+uint64(i*37%4096), 4, false)
+		tr.Access(proc, tb+tabVLC+uint64(i*37*4%vlc.CoefTableBytes), 4, false)
 	}
 	// Dequantization reads the weight matrix and scans the block.
 	q := uint64(tabQuantInter)

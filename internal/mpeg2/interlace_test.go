@@ -180,7 +180,7 @@ func TestInterlacedSliceRoundTripQuick(t *testing.T) {
 		}
 		for i := range mbs {
 			got, want := ds.MBs[i], mbs[i]
-			expectSparsity(p, &want)
+			expectSparsity(&want)
 			got.Type.Quant, want.Type.Quant = false, false
 			got.CBP, want.CBP = 0, 0
 			// dct_type is only carried for intra/coded macroblocks.

@@ -42,13 +42,12 @@ type MB struct {
 
 	// Sparsity metadata recorded by the VLC stage, valid only when
 	// SparseValid is set (hand-built MBs leave it false and downstream
-	// kernels rescan the block instead). NNZ[i] counts the nonzero
-	// quantized coefficients in Blocks[i]; Last[i] is the scan position
-	// of the final coefficient (0 when the block holds at most a DC
-	// term). quant.InverseSparse uses NNZ to stop scanning once every
-	// coefficient has been dequantized.
+	// kernels rescan the block instead). Bit j of Mask[i] is set exactly
+	// when Blocks[i][j] is nonzero, and NNZ[i] is the number of set bits.
+	// quant.InverseMasked walks the mask, so dequantization visits the
+	// coefficients the VLC stage wrote and nothing else.
 	NNZ         [6]uint8
-	Last        [6]uint8
+	Mask        [6]uint64
 	SparseValid bool
 }
 
@@ -279,56 +278,171 @@ func (s *sliceState) encodeBlock(w *bits.Writer, blk *[64]int32, intra bool, cc 
 	return nil
 }
 
-// decodeBlock reads one coded block into blk (raster order, zero-filled).
-// It returns the block's sparsity: nnz, the count of nonzero coefficients
-// written (DC included when nonzero), and last, the scan position of the
-// final coefficient (0 for a DC-only or empty block) — the contract
-// quant.InverseSparse consumes.
-func (s *sliceState) decodeBlock(r *bits.Reader, blk *[64]int32, intra bool, cc int, luma bool) (nnz, last int, err error) {
-	for i := range blk {
-		blk[i] = 0
+// coefWindow is the state of a block decode between two looks at the
+// reader: w holds the next avail bits of the stream left-justified, out of
+// the loaded it held when the reader was last asked (what was consumed
+// since is the difference), and rem is how many bits the buffer held from
+// there, which may be fewer: past its end the window reads zeros.
+type coefWindow struct {
+	w             uint64
+	avail, loaded uint
+	rem           int64
+	pos           int    // scan position of the next coefficient
+	mask          uint64 // raster positions written so far
+}
+
+// load takes a fresh window at the reader's position.
+func (c *coefWindow) load(r *bits.Reader) {
+	c.rem = r.Remaining()
+	c.w, c.loaded = r.Window()
+	c.avail = c.loaded
+}
+
+func (c *coefWindow) used() uint { return c.loaded - c.avail }
+
+// overrun reports whether the bits consumed extend past the end of the
+// buffer.
+func (c *coefWindow) overrun() bool { return int64(c.used()) > c.rem }
+
+// fail settles how a block decode that cannot go on fails. The bits
+// consumed include the offending symbol: if they extend past the buffer
+// the failure is an underflow (the reader is run off the end, as by a
+// Read, so its sticky error is set) whatever else err found wrong with
+// the symbol.
+func (c *coefWindow) fail(r *bits.Reader, err error) error {
+	if c.overrun() {
+		r.Skip(c.used())
+		return fmt.Errorf("mpeg2: DCT coefficients: %w", bits.ErrUnderflow)
 	}
-	tbl := scan.Table(s.p.AlternateScan)
-	tableOne := intra && s.p.IntraVLCFormat
-	pos := 0
-	if intra {
-		diff, err := vlc.DecodeDCDifferential(r, luma)
-		if err != nil {
-			return 0, 0, err
+	return err
+}
+
+// coefStop says why the symbol loop of a block decode stopped.
+type coefStop int
+
+const (
+	stopRefill  coefStop = iota // fewer bits left than the longest symbol needs
+	stopEOB                     // end of block
+	stopInvalid                 // no code word starts with the bits at the window's top
+	stopLevel                   // escape with a forbidden level, 0 or -2048
+	stopRun                     // run leads past scan position 63
+)
+
+// symbols decodes run/level symbols out of the window into blk until
+// fewer bits remain than the longest symbol needs, the block ends, or it
+// meets a symbol the block cannot hold. Whatever it stopped at counts as
+// consumed (an invalid code as one bit: whatever was meant, it had one).
+// The first symbol is looked up in tab, the rest in next. The loop makes
+// no call, so the window, the position and the mask stay in registers from
+// the first symbol to the last.
+func (c *coefWindow) symbols(tab, next *vlc.CoefTable, tbl *[64]int, blk *[64]int32) coefStop {
+	w, avail, pos, mask := c.w, c.avail, c.pos, c.mask
+	stop := stopRefill
+	for avail >= vlc.EscapeBits {
+		e := tab.Lookup(w)
+		n, run := e.Len(), e.Run()
+		level := vlc.SignedLevel(e, w)
+		if run >= vlc.RunEOB {
+			if run != vlc.RunEscape {
+				stop, avail = stopEOB, avail-n
+				if run == vlc.RunInvalid {
+					stop, avail = stopInvalid, avail-1
+				}
+				break
+			}
+			if run, level = vlc.EscapeRunLevel(w); level == 0 || level == -2048 {
+				stop, avail = stopLevel, avail-n
+				break
+			}
 		}
-		dc := s.dcPred[cc] + diff
-		maxDC := int32(1)<<uint(s.p.IntraDCPrecision+8) - 1
-		if dc < 0 || dc > maxDC {
-			return 0, 0, fmt.Errorf("mpeg2: intra DC %d out of range", dc)
+		w <<= n & 63
+		avail -= n
+		pos += run
+		if uint(pos) > 63 {
+			stop = stopRun
+			break
+		}
+		i := uint(tbl[pos]) & 63
+		blk[i] = level
+		mask |= 1 << i
+		pos++
+		tab = next
+	}
+	c.w, c.avail, c.pos, c.mask = w, avail, pos, mask
+	return stop
+}
+
+// decodeBlock reads one coded block into blk (raster order, zero-filled)
+// and returns its mask: bit i set exactly when blk[i] is nonzero — the
+// contract quant.InverseMasked consumes.
+//
+// The block is decoded out of a window on the stream (coefWindow), and the
+// reader is consulted again only when the window runs low. Symbols are not
+// checked against the end of the buffer one by one. Past the end the
+// window reads zeros, which no table accepts, so at most one symbol can
+// straddle the end before the symbol loop stops on an invalid code; every
+// way out of the function then compares what was consumed with what the
+// buffer held (coefWindow.fail), which reports the straddling symbol as
+// the underflow it is whatever the bits after it looked like.
+func (s *sliceState) decodeBlock(r *bits.Reader, blk *[64]int32, intra bool, cc int, luma bool) (mask uint64, err error) {
+	*blk = [64]int32{}
+	var c coefWindow
+	c.load(r)
+	if intra {
+		// dct_dc_size (at most 10 bits) and the differential (at most 11).
+		size, n := vlc.DCSizeLookup(c.w, luma)
+		if n == 0 {
+			c.avail-- // whatever was meant, it had a bit
+			return 0, c.fail(r, fmt.Errorf("mpeg2: invalid dct_dc_size code at bit %d", r.BitPos()))
+		}
+		c.w <<= n
+		dc := s.dcPred[cc]
+		if size > 0 {
+			dc += vlc.DCDifferential(int32(c.w>>(64-size)), size)
+			c.w <<= size
+		}
+		c.avail -= n + size
+		if maxDC := int32(1)<<uint(s.p.IntraDCPrecision+8) - 1; dc < 0 || dc > maxDC || c.overrun() {
+			return 0, c.fail(r, fmt.Errorf("mpeg2: intra DC %d out of range", dc))
 		}
 		s.dcPred[cc] = dc
 		blk[0] = dc
 		if dc != 0 {
-			nnz = 1
+			c.mask = 1
 		}
-		pos = 1
+		c.pos = 1
 	}
-	first := !intra
+
+	tableOne := intra && s.p.IntraVLCFormat
+	tab, next := vlc.CoefDecodeTable(tableOne, !intra), vlc.CoefDecodeTable(tableOne, false)
+	tbl := scan.Table(s.p.AlternateScan)
 	for {
-		run, level, eob, err := vlc.DecodeCoef(r, tableOne, first)
-		if err != nil {
-			return nnz, last, err
-		}
-		if eob {
-			if !intra && first {
-				return nnz, last, fmt.Errorf("mpeg2: empty non-intra block")
+		switch c.symbols(tab, next, tbl, blk) {
+		case stopEOB:
+			if !intra && c.mask == 0 {
+				return 0, c.fail(r, fmt.Errorf("mpeg2: empty non-intra block"))
 			}
-			return nnz, last, nil
+			if c.overrun() {
+				return 0, c.fail(r, nil)
+			}
+			r.Skip(c.used())
+			return c.mask, nil
+		case stopInvalid:
+			return 0, c.fail(r, fmt.Errorf("mpeg2: invalid DCT coefficient code %016b at bit %d", c.w>>48, r.BitPos()+int64(c.used())-1))
+		case stopLevel:
+			return 0, c.fail(r, fmt.Errorf("mpeg2: forbidden escape level (0 or -2048) before bit %d", r.BitPos()+int64(c.used())))
+		case stopRun:
+			return 0, c.fail(r, fmt.Errorf("mpeg2: coefficient run overflows block (pos %d)", c.pos))
 		}
-		first = false
-		pos += run
-		if pos > 63 {
-			return nnz, last, fmt.Errorf("mpeg2: coefficient run overflows block (pos %d)", pos)
+		// The window ran low: move the reader up to it and look again. The
+		// first symbol of the block is behind us (a fresh window holds the
+		// DC term and a symbol), so the first-coefficient table is too.
+		if c.overrun() {
+			return 0, c.fail(r, nil)
 		}
-		blk[tbl[pos]] = level // levels are never zero
-		nnz++
-		last = pos
-		pos++
+		r.Skip(c.used())
+		c.load(r)
+		tab = next
 	}
 }
 

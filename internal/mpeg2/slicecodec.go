@@ -2,6 +2,7 @@ package mpeg2
 
 import (
 	"fmt"
+	mathbits "math/bits"
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/motion"
@@ -411,7 +412,7 @@ func (mb *MB) resetHeader() {
 	mb.MVFwd2, mb.MVBwd2 = motion.MV{}, motion.MV{}
 	mb.FieldSelFwd, mb.FieldSelBwd = [2]bool{}, [2]bool{}
 	mb.NNZ = [6]uint8{}
-	mb.Last = [6]uint8{}
+	mb.Mask = [6]uint64{}
 	mb.SparseValid = false
 }
 
@@ -528,27 +529,18 @@ func decodeMB(r *bits.Reader, p *PictureParams, st *sliceState, mb *MB) error {
 
 	mb.SparseValid = true
 	if t.Intra {
-		for i := 0; i < 6; i++ {
-			cc, luma := blockComponent(i)
-			nnz, last, err := st.decodeBlock(r, &mb.Blocks[i], true, cc, luma)
-			if err != nil {
-				return err
-			}
-			mb.NNZ[i], mb.Last[i] = uint8(nnz), uint8(last)
-		}
 		mb.CBP = 0x3F
-	} else if t.Pattern {
-		for i := 0; i < 6; i++ {
-			if cbp&cbpBit(i) == 0 {
-				continue
-			}
-			cc, luma := blockComponent(i)
-			nnz, last, err := st.decodeBlock(r, &mb.Blocks[i], false, cc, luma)
-			if err != nil {
-				return err
-			}
-			mb.NNZ[i], mb.Last[i] = uint8(nnz), uint8(last)
+	}
+	for i := 0; i < 6; i++ {
+		if mb.CBP&cbpBit(i) == 0 {
+			continue
 		}
+		cc, luma := blockComponent(i)
+		mask, err := st.decodeBlock(r, &mb.Blocks[i], t.Intra, cc, luma)
+		if err != nil {
+			return err
+		}
+		mb.Mask[i], mb.NNZ[i] = mask, uint8(mathbits.OnesCount64(mask))
 	}
 	return r.Err()
 }

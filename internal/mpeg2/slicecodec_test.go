@@ -8,17 +8,15 @@ import (
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/motion"
-	"mpeg2par/internal/scan"
 	"mpeg2par/internal/vlc"
 )
 
 // expectSparsity fills mb's sparsity metadata from its Blocks the way the
 // decoder records it, serving as an independent oracle for round-trip
-// comparisons: NNZ counts nonzero coefficients per coded block, Last is
-// the scan position of the final VLC-coded coefficient (DC excluded for
-// intra blocks).
-func expectSparsity(p *PictureParams, mb *MB) {
-	mb.NNZ, mb.Last = [6]uint8{}, [6]uint8{}
+// comparisons: per coded block, Mask has a bit for every nonzero
+// coefficient and NNZ counts them.
+func expectSparsity(mb *MB) {
+	mb.NNZ, mb.Mask = [6]uint8{}, [6]uint64{}
 	mb.SparseValid = true
 	if mb.Skipped {
 		return
@@ -29,22 +27,14 @@ func expectSparsity(p *PictureParams, mb *MB) {
 	} else if mb.Type.Pattern {
 		cbp = deriveCBP(&mb.Blocks)
 	}
-	tbl := scan.Table(p.AlternateScan)
 	for i := 0; i < 6; i++ {
 		if cbp&cbpBit(i) == 0 {
 			continue
 		}
-		start := 0
-		if mb.Type.Intra {
-			if mb.Blocks[i][0] != 0 {
+		for j, v := range mb.Blocks[i] {
+			if v != 0 {
 				mb.NNZ[i]++
-			}
-			start = 1
-		}
-		for pos := start; pos < 64; pos++ {
-			if mb.Blocks[i][tbl[pos]] != 0 {
-				mb.NNZ[i]++
-				mb.Last[i] = uint8(pos)
+				mb.Mask[i] |= 1 << uint(j)
 			}
 		}
 	}
@@ -412,7 +402,7 @@ func TestSliceRoundTripQuick(t *testing.T) {
 		for i := range mbs {
 			want := mbs[i]
 			got := ds.MBs[i]
-			expectSparsity(p, &want)
+			expectSparsity(&want)
 			// Quant flag is derived; ignore in comparison.
 			got.Type.Quant = false
 			want.Type.Quant = false

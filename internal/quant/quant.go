@@ -4,6 +4,8 @@
 // and mismatch control.
 package quant
 
+import "math/bits"
+
 // DefaultIntraMatrix is the default intra quantization matrix in raster
 // order (§6.3.11).
 var DefaultIntraMatrix = [64]uint8{
@@ -99,73 +101,105 @@ func Inverse(block *[64]int32, p Params) {
 	InverseSparse(block, p, 64)
 }
 
-// InverseSparse is Inverse with a sparsity contract for the IDCT that
-// follows: nnz is the number of nonzero quantized coefficients in block
-// (pass 64 when unknown; it only bounds the scan). It returns rowMask,
-// whose bit r is set when frequency row r of the dequantized block may
-// hold a nonzero coefficient, and dcOnly, which is true only when every
-// AC coefficient is exactly zero after mismatch control. rowMask is a
-// safe superset (a set bit for an all-zero row costs time, not
-// correctness), but a clear bit guarantees the row is all zero, and
-// dcOnly is exact — both as dct.InverseSparse requires. The block
-// contents produced are bit-identical to Inverse.
+// InverseSparse is InverseMasked for a caller that knows only how many
+// quantized coefficients of block are nonzero (pass 64 when unknown): it
+// finds them by scanning the block. The block contents produced are
+// bit-identical to Inverse.
 func InverseSparse(block *[64]int32, p Params, nnz int) (rowMask uint8, dcOnly bool) {
-	var sum int32
-	acLive := false
-	seen := 0
-	start := 0
-	if p.Intra {
-		if block[0] != 0 {
-			seen++
+	return InverseMasked(block, p, Mask(block, nnz))
+}
+
+// Mask scans block in raster order and returns the mask InverseMasked
+// takes — bit i set when block[i] is nonzero — stopping after the nnz-th
+// nonzero coefficient (pass 64 to scan the whole block). Rows of eight
+// zeros, most rows of most blocks, cost one test.
+func Mask(block *[64]int32, nnz int) uint64 {
+	var mask uint64
+	for r := 0; r < 64 && nnz > 0; r += 8 {
+		row := block[r : r+8 : r+8]
+		if row[0]|row[1]|row[2]|row[3]|row[4]|row[5]|row[6]|row[7] == 0 {
+			continue
 		}
-		block[0] *= IntraDCMult(p.DCPrecision)
-		block[0] = saturate(block[0])
+		m := nonzero(row[0]) | nonzero(row[1])<<1 | nonzero(row[2])<<2 | nonzero(row[3])<<3 |
+			nonzero(row[4])<<4 | nonzero(row[5])<<5 | nonzero(row[6])<<6 | nonzero(row[7])<<7
+		for bits.OnesCount64(m) > nnz { // the nnz-th falls inside this row: drop what follows it
+			m &^= 1 << uint(63-bits.LeadingZeros64(m))
+		}
+		nnz -= bits.OnesCount64(m)
+		mask |= m << uint(r)
+	}
+	return mask
+}
+
+// nonzero returns 1 when v is nonzero, else 0.
+func nonzero(v int32) uint64 { return uint64(uint32(v|-v) >> 31) }
+
+// InverseMasked dequantizes in place the coefficients of block (quantized
+// levels QF, raster order) that mask names — bit i stands for block[i] —
+// then applies mismatch control (§7.4.4); results saturate to
+// [-2048, 2047]. mask must have a bit for every nonzero coefficient and
+// for no other: a zero non-intra coefficient under a set bit would come
+// out as half a quantizer step. The intra DC term is not the mask's
+// business: block[0] of an intra block holds the differential-decoded DC
+// value (dc_dct_pred applied) and is always scaled by the intra DC
+// multiplier.
+//
+// The results carry the sparsity contract of the IDCT that follows:
+// rowMask bit r is set when frequency row r of the dequantized block may
+// hold a nonzero coefficient, and dcOnly is true only when every AC
+// coefficient is exactly zero after mismatch control. rowMask is a safe
+// superset (a set bit for an all-zero row costs time, not correctness),
+// but a clear bit guarantees the row is all zero, and dcOnly is exact —
+// both as dct.InverseSparse requires.
+func InverseMasked(block *[64]int32, p Params, mask uint64) (rowMask uint8, dcOnly bool) {
+	var sum int32
+	// Reconstruction works on magnitudes, |F| = (2·|QF| + k)·scale·W / 32
+	// with k = 1 for non-intra blocks and 0 for intra ones, so that the
+	// division (which truncates toward zero) is a shift.
+	k := int32(1)
+	if p.Intra {
+		block[0] = saturate(block[0] * IntraDCMult(p.DCPrecision))
 		sum = block[0]
 		if block[0] != 0 {
 			rowMask = 1
 		}
-		start = 1
+		mask &^= 1
+		k = 0
 	}
-	for i := start; i < 64 && seen < nnz; i++ {
+	live := mask // coefficients that are nonzero once dequantized, save an intra DC
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m) & 63
 		qf := block[i]
-		if qf == 0 {
-			continue
+		neg := qf >> 31 // 0 or -1
+		f := ((qf^neg)-neg)<<1 + k
+		f = f * p.Scale * int32(p.Matrix[i]) >> 5
+		if limit := 2047 - neg; f > limit {
+			f = limit
 		}
-		seen++
-		var f int32
-		if p.Intra {
-			f = (2 * qf * p.Scale * int32(p.Matrix[i])) / 32
-		} else {
-			k := int32(1)
-			if qf < 0 {
-				k = -1
-			}
-			f = ((2*qf + k) * p.Scale * int32(p.Matrix[i])) / 32
+		if f == 0 {
+			live &^= 1 << uint(i)
 		}
-		f = saturate(f)
+		f = (f ^ neg) - neg
 		block[i] = f
 		sum += f
-		if f != 0 {
-			rowMask |= 1 << uint(i>>3)
-			acLive = true
-		}
 	}
 	// Mismatch control: if the coefficient sum is even, toggle the LSB of
 	// the highest-frequency coefficient. The toggle can turn a zero
-	// block[63] nonzero (row 7 must join the mask) or a one back to zero
-	// (bit 7 may stay set; supersets are harmless).
+	// block[63] nonzero (it joins the live ones) or a one back to zero
+	// (it may stay among them; a superset is harmless).
 	if sum&1 == 0 {
-		if block[63]&1 != 0 {
-			block[63]--
-		} else {
-			block[63]++
-		}
+		block[63] ^= 1
 		if block[63] != 0 {
-			rowMask |= 0x80
-			acLive = true
+			live |= 1 << 63
 		}
 	}
-	return rowMask, !acLive
+	// Bit r of rowMask: any live coefficient among the eight of row r.
+	rows := live
+	rows |= rows >> 4
+	rows |= rows >> 2
+	rows |= rows >> 1
+	rowMask |= uint8(rows & 0x0101010101010101 * 0x0102040810204080 >> 56)
+	return rowMask, live == 0
 }
 
 // Forward quantizes the block of DCT coefficients F (raster order) in

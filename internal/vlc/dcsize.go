@@ -60,6 +60,28 @@ func DecodeDCSize(r *bits.Reader, luma bool) (int, error) {
 	return int(sym), nil
 }
 
+// DCSizeLookup returns the dct_dc_size whose code starts the left-justified
+// stream window w and that code's length, or n = 0 when no code matches.
+// The block decode of internal/mpeg2 reads the DC term through it; w must
+// hold at least 10 meaningful bits.
+func DCSizeLookup(w uint64, luma bool) (size, n uint) {
+	t := dcSizeChromaTable
+	if luma {
+		t = dcSizeLumaTable
+	}
+	sym, n := t.lookup(w)
+	return uint(sym), n
+}
+
+// DCDifferential maps the size-bit code that follows a dct_dc_size to the
+// differential it stands for (§7.2.1); size must be in 1..11.
+func DCDifferential(code int32, size uint) int32 {
+	if half := int32(1) << (size - 1); code < half {
+		return code - 2*half + 1
+	}
+	return code
+}
+
 // EncodeDCDifferential writes a DC differential: the size VLC followed by
 // the size-bit differential code (§7.2.1). diff must satisfy |diff| < 2^11.
 func EncodeDCDifferential(w *bits.Writer, diff int32, luma bool) error {
@@ -89,12 +111,7 @@ func DecodeDCDifferential(r *bits.Reader, luma bool) (int32, error) {
 	if size == 0 {
 		return 0, nil
 	}
-	code := int32(r.Read(uint(size)))
-	half := int32(1) << uint(size-1)
-	if code < half {
-		code = code - 2*half + 1
-	}
-	return code, r.Err()
+	return DCDifferential(int32(r.Read(uint(size))), uint(size)), r.Err()
 }
 
 func abs32(v int32) int32 {

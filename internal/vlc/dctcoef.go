@@ -181,35 +181,125 @@ var (
 	nextOne  = Code{0b11, 2} // B-14 (0,1) elsewhere
 )
 
-// Decoded-symbol encoding inside the lookup tables. Levels occupy 12 bits
-// so that escape-range magnitudes (up to 2047) cannot alias a (run, level)
-// pair with a different run.
-const (
-	symEOB    = 1 << 18
-	symEscape = 1 << 19
-)
-
 func pairSym(run int, level int32) int32 { return int32(run)<<12 | level }
 
-// dctTable bundles the decode LUT and the encode map for one coefficient
-// table variant.
-type dctTable struct {
-	dec *table
-	enc map[int32]Code
+// CoefEntry is one slot of a CoefTable, packed in four bytes: what the code
+// word starting at the looked-up bits decodes to.
+type CoefEntry uint32
+
+func coefEntry(level int32, run int, n uint8) CoefEntry {
+	return CoefEntry(uint32(level)<<16 | uint32(run)<<8 | uint32(n))
 }
 
-func buildDCT(name string, pairs []rl, eob Code, hasEOB bool) dctTable {
-	es := make([]entry, 0, len(pairs)+2)
-	enc := make(map[int32]Code, len(pairs))
+// Len is the number of bits the whole symbol occupies: the code word plus
+// its sign bit for a (run, level) pair, the code word alone for end of
+// block, all 24 bits for an escape, 0 when no code word starts with the
+// looked-up bits.
+func (e CoefEntry) Len() uint { return uint(e & 0xFF) }
+
+// Run is the zero run of a (run, level) pair, or one of the reserved
+// values below.
+func (e CoefEntry) Run() int { return int(e >> 8 & 0xFF) }
+
+// Level is the magnitude of a (run, level) pair. The sign is the last of
+// the symbol's Len bits (SignedLevel); an escape carries run and level in
+// the stream (EscapeRunLevel).
+func (e CoefEntry) Level() int32 { return int32(e >> 16) }
+
+// Reserved CoefEntry.Run values; the runs of (run, level) pairs stop at 31,
+// so one comparison with RunEOB tells a pair from everything else.
+const (
+	RunEOB     = 64 // end of block
+	RunEscape  = 65 // escape: 6-bit run and 12-bit level follow the code word
+	RunInvalid = 66 // no code word starts with the looked-up bits; Len is 0
+)
+
+const (
+	coefShortBits  = 8  // first level: indexed by the next 8 bits
+	coefPrefixBits = 6  // codes longer than 8 bits all start with six zeros
+	coefLongBits   = 10 // second level: bits 6..15 behind that prefix
+
+	// CoefTableBytes is the size of one CoefTable — the VLC working set of
+	// a block decode, which internal/decoder's memory-trace model spreads
+	// its table probes over.
+	CoefTableBytes = (1<<coefShortBits + 1<<coefLongBits) * 4
+	// EscapeBits is the length of an escape-coded coefficient, the longest
+	// symbol of the coefficient syntax.
+	EscapeBits = 24
+)
+
+// CoefTable is the decode side of one DCT coefficient table variant: two
+// levels of 4-byte entries, 5 KB in all, so that the tables of a picture
+// stay cache resident (a flat lookup on the longest code, 16 bits, takes
+// 256 KB and spreads the 2-bit end-of-block code over a quarter of it).
+// Every code of at most 8 bits is resolved by short; the longer ones all
+// share the six-zero prefix and are resolved by long.
+type CoefTable struct {
+	short [1 << coefShortBits]CoefEntry
+	long  [1 << coefLongBits]CoefEntry
+}
+
+// Lookup returns the entry for the symbol at the top of w, a left-justified
+// window on the stream of which at least 16 bits are meaningful.
+func (t *CoefTable) Lookup(w uint64) CoefEntry {
+	if w>>(64-coefPrefixBits) != 0 {
+		return t.short[w>>(64-coefShortBits)]
+	}
+	return t.long[w>>(64-coefPrefixBits-coefLongBits)&(1<<coefLongBits-1)]
+}
+
+// put files entry e under every slot whose bits start with code c.
+func (t *CoefTable) put(name string, c Code, e CoefEntry) {
+	var slots []CoefEntry
+	switch {
+	case c.Len == 0:
+		panic("vlc: zero-length code in " + name)
+	case c.Len <= coefShortBits:
+		n := coefShortBits - c.Len
+		slots = t.short[c.Bits<<n:][:1<<n]
+		if c.Bits<<n>>(coefShortBits-coefPrefixBits) == 0 {
+			slots = nil // Lookup sends the six-zero prefix to the second level
+		}
+	case c.Len <= coefPrefixBits+coefLongBits && c.Bits>>(c.Len-coefPrefixBits) == 0:
+		n := coefPrefixBits + coefLongBits - c.Len
+		slots = t.long[c.Bits<<n:][:1<<n]
+	}
+	if slots == nil {
+		panic(fmt.Sprintf("vlc: table %s: code %0*b/%d fits neither level", name, c.Len, c.Bits, c.Len))
+	}
+	for i := range slots {
+		if slots[i].Len() != 0 {
+			panic(fmt.Sprintf("vlc: table %s: code %0*b/%d overlaps", name, c.Len, c.Bits, c.Len))
+		}
+		slots[i] = e
+	}
+}
+
+// dctTable bundles the decode table and the encode map for one coefficient
+// table variant; both are filled from the same rows.
+type dctTable struct {
+	dec  CoefTable
+	enc  map[int32]Code
+	name string
+}
+
+func buildDCT(name string, pairs []rl, eob Code, hasEOB bool) *dctTable {
+	t := &dctTable{enc: make(map[int32]Code, len(pairs)), name: name}
+	for i := range t.dec.short {
+		t.dec.short[i] = coefEntry(0, RunInvalid, 0)
+	}
+	for i := range t.dec.long {
+		t.dec.long[i] = coefEntry(0, RunInvalid, 0)
+	}
 	for _, p := range pairs {
-		es = append(es, entry{p.code, pairSym(p.run, p.level)})
-		enc[pairSym(p.run, p.level)] = p.code
+		t.dec.put(name, p.code, coefEntry(p.level, p.run, p.code.Len+1))
+		t.enc[pairSym(p.run, p.level)] = p.code
 	}
 	if hasEOB {
-		es = append(es, entry{eob, symEOB})
+		t.dec.put(name, eob, coefEntry(0, RunEOB, eob.Len))
 	}
-	es = append(es, entry{escape, symEscape})
-	return dctTable{dec: buildTable(name, es), enc: enc}
+	t.dec.put(name, escape, coefEntry(0, RunEscape, EscapeBits))
+	return t
 }
 
 var (
@@ -238,12 +328,19 @@ var (
 
 func selectDCT(tableOne, first bool) *dctTable {
 	if tableOne {
-		return &dctOne
+		return dctOne
 	}
 	if first {
-		return &dctZeroFirst
+		return dctZeroFirst
 	}
-	return &dctZeroNext
+	return dctZeroNext
+}
+
+// CoefDecodeTable returns the decode table for DCT coefficients: table one
+// (intra_vlc_format = 1, intra blocks only) or table zero, whose first
+// coefficient in a non-intra block has a variant of its own.
+func CoefDecodeTable(tableOne, first bool) *CoefTable {
+	return &selectDCT(tableOne, first).dec
 }
 
 // EncodeCoef writes one (run, level) DCT coefficient. level must be
@@ -290,40 +387,46 @@ func EncodeEOB(w *bits.Writer, tableOne bool) {
 // DecodeCoef reads one DCT coefficient. It returns eob=true at end of
 // block (run and level are then meaningless). first selects the non-intra
 // first-coefficient convention of table zero, under which EOB cannot
-// occur.
+// occur. It is the one-symbol form of the block decode in internal/mpeg2,
+// which walks the same tables without a call per symbol.
 func DecodeCoef(r *bits.Reader, tableOne, first bool) (run int, level int32, eob bool, err error) {
 	t := selectDCT(tableOne, first)
-	sym, err := t.dec.decode(r)
-	if err != nil {
-		return 0, 0, false, err
+	w, _ := r.Window()
+	e := t.dec.Lookup(w)
+	n := e.Len()
+	if int64(n) > r.Remaining() || n == 0 && r.Remaining() <= 0 {
+		return 0, 0, false, fmt.Errorf("vlc: %s: %w", t.name, bits.ErrUnderflow)
 	}
-	switch sym {
-	case symEOB:
+	if n == 0 {
+		return 0, 0, false, fmt.Errorf("vlc: %s: invalid code %016b at bit %d", t.name, w>>48, r.BitPos())
+	}
+	r.Skip(n)
+	switch e.Run() {
+	case RunEOB:
 		return 0, 0, true, nil
-	case symEscape:
-		run = int(r.Read(6))
-		raw := int32(r.Read(12))
-		if raw >= 2048 {
-			raw -= 4096
-		}
-		if err := r.Err(); err != nil {
-			return 0, 0, false, err
-		}
-		if raw == 0 || raw == -2048 {
-			return 0, 0, false, fmt.Errorf("vlc: forbidden escape level %d", raw)
-		}
-		return run, raw, false, nil
-	default:
-		run = int(sym >> 12)
-		level = sym & 0xFFF
-		if r.ReadBit() {
-			level = -level
-		}
-		if err := r.Err(); err != nil {
-			return 0, 0, false, err
+	case RunEscape:
+		run, level = EscapeRunLevel(w)
+		if level == 0 || level == -2048 {
+			return 0, 0, false, fmt.Errorf("vlc: forbidden escape level %d", level)
 		}
 		return run, level, false, nil
+	default:
+		return e.Run(), SignedLevel(e, w), false, nil
 	}
+}
+
+// EscapeRunLevel extracts the 6-bit run and the 12-bit two's-complement
+// level of the escape-coded coefficient at the top of w. Levels 0 and
+// -2048 are forbidden; rejecting them is the caller's business.
+func EscapeRunLevel(w uint64) (run int, level int32) {
+	return int(w >> (64 - 12) & 63), int32(uint32(w>>(64-EscapeBits))<<20) >> 20
+}
+
+// SignedLevel applies the sign bit of the (run, level) symbol at the top of
+// w — the last of its e.Len() bits — to the entry's magnitude.
+func SignedLevel(e CoefEntry, w uint64) int32 {
+	sign := int32(int64(w<<((e.Len()-1)&63)) >> 63) // 0 or -1
+	return (e.Level() ^ sign) - sign
 }
 
 // MaxVLCLevel returns the largest level with a VLC for the given run in

@@ -4,10 +4,17 @@
 // motion code (B-10), DC size (B-12, B-13) and the two DCT coefficient
 // tables (B-14, B-15).
 //
-// Every table is defined once as (symbol, code, length) data; encoding
-// indexes the data directly and decoding goes through a flat 2^maxLen
-// lookup built at init, so encoder and decoder cannot drift apart. Tests
-// verify prefix-freedom and spot-check code words against the standard.
+// Every table is defined once as (symbol, code, length) data; the encode
+// side indexes that data directly and the decode side is built from it at
+// init, so encoder and decoder cannot drift apart. Tests verify
+// prefix-freedom and spot-check code words against the standard.
+//
+// Two decode layouts. The small tables (B-1, B-2..4, B-9, B-10, B-12/13:
+// at most 8 KB each) use the generic table type, a flat lookup on the next
+// maxLen bits. The DCT coefficient tables, whose longest code is 16 bits
+// and which are probed once per coefficient, use CoefTable instead: two
+// levels of 4-byte entries, 5 KB per variant, read through a window on the
+// stream by the block decode of internal/mpeg2 (see dctcoef.go).
 //
 // Table one (B-15) note: its short codes (≤ 8 bits) follow the standard;
 // (run,level) pairs without a short code reuse their table-zero long codes
@@ -72,6 +79,14 @@ func buildTable(name string, entries []entry) *table {
 		}
 	}
 	return t
+}
+
+// lookup returns the symbol whose code starts the left-justified stream
+// window w (at least maxLen meaningful bits) and the code's length, which
+// is 0 when no code matches.
+func (t *table) lookup(w uint64) (sym int32, n uint) {
+	packed := t.lut[w>>(64-t.maxLen)]
+	return int32(packed&0xFFFFFF) - symBias, uint(packed >> 24)
 }
 
 // decode reads one symbol. On an invalid code it returns an error and

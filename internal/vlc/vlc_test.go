@@ -498,6 +498,9 @@ func TestDecodeInvalidCode(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeCoef times the one-symbol wrapper over the compact
+// coefficient tables. Slice decoding does not go through it: its cost per
+// block is BenchmarkDecodeBlock in internal/mpeg2.
 func BenchmarkDecodeCoef(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	var w bits.Writer
@@ -532,47 +535,6 @@ func BenchmarkEncodeCoef(b *testing.B) {
 		}
 		if err := EncodeCoef(&w, false, false, i%4, int32(i%9)+1); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDCTCoefDecode measures decoding whole coefficient blocks —
-// run/level pairs until EOB, the VLD inner loop of slice decoding —
-// rather than a single code like BenchmarkDecodeCoef.
-func BenchmarkDCTCoefDecode(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	var w bits.Writer
-	const blocks = 512
-	for i := 0; i < blocks; i++ {
-		ncoef := 1 + rng.Intn(12)
-		for c := 0; c < ncoef; c++ {
-			lvl := int32(rng.Intn(12) + 1)
-			if rng.Intn(2) == 0 {
-				lvl = -lvl
-			}
-			if err := EncodeCoef(&w, false, c == 0, rng.Intn(5), lvl); err != nil {
-				b.Fatal(err)
-			}
-		}
-		EncodeEOB(&w, false)
-	}
-	data := w.Bytes()
-	var r bits.Reader
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%blocks == 0 {
-			r.Reset(data)
-		}
-		first := true
-		for {
-			_, _, eob, err := DecodeCoef(&r, false, first)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if eob {
-				break
-			}
-			first = false
 		}
 	}
 }
