@@ -12,7 +12,9 @@ vet:
 # tier-equivalence matrix (each equivalence test internally sweeps
 # scalar/SWAR/asm against the scalar oracle), the coefficient path (block
 # VLD kernel against its bit-serial reference, mask-driven dequant against
-# the dense one) and the goldens; the same matrix under the race detector
+# the dense one), the write-once reconstruction (prediction into the frame,
+# in-place average and residual add against the two-buffer one; windowed
+# macroblock header against its per-symbol reference) and the goldens; the same matrix under the race detector
 # with the asm tier force-disabled (the race runtime cannot see into
 # assembly, so race coverage comes from the pure-Go tiers), golden
 # bit-exactness with every forced tier, and the per-kernel
@@ -21,7 +23,7 @@ kernels:
 	$(GO) test ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/ ./internal/vlc/ ./internal/quant/ ./internal/mpeg2/
 	MPEG2_KERNELS=scalar $(GO) test -race -run 'TierEquivalence|AsmEquivalence|Golden|MatchesSequential' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
 	MPEG2_KERNELS=swar $(GO) test -race -run 'TierEquivalence|AsmEquivalence|Golden|MatchesSequential' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
-	$(GO) test -run=NONE -bench 'PredictBlock|AverageMB|StoreBlock|InverseTiers|DecodeBlock|InverseMasked' -benchtime=10x ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/mpeg2/ ./internal/quant/
+	$(GO) test -run=NONE -bench 'PredictBlock|AverageMB|StoreBlock|InverseTiers|DecodeBlock|InverseMasked|ReconMB|DecodeMBHeader|Average' -benchtime=10x ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/mpeg2/ ./internal/quant/
 
 # Cross-compile + per-arch vet gate: both SIMD targets must build and
 # their assembly must pass vet's asmdecl checks even when developing on
@@ -127,6 +129,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=NONE -fuzz=FuzzStreamScan -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/mpeg2
+	$(GO) test -run=NONE -fuzz=FuzzDecodeMBHeader -fuzztime=$(FUZZTIME) ./internal/mpeg2
 
 # Corruption sweep: PSNR vs loss rate under each resilience policy.
 faults:

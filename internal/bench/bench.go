@@ -16,6 +16,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -211,35 +212,18 @@ func (r *Runner) GOPTasks(res Resolution, gop int) ([]simsched.GOPTask, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Profile twice and keep the per-task minimum: the first pass warms
-	// code and data paths, and the minimum suppresses scheduler noise.
-	// Profiling pins stream-order (FIFO) packing so the cold-cache cost of
-	// each picture's first task lands on the same slice in every run —
-	// the simulator assumes stream-order measurement.
-	st, err := core.Decode(s.Data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true, Packing: core.PackFIFO})
-	if err != nil {
-		return nil, err
-	}
-	st2, err := core.Decode(s.Data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true, Packing: core.PackFIFO})
-	if err != nil {
-		return nil, err
-	}
 	m, err := r.Map(res, gop)
 	if err != nil {
 		return nil, err
 	}
-	measured := make([]simsched.GOPTask, len(st.GOPCosts))
-	for i, c := range st.GOPCosts {
-		cost := c.Cost
-		if c2 := st2.GOPCosts[i].Cost; c2 < cost {
-			cost = c2
-		}
-		measured[i] = simsched.GOPTask{Cost: cost, Pictures: len(m.GOPs[i].Pictures)}
+	measured, wall, err := profileGOPTasks(s.Data, m)
+	if err != nil {
+		return nil, err
 	}
 	tiled := tileGOPs(measured, (r.cfg.StreamPictures+gop-1)/gop)
 	r.mu.Lock()
 	r.gopProf[key] = tiled
-	r.baseline[key] = st.Wall
+	r.baseline[key] = wall
 	r.mu.Unlock()
 	return tiled, nil
 }
@@ -268,25 +252,75 @@ func (r *Runner) SlicePics(res Resolution, gop int) ([]simsched.SimPicture, erro
 	return tiled, nil
 }
 
-// profileSlicePics measures per-slice costs (two passes, per-task
-// minimum: the first warms code and data paths) and tiles them out to the
-// requested stream length.
-func profileSlicePics(data []byte, pictures int) ([]simsched.SimPicture, error) {
-	st, err := core.Decode(data, core.Options{Mode: core.ModeSliceImproved, Workers: 1, Profile: true, Packing: core.PackFIFO})
-	if err != nil {
-		return nil, err
+// profilePasses is how many times a stream is decoded to profile its task
+// costs. A cost is the median over the passes of an interval of at most a
+// picture — a slice in the slice profile, a picture (and the task's
+// remainder) in the GOP profile: the simulated tables compare the two
+// profiles, and the host is shared, so what must not decide an ordering is
+// one slow pass, one lucky one (a minimum), or the time a worker spends
+// descheduled, which every pass of an interval of milliseconds contains
+// and few passes of one of microseconds do. The first pass also warms code
+// and data paths.
+const profilePasses = 5
+
+// medianCost returns the median of cost(0) … cost(profilePasses-1).
+func medianCost(cost func(pass int) time.Duration) time.Duration {
+	var c [profilePasses]time.Duration
+	for i := range c {
+		c[i] = cost(i)
 	}
-	st2, err := core.Decode(data, core.Options{Mode: core.ModeSliceImproved, Workers: 1, Profile: true, Packing: core.PackFIFO})
-	if err != nil {
-		return nil, err
+	slices.Sort(c[:])
+	return c[profilePasses/2]
+}
+
+// profileGOPTasks measures per-GOP decode costs at one worker, and the
+// wall time of the first such decode. Profiling pins stream-order (FIFO)
+// packing so the cold-cache cost of each picture's first task lands on the
+// same slice in every run — the simulator assumes stream-order
+// measurement. A task's cost is put together picture by picture, plus what
+// the task spends outside pictures, not taken as one interval (see
+// profilePasses).
+func profileGOPTasks(data []byte, m *core.StreamMap) ([]simsched.GOPTask, time.Duration, error) {
+	var passes [profilePasses]*core.Stats
+	for i := range passes {
+		var err error
+		if passes[i], err = core.Decode(data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true, Packing: core.PackFIFO}); err != nil {
+			return nil, 0, err
+		}
 	}
-	measured := make([]simsched.SimPicture, len(st.SliceProf))
-	for i, p := range st.SliceProf {
-		costs := append([]time.Duration(nil), p.SliceCosts...)
-		for j, c2 := range st2.SliceProf[i].SliceCosts {
-			if c2 < costs[j] {
-				costs[j] = c2
+	tasks := make([]simsched.GOPTask, len(passes[0].GOPCosts))
+	for i := range tasks {
+		cost := medianCost(func(pass int) time.Duration {
+			c := passes[pass].GOPCosts[i]
+			rest := c.Cost
+			for _, p := range c.Pictures {
+				rest -= p
 			}
+			return rest
+		})
+		for p := range passes[0].GOPCosts[i].Pictures {
+			cost += medianCost(func(pass int) time.Duration { return passes[pass].GOPCosts[i].Pictures[p] })
+		}
+		tasks[i] = simsched.GOPTask{Cost: cost, Pictures: len(m.GOPs[i].Pictures)}
+	}
+	return tasks, passes[0].Wall, nil
+}
+
+// profileSlicePics measures per-slice costs (the per-task median of
+// profilePasses passes) and tiles them out to the requested stream length.
+func profileSlicePics(data []byte, pictures int) ([]simsched.SimPicture, error) {
+	var passes [profilePasses]*core.Stats
+	for i := range passes {
+		var err error
+		if passes[i], err = core.Decode(data, core.Options{Mode: core.ModeSliceImproved, Workers: 1, Profile: true, Packing: core.PackFIFO}); err != nil {
+			return nil, err
+		}
+	}
+	measured := make([]simsched.SimPicture, len(passes[0].SliceProf))
+	for i, p := range passes[0].SliceProf {
+		costs := make([]time.Duration, len(p.SliceCosts))
+		for j := range costs {
+			costs[j] = medianCost(func(pass int) time.Duration { return passes[pass].SliceProf[i].SliceCosts[j] })
 		}
 		measured[i] = simsched.SimPicture{Ref: p.Ref, Intra: p.Type == 'I', DisplayIdx: p.DisplayIdx, SliceCosts: costs}
 	}

@@ -177,9 +177,9 @@ func SchedCompare(cfg SchedConfig) (*SchedResult, error) {
 	}
 	res.SliceSkew = skewOf(flat)
 
-	// Profile real task costs at one worker (two passes, per-task min —
-	// same discipline as the figure experiments).
-	gopTasks, err := profileGOPTasks(enc.Data, m)
+	// Profile real task costs at one worker (the discipline of the figure
+	// experiments, see profilePasses).
+	gopTasks, _, err := profileGOPTasks(enc.Data, m)
 	if err != nil {
 		return nil, err
 	}
@@ -267,29 +267,6 @@ func SchedCompare(cfg SchedConfig) (*SchedResult, error) {
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// profileGOPTasks measures per-GOP decode costs at one worker (two
-// passes, per-task minimum, stream-order packing — the discipline the
-// simulator assumes).
-func profileGOPTasks(data []byte, m *core.StreamMap) ([]simsched.GOPTask, error) {
-	st, err := core.Decode(data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true, Packing: core.PackFIFO})
-	if err != nil {
-		return nil, err
-	}
-	st2, err := core.Decode(data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true, Packing: core.PackFIFO})
-	if err != nil {
-		return nil, err
-	}
-	tasks := make([]simsched.GOPTask, len(st.GOPCosts))
-	for i, c := range st.GOPCosts {
-		cost := c.Cost
-		if c2 := st2.GOPCosts[i].Cost; c2 < cost {
-			cost = c2
-		}
-		tasks[i] = simsched.GOPTask{Cost: cost, Pictures: len(m.GOPs[i].Pictures)}
-	}
-	return tasks, nil
 }
 
 // orderGOPs returns tasks in stream order or longest-first by byte size.

@@ -143,7 +143,7 @@ func VLDSplit(cfg VLDSplitConfig) (*VLDSplitResult, error) {
 	}
 
 	// Profile unsplit and indexed-split costs with one worker (two
-	// passes, per-task minimum — see profileSlicePics) and replay them
+	// passes, per-task minimum — profileSplit) and replay them
 	// in the simulator at the configured worker count.
 	unsplit, _, err := profileSplit(enc.Data, core.Options{
 		Mode: core.ModeSliceImproved, Workers: 1, Profile: true, Packing: core.PackFIFO,

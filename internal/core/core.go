@@ -194,6 +194,11 @@ type WorkerStats struct {
 type TaskCost struct {
 	Cost time.Duration
 	Work decoder.WorkStats
+	// Pictures splits a GOP task's Cost by picture, in decode order (the
+	// rest of Cost is the task's own overhead): intervals short enough
+	// that a profile taken on a busy host can tell the few a preemption
+	// fell into from the others, which it cannot for a whole GOP.
+	Pictures []time.Duration
 }
 
 // PicProfile is the per-picture slice cost profile used by the simulator.

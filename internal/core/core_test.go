@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/encoder"
@@ -232,6 +233,16 @@ func TestProfileCollection(t *testing.T) {
 	}
 	if len(st.GOPCosts) != 1 || st.GOPCosts[0].Cost <= 0 {
 		t.Fatalf("GOP profile missing: %+v", st.GOPCosts)
+	}
+	var inPictures time.Duration
+	for _, c := range st.GOPCosts[0].Pictures {
+		if c <= 0 {
+			t.Fatal("unmeasured picture cost")
+		}
+		inPictures += c
+	}
+	if n := len(st.GOPCosts[0].Pictures); n != 13 || inPictures > st.GOPCosts[0].Cost {
+		t.Fatalf("GOP task of %v split into %d pictures of %v together", st.GOPCosts[0].Cost, n, inPictures)
 	}
 	st2, err := Decode(res.Data, Options{Mode: ModeSliceImproved, Workers: 1, Profile: true})
 	if err != nil {

@@ -94,7 +94,11 @@ func gopWorkerLoop(data []byte, m *StreamMap, pool *frame.Pool, opt Options, wi 
 		}
 		t1 := time.Now()
 		reg := rtrace.StartRegion(context.Background(), "mpeg2par.gopTask")
-		work, concealed, err := decodeOneGOP(data, m, g, pool, opt, wi, disp)
+		var picCosts []time.Duration
+		if opt.Profile {
+			picCosts = make([]time.Duration, 0, len(m.GOPs[g].Pictures))
+		}
+		work, concealed, err := decodeOneGOP(data, m, g, pool, opt, wi, disp, &picCosts)
 		reg.End()
 		cost := time.Since(t1)
 		ws.Busy += cost
@@ -109,14 +113,14 @@ func gopWorkerLoop(data []byte, m *StreamMap, pool *frame.Pool, opt Options, wi 
 		st.Work.Add(work)
 		st.Concealed += concealed
 		if opt.Profile {
-			st.GOPCosts[g] = TaskCost{Cost: cost, Work: work}
+			st.GOPCosts[g] = TaskCost{Cost: cost, Work: work, Pictures: picCosts}
 		}
 		workMu.Unlock()
 	}
 }
 
 // decodeOneGOP decodes GOP g completely (the unit of work of one task).
-func decodeOneGOP(data []byte, m *StreamMap, g int, pool *frame.Pool, opt Options, wi int, disp *displayProc) (decoder.WorkStats, int, error) {
+func decodeOneGOP(data []byte, m *StreamMap, g int, pool *frame.Pool, opt Options, wi int, disp *displayProc, picCosts *[]time.Duration) (decoder.WorkStats, int, error) {
 	gop := &m.GOPs[g]
 	seq := m.Seq // copy: workers must not share mutable header state
 	pd := decoder.PictureDecoder{
@@ -151,12 +155,19 @@ func decodeOneGOP(data []byte, m *StreamMap, g int, pool *frame.Pool, opt Option
 				return pd.Work, pd.Concealed, fmt.Errorf("picture at byte %d: more pictures than the %d scanned", int(r.BytePos())-4, len(gop.Pictures))
 			}
 			pi++
+			var t0 time.Time
+			if opt.Profile {
+				t0 = time.Now()
+			}
 			out, err := pd.DecodePicture(r)
 			if err != nil {
 				return pd.Work, pd.Concealed, err
 			}
 			for _, f := range out {
 				disp.push(f, gop.FirstDisplay+f.TemporalRef)
+			}
+			if opt.Profile {
+				*picCosts = append(*picCosts, time.Since(t0))
 			}
 		case code == mpeg2.SequenceHeaderCode:
 			if _, err := mpeg2.ParseSequenceHeader(r); err != nil {

@@ -10,7 +10,6 @@
 package decoder
 
 import (
-	"encoding/binary"
 	"fmt"
 	mathbits "math/bits"
 
@@ -77,11 +76,11 @@ func ReconSlice(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, d
 		return st, fmt.Errorf("decoder: B picture without backward reference")
 	}
 	mbw := seq.MBWidth()
-	var pred, pred2 motion.MBPred
+	var scratch motion.MBPred
 	for i := range ds.MBs {
 		mb := &ds.MBs[i]
 		mbx, mby := mb.Addr%mbw, mb.Addr/mbw
-		if err := reconMB(seq, ph, refs, dst, mb, mbx, mby, &pred, &pred2, &st, proc, tr); err != nil {
+		if err := reconMB(seq, ph, refs, dst, mb, mbx, mby, &scratch, &st, proc, tr); err != nil {
 			return st, fmt.Errorf("decoder: macroblock %d: %w", mb.Addr, err)
 		}
 		st.MBs++
@@ -118,7 +117,14 @@ func blockMask(mb *mpeg2.MB, b int) uint64 {
 	return quant.Mask(&mb.Blocks[b], 64)
 }
 
-func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, pred, pred2 *motion.MBPred, st *WorkStats, proc int, tr memtrace.Tracer) error {
+// reconMB reconstructs one macroblock into dst. A predicted pixel is
+// written once: motion compensation goes straight into dst (a
+// bidirectional macroblock: forward into dst, backward into scratch, then
+// dst = avg(dst, scratch)), so an uncoded block costs nothing more and a
+// coded one is an in-place clamped residual add. Whether the macroblock
+// can be predicted at all is decided before dst is touched, so a rejected
+// macroblock leaves the frame as it found it.
+func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, scratch *motion.MBPred, st *WorkStats, proc int, tr memtrace.Tracer) error {
 	scale := quant.Scale(mb.QScaleCode, ph.QScaleType)
 	if mb.Type.Intra {
 		p := quant.Params{Matrix: &seq.IntraMatrix, Scale: scale, Intra: true, DCPrecision: ph.IntraDCPrecision}
@@ -134,72 +140,79 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 		return nil
 	}
 
-	// Build the prediction. With FieldMotion each direction carries two
-	// field vectors (field-unit verticals); trace extents approximate the
-	// field reads with the frame-scaled first vector.
-	predFwd := func(dst *motion.MBPred) {
-		if mb.FieldMotion {
-			motion.PredictMBField(dst, refs.Fwd, mbx, mby, mb.FieldSelFwd, mb.MVFwd, mb.MVFwd2)
-			traceMCRead(refs.Fwd, mbx, mby, motion.MV{X: mb.MVFwd.X, Y: 2 * mb.MVFwd.Y}, proc, tr)
-			return
-		}
-		motion.PredictMB(dst, refs.Fwd, mbx, mby, mb.MVFwd)
-		traceMCRead(refs.Fwd, mbx, mby, mb.MVFwd, proc, tr)
-	}
-	predBwd := func(dst *motion.MBPred) {
-		if mb.FieldMotion {
-			motion.PredictMBField(dst, refs.Bwd, mbx, mby, mb.FieldSelBwd, mb.MVBwd, mb.MVBwd2)
-			traceMCRead(refs.Bwd, mbx, mby, motion.MV{X: mb.MVBwd.X, Y: 2 * mb.MVBwd.Y}, proc, tr)
-			return
-		}
-		motion.PredictMB(dst, refs.Bwd, mbx, mby, mb.MVBwd)
-		traceMCRead(refs.Bwd, mbx, mby, mb.MVBwd, proc, tr)
-	}
+	// A P macroblock without a forward vector predicts with the zero
+	// vector (mb.MVFwd is zero in that case by construction).
+	fwd, bwd := true, false
 	switch ph.Type {
 	case vlc.CodingP:
-		// A P macroblock without a forward vector predicts with the zero
-		// vector (mb.MVFwd is zero in that case by construction).
-		predFwd(pred)
-		st.PredMBs++
 	case vlc.CodingB:
-		switch {
-		case mb.Type.MotionForward && mb.Type.MotionBackward:
-			predFwd(pred)
-			predBwd(pred2)
-			motion.AverageMB(pred, pred, pred2)
-			st.PredMBs++
-			st.BidirMBs++
-		case mb.Type.MotionBackward:
-			predBwd(pred)
-			st.PredMBs++
-		case mb.Type.MotionForward:
-			predFwd(pred)
-			st.PredMBs++
-		default:
+		if fwd, bwd = mb.Type.MotionForward, mb.Type.MotionBackward; !fwd && !bwd {
 			return fmt.Errorf("B macroblock with no prediction direction")
 		}
 	default:
 		return fmt.Errorf("non-intra macroblock in I picture")
 	}
-
-	// Add residuals for coded blocks; copy prediction elsewhere.
-	p := quant.Params{Matrix: &seq.NonIntraMatrix, Scale: scale, Intra: false}
-	tracePred(proc, tr)
-	for b := 0; b < 6; b++ {
-		coded := mb.CBP&(1<<uint(5-b)) != 0
-		if coded {
-			blk := mb.Blocks[b]
-			nz := inverseBlock(&blk, p, blockMask(mb, b))
-			st.Coefs += nz
-			storePredBlock(dst, pred, &blk, mbx, mby, b, mb.FieldDCT)
-			st.CodedBlocks++
-			traceBlock(proc, false, nz, tr)
-		} else {
-			storePredBlock(dst, pred, nil, mbx, mby, b, mb.FieldDCT)
-		}
+	switch {
+	case fwd && bwd:
+		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false, proc, tr)
+		predictMB(dst, scratch, refs.Bwd, mb, mbx, mby, true, proc, tr)
+		motion.AverageMBInto(dst, mbx, mby, scratch)
+		traceMBWrite(dst, mbx, mby, proc, tr)
+		traceScratchPred(proc, tr)
+		traceMBUpdate(dst, mbx, mby, 0x3F, false, proc, tr)
+		st.BidirMBs++
+	case bwd:
+		predictMB(dst, nil, refs.Bwd, mb, mbx, mby, true, proc, tr)
+		traceMBWrite(dst, mbx, mby, proc, tr)
+	default:
+		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false, proc, tr)
+		traceMBWrite(dst, mbx, mby, proc, tr)
 	}
-	traceMBWrite(dst, mbx, mby, proc, tr)
+	st.PredMBs++
+
+	// Add the residual of each coded block to the prediction in place.
+	p := quant.Params{Matrix: &seq.NonIntraMatrix, Scale: scale, Intra: false}
+	for b := 0; b < 6; b++ {
+		if mb.CBP&(1<<uint(5-b)) == 0 {
+			continue
+		}
+		blk := mb.Blocks[b]
+		nz := inverseBlock(&blk, p, blockMask(mb, b))
+		st.Coefs += nz
+		storePredBlock(dst, &blk, mbx, mby, b, mb.FieldDCT)
+		st.CodedBlocks++
+		traceBlock(proc, false, nz, tr)
+	}
+	traceMBUpdate(dst, mbx, mby, mb.CBP, mb.FieldDCT, proc, tr)
 	return nil
+}
+
+// predictMB writes one direction's prediction of mb (backward selects
+// MVBwd and its field selects, else forward) from ref straight into the
+// macroblock's place in dst — or, for the second direction of a
+// bidirectional macroblock, into the scratch buffer when one is given.
+// With FieldMotion the direction carries two field vectors (field-unit
+// verticals); trace extents approximate the field reads with the
+// frame-scaled first vector.
+func predictMB(dst *frame.Frame, scratch *motion.MBPred, ref *frame.Frame, mb *mpeg2.MB, mbx, mby int, backward bool, proc int, tr memtrace.Tracer) {
+	mv, mv2, sel := mb.MVFwd, mb.MVFwd2, mb.FieldSelFwd
+	if backward {
+		mv, mv2, sel = mb.MVBwd, mb.MVBwd2, mb.FieldSelBwd
+	}
+	switch {
+	case scratch != nil && mb.FieldMotion:
+		motion.PredictMBField(scratch, ref, mbx, mby, sel, mv, mv2)
+	case scratch != nil:
+		motion.PredictMB(scratch, ref, mbx, mby, mv)
+	case mb.FieldMotion:
+		motion.PredictMBFieldInto(dst, ref, mbx, mby, sel, mv, mv2)
+	default:
+		motion.PredictMBInto(dst, ref, mbx, mby, mv)
+	}
+	if mb.FieldMotion {
+		mv.Y *= 2
+	}
+	traceMCRead(ref, mbx, mby, mv, proc, tr)
 }
 
 // blockGeometry returns the destination plane, top-left pixel position,
@@ -249,43 +262,16 @@ func storeIntraBlock(dst *frame.Frame, blk *[64]int32, mbx, mby, b int, fieldDCT
 	}
 }
 
-// predBlockView returns the prediction-buffer origin and strides matching
-// block b's geometry (field or frame organized for luma).
-func predBlockView(pred *motion.MBPred, b int, fieldDCT bool) (psrc []uint8, pstride int) {
-	switch {
-	case b < 4:
-		if fieldDCT {
-			return pred.Y[(b>>1)*16+(b&1)*8:], 32
-		}
-		return pred.Y[(b>>1)*8*16+(b&1)*8:], 16
-	case b == 4:
-		return pred.Cb[:], 8
-	default:
-		return pred.Cr[:], 8
-	}
-}
-
-// storePredBlock writes prediction+residual (or prediction alone when blk
-// is nil) for block b.
-func storePredBlock(dst *frame.Frame, pred *motion.MBPred, blk *[64]int32, mbx, mby, b int, fieldDCT bool) {
+// storePredBlock adds the residual blk of block b to the prediction that
+// motion compensation left in dst and stores the clamped sum back over it:
+// every tier reads a row of dst before it writes that row.
+func storePredBlock(dst *frame.Frame, blk *[64]int32, mbx, mby, b int, fieldDCT bool) {
 	plane, x, y, stride, step := blockGeometry(dst, mbx, mby, b, fieldDCT)
-	psrc, pstride := predBlockView(pred, b, fieldDCT)
-	if blk == nil {
-		le := binary.LittleEndian
-		o, po, rowStep := y*stride+x, 0, step*stride
-		for r := 0; r < 8; r++ {
-			le.PutUint64(plane[o:o+8:o+8], le.Uint64(psrc[po:po+8]))
-			o += rowStep
-			po += pstride
-		}
-		return
-	}
 	if scalarStore {
 		for r := 0; r < 8; r++ {
 			row := plane[(y+r*step)*stride+x:]
-			prow := psrc[r*pstride:]
 			for c := 0; c < 8; c++ {
-				row[c] = clampPixelRef(int32(prow[c]) + blk[r*8+c])
+				row[c] = clampPixelRef(int32(row[c]) + blk[r*8+c])
 			}
 		}
 		return
@@ -293,13 +279,13 @@ func storePredBlock(dst *frame.Frame, pred *motion.MBPred, blk *[64]int32, mbx, 
 	if asmStore {
 		rs := step * stride
 		o := y*stride + x
-		_ = plane[o+7*rs+7]
-		_ = psrc[7*pstride+7]
-		storePredBlockAsm(&plane[o], rs, &psrc[0], pstride, &blk[0])
+		_ = plane[o+7*rs+7] // one bounds check for the whole block
+		storePredBlockAsm(&plane[o], rs, &plane[o], rs, &blk[0])
 		return
 	}
 	for r := 0; r < 8; r++ {
-		storePredRow8(plane[(y+r*step)*stride+x:], psrc[r*pstride:], blk[r*8:r*8+8])
+		row := plane[(y+r*step)*stride+x:]
+		storePredRow8(row, row, blk[r*8:r*8+8])
 	}
 }
 
@@ -318,7 +304,8 @@ func storeIntraRow8(row []uint8, res []int32) {
 }
 
 // storePredRow8 adds one unrolled row of eight residuals to the prediction
-// and stores the clamped result.
+// and stores the clamped result. prow may be row itself: each pixel is
+// read before it is written.
 func storePredRow8(row, prow []uint8, res []int32) {
 	row = row[:8:8]
 	prow = prow[:8:8]
@@ -356,11 +343,12 @@ func clampPixelRef(v int32) uint8 {
 
 // --- tracing ---------------------------------------------------------------
 
-// Per-processor scratch regions (coefficient block, prediction buffer,
-// VLD state) and the shared read-only tables (quantization matrices, VLC
-// lookup tables). These small, hot structures are what forms the
-// program's working set — the frame planes mostly stream through the
-// cache — so the locality figures need them in the trace.
+// Per-processor scratch regions (coefficient block, the prediction buffer
+// bidirectional macroblocks average from, VLD state) and the shared
+// read-only tables (quantization matrices, VLC lookup tables). These
+// small, hot structures are what forms the program's working set — the
+// frame planes mostly stream through the cache — so the locality figures
+// need them in the trace.
 //
 // The VLC region is one DCT coefficient decode table, the table a block
 // decode probes once per symbol: vlc.CoefTableBytes, 5 KB. (Before the
@@ -412,9 +400,11 @@ func traceBlock(proc int, intra bool, coefs int, tr memtrace.Tracer) {
 	}
 }
 
-// tracePred records the prediction buffer traffic of one predicted
-// macroblock: motion compensation writes it, reconstruction reads it.
-func tracePred(proc int, tr memtrace.Tracer) {
+// traceScratchPred records the prediction-buffer traffic of one
+// bidirectional macroblock: motion compensation writes the backward
+// prediction there, the average reads it back. No other macroblock
+// touches the buffer: its prediction is written straight into the frame.
+func traceScratchPred(proc int, tr memtrace.Tracer) {
 	if tr == nil {
 		return
 	}
@@ -423,8 +413,10 @@ func tracePred(proc int, tr memtrace.Tracer) {
 	tr.Access(proc, sb+scratchPred, 384, false)
 }
 
-// traceMBWrite records the destination extents of one reconstructed
-// macroblock: 16 luma rows of 16 bytes and 8+8 chroma rows of 8 bytes.
+// traceMBWrite records the destination extents one macroblock's worth of
+// pixels is written to — by the intra stores, or by motion compensation
+// predicting straight into the frame: 16 luma rows of 16 bytes and 8+8
+// chroma rows of 8 bytes.
 func traceMBWrite(dst *frame.Frame, mbx, mby, proc int, tr memtrace.Tracer) {
 	if tr == nil {
 		return
@@ -439,6 +431,29 @@ func traceMBWrite(dst *frame.Frame, mbx, mby, proc int, tr memtrace.Tracer) {
 		off := uint64((mby*8+r)*dst.CStride + mbx*8)
 		tr.Access(proc, cbBase+off, 8, true)
 		tr.Access(proc, crBase+off, 8, true)
+	}
+}
+
+// traceMBUpdate records the in-place updates of a predicted macroblock:
+// every block in blocks (a coded_block_pattern-ordered mask) has its
+// eight 8-byte destination rows read back and written again — the
+// clamped residual add of a coded block, or (all six blocks) the average
+// of a bidirectional macroblock with the scratch prediction.
+func traceMBUpdate(dst *frame.Frame, mbx, mby, blocks int, fieldDCT bool, proc int, tr memtrace.Tracer) {
+	if tr == nil {
+		return
+	}
+	for b := 0; b < 6; b++ {
+		if blocks&(1<<uint(5-b)) == 0 {
+			continue
+		}
+		plane, x, y, stride, step := blockGeometry(dst, mbx, mby, b, fieldDCT)
+		base := tr.Base(&plane[0], len(plane))
+		for _, write := range [2]bool{false, true} {
+			for r := 0; r < 8; r++ {
+				tr.Access(proc, base+uint64((y+r*step)*stride+x), 8, write)
+			}
+		}
 	}
 }
 

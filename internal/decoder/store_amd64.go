@@ -20,5 +20,9 @@ func storeIntraBlockAsm(dst *byte, rowStride int, blk *int32)
 // rows (pstride apart) and stores the clamped sums at dst. Same residual
 // contract as storeIntraBlockAsm.
 //
+// pred may alias dst with equal strides — the decoder's in-place residual
+// add: the kernel loads every prediction row before it stores the
+// destination row of the same index, and rows do not overlap.
+//
 //go:noescape
 func storePredBlockAsm(dst *byte, rowStride int, pred *byte, pstride int, blk *int32)

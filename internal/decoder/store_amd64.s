@@ -35,6 +35,9 @@ intraPair:
 	RET
 
 // func storePredBlockAsm(dst *byte, rowStride int, pred *byte, pstride int, blk *int32)
+//
+// Both prediction rows of a pair are loaded before either destination row
+// is stored, so pred may be dst itself (equal strides).
 TEXT ·storePredBlockAsm(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ rowStride+8(FP), DX

@@ -4,7 +4,8 @@ package decoder
 // kernels (NEON, architecturally mandatory on AArch64).
 const haveStoreAsm = true
 
-// See store_amd64.go for the kernel contracts.
+// See store_amd64.go for the kernel contracts, including that pred may
+// alias dst with equal strides (each row is loaded before it is stored).
 //
 //go:noescape
 func storeIntraBlockAsm(dst *byte, rowStride int, blk *int32)

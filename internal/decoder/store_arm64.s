@@ -40,6 +40,9 @@ intraRow:
 	RET
 
 // func storePredBlockAsm(dst *byte, rowStride int, pred *byte, pstride int, blk *int32)
+//
+// The prediction row is loaded before the destination row is stored, so
+// pred may be dst itself (equal strides).
 TEXT ·storePredBlockAsm(SB), NOSPLIT, $0-40
 	MOVD dst+0(FP), R0
 	MOVD rowStride+8(FP), R1

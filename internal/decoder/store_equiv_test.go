@@ -47,9 +47,46 @@ func (p *storeRNG) residual(i int) int32 {
 	}
 }
 
+// placePred writes pred into f at macroblock (mbx, mby), where motion
+// compensation leaves it for the in-place residual add.
+func placePred(f *frame.Frame, pred *motion.MBPred, mbx, mby int) {
+	for r := 0; r < 16; r++ {
+		copy(f.Y[(mby*16+r)*f.YStride+mbx*16:][:16], pred.Y[r*16:])
+	}
+	for r := 0; r < 8; r++ {
+		o := (mby*8+r)*f.CStride + mbx*8
+		copy(f.Cb[o:o+8], pred.Cb[r*8:])
+		copy(f.Cr[o:o+8], pred.Cr[r*8:])
+	}
+}
+
+// storePredBlockOld is the store this package had while prediction lived
+// in an MBPred: block b of dst = clamp(the matching rows of pred + blk),
+// field- or frame-organised for luma. The in-place add must equal it.
+func storePredBlockOld(dst *frame.Frame, pred *motion.MBPred, blk *[64]int32, mbx, mby, b int, fieldDCT bool) {
+	psrc, pstride := pred.Cr[:], 8
+	switch {
+	case b < 4 && fieldDCT:
+		psrc, pstride = pred.Y[(b>>1)*16+(b&1)*8:], 32
+	case b < 4:
+		psrc, pstride = pred.Y[(b>>1)*8*16+(b&1)*8:], 16
+	case b == 4:
+		psrc = pred.Cb[:]
+	}
+	plane, x, y, stride, step := blockGeometry(dst, mbx, mby, b, fieldDCT)
+	for r := 0; r < 8; r++ {
+		for c := 0; c < 8; c++ {
+			plane[(y+r*step)*stride+x+c] = clampPixelRef(int32(psrc[r*pstride+c]) + blk[r*8+c])
+		}
+	}
+}
+
 // TestStoreBlockTierEquivalence reconstructs every block position of one
 // macroblock under both frame and field DCT organisation at every kernel
-// tier, comparing bit-exactly against the branchy per-pixel reference.
+// tier, comparing bit-exactly against the branchy per-pixel reference:
+// the intra store, and the in-place residual add against the store from a
+// separate prediction buffer it replaced. Residuals include the contract
+// edges -32768 and 32512, predictions the all-0 and all-255 macroblocks.
 func TestStoreBlockTierEquivalence(t *testing.T) {
 	tiers := storeTiers(t)
 	rng := storeRNG(0xfeedface12345678)
@@ -69,6 +106,15 @@ func TestStoreBlockTierEquivalence(t *testing.T) {
 				pred.Cb[i] = uint8(rng.next())
 				pred.Cr[i] = uint8(rng.next())
 			}
+			if trial < 2 { // prediction at either end of the pixel range
+				fill := uint8(255 * trial)
+				for i := range pred.Y {
+					pred.Y[i] = fill
+				}
+				for i := range pred.Cb {
+					pred.Cb[i], pred.Cr[i] = fill, fill
+				}
+			}
 
 			for mby := 0; mby < mbh; mby++ {
 				for mbx := 0; mbx < mbw; mbx++ {
@@ -82,6 +128,10 @@ func TestStoreBlockTierEquivalence(t *testing.T) {
 								plane[(y+r*step)*stride+x+c] = clampPixelRef(blk[r*8+c])
 							}
 						}
+						// The prediction everywhere, block b with its residual.
+						wantPred := frame.New(mbw*16, mbh*16)
+						placePred(wantPred, &pred, mbx, mby)
+						storePredBlockOld(wantPred, &pred, &blk, mbx, mby, b, fieldDCT)
 
 						for _, tier := range tiers {
 							kernels.Set(tier)
@@ -91,48 +141,18 @@ func TestStoreBlockTierEquivalence(t *testing.T) {
 								t.Fatalf("tier=%v fieldDCT=%v mb=(%d,%d) b=%d: intra store mismatch vs reference",
 									tier, fieldDCT, mbx, mby, b)
 							}
-							fPred := frame.New(mbw*16, mbh*16)
-							storePredBlock(fPred, &pred, &blk, mbx, mby, b, fieldDCT)
-							fCopy := frame.New(mbw*16, mbh*16)
-							storePredBlock(fCopy, &pred, nil, mbx, mby, b, fieldDCT)
-							checkAgainstScalar(t, tier, fieldDCT, mbx, mby, b, fPred, fCopy, &pred, &blk)
+							got = frame.New(mbw*16, mbh*16)
+							placePred(got, &pred, mbx, mby)
+							storePredBlock(got, &blk, mbx, mby, b, fieldDCT)
+							if !wantPred.Equal(got) {
+								t.Fatalf("tier=%v fieldDCT=%v mb=(%d,%d) b=%d trial=%d: in-place add mismatch vs store from a prediction buffer",
+									tier, fieldDCT, mbx, mby, b, trial)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// checkAgainstScalar recomputes the pred and copy stores with the branchy
-// reference loops and compares.
-func checkAgainstScalar(t *testing.T, tier kernels.Level, fieldDCT bool, mbx, mby, b int, gotPred, gotCopy *frame.Frame, pred *motion.MBPred, blk *[64]int32) {
-	t.Helper()
-	w, h := gotPred.CodedW, gotPred.CodedH
-
-	wantPred := frame.New(w, h)
-	plane, x, y, stride, step := blockGeometry(wantPred, mbx, mby, b, fieldDCT)
-	psrc, pstride := predBlockView(pred, b, fieldDCT)
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			plane[(y+r*step)*stride+x+c] = clampPixelRef(int32(psrc[r*pstride+c]) + blk[r*8+c])
-		}
-	}
-	if !wantPred.Equal(gotPred) {
-		t.Fatalf("tier=%v fieldDCT=%v mb=(%d,%d) b=%d: pred store mismatch vs reference",
-			tier, fieldDCT, mbx, mby, b)
-	}
-
-	wantCopy := frame.New(w, h)
-	plane, x, y, stride, step = blockGeometry(wantCopy, mbx, mby, b, fieldDCT)
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			plane[(y+r*step)*stride+x+c] = psrc[r*pstride+c]
-		}
-	}
-	if !wantCopy.Equal(gotCopy) {
-		t.Fatalf("tier=%v fieldDCT=%v mb=(%d,%d) b=%d: copy store mismatch vs reference",
-			tier, fieldDCT, mbx, mby, b)
 	}
 }
 
@@ -146,9 +166,8 @@ func BenchmarkStoreBlock(b *testing.B) {
 	for i := range blk {
 		blk[i] = int32(rng.next()%512) - 256
 	}
-	var pred motion.MBPred
-	for i := range pred.Y {
-		pred.Y[i] = uint8(rng.next())
+	for i := range f.Y {
+		f.Y[i] = uint8(rng.next())
 	}
 
 	tiers := []kernels.Level{kernels.LevelScalar, kernels.LevelSWAR}
@@ -167,7 +186,7 @@ func BenchmarkStoreBlock(b *testing.B) {
 		b.Run("pred/"+tier.String(), func(b *testing.B) {
 			b.SetBytes(64)
 			for i := 0; i < b.N; i++ {
-				storePredBlock(f, &pred, &blk, 1, 1, 0, false)
+				storePredBlock(f, &blk, 1, 1, 0, false)
 			}
 		})
 	}

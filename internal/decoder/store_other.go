@@ -10,6 +10,7 @@ func storeIntraBlockAsm(dst *byte, rowStride int, blk *int32) {
 	panic("decoder: no assembly store kernels on this architecture")
 }
 
+// pred may alias dst with equal strides, as on amd64 and arm64.
 func storePredBlockAsm(dst *byte, rowStride int, pred *byte, pstride int, blk *int32) {
 	panic("decoder: no assembly store kernels on this architecture")
 }

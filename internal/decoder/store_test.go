@@ -70,19 +70,19 @@ func TestStoreBlocksEquivalence(t *testing.T) {
 					t.Fatalf("storeIntraBlock b=%d fieldDCT=%v diverges", b, fieldDCT)
 				}
 				fast, ref = frame.New(32, 32), frame.New(32, 32)
-				storePredBlock(fast, &pred, &blk, 1, 1, b, fieldDCT)
-				withScalarStore(t, func() { storePredBlock(ref, &pred, &blk, 1, 1, b, fieldDCT) })
+				placePred(fast, &pred, 1, 1)
+				placePred(ref, &pred, 1, 1)
+				storePredBlock(fast, &blk, 1, 1, b, fieldDCT)
+				withScalarStore(t, func() { storePredBlock(ref, &blk, 1, 1, b, fieldDCT) })
 				if !fast.Equal(ref) {
 					t.Fatalf("storePredBlock b=%d fieldDCT=%v diverges", b, fieldDCT)
 				}
-				// Prediction-only (uncoded) stores share one path; check
-				// it against the coded path with a zero residual.
+				// An uncoded block is the prediction left alone; the add
+				// of a zero residual must leave it alone too.
 				var zero [64]int32
-				fast, ref = frame.New(32, 32), frame.New(32, 32)
-				storePredBlock(fast, &pred, nil, 1, 1, b, fieldDCT)
-				storePredBlock(ref, &pred, &zero, 1, 1, b, fieldDCT)
+				storePredBlock(fast, &zero, 1, 1, b, fieldDCT)
 				if !fast.Equal(ref) {
-					t.Fatalf("uncoded storePredBlock b=%d fieldDCT=%v differs from zero residual", b, fieldDCT)
+					t.Fatalf("zero-residual storePredBlock b=%d fieldDCT=%v changes the prediction", b, fieldDCT)
 				}
 			}
 		}
@@ -94,15 +94,14 @@ func BenchmarkStorePredBlock(b *testing.B) {
 	for i := range blk {
 		blk[i] = int32((i*37)%512 - 256)
 	}
-	var pred motion.MBPred
-	for i := range pred.Y {
-		pred.Y[i] = uint8(i)
-	}
 	dst := frame.New(352, 240)
+	for i := range dst.Y {
+		dst.Y[i] = uint8(i)
+	}
 	run := func(b *testing.B) {
 		b.SetBytes(64)
 		for i := 0; i < b.N; i++ {
-			storePredBlock(dst, &pred, &blk, 5, 5, i%4, false)
+			storePredBlock(dst, &blk, 5, 5, i%4, false)
 		}
 	}
 	b.Run("branchless", run)

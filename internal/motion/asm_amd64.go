@@ -27,3 +27,11 @@ func predictHVAsm(dst, src *byte, dstStride, srcStride, w, h int)
 //
 //go:noescape
 func avgBytesAsm(dst, a, b *byte, n int)
+
+// avgRowsAsm sets each of the h rows of dst (w bytes, 8 or 16, dstStride
+// apart) to the MPEG rounded average of itself and the matching row of
+// src (srcStride apart): dst is read and written in place. The rows of
+// dst must not overlap each other or src.
+//
+//go:noescape
+func avgRowsAsm(dst, src *byte, dstStride, srcStride, w, h int)

@@ -205,3 +205,40 @@ avg8:
 avgDone:
 	VZEROUPPER
 	RET
+
+// func avgRowsAsm(dst, src *byte, dstStride, srcStride, w, h int)
+//
+// Strided in-place average: each of the h rows of dst (w = 8 or 16 bytes)
+// becomes the rounded average of itself and the matching row of src. A
+// row is loaded before it is stored and rows do not overlap, so dst being
+// both operand and result is the contract, not a hazard.
+TEXT ·avgRowsAsm(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ dstStride+16(FP), DX
+	MOVQ srcStride+24(FP), BX
+	MOVQ w+32(FP), R8
+	MOVQ h+40(FP), CX
+	CMPQ R8, $16
+	JE   avgRows16
+
+avgRows8:
+	MOVQ   (DI), X0
+	MOVQ   (SI), X1
+	VPAVGB X1, X0, X0
+	MOVQ   X0, (DI)
+	ADDQ   BX, SI
+	ADDQ   DX, DI
+	DECQ   CX
+	JNZ    avgRows8
+	RET
+
+avgRows16:
+	VMOVDQU (DI), X0
+	VPAVGB  (SI), X0, X0
+	VMOVDQU X0, (DI)
+	ADDQ    BX, SI
+	ADDQ    DX, DI
+	DECQ    CX
+	JNZ     avgRows16
+	RET

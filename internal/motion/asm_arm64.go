@@ -21,3 +21,6 @@ func predictHVAsm(dst, src *byte, dstStride, srcStride, w, h int)
 
 //go:noescape
 func avgBytesAsm(dst, a, b *byte, n int)
+
+//go:noescape
+func avgRowsAsm(dst, src *byte, dstStride, srcStride, w, h int)

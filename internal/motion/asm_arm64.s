@@ -247,3 +247,46 @@ avg8:
 
 avgDone:
 	RET
+
+// func avgRowsAsm(dst, src *byte, dstStride, srcStride, w, h int)
+//
+// Strided in-place average (contract in asm_amd64.go): the vertical
+// half-pel loop with its second row taken from src and its result stored
+// back over the dst row it loaded.
+TEXT ·avgRowsAsm(SB), NOSPLIT, $0-48
+	MOVD dst+0(FP), R0
+	MOVD src+8(FP), R1
+	MOVD dstStride+16(FP), R2
+	MOVD srcStride+24(FP), R3
+	MOVD w+32(FP), R4
+	MOVD h+40(FP), R5
+	CMP  $16, R4
+	BEQ  avgRows16
+
+avgRows8:
+	VLD1  (R0), [V0.B8]
+	VLD1  (R1), [V1.B8]
+	VORR  V1.B16, V0.B16, V2.B16
+	VEOR  V1.B16, V0.B16, V3.B16
+	VUSHR $1, V3.B16, V3.B16
+	VSUB  V3.B16, V2.B16, V2.B16
+	VST1  [V2.B8], (R0)
+	ADD   R3, R1
+	ADD   R2, R0
+	SUBS  $1, R5
+	BNE   avgRows8
+	RET
+
+avgRows16:
+	VLD1  (R0), [V0.B16]
+	VLD1  (R1), [V1.B16]
+	VORR  V1.B16, V0.B16, V2.B16
+	VEOR  V1.B16, V0.B16, V3.B16
+	VUSHR $1, V3.B16, V3.B16
+	VSUB  V3.B16, V2.B16, V2.B16
+	VST1  [V2.B16], (R0)
+	ADD   R3, R1
+	ADD   R2, R0
+	SUBS  $1, R5
+	BNE   avgRows16
+	RET

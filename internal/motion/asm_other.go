@@ -25,3 +25,7 @@ func predictHVAsm(dst, src *byte, dstStride, srcStride, w, h int) {
 func avgBytesAsm(dst, a, b *byte, n int) {
 	panic("motion: no assembly kernels on this architecture")
 }
+
+func avgRowsAsm(dst, src *byte, dstStride, srcStride, w, h int) {
+	panic("motion: no assembly kernels on this architecture")
+}

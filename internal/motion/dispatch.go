@@ -15,24 +15,3 @@ func init() {
 		ScalarKernels = l == kernels.LevelScalar
 	})
 }
-
-// predictBlockAsm interpolates like predictBlockSWAR but through the
-// assembly kernels. The caller guarantees the sample region lies inside
-// the plane and w is 8 or 16.
-func predictBlockAsm(dst []uint8, dstStride int, src []uint8, srcStride, w, h, hx, hy int) {
-	// Anchor the bounds the assembly relies on: h rows (+1 for vertical
-	// interpolation) of w (+1 for horizontal) samples from the source,
-	// h rows of w into the destination.
-	_ = src[(h+hy-1)*srcStride+w+hx-1]
-	_ = dst[(h-1)*dstStride+w-1]
-	switch {
-	case hx == 0 && hy == 0:
-		predictCopyAsm(&dst[0], &src[0], dstStride, srcStride, w, h)
-	case hx == 1 && hy == 0:
-		predictHAsm(&dst[0], &src[0], dstStride, srcStride, w, h)
-	case hx == 0 && hy == 1:
-		predictVAsm(&dst[0], &src[0], dstStride, srcStride, w, h)
-	default:
-		predictHVAsm(&dst[0], &src[0], dstStride, srcStride, w, h)
-	}
-}

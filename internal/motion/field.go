@@ -8,40 +8,28 @@ import "mpeg2par/internal/frame"
 // field of the reference frame, with the vector's vertical component in
 // *field* units (one field line = two frame lines).
 
-// fieldView returns the slice, stride and dimensions that present one
-// field of a plane as a contiguous-looking picture: same width, half the
-// height, double the stride.
-func fieldView(plane []uint8, stride, w, codedH int, bottom bool) ([]uint8, int, int, int) {
-	off := 0
-	if bottom {
-		off = stride
-	}
-	return plane[off:], 2 * stride, w, codedH / 2
-}
-
-// PredictMBFieldDir fills the rv-th field lines of pred (rv 0 = top) from
-// the sel field of ref using the field-unit half-pel vector mv.
-func PredictMBFieldDir(pred *MBPred, ref *frame.Frame, mbx, mby, rv int, sel bool, mv MV) {
-	// Luma: a 16×8 block in field coordinates; the macroblock starts at
-	// field line mby*8.
-	src, srcStride, w, h := fieldView(ref.Y, ref.YStride, ref.CodedW, ref.CodedH, sel)
-	PredictBlock(pred.Y[rv*16:], 32, src, srcStride, w, h, mbx*16, mby*8, mv.X, mv.Y, 16, 8)
-
-	// Chroma: 8×4 per field, vector scaled by two (truncating toward
-	// zero) like every 4:2:0 chroma vector.
-	c := mv.ChromaMV()
-	cw, ch := ref.CodedW/2, ref.CodedH/2
-	srcCb, cStride, cwv, chv := fieldView(ref.Cb, ref.CStride, cw, ch, sel)
-	PredictBlock(pred.Cb[rv*8:], 16, srcCb, cStride, cwv, chv, mbx*8, mby*4, c.X, c.Y, 8, 4)
-	srcCr, _, _, _ := fieldView(ref.Cr, ref.CStride, cw, ch, sel)
-	PredictBlock(pred.Cr[rv*8:], 16, srcCr, cStride, cwv, chv, mbx*8, mby*4, c.X, c.Y, 8, 4)
+// PredictMBFieldInto writes a full field-predicted macroblock straight
+// into macroblock (mbx, mby) of dst (see PredictMBInto): the top field
+// lines from (sel[0], mv1) and the bottom field lines from (sel[1], mv2).
+func PredictMBFieldInto(dst, ref *frame.Frame, mbx, mby int, sel [2]bool, mv1, mv2 MV) {
+	predictInto(dst, ref, mbx, mby, mv1, true, 0, parity(sel[0]))
+	predictInto(dst, ref, mbx, mby, mv2, true, 1, parity(sel[1]))
 }
 
 // PredictMBField fills pred with a full field-predicted macroblock: the
 // top field from (sel[0], mv1) and the bottom field from (sel[1], mv2).
 func PredictMBField(pred *MBPred, ref *frame.Frame, mbx, mby int, sel [2]bool, mv1, mv2 MV) {
-	PredictMBFieldDir(pred, ref, mbx, mby, 0, sel[0], mv1)
-	PredictMBFieldDir(pred, ref, mbx, mby, 1, sel[1], mv2)
+	predict(pred.Y[:], pred.Cb[:], pred.Cr[:], 16, 8, ref, mbx, mby, mv1, true, 0, parity(sel[0]))
+	predict(pred.Y[:], pred.Cb[:], pred.Cr[:], 16, 8, ref, mbx, mby, mv2, true, 1, parity(sel[1]))
+}
+
+// parity maps a motion_vertical_field_select to a line parity: 1 selects
+// the bottom field, the odd lines.
+func parity(bottom bool) int {
+	if bottom {
+		return 1
+	}
+	return 0
 }
 
 // SADField returns the sum of absolute differences between the rv-th
@@ -49,8 +37,7 @@ func PredictMBField(pred *MBPred, ref *frame.Frame, mbx, mby int, sel [2]bool, m
 // sel field of ref with field-unit vector mv, stopping early past limit.
 func SADField(cur, ref *frame.Frame, mbx, mby, rv int, sel bool, mv MV, limit int) int {
 	var tmp [16 * 8]uint8
-	src, srcStride, w, h := fieldView(ref.Y, ref.YStride, ref.CodedW, ref.CodedH, sel)
-	PredictBlock(tmp[:], 16, src, srcStride, w, h, mbx*16, mby*8, mv.X, mv.Y, 16, 8)
+	PredictBlock(tmp[:], 16, ref.Y[parity(sel)*ref.YStride:], 2*ref.YStride, ref.CodedW, ref.CodedH/2, mbx*16, mby*8, mv.X, mv.Y, 16, 8)
 	sad := 0
 	for y := 0; y < 8; y++ {
 		c := cur.Y[(mby*16+rv+2*y)*cur.YStride+mbx*16:]

@@ -1,9 +1,11 @@
 package motion
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"mpeg2par/internal/frame"
 	"mpeg2par/internal/kernels"
 )
 
@@ -190,6 +192,131 @@ func TestAverageMBTierEquivalence(t *testing.T) {
 	}
 }
 
+// viewFrame returns a w×h frame whose rows are padded by ypad (luma) and
+// cpad (chroma) bytes, every byte — padding included — set to fill.
+func viewFrame(w, h, ypad, cpad int, fill uint8) *frame.Frame {
+	f := &frame.Frame{Width: w, Height: h, CodedW: w, CodedH: h, YStride: w + ypad, CStride: w/2 + cpad}
+	f.Y = make([]uint8, f.YStride*h)
+	f.Cb = make([]uint8, f.CStride*h/2)
+	f.Cr = make([]uint8, f.CStride*h/2)
+	for _, p := range [][]uint8{f.Y, f.Cb, f.Cr} {
+		for i := range p {
+			p[i] = fill
+		}
+	}
+	return f
+}
+
+// placeMB copies pred over macroblock (mbx, mby) of f.
+func placeMB(f *frame.Frame, pred *MBPred, mbx, mby int) {
+	for r := 0; r < 16; r++ {
+		copy(f.Y[(mby*16+r)*f.YStride+mbx*16:][:16], pred.Y[r*16:])
+	}
+	for r := 0; r < 8; r++ {
+		o := (mby*8+r)*f.CStride + mbx*8
+		copy(f.Cb[o:o+8], pred.Cb[r*8:])
+		copy(f.Cr[o:o+8], pred.Cr[r*8:])
+	}
+}
+
+func samePlanes(a, b *frame.Frame) bool {
+	return bytes.Equal(a.Y, b.Y) && bytes.Equal(a.Cb, b.Cb) && bytes.Equal(a.Cr, b.Cr)
+}
+
+// TestPredictMBIntoTierEquivalence checks, at every kernel tier, that
+// predicting straight into a frame-shaped destination writes what
+// PredictMB / PredictMBField write into an MBPred, there and nowhere else
+// (the rest of the destination, row padding included, keeps a sentinel):
+// every macroblock of a 3×3 picture, so each picture edge clamps, vectors
+// in all four half-pel phases from far outside the picture to far outside
+// it on the other side, frame prediction and field prediction with every
+// pair of field selects, dense and padded strides on either side.
+func TestPredictMBIntoTierEquivalence(t *testing.T) {
+	tiers := kernelTiers(t)
+	rng := prng(0x5bd1e995cafef00d)
+	comps := []int{-70, -3, -2, -1, 0, 1, 2, 3, 70}
+	for _, pad := range [][2]int{{0, 0}, {13, 5}} {
+		ref := viewFrame(48, 48, pad[1], pad[0], 0)
+		rng.fill(ref.Y)
+		rng.fill(ref.Cb)
+		rng.fill(ref.Cr)
+		for _, tier := range tiers {
+			kernels.Set(tier)
+			for mb := 0; mb < 9; mb++ {
+				mbx, mby := mb%3, mb/3
+				for _, x := range comps {
+					for _, y := range comps {
+						mv := MV{X: x, Y: y}
+						mv2 := MV{X: comps[rng.next()%9], Y: comps[rng.next()%9]}
+						var pred MBPred
+						PredictMB(&pred, ref, mbx, mby, mv)
+						want := viewFrame(48, 48, pad[0], pad[1], 0xA5)
+						placeMB(want, &pred, mbx, mby)
+						got := viewFrame(48, 48, pad[0], pad[1], 0xA5)
+						PredictMBInto(got, ref, mbx, mby, mv)
+						if !samePlanes(want, got) {
+							t.Fatalf("tier=%v pad=%v mb=(%d,%d) mv=%v: frame prediction into the frame differs from PredictMB", tier, pad, mbx, mby, mv)
+						}
+						for s := 0; s < 4; s++ {
+							sel := [2]bool{s&1 != 0, s&2 != 0}
+							PredictMBField(&pred, ref, mbx, mby, sel, mv, mv2)
+							want = viewFrame(48, 48, pad[0], pad[1], 0xA5)
+							placeMB(want, &pred, mbx, mby)
+							got = viewFrame(48, 48, pad[0], pad[1], 0xA5)
+							PredictMBFieldInto(got, ref, mbx, mby, sel, mv, mv2)
+							if !samePlanes(want, got) {
+								t.Fatalf("tier=%v pad=%v mb=(%d,%d) sel=%v mv=%v/%v: field prediction into the frame differs from PredictMBField", tier, pad, mbx, mby, sel, mv, mv2)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAverageMBIntoTierEquivalence checks the strided in-place average
+// against AverageMB at every tier: random macroblocks at every position
+// of a padded frame, and every one of the 65536 byte pairs through both
+// the 16-byte luma rows and the 8-byte chroma rows.
+func TestAverageMBIntoTierEquivalence(t *testing.T) {
+	tiers := kernelTiers(t)
+	rng := prng(0xdeadbeef12345)
+	check := func(tier kernels.Level, a, b *MBPred, mbx, mby int, what string) {
+		t.Helper()
+		var avg MBPred
+		AverageMB(&avg, a, b)
+		want := viewFrame(48, 32, 9, 3, 0x5A)
+		placeMB(want, &avg, mbx, mby)
+		got := viewFrame(48, 32, 9, 3, 0x5A)
+		placeMB(got, a, mbx, mby)
+		AverageMBInto(got, mbx, mby, b)
+		if !samePlanes(want, got) {
+			t.Fatalf("tier=%v mb=(%d,%d) %s: in-place average differs from AverageMB", tier, mbx, mby, what)
+		}
+	}
+	for _, tier := range tiers {
+		kernels.Set(tier)
+		var a, b MBPred
+		for trial := 0; trial < 24; trial++ {
+			for _, p := range [][]uint8{a.Y[:], a.Cb[:], a.Cr[:], b.Y[:], b.Cb[:], b.Cr[:]} {
+				rng.fill(p)
+			}
+			check(tier, &a, &b, trial%3, trial/3%2, "random")
+		}
+		for v := 0; v < 256; v++ {
+			for i := range a.Y {
+				a.Y[i], b.Y[i] = uint8(v), uint8(i)
+			}
+			for i := range a.Cb { // 64 of the 256 partners per pass: v and v+k*64 cover the rest
+				a.Cb[i], b.Cb[i] = uint8(v), uint8(i+64*(v%4))
+				a.Cr[i], b.Cr[i] = uint8(v), uint8(i+64*((v+1)%4))
+			}
+			check(tier, &a, &b, 1, 1, fmt.Sprintf("byte %d against all", v))
+		}
+	}
+}
+
 // BenchmarkPredictBlock measures each tier on the 16×16 luma diagonal
 // case (the most expensive phase).
 func BenchmarkPredictBlock(b *testing.B) {
@@ -237,6 +364,33 @@ func BenchmarkAverageMBTiers(b *testing.B) {
 			b.SetBytes(384)
 			for i := 0; i < b.N; i++ {
 				AverageMB(&dst, &x, &y)
+			}
+		})
+	}
+}
+
+// BenchmarkAverageMBIntoTiers measures the strided in-place average — the
+// second half of a bidirectional macroblock whose first prediction went
+// straight into the frame — across tiers, at an SD frame's strides.
+func BenchmarkAverageMBIntoTiers(b *testing.B) {
+	prev := kernels.Active()
+	b.Cleanup(func() { kernels.Set(prev) })
+	dst := frame.New(704, 64)
+	var y MBPred
+	rng := prng(13)
+	rng.fill(dst.Y)
+	rng.fill(y.Y[:])
+
+	tiers := []kernels.Level{kernels.LevelScalar, kernels.LevelSWAR}
+	if kernels.Supported() == kernels.LevelASM {
+		tiers = append(tiers, kernels.LevelASM)
+	}
+	for _, tier := range tiers {
+		kernels.Set(tier)
+		b.Run(tier.String(), func(b *testing.B) {
+			b.SetBytes(384)
+			for i := 0; i < b.N; i++ {
+				AverageMBInto(dst, i%44, 1, &y)
 			}
 		})
 	}

@@ -186,3 +186,23 @@ func avgBytes8(dst, a, b []uint8, n int) {
 		binary.LittleEndian.PutUint64(dst[i:], avg2u64(va, vb))
 	}
 }
+
+// avgRows8 averages h rows of w bytes (16 or 8) of src into the matching
+// rows of dst in place with MPEG rounding, eight pixels per step; the row
+// bodies are unrolled over constant-index slices like predictBlockSWAR's.
+func avgRows8(dst []uint8, dstStride int, src []uint8, srcStride, w, h int) {
+	le := binary.LittleEndian
+	do, so := 0, 0
+	for y := 0; y < h; y++ {
+		if w == 16 {
+			d, s := dst[do:do+16:do+16], src[so:so+16]
+			le.PutUint64(d[0:8], avg2u64(le.Uint64(d[0:8]), le.Uint64(s[0:8])))
+			le.PutUint64(d[8:16], avg2u64(le.Uint64(d[8:16]), le.Uint64(s[8:16])))
+		} else {
+			d := dst[do : do+8 : do+8]
+			le.PutUint64(d, avg2u64(le.Uint64(d), le.Uint64(src[so:so+8])))
+		}
+		do += dstStride
+		so += srcStride
+	}
+}

@@ -86,16 +86,67 @@ type sliceState struct {
 	// the prediction on use and double the result on update (§7.6.3.1).
 	pmv    [2][2][2]int
 	qscale int // current quantiser_scale_code
+	// mv[s][t] is what the picture's f_code[s][t] means for a vector
+	// component, derived once per picture binding instead of once per
+	// component decoded.
+	mv [2][2]mvRange
+}
+
+// mvRange is the arithmetic of one f_code (§7.6.3.1): a component's
+// differential is motion_code scaled by f = 1<<rbits plus an rbits-bit
+// residual, and the component wraps into [low, high] modulo rng. An
+// f_code outside 1..9 leaves ok false; that is an error only once a
+// vector of its direction is coded (f_code 15 is legal where unused).
+type mvRange struct {
+	rbits          uint
+	high, low, rng int
+	ok             bool
+}
+
+// wrap brings a component, or a differential, that is at most one range
+// out back into [low, high].
+func (m *mvRange) wrap(v int) int {
+	if v > m.high {
+		v -= m.rng
+	}
+	if v < m.low {
+		v += m.rng
+	}
+	return v
+}
+
+// delta is the differential a nonzero motion_code and its residual stand
+// for.
+func (m *mvRange) delta(code, residual int) int {
+	if code < 0 {
+		return -((-code-1)<<m.rbits + residual + 1)
+	}
+	return (code-1)<<m.rbits + residual + 1
 }
 
 // init prepares a sliceState for a new slice. Used instead of a
 // constructor so decode loops can keep the state on the stack (or embed
 // it in per-worker scratch) rather than allocating one per slice.
 func (s *sliceState) init(p *PictureParams, qscale int) {
-	s.p = p
+	s.bind(p)
 	s.qscale = qscale
 	s.resetDC()
 	s.resetPMV()
+}
+
+// bind attaches the picture parameters and derives the vector ranges.
+func (s *sliceState) bind(p *PictureParams) {
+	s.p = p
+	for dir := range s.mv {
+		for t := range s.mv[dir] {
+			m := mvRange{}
+			if fcode := p.FCode[dir][t]; fcode >= 1 && fcode <= 9 {
+				f := 1 << uint(fcode-1)
+				m = mvRange{rbits: uint(fcode - 1), high: 16*f - 1, low: -16 * f, rng: 32 * f, ok: true}
+			}
+			s.mv[dir][t] = m
+		}
+	}
 }
 
 func (s *sliceState) resetDC() {
@@ -116,28 +167,19 @@ func (s *sliceState) resetPMV() {
 func (s *sliceState) encodeVector(w *bits.Writer, rv, dir int, mv motion.MV, field bool) error {
 	comps := [2]int{mv.X, mv.Y}
 	for t := 0; t < 2; t++ {
-		fcode := s.p.FCode[dir][t]
-		if fcode < 1 || fcode > 9 {
-			return fmt.Errorf("mpeg2: invalid f_code %d", fcode)
+		m := &s.mv[dir][t]
+		if !m.ok {
+			return fmt.Errorf("mpeg2: invalid f_code %d", s.p.FCode[dir][t])
 		}
-		f := 1 << uint(fcode-1)
-		high := 16*f - 1
-		low := -16 * f
-		rng := 32 * f
-		if comps[t] > high || comps[t] < low {
-			return fmt.Errorf("mpeg2: motion component %d outside f_code %d range", comps[t], fcode)
+		f := 1 << m.rbits
+		if comps[t] > m.high || comps[t] < m.low {
+			return fmt.Errorf("mpeg2: motion component %d outside f_code %d range", comps[t], s.p.FCode[dir][t])
 		}
 		pred := s.pmv[rv][dir][t]
 		if field && t == 1 {
 			pred >>= 1
 		}
-		delta := comps[t] - pred
-		if delta > high {
-			delta -= rng
-		}
-		if delta < low {
-			delta += rng
-		}
+		delta := m.wrap(comps[t] - pred)
 		if delta == 0 {
 			if err := vlc.EncodeMotionCode(w, 0); err != nil {
 				return err
@@ -156,7 +198,7 @@ func (s *sliceState) encodeVector(w *bits.Writer, rv, dir int, mv motion.MV, fie
 				return err
 			}
 			if f > 1 {
-				w.Put(uint32(residual), uint(fcode-1))
+				w.Put(uint32(residual), m.rbits)
 			}
 		}
 		upd := comps[t]
@@ -178,49 +220,100 @@ func (s *sliceState) encodeMV(w *bits.Writer, dir int, mv motion.MV) error {
 	return nil
 }
 
-// decodeVector reads motion vector rv for direction dir (field semantics
-// as in encodeVector).
-func (s *sliceState) decodeVector(r *bits.Reader, rv, dir int, field bool) (motion.MV, error) {
+// decodeVector reads motion vector rv of direction dir: with field set, its
+// motion_vertical_field_select and a vector whose vertical component is
+// in field units (semantics as in encodeVector).
+//
+// The select and both components — 1 + 2 × (motion_code of at most 11
+// bits + residual of at most 8) = 39 bits at most — are read through one
+// window on the stream and consumed with one Skip (vectorWindow). Anything
+// irregular — no code matches, an invalid f_code, fewer bits left than the
+// window consumed — is left to the symbol-at-a-time reader, which starts
+// over from an untouched reader and state and so reports the error it
+// always did, where it always did.
+func (s *sliceState) decodeVector(r *bits.Reader, rv, dir int, field bool) (mv motion.MV, sel bool, err error) {
+	if mv, sel, ok := s.vectorWindow(r, rv, dir, field); ok {
+		return mv, sel, nil
+	}
+	if field {
+		sel = r.ReadBit()
+	}
+	mv, err = s.decodeVectorSerial(r, rv, dir, field)
+	return mv, sel, err
+}
+
+// vectorWindow is decodeVector on a well-formed stream. When it reports
+// !ok it has consumed nothing and changed no predictor.
+func (s *sliceState) vectorWindow(r *bits.Reader, rv, dir int, field bool) (mv motion.MV, sel, ok bool) {
+	w, _ := r.Window() // at least 57 bits; zeros past the end of the buffer
+	used := uint(0)
+	if field {
+		sel = w>>63 != 0
+		w <<= 1
+		used = 1
+	}
 	var comps [2]int
 	for t := 0; t < 2; t++ {
-		fcode := s.p.FCode[dir][t]
-		if fcode < 1 || fcode > 9 {
-			return motion.MV{}, fmt.Errorf("mpeg2: invalid f_code %d in stream", fcode)
+		m := &s.mv[dir][t]
+		code, n := vlc.MotionCodeLookup(w)
+		if n == 0 || !m.ok {
+			return motion.MV{}, false, false
 		}
-		f := 1 << uint(fcode-1)
-		high := 16*f - 1
-		low := -16 * f
-		rng := 32 * f
+		w <<= n
+		used += n
+		delta := 0
+		if code != 0 {
+			// rbits is 0..8; the mask only tells the compiler so. The two
+			// right shifts make a zero-bit residual read as 0.
+			rbits := m.rbits & 15
+			delta = m.delta(code, int(w>>1>>(63-rbits)))
+			w <<= rbits
+			used += rbits
+		}
+		pred := s.pmv[rv][dir][t]
+		if field && t == 1 {
+			pred >>= 1
+		}
+		comps[t] = m.wrap(pred + delta)
+	}
+	if int64(used) > r.Remaining() {
+		return motion.MV{}, false, false
+	}
+	r.Skip(used)
+	s.pmv[rv][dir][0], s.pmv[rv][dir][1] = comps[0], comps[1]
+	if field {
+		s.pmv[rv][dir][1] = comps[1] * 2
+	}
+	return motion.MV{X: comps[0], Y: comps[1]}, sel, true
+}
+
+// decodeVectorSerial reads the two components of a vector one symbol at
+// a time: the reader behind vectorWindow, and the reference its results
+// are defined by.
+func (s *sliceState) decodeVectorSerial(r *bits.Reader, rv, dir int, field bool) (motion.MV, error) {
+	var comps [2]int
+	for t := 0; t < 2; t++ {
+		m := &s.mv[dir][t]
+		if !m.ok {
+			return motion.MV{}, fmt.Errorf("mpeg2: invalid f_code %d in stream", s.p.FCode[dir][t])
+		}
 		code, err := vlc.DecodeMotionCode(r)
 		if err != nil {
 			return motion.MV{}, err
 		}
 		delta := 0
 		if code != 0 {
-			mag := code
-			if mag < 0 {
-				mag = -mag
-			}
 			residual := 0
-			if f > 1 {
-				residual = int(r.Read(uint(fcode - 1)))
+			if m.rbits > 0 {
+				residual = int(r.Read(m.rbits))
 			}
-			delta = (mag-1)*f + residual + 1
-			if code < 0 {
-				delta = -delta
-			}
+			delta = m.delta(code, residual)
 		}
 		pred := s.pmv[rv][dir][t]
 		if field && t == 1 {
 			pred >>= 1
 		}
-		v := pred + delta
-		if v > high {
-			v -= rng
-		}
-		if v < low {
-			v += rng
-		}
+		v := m.wrap(pred + delta)
 		upd := v
 		if field && t == 1 {
 			upd = v * 2
@@ -231,14 +324,138 @@ func (s *sliceState) decodeVector(r *bits.Reader, rv, dir int, field bool) (moti
 	return motion.MV{X: comps[0], Y: comps[1]}, r.Err()
 }
 
-// decodeMV reads a frame-prediction motion vector for direction dir.
-func (s *sliceState) decodeMV(r *bits.Reader, dir int) (motion.MV, error) {
-	mv, err := s.decodeVector(r, 0, dir, false)
-	if err != nil {
-		return motion.MV{}, err
+// decodeVectors reads the vectors of direction dir (0 forward, 1
+// backward) into mb: one frame vector, duplicated into PMV slot 1
+// (§7.6.3.1), or with FieldMotion two field vectors and their selects.
+func (s *sliceState) decodeVectors(r *bits.Reader, mb *MB, dir int) (err error) {
+	mv, mv2, sel := &mb.MVFwd, &mb.MVFwd2, &mb.FieldSelFwd
+	if dir == 1 {
+		mv, mv2, sel = &mb.MVBwd, &mb.MVBwd2, &mb.FieldSelBwd
 	}
-	s.pmv[1][dir] = s.pmv[0][dir]
-	return mv, nil
+	if !mb.FieldMotion {
+		if *mv, _, err = s.decodeVector(r, 0, dir, false); err == nil {
+			s.pmv[1][dir] = [2]int{mv.X, mv.Y} // = pmv[0][dir], without reloading it
+		}
+		return err
+	}
+	if *mv, sel[0], err = s.decodeVector(r, 0, dir, true); err != nil {
+		return err
+	}
+	*mv2, sel[1], err = s.decodeVector(r, 1, dir, true)
+	return err
+}
+
+// --- macroblock modes (§6.2.5.1) -----------------------------------------
+
+// decodeModes reads what opens a macroblock — macroblock_type and, as the
+// type and the picture call for them, frame_motion_type, dct_type and
+// quantiser_scale_code, 14 bits at most — into mb and the quantiser state.
+// Like a vector they come out of one window and one Skip (modesWindow),
+// and anything irregular (no type matches, a reserved or dual-prime
+// frame_motion_type, quantiser_scale_code 0, the end of the buffer inside
+// the window) is left to the symbol-at-a-time reader to report.
+func (s *sliceState) decodeModes(r *bits.Reader, mb *MB) error {
+	if s.modesWindow(r, mb) {
+		return nil
+	}
+	return s.decodeModesSerial(r, mb)
+}
+
+// modesWindow is decodeModes on a well-formed stream. When it reports
+// false it has consumed nothing and changed neither mb nor the state.
+func (s *sliceState) modesWindow(r *bits.Reader, mb *MB) bool {
+	w, _ := r.Window()
+	t, used := vlc.MBTypeLookup(w, s.p.Type)
+	if used == 0 {
+		return false
+	}
+	w <<= used
+	fieldMotion, fieldDCT := false, false
+	if !s.p.FramePredFrameDCT {
+		if t.MotionForward || t.MotionBackward {
+			switch w >> 62 {
+			case 0b10: // frame-based
+			case 0b01:
+				fieldMotion = true
+			default: // dual prime, reserved
+				return false
+			}
+			w <<= 2
+			used += 2
+		}
+		if t.Intra || t.Pattern {
+			fieldDCT = w>>63 != 0
+			w <<= 1
+			used++
+		}
+	}
+	qs := s.qscale
+	if t.Quant {
+		if qs = int(w >> 59); qs == 0 {
+			return false
+		}
+		used += 5
+	}
+	if int64(used) > r.Remaining() {
+		return false
+	}
+	r.Skip(used)
+	mb.Type, mb.FieldMotion, mb.FieldDCT = t, fieldMotion, fieldDCT
+	s.qscale = qs
+	return true
+}
+
+// decodeModesSerial reads the macroblock modes one field at a time: the
+// reader behind modesWindow, and the reference its results are defined by.
+func (s *sliceState) decodeModesSerial(r *bits.Reader, mb *MB) error {
+	t, err := vlc.DecodeMBType(r, s.p.Type)
+	if err != nil {
+		return err
+	}
+	mb.Type = t
+	if !s.p.FramePredFrameDCT {
+		if t.MotionForward || t.MotionBackward {
+			switch r.Read(2) {
+			case 0b10:
+				// frame-based
+			case 0b01:
+				mb.FieldMotion = true
+			case 0b11:
+				return fmt.Errorf("mpeg2: dual-prime prediction not supported")
+			default:
+				return fmt.Errorf("mpeg2: reserved frame_motion_type")
+			}
+		}
+		if t.Intra || t.Pattern {
+			mb.FieldDCT = r.ReadBit()
+		}
+	}
+	if t.Quant {
+		qs := int(r.Read(5))
+		if qs == 0 {
+			return fmt.Errorf("mpeg2: macroblock quantiser_scale_code 0")
+		}
+		s.qscale = qs
+	}
+	return nil
+}
+
+// decodeHeader reads everything of a macroblock ahead of its
+// coded_block_pattern: the modes, then the vectors the type calls for.
+func (s *sliceState) decodeHeader(r *bits.Reader, mb *MB) error {
+	if err := s.decodeModes(r, mb); err != nil {
+		return err
+	}
+	mb.QScaleCode = s.qscale
+	if mb.Type.MotionForward {
+		if err := s.decodeVectors(r, mb, 0); err != nil {
+			return err
+		}
+	}
+	if mb.Type.MotionBackward {
+		return s.decodeVectors(r, mb, 1)
+	}
+	return nil
 }
 
 // --- block coefficient coding (§7.2) --------------------------------------

@@ -443,69 +443,11 @@ func synthesizeSkip(p *PictureParams, st *sliceState, prevDir vlc.MBType, addr i
 }
 
 func decodeMB(r *bits.Reader, p *PictureParams, st *sliceState, mb *MB) error {
-	t, err := vlc.DecodeMBType(r, p.Type)
+	err := st.decodeHeader(r, mb)
 	if err != nil {
 		return err
 	}
-	mb.Type = t
-	hasMotion := t.MotionForward || t.MotionBackward
-	if !p.FramePredFrameDCT {
-		if hasMotion {
-			switch r.Read(2) {
-			case 0b10:
-				// frame-based
-			case 0b01:
-				mb.FieldMotion = true
-			case 0b11:
-				return fmt.Errorf("mpeg2: dual-prime prediction not supported")
-			default:
-				return fmt.Errorf("mpeg2: reserved frame_motion_type")
-			}
-		}
-		if t.Intra || t.Pattern {
-			mb.FieldDCT = r.ReadBit()
-		}
-	}
-	if t.Quant {
-		qs := int(r.Read(5))
-		if qs == 0 {
-			return fmt.Errorf("mpeg2: macroblock quantiser_scale_code 0")
-		}
-		st.qscale = qs
-	}
-	mb.QScaleCode = st.qscale
-	readVectors := func(dir int) (mv1, mv2 motion.MV, sel [2]bool, err error) {
-		if !mb.FieldMotion {
-			mv1, err = st.decodeMV(r, dir)
-			return mv1, mv2, sel, err
-		}
-		for rv := 0; rv < 2; rv++ {
-			sel[rv] = r.ReadBit()
-			var v motion.MV
-			v, err = st.decodeVector(r, rv, dir, true)
-			if err != nil {
-				return mv1, mv2, sel, err
-			}
-			if rv == 0 {
-				mv1 = v
-			} else {
-				mv2 = v
-			}
-		}
-		return mv1, mv2, sel, nil
-	}
-	if t.MotionForward {
-		mb.MVFwd, mb.MVFwd2, mb.FieldSelFwd, err = readVectors(0)
-		if err != nil {
-			return err
-		}
-	}
-	if t.MotionBackward {
-		mb.MVBwd, mb.MVBwd2, mb.FieldSelBwd, err = readVectors(1)
-		if err != nil {
-			return err
-		}
-	}
+	t := mb.Type
 	cbp := 0
 	if t.Pattern {
 		cbp, err = vlc.DecodeCBP(r)

@@ -46,7 +46,7 @@ func snapshotSplit(st *sliceState, prevAddr int, prevDir vlc.MBType) SplitState 
 // restore loads the split state into a running slice state, returning
 // the loop variables the decode resumes with.
 func (s *SplitState) restore(st *sliceState, p *PictureParams) (prevAddr int, prevDir vlc.MBType) {
-	st.p = p
+	st.bind(p)
 	st.qscale = s.QScale
 	st.dcPred = s.DCPred
 	st.pmv = s.PMV

@@ -642,12 +642,12 @@ func TestServerCloseTeardown(t *testing.T) {
 // within 3:1; and the per-stream obs lanes must carry the admission and
 // delivery record and export to a valid Chrome trace.
 func TestLoadSmoke(t *testing.T) {
-	const nStreams = 64
-	data := testStream(t, 48, 32, 16, 4)
+	const nStreams, nPictures, workers = 64, 16, 2
+	data := testStream(t, 48, 32, nPictures, 4)
 	tr := obs.New(0)
 	base := runtime.NumGoroutine()
 	srv := server.NewServer(server.Config{
-		Workers: 2, MaxStreams: nStreams, QueueDepth: nStreams,
+		Workers: workers, MaxStreams: nStreams, QueueDepth: nStreams,
 		DefaultDemand: 0.01, // admit everyone: overload is the point
 		Tick:          5 * time.Millisecond,
 		PauseBase:     10 * time.Millisecond,
@@ -658,9 +658,32 @@ func TestLoadSmoke(t *testing.T) {
 		ss  *server.StreamStats
 		err error
 	}
-	// Start barrier plus a real per-frame service cost: with free
-	// decodes the pool never saturates and wall times measure goroutine
-	// start-up skew, not scheduling.
+	// A real per-frame service cost (with free decodes the pool never
+	// saturates and nothing is being scheduled), and a level start: the
+	// goroutines call Decode together, and the first deliveries — sinks
+	// run on the pool's workers — hold both workers until every stream
+	// has a group queued (each stream keeps at most MaxInFlight = 2 groups
+	// fed, so a backlog of 2·streams − workers − 1 leaves no stream
+	// without one). Without the hold a stream admitted early is done
+	// before the last goroutine has been scheduled, and the faster
+	// decoding gets, or the busier the host, the more of the run that
+	// start-up skew is.
+	//
+	// Fairness is then asserted on the global delivery sequence, not on
+	// wall time (per-stream Displayed/Wall, which this test used to
+	// compare 3:1, moves with the host's load): at the delivery that
+	// completes the first stream, every stream — they are all of one
+	// class — must have delivered at least a third of its pictures.
+	var delivered [nStreams]atomic.Int32
+	var atFirstFinish [nStreams]int32
+	var level, firstDone atomic.Bool
+	holdUntilLevel := func() {
+		for wait := time.Now().Add(10 * time.Second); !level.Load(); time.Sleep(100 * time.Microsecond) {
+			if srv.Metrics().Backlog >= 2*nStreams-workers-1 || time.Now().After(wait) {
+				level.Store(true)
+			}
+		}
+	}
 	start := make(chan struct{})
 	results := make(chan result, nStreams)
 	for i := 0; i < nStreams; i++ {
@@ -669,7 +692,15 @@ func TestLoadSmoke(t *testing.T) {
 			ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
 				Resilience: core.ConcealSlice, MaxInFlight: 2,
 				Deadline: 250 * time.Millisecond,
-				Sink:     func(f *frame.Frame) { time.Sleep(300 * time.Microsecond) },
+				Sink: func(f *frame.Frame) {
+					holdUntilLevel()
+					time.Sleep(300 * time.Microsecond)
+					if delivered[i].Add(1) == nPictures && firstDone.CompareAndSwap(false, true) {
+						for j := range delivered {
+							atFirstFinish[j] = delivered[j].Load()
+						}
+					}
+				},
 			})
 			results <- result{ss, err}
 		}()
@@ -683,11 +714,10 @@ func TestLoadSmoke(t *testing.T) {
 		}
 		all = append(all, r.ss)
 	}
-	minTP, maxTP := 0.0, 0.0
 	for _, ss := range all {
 		st := ss.Stats
-		if st.Displayed == 0 || st.Displayed != st.Pictures {
-			t.Fatalf("stream %d displayed %d of %d — did not progress", ss.ID, st.Displayed, st.Pictures)
+		if st.Displayed != nPictures || st.Displayed != st.Pictures {
+			t.Fatalf("stream %d displayed %d of %d (want %d) — did not progress", ss.ID, st.Displayed, st.Pictures, nPictures)
 		}
 		if st.LeakedFrameBytes != 0 {
 			t.Fatalf("stream %d leaked %d frame bytes", ss.ID, st.LeakedFrameBytes)
@@ -695,16 +725,12 @@ func TestLoadSmoke(t *testing.T) {
 		if st.Wall <= 0 {
 			t.Fatalf("stream %d reported no wall time", ss.ID)
 		}
-		tp := float64(st.Displayed) / st.Wall.Seconds()
-		if minTP == 0 || tp < minTP {
-			minTP = tp
-		}
-		if tp > maxTP {
-			maxTP = tp
-		}
 	}
-	if maxTP > 3.0*minTP {
-		t.Fatalf("fairness: per-stream throughput spread %.1f..%.1f pics/s exceeds 3:1", minTP, maxTP)
+	for j, n := range atFirstFinish {
+		if 3*n < nPictures {
+			t.Fatalf("fairness: when the first stream had delivered all %d pictures, stream %d had delivered %d (deliveries then: %v)",
+				nPictures, j, n, atFirstFinish)
+		}
 	}
 	m := srv.Metrics()
 	if m.Admitted != nStreams || m.Wedged != 0 {

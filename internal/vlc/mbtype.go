@@ -155,3 +155,36 @@ func DecodeMBType(r *bits.Reader, pc PictureCoding) (MBType, error) {
 	}
 	return mbTypeFromFlags(sym), nil
 }
+
+// mbTypeWindow[pc][v] answers MBTypeLookup for the six bits v that start
+// a window: macroblock_type's longest code is six bits, so the flags come
+// unpacked, with the code length (0: no code), out of one 6-byte entry.
+var mbTypeWindow [4][64]struct {
+	t MBType
+	n uint8
+}
+
+func init() {
+	for _, pc := range []PictureCoding{CodingI, CodingP, CodingB} {
+		for _, d := range mbTypeDefined[pc] {
+			shift := 6 - uint(d.c.Len)
+			for v := d.c.Bits << shift; v < (d.c.Bits+1)<<shift; v++ {
+				mbTypeWindow[pc][v].t, mbTypeWindow[pc][v].n = d.t, d.c.Len
+			}
+		}
+	}
+}
+
+// MBTypeLookup returns the macroblock_type whose code starts the
+// left-justified stream window w and that code's length, or n = 0 when no
+// code of the picture coding type's table matches — which is every window
+// for a pc that is none of I, P and B, as DecodeMBType refuses those. The
+// macroblock header decode of internal/mpeg2 reads the type through it; w
+// must hold at least 6 meaningful bits.
+func MBTypeLookup(w uint64, pc PictureCoding) (t MBType, n uint) {
+	if pc < CodingI || pc > CodingB {
+		return MBType{}, 0
+	}
+	e := &mbTypeWindow[pc][w>>58]
+	return e.t, uint(e.n)
+}

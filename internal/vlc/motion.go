@@ -41,3 +41,28 @@ func DecodeMotionCode(r *bits.Reader) (int, error) {
 	}
 	return int(sym), nil
 }
+
+// motionWindow[v] answers MotionCodeLookup for the eleven bits v that
+// start a window (motion_code's longest code): the code and its length,
+// 0 where no code matches, in two bytes.
+var motionWindow [1 << 11]struct {
+	code int8
+	n    uint8
+}
+
+func init() {
+	for i, c := range motionCodes {
+		shift := 11 - uint(c.Len)
+		for v := c.Bits << shift; v < (c.Bits+1)<<shift; v++ {
+			motionWindow[v].code, motionWindow[v].n = int8(i-16), c.Len
+		}
+	}
+}
+
+// MotionCodeLookup returns the motion_code whose code word starts the
+// left-justified stream window w and that code's length, or n = 0 when
+// none matches; w must hold at least 11 meaningful bits.
+func MotionCodeLookup(w uint64) (code int, n uint) {
+	e := motionWindow[w>>53]
+	return int(e.code), uint(e.n)
+}

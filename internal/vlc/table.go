@@ -14,7 +14,12 @@
 // maxLen bits. The DCT coefficient tables, whose longest code is 16 bits
 // and which are probed once per coefficient, use CoefTable instead: two
 // levels of 4-byte entries, 5 KB per variant, read through a window on the
-// stream by the block decode of internal/mpeg2 (see dctcoef.go).
+// stream by the block decode of internal/mpeg2 (see dctcoef.go). The codes
+// that open a macroblock — macroblock_type, motion_code — and dct_dc_size
+// have window-form lookups as well (MBTypeLookup, MotionCodeLookup,
+// DCSizeLookup), for the macroblock header decode of internal/mpeg2, which
+// reads a whole header out of one window; the reader-based Decode*
+// functions are what it falls back to on anything irregular.
 //
 // Table one (B-15) note: its short codes (≤ 8 bits) follow the standard;
 // (run,level) pairs without a short code reuse their table-zero long codes

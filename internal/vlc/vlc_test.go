@@ -259,6 +259,28 @@ func TestMBTypeInvalid(t *testing.T) {
 	}
 }
 
+// TestMBTypeLookupMatchesDecode holds the window form to the reader form
+// on every six-bit window, for the three coding types and for values that
+// are none (whose low bits would select a real table).
+func TestMBTypeLookupMatchesDecode(t *testing.T) {
+	for pc := PictureCoding(-1); pc <= 9; pc++ {
+		for v := uint64(0); v < 64; v++ {
+			r := bits.NewReader([]byte{byte(v << 2), 0})
+			want, err := DecodeMBType(r, pc)
+			got, n := MBTypeLookup(v<<58, pc)
+			if err != nil {
+				if n != 0 {
+					t.Fatalf("%v window %06b: lookup accepts %d bits, DecodeMBType says %v", pc, v, n, err)
+				}
+				continue
+			}
+			if got != want || int64(n) != r.BitPos() {
+				t.Fatalf("%v window %06b: lookup %+v/%d bits, DecodeMBType %+v/%d", pc, v, got, n, want, r.BitPos())
+			}
+		}
+	}
+}
+
 func TestCBPRoundTripAll(t *testing.T) {
 	var w bits.Writer
 	for v := 0; v <= 63; v++ {
