@@ -66,14 +66,18 @@ trace:
 	$(GO) test -race -run 'TestTraced|TestChromeTrace|TestValidateChromeTrace|TestWithTrace|TestWithEventSink' ./internal/obs/ .
 	$(GO) run ./cmd/mpeg2bench -timeline -trace /tmp/mpeg2par-trace.json > /dev/null
 
-# Adaptive-scheduler gate: the slice queue (readiness rule, affinity,
-# packing, auto mode), the simulator and the cost-model/LPT/auto-tune
+# Adaptive-scheduler gate: the slice queue (task grain, readiness rule,
+# affinity, packing, auto mode) with the split-decode and assist goldens
+# that live beside it, the simulator and the cost-model/LPT/auto-tune
 # policy under the race detector — by package, so a renamed or new test
 # cannot drop out of the gate (the scheduler tests of ./internal/stream/
-# and the root package run by package in `make stream`) — and the
-# LPT-vs-FIFO imbalance smoke (profiled costs replayed in the simulator).
+# and the root package run by package in `make stream`) — the slice
+# modes' frame-memory bound twenty times over, so that a schedule-dependent
+# breach shows up here and not by luck, and the LPT-vs-FIFO imbalance
+# smoke (profiled costs replayed in the simulator).
 sched:
 	$(GO) test -race ./internal/core/ ./internal/simsched/ ./internal/sched/
+	$(GO) test -count=20 -run TestFrameMemoryBounded ./internal/core/
 	$(GO) test -run TestSchedCompareSmoke -v ./internal/bench/
 
 # Multi-stream service gate: the 64-stream overload smoke (zero wedged
@@ -85,26 +89,25 @@ service:
 	$(GO) test -race -count=1 -run 'TestServiceAPI|TestServiceForcedDegradation' .
 	$(GO) run ./cmd/mpeg2load -streams 64 > /dev/null
 
-# Intra-slice split-decode gate: indexed and speculative splits must be
-# bit-exact with the sequential oracle in every mode and policy (clean,
-# faulted, and poisoned-index streams) under the race detector, the
-# public index API must round-trip, and the experiment must show the
-# split actually parallelizes a one-slice-per-picture stream.
+# Intra-slice split-decode gate: the public index API must round-trip
+# and stay bit-exact through the streaming path under the race detector,
+# and the experiment must show the split actually parallelizes a
+# one-slice-per-picture stream. (The core goldens — indexed, speculative,
+# poisoned-index, faulted — run by package under -race in `make sched`.)
 vldsplit:
-	$(GO) test -race -count=1 -run 'TestSplitIndexedBitExact|TestSpeculativeSplitNoDivergence|TestPoisonedIndexFallsBack|TestSplitFaultedGolden|TestErrBadOption' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestWithIndexStreaming|TestWithSpeculativeSplitStreaming|TestErrBadOptionPublic' .
 	$(GO) test -count=1 ./internal/vldsplit/
 	$(GO) test -count=1 -run TestVLDSplitExperiment -v ./internal/bench/
 
 # Deadline-aware dispatch gate: EDF ordering and slack-classification
 # units, the cost-model cold-start regressions, the miss/shed
-# disjointness and teardown-accounting tests, the assist and EDF
-# bit-exactness goldens (all under the race detector), and the
-# scaled-down fair-vs-EDF study smoke.
+# disjointness and teardown-accounting tests, the EDF bit-exactness
+# goldens (all under the race detector; core's assist goldens run by
+# package under -race in `make sched`), and the scaled-down fair-vs-EDF
+# study smoke.
 deadline:
 	$(GO) test -race -count=1 -run 'TestParseDispatch|TestEDFActive|TestClassifySlack|TestSlackHist|TestPickEDFOrdering|TestQueueDelayEffectiveWorkers|TestAccountUndelivered|TestDemandFor|TestSlackShedDisjointFromMisses|TestUndeliveredMissesCountedOnCancel|TestEDFBitExactCleanAndFaulted|TestEDFNoStarvationAtTopRung|TestAssistOnTightSlack' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestCostModelColdStart|TestChooseReasonGatedOnCalibration' ./internal/sched/
-	$(GO) test -race -count=1 -run 'TestAssistIndexedBitExact|TestAssistSpeculativeBitExact|TestAssistPoisonedIndexFallsBack|TestAssistFaultedGolden' ./internal/core/
 	$(GO) test -count=1 -run TestDeadlineExperimentSmoke -v ./internal/bench/
 
 # Deprecated-API grep gate: cmd/ and examples/ must stay on the

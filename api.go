@@ -81,12 +81,14 @@ func WithPacking(p Packing, seed int64) Option {
 	}
 }
 
-// WithAffinity overrides the row→worker task-steering discipline
-// (default AffinityRow, adopted by the cache-locality study: each
-// macroblock row is steered to the worker that handled the same row of
-// the reference picture, so motion-compensation reference reads reuse
-// that worker's cache). AffinityNone restores pure dynamic assignment.
-// Affinity never changes decoded output, only which worker runs a task.
+// WithAffinity overrides the task-steering discipline of the slice modes
+// (default AffinityRow: the picture is cut into one horizontal band per
+// worker and each task — a few adjacent macroblock rows — is steered to
+// the worker whose band it starts in, the worker that decoded the same
+// band of the reference picture, so motion-compensation reference reads
+// reuse that worker's cache). AffinityNone restores pure dynamic
+// assignment. Affinity never changes decoded output, only which worker
+// runs a task.
 func WithAffinity(a Affinity) Option {
 	return func(c *decodeConfig) { c.opt.Affinity = a }
 }

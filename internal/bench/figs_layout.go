@@ -15,7 +15,7 @@ import (
 // steering — see DESIGN.md "Kernel dispatch & memory layout").
 type LocalityRow struct {
 	Study    string  `json:"study"`   // "layout" or "affinity"
-	Variant  string  `json:"variant"` // dense/padded, round-robin/row
+	Variant  string  `json:"variant"` // dense/padded, round-robin/band
 	Adopted  bool    `json:"adopted"`
 	Res      string  `json:"res"`
 	CacheKB  int     `json:"cache_kb"`
@@ -66,11 +66,12 @@ func simulate(evs []memtrace.Event, size, assoc, procs int) (cachesim.Stats, err
 //     resolution shows padding buys nothing there).
 //   - Affinity: the locality-study resolution decoded with tasks
 //     assigned round-robin (the paper's dynamic assignment) versus
-//     steered by row, on per-processor caches large enough to hold a
-//     row band between pictures. Row steering is the adopted variant:
-//     the processor that wrote a reference row is the one that re-reads
-//     it for motion compensation, converting sharing/cold misses into
-//     hits.
+//     steered by band (the picture cut into one horizontal band per
+//     processor), on per-processor caches large enough to hold a band
+//     between pictures. Band steering is the adopted variant: the
+//     processor that wrote a reference row is the one that re-reads it
+//     and its neighbours for motion compensation, converting
+//     sharing/cold misses into hits.
 func (r *Runner) LocalityStudy(w io.Writer) ([]LocalityRow, error) {
 	var rows []LocalityRow
 	var out [][]string
@@ -143,7 +144,7 @@ func (r *Runner) LocalityStudy(w io.Writer) ([]LocalityRow, error) {
 		name    string
 		aff     core.Affinity
 		adopted bool
-	}{{"round-robin", core.AffinityNone, false}, {"row", core.AffinityRow, true}} {
+	}{{"round-robin", core.AffinityNone, false}, {"band", core.AffinityRow, true}} {
 		evs, err := r.localityTrace(ctrlRes, affProcs, true, variant.aff)
 		if err != nil {
 			return nil, err

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mpeg2par/internal/memtrace"
+	"mpeg2par/internal/mpeg2"
+	"mpeg2par/internal/vldsplit"
 )
 
 // TestAffinityInvariance pins that task steering never changes output:
@@ -33,16 +35,6 @@ func TestAffinityInvariance(t *testing.T) {
 	}
 }
 
-// affinityTestPic builds a picState with one slice per row, rows 0..n-1
-// in stream order.
-func affinityTestPic(n int) *picState {
-	pr := &PictureRange{}
-	for r := 0; r < n; r++ {
-		pr.Slices = append(pr.Slices, SliceRange{Row: r})
-	}
-	return &picState{rng: pr, nTasks: n, remaining: n}
-}
-
 // pickHead runs the ungated pickTask (every task runnable) and returns
 // the task it moved to the head of p's handout order.
 func pickHead(q *sliceQueue, p *picState, wi int) int {
@@ -55,14 +47,14 @@ func pickHead(q *sliceQueue, p *picState, wi int) int {
 }
 
 // TestPickTaskSteering checks the queue-level steering directly: with
-// row affinity a worker receives rows ≡ its index (mod workers) while
-// any remain, then falls back to whatever is left (work conservation),
-// and every task is handed out exactly once.
+// band affinity a worker receives the tasks that start in its horizontal
+// band of the picture while any remain, then falls back to whatever is
+// left (work conservation), and every task is handed out exactly once.
 func TestPickTaskSteering(t *testing.T) {
 	const rows, workers = 8, 2
 	q := &sliceQueue{workers: workers, affinity: AffinityRow}
 	q.cond = sync.NewCond(&q.mu)
-	p := affinityTestPic(rows)
+	p := windowTestPic(2, rows, -1, -1, 0) // one task per row
 
 	take := func(wi int) int {
 		ti := pickHead(q, p, wi)
@@ -70,8 +62,8 @@ func TestPickTaskSteering(t *testing.T) {
 		return p.rng.Slices[ti].Row
 	}
 
-	// Worker 1 drains its own residue class first...
-	for _, want := range []int{1, 3, 5, 7} {
+	// Worker 1 drains its own band, the lower half, first...
+	for _, want := range []int{4, 5, 6, 7} {
 		if got := take(1); got != want {
 			t.Fatalf("worker 1: got row %d, want %d", got, want)
 		}
@@ -81,7 +73,7 @@ func TestPickTaskSteering(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		seen[take(1)] = true
 	}
-	for _, want := range []int{0, 2, 4, 6} {
+	for _, want := range []int{0, 1, 2, 3} {
 		if !seen[want] {
 			t.Fatalf("fallback never handed out row %d (got %v)", want, seen)
 		}
@@ -93,7 +85,7 @@ func TestPickTaskSteering(t *testing.T) {
 	// AffinityNone must preserve pure queue order.
 	q2 := &sliceQueue{workers: workers, affinity: AffinityNone}
 	q2.cond = sync.NewCond(&q2.mu)
-	p2 := affinityTestPic(rows)
+	p2 := windowTestPic(2, rows, -1, -1, 0)
 	for want := 0; want < rows; want++ {
 		ti := pickHead(q2, p2, 1)
 		p2.nextSlice++
@@ -103,31 +95,90 @@ func TestPickTaskSteering(t *testing.T) {
 	}
 }
 
-// TestPickTaskSteeringGroups checks steering over resilient-plan row
-// groups: the group's row is its first slice's row.
+// TestPickTaskSteeringGroups checks steering over the plan path's fused
+// tasks and over split segments: a fused task is steered by its first
+// row, whichever rows follow; a segment of a split slice by the row its
+// entry point is on; a task without rows is steered nowhere.
 func TestPickTaskSteeringGroups(t *testing.T) {
-	pr := &PictureRange{Slices: []SliceRange{{Row: 0}, {Row: 1}, {Row: 1}, {Row: 2}}}
-	p := &picState{rng: pr, groups: [][]int{{0}, {1, 2}, {3}}, nTasks: 3, remaining: 3}
-	q := &sliceQueue{workers: 3, affinity: AffinityRow}
-	q.cond = sync.NewCond(&q.mu)
-
-	gi := pickHead(q, p, 2) // worker 2 should get the row-2 group
-	if want := 2; gi != want {
-		t.Fatalf("worker 2: got group %d, want %d", gi, want)
+	// 24 rows, row 17 claimed twice, three workers: tasks of two rows,
+	// bands of eight.
+	const mbw, mbh, workers = 2, 24, 3
+	p := groupedTestPic(mbw, mbh, workers, func(r int) int {
+		if r == 17 {
+			return 2
+		}
+		return 1
+	})
+	if len(p.groups) != 12 {
+		t.Fatalf("%d tasks, want 12 of two rows each: %v", len(p.groups), p.groups)
 	}
-	if r := taskRow(p, gi); r != 2 {
-		t.Fatalf("group %d row = %d, want 2", gi, r)
+	q := &sliceQueue{workers: workers, affinity: AffinityRow}
+	q.cond = sync.NewCond(&q.mu)
+	firstRow := func(gi int) int { return p.rng.Slices[p.groups[gi][0]].Row }
+
+	// Taking turns, each worker receives exactly the four tasks of its own
+	// band (in whatever order the swaps leave them); rows 16-17, claimed
+	// three times, are one task.
+	got := make([]map[int]bool, workers)
+	for round := 0; round < 4; round++ {
+		for wi := 0; wi < workers; wi++ {
+			gi := pickHead(q, p, wi)
+			p.nextSlice++
+			if got[wi] == nil {
+				got[wi] = map[int]bool{}
+			}
+			got[wi][firstRow(gi)] = true
+			if firstRow(gi) == 16 && len(p.groups[gi]) != 3 {
+				t.Fatalf("rows 16-17 hold three slices, the task has %v", p.groups[gi])
+			}
+		}
+	}
+	for wi := 0; wi < workers; wi++ {
+		for _, r := range []int{0, 2, 4, 6} {
+			if !got[wi][8*wi+r] {
+				t.Fatalf("worker %d received the tasks at rows %v, want those of rows %d..%d", wi, got[wi], 8*wi, 8*wi+7)
+			}
+		}
+	}
+	if p.nextSlice != p.nTasks {
+		t.Fatalf("handed out %d of %d tasks", p.nextSlice, p.nTasks)
 	}
 
 	// Substitute pictures (nil group) have no row: steering must not
 	// panic and must fall back to the head task.
-	sub := &picState{rng: pr, groups: [][]int{nil}, nTasks: 1, remaining: 1}
-	gi = pickHead(q, sub, 1)
-	if gi != 0 {
+	sub := &picState{rng: p.rng, params: p.params, groups: [][]int{nil}, nTasks: 1, remaining: 1}
+	if gi := pickHead(q, sub, 1); gi != 0 {
 		t.Fatalf("substitute: got task %d, want 0", gi)
 	}
-	if r := taskRow(sub, 0); r != -1 {
-		t.Fatalf("substitute row = %d, want -1", r)
+	if _, _, _, ok := taskRows(sub, 0); ok {
+		t.Fatal("an empty group resolved to rows")
+	}
+
+	// One slice over the whole picture, split at rows 8 and 16: segment k
+	// enters on row 8k and goes to worker k, while every segment waits for
+	// the whole slice's rows.
+	tall := groupedTestPic(mbw, mbh, workers, func(r int) int {
+		if r == 0 {
+			return 1
+		}
+		return 0
+	})
+	j := &splitJoin{si: 0, pts: []vldsplit.Point{
+		{State: mpeg2.SplitState{PrevAddr: 8*mbw - 1}},
+		{State: mpeg2.SplitState{PrevAddr: 16*mbw - 1}},
+	}}
+	tall.tasks = []segTask{{join: j, seg: 0}, {join: j, seg: 1}, {join: j, seg: 2}}
+	tall.nTasks, tall.remaining = 3, 3
+	for _, wi := range []int{2, 0, 1} {
+		ti := pickHead(q, tall, wi)
+		tall.nextSlice++
+		if ti != wi {
+			t.Fatalf("worker %d: got segment %d", wi, ti)
+		}
+		if r0, r1, entry, ok := taskRows(tall, ti); !ok || r0 != 0 || r1 != mbh-1 || entry != 8*wi {
+			t.Fatalf("segment %d: rows %d..%d entry %d ok %v, want 0..%d entry %d",
+				ti, r0, r1, entry, ok, mbh-1, 8*wi)
+		}
 	}
 }
 

@@ -117,11 +117,12 @@ type Options struct {
 	// each hook is a single pointer test.
 	Obs *obs.Tracer
 
-	// Affinity selects row→worker task steering in the slice queues (see
-	// Affinity). The zero value AffinityRow — adopted by the locality
-	// study — steers each row to the worker that handled that row of the
-	// reference picture; AffinityNone restores the paper's pure dynamic
-	// assignment. Output is bit-identical either way.
+	// Affinity selects task→worker steering in the slice queues (see
+	// Affinity). The zero value AffinityRow steers each task to the worker
+	// whose horizontal band of the picture its first row lies in — the
+	// worker that decoded that band of the reference picture;
+	// AffinityNone restores the paper's pure dynamic assignment. Output is
+	// bit-identical either way.
 	Affinity Affinity
 
 	// Packing selects the task-queue order (see Packing); the default is
@@ -281,6 +282,18 @@ type Stats struct {
 	// Profiles (only with Options.Profile).
 	GOPCosts  []TaskCost
 	SliceProf []PicProfile
+}
+
+// poolGauges copies the frame pool's counters into the run's report and
+// returns the bytes still handed out (a pipeline that tears down reports
+// them as LeakedFrameBytes). FramesAllocated holds the pool's cumulative
+// allocation in bytes, not a buffer count — benchmark/probes.go divides
+// it by a frame's size.
+func (s *Stats) poolGauges(pool *frame.Pool) (inUse int64) {
+	ps := pool.Stats()
+	s.PeakFrameBytes = ps.PeakBytes
+	s.FramesAllocated = ps.AllocBytes
+	return ps.InUseBytes
 }
 
 // PicturesPerSecond returns decoded pictures per wall second.

@@ -37,21 +37,34 @@ func newDisplay(pool *frame.Pool, sink func(*frame.Frame), tr *obs.Tracer) *disp
 }
 
 // push hands one decoded picture (with its absolute display index) to the
-// display process and drains everything that is now in order.
+// display process and drains everything that is now in order. The drained
+// frames go back to the pool after d.mu is dropped: a slice executor's
+// pool wipes a frame on Put (frame.ScrubOnPut), and that must not hold up
+// the other workers' pushes.
 func (d *displayProc) push(f *frame.Frame, idx int) {
+	var buf [4]*frame.Frame
+	for _, g := range d.deliver(f, idx, buf[:0]) {
+		if g.Release() {
+			d.pool.Put(g)
+		}
+	}
+}
+
+// deliver is push under d.mu: it appends the frames it displayed to shown.
+func (d *displayProc) deliver(f *frame.Frame, idx int, shown []*frame.Frame) []*frame.Frame {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if idx < d.next || d.pending[idx] != nil {
 		if d.err == nil {
 			d.err = fmt.Errorf("core: duplicate display index %d", idx)
 		}
-		return
+		return shown
 	}
 	d.pending[idx] = f
 	for {
 		g, ok := d.pending[d.next]
 		if !ok {
-			return
+			return shown
 		}
 		delete(d.pending, d.next)
 		g.DisplayIndex = d.next
@@ -61,9 +74,7 @@ func (d *displayProc) push(f *frame.Frame, idx int) {
 		if d.obs != nil {
 			d.obs.Record(obs.KindDisplay, d.lane, time.Now(), 0, -1, d.next, -1)
 		}
-		if g.Release() {
-			d.pool.Put(g)
-		}
+		shown = append(shown, g)
 		d.displayed++
 		d.next++
 	}

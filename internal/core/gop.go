@@ -23,7 +23,7 @@ func decodeGOPMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 	if opt.Conceal {
 		// Concealed pictures may ship partially synthesized pixels; scrub
 		// recycled buffers so no stale content leaks across GOPs.
-		pool.SetScrub(true)
+		pool.SetScrub(frame.ScrubOnGet)
 	}
 	disp := newDisplay(pool, opt.Sink, opt.Obs)
 
@@ -67,9 +67,7 @@ func decodeGOPMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 	}
 	st.Pictures = m.TotalPictures
 	st.Displayed = displayed
-	ps := pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
+	st.poolGauges(pool)
 	if displayed != m.TotalPictures {
 		return fmt.Errorf("core: displayed %d of %d pictures", displayed, m.TotalPictures)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -84,48 +85,51 @@ func TestPackingMatchesSequential(t *testing.T) {
 // TestPackingResilientGolden extends the invariance contract to damaged
 // streams: packing must not change which slices are damaged, how they
 // are concealed, or the error accounting — same-row slices stay
-// serialized inside one row-group task regardless of group order.
+// serialized inside one task regardless of task order — and neither must
+// the pool size, on which the plan's task grain depends (the 12-row
+// stream is planned three, two and one row a task).
 func TestPackingResilientGolden(t *testing.T) {
-	res := testStream(t, 96, 64, 12, 4)
-	for _, spec := range []string{"burst:count=2,len=24", "dropslice:3"} {
-		sp, err := faults.Parse(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mut, _ := sp.Apply(res.Data, 2)
-		for _, policy := range []Resilience{ConcealSlice, DropGOP} {
-			want, wantSt, refErr := decodeResilientRun(t, mut, ModeSequential, 1, policy)
-			for _, mode := range []Mode{ModeGOP, ModeSliceImproved} {
-				for _, pk := range testPackings {
-					var sink collectSink
-					st, err := Decode(mut, Options{
-						Mode: mode, Workers: 3, Resilience: policy, Sink: sink.add,
-						Packing: pk.packing, PackSeed: pk.seed,
-					})
-					if refErr != nil {
-						// Damage the policy cannot absorb: every packing
-						// must fail exactly where sequential fails.
-						if err == nil {
-							t.Fatalf("%s/%v %v/%s: decoded cleanly where sequential failed (%v)",
-								spec, policy, mode, pk.name, refErr)
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s/%v %v/%s: %v", spec, policy, mode, pk.name, err)
-					}
-					if st.Errors != wantSt.Errors {
-						t.Fatalf("%s/%v %v/%s: error stats %+v, sequential %+v",
-							spec, policy, mode, pk.name, st.Errors, wantSt.Errors)
-					}
-					if len(sink.frames) != len(want) {
-						t.Fatalf("%s/%v %v/%s: %d frames, want %d",
-							spec, policy, mode, pk.name, len(sink.frames), len(want))
-					}
-					for i := range want {
-						if !sink.frames[i].Equal(want[i]) {
-							t.Fatalf("%s/%v %v/%s: frame %d differs from sequential",
-								spec, policy, mode, pk.name, i)
+	for _, dim := range [][2]int{{96, 64}, {48, 192}} {
+		res := testStream(t, dim[0], dim[1], 12, 4)
+		for _, spec := range []string{"burst:count=2,len=24", "dropslice:3"} {
+			sp, err := faults.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mut, _ := sp.Apply(res.Data, 2)
+			for _, policy := range []Resilience{ConcealSlice, DropGOP} {
+				want, wantSt, refErr := decodeResilientRun(t, mut, ModeSequential, 1, policy)
+				for _, mode := range []Mode{ModeGOP, ModeSliceImproved} {
+					for _, workers := range []int{1, 2, 3, 4, 8} {
+						for _, pk := range testPackings {
+							id := fmt.Sprintf("%dx%d %s/%v %v/%d/%s", dim[0], dim[1], spec, policy, mode, workers, pk.name)
+							var sink collectSink
+							st, err := Decode(mut, Options{
+								Mode: mode, Workers: workers, Resilience: policy, Sink: sink.add,
+								Packing: pk.packing, PackSeed: pk.seed,
+							})
+							if refErr != nil {
+								// Damage the policy cannot absorb: every packing
+								// must fail exactly where sequential fails.
+								if err == nil {
+									t.Fatalf("%s: decoded cleanly where sequential failed (%v)", id, refErr)
+								}
+								continue
+							}
+							if err != nil {
+								t.Fatalf("%s: %v", id, err)
+							}
+							if st.Errors != wantSt.Errors {
+								t.Fatalf("%s: error stats %+v, sequential %+v", id, st.Errors, wantSt.Errors)
+							}
+							if len(sink.frames) != len(want) {
+								t.Fatalf("%s: %d frames, want %d", id, len(sink.frames), len(want))
+							}
+							for i := range want {
+								if !sink.frames[i].Equal(want[i]) {
+									t.Fatalf("%s: frame %d differs from sequential", id, i)
+								}
+							}
 						}
 					}
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/decoder"
@@ -58,6 +59,9 @@ type planBuilder struct {
 	policy  Resilience
 	packing Packing
 	seed    int64
+	// workers sizes the slice-queue tasks (buildRowGroups): the pool the
+	// plan will run on, or the ceiling it may run on.
+	workers int
 	pl      plan
 
 	// Intra-slice split configuration (setSplit): when on, every planned
@@ -80,8 +84,8 @@ type planBuilder struct {
 	degraded bool
 }
 
-func newPlanBuilder(seq *mpeg2.SequenceHeader, policy Resilience, packing Packing, seed int64) *planBuilder {
-	return &planBuilder{seq: seq, policy: policy, packing: packing, seed: seed}
+func newPlanBuilder(seq *mpeg2.SequenceHeader, opt Options) *planBuilder {
+	return &planBuilder{seq: seq, policy: opt.Resilience, packing: opt.Packing, seed: opt.PackSeed, workers: opt.Workers}
 }
 
 // setSplit arms intra-slice task splitting for subsequently planned
@@ -101,7 +105,7 @@ func (b *planBuilder) setSplit(opt Options) {
 // pictures; DropGOP additionally removes groups with no decodable intra
 // anchor.
 func buildPlan(data []byte, m *StreamMap, opt Options) (*plan, error) {
-	b := newPlanBuilder(&m.Seq, opt.Resilience, opt.Packing, opt.PackSeed)
+	b := newPlanBuilder(&m.Seq, opt)
 	b.setSplit(opt)
 	for g := range m.GOPs {
 		if _, err := b.addGOP(data, g, &m.GOPs[g]); err != nil {
@@ -281,7 +285,8 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 				pl.pre.DroppedPictures++
 			}
 		} else {
-			ps.groups = buildRowGroups(ps.rng.Slices)
+			ps.bounds = sliceSpanBounds(ps.rng.Slices, &ps.params)
+			ps.groups = buildRowGroups(ps.rng.Slices, ps.bounds, &ps.params, b.workers)
 			if len(ps.groups) == 0 {
 				// A picture whose every slice was destroyed still owns a
 				// display slot: one empty task, then full concealment.
@@ -296,11 +301,10 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 				costs[gi] = groupCost(ps.rng.Slices, grp)
 			}
 			ps.order = packOrder(costs, b.packing, b.seed+int64(len(pl.pics)))
-			ps.bounds = sliceSpanBounds(ps.rng.Slices, &ps.params)
 			if b.splitOn {
-				// Only a row group holding a single slice can split: a
-				// multi-slice group exists because same-row slices must
-				// serialize, which a segment fan-out would break.
+				// Only a task holding a single slice can split: the slices
+				// of a multi-slice task run serially on one worker (same-row
+				// slices must), which a segment fan-out would break.
 				buildSplitTasks(ps, data, b.splitOpt, b.seed+int64(len(pl.pics)),
 					len(ps.groups), func(gi int) int {
 						if len(ps.groups[gi]) == 1 {
@@ -309,7 +313,7 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 						return -1
 					}, &b.scratch)
 			}
-			// A row group owns its rows outright unless its slice split.
+			// A task owns its rows outright unless its slice split.
 			ps.minRow, _ = minSliceRow(ps.rng.Slices)
 			ps.rowwise = ps.tasks == nil
 		}
@@ -336,25 +340,79 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	return pl.pics[first:], nil
 }
 
-// buildRowGroups partitions a picture's slices into per-starting-row
-// task groups, preserving scan order within each group. Slices starting
-// on different rows write disjoint pixels (each is bounded by the next
-// claimed row, see sliceSpanBounds), so groups may run on any workers in
-// any order; slices *within* a row could overlap when the stream is
-// corrupted, so they execute serially inside one task. On a clean
-// one-slice-per-row stream this degenerates to one slice per task —
-// the exact parallel grain of the non-resilient decoder.
-func buildRowGroups(slices []SliceRange) [][]int {
-	var groups [][]int
-	byRow := make(map[int]int)
-	for si := range slices {
-		if gi, ok := byRow[slices[si].Row]; ok {
-			groups[gi] = append(groups[gi], si)
-		} else {
-			byRow[slices[si].Row] = len(groups)
-			groups = append(groups, []int{si})
-		}
+// buildRowGroups partitions a picture's slices into the slice queue's
+// tasks, listing each task's slices in scan order. Slices that start on
+// one row could overlap when the stream is corrupted, so they always share
+// a task and execute serially inside it; slices that start on different
+// rows write disjoint pixels (each is bounded by the next claimed row, see
+// sliceSpanBounds), so tasks may run on any workers in any order.
+//
+// One task per row — the paper's grain — is some thirty tasks a picture at
+// SD, which a small pool deals out row by row: every row a worker
+// motion-compensates then has both neighbour rows of the reference in
+// another core's cache. So row groups adjacent in row order are fused
+// until a task spans ceil(MBHeight / (4·workers)) macroblock rows: about
+// four tasks per worker per picture, enough for the LPT order to level the
+// tail, few enough that a worker stays inside the band pickTask steers it
+// to. Measured on two cores at SD, 3· and 5·workers both read 2–3 % below
+// 4· (experiments/pr17-band-tasks), so the grain is derived here and
+// nowhere configurable. A row group that already spans
+// the target — a tall slice — is a task of its own, which keeps it a
+// single-slice group, the only kind buildSplitTasks may split; with many
+// workers the target is one row and the tasks are the paper's.
+//
+// This is the one place that decides the slice-queue grain. The sequential
+// and GOP executors iterate the groups whole and decode the same slices
+// into the same pixels whatever the grouping.
+func buildRowGroups(slices []SliceRange, bounds []int, params *mpeg2.PictureParams, workers int) [][]int {
+	// Slice indices in row order, scan order within a row; a task is a run
+	// of them. A clean stream is in row order already.
+	byRow := make([]int, len(slices))
+	inOrder := true
+	for si := range byRow {
+		byRow[si] = si
+		inOrder = inOrder && (si == 0 || slices[si-1].Row <= slices[si].Row)
 	}
+	if !inOrder {
+		sort.SliceStable(byRow, func(a, b int) bool { return slices[byRow[a]].Row < slices[byRow[b]].Row })
+	}
+
+	target := 1
+	if workers > 0 {
+		target = max((params.MBHeight+4*workers-1)/(4*workers), 1)
+	}
+	var groups [][]int
+	start, rows := 0, 0 // the open task is byRow[start:i], spanning rows macroblock rows
+	flush := func(end int) {
+		if end > start {
+			task := byRow[start:end:end]
+			if !inOrder {
+				sort.Ints(task)
+			}
+			groups = append(groups, task)
+		}
+		start, rows = end, 0
+	}
+	for i := 0; i < len(byRow); {
+		row := slices[byRow[i]].Row
+		j := i + 1
+		for j < len(byRow) && slices[byRow[j]].Row == row {
+			j++
+		}
+		// The rows this row group owns: its own up to the next claimed one.
+		span := 0
+		if params.MBWidth > 0 {
+			span = max(bounds[byRow[i]]/params.MBWidth-row+1, 0)
+		}
+		if rows+span > target {
+			flush(i)
+		}
+		if rows += span; rows >= target {
+			flush(j)
+		}
+		i = j
+	}
+	flush(len(byRow))
 	return groups
 }
 

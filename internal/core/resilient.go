@@ -138,9 +138,7 @@ func finishPlan(pl *plan, pool *frame.Pool, disp *displayProc, st *Stats, wallSt
 	}
 	st.Pictures = len(pl.pics)
 	st.Displayed = displayed
-	ps := pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
+	st.poolGauges(pool)
 	if displayed != len(pl.pics) {
 		return fmt.Errorf("core: displayed %d of %d pictures", displayed, len(pl.pics))
 	}
@@ -152,7 +150,7 @@ func finishPlan(pl *plan, pool *frame.Pool, disp *displayProc, st *Stats, wallSt
 func decodeResilientSeq(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
 	if opt.Resilience != FailFast {
-		pool.SetScrub(true)
+		pool.SetScrub(frame.ScrubOnGet)
 	}
 	disp := newDisplay(pool, opt.Sink, opt.Obs)
 	st.WorkerStats = make([]WorkerStats, 1)
@@ -198,7 +196,7 @@ func decodeResilientSeq(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 // each task self-contained.
 func decodeResilientGOP(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
-	pool.SetScrub(true) // concealed/substituted pixels must never leak stale content
+	pool.SetScrub(frame.ScrubOnGet) // concealed/substituted pixels must never leak stale content
 	disp := newDisplay(pool, opt.Sink, opt.Obs)
 
 	// Packed order over the kept groups (LPT by byte size by default).
@@ -298,7 +296,7 @@ func decodeResilientGOP(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 // picture), so same-row slices of a corrupted stream can never race.
 func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
-	pool.SetScrub(true)
+	pool.SetScrub(frame.ScrubOnPut) // take calls Get under q.mu
 	disp := newDisplay(pool, opt.Sink, opt.Obs)
 
 	pics := pl.pics
@@ -328,17 +326,25 @@ func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error 
 				ws := &st.WorkerStats[wi]
 				var scr sliceScratch
 				var taskAddrs []int
+				// The worker's own tallies, merged into the run's once.
+				var work decoder.WorkStats
+				var es ErrorStats
+				var sst SplitStats
+				defer func() {
+					workMu.Lock()
+					st.Work.Add(work)
+					st.Errors.Add(es)
+					st.Split.Add(sst)
+					workMu.Unlock()
+				}()
 				for {
-					p, ti, wait, ok := q.take(wi)
+					p, ti, _, wait, ok := q.take(wi)
 					ws.Wait += wait
 					if !ok {
 						return
 					}
 					t0 := time.Now()
 					reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
-					var work decoder.WorkStats
-					var es ErrorStats
-					var sst SplitStats
 					taskAddrs = taskAddrs[:0]
 					err := runPlanSliceTask(&m.Seq, pics, p, ti, wi, opt, &scr, &work, &es, &sst, &taskAddrs)
 					reg.End()
@@ -372,12 +378,8 @@ func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error 
 							}
 						}
 						disp.push(p.frame, p.displayIdx)
+						q.shipPic(p)
 					}
-					workMu.Lock()
-					st.Work.Add(work)
-					st.Errors.Add(es)
-					st.Split.Add(sst)
-					workMu.Unlock()
 				}
 			})
 		}(wi)

@@ -186,11 +186,11 @@ func (s *Session) start(u *Unit) {
 	s.started = true
 	s.wallStart = time.Now()
 	s.seq = u.Seq
-	s.pb = newPlanBuilder(&s.seq, s.opt.Resilience, s.opt.Packing, s.opt.PackSeed)
+	s.pb = newPlanBuilder(&s.seq, s.opt)
 	s.pool = frame.NewPool(s.seq.Width, s.seq.Height)
 	// Scrub always: shed substitutions ship synthesized content even on
 	// clean streams, and recycled buffers must never leak stale pixels.
-	s.pool.SetScrub(true)
+	s.pool.SetScrub(frame.ScrubOnGet)
 	s.disp = newDisplay(s.pool, s.opt.Sink, s.opt.Obs)
 	s.disp.lane = s.lane
 }
@@ -357,18 +357,12 @@ func (s *Session) Finish(cause error) (*Stats, error) {
 				s.pool.Reclaim(p.frame)
 			}
 		}
-		ps := s.pool.Stats()
-		st.PeakFrameBytes = ps.PeakBytes
-		st.FramesAllocated = ps.AllocBytes
-		st.LeakedFrameBytes = ps.InUseBytes
+		st.LeakedFrameBytes = st.poolGauges(s.pool)
 		return st, err
 	}
 	displayed, dispErr := s.disp.finish()
 	st.Displayed = displayed
-	ps := s.pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
-	st.LeakedFrameBytes = ps.InUseBytes
+	st.LeakedFrameBytes = st.poolGauges(s.pool)
 	if dispErr != nil {
 		return st, dispErr
 	}

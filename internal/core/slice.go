@@ -62,6 +62,9 @@ type picState struct {
 	// allocation): row r of a rowwise picture is published at MBWidth.
 	rowCov   []uint64
 	complete bool
+	// shipped is set once the completed picture has been handed to the
+	// display process; the queue's depth window advances on it.
+	shipped bool
 
 	// Resilient-plan fields (see plan.go); unused by the legacy paths.
 	gop       int     // index into StreamMap.GOPs
@@ -73,7 +76,7 @@ type picState struct {
 	// was load shedding (deliberate degradation), not damage.
 	shedBy  ShedLevel
 	holds   []int   // plan indices of frames read by this picture (released on completion)
-	groups  [][]int // slice indices per macroblock-row task group
+	groups  [][]int // slice indices per queue task (buildRowGroups)
 	damaged int     // slices whose parse/reconstruction failed
 	resyncs int     // damaged slices recovered by a later startcode
 
@@ -99,17 +102,22 @@ type sliceQueue struct {
 	issueIdx int // first picture whose slices are not fully handed out
 	improved bool
 	// depth bounds how far the pipeline may run ahead of the oldest
-	// incomplete picture. Without it a single straggling slice lets the
-	// improved variant buffer an unbounded number of decoded pictures —
-	// flow control the paper's fixed-speed processors never needed.
+	// picture not yet handed to the display process. Without it a single
+	// straggling slice lets the improved variant buffer an unbounded
+	// number of decoded pictures — flow control the paper's fixed-speed
+	// processors never needed. The window advances on the hand-off
+	// (shipPic), not on completion: a worker descheduled between the two
+	// would otherwise let the others run the whole window ahead while
+	// every later frame piles up in the reorder buffer behind its one.
 	depth  int
 	failed bool
 	closed bool // no more pictures will be appended
 
-	// workers and affinity configure row→worker task steering (see
+	// workers and affinity configure band→worker task steering (see
 	// Affinity). With affinity on, take prefers handing worker wi a task
-	// whose row ≡ wi (mod workers), falling back to the first runnable
-	// task so no worker ever idles while work exists.
+	// that starts in the wi-th of `workers` horizontal bands of the
+	// picture, falling back to the first runnable task so no worker ever
+	// idles while work exists.
 	workers  int
 	affinity Affinity
 
@@ -125,16 +133,6 @@ func (q *sliceQueue) append(ps []*picState) {
 	q.pics = append(q.pics, ps...)
 	q.cond.Broadcast()
 	q.mu.Unlock()
-}
-
-// snapshot returns the current picture list. Streaming workers resolve
-// absolute reference indices through it: elements below len(pics) are
-// fully initialized before append publishes them, and a reallocated
-// backing array never invalidates a previously returned snapshot.
-func (q *sliceQueue) snapshot() []*picState {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pics
 }
 
 // close marks the queue complete: workers drain what remains and exit.
@@ -185,7 +183,7 @@ func (q *sliceQueue) ready(p *picState, ti int) bool {
 	if p.subFrom >= 0 && !rowsReady(q.pics[p.subFrom], 0, last) {
 		return false
 	}
-	r0, r1, spans := taskRows(p, ti)
+	r0, r1, _, spans := taskRows(p, ti)
 	for dir, ri := range [...]int{p.fwd, p.bwd} {
 		if ri < 0 {
 			continue
@@ -206,7 +204,7 @@ func (q *sliceQueue) ready(p *picState, ti int) bool {
 // (the caller holds q.mu; issueIdx names a picture with tasks left).
 func (q *sliceQueue) next(wi int) *picState {
 	for i := q.issueIdx; i < len(q.pics); i++ {
-		if q.depth > 0 && i >= q.depth && !q.pics[i-q.depth].complete {
+		if q.depth > 0 && i >= q.depth && !q.pics[i-q.depth].shipped {
 			return nil // pipeline-depth flow control
 		}
 		p := q.pics[i]
@@ -229,12 +227,16 @@ func (q *sliceQueue) next(wi int) *picState {
 }
 
 // take blocks until a slice task is available (returning picture and
-// slice index) or the queue is exhausted/failed (ok=false). The caller
+// task index) or the queue is exhausted/failed (ok=false). pics is the
+// picture list as of the take, through which the worker resolves p's
+// absolute reference indices: elements below len(pics) are fully
+// initialized before append publishes them, and a reallocated backing
+// array never invalidates a list returned earlier. The caller also
 // receives the time spent blocked; wi identifies the taking worker for
 // the wait event a blocked take records (a block with tasks queued behind
 // the barrier discipline is a barrier wait, a block on an empty queue is
 // starvation). A take that never blocks reads no clock and records nothing.
-func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, ok bool) {
+func (q *sliceQueue) take(wi int) (p *picState, slice int, pics []*picState, wait time.Duration, ok bool) {
 	var t0 time.Time
 	blocked, barrier := false, false
 	block := func() {
@@ -259,7 +261,7 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, o
 	}()
 	for {
 		if q.failed {
-			return nil, 0, 0, false
+			return nil, 0, nil, 0, false
 		}
 		// Skip over fully-issued pictures.
 		for q.issueIdx < len(q.pics) && q.pics[q.issueIdx].nextSlice >= q.pics[q.issueIdx].nTasks {
@@ -267,7 +269,7 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, o
 		}
 		if q.issueIdx >= len(q.pics) {
 			if q.closed {
-				return nil, 0, 0, false
+				return nil, 0, nil, 0, false
 			}
 			block() // more pictures may still be appended
 			continue
@@ -276,8 +278,11 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, o
 			if p.frame == nil {
 				// Lazy allocation keeps live frames to the in-flight
 				// pictures plus references — the memory property the
-				// slice approach exists for. Retains: 1 for display plus
-				// one per picture that will reference this one.
+				// slice approach exists for. Get is a free-list pop (a
+				// slice executor's pool scrubs on Put), cheap enough for
+				// under q.mu.
+				// Retains: 1 for display plus one per picture that will
+				// reference this one.
 				p.frame = q.pool.Get()
 				p.frame.Retain(1 + p.deps)
 				p.frame.PictureType = "?IPB"[int(p.hdr.Type)]
@@ -285,7 +290,7 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, o
 			}
 			slice = p.handout(p.nextSlice)
 			p.nextSlice++
-			return p, slice, 0, true
+			return p, slice, q.pics, 0, true
 		}
 		// Tasks exist but none is runnable under the barrier discipline
 		// (or pipeline depth): synchronization, not starvation.
@@ -306,10 +311,14 @@ func (p *picState) handout(pos int) int {
 // swaps it to the head position p.nextSlice, so every task is still
 // handed out exactly once (the caller holds q.mu and advances
 // p.nextSlice). With gated set only tasks that are ready qualify, and
-// pickTask reports false when none is. Among the qualifying tasks row
-// affinity prefers one whose row ≡ wi (mod workers); otherwise, and on a
-// miss (work conservation), the first in packed order wins. The scan is
-// O(tasks-per-picture) per take — a few dozen rows.
+// pickTask reports false when none is. Among the qualifying tasks band
+// affinity prefers one that starts in worker wi's band — entry row r with
+// r·workers / MBHeight == wi, the picture cut into `workers` static
+// horizontal bands — so a worker's chain through consecutive pictures
+// reads reference rows it wrote itself, except at the band edges;
+// otherwise, and on a miss (work conservation), the first in packed
+// order wins. The scan is O(tasks-per-picture) per take — a handful of
+// band-grain tasks.
 func (q *sliceQueue) pickTask(p *picState, wi int, gated bool) bool {
 	head := p.nextSlice
 	steer := q.affinity == AffinityRow && q.workers > 1
@@ -325,7 +334,7 @@ func (q *sliceQueue) pickTask(p *picState, wi int, gated bool) bool {
 		if !steer {
 			break
 		}
-		if r := taskRow(p, ti); r >= 0 && r%q.workers == wi {
+		if _, _, r, ok := taskRows(p, ti); ok && bandOf(r, q.workers, p.params.MBHeight) == wi {
 			pick = pos
 			break
 		}
@@ -395,6 +404,15 @@ func (q *sliceQueue) finish(p *picState, addrs []int) bool {
 func (q *sliceQueue) completePic(p *picState) {
 	q.mu.Lock()
 	p.complete = true
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+// shipPic records that p has been handed to the display process, which
+// advances the depth window (see sliceQueue.depth). Call after disp.push.
+func (q *sliceQueue) shipPic(p *picState) {
+	q.mu.Lock()
+	p.shipped = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
@@ -501,8 +519,9 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 	}
 	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
 	if opt.Conceal {
-		// Same stale-pixel defense as the GOP mode: see decodeGOPMode.
-		pool.SetScrub(true)
+		// Same stale-pixel defense as the GOP mode: see decodeGOPMode. On
+		// Put, because take calls Get under q.mu.
+		pool.SetScrub(frame.ScrubOnPut)
 	}
 	disp := newDisplay(pool, opt.Sink, opt.Obs)
 
@@ -550,7 +569,7 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 				ws := &st.WorkerStats[wi]
 				var scr sliceScratch
 				for {
-					p, ti, wait, ok := q.take(wi)
+					p, ti, _, wait, ok := q.take(wi)
 					ws.Wait += wait
 					if !ok {
 						return
@@ -613,6 +632,7 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 							}
 						}
 						disp.push(p.frame, p.displayIdx)
+						q.shipPic(p)
 					}
 				}
 			})
@@ -630,9 +650,7 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 	}
 	st.Pictures = len(pics)
 	st.Displayed = displayed
-	ps := pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
+	st.poolGauges(pool)
 	if displayed != len(pics) {
 		return fmt.Errorf("core: displayed %d of %d pictures", displayed, len(pics))
 	}

@@ -195,11 +195,17 @@ func (e *StreamExecutor) start(u *Unit) {
 	if e.opt.Mode == ModeAuto {
 		e.resolveAuto(u)
 	}
-	e.pb = newPlanBuilder(&e.seq, e.opt.Resilience, e.opt.Packing, e.opt.PackSeed)
+	e.pb = newPlanBuilder(&e.seq, e.opt)
 	e.pb.setSplit(e.opt)
 	e.pool = frame.NewPool(e.seq.Width, e.seq.Height)
 	if e.opt.Resilience != FailFast {
-		e.pool.SetScrub(true)
+		// The slice queue calls Get under its lock; a GOP-grain worker
+		// calls it right before the decode it warms the frame for.
+		scrub := frame.ScrubOnGet
+		if e.opt.Mode == ModeSliceSimple || e.opt.Mode == ModeSliceImproved {
+			scrub = frame.ScrubOnPut
+		}
+		e.pool.SetScrub(scrub)
 	}
 	e.disp = newDisplay(e.pool, e.opt.Sink, e.opt.Obs)
 	e.st.WorkerStats = make([]WorkerStats, e.workers)
@@ -411,10 +417,7 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 					e.pool.Reclaim(p.frame)
 				}
 			}
-			ps := e.pool.Stats()
-			st.PeakFrameBytes = ps.PeakBytes
-			st.FramesAllocated = ps.AllocBytes
-			st.LeakedFrameBytes = ps.InUseBytes
+			st.LeakedFrameBytes = st.poolGauges(e.pool)
 		}
 		return st, err
 	}
@@ -423,10 +426,7 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 	}
 	displayed, dispErr := e.disp.finish()
 	st.Displayed = displayed
-	ps := e.pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
-	st.LeakedFrameBytes = ps.InUseBytes
+	st.LeakedFrameBytes = st.poolGauges(e.pool)
 	if dispErr != nil {
 		return st, dispErr
 	}
@@ -512,20 +512,27 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 		ws := &e.st.WorkerStats[wi]
 		var scr sliceScratch
 		var taskAddrs []int
+		// The worker's own tallies, merged into the run's once.
+		var work decoder.WorkStats
+		var es ErrorStats
+		var sst SplitStats
+		defer func() {
+			e.workMu.Lock()
+			e.st.Work.Add(work)
+			e.st.Errors.Add(es)
+			e.st.Split.Add(sst)
+			e.workMu.Unlock()
+		}()
 		for {
 			e.gate.enter(wi)
-			p, ti, wait, ok := e.q.take(wi)
+			p, ti, pics, wait, ok := e.q.take(wi)
 			ws.Wait += wait
 			e.tuner.NoteWait(wait)
 			if !ok {
 				return
 			}
-			pics := e.q.snapshot()
 			t0 := time.Now()
 			reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
-			var work decoder.WorkStats
-			var es ErrorStats
-			var sst SplitStats
 			taskAddrs = taskAddrs[:0]
 			err := runPlanSliceTask(&e.seq, pics, p, ti, wi, e.opt, &scr, &work, &es, &sst, &taskAddrs)
 			reg.End()
@@ -567,13 +574,9 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 					}
 				}
 				e.disp.push(p.frame, p.displayIdx)
+				e.q.shipPic(p)
 				p.unit.retire()
 			}
-			e.workMu.Lock()
-			e.st.Work.Add(work)
-			e.st.Errors.Add(es)
-			e.st.Split.Add(sst)
-			e.workMu.Unlock()
 		}
 	})
 }

@@ -28,10 +28,10 @@ func TraceDecode(data []byte, mode Mode, procs int, tr memtrace.Tracer) error {
 // TraceDecodeAssign is TraceDecode with an explicit task→processor
 // assignment discipline for the slice modes: AffinityNone labels tasks
 // round-robin (the paper's dynamic assignment, and what TraceDecode
-// emits), AffinityRow labels each slice with row mod procs — the
-// deterministic steady state of the row-affinity queue, where the
-// work-conserving fallback never fires because the simulator has no
-// timing skew. GOP mode ignores the discipline (each GOP is already one
+// emits), AffinityRow labels each slice with the band its row lies in,
+// row·procs / MBHeight — the deterministic steady state of the
+// band-affinity queue, where the work-conserving fallback never fires
+// because the simulator has no timing skew. GOP mode ignores the discipline (each GOP is already one
 // processor's task). The locality study A/Bs the two labelings under
 // cachesim.
 func TraceDecodeAssign(data []byte, mode Mode, procs int, aff Affinity, tr memtrace.Tracer) error {
@@ -105,7 +105,7 @@ func traceSlices(data []byte, m *StreamMap, procs int, aff Affinity, tr memtrace
 		for si := range p.rng.Slices {
 			proc := task % procs
 			if aff == AffinityRow {
-				proc = p.rng.Slices[si].Row % procs
+				proc = bandOf(p.rng.Slices[si].Row, procs, p.params.MBHeight)
 			}
 			sr := p.rng.Slices[si]
 			traceInput(tr, data, proc, sr.Offset, sr.End)

@@ -46,40 +46,60 @@ func picRowWindow(p *picState) int {
 	return w
 }
 
-// taskRows returns the macroblock rows [r0, r1] queue task ti of p may
-// write. Widened by refRowWindow they are the reference rows it reads:
-// prediction reads around every row it decodes, and concealment of
-// whatever it fails to cover reads the co-located rows. The task that
-// claims the picture's lowest row also answers for the unclaimed rows
-// above it, so the spans of a picture's tasks tile the picture and the
-// completion-time concealment never reads a row no task waited for. A
-// segment of a split slice spans its whole slice: a verify miss
-// re-decodes all of it on the joining worker. ok is false for tasks
-// without a span — substitutes, empty groups, rows outside the picture —
-// which wait for their whole reference frames instead.
-func taskRows(p *picState, ti int) (r0, r1 int, ok bool) {
+// taskRows is the one resolver from a queue task to the macroblock rows it
+// stands for; readiness (sliceQueue.ready) and steering (pickTask) both go
+// through it. [r0, r1] are the rows task ti of p may write: its lowest
+// slice row to the highest row any of its slices is bounded by
+// (sliceSpanBounds) — all of a fused task's slices, not the first one's,
+// since the task may only start once the reference rows around its last
+// row are published too. Widened by refRowWindow they are the reference
+// rows it reads: prediction reads around every row it decodes, and
+// concealment of whatever it fails to cover reads the co-located rows. The
+// task that claims the picture's lowest row also answers for the
+// unclaimed rows above it, so the spans of a picture's tasks tile the
+// picture and the completion-time concealment never reads a row no task
+// waited for. A segment of a split slice spans its whole slice: a verify
+// miss re-decodes all of it on the joining worker.
+//
+// entry is the row the task starts decoding on, the key pickTask steers
+// by: the first row of the span, or for a later segment of a split slice
+// the row of its entry point. ok is false for tasks without a span —
+// substitutes, empty groups, a slice on a row outside the picture — which
+// wait for their whole reference frames and are steered nowhere.
+func taskRows(p *picState, ti int) (r0, r1, entry int, ok bool) {
 	if p.fate == fateSubstitute {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
-	si, j, _ := p.taskAt(ti)
+	base, j, seg := p.taskAt(ti)
+	var task []int // the task's slices
 	switch {
 	case j != nil:
-		si = j.si
+		task = []int{j.si}
 	case p.groups != nil:
-		if len(p.groups[si]) == 0 {
-			return 0, 0, false
-		}
-		si = p.groups[si][0]
+		task = p.groups[base]
+	default:
+		task = []int{base}
 	}
-	r0 = p.rng.Slices[si].Row
-	r1 = p.sliceBound(si) / p.params.MBWidth
-	if r0 < 0 || r0 > r1 || r1 >= p.params.MBHeight {
-		return 0, 0, false
+	mbw, mbh := p.params.MBWidth, p.params.MBHeight
+	if len(task) == 0 || mbw <= 0 {
+		return 0, 0, 0, false
+	}
+	r0, r1 = mbh, -1
+	for _, si := range task {
+		lo, hi := p.rng.Slices[si].Row, p.sliceBound(si)/mbw
+		if lo < 0 || lo > hi || hi >= mbh {
+			return 0, 0, 0, false
+		}
+		r0, r1 = min(r0, lo), max(r1, hi)
+	}
+	entry = r0
+	if j != nil && seg > 0 {
+		entry = min((j.pts[seg-1].State.PrevAddr+1)/mbw, r1)
 	}
 	if r0 == p.minRow {
 		r0 = 0
 	}
-	return r0, r1, true
+	return r0, r1, entry, true
 }
 
 // minSliceRow returns the lowest macroblock row any slice claims, and

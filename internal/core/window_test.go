@@ -128,6 +128,26 @@ func windowTestPic(mbw, mbh, fwd, bwd int, deps int32) *picState {
 	return p
 }
 
+// groupedTestPic builds a plan-path picState of mbw×mbh macroblocks —
+// perRow(r) slices starting on row r, in row order, grouped into tasks by
+// buildRowGroups for the given pool size — with no references and the
+// f_code 1 window of windowTestPic.
+func groupedTestPic(mbw, mbh, workers int, perRow func(r int) int) *picState {
+	pr := &PictureRange{}
+	for r := 0; r < mbh; r++ {
+		for n := perRow(r); n > 0; n-- {
+			pr.Slices = append(pr.Slices, SliceRange{Row: r})
+		}
+	}
+	p := windowTestPic(mbw, mbh, -1, -1, 0)
+	p.rng = pr
+	p.bounds = sliceSpanBounds(pr.Slices, &p.params)
+	p.groups = buildRowGroups(pr.Slices, p.bounds, &p.params, workers)
+	p.minRow, _ = minSliceRow(pr.Slices)
+	p.nTasks, p.remaining = len(p.groups), len(p.groups)
+	return p
+}
+
 // rowAddrs lists the macroblock addresses of row r.
 func rowAddrs(p *picState, r int) []int {
 	var a []int
@@ -142,7 +162,9 @@ func rowAddrs(p *picState, r int) []int {
 // task outstanding. take must hand out exactly the B tasks whose window
 // misses that row, never one inside it, then move on to the next group's
 // intra picture — unless the pipeline depth forbids it — and release the
-// held-back B tasks the moment P's last row is published.
+// held-back B tasks the moment P's last row is published. The second half
+// does the same with fused tasks: one that spans several rows waits for
+// the reference rows around its last row, not only its first.
 func TestSliceQueueRowWindow(t *testing.T) {
 	const mbw, mbh, held = 2, 12, 5
 	for _, depth := range []int{6, 2} {
@@ -168,8 +190,8 @@ func TestSliceQueueRowWindow(t *testing.T) {
 			if !runnable() {
 				t.Fatalf("depth %d: take would block; want a task of picture %d", depth, pindex(pics, want))
 			}
-			p, ti, wait, ok := q.take(0)
-			if !ok || p != want || wait != 0 {
+			p, ti, snap, wait, ok := q.take(0)
+			if !ok || p != want || wait != 0 || len(snap) != len(pics) {
 				t.Fatalf("depth %d: take = picture %d ok %v wait %v; want picture %d without blocking",
 					depth, pindex(pics, p), ok, wait, pindex(pics, want))
 			}
@@ -189,6 +211,12 @@ func TestSliceQueueRowWindow(t *testing.T) {
 				q.finish(pics[1], rowAddrs(pics[1], row))
 			}
 		}
+		// The depth window advances when I0 is handed to the display, not
+		// when it completes.
+		if depth == 2 && runnable() {
+			t.Fatal("depth 2: B2 issued a task while I0 was complete but not yet shipped")
+		}
+		q.shipPic(pics[0])
 
 		// B2 reads P1 through a one-row window: rows held-1..held+1 wait.
 		got := map[int]bool{}
@@ -216,6 +244,39 @@ func TestSliceQueueRowWindow(t *testing.T) {
 			if r := take(pics[2]); r < held-1 || r > held+1 {
 				t.Fatalf("depth %d: after publication got B row %d, want %d..%d", depth, r, held-1, held+1)
 			}
+		}
+	}
+
+	// Fused tasks. The reference decodes a row per task (a pool of many
+	// workers would plan it so), the dependent picture three rows per task
+	// (12 rows, one worker): the task of rows 3..5 reads reference rows
+	// 2..6 through the one-row window, so it must wait for row 6 — the row
+	// below its last — and for row 2 above its first, and for nothing else.
+	for _, late := range []int{2, 6} {
+		ref := windowTestPic(mbw, mbh, -1, -1, 1)
+		dep := groupedTestPic(mbw, mbh, 1, func(int) int { return 1 })
+		dep.fwd = 0
+		if len(dep.groups) != 4 || len(dep.groups[1]) != 3 {
+			t.Fatalf("dependent picture planned as %v, want four tasks of three rows", dep.groups)
+		}
+		q := &sliceQueue{pics: []*picState{ref, dep}, improved: true}
+		q.cond = sync.NewCond(&q.mu)
+		for r := 0; r < mbh; r++ {
+			if r != late && r != mbh-1 {
+				q.finish(ref, rowAddrs(ref, r))
+			}
+		}
+		// Row mbh-1 stays out too, so the reference is not complete and
+		// the last task (rows 9..11) is never ready.
+		for ti, want := range []bool{late != 2, false, late != 6, false} {
+			if got := q.ready(dep, ti); got != want {
+				t.Fatalf("reference row %d unpublished: task %d (rows %d..%d) ready = %v, want %v",
+					late, ti, 3*ti, 3*ti+2, got, want)
+			}
+		}
+		q.finish(ref, rowAddrs(ref, late))
+		if !q.ready(dep, 1) {
+			t.Fatalf("task of rows 3..5 not ready once reference row %d is published", late)
 		}
 	}
 }

@@ -39,22 +39,30 @@ func TestPoolRecyclesWithoutScrub(t *testing.T) {
 }
 
 func TestPoolScrubClearsRecycledFrames(t *testing.T) {
-	p := NewPool(48, 32)
-	p.SetScrub(true)
-	f := p.Get()
-	dirty(f)
-	p.Put(f)
-	g := p.Get()
-	if g != f {
-		t.Fatal("expected the recycled frame back")
-	}
-	if !allEqual(g.Y, 128) || !allEqual(g.Cb, 128) || !allEqual(g.Cr, 128) {
-		t.Fatal("scrub pool handed out stale pixels from a previous use")
-	}
-	st := p.Stats()
-	if st.AllocBytes != int64(f.Bytes()) {
-		t.Fatalf("scrub must recycle, not reallocate: alloc=%d want %d",
-			st.AllocBytes, f.Bytes())
+	for _, mode := range []Scrub{ScrubOnGet, ScrubOnPut} {
+		p := NewPool(48, 32)
+		p.SetScrub(mode)
+		f := p.Get()
+		dirty(f)
+		p.Put(f)
+		// ScrubOnPut: a frame on the free list is already clean, so Get —
+		// called under the slice queue's lock — never pays for the wipe.
+		// ScrubOnGet: Put is cheap and the wipe waits for Get.
+		if clean := allEqual(f.Y, 128) && allEqual(f.Cb, 128) && allEqual(f.Cr, 128); clean != (mode == ScrubOnPut) {
+			t.Fatalf("scrub mode %d: frame on the free list clean = %v", mode, clean)
+		}
+		g := p.Get()
+		if g != f {
+			t.Fatal("expected the recycled frame back")
+		}
+		if !allEqual(g.Y, 128) || !allEqual(g.Cb, 128) || !allEqual(g.Cr, 128) {
+			t.Fatalf("scrub mode %d: pool handed out stale pixels from a previous use", mode)
+		}
+		st := p.Stats()
+		if st.AllocBytes != int64(f.Bytes()) {
+			t.Fatalf("scrub must recycle, not reallocate: alloc=%d want %d",
+				st.AllocBytes, f.Bytes())
+		}
 	}
 }
 

@@ -11,11 +11,17 @@ import (
 
 // TestStreamingPackingMatchesBatch extends the ordering-invariance
 // contract to the pipelined path: every packing discipline, streamed
-// chunk by chunk, must reproduce the batch sequential reference
-// bit-exactly. The plan-path pack seed is keyed by plan index, so the
-// streaming and batch decodes shuffle identically.
+// chunk by chunk on every pool size (which sets the plan's task grain),
+// must reproduce the batch sequential reference bit-exactly. The
+// plan-path pack seed is keyed by plan index, so the streaming and batch
+// decodes shuffle identically.
 func TestStreamingPackingMatchesBatch(t *testing.T) {
-	data := testStream(t, 96, 64, 12, 4)
+	for _, dim := range [][2]int{{96, 64}, {48, 192}} {
+		streamingPackingMatchesBatch(t, testStream(t, dim[0], dim[1], 12, 4))
+	}
+}
+
+func streamingPackingMatchesBatch(t *testing.T, data []byte) {
 	var refSink collectSink
 	_, refErr := core.Decode(data, core.Options{
 		Mode: core.ModeSequential, Workers: 1, Sink: refSink.add,
@@ -33,28 +39,30 @@ func TestStreamingPackingMatchesBatch(t *testing.T) {
 		{"random-5", core.PackRandom, 5},
 	}
 	for _, mode := range []core.Mode{core.ModeGOP, core.ModeSliceImproved} {
-		for _, pk := range packings {
-			var sink collectSink
-			st, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
-				Options: core.Options{
-					Mode: mode, Workers: 3, Sink: sink.add,
-					Packing: pk.packing, PackSeed: pk.seed,
-				},
-				ChunkSize: 997,
-			})
-			if err != nil {
-				t.Fatalf("%v/%s: %v", mode, pk.name, err)
-			}
-			if len(sink.frames) != len(refSink.frames) {
-				t.Fatalf("%v/%s: %d frames, batch %d", mode, pk.name, len(sink.frames), len(refSink.frames))
-			}
-			for i := range refSink.frames {
-				if !sink.frames[i].Equal(refSink.frames[i]) {
-					t.Fatalf("%v/%s: frame %d differs from batch sequential", mode, pk.name, i)
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			for _, pk := range packings {
+				var sink collectSink
+				st, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
+					Options: core.Options{
+						Mode: mode, Workers: workers, Sink: sink.add,
+						Packing: pk.packing, PackSeed: pk.seed,
+					},
+					ChunkSize: 997,
+				})
+				if err != nil {
+					t.Fatalf("%v/%d/%s: %v", mode, workers, pk.name, err)
 				}
-			}
-			if st.LeakedFrameBytes != 0 {
-				t.Fatalf("%v/%s: leaked %d frame bytes", mode, pk.name, st.LeakedFrameBytes)
+				if len(sink.frames) != len(refSink.frames) {
+					t.Fatalf("%v/%d/%s: %d frames, batch %d", mode, workers, pk.name, len(sink.frames), len(refSink.frames))
+				}
+				for i := range refSink.frames {
+					if !sink.frames[i].Equal(refSink.frames[i]) {
+						t.Fatalf("%v/%d/%s: frame %d differs from batch sequential", mode, workers, pk.name, i)
+					}
+				}
+				if st.LeakedFrameBytes != 0 {
+					t.Fatalf("%v/%d/%s: leaked %d frame bytes", mode, workers, pk.name, st.LeakedFrameBytes)
+				}
 			}
 		}
 	}

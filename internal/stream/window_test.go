@@ -108,11 +108,12 @@ func vectorReach(t *testing.T, data []byte) (longest, limit, fieldMBs int) {
 // vectors at the f_code limit (every dependent task really reads the
 // outermost row of its window), interlaced field motion (the window
 // doubles) and tall slices (a task spans several rows). The improved
-// slice mode at 2/3/4/8 workers, under all four resilience policies, on
-// the clean stream and on two damaged ones, through the batch executors
-// (fail-fast: decodeSliceMode; resilient: decodeResilientSlice) and the
-// streaming one, must deliver every frame equal to the sequential
-// decoder's — or fail wherever it fails. Run under -race this also proves
+// slice mode at 1/2/3/4/8 workers (the plan's task grain depends on the
+// pool size: three, two and one row a task here), under all four
+// resilience policies, on the clean stream and on two damaged ones,
+// through the batch executors (fail-fast: decodeSliceMode; resilient:
+// decodeResilientSlice) and the streaming one, must deliver every frame
+// equal to the sequential decoder's — or fail wherever it fails. Run under -race this also proves
 // no task reads a reference row another task is still writing.
 func TestRowWindowGolden(t *testing.T) {
 	const w, h = 48, 192
@@ -160,7 +161,7 @@ func TestRowWindowGolden(t *testing.T) {
 					Mode: core.ModeSequential, Workers: 1, Resilience: policy, Sink: want.add,
 				})
 				damaged = damaged || (wantErr == nil && wantSt.Errors.Any())
-				for _, workers := range []int{2, 3, 4, 8} {
+				for _, workers := range []int{1, 2, 3, 4, 8} {
 					opt := core.Options{Mode: core.ModeSliceImproved, Workers: workers, Resilience: policy}
 					for _, exec := range []string{"batch", "streaming"} {
 						var got collectSink

@@ -153,13 +153,14 @@ const (
 	PackRandom  = core.PackRandom
 )
 
-// Affinity selects row→worker task steering in the slice task queue;
-// every affinity produces bit-identical output.
+// Affinity selects task→worker steering in the slice task queue; every
+// affinity produces bit-identical output.
 type Affinity = core.Affinity
 
 // The task-steering disciplines. AffinityRow (the default) steers each
-// macroblock row to the worker that handled that row of the reference
-// picture; AffinityNone is the paper's pure dynamic assignment.
+// task to the worker whose horizontal band of the picture it starts in —
+// the worker that decoded that band of the reference picture;
+// AffinityNone is the paper's pure dynamic assignment.
 const (
 	AffinityRow  = core.AffinityRow
 	AffinityNone = core.AffinityNone
