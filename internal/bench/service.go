@@ -105,6 +105,13 @@ type ServicePoint struct {
 	Pauses           int64 `json:"pauses"`
 	Wedged           int64 `json:"wedged"`
 	MaxRung          int   `json:"max_rung"`
+
+	// Frame lending across streams, as server.Metrics defines it, read
+	// once every stream is done (so the spare stock itself is empty).
+	FramesReused   int64 `json:"frames_reused"`
+	FramesFresh    int64 `json:"frames_fresh"`
+	SpareBytes     int64 `json:"spare_bytes"`
+	SparePeakBytes int64 `json:"spare_peak_bytes"`
 }
 
 // ServiceStreamLine is one stream's line in the per-stream report.
@@ -246,6 +253,10 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 		Pauses:              m.Pauses,
 		Wedged:              m.Wedged,
 		MaxRung:             maxRung,
+		FramesReused:        m.FramesReused,
+		FramesFresh:         m.FramesFresh,
+		SpareBytes:          m.SpareBytes,
+		SparePeakBytes:      m.SparePeakBytes,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	for _, ss := range all {
@@ -320,6 +331,8 @@ func (r *ServiceResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "  shed: %d B, %d ref, %d degraded (%d by slack)   misses %d   assists %d   rejected %d   pauses %d   wedged %d\n",
 		pt.ShedBPictures, pt.ShedRefPictures, pt.DegradedPictures, pt.SlackSheds,
 		pt.DeadlineMisses, pt.Assists, pt.Rejected, pt.Pauses, pt.Wedged)
+	fmt.Fprintf(w, "  frames: %d reused, %d allocated   spare %d bytes now, %d at peak\n",
+		pt.FramesReused, pt.FramesFresh, pt.SpareBytes, pt.SparePeakBytes)
 	fmt.Fprintf(w, "  obs: %s\n", r.TraceNote)
 	if len(r.PerStream) == 0 {
 		return

@@ -25,6 +25,7 @@ func assistDecode(t testing.TB, data []byte, opt Options, parts int) (*Stats, []
 		t.Fatal(err)
 	}
 	var runErr error
+	var scr Scratch
 	for gi := range m.GOPs {
 		u := Unit{G: gi, Data: data, Range: m.GOPs[gi], Seq: m.Seq}
 		tk, ferr := sess.Feed(u)
@@ -36,7 +37,7 @@ func assistDecode(t testing.TB, data []byte, opt Options, parts int) (*Stats, []
 			continue
 		}
 		tk.SetAssist(parts)
-		if rerr := sess.Run(tk, 0); rerr != nil {
+		if rerr := sess.Run(tk, 0, &scr); rerr != nil {
 			runErr = rerr
 			break
 		}

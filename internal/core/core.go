@@ -158,6 +158,11 @@ type Options struct {
 	// (0 selects max(Workers, 2)). Profiling runs set it to capture
 	// per-segment costs on a single worker.
 	SplitParts int
+
+	// Frames, when non-nil, is the service's spare-frame store: a Session
+	// draws its frames from it and hands the idle ones back in Finish.
+	// Nil allocates per decode. The other executors ignore it.
+	Frames *frame.Store
 }
 
 // EffectiveWorkers returns the worker count a decode in this mode

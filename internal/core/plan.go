@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpeg2par/internal/bits"
@@ -225,6 +226,7 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	// keeping GOP tasks independent (the coarse-grained mode decodes
 	// them in any order), paid identically by every mode.
 	first := len(pl.pics)
+	pl.pics = slices.Grow(pl.pics, n)
 	refOld, refNew := -1, -1
 	for pi, ps := range cands {
 		ps.displayIdx = b.displayBase + slotOf[pi]
@@ -323,7 +325,8 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 		// references or substitution source); each is retained on the
 		// holder's behalf and released when the holder completes.
 		idx := len(pl.pics)
-		for _, ri := range []int{ps.fwd, ps.bwd, ps.subFrom} {
+		ps.holds = ps.holdBuf[:0]
+		for _, ri := range [...]int{ps.fwd, ps.bwd, ps.subFrom} {
 			if ri < 0 || contains(ps.holds, ri) {
 				continue
 			}
@@ -381,7 +384,7 @@ func buildRowGroups(slices []SliceRange, bounds []int, params *mpeg2.PicturePara
 	if workers > 0 {
 		target = max((params.MBHeight+4*workers-1)/(4*workers), 1)
 	}
-	var groups [][]int
+	groups := make([][]int, 0, min(len(slices), (params.MBHeight+target-1)/target))
 	start, rows := 0, 0 // the open task is byRow[start:i], spanning rows macroblock rows
 	flush := func(end int) {
 		if end > start {

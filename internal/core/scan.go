@@ -148,6 +148,11 @@ type ScanState struct {
 	pendingSeqOffset int // offset of a seq header not yet claimed by a GOP
 	display          int // running display index assigned to closed GOPs
 
+	// What the group and the picture closed last held, the capacity the
+	// next ones' lists start at: streams repeat their structure, and
+	// appending from empty costs a handful of reallocations per list.
+	gopPics, picSlices int
+
 	// OnGOP, when non-nil, is called each time a group of pictures
 	// closes, with its index and range (absolute stream offsets). The
 	// streaming pipeline copies the group's bytes out of its window here;
@@ -197,8 +202,27 @@ func (s *ScanState) closePic(end int) {
 		s.curPic.Slices[n-1].End = end
 		s.curPic.Slices[n-1].Bytes = end - s.curPic.Slices[n-1].Offset
 	}
+	s.picSlices = len(s.curPic.Slices)
 	s.curGOP.Pictures = append(s.curGOP.Pictures, *s.curPic)
 	s.curPic = nil
+}
+
+// openGOP starts a group of pictures at the startcode at i, or at the
+// sequence header waiting to be claimed before it.
+func (s *ScanState) openGOP(i int, closed bool) {
+	off := i
+	if s.pendingSeqOffset >= 0 {
+		off = s.pendingSeqOffset
+	}
+	s.curGOP = &GOPRange{Offset: off, FirstDisplay: -1, Closed: closed,
+		Pictures: make([]PictureRange, 0, s.gopPics)}
+	s.pendingSeqOffset = -1
+}
+
+// openPic starts a picture in the open group.
+func (s *ScanState) openPic(pr PictureRange) {
+	pr.Slices = make([]SliceRange, 0, s.picSlices)
+	s.curPic = &pr
 }
 
 func (s *ScanState) closeGOP(end int) error {
@@ -209,6 +233,7 @@ func (s *ScanState) closeGOP(end int) error {
 	s.curGOP.End = end
 	s.curGOP.FirstDisplay = s.display
 	s.display += len(s.curGOP.Pictures)
+	s.gopPics = len(s.curGOP.Pictures)
 	g := len(s.m.GOPs)
 	s.m.GOPs = append(s.m.GOPs, *s.curGOP)
 	s.m.TotalPictures += len(s.curGOP.Pictures)
@@ -273,10 +298,6 @@ func (s *ScanState) Step(view []byte, base, i int) error {
 		if err := s.closeGOP(i); err != nil {
 			return err
 		}
-		off := i
-		if s.pendingSeqOffset >= 0 {
-			off = s.pendingSeqOffset
-		}
 		r := headerReader(view, base, pos)
 		gh, err := mpeg2.ParseGOPHeader(r)
 		if err != nil {
@@ -289,17 +310,11 @@ func (s *ScanState) Step(view []byte, base, i int) error {
 			s.m.Damage.BadHeaders++
 			gh.Closed = true
 		}
-		s.curGOP = &GOPRange{Offset: off, FirstDisplay: -1, Closed: gh.Closed}
-		s.pendingSeqOffset = -1
+		s.openGOP(i, gh.Closed)
 	case code == mpeg2.PictureStartCode:
 		if s.curGOP == nil {
 			// GOP headers are optional in MPEG-2: synthesize one.
-			off := i
-			if s.pendingSeqOffset >= 0 {
-				off = s.pendingSeqOffset
-			}
-			s.curGOP = &GOPRange{Offset: off, FirstDisplay: -1, Closed: true}
-			s.pendingSeqOffset = -1
+			s.openGOP(i, true)
 		}
 		s.closePic(i)
 		if i+5 >= end {
@@ -307,7 +322,7 @@ func (s *ScanState) Step(view []byte, base, i int) error {
 				return fmt.Errorf("core: scan: truncated picture header at %d", i)
 			}
 			s.m.Damage.DamagedPictures++
-			s.curPic = &PictureRange{Offset: i, Damaged: true}
+			s.openPic(PictureRange{Offset: i, Damaged: true})
 			return nil
 		}
 		// temporal_reference: 10 bits; picture_coding_type: 3 bits.
@@ -319,10 +334,10 @@ func (s *ScanState) Step(view []byte, base, i int) error {
 				return fmt.Errorf("core: scan: bad picture type %d at %d", int(ptype), i)
 			}
 			s.m.Damage.DamagedPictures++
-			s.curPic = &PictureRange{Offset: i, Damaged: true}
+			s.openPic(PictureRange{Offset: i, Damaged: true})
 			return nil
 		}
-		s.curPic = &PictureRange{Offset: i, Type: ptype, TemporalRef: tref}
+		s.openPic(PictureRange{Offset: i, Type: ptype, TemporalRef: tref})
 	case code >= mpeg2.SliceStartMin && code <= mpeg2.SliceStartMax:
 		if s.curPic == nil {
 			if !s.lenient {

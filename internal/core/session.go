@@ -191,6 +191,7 @@ func (s *Session) start(u *Unit) {
 	// Scrub always: shed substitutions ship synthesized content even on
 	// clean streams, and recycled buffers must never leak stale pixels.
 	s.pool.SetScrub(frame.ScrubOnGet)
+	s.pool.SetStore(s.opt.Frames)
 	s.disp = newDisplay(s.pool, s.opt.Sink, s.opt.Obs)
 	s.disp.lane = s.lane
 }
@@ -266,13 +267,21 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	}, nil
 }
 
-// Run executes one task on pool worker wi: decode or substitute every
-// picture of the group, releasing reference holds and pushing each
-// completed frame to the display process (which drains in display order
-// into the sink). If the session has already failed, Run returns the
-// latched error without decoding — the drain path that keeps teardown
-// prompt. A decode error is latched and returned.
-func (s *Session) Run(t *SessionTask, wi int) error {
+// Scratch is one pool worker's reusable decode state (bit reader,
+// macroblock buffer, coverage bitmap). The zero value is ready; a worker
+// keeps one for its lifetime and lends it to every task it runs, of any
+// session and geometry, so the buffers grow when a stream is larger than
+// any the worker has seen and not once per task. Nothing a decode reads
+// from it survives from the task before.
+type Scratch struct{ s sliceScratch }
+
+// Run executes one task on pool worker wi with that worker's scratch:
+// decode or substitute every picture of the group, releasing reference
+// holds and pushing each completed frame to the display process (which
+// drains in display order into the sink). If the session has already
+// failed, Run returns the latched error without decoding — the drain path
+// that keeps teardown prompt. A decode error is latched and returned.
+func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 	if err := s.errs.get(); err != nil {
 		return err
 	}
@@ -282,7 +291,6 @@ func (s *Session) Run(t *SessionTask, wi int) error {
 	var work decoder.WorkStats
 	var es ErrorStats
 	var split SplitStats
-	var scr sliceScratch
 	opt := s.opt
 	opt.Resilience = t.policy
 	assist := 0
@@ -296,9 +304,9 @@ func (s *Session) Run(t *SessionTask, wi int) error {
 		var pes ErrorStats
 		var err error
 		if assist > 1 {
-			w, pes, err = decodeAssistPic(&s.seq, t.pics, idx, wi, opt, &scr, assist, &split)
+			w, pes, err = decodeAssistPic(&s.seq, t.pics, idx, wi, opt, &scr.s, assist, &split)
 		} else {
-			w, pes, err = decodePlanPic(&s.seq, t.pics, idx, wi, opt, &scr)
+			w, pes, err = decodePlanPic(&s.seq, t.pics, idx, wi, opt, &scr.s)
 		}
 		work.Add(w)
 		es.Add(pes)
@@ -338,7 +346,8 @@ func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.Wo
 // buffer is abandoned and every planned frame forcibly reclaimed, so a
 // cancelled stream holds no picture memory. Stats are returned in both
 // cases; LeakedFrameBytes reports pool bytes still unaccounted (always
-// zero — the teardown tests assert it).
+// zero — the teardown tests assert it). Either way the pool's idle frames
+// then go back to Options.Frames, once the gauges are read.
 func (s *Session) Finish(cause error) (*Stats, error) {
 	s.errs.set(cause)
 	st := s.st
@@ -358,11 +367,13 @@ func (s *Session) Finish(cause error) (*Stats, error) {
 			}
 		}
 		st.LeakedFrameBytes = st.poolGauges(s.pool)
+		s.pool.HandBack()
 		return st, err
 	}
 	displayed, dispErr := s.disp.finish()
 	st.Displayed = displayed
 	st.LeakedFrameBytes = st.poolGauges(s.pool)
+	s.pool.HandBack()
 	if dispErr != nil {
 		return st, dispErr
 	}

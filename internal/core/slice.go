@@ -76,6 +76,7 @@ type picState struct {
 	// was load shedding (deliberate degradation), not damage.
 	shedBy  ShedLevel
 	holds   []int   // plan indices of frames read by this picture (released on completion)
+	holdBuf [2]int  // holds' storage: two references, or one substitution source
 	groups  [][]int // slice indices per queue task (buildRowGroups)
 	damaged int     // slices whose parse/reconstruction failed
 	resyncs int     // damaged slices recovered by a later startcode

@@ -26,9 +26,9 @@ type Frame struct {
 	// reuse, and ignored by Equal.
 	YStride, CStride int
 	Y, Cb, Cr        []uint8
-	TemporalRef    int // display order within its GOP
-	DisplayIndex   int // absolute display order within the sequence
-	PictureType    byte
+	TemporalRef      int // display order within its GOP
+	DisplayIndex     int // absolute display order within the sequence
+	PictureType      byte
 
 	rc int32 // reference count (used by the parallel decoders' pools)
 }

@@ -19,6 +19,7 @@ type Pool struct {
 	peakBytes  int64
 	totalAlloc int64        // cumulative bytes ever allocated (not recycled)
 	scrub      atomic.Int32 // a Scrub
+	store      *Store       // where frames come from and go back to; nil: New and the collector
 }
 
 // Scrub says whether and when a pool wipes the pixel planes of a recycled
@@ -57,9 +58,33 @@ func NewPool(width, height int) *Pool {
 // first Put.
 func (p *Pool) SetScrub(s Scrub) { p.scrub.Store(int32(s)) }
 
-// Get returns a zeroed-or-recycled frame. A recycled frame keeps its stale
-// pixel data unless the pool scrubs: under ScrubOnGet it is wiped here,
-// outside the pool's lock; under ScrubOnPut it already was.
+// SetStore makes the pool a tenant of s: frames its free list cannot
+// supply come from s, and HandBack returns them. Call it before the first
+// Get. The pool's own counters read as without a store — a frame drawn
+// from s counts as allocated, since this pool's stream needed one more
+// buffer.
+func (p *Pool) SetStore(s *Store) { p.store = s }
+
+// HandBack ends the pool's tenancy of its store, if it has one: the idle
+// frames go back (see Store), frames still handed out are written off, and
+// the pool allocates for itself from here on. Read Stats first.
+func (p *Pool) HandBack() {
+	p.mu.Lock()
+	s, idle, lent := p.store, p.free, p.totalAlloc
+	if s != nil {
+		p.store, p.free = nil, nil
+	}
+	p.mu.Unlock()
+	if s != nil {
+		s.handBack(idle, lent)
+	}
+}
+
+// Get returns a zeroed-or-recycled frame. A frame recycled within the pool
+// keeps its stale pixel data unless the pool scrubs: under ScrubOnGet it is
+// wiped here, outside the pool's lock; under ScrubOnPut it already was. A
+// frame recycled through the store held another stream's picture and is
+// wiped here under every Scrub.
 func (p *Pool) Get() *Frame {
 	p.mu.Lock()
 	var f *Frame
@@ -67,9 +92,13 @@ func (p *Pool) Get() *Frame {
 		f = p.free[n-1]
 		p.free = p.free[:n-1]
 	}
-	recycled := f != nil
+	wipe := f != nil && Scrub(p.scrub.Load()) == ScrubOnGet
 	if f == nil {
-		f = New(p.width, p.height)
+		if p.store != nil {
+			f, wipe = p.store.take(p.width, p.height)
+		} else {
+			f = New(p.width, p.height)
+		}
 		p.totalAlloc += int64(f.Bytes())
 	}
 	p.inUseBytes += int64(f.Bytes())
@@ -77,7 +106,7 @@ func (p *Pool) Get() *Frame {
 		p.peakBytes = p.inUseBytes
 	}
 	p.mu.Unlock()
-	if recycled && Scrub(p.scrub.Load()) == ScrubOnGet {
+	if wipe {
 		f.wipe()
 	}
 	f.TemporalRef = 0

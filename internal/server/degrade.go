@@ -116,6 +116,11 @@ func (s *Server) tick(now time.Time) {
 	if dd > 0 {
 		rate := float64(dm) / float64(dd)
 		s.missEWMA += 0.3 * (rate - s.missEWMA)
+	} else if len(s.streams) == 0 {
+		// Nobody is admitted, so no frame can miss. The rate must decay
+		// all the same: at the reject rung only arrivals could refresh
+		// it, and a stale rate above MissLow would reject them for good.
+		s.missEWMA -= 0.3 * s.missEWMA
 	}
 
 	// Pause expiry and watchdog.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -335,5 +336,59 @@ func TestDemandForUncalibratedIsConservative(t *testing.T) {
 	// And the estimate is clamped to pool capacity.
 	if d := s.demandFor(1e9); d != s.capacity() {
 		t.Fatalf("runaway demand %v, want capacity clamp %v", d, s.capacity())
+	}
+}
+
+// TestLadderLeavesRejectRungWhenEmpty: the miss-rate EWMA is refreshed by
+// displays, and at the reject rung an emptied server has none — a rate left
+// above MissLow by the overload that raised the ladder must still decay, or
+// the server rejects every arrival for good (a disturbed host did that to
+// svc-paced once: 769 of 818 streams rejected).
+func TestLadderLeavesRejectRungWhenEmpty(t *testing.T) {
+	s := NewServer(Config{Workers: 1, Tick: time.Hour, Watchdog: -1})
+	defer s.Close()
+	now := time.Now()
+	s.mu.Lock()
+	s.setRungLocked(rungReject, now)
+	s.missEWMA = 0.5
+	s.mu.Unlock()
+	for i := 0; i < 40 && s.Rung() > rungNormal; i++ {
+		now = now.Add(s.cfg.Dwell)
+		s.tick(now)
+	}
+	if r := s.Rung(); r != rungNormal {
+		t.Fatalf("empty server still at rung %d, miss EWMA %.3f", r, s.Metrics().MissEWMA)
+	}
+	if _, err := s.admit(context.Background(), 0); err != nil {
+		t.Fatalf("arrival after the ladder came down: %v", err)
+	}
+}
+
+// TestEmptyPoolAdmitsClampedDemand: three reservations taken and returned in
+// another order leave 2.8e-16 workers on the books in float64, and a stream
+// whose demand is clamped to the whole capacity fits only at zero — on an
+// empty pool it must be admitted, not queued for a release nobody is left
+// to make (svc-paced hung that way once, thirteen arrivals deep).
+func TestEmptyPoolAdmitsClampedDemand(t *testing.T) {
+	s := NewServer(Config{Workers: 2, DefaultDemand: 2, DisableAutoDegrade: true, Watchdog: -1})
+	defer s.Close()
+	s.mu.Lock()
+	for _, d := range []float64{0.686, 0.448, 0.828} {
+		s.demand += d
+		s.nslots++
+	}
+	s.mu.Unlock()
+	for _, d := range []float64{0.686, 0.828, 0.448} {
+		s.releaseSlot(d)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	d, err := s.admit(ctx, 0)
+	if err != nil {
+		t.Fatalf("a stream asking for the whole of an empty pool: %v", err)
+	}
+	s.releaseSlot(d)
+	if m := s.Metrics(); m.DemandUsed != 0 || m.QueuedAdm != 0 {
+		t.Fatalf("books after the last release: %+v", m)
 	}
 }

@@ -24,9 +24,11 @@ type task struct {
 // stream's session, repeat. Workers exit only when the server is closed
 // and every stream has unregistered — a closing server still needs them
 // to drain aborted streams' queues (Session.Run returns a latched error
-// without decoding, so the drain is fast).
+// without decoding, so the drain is fast). The worker owns one decode
+// scratch for its lifetime and lends it to each task.
 func (s *Server) worker(wi int) {
 	defer s.wg.Done()
+	var scr core.Scratch
 	obs.Do("service", wi, func() {
 		for {
 			s.mu.Lock()
@@ -44,7 +46,7 @@ func (s *Server) worker(wi int) {
 			s.grantAssistLocked(tk)
 			s.mu.Unlock()
 
-			err := tk.st.sess.Run(tk.t, wi)
+			err := tk.st.sess.Run(tk.t, wi, &scr)
 			tk.st.complete(tk.t, err)
 		}
 	})

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mpeg2par/internal/frame"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/sched"
 )
@@ -180,6 +181,11 @@ type Server struct {
 	cfg  Config
 	cost *sched.CostModel
 	obs  *obs.Tracer
+	// frames lends frames across sessions: every session's pool draws
+	// from it and hands its idle frames back at Finish. Its bound follows
+	// the bytes live sessions hold, so it is empty once the last one has
+	// finished — Close has nothing to drop.
+	frames *frame.Store
 
 	mu      sync.Mutex
 	cond    *sync.Cond // wakes pool workers (new task, resume, close)
@@ -223,6 +229,7 @@ func NewServer(cfg Config) *Server {
 		cfg:     cfg,
 		cost:    cfg.Cost,
 		obs:     cfg.Obs,
+		frames:  frame.NewStore(),
 		streams: make(map[int]*stream),
 		stopMon: make(chan struct{}),
 	}
@@ -366,9 +373,7 @@ func (s *Server) admit(ctx ctxDone, picRate float64) (float64, error) {
 			// reservation (if any — Close grants without reserving) and
 			// pass it on.
 			if w.reserved {
-				s.demand -= d
-				s.nslots--
-				s.wakeWaitersLocked()
+				s.releaseLocked(d)
 			}
 			s.mu.Unlock()
 			return 0, ctx.Err()
@@ -395,10 +400,24 @@ type ctxDone interface {
 // registered, or a finished stream's).
 func (s *Server) releaseSlot(d float64) {
 	s.mu.Lock()
+	s.releaseLocked(d)
+	s.mu.Unlock()
+}
+
+// releaseLocked returns one reservation and passes the capacity on. The
+// sum of the reservations returned need not come back to the float it
+// started from, and an arrival whose demand was clamped to the whole
+// capacity is admitted only at exactly zero: with the last slot gone the
+// books are set to zero, or a residue of one ulp on an empty pool would
+// keep that arrival, and everyone queued behind it, waiting for a release
+// that nobody is left to make.
+func (s *Server) releaseLocked(d float64) {
 	s.demand -= d
 	s.nslots--
+	if s.nslots == 0 {
+		s.demand = 0
+	}
 	s.wakeWaitersLocked()
-	s.mu.Unlock()
 }
 
 // register installs an admitted stream (its demand already reserved)
@@ -418,8 +437,6 @@ func (s *Server) register(st *stream) {
 func (s *Server) unregister(st *stream) {
 	s.mu.Lock()
 	delete(s.streams, st.id)
-	s.demand -= st.demand
-	s.nslots--
 	if st.deadline > 0 {
 		s.nDeadline--
 	}
@@ -431,7 +448,7 @@ func (s *Server) unregister(st *stream) {
 		s.pendingCost = 0
 	}
 	st.pending = nil
-	s.wakeWaitersLocked()
+	s.releaseLocked(st.demand)
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
@@ -471,6 +488,14 @@ type Metrics struct {
 	DemandUsed float64 // Σ admitted demand, in workers
 	SlackSheds int64   // pictures shed by per-frame slack prediction
 	Assists    int64   // tasks granted split fan-out at dispatch
+	// Frame lending across streams (frame.Store). A stream's frames come
+	// from the spare stock finished streams left or are allocated; once
+	// streams of one size follow each other FramesReused should dwarf
+	// FramesFresh.
+	FramesReused   int64 // frames a session drew from the spare stock
+	FramesFresh    int64 // frames allocated because the stock had none that fit
+	SpareBytes     int64 // bytes idle in the stock now
+	SparePeakBytes int64 // high watermark of SpareBytes
 }
 
 // Metrics returns a snapshot.
@@ -494,6 +519,9 @@ func (s *Server) Metrics() Metrics {
 	m.Misses = s.misses.Load()
 	m.SlackSheds = s.slackSheds.Load()
 	m.Assists = s.assists.Load()
+	fs := s.frames.Stats()
+	m.FramesReused, m.FramesFresh = fs.Reused, fs.Fresh
+	m.SpareBytes, m.SparePeakBytes = fs.SpareBytes, fs.PeakBytes
 	return m
 }
 

@@ -316,6 +316,7 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 		Obs:        s.obs,
 		Cost:       s.cost,
 		SplitIndex: cfg.Index,
+		Frames:     s.frames,
 		Sink: func(f *frame.Frame) {
 			st.noteDisplayed(f.DisplayIndex)
 			if sink != nil {
