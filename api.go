@@ -147,7 +147,10 @@ func WithSpeculativeSplit(on bool) Option {
 }
 
 // WithSplitParts overrides how many segments a split slice is divided
-// into (default: the worker count, minimum two).
+// into. The default (0) cuts it at the grain of every other slice-mode
+// task on the same pool — segments of ceil(rows / (4·workers)) macroblock
+// rows, about four per worker for a slice that spans the picture — not
+// into one segment per worker.
 func WithSplitParts(n int) Option {
 	return func(c *decodeConfig) { c.opt.SplitParts = n }
 }

@@ -170,8 +170,8 @@ func main() {
 		fmt.Printf("concealed %d macroblocks\n", n)
 	}
 	for i, ws := range stats.WorkerStats {
-		fmt.Printf("  worker %2d: busy %-12v wait %-12v tasks %d\n",
-			i, ws.Busy.Round(time.Microsecond), ws.Wait.Round(time.Microsecond), ws.Tasks)
+		fmt.Printf("  worker %2d: busy %-12v wait %-12v tasks %-6d parks %d\n",
+			i, ws.Busy.Round(time.Microsecond), ws.Wait.Round(time.Microsecond), ws.Tasks, ws.Parks)
 	}
 
 	if rec != nil {

@@ -306,14 +306,26 @@ func profileGOPTasks(data []byte, m *core.StreamMap) ([]simsched.GOPTask, time.D
 	return tasks, passes[0].Wall, nil
 }
 
-// profileSlicePics measures per-slice costs (the per-task median of
-// profilePasses passes) and tiles them out to the requested stream length.
+// profileSlicePics measures per-slice costs and tiles them out to the
+// requested stream length.
 func profileSlicePics(data []byte, pictures int) ([]simsched.SimPicture, error) {
+	measured, _, err := profileSliceTasks(data, core.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return tileSlices(measured, pictures), nil
+}
+
+// profileSliceTasks measures the per-task costs of an improved-slice-mode
+// decode on one worker (the per-task median of profilePasses passes) under
+// opt's split settings, and returns the last pass's stats beside them.
+func profileSliceTasks(data []byte, opt core.Options) ([]simsched.SimPicture, *core.Stats, error) {
+	opt.Mode, opt.Workers, opt.Profile, opt.Packing = core.ModeSliceImproved, 1, true, core.PackFIFO
 	var passes [profilePasses]*core.Stats
 	for i := range passes {
 		var err error
-		if passes[i], err = core.Decode(data, core.Options{Mode: core.ModeSliceImproved, Workers: 1, Profile: true, Packing: core.PackFIFO}); err != nil {
-			return nil, err
+		if passes[i], err = core.Decode(data, opt); err != nil {
+			return nil, nil, err
 		}
 	}
 	measured := make([]simsched.SimPicture, len(passes[0].SliceProf))
@@ -324,7 +336,7 @@ func profileSlicePics(data []byte, pictures int) ([]simsched.SimPicture, error) 
 		}
 		measured[i] = simsched.SimPicture{Ref: p.Ref, Intra: p.Type == 'I', DisplayIdx: p.DisplayIdx, SliceCosts: costs}
 	}
-	return tileSlices(measured, pictures), nil
+	return measured, passes[profilePasses-1], nil
 }
 
 // tileGOPs repeats measured GOP costs out to n tasks.

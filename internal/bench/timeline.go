@@ -123,6 +123,13 @@ func (r *TimelineResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "traced decode: %d pictures in %v (%.0f pics/s)\n",
 		r.Stats.Pictures, r.Stats.Wall, r.Stats.PicturesPerSecond())
 	r.Summary.WriteText(w)
+	// The event stream times a blocked take; whether the worker slept in
+	// it (and paid a wake-up) or polled is the executor's own count.
+	fmt.Fprintf(w, "  parks (sleeps inside those waits), by worker:")
+	for _, ws := range r.Stats.WorkerStats {
+		fmt.Fprintf(w, " %d", ws.Parks)
+	}
+	fmt.Fprintln(w)
 }
 
 // WriteJSON emits the structured report.

@@ -29,7 +29,7 @@ type VLDSplitConfig struct {
 	Pictures      int // stream length (default 2 GOPs)
 	BitRate       int // encoder bit rate (default 5 Mb/s)
 	Workers       int // simulated worker count (default 4)
-	Parts         int // segments per split slice (default = Workers)
+	Parts         int // segments per split slice (default: what a pool of Workers cuts, core.TaskGrain rows each)
 }
 
 func (c VLDSplitConfig) withDefaults() VLDSplitConfig {
@@ -49,7 +49,11 @@ func (c VLDSplitConfig) withDefaults() VLDSplitConfig {
 		c.Workers = 4
 	}
 	if c.Parts == 0 {
-		c.Parts = c.Workers
+		// The profile runs on one worker; name the segment count the
+		// simulated pool's own grain would give.
+		rows := (c.Height + 15) / 16
+		grain := core.TaskGrain(rows, c.Workers)
+		c.Parts = (rows + grain - 1) / grain
 	}
 	return c
 }
@@ -142,22 +146,18 @@ func VLDSplit(cfg VLDSplitConfig) (*VLDSplitResult, error) {
 		return nil, err
 	}
 
-	// Profile unsplit and indexed-split costs with one worker (two
-	// passes, per-task minimum — profileSplit) and replay them
-	// in the simulator at the configured worker count.
-	unsplit, _, err := profileSplit(enc.Data, core.Options{
-		Mode: core.ModeSliceImproved, Workers: 1, Profile: true, Packing: core.PackFIFO,
-	})
+	// Profile unsplit and indexed-split costs with one worker (per-task
+	// medians, profileSliceTasks) and replay them in the simulator at the
+	// configured worker count.
+	unsplit, _, err := profileSliceTasks(enc.Data, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	split, sst, err := profileSplit(enc.Data, core.Options{
-		Mode: core.ModeSliceImproved, Workers: 1, Profile: true, Packing: core.PackFIFO,
-		SplitIndex: ix, SplitParts: cfg.Parts,
-	})
+	split, splitSt, err := profileSliceTasks(enc.Data, core.Options{SplitIndex: ix, SplitParts: cfg.Parts})
 	if err != nil {
 		return nil, err
 	}
+	sst := splitSt.Split
 	simU := simsched.SimulateSlices(unsplit, cfg.Workers, true)
 	simS := simsched.SimulateSlices(split, cfg.Workers, true)
 	pt.UnsplitMakespanMS = ms(simU.Makespan)
@@ -202,31 +202,6 @@ func VLDSplit(cfg VLDSplitConfig) (*VLDSplitResult, error) {
 	pt.SpecFallbacks = spec.Split.Fallbacks
 
 	return &VLDSplitResult{Point: pt}, nil
-}
-
-// profileSplit measures per-task costs under opt (two passes, per-task
-// minimum) and returns the simulator pictures plus the second pass's
-// split counters.
-func profileSplit(data []byte, opt core.Options) ([]simsched.SimPicture, core.SplitStats, error) {
-	st, err := core.Decode(data, opt)
-	if err != nil {
-		return nil, core.SplitStats{}, err
-	}
-	st2, err := core.Decode(data, opt)
-	if err != nil {
-		return nil, core.SplitStats{}, err
-	}
-	pics := make([]simsched.SimPicture, len(st.SliceProf))
-	for i, p := range st.SliceProf {
-		costs := append([]time.Duration(nil), p.SliceCosts...)
-		for j, c2 := range st2.SliceProf[i].SliceCosts {
-			if j < len(costs) && c2 < costs[j] {
-				costs[j] = c2
-			}
-		}
-		pics[i] = simsched.SimPicture{Ref: p.Ref, Intra: p.Type == 'I', DisplayIdx: p.DisplayIdx, SliceCosts: costs}
-	}
-	return pics, st2.Split, nil
 }
 
 // WriteText renders the experiment result.

@@ -155,8 +155,7 @@ func TestPickTaskSteeringGroups(t *testing.T) {
 	}
 
 	// One slice over the whole picture, split at rows 8 and 16: segment k
-	// enters on row 8k and goes to worker k, while every segment waits for
-	// the whole slice's rows.
+	// has rows 8k..8k+7, enters on row 8k and goes to worker k.
 	tall := groupedTestPic(mbw, mbh, workers, func(r int) int {
 		if r == 0 {
 			return 1
@@ -175,9 +174,9 @@ func TestPickTaskSteeringGroups(t *testing.T) {
 		if ti != wi {
 			t.Fatalf("worker %d: got segment %d", wi, ti)
 		}
-		if r0, r1, entry, ok := taskRows(tall, ti); !ok || r0 != 0 || r1 != mbh-1 || entry != 8*wi {
-			t.Fatalf("segment %d: rows %d..%d entry %d ok %v, want 0..%d entry %d",
-				ti, r0, r1, entry, ok, mbh-1, 8*wi)
+		if r0, r1, entry, ok := taskRows(tall, ti); !ok || r0 != 8*wi || r1 != 8*wi+7 || entry != 8*wi {
+			t.Fatalf("segment %d: rows %d..%d entry %d ok %v, want %d..%d entry %d",
+				ti, r0, r1, entry, ok, 8*wi, 8*wi+7, 8*wi)
 		}
 	}
 }

@@ -100,17 +100,15 @@ func runSegmentsAssist(seq *mpeg2.SequenceHeader, p *picState, j *splitJoin, ref
 		work  decoder.WorkStats
 		addrs []int
 		err   error
-		join  bool
 		sst   SplitStats
 	}
 	outs := make([]segOut, nSeg)
 	run := func(seg, lane int, s *sliceScratch, o *segOut) {
 		t0 := time.Now()
-		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, dst, j, seg, lane, opt, opt.Tracer, s, &o.sst)
-		o.work, o.addrs, o.err = w, addrs, err
-		// Only the join call (last segment to finish) returns a result;
-		// the others park theirs inside the join state.
-		o.join = addrs != nil || err != nil
+		// The slice is adopted or discarded in one piece (rowwise false): only
+		// the last segment to finish returns a result; the others park theirs
+		// inside the join state.
+		o.work, o.addrs, o.err = runSegment(seq, &p.hdr, &p.params, p.data, refs, dst, j, seg, lane, false, opt, opt.Tracer, s, &o.sst)
 		opt.Obs.Record(obs.KindSegment, lane, t0, time.Since(t0), p.gop, p.displayIdx, seg)
 	}
 	if parts > nSeg {
@@ -136,7 +134,7 @@ func runSegmentsAssist(seq *mpeg2.SequenceHeader, p *picState, j *splitJoin, ref
 	for k := range outs {
 		work.Add(outs[k].work)
 		sst.Add(outs[k].sst)
-		if outs[k].join {
+		if len(outs[k].addrs) > 0 || outs[k].err != nil {
 			addrs, err = outs[k].addrs, outs[k].err
 		}
 	}

@@ -155,8 +155,9 @@ type Options struct {
 	SpeculativeSplit bool
 
 	// SplitParts overrides how many segments a split slice targets
-	// (0 selects max(Workers, 2)). Profiling runs set it to capture
-	// per-segment costs on a single worker.
+	// (0 cuts it into segments of TaskGrain rows, the grain of every other
+	// slice-queue task). Profiling runs set it to capture, on a single
+	// worker, the segment costs of a larger pool.
 	SplitParts int
 
 	// Frames, when non-nil, is the service's spare-frame store: a Session
@@ -192,8 +193,11 @@ func (o Options) EffectiveMaxInFlight() int {
 // WorkerStats describes one worker process's time breakdown.
 type WorkerStats struct {
 	Busy  time.Duration // decoding
-	Wait  time.Duration // blocked on the task queue / picture barrier
+	Wait  time.Duration // blocked on the task queue / picture barrier, polling or asleep
 	Tasks int
+	// Parks counts the times a slice-queue worker went to sleep in a
+	// blocked take rather than poll: each one costs a wake-up.
+	Parks int
 }
 
 // TaskCost is a profiled task duration.

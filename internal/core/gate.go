@@ -14,6 +14,9 @@ type workerGate struct {
 	cond   *sync.Cond
 	limit  int
 	closed bool
+	// park, when non-nil, is told that worker wi is about to sleep at the
+	// gate (the slice queue must not count it as holding a task).
+	park func(wi int)
 }
 
 func newWorkerGate(limit int) *workerGate {
@@ -32,6 +35,9 @@ func (g *workerGate) enter(wi int) {
 	}
 	g.mu.Lock()
 	for !g.closed && wi >= g.limit {
+		if g.park != nil {
+			g.park(wi)
+		}
 		g.cond.Wait()
 	}
 	g.mu.Unlock()

@@ -315,9 +315,12 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 						return -1
 					}, &b.scratch)
 			}
-			// A task owns its rows outright unless its slice split.
+			// A task owns its rows outright. So does a segment of a split
+			// slice once its chain verifies — but only while a damaged slice
+			// is fatal: a concealing policy drops such a slice whole, so its
+			// join adopts or discards it in one piece (runSegment).
 			ps.minRow, _ = minSliceRow(ps.rng.Slices)
-			ps.rowwise = ps.tasks == nil
+			ps.rowwise = ps.tasks == nil || b.policy == FailFast
 		}
 		ps.remaining = ps.nTasks
 
@@ -358,15 +361,15 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 // four tasks per worker per picture, enough for the LPT order to level the
 // tail, few enough that a worker stays inside the band pickTask steers it
 // to. Measured on two cores at SD, 3· and 5·workers both read 2–3 % below
-// 4· (experiments/pr17-band-tasks), so the grain is derived here and
+// 4· (experiments/pr17-band-tasks), so the grain is derived (TaskGrain) and
 // nowhere configurable. A row group that already spans
 // the target — a tall slice — is a task of its own, which keeps it a
-// single-slice group, the only kind buildSplitTasks may split; with many
-// workers the target is one row and the tasks are the paper's.
+// single-slice group, the only kind buildSplitTasks may split (into
+// segments of the same grain); with many workers the target is one row
+// and the tasks are the paper's.
 //
-// This is the one place that decides the slice-queue grain. The sequential
-// and GOP executors iterate the groups whole and decode the same slices
-// into the same pixels whatever the grouping.
+// The sequential and GOP executors iterate the groups whole and decode the
+// same slices into the same pixels whatever the grouping.
 func buildRowGroups(slices []SliceRange, bounds []int, params *mpeg2.PictureParams, workers int) [][]int {
 	// Slice indices in row order, scan order within a row; a task is a run
 	// of them. A clean stream is in row order already.
@@ -380,10 +383,7 @@ func buildRowGroups(slices []SliceRange, bounds []int, params *mpeg2.PicturePara
 		sort.SliceStable(byRow, func(a, b int) bool { return slices[byRow[a]].Row < slices[byRow[b]].Row })
 	}
 
-	target := 1
-	if workers > 0 {
-		target = max((params.MBHeight+4*workers-1)/(4*workers), 1)
-	}
+	target := TaskGrain(params.MBHeight, workers)
 	groups := make([][]int, 0, min(len(slices), (params.MBHeight+target-1)/target))
 	start, rows := 0, 0 // the open task is byRow[start:i], spanning rows macroblock rows
 	flush := func(end int) {
@@ -417,6 +417,17 @@ func buildRowGroups(slices []SliceRange, bounds []int, params *mpeg2.PicturePara
 	}
 	flush(len(byRow))
 	return groups
+}
+
+// TaskGrain is the one place that decides the slice-queue grain: how many
+// macroblock rows a task spans on a pool of the given size, whether the
+// task is a run of fused row groups (buildRowGroups) or a segment of a
+// split slice (newSplitJoin).
+func TaskGrain(mbHeight, workers int) int {
+	if workers <= 0 {
+		return 1
+	}
+	return max((mbHeight+4*workers-1)/(4*workers), 1)
 }
 
 func contains(s []int, v int) bool {

@@ -300,17 +300,7 @@ func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error 
 	disp := newDisplay(pool, opt.Sink, opt.Obs)
 
 	pics := pl.pics
-	q := &sliceQueue{
-		pics:     pics,
-		improved: opt.Mode == ModeSliceImproved,
-		pool:     pool,
-		depth:    opt.Workers + 4,
-		closed:   true, // batch: the full plan is known up front
-		obs:      opt.Obs,
-		workers:  opt.Workers,
-		affinity: opt.Affinity,
-	}
-	q.cond = sync.NewCond(&q.mu)
+	q := newSliceQueue(pics, pool, opt, true) // batch: the full plan is known up front
 
 	var errs firstErr
 	st.WorkerStats = make([]WorkerStats, opt.Workers)
@@ -338,8 +328,7 @@ func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error 
 					workMu.Unlock()
 				}()
 				for {
-					p, ti, _, wait, ok := q.take(wi)
-					ws.Wait += wait
+					p, ti, _, _, ok := q.take(wi, ws)
 					if !ok {
 						return
 					}
@@ -417,7 +406,7 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, pics []*picState, p *picState, 
 		// A segment of a split slice. Only the join's (fallback) error is
 		// authoritative — a failed segment alone proves nothing about the
 		// slice, so per-segment errors stay inside the join state.
-		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, opt, opt.Tracer, scr, sst)
+		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, p.rowwise, opt, opt.Tracer, scr, sst)
 		work.Add(w)
 		if err != nil {
 			if opt.Resilience == FailFast {

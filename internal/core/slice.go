@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	rtrace "runtime/trace"
@@ -52,10 +54,11 @@ type picState struct {
 	// minRow is the lowest macroblock row any slice claims (taskRows).
 	minRow int
 	// rowwise is set when every task owns its macroblock rows outright —
-	// no two slices share a row and no slice is split — so a row is final
-	// the moment a finished task has covered all of it, and readers may
-	// be let at it before the picture completes. Other pictures publish
-	// as a whole, at completePic.
+	// no two slices share a row, and a split slice hands the queue only
+	// the coverage of segments whose chain has verified — so a row is
+	// final the moment finished tasks have covered all of it, and readers
+	// may be let at it before the picture completes. Other pictures
+	// publish as a whole, at completePic.
 	rowwise bool
 	cov     coverage // macroblocks actually reconstructed
 	// rowCov counts the covered macroblocks of each row (it shares cov's
@@ -125,6 +128,65 @@ type sliceQueue struct {
 	// obs, when non-nil, receives a queue-wait or barrier-wait event for
 	// every blocked take (classified by what the worker was blocked on).
 	obs *obs.Tracer
+
+	// How a blocked take waits. out[wi] marks worker wi as holding a task:
+	// set by the take that handed it one, cleared by its next take (or by
+	// idle, at the auto-mode gate). busy counts the marked workers, less
+	// those handing a finished picture to the display process. While
+	// busy > 0 whatever the taker waits for is at most one band task away,
+	// so it polls gen, which every change to the queue bumps; at busy == 0
+	// only the scan process or the frame consumer can end the wait, which
+	// has no bound, so it sleeps on cond. Sleeping costs the wake-up: the
+	// woken goroutine sits in the waker's run queue until another P steals
+	// it, a picture's worth of time at SIF (DESIGN.md, "Slice queue").
+	out  []bool
+	busy int
+	gen  atomic.Uint64
+}
+
+// changed announces a change of queue state to the blocked takes, polling
+// and sleeping (the caller holds q.mu).
+func (q *sliceQueue) changed() {
+	q.gen.Add(1)
+	q.cond.Broadcast()
+}
+
+// hold marks worker wi as holding a task or not (the caller holds q.mu).
+// The last worker to let go turns the pollers into sleepers.
+func (q *sliceQueue) hold(wi int, on bool) {
+	for wi >= len(q.out) {
+		q.out = append(q.out, false)
+	}
+	if q.out[wi] == on {
+		return
+	}
+	q.out[wi] = on
+	if on {
+		q.busy++
+	} else if q.busy--; q.busy == 0 {
+		q.changed()
+	}
+}
+
+// idle records that worker wi is about to wait for something other than
+// the queue (the auto-mode gate), so no blocked take polls on its account.
+func (q *sliceQueue) idle(wi int) {
+	q.mu.Lock()
+	q.hold(wi, false)
+	q.mu.Unlock()
+}
+
+// newSliceQueue builds the queue of a slice-mode decode over pics; closed
+// says that no picture will be appended.
+func newSliceQueue(pics []*picState, pool *frame.Pool, opt Options, closed bool) *sliceQueue {
+	q := &sliceQueue{
+		pics: pics, pool: pool, closed: closed,
+		improved: opt.Mode == ModeSliceImproved,
+		depth:    opt.Workers + 4,
+		obs:      opt.Obs, workers: opt.Workers, affinity: opt.Affinity,
+	}
+	q.cond = sync.NewCond(&q.mu)
+	return q
 }
 
 // append adds pictures to the tail of the queue (streaming path: the
@@ -132,7 +194,7 @@ type sliceQueue struct {
 func (q *sliceQueue) append(ps []*picState) {
 	q.mu.Lock()
 	q.pics = append(q.pics, ps...)
-	q.cond.Broadcast()
+	q.changed()
 	q.mu.Unlock()
 }
 
@@ -140,7 +202,7 @@ func (q *sliceQueue) append(ps []*picState) {
 func (q *sliceQueue) close() {
 	q.mu.Lock()
 	q.closed = true
-	q.cond.Broadcast()
+	q.changed()
 	q.mu.Unlock()
 }
 
@@ -232,12 +294,14 @@ func (q *sliceQueue) next(wi int) *picState {
 // picture list as of the take, through which the worker resolves p's
 // absolute reference indices: elements below len(pics) are fully
 // initialized before append publishes them, and a reallocated backing
-// array never invalidates a list returned earlier. The caller also
-// receives the time spent blocked; wi identifies the taking worker for
-// the wait event a blocked take records (a block with tasks queued behind
-// the barrier discipline is a barrier wait, a block on an empty queue is
-// starvation). A take that never blocks reads no clock and records nothing.
-func (q *sliceQueue) take(wi int) (p *picState, slice int, pics []*picState, wait time.Duration, ok bool) {
+// array never invalidates a list returned earlier. The time spent
+// blocked — polling or asleep, see sliceQueue.busy — is returned and
+// added to ws.Wait, and each sleep counted in ws.Parks; wi identifies the
+// taking worker for the wait event a blocked take records (a block with
+// tasks queued behind the barrier discipline is a barrier wait, a block
+// on an empty queue is starvation). A take that never blocks reads no
+// clock and records nothing.
+func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, pics []*picState, wait time.Duration, ok bool) {
 	var t0 time.Time
 	blocked, barrier := false, false
 	block := func() {
@@ -245,15 +309,29 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, pics []*picState, wai
 			blocked = true
 			t0 = time.Now()
 		}
-		q.cond.Wait()
+		if q.busy <= 0 {
+			ws.Parks++
+			q.cond.Wait()
+			return
+		}
+		// Yield between looks, so that the scan goroutine and a preempted
+		// peer still run where there are fewer Ps than pollers.
+		gen := q.gen.Load()
+		q.mu.Unlock()
+		for q.gen.Load() == gen {
+			runtime.Gosched()
+		}
+		q.mu.Lock()
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.hold(wi, false)
 	defer func() {
 		if !blocked {
 			return
 		}
 		wait = time.Since(t0)
+		ws.Wait += wait
 		kind := obs.KindWait
 		if barrier {
 			kind = obs.KindBarrier
@@ -291,6 +369,7 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, pics []*picState, wai
 			}
 			slice = p.handout(p.nextSlice)
 			p.nextSlice++
+			q.hold(wi, true)
 			return p, slice, q.pics, 0, true
 		}
 		// Tasks exist but none is runnable under the barrier discipline
@@ -359,7 +438,7 @@ func (q *sliceQueue) pickTask(p *picState, wi int, gated bool) bool {
 func (q *sliceQueue) fail() {
 	q.mu.Lock()
 	q.failed = true
-	q.cond.Broadcast()
+	q.changed()
 	q.mu.Unlock()
 }
 
@@ -391,7 +470,7 @@ func (q *sliceQueue) finish(p *picState, addrs []int) bool {
 		}
 	}
 	if published && p.rowwise && p.deps > 0 {
-		q.cond.Broadcast()
+		q.changed()
 	}
 	p.remaining--
 	done := p.remaining == 0
@@ -401,11 +480,14 @@ func (q *sliceQueue) finish(p *picState, addrs []int) bool {
 
 // completePic publishes p as complete, waking pictures that wait on it.
 // Call only after finish returned true and all completion-time writes to
-// the frame are done.
+// the frame are done. The caller goes on to hand p to the display process,
+// where the frame consumer may hold it for as long as it likes: from here
+// to shipPic it is not busy.
 func (q *sliceQueue) completePic(p *picState) {
 	q.mu.Lock()
 	p.complete = true
-	q.cond.Broadcast()
+	q.busy--
+	q.changed()
 	q.mu.Unlock()
 }
 
@@ -414,7 +496,8 @@ func (q *sliceQueue) completePic(p *picState) {
 func (q *sliceQueue) shipPic(p *picState) {
 	q.mu.Lock()
 	p.shipped = true
-	q.cond.Broadcast()
+	q.busy++
+	q.changed()
 	q.mu.Unlock()
 }
 
@@ -481,10 +564,11 @@ func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error)
 					len(pr.Slices), func(b int) int { return b }, &splitScratch)
 			}
 			// Tasks here are single slices, so two slices on one row are
-			// two tasks: such a picture publishes as a whole.
+			// two tasks: such a picture publishes as a whole. So does one
+			// whose split slices a damaged segment may yet take back.
 			var distinct bool
 			ps.minRow, distinct = minSliceRow(pr.Slices)
-			ps.rowwise = distinct && ps.tasks == nil
+			ps.rowwise = distinct && (ps.tasks == nil || !opt.Conceal)
 			switch hdr.Type {
 			case vlc.CodingP:
 				if refNew < 0 {
@@ -526,17 +610,7 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 	}
 	disp := newDisplay(pool, opt.Sink, opt.Obs)
 
-	q := &sliceQueue{
-		pics:     pics,
-		improved: opt.Mode == ModeSliceImproved,
-		pool:     pool,
-		depth:    opt.Workers + 4,
-		closed:   true, // batch: the full picture list is known up front
-		obs:      opt.Obs,
-		workers:  opt.Workers,
-		affinity: opt.Affinity,
-	}
-	q.cond = sync.NewCond(&q.mu)
+	q := newSliceQueue(pics, pool, opt, true) // batch: the full picture list is known up front
 
 	var errs firstErr
 	st.WorkerStats = make([]WorkerStats, opt.Workers)
@@ -570,8 +644,7 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 				ws := &st.WorkerStats[wi]
 				var scr sliceScratch
 				for {
-					p, ti, _, wait, ok := q.take(wi)
-					ws.Wait += wait
+					p, ti, _, _, ok := q.take(wi, ws)
 					if !ok {
 						return
 					}
@@ -585,7 +658,7 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 					if si, j, seg := p.taskAt(ti); j != nil {
 						kind = obs.KindSegment
 						work, addrs, err = runSegment(&m.Seq, &p.hdr, &p.params, p.data,
-							picRefs(pics, p), p.frame, j, seg, wi, opt, opt.Tracer, &scr, &sst)
+							picRefs(pics, p), p.frame, j, seg, wi, p.rowwise, opt, opt.Tracer, &scr, &sst)
 					} else {
 						work, addrs, err = decodeOneSlice(m, pics, p, si, wi, opt, &scr)
 					}

@@ -32,7 +32,8 @@ type SplitStats struct {
 	// VerifyMisses counts splits rejected by the verify rule (wrong
 	// speculation or a poisoned index).
 	VerifyMisses int
-	// Fallbacks counts sequential whole-slice re-decodes after a miss.
+	// Fallbacks counts sequential re-decodes after a miss (of what the
+	// verified prefix did not reach: at most the whole slice).
 	Fallbacks int
 }
 
@@ -62,21 +63,26 @@ type segTask struct {
 	seg  int
 }
 
-// segRes is one segment's outcome, parked until the join.
+// segRes is one segment's outcome, parked until its chain verifies. A
+// cleanly decoded segment covers the contiguous address range [first, last]
+// (skipped macroblocks are materialised).
 type segRes struct {
-	err     error
-	exitBit int64
-	exit    mpeg2.SplitState
-	atEnd   bool
-	addrs   []int
+	done        bool
+	err         error
+	exitBit     int64
+	exit        mpeg2.SplitState
+	atEnd       bool
+	first, last int
 }
 
 // splitJoin is the shared state of one split slice: the split points,
-// each segment's result, and the join counter. The last segment to
-// finish verifies the chain and either adopts the parallel result or
-// re-decodes the slice sequentially (the fallback is authoritative for
-// pixels and errors, so a wrong guess or poisoned index can never
-// change output).
+// each segment's result, and how far the verify rule has got. Segment k is
+// verified once every segment before it has finished cleanly and stopped
+// exactly at its split point — bit offset and predictive state — and k
+// itself has finished cleanly (the last at the slice's end): its entry
+// state, and so its macroblocks, were the sequential decoder's. The
+// verified segments are a prefix, and only their coverage leaves the join;
+// the rest is re-decoded by the last segment to finish (runSegment).
 type splitJoin struct {
 	si       int        // slice index within the picture (resync accounting)
 	sr       SliceRange // the slice's scanned byte range
@@ -85,9 +91,11 @@ type splitJoin struct {
 	spec     bool    // points are unverified guesses, not an exact index
 	segBytes []int64 // per-segment byte-size cost estimates
 
-	mu   sync.Mutex
-	res  []segRes // len(pts)+1 entries
-	done int
+	mu       sync.Mutex
+	res      []segRes // len(pts)+1 entries
+	done     int      // segments finished
+	verified int      // leading segments whose chain has verified
+	handed   int      // leading segments whose coverage has left the join
 }
 
 // sliceSpanBounds returns, per slice, the inclusive macroblock address
@@ -157,22 +165,13 @@ func splitEligible(opt Options) bool {
 	return opt.Mode == ModeSliceSimple || opt.Mode == ModeSliceImproved
 }
 
-// splitParts resolves how many segments a split slice targets.
-func splitParts(opt Options) int {
-	if opt.SplitParts > 0 {
-		return opt.SplitParts
-	}
-	if opt.Workers > 2 {
-		return opt.Workers
-	}
-	return 2
-}
-
 // newSplitJoin decides whether the slice at sr splits and builds the
 // join state: exact split points from the index when its content is
-// known there, else (with speculation enabled) guessed resync points.
-// Returns nil when the slice spans fewer than two rows or no usable
-// points exist. scratch recycles the probe's macroblock buffer.
+// known there, else (with speculation enabled) guessed resync points. The
+// source's point per macroblock row is thinned to segments of TaskGrain
+// rows unless opt.SplitParts names the segment count. Returns nil when the
+// slice spans fewer than two rows or no usable points exist. scratch
+// recycles the probe's macroblock buffer.
 func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRange, bound int, opt Options, scratch *[]mpeg2.MB) *splitJoin {
 	mbw := params.MBWidth
 	if mbw <= 0 || sr.Row < 0 || bound < 0 {
@@ -182,10 +181,12 @@ func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRang
 	if spanRows < 2 {
 		return nil
 	}
-	parts := splitParts(opt)
-	if parts > spanRows {
-		parts = spanRows
+	parts := opt.SplitParts
+	if parts == 0 {
+		grain := TaskGrain(params.MBHeight, opt.Workers)
+		parts = (spanRows + grain - 1) / grain
 	}
+	parts = min(parts, spanRows)
 	sliceBytes := data[sr.Offset:sr.End]
 	var pts []vldsplit.Point
 	spec := false
@@ -196,7 +197,9 @@ func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRang
 		pts, *scratch = vldsplit.GuessPoints(sliceBytes, params, sr.Row, bound, parts, *scratch)
 		spec = true
 	}
-	if len(pts) == 0 {
+	// A point above the slice's own rows would let a segment write rows
+	// another task owns; no decode of this slice can chain through it.
+	if len(pts) == 0 || pts[0].State.PrevAddr < sr.Row*mbw {
 		return nil
 	}
 	j := &splitJoin{
@@ -256,18 +259,32 @@ func buildSplitTasks(p *picState, data []byte, opt Options, seed int64, nBase in
 	return true
 }
 
-// runSegment executes one segment of a split slice and, when it is the
-// last of its join to finish, verifies the segment chain: every segment
-// must have stopped exactly at the next split point with exactly the
-// recorded predictive state, and the last must have consumed the slice
-// to its end. On a hit the concatenated per-segment coverage is adopted
-// (the decode is bit-exact with a sequential decode by construction: the
-// verified states make each segment parse the same bits under the same
-// predictors). On a miss the slice is re-decoded sequentially — that
-// result is authoritative for pixels and errors, so segment attempts
-// never leak into output. Returned addrs alias scr.addrs (join calls
-// only); the returned error is only ever the fallback's.
-func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, opt Options, tr memtrace.Tracer, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, []int, error) {
+// chains reports whether segment k stopped exactly at split point k: at
+// its bit offset (not at a premature end of slice) with predictive state
+// exactly equal to the recorded entry state of segment k+1.
+func (j *splitJoin) chains(k int) bool {
+	r := &j.res[k]
+	return !r.atEnd && r.exitBit == int64(j.sr.Offset)*8+j.pts[k].BitOff && r.exit == j.pts[k].State
+}
+
+// runSegment executes one segment of a split slice, advances the verify
+// chain over every leading segment it now reaches, and returns the
+// coverage that may leave the join. With rowwise set (a damaged slice
+// fails the decode, so nothing is ever taken back) that is the coverage
+// of the newly verified segments, whichever worker ran them: a verified
+// segment is bit-exact with the sequential decode by construction — it
+// parsed the same bits under the same predictors — so its rows go to the
+// queue while later segments still run. Otherwise a damaged slice must be
+// dropped whole, and only the last segment to finish returns coverage: all
+// of the slice's or none.
+//
+// The last to finish also settles what the chain did not reach: it
+// re-decodes the slice from where the verified prefix really stopped (the
+// whole slice when nothing verified). That touches no row of the prefix —
+// rows a reader may already hold — and its result is authoritative for
+// pixels and errors, so a wrong guess or poisoned index never changes
+// output. Returned addrs alias scr.addrs; the error is the re-decode's.
+func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, rowwise bool, opt Options, tr memtrace.Tracer, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, []int, error) {
 	sst.SegmentsRun++
 	sr := j.sr
 	nSeg := len(j.res)
@@ -304,55 +321,75 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 		work, err = decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, tr)
 	}
 
-	res := segRes{err: err, exitBit: end.BitOff, exit: end.State, atEnd: end.AtEnd}
-	if err == nil {
-		res.addrs = make([]int, len(ds.MBs))
-		for i := range ds.MBs {
-			res.addrs[i] = ds.MBs[i].Addr
-		}
+	res := segRes{done: true, err: err, exitBit: end.BitOff, exit: end.State, atEnd: end.AtEnd, last: -1}
+	if n := len(ds.MBs); err == nil && n > 0 {
+		res.first, res.last = ds.MBs[0].Addr, ds.MBs[n-1].Addr
 	}
 	j.mu.Lock()
 	j.res[seg] = res
 	j.done++
 	last := j.done == nSeg
+	for v := j.verified; v < nSeg; v++ {
+		r := &j.res[v]
+		// An empty segment proves nothing (a guess at the payload's first bit).
+		if !r.done || r.err != nil || r.last < r.first || v > 0 && !j.chains(v-1) || v == nSeg-1 && !r.atEnd {
+			break
+		}
+		j.verified = v + 1
+	}
+	verified, from := j.verified, j.handed
+	if rowwise || last {
+		j.handed = verified
+	}
+	to := j.handed
 	j.mu.Unlock()
+	// A verified segment's result is never written again.
+	scr.addrs = scr.addrs[:0]
+	for k := from; k < to; k++ {
+		for a := j.res[k].first; a <= j.res[k].last; a++ {
+			scr.addrs = append(scr.addrs, a)
+		}
+	}
 	if !last {
-		return work, nil, nil
+		return work, scr.addrs, nil
 	}
 
-	// Join. The verify rule: segment k must stop exactly at split point
-	// k's bit offset (not at a premature end of slice) with predictive
-	// state exactly equal to the recorded entry state of segment k+1;
-	// the final segment must reach the slice's real end.
 	sst.SlicesSplit++
-	ok := true
-	for k := 0; k < nSeg && ok; k++ {
-		r := &j.res[k]
-		switch {
-		case r.err != nil:
-			ok = false
-		case k < nSeg-1:
-			ok = !r.atEnd && r.exitBit == startBit+j.pts[k].BitOff && r.exit == j.pts[k].State
-		default:
-			ok = r.atEnd
-		}
-	}
 	t0 := time.Now()
-	if ok {
+	if verified == nSeg {
 		sst.VerifyHits++
 		opt.Obs.Record(obs.KindVerify, wi, t0, 0, -1, -1, 1)
-		scr.addrs = scr.addrs[:0]
-		for k := range j.res {
-			scr.addrs = append(scr.addrs, j.res[k].addrs...)
-		}
 		return work, scr.addrs, nil
 	}
 	sst.VerifyMisses++
 	sst.Fallbacks++
 	opt.Obs.Record(obs.KindVerify, wi, t0, 0, -1, -1, 0)
-	w2, addrs, err := decodeSliceRange(data, seq, hdr, params, sr, j.maxAddr, refs, dst, wi, tr, scr)
-	work.Add(w2)
-	return work, addrs, err
+	if verified == 0 {
+		w2, addrs, err := decodeSliceRange(data, seq, hdr, params, sr, j.maxAddr, refs, dst, wi, tr, scr)
+		work.Add(w2)
+		return work, addrs, err
+	}
+	// Every segment has finished, so j.res is quiescent. The prefix's last
+	// segment stopped at a true macroblock boundary of the slice, with the
+	// sequential decoder's state.
+	if prev := &j.res[verified-1]; !prev.atEnd {
+		scr.r.Reset(data[:sr.End])
+		scr.r.SeekBit(prev.exitBit)
+		ds, _, err = mpeg2.DecodeSliceSegment(&scr.r, params, prev.exit, j.maxAddr, 0, scr.mbs)
+		scr.mbs = ds.MBs
+		if err != nil {
+			return work, nil, fmt.Errorf("core: slice row %d: %w", sr.Row, err)
+		}
+		w2, err := decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, tr)
+		work.Add(w2)
+		if err != nil {
+			return work, nil, err
+		}
+		for i := range ds.MBs {
+			scr.addrs = append(scr.addrs, ds.MBs[i].Addr)
+		}
+	}
+	return work, scr.addrs, nil
 }
 
 // BuildIndexScanned walks a scanned stream and records exact split

@@ -212,15 +212,10 @@ func (e *StreamExecutor) start(u *Unit) {
 	e.opt.Obs.SetMeta(e.opt.Mode.String(), e.workers)
 	switch e.opt.Mode {
 	case ModeSliceSimple, ModeSliceImproved:
-		e.q = &sliceQueue{
-			improved: e.opt.Mode == ModeSliceImproved,
-			pool:     e.pool,
-			depth:    e.opt.Workers + 4,
-			obs:      e.opt.Obs,
-			workers:  e.opt.Workers,
-			affinity: e.opt.Affinity,
+		e.q = newSliceQueue(nil, e.pool, e.opt, false) // Feed appends, Finish closes
+		if e.gate != nil {
+			e.gate.park = e.q.idle
 		}
-		e.q.cond = sync.NewCond(&e.q.mu)
 		for wi := 0; wi < e.workers; wi++ {
 			e.wg.Add(1)
 			go e.sliceWorker(wi)
@@ -525,8 +520,7 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 		}()
 		for {
 			e.gate.enter(wi)
-			p, ti, pics, wait, ok := e.q.take(wi)
-			ws.Wait += wait
+			p, ti, pics, wait, ok := e.q.take(wi, ws)
 			e.tuner.NoteWait(wait)
 			if !ok {
 				return

@@ -58,12 +58,13 @@ func picRowWindow(p *picState) int {
 // task that claims the picture's lowest row also answers for the
 // unclaimed rows above it, so the spans of a picture's tasks tile the
 // picture and the completion-time concealment never reads a row no task
-// waited for. A segment of a split slice spans its whole slice: a verify
-// miss re-decodes all of it on the joining worker.
+// waited for. A segment of a split slice has the rows from its entry point
+// to the next split point: what a verify miss re-decodes on the last
+// segment to finish are rows of that slice's other segments, each of which
+// has waited for its own window by then.
 //
 // entry is the row the task starts decoding on, the key pickTask steers
-// by: the first row of the span, or for a later segment of a split slice
-// the row of its entry point. ok is false for tasks without a span —
+// by. ok is false for tasks without a span —
 // substitutes, empty groups, a slice on a row outside the picture — which
 // wait for their whole reference frames and are steered nowhere.
 func taskRows(p *picState, ti int) (r0, r1, entry int, ok bool) {
@@ -92,10 +93,16 @@ func taskRows(p *picState, ti int) (r0, r1, entry int, ok bool) {
 		}
 		r0, r1 = min(r0, lo), max(r1, hi)
 	}
-	entry = r0
-	if j != nil && seg > 0 {
-		entry = min((j.pts[seg-1].State.PrevAddr+1)/mbw, r1)
+	if j != nil {
+		// Points lie inside the slice's rows in address order: r0 <= r1 holds.
+		if seg > 0 {
+			r0 = min((j.pts[seg-1].State.PrevAddr+1)/mbw, r1)
+		}
+		if seg < len(j.pts) {
+			r1 = min(j.pts[seg].State.PrevAddr/mbw, r1)
+		}
 	}
+	entry = r0
 	if r0 == p.minRow {
 		r0 = 0
 	}

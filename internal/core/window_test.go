@@ -190,7 +190,7 @@ func TestSliceQueueRowWindow(t *testing.T) {
 			if !runnable() {
 				t.Fatalf("depth %d: take would block; want a task of picture %d", depth, pindex(pics, want))
 			}
-			p, ti, snap, wait, ok := q.take(0)
+			p, ti, snap, wait, ok := q.take(0, &WorkerStats{})
 			if !ok || p != want || wait != 0 || len(snap) != len(pics) {
 				t.Fatalf("depth %d: take = picture %d ok %v wait %v; want picture %d without blocking",
 					depth, pindex(pics, p), ok, wait, pindex(pics, want))

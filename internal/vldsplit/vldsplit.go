@@ -18,7 +18,6 @@ package vldsplit
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"mpeg2par/internal/mpeg2"
@@ -39,11 +38,15 @@ type SliceKey struct {
 }
 
 // KeyOf hashes a slice's byte range (startcode through last payload
-// byte) into its index key.
+// byte) into its index key. The FNV-1a loop is written out: the scan
+// process calls this for every slice of every picture, and hash/fnv's
+// hasher is an allocation behind an interface.
 func KeyOf(data []byte) SliceKey {
-	h := fnv.New64a()
-	h.Write(data)
-	return SliceKey{Hash: h.Sum64(), Len: len(data)}
+	h := uint64(14695981039346656037) // FNV-64 offset basis
+	for _, b := range data {
+		h = (h ^ uint64(b)) * 1099511628211 // FNV-64 prime
+	}
+	return SliceKey{Hash: h, Len: len(data)}
 }
 
 // Index maps slice content to its split points. The zero value is not

@@ -2,6 +2,7 @@ package vldsplit
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"mpeg2par/internal/mpeg2"
@@ -145,5 +146,21 @@ func TestSelectPoints(t *testing.T) {
 		if got[i].State.PrevAddr != want {
 			t.Fatalf("boundary %d at candidate %d, want %d", i, got[i].State.PrevAddr, want)
 		}
+	}
+}
+
+// TestKeyOfIsFNV64a pins the written-out hash against hash/fnv — the key
+// is part of the index's binary format — and that it allocates nothing.
+func TestKeyOfIsFNV64a(t *testing.T) {
+	for _, data := range [][]byte{nil, {0}, []byte("\x00\x00\x01\x01slice payload"), bytes.Repeat([]byte{0xa5, 0x3c}, 4097)} {
+		h := fnv.New64a()
+		h.Write(data)
+		if got, want := KeyOf(data), (SliceKey{Hash: h.Sum64(), Len: len(data)}); got != want {
+			t.Fatalf("KeyOf(%d bytes) = %+v, want %+v", len(data), got, want)
+		}
+	}
+	data := bytes.Repeat([]byte{1, 2, 3}, 1000)
+	if n := testing.AllocsPerRun(10, func() { KeyOf(data) }); n != 0 {
+		t.Fatalf("KeyOf allocates %.0f times per call", n)
 	}
 }

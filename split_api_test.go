@@ -139,3 +139,48 @@ func TestErrBadOptionPublic(t *testing.T) {
 		t.Fatalf("zero workers: err %v, want ErrBadOption", err)
 	}
 }
+
+// TestWithIndexDefaultGrain: without WithSplitParts the streaming pipeline
+// cuts a tall slice at the band grain of its pool — a SIF picture's one
+// slice becomes four, eight and fifteen segments on one, two and four
+// workers — and the frames stay the sequential decode's.
+func TestWithIndexDefaultGrain(t *testing.T) {
+	ctx := context.Background()
+	s, err := mpeg2par.GenerateStream(mpeg2par.StreamConfig{
+		Width: 352, Height: 240, Pictures: 13, GOPSize: 13, IPDistance: 3, RowsPerSlice: 15,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref frameCollector
+	if _, err := mpeg2par.Decode(ctx, mpeg2par.FromBytes(s.Data),
+		mpeg2par.WithMode(mpeg2par.ModeSequential), mpeg2par.WithWorkers(1),
+		mpeg2par.WithFrameSink(ref.add)); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := mpeg2par.BuildIndex(ctx, mpeg2par.FromBytes(s.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for workers, segs := range map[int]int{1: 4, 2: 8, 4: 15} {
+		var got frameCollector
+		st, err := mpeg2par.Decode(ctx, mpeg2par.FromBytes(s.Data),
+			mpeg2par.WithMode(mpeg2par.ModeSliceImproved), mpeg2par.WithWorkers(workers),
+			mpeg2par.WithIndex(idx), mpeg2par.WithFrameSink(got.add))
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		n := len(ref.frames)
+		if st.Split.SlicesSplit != n || st.Split.SegmentsRun != segs*n || st.Split.VerifyHits != n {
+			t.Fatalf("%d workers: split %+v, want %d slices of %d segments, all verified", workers, st.Split, n, segs)
+		}
+		if len(got.frames) != n {
+			t.Fatalf("%d workers: %d frames, want %d", workers, len(got.frames), n)
+		}
+		for i := range ref.frames {
+			if !ref.frames[i].Equal(got.frames[i]) {
+				t.Fatalf("%d workers: frame %d differs from sequential decode", workers, i)
+			}
+		}
+	}
+}
