@@ -48,24 +48,28 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Streaming pipeline under the race detector: chunk-boundary scans,
-# backpressure, cancellation teardown, and the public Decode API.
+# Streaming pipeline under the race detector, by package: chunk-boundary
+# scans, backpressure, the heap a decode holds against stream length
+# (TestDecodeHeapFlat), the resilience ladder and cancellation/failure
+# teardown far past the scan-ahead window, and the public Decode API.
 stream:
 	$(GO) test -race ./internal/stream/ .
 
-# Deprecated-wrapper compatibility: vet the shims (deprecation-aware),
-# build a client of the old entry points, and pin old-vs-new agreement.
+# Deprecated-wrapper compatibility: vet the shims (deprecation-aware) and
+# build a client of the old entry points. (Old-vs-new agreement and the
+# examples are tests of the root package, which `race` and `stream` run by
+# package — a list of test names here would silently lose a renamed one.)
 compat:
 	$(GO) vet .
 	$(GO) build .
-	$(GO) test -run 'TestDeprecatedCompat|Example' .
 
 # Observability gate: traced decodes under the race detector (bit
 # exactness in every mode, event presence, exported Chrome JSON
 # validated: well-formed, monotonic timestamps, balanced span counts),
-# plus a real traced run through the CLI report path.
+# by package (the root package's traced-decode tests run by package in
+# `make stream`), plus a real traced run through the CLI report path.
 trace:
-	$(GO) test -race -run 'TestTraced|TestChromeTrace|TestValidateChromeTrace|TestWithTrace|TestWithEventSink' ./internal/obs/ .
+	$(GO) test -race ./internal/obs/
 	$(GO) run ./cmd/mpeg2bench -timeline -trace /tmp/mpeg2par-trace.json > /dev/null
 
 # Adaptive-scheduler gate: the slice queue (task grain, readiness rule,

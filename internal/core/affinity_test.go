@@ -54,7 +54,7 @@ func TestPickTaskSteering(t *testing.T) {
 	const rows, workers = 8, 2
 	q := &sliceQueue{workers: workers, affinity: AffinityRow}
 	q.cond = sync.NewCond(&q.mu)
-	p := windowTestPic(2, rows, -1, -1, 0) // one task per row
+	p := windowTestPic(2, rows, nil, nil, 0) // one task per row
 
 	take := func(wi int) int {
 		ti := pickHead(q, p, wi)
@@ -85,7 +85,7 @@ func TestPickTaskSteering(t *testing.T) {
 	// AffinityNone must preserve pure queue order.
 	q2 := &sliceQueue{workers: workers, affinity: AffinityNone}
 	q2.cond = sync.NewCond(&q2.mu)
-	p2 := windowTestPic(2, rows, -1, -1, 0)
+	p2 := windowTestPic(2, rows, nil, nil, 0)
 	for want := 0; want < rows; want++ {
 		ti := pickHead(q2, p2, 1)
 		p2.nextSlice++

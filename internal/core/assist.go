@@ -29,28 +29,15 @@ import (
 // rest decode inline exactly as the plain path would. Coverage, damage
 // accounting, and concealment are identical to decodePlanPic — the
 // goldens assert bit-equality under every policy.
-func decodeAssistPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt Options, scr *sliceScratch, parts int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
-	p := pics[idx]
+func decodeAssistPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, scr *sliceScratch, parts int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
 	f := p.frame
 	var work decoder.WorkStats
 	var es ErrorStats
 	if p.fate == fateSubstitute {
-		var src *frame.Frame
-		if p.subFrom >= 0 {
-			src = pics[p.subFrom].frame
-		}
-		if !f.CopyPixelsFrom(src) {
-			f.Fill(128)
-		}
+		substitute(p)
 		return work, es, nil
 	}
-	refs := decoder.Refs{}
-	if p.fwd >= 0 {
-		refs.Fwd = pics[p.fwd].frame
-	}
-	if p.bwd >= 0 {
-		refs.Bwd = pics[p.bwd].frame
-	}
+	refs := picRefs(p)
 	scr.cov.reset(p.params.MBWidth * p.params.MBHeight)
 	last := len(p.rng.Slices) - 1
 	optSplit := opt
@@ -83,7 +70,7 @@ func decodeAssistPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, o
 			}
 		}
 	}
-	return work, es, concealUncovered(pics, p, &scr.cov, opt, &es)
+	return work, es, concealUncovered(p, &scr.cov, opt, &es)
 }
 
 // runSegmentsAssist executes every segment of one split slice across up

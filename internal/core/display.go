@@ -88,11 +88,14 @@ func (d *displayProc) count() int {
 	return d.displayed
 }
 
-// abandon drops the undisplayed pictures still waiting in the reorder
-// buffer (cancelled-pipeline teardown; the frames themselves are
-// reclaimed by the executor's pool sweep).
+// abandon reclaims the undisplayed pictures still waiting in the reorder
+// buffer (cancelled-pipeline teardown, after every worker has stopped; the
+// pictures' own records may have left the plan by now).
 func (d *displayProc) abandon() {
 	d.mu.Lock()
+	for _, f := range d.pending {
+		d.pool.Reclaim(f)
+	}
 	d.pending = make(map[int]*frame.Frame)
 	d.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/decoder"
@@ -23,11 +24,10 @@ const (
 	fateSubstitute
 )
 
-// planGOP is one group of pictures kept by the plan.
+// planGOP is one group of pictures kept by a batch plan.
 type planGOP struct {
-	g     int // index into StreamMap.GOPs
-	first int // plan index of the GOP's first picture
-	n     int
+	g    int // index into StreamMap.GOPs
+	pics []*picState
 }
 
 // plan is the resolved decode schedule of a resilient run. Every policy
@@ -38,8 +38,20 @@ type planGOP struct {
 // same plan in different orders, and the plan leaves no decision to
 // execution order.
 type plan struct {
-	pics []*picState
-	gops []planGOP
+	// pics is every planned picture on the batch path, where gops groups
+	// them. On the streaming paths it is a window: a group's pictures leave
+	// it (retire) once every one of them has been decoded and handed to the
+	// display process — nothing still to run can name them, because
+	// references never leave a group — and take with them all that a
+	// picture pins: the unit's bytes and ranges, bounds, task lists and
+	// coverage. What is left is what a failed run's teardown must reclaim.
+	// planned counts the pictures that have passed through (the scan
+	// goroutine's, read by others once it is done). mu guards pics where
+	// groups retire on worker goroutines while the scan plans on.
+	mu      sync.Mutex
+	pics    []*picState
+	planned int
+	gops    []planGOP
 	// pre holds the plan-time error accounting (dropped pictures and
 	// GOPs); slice-level damage is discovered during execution.
 	pre ErrorStats
@@ -109,11 +121,27 @@ func buildPlan(data []byte, m *StreamMap, opt Options) (*plan, error) {
 	b := newPlanBuilder(&m.Seq, opt)
 	b.setSplit(opt)
 	for g := range m.GOPs {
-		if _, err := b.addGOP(data, g, &m.GOPs[g]); err != nil {
+		ps, err := b.addGOP(data, g, &m.GOPs[g])
+		if err != nil {
 			return nil, err
+		}
+		if len(ps) > 0 {
+			b.pl.gops = append(b.pl.gops, planGOP{g: g, pics: ps})
 		}
 	}
 	return &b.pl, nil
+}
+
+// retire drops a finished group's pictures from the plan (see plan.pics).
+func (pl *plan) retire(ps []*picState) {
+	if len(ps) == 0 {
+		return
+	}
+	pl.mu.Lock()
+	if i := slices.Index(pl.pics, ps[0]); i >= 0 {
+		pl.pics = slices.Delete(pl.pics, i, i+len(ps))
+	}
+	pl.mu.Unlock()
 }
 
 // addGOP plans one group of pictures. data holds the bytes the group's
@@ -140,7 +168,7 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	cands := make([]*picState, n)
 	for pi := range gop.Pictures {
 		pr := &gop.Pictures[pi]
-		ps := &picState{rng: pr, data: data, gop: g, fwd: -1, bwd: -1, subFrom: -1}
+		ps := &picState{rng: pr, data: data, gop: g}
 		if pr.Damaged {
 			if policy <= ConcealSlice {
 				return nil, fmt.Errorf("core: GOP %d: picture %d at byte %d: unreadable picture header", g, pi, pr.Offset)
@@ -225,10 +253,11 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	// reference window resets at every GOP boundary — the price of
 	// keeping GOP tasks independent (the coarse-grained mode decodes
 	// them in any order), paid identically by every mode.
-	first := len(pl.pics)
-	pl.pics = slices.Grow(pl.pics, n)
-	refOld, refNew := -1, -1
+	var refOld, refNew *picState
 	for pi, ps := range cands {
+		// The picture's place in the plan, identical on the batch and
+		// streaming paths, so a seeded packing is reproducible across both.
+		key := b.seed + int64(pl.planned+pi)
 		ps.displayIdx = b.displayBase + slotOf[pi]
 		ps.isRef = ps.typeKnown && ps.hdr.Type != vlc.CodingB
 		ps.params = decoder.PictureParams(b.seq, &ps.hdr)
@@ -236,8 +265,8 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 		switch {
 		case !ps.headerOK:
 			ps.fate = fateSubstitute
-		case ps.hdr.Type == vlc.CodingP && refNew < 0,
-			ps.hdr.Type == vlc.CodingB && (refOld < 0 || refNew < 0):
+		case ps.hdr.Type == vlc.CodingP && refNew == nil,
+			ps.hdr.Type == vlc.CodingB && (refOld == nil || refNew == nil):
 			if policy <= ConcealSlice {
 				return nil, fmt.Errorf("core: GOP %d: picture %d at byte %d: %s picture without reference", g, pi, ps.rng.Offset, ps.hdr.Type)
 			}
@@ -265,7 +294,7 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 			}
 			if ps.shedBy != ShedNone {
 				ps.fate = fateSubstitute
-				ps.fwd, ps.bwd = -1, -1
+				ps.fwd, ps.bwd = nil, nil
 			}
 		}
 
@@ -295,25 +324,22 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 				ps.groups = [][]int{nil}
 			}
 			ps.nTasks = len(ps.groups)
-			// Pack the row-group tasks for the slice queue. The key is
-			// the plan index, identical on the batch and streaming paths,
-			// so a seeded packing is reproducible across both.
+			// Pack the row-group tasks for the slice queue.
 			costs := make([]int64, len(ps.groups))
 			for gi, grp := range ps.groups {
 				costs[gi] = groupCost(ps.rng.Slices, grp)
 			}
-			ps.order = packOrder(costs, b.packing, b.seed+int64(len(pl.pics)))
+			ps.order = packOrder(costs, b.packing, key)
 			if b.splitOn {
 				// Only a task holding a single slice can split: the slices
 				// of a multi-slice task run serially on one worker (same-row
 				// slices must), which a segment fan-out would break.
-				buildSplitTasks(ps, data, b.splitOpt, b.seed+int64(len(pl.pics)),
-					len(ps.groups), func(gi int) int {
-						if len(ps.groups[gi]) == 1 {
-							return ps.groups[gi][0]
-						}
-						return -1
-					}, &b.scratch)
+				buildSplitTasks(ps, data, b.splitOpt, key, len(ps.groups), func(gi int) int {
+					if len(ps.groups[gi]) == 1 {
+						return ps.groups[gi][0]
+					}
+					return -1
+				}, &b.scratch)
 			}
 			// A task owns its rows outright. So does a segment of a split
 			// slice once its chain verifies — but only while a damaged slice
@@ -327,23 +353,23 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 		// holds are the frames this picture reads (prediction
 		// references or substitution source); each is retained on the
 		// holder's behalf and released when the holder completes.
-		idx := len(pl.pics)
 		ps.holds = ps.holdBuf[:0]
-		for _, ri := range [...]int{ps.fwd, ps.bwd, ps.subFrom} {
-			if ri < 0 || contains(ps.holds, ri) {
-				continue
+		for _, r := range [...]*picState{ps.fwd, ps.bwd, ps.subFrom} {
+			if r != nil && !slices.Contains(ps.holds, r) {
+				ps.holds = append(ps.holds, r)
+				r.deps++
 			}
-			ps.holds = append(ps.holds, ri)
-			pl.pics[ri].deps++
 		}
-		pl.pics = append(pl.pics, ps)
 		if ps.isRef {
-			refOld, refNew = refNew, idx
+			refOld, refNew = refNew, ps
 		}
 	}
-	pl.gops = append(pl.gops, planGOP{g: g, first: first, n: n})
+	pl.mu.Lock()
+	pl.pics = append(pl.pics, cands...)
+	pl.mu.Unlock()
+	pl.planned += n
 	b.displayBase += n
-	return pl.pics[first:], nil
+	return cands, nil
 }
 
 // buildRowGroups partitions a picture's slices into the slice queue's
@@ -428,13 +454,4 @@ func TaskGrain(mbHeight, workers int) int {
 		return 1
 	}
 	return max((mbHeight+4*workers-1)/(4*workers), 1)
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

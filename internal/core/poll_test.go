@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,16 +15,17 @@ import (
 func pollQueue(n int, chained bool) (*sliceQueue, []*picState) {
 	pics := make([]*picState, n)
 	for i := range pics {
-		fwd, deps := -1, int32(0)
+		var fwd *picState
+		deps := int32(0)
 		if chained && i > 0 {
-			fwd = i - 1
+			fwd = pics[i-1]
 		}
 		if chained && i < n-1 {
 			deps = 1
 		}
-		pics[i] = windowTestPic(2, 1, fwd, -1, deps)
+		pics[i] = windowTestPic(2, 1, fwd, nil, deps)
 	}
-	q := &sliceQueue{pics: pics, improved: true, pool: frame.NewPool(32, 16), workers: 2, affinity: AffinityNone}
+	q := &sliceQueue{pics: slices.Clone(pics), improved: true, pool: frame.NewPool(32, 16), workers: 2, affinity: AffinityNone}
 	q.cond = sync.NewCond(&q.mu)
 	return q, pics
 }
@@ -38,7 +40,7 @@ type takeResult struct {
 func takeAsync(q *sliceQueue, wi int, ws *WorkerStats) <-chan takeResult {
 	ch := make(chan takeResult, 1)
 	go func() {
-		p, _, _, wait, ok := q.take(wi, ws)
+		p, _, wait, ok := q.take(wi, ws)
 		ch <- takeResult{p, wait, ok}
 	}()
 	return ch
@@ -83,7 +85,7 @@ func TestTakePollsWhilePeerHoldsTask(t *testing.T) {
 		q, pics := pollQueue(2, true)
 		q.closed = true
 		var ws0, ws1 WorkerStats
-		if p, _, _, _, ok := q.take(0, &ws0); !ok || p != pics[0] {
+		if p, _, _, ok := q.take(0, &ws0); !ok || p != pics[0] {
 			t.Fatal("worker 0 did not get the reference picture's task")
 		}
 		got := takeAsync(q, 1, &ws1)
@@ -134,7 +136,7 @@ func TestTakeParksOnUnboundedWaits(t *testing.T) {
 	q, pics = pollQueue(2, false)
 	q.closed, q.depth = true, 1
 	ws0, ws1 = WorkerStats{}, WorkerStats{}
-	if _, _, _, _, ok := q.take(0, &ws0); !ok {
+	if _, _, _, ok := q.take(0, &ws0); !ok {
 		t.Fatal("worker 0 got no task")
 	}
 	q.finish(pics[0], rowAddrs(pics[0], 0))
@@ -161,7 +163,7 @@ func gatedPool(t *testing.T) (release func()) {
 	var ws0, ws1 WorkerStats
 	gate := newWorkerGate(1)
 	gate.park = q.idle
-	if _, _, _, _, ok := q.take(1, &ws1); !ok {
+	if _, _, _, ok := q.take(1, &ws1); !ok {
 		t.Fatal("worker 1 got no task")
 	}
 	q.finish(pics[0], rowAddrs(pics[0], 0))

@@ -50,34 +50,40 @@ func newPlanFrame(pool *frame.Pool, p *picState) *frame.Frame {
 	return f
 }
 
+// substitute fills p's frame with a copy of its substitution source, or
+// with mid-grey when it has none.
+func substitute(p *picState) {
+	var src *frame.Frame
+	if p.subFrom != nil {
+		src = p.subFrom.frame
+	}
+	if !p.frame.CopyPixelsFrom(src) {
+		p.frame.Fill(128)
+	}
+}
+
+// releaseHolds gives up the frames the completed picture p read.
+func releaseHolds(pool *frame.Pool, p *picState) {
+	for _, r := range p.holds {
+		if r.frame.Release() {
+			pool.Put(r.frame)
+		}
+	}
+}
+
 // decodePlanPic decodes or substitutes one planned picture into its
 // frame (the single-worker-per-picture executor shared by the sequential
-// and GOP-grain modes, batch and streaming). pics is the planned picture
-// list — for streaming callers, a snapshot long enough to cover this
-// picture's references. The frames of the references and substitution
-// source must be complete.
-func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt Options, scr *sliceScratch) (decoder.WorkStats, ErrorStats, error) {
-	p := pics[idx]
+// and GOP-grain modes, batch and streaming). The frames of the references
+// and substitution source must be complete.
+func decodePlanPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, scr *sliceScratch) (decoder.WorkStats, ErrorStats, error) {
 	f := p.frame
 	var work decoder.WorkStats
 	var es ErrorStats
 	if p.fate == fateSubstitute {
-		var src *frame.Frame
-		if p.subFrom >= 0 {
-			src = pics[p.subFrom].frame
-		}
-		if !f.CopyPixelsFrom(src) {
-			f.Fill(128)
-		}
+		substitute(p)
 		return work, es, nil
 	}
-	refs := decoder.Refs{}
-	if p.fwd >= 0 {
-		refs.Fwd = pics[p.fwd].frame
-	}
-	if p.bwd >= 0 {
-		refs.Bwd = pics[p.bwd].frame
-	}
+	refs := picRefs(p)
 	scr.cov.reset(p.params.MBWidth * p.params.MBHeight)
 	last := len(p.rng.Slices) - 1
 	for _, group := range p.groups {
@@ -99,26 +105,20 @@ func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt
 			}
 		}
 	}
-	return work, es, concealUncovered(pics, p, &scr.cov, opt, &es)
+	return work, es, concealUncovered(p, &scr.cov, opt, &es)
 }
 
 // concealUncovered is the completion step of a picture decoded on one
 // worker: every macroblock cov lacks is concealed from the picture's
 // reference and tallied into es — or, under FailFast, reported.
-func concealUncovered(pics []*picState, p *picState, cov *coverage, opt Options, es *ErrorStats) error {
+func concealUncovered(p *picState, cov *coverage, opt Options, es *ErrorStats) error {
 	if cov.full() {
 		return nil
 	}
 	if opt.Resilience == FailFast {
 		return fmt.Errorf("core: picture at display %d covered %d of %d macroblocks", p.displayIdx, cov.n, cov.total)
 	}
-	var ref *frame.Frame
-	if p.fwd >= 0 {
-		ref = pics[p.fwd].frame
-	} else if p.bwd >= 0 {
-		ref = pics[p.bwd].frame
-	}
-	mbw := p.params.MBWidth
+	ref, mbw := concealRef(p), p.params.MBWidth
 	for a := 0; a < cov.total; a++ {
 		if !cov.has(a) {
 			decoder.ConcealMB(p.frame, ref, a%mbw, a/mbw)
@@ -136,11 +136,11 @@ func finishPlan(pl *plan, pool *frame.Pool, disp *displayProc, st *Stats, wallSt
 	if dispErr != nil {
 		return dispErr
 	}
-	st.Pictures = len(pl.pics)
+	st.Pictures = pl.planned
 	st.Displayed = displayed
 	st.poolGauges(pool)
-	if displayed != len(pl.pics) {
-		return fmt.Errorf("core: displayed %d of %d pictures", displayed, len(pl.pics))
+	if displayed != pl.planned {
+		return fmt.Errorf("core: displayed %d of %d pictures", displayed, pl.planned)
 	}
 	return nil
 }
@@ -160,11 +160,11 @@ func decodeResilientSeq(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 	wallStart := time.Now()
 	var seqErr error
 	obs.Do(opt.Mode.String(), 0, func() {
-		for idx, p := range pl.pics {
+		for _, p := range pl.pics {
 			newPlanFrame(pool, p)
 			t0 := time.Now()
 			reg := rtrace.StartRegion(context.Background(), "mpeg2par.picTask")
-			work, es, err := decodePlanPic(&m.Seq, pl.pics, idx, 0, opt, &scr)
+			work, es, err := decodePlanPic(&m.Seq, p, 0, opt, &scr)
 			reg.End()
 			cost := time.Since(t0)
 			ws.Busy += cost
@@ -177,11 +177,7 @@ func decodeResilientSeq(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 				seqErr = fmt.Errorf("core: GOP %d at byte %d: %w", p.gop, m.GOPs[p.gop].Offset, err)
 				return
 			}
-			for _, ri := range p.holds {
-				if pl.pics[ri].frame.Release() {
-					pool.Put(pl.pics[ri].frame)
-				}
-			}
+			releaseHolds(pool, p)
 			disp.push(p.frame, p.displayIdx)
 		}
 	})
@@ -247,10 +243,9 @@ func decodeResilientGOP(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 					failed := false
 					// Workers touch only their own GOP's picStates (plus the
 					// frames within it), so no locking is needed on the plan.
-					for idx := pg.first; idx < pg.first+pg.n; idx++ {
-						p := pl.pics[idx]
+					for _, p := range pg.pics {
 						newPlanFrame(pool, p)
-						w, e, err := decodePlanPic(&m.Seq, pl.pics, idx, wi, opt, &scr)
+						w, e, err := decodePlanPic(&m.Seq, p, wi, opt, &scr)
 						work.Add(w)
 						es.Add(e)
 						if err != nil {
@@ -258,11 +253,7 @@ func decodeResilientGOP(m *StreamMap, pl *plan, opt Options, st *Stats) error {
 							failed = true
 							break
 						}
-						for _, ri := range p.holds {
-							if pl.pics[ri].frame.Release() {
-								pool.Put(pl.pics[ri].frame)
-							}
-						}
+						releaseHolds(pool, p)
 						disp.push(p.frame, p.displayIdx)
 					}
 					reg.End()
@@ -299,8 +290,7 @@ func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error 
 	pool.SetScrub(frame.ScrubOnPut) // take calls Get under q.mu
 	disp := newDisplay(pool, opt.Sink, opt.Obs)
 
-	pics := pl.pics
-	q := newSliceQueue(pics, pool, opt, true) // batch: the full plan is known up front
+	q := newSliceQueue(pl.pics, pool, opt, true) // batch: the full plan is known up front
 
 	var errs firstErr
 	st.WorkerStats = make([]WorkerStats, opt.Workers)
@@ -328,14 +318,14 @@ func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error 
 					workMu.Unlock()
 				}()
 				for {
-					p, ti, _, _, ok := q.take(wi, ws)
+					p, ti, _, ok := q.take(wi, ws)
 					if !ok {
 						return
 					}
 					t0 := time.Now()
 					reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
 					taskAddrs = taskAddrs[:0]
-					err := runPlanSliceTask(&m.Seq, pics, p, ti, wi, opt, &scr, &work, &es, &sst, &taskAddrs)
+					err := runPlanSliceTask(&m.Seq, p, ti, wi, opt, &scr, &work, &es, &sst, &taskAddrs)
 					reg.End()
 					cost := time.Since(t0)
 					ws.Busy += cost
@@ -356,16 +346,12 @@ func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error 
 					if q.finish(p, taskAddrs) {
 						if p.fate == fateDecode {
 							if miss := q.missing(p); len(miss) > 0 {
-								concealMBs(pics, p, miss)
+								concealMBs(p, miss)
 								es.ConcealedMBs += len(miss)
 							}
 						}
 						q.completePic(p)
-						for _, ri := range p.holds {
-							if pics[ri].frame.Release() {
-								pool.Put(pics[ri].frame)
-							}
-						}
+						releaseHolds(pool, p)
 						disp.push(p.frame, p.displayIdx)
 						q.shipPic(p)
 					}
@@ -388,18 +374,12 @@ func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error 
 // appended to taskAddrs. Shared by the batch and streaming slice
 // executors; a non-nil error is only possible under FailFast (the
 // streaming path runs that policy through the plan executor too).
-func runPlanSliceTask(seq *mpeg2.SequenceHeader, pics []*picState, p *picState, ti, wi int, opt Options, scr *sliceScratch, work *decoder.WorkStats, es *ErrorStats, sst *SplitStats, taskAddrs *[]int) error {
+func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Options, scr *sliceScratch, work *decoder.WorkStats, es *ErrorStats, sst *SplitStats, taskAddrs *[]int) error {
 	if p.fate == fateSubstitute {
-		var src *frame.Frame
-		if p.subFrom >= 0 {
-			src = pics[p.subFrom].frame
-		}
-		if !p.frame.CopyPixelsFrom(src) {
-			p.frame.Fill(128)
-		}
+		substitute(p)
 		return nil
 	}
-	refs := picRefs(pics, p)
+	refs := picRefs(p)
 	last := len(p.rng.Slices) - 1
 	gi, j, seg := p.taskAt(ti)
 	if j != nil {

@@ -154,10 +154,14 @@ type ScanState struct {
 	gopPics, picSlices int
 
 	// OnGOP, when non-nil, is called each time a group of pictures
-	// closes, with its index and range (absolute stream offsets). The
-	// streaming pipeline copies the group's bytes out of its window here;
-	// returning an error aborts the scan.
-	OnGOP func(g int, gr *GOPRange) error
+	// closes, with its index and range (absolute stream offsets), and the
+	// range is the callback's from then on, to keep and to alter: the scan
+	// forgets it, so a scan with a callback holds one open group however
+	// long the stream, and Finish's map carries the header and the counts
+	// but no GOPs. The streaming pipeline copies the group's bytes out of
+	// its window here; returning an error aborts the scan.
+	OnGOP  func(g int, gr *GOPRange) error
+	groups int // groups closed so far
 }
 
 // NewScanState returns a scan state machine (lenient or strict, matching
@@ -234,13 +238,14 @@ func (s *ScanState) closeGOP(end int) error {
 	s.curGOP.FirstDisplay = s.display
 	s.display += len(s.curGOP.Pictures)
 	s.gopPics = len(s.curGOP.Pictures)
-	g := len(s.m.GOPs)
-	s.m.GOPs = append(s.m.GOPs, *s.curGOP)
 	s.m.TotalPictures += len(s.curGOP.Pictures)
+	g, gr := s.groups, s.curGOP
+	s.groups++
 	s.curGOP = nil
 	if s.OnGOP != nil {
-		return s.OnGOP(g, &s.m.GOPs[g])
+		return s.OnGOP(g, gr)
 	}
+	s.m.GOPs = append(s.m.GOPs, *gr)
 	return nil
 }
 

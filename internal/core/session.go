@@ -57,12 +57,10 @@ type Session struct {
 // workers execute it via Session.Run.
 type SessionTask struct {
 	s     *Session
-	pics  []*picState // plan-prefix snapshot covering the group
-	first int         // plan index of the group's first picture
-	n     int
-	g     int   // group index, for error messages and obs coordinates
-	off   int   // absolute stream offset, for error messages
-	bytes int64 // compressed size, the cost model's estimate input
+	pics  []*picState // the group's planned pictures; what they reference is among them
+	g     int         // group index, for error messages and obs coordinates
+	off   int         // absolute stream offset, for error messages
+	bytes int64       // compressed size, the cost model's estimate input
 
 	displayBase int   // first display index the group occupies
 	shed        int   // pictures of this group substituted by shedding
@@ -86,7 +84,7 @@ type SessionTask struct {
 func (t *SessionTask) GOP() int { return t.g }
 
 // Pictures returns how many pictures the task will complete.
-func (t *SessionTask) Pictures() int { return t.n }
+func (t *SessionTask) Pictures() int { return len(t.pics) }
 
 // Bytes returns the group's compressed size (the scheduling cost
 // estimate).
@@ -174,14 +172,6 @@ func (s *Session) Displayed() int {
 	return s.disp.count()
 }
 
-// Planned returns how many pictures have been planned so far.
-func (s *Session) Planned() int {
-	if s.pb == nil {
-		return 0
-	}
-	return len(s.pb.pl.pics)
-}
-
 func (s *Session) start(u *Unit) {
 	s.started = true
 	s.wallStart = time.Now()
@@ -228,7 +218,6 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 		policy = ConcealPicture
 	}
 	preShed := s.pb.pl.shed
-	first := len(s.pb.pl.pics)
 	displayBase := s.pb.displayBase
 	ps, err := s.pb.addGOP(u.Data, u.G, &u.Range)
 	if err != nil {
@@ -251,12 +240,9 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	if len(ps) == 0 {
 		return nil, nil
 	}
-	end := first + len(ps)
 	return &SessionTask{
 		s:           s,
-		pics:        s.pb.pl.pics[:end:end],
-		first:       first,
-		n:           len(ps),
+		pics:        ps,
 		g:           u.G,
 		off:         u.Base + u.Range.Offset,
 		bytes:       int64(len(u.Data)),
@@ -278,9 +264,10 @@ type Scratch struct{ s sliceScratch }
 // Run executes one task on pool worker wi with that worker's scratch:
 // decode or substitute every picture of the group, releasing reference
 // holds and pushing each completed frame to the display process (which
-// drains in display order into the sink). If the session has already
-// failed, Run returns the latched error without decoding — the drain path
-// that keeps teardown prompt. A decode error is latched and returned.
+// drains in display order into the sink), after which the group leaves the
+// plan. If the session has already failed, Run returns the latched error
+// without decoding — the drain path that keeps teardown prompt. A decode
+// error is latched and returned.
 func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 	if err := s.errs.get(); err != nil {
 		return err
@@ -297,16 +284,15 @@ func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 	if t.assist > 1 && (opt.SplitIndex != nil || opt.SpeculativeSplit) {
 		assist = t.assist
 	}
-	for idx := t.first; idx < t.first+t.n; idx++ {
-		p := t.pics[idx]
+	for _, p := range t.pics {
 		newPlanFrame(s.pool, p)
 		var w decoder.WorkStats
 		var pes ErrorStats
 		var err error
 		if assist > 1 {
-			w, pes, err = decodeAssistPic(&s.seq, t.pics, idx, wi, opt, &scr.s, assist, &split)
+			w, pes, err = decodeAssistPic(&s.seq, p, wi, opt, &scr.s, assist, &split)
 		} else {
-			w, pes, err = decodePlanPic(&s.seq, t.pics, idx, wi, opt, &scr.s)
+			w, pes, err = decodePlanPic(&s.seq, p, wi, opt, &scr.s)
 		}
 		work.Add(w)
 		es.Add(pes)
@@ -316,13 +302,10 @@ func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 			s.noteTask(t, wi, t1, work, es, split)
 			return err
 		}
-		for _, ri := range p.holds {
-			if t.pics[ri].frame.Release() {
-				s.pool.Put(t.pics[ri].frame)
-			}
-		}
+		releaseHolds(s.pool, p)
 		s.disp.push(p.frame, p.displayIdx)
 	}
+	s.pb.pl.retire(t.pics)
 	s.noteTask(t, wi, t1, work, es, split)
 	s.opt.Cost.Observe(t.bytes, time.Since(t1))
 	return nil
@@ -342,9 +325,10 @@ func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.Wo
 // Run (the service drains its pool first — Finish does not join
 // workers). cause is the stream-side verdict: nil on a clean end of
 // stream, the context's error on cancellation. Any failure — cause or a
-// latched decode error — switches Finish into teardown: the reorder
-// buffer is abandoned and every planned frame forcibly reclaimed, so a
-// cancelled stream holds no picture memory. Stats are returned in both
+// latched decode error — switches Finish into teardown: the frames in the
+// reorder buffer and those of the groups still in the plan (a group leaves
+// it when its task has run) are forcibly reclaimed, so a cancelled stream
+// holds no picture memory. Stats are returned in both
 // cases; LeakedFrameBytes reports pool bytes still unaccounted (always
 // zero — the teardown tests assert it). Either way the pool's idle frames
 // then go back to Options.Frames, once the gauges are read.
@@ -358,7 +342,7 @@ func (s *Session) Finish(cause error) (*Stats, error) {
 	st.Wall = time.Since(s.wallStart)
 	st.Errors.Add(s.pb.pl.pre)
 	st.Shed.Add(s.pb.pl.shed)
-	st.Pictures = len(s.pb.pl.pics)
+	st.Pictures = s.pb.pl.planned
 	if err != nil {
 		s.disp.abandon()
 		for _, p := range s.pb.pl.pics {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +31,11 @@ type picState struct {
 	params     mpeg2.PictureParams
 	displayIdx int
 
-	fwd, bwd int // decode-order indices of reference pictures, -1 if none
+	// The reference pictures, nil if none. They are pointers, not indices
+	// into a list every reader would have to hold a consistent snapshot
+	// of; the plan never references across a group, so the chain from any
+	// picture ends inside its own group and retires with it.
+	fwd, bwd *picState
 	isRef    bool
 	deps     int32 // number of later pictures that reference this one
 
@@ -70,19 +75,19 @@ type picState struct {
 	shipped bool
 
 	// Resilient-plan fields (see plan.go); unused by the legacy paths.
-	gop       int     // index into StreamMap.GOPs
-	typeKnown bool    // the coding type survived the scan
-	headerOK  bool    // the full picture header parsed
-	fate      picFate // decode from the bitstream or substitute
-	subFrom   int     // substitution source (plan index), -1 for grey
+	gop       int       // index into StreamMap.GOPs
+	typeKnown bool      // the coding type survived the scan
+	headerOK  bool      // the full picture header parsed
+	fate      picFate   // decode from the bitstream or substitute
+	subFrom   *picState // substitution source, nil for grey
 	// shedBy, when non-zero, records that this picture's substitution
 	// was load shedding (deliberate degradation), not damage.
 	shedBy  ShedLevel
-	holds   []int   // plan indices of frames read by this picture (released on completion)
-	holdBuf [2]int  // holds' storage: two references, or one substitution source
-	groups  [][]int // slice indices per queue task (buildRowGroups)
-	damaged int     // slices whose parse/reconstruction failed
-	resyncs int     // damaged slices recovered by a later startcode
+	holds   []*picState  // pictures whose frames this one reads (released on completion)
+	holdBuf [2]*picState // holds' storage: two references, or one substitution source
+	groups  [][]int      // slice indices per queue task (buildRowGroups)
+	damaged int          // slices whose parse/reconstruction failed
+	resyncs int          // damaged slices recovered by a later startcode
 
 	// unit, on the streaming path, is the in-flight GOP buffer this
 	// picture decodes from; retired when its last picture completes.
@@ -99,8 +104,11 @@ type picState struct {
 // over the full picture list; the streaming path appends pictures as the
 // scan discovers them and closes the queue at end of stream.
 type sliceQueue struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// pics is the queue's own window of the decode order: pictures leave
+	// its head once handed to the display process (shipPic), so however
+	// long the stream it holds the depth window and what waits behind it.
 	pics     []*picState
 	pool     *frame.Pool
 	issueIdx int // first picture whose slices are not fully handed out
@@ -180,7 +188,7 @@ func (q *sliceQueue) idle(wi int) {
 // says that no picture will be appended.
 func newSliceQueue(pics []*picState, pool *frame.Pool, opt Options, closed bool) *sliceQueue {
 	q := &sliceQueue{
-		pics: pics, pool: pool, closed: closed,
+		pics: slices.Clone(pics), pool: pool, closed: closed,
 		improved: opt.Mode == ModeSliceImproved,
 		depth:    opt.Workers + 4,
 		obs:      opt.Obs, workers: opt.Workers, affinity: opt.Affinity,
@@ -227,9 +235,9 @@ func rowsReady(ref *picState, lo, hi int) bool {
 
 // refsComplete reports whether every frame p reads is complete, in which
 // case all of p's tasks are runnable.
-func (q *sliceQueue) refsComplete(p *picState) bool {
-	for _, ri := range [...]int{p.fwd, p.bwd, p.subFrom} {
-		if ri >= 0 && !q.pics[ri].complete {
+func refsComplete(p *picState) bool {
+	for _, r := range [...]*picState{p.fwd, p.bwd, p.subFrom} {
+		if r != nil && !r.complete {
 			return false
 		}
 	}
@@ -241,21 +249,21 @@ func (q *sliceQueue) refsComplete(p *picState) bool {
 // picture's f_code around the task's own rows is published. A task
 // without rows of its own, and a substitute (which copies its source
 // frame), wait for the whole frame.
-func (q *sliceQueue) ready(p *picState, ti int) bool {
+func ready(p *picState, ti int) bool {
 	last := p.params.MBHeight - 1
-	if p.subFrom >= 0 && !rowsReady(q.pics[p.subFrom], 0, last) {
+	if p.subFrom != nil && !rowsReady(p.subFrom, 0, last) {
 		return false
 	}
 	r0, r1, _, spans := taskRows(p, ti)
-	for dir, ri := range [...]int{p.fwd, p.bwd} {
-		if ri < 0 {
+	for dir, ref := range [...]*picState{p.fwd, p.bwd} {
+		if ref == nil {
 			continue
 		}
 		lo, hi := 0, last
 		if w := refRowWindow(p.params.FCode[dir][1], !p.params.FramePredFrameDCT); spans && w >= 0 {
 			lo, hi = max(r0-w, 0), min(r1+w, last)
 		}
-		if !rowsReady(q.pics[ri], lo, hi) {
+		if !rowsReady(ref, lo, hi) {
 			return false
 		}
 	}
@@ -282,7 +290,7 @@ func (q *sliceQueue) next(wi int) *picState {
 		// Improved version: any picture inside the depth window may issue
 		// a task whose reference rows are published. The common case —
 		// every reference complete — skips the per-task check.
-		if p.nextSlice < p.nTasks && q.pickTask(p, wi, !q.refsComplete(p)) {
+		if p.nextSlice < p.nTasks && q.pickTask(p, wi, !refsComplete(p)) {
 			return p
 		}
 	}
@@ -290,18 +298,14 @@ func (q *sliceQueue) next(wi int) *picState {
 }
 
 // take blocks until a slice task is available (returning picture and
-// task index) or the queue is exhausted/failed (ok=false). pics is the
-// picture list as of the take, through which the worker resolves p's
-// absolute reference indices: elements below len(pics) are fully
-// initialized before append publishes them, and a reallocated backing
-// array never invalidates a list returned earlier. The time spent
+// task index) or the queue is exhausted/failed (ok=false). The time spent
 // blocked — polling or asleep, see sliceQueue.busy — is returned and
 // added to ws.Wait, and each sleep counted in ws.Parks; wi identifies the
 // taking worker for the wait event a blocked take records (a block with
 // tasks queued behind the barrier discipline is a barrier wait, a block
 // on an empty queue is starvation). A take that never blocks reads no
 // clock and records nothing.
-func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, pics []*picState, wait time.Duration, ok bool) {
+func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, wait time.Duration, ok bool) {
 	var t0 time.Time
 	blocked, barrier := false, false
 	block := func() {
@@ -340,7 +344,7 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, pics
 	}()
 	for {
 		if q.failed {
-			return nil, 0, nil, 0, false
+			return nil, 0, 0, false
 		}
 		// Skip over fully-issued pictures.
 		for q.issueIdx < len(q.pics) && q.pics[q.issueIdx].nextSlice >= q.pics[q.issueIdx].nTasks {
@@ -348,7 +352,7 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, pics
 		}
 		if q.issueIdx >= len(q.pics) {
 			if q.closed {
-				return nil, 0, nil, 0, false
+				return nil, 0, 0, false
 			}
 			block() // more pictures may still be appended
 			continue
@@ -370,7 +374,7 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, pics
 			slice = p.handout(p.nextSlice)
 			p.nextSlice++
 			q.hold(wi, true)
-			return p, slice, q.pics, 0, true
+			return p, slice, 0, true
 		}
 		// Tasks exist but none is runnable under the barrier discipline
 		// (or pipeline depth): synchronization, not starvation.
@@ -405,7 +409,7 @@ func (q *sliceQueue) pickTask(p *picState, wi int, gated bool) bool {
 	pick := -1
 	for pos := head; pos < p.nTasks; pos++ {
 		ti := p.handout(pos)
-		if gated && !q.ready(p, ti) {
+		if gated && !ready(p, ti) {
 			continue
 		}
 		if pick < 0 {
@@ -492,10 +496,19 @@ func (q *sliceQueue) completePic(p *picState) {
 }
 
 // shipPic records that p has been handed to the display process, which
-// advances the depth window (see sliceQueue.depth). Call after disp.push.
+// advances the depth window (see sliceQueue.depth) and lets the queue forget
+// every picture up to the first still unshipped: the depth and barrier rules
+// look back only at pictures that are not, and indices into pics are never
+// kept across q.mu. Call after disp.push.
 func (q *sliceQueue) shipPic(p *picState) {
 	q.mu.Lock()
 	p.shipped = true
+	n := 0
+	for n < len(q.pics) && q.pics[n].shipped {
+		n++
+	}
+	q.pics = slices.Delete(q.pics, 0, n)
+	q.issueIdx = max(q.issueIdx-n, 0)
 	q.busy++
 	q.changed()
 	q.mu.Unlock()
@@ -525,11 +538,11 @@ func (q *sliceQueue) missing(p *picState) []int {
 func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error) {
 	var pics []*picState
 	var splitScratch []mpeg2.MB
-	refOld, refNew := -1, -1
+	var refOld, refNew *picState
 	for g := range m.GOPs {
 		gop := &m.GOPs[g]
 		if gop.Closed {
-			refOld, refNew = -1, -1
+			refOld, refNew = nil, nil
 		}
 		for pi := range gop.Pictures {
 			pr := &gop.Pictures[pi]
@@ -547,12 +560,9 @@ func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error)
 				data:       data,
 				hdr:        hdr,
 				displayIdx: gop.FirstDisplay + pr.TemporalRef,
-				fwd:        -1,
-				bwd:        -1,
 				isRef:      hdr.Type != vlc.CodingB,
 				nTasks:     len(pr.Slices),
 				remaining:  len(pr.Slices),
-				subFrom:    -1,
 			}
 			ps.order = packOrder(sliceCosts(pr.Slices), opt.Packing, opt.PackSeed+int64(len(pics)))
 			ps.params = decoder.PictureParams(&m.Seq, &ps.hdr)
@@ -571,25 +581,24 @@ func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error)
 			ps.rowwise = distinct && (ps.tasks == nil || !opt.Conceal)
 			switch hdr.Type {
 			case vlc.CodingP:
-				if refNew < 0 {
+				if refNew == nil {
 					return nil, fmt.Errorf("core: P picture without reference")
 				}
 				ps.fwd = refNew
 			case vlc.CodingB:
-				if refOld < 0 || refNew < 0 {
+				if refOld == nil || refNew == nil {
 					return nil, fmt.Errorf("core: B picture without two references")
 				}
 				ps.fwd, ps.bwd = refOld, refNew
 			}
-			idx := len(pics)
 			pics = append(pics, ps)
-			for _, ri := range []int{ps.fwd, ps.bwd} {
-				if ri >= 0 {
-					pics[ri].deps++
+			for _, ref := range [...]*picState{ps.fwd, ps.bwd} {
+				if ref != nil {
+					ref.deps++
 				}
 			}
 			if ps.isRef {
-				refOld, refNew = refNew, idx
+				refOld, refNew = refNew, ps
 			}
 		}
 	}
@@ -644,7 +653,7 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 				ws := &st.WorkerStats[wi]
 				var scr sliceScratch
 				for {
-					p, ti, _, _, ok := q.take(wi, ws)
+					p, ti, _, ok := q.take(wi, ws)
 					if !ok {
 						return
 					}
@@ -658,9 +667,9 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 					if si, j, seg := p.taskAt(ti); j != nil {
 						kind = obs.KindSegment
 						work, addrs, err = runSegment(&m.Seq, &p.hdr, &p.params, p.data,
-							picRefs(pics, p), p.frame, j, seg, wi, p.rowwise, opt, opt.Tracer, &scr, &sst)
+							picRefs(p), p.frame, j, seg, wi, p.rowwise, opt, opt.Tracer, &scr, &sst)
 					} else {
-						work, addrs, err = decodeOneSlice(m, pics, p, si, wi, opt, &scr)
+						work, addrs, err = decodeOneSlice(m, p, si, wi, opt, &scr)
 					}
 					reg.End()
 					cost := time.Since(t0)
@@ -694,15 +703,15 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 								q.fail()
 								return
 							}
-							concealMBs(pics, p, miss)
+							concealMBs(p, miss)
 							workMu.Lock()
 							st.Concealed += len(miss)
 							workMu.Unlock()
 						}
 						q.completePic(p)
-						for _, ri := range []int{p.fwd, p.bwd} {
-							if ri >= 0 {
-								release(pics[ri].frame)
+						for _, ref := range [...]*picState{p.fwd, p.bwd} {
+							if ref != nil {
+								release(ref.frame)
 							}
 						}
 						disp.push(p.frame, p.displayIdx)
@@ -733,14 +742,8 @@ func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
 
 // concealMBs fills the listed macroblock addresses of p's frame by
 // temporal concealment.
-func concealMBs(pics []*picState, p *picState, addrs []int) {
-	var ref *frame.Frame
-	if p.fwd >= 0 {
-		ref = pics[p.fwd].frame
-	} else if p.bwd >= 0 {
-		ref = pics[p.bwd].frame
-	}
-	mbw := p.params.MBWidth
+func concealMBs(p *picState, addrs []int) {
+	ref, mbw := concealRef(p), p.params.MBWidth
 	for _, a := range addrs {
 		decoder.ConcealMB(p.frame, ref, a%mbw, a/mbw)
 	}
@@ -774,19 +777,28 @@ type sliceScratch struct {
 // macroblocks it reconstructed, for picture-coverage accounting. The
 // returned slice aliases scr.addrs and is valid until the worker's next
 // call.
-func decodeOneSlice(m *StreamMap, pics []*picState, p *picState, si, wi int, opt Options, scr *sliceScratch) (decoder.WorkStats, []int, error) {
+func decodeOneSlice(m *StreamMap, p *picState, si, wi int, opt Options, scr *sliceScratch) (decoder.WorkStats, []int, error) {
 	return decodeSliceRange(p.data, &m.Seq, &p.hdr, &p.params, p.rng.Slices[si],
-		p.sliceBound(si), picRefs(pics, p), p.frame, wi, opt.Tracer, scr)
+		p.sliceBound(si), picRefs(p), p.frame, wi, opt.Tracer, scr)
+}
+
+// concealRef returns the frame p's lost macroblocks are concealed from.
+func concealRef(p *picState) *frame.Frame {
+	refs := picRefs(p)
+	if refs.Fwd != nil {
+		return refs.Fwd
+	}
+	return refs.Bwd
 }
 
 // picRefs resolves a picture's prediction reference frames.
-func picRefs(pics []*picState, p *picState) decoder.Refs {
+func picRefs(p *picState) decoder.Refs {
 	refs := decoder.Refs{}
-	if p.fwd >= 0 {
-		refs.Fwd = pics[p.fwd].frame
+	if p.fwd != nil {
+		refs.Fwd = p.fwd.frame
 	}
-	if p.bwd >= 0 {
-		refs.Bwd = pics[p.bwd].frame
+	if p.bwd != nil {
+		refs.Bwd = p.bwd.frame
 	}
 	return refs
 }

@@ -88,8 +88,8 @@ func newChainFixture(t *testing.T, data []byte, ix *vldsplit.Index, policy Resil
 	for _, p := range pl.pics[:2] {
 		newPlanFrame(pool, p)
 	}
-	if ref, dep := pl.pics[0], pl.pics[1]; len(ref.tasks) != 3 || dep.fwd != 0 {
-		t.Fatalf("fixture: first picture has %d tasks, second predicts from %d; want 3 segments and 0", len(ref.tasks), dep.fwd)
+	if ref, dep := pl.pics[0], pl.pics[1]; len(ref.tasks) != 3 || dep.fwd != ref {
+		t.Fatalf("fixture: first picture has %d tasks, second predicts from %p; want 3 segments and the first", len(ref.tasks), dep.fwd)
 	}
 	q := &sliceQueue{pics: pl.pics, improved: true}
 	q.cond = sync.NewCond(&q.mu)
@@ -103,7 +103,7 @@ func (c *chainFixture) run(t *testing.T, ti int, sst *SplitStats) []int {
 	var work decoder.WorkStats
 	var es ErrorStats
 	var addrs []int
-	if err := runPlanSliceTask(&c.seq.Seq, c.pics, c.pics[0], ti, ti, c.opt, &c.scr[ti], &work, &es, sst, &addrs); err != nil {
+	if err := runPlanSliceTask(&c.seq.Seq, c.pics[0], ti, ti, c.opt, &c.scr[ti], &work, &es, sst, &addrs); err != nil {
 		t.Fatalf("segment %d: %v", ti, err)
 	}
 	c.q.finish(c.pics[0], addrs)
@@ -160,7 +160,7 @@ func TestSplitChainPublishesPrefix(t *testing.T) {
 						want = want && chained
 					}
 				}
-				if got := c.q.ready(dep, di); got != want {
+				if got := ready(dep, di); got != want {
 					t.Fatalf("order %v after segment %d: dependent task %d (rows %d..%d, window %d) ready = %v, want %v",
 						order, ti, di, r0, r1, w, got, want)
 				}

@@ -59,16 +59,22 @@ func (u *Unit) ShedSavings(l ShedLevel) int64 {
 type unitState struct {
 	exec      *StreamExecutor
 	bytes     int64
-	remaining int32 // pictures (or whole-group tasks) not yet completed
+	remaining int32       // pictures (or whole-group tasks) not yet completed
+	pics      []*picState // the unit's planned pictures
 }
 
 // retire records one completed picture; the last one releases the
-// unit's bytes and its window slot, unblocking the scan process.
+// unit's bytes and its window slot, unblocking the scan process, and takes
+// the unit's pictures out of the plan — unless the run has failed, when
+// Finish needs them to reclaim their frames.
 func (u *unitState) retire() {
 	if atomic.AddInt32(&u.remaining, -1) != 0 {
 		return
 	}
 	e := u.exec
+	if e.errs.get() == nil {
+		e.pb.pl.retire(u.pics)
+	}
 	e.mu.Lock()
 	e.unitBytes -= u.bytes
 	e.mu.Unlock()
@@ -76,15 +82,11 @@ func (u *unitState) retire() {
 }
 
 // gopTask is one coarse-grained streaming task: decode every picture of
-// a planned group. pics is a plan-prefix snapshot long enough to cover
-// the group's pictures and everything they reference.
+// a planned group (unit.pics; what they reference is among them).
 type gopTask struct {
-	pics  []*picState
-	first int // plan index of the group's first picture
-	n     int
-	g     int
-	off   int // absolute stream offset, for error messages
-	unit  *unitState
+	g    int
+	off  int // absolute stream offset, for error messages
+	unit *unitState
 }
 
 // StreamExecutor runs the decode side of the streaming pipeline: the
@@ -288,7 +290,6 @@ func (e *StreamExecutor) Feed(u Unit) error {
 	}
 	e.mu.Unlock()
 
-	first := len(e.pb.pl.pics)
 	ps, err := e.pb.addGOP(u.Data, u.G, &u.Range)
 	if err != nil {
 		e.setErr(err)
@@ -304,6 +305,7 @@ func (e *StreamExecutor) Feed(u Unit) error {
 		}
 		e.st.Auto.Reevals++
 	}
+	us.pics = ps
 	if len(ps) == 0 {
 		// Empty or policy-dropped group: nothing will decode from the
 		// unit, release it immediately.
@@ -320,15 +322,7 @@ func (e *StreamExecutor) Feed(u Unit) error {
 		e.q.append(ps)
 	default:
 		us.remaining = 1
-		end := first + len(ps)
-		e.gopTasks <- gopTask{
-			pics:  e.pb.pl.pics[:end:end],
-			first: first,
-			n:     len(ps),
-			g:     u.G,
-			off:   u.Base + u.Range.Offset,
-			unit:  us,
-		}
+		e.gopTasks <- gopTask{g: u.G, off: u.Base + u.Range.Offset, unit: us}
 	}
 	return nil
 }
@@ -369,9 +363,11 @@ func (e *StreamExecutor) fillGauges() {
 // Finish closes the intake, joins the workers, and completes the run.
 // scanErr is the scan side's verdict (nil on a clean end of stream, the
 // context's error on cancellation); any error — from either side —
-// switches Finish into teardown: the reorder buffer is abandoned and
-// every planned frame is forcibly reclaimed, so a cancelled pipeline
-// holds no picture memory. Stats are returned in both cases;
+// switches Finish into teardown: the reorder buffer's frames and those
+// of every picture still in the plan are forcibly reclaimed (a picture
+// that has left it has handed its frame to the display process and been
+// released by all that read it), so a cancelled pipeline holds no picture
+// memory. Stats are returned in both cases;
 // LeakedFrameBytes reports pool bytes still unaccounted afterwards
 // (always zero — the cancellation tests assert it).
 func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
@@ -401,7 +397,7 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 	if e.started {
 		st.Wall = time.Since(e.wallStart)
 		st.Errors.Add(e.pb.pl.pre)
-		st.Pictures = len(e.pb.pl.pics)
+		st.Pictures = e.pb.pl.planned
 	}
 	defer e.fillGauges()
 	if err != nil {
@@ -464,10 +460,9 @@ func (e *StreamExecutor) runGOPTask(t *gopTask, wi int, ws *WorkerStats, scr *sl
 	defer reg.End()
 	var work decoder.WorkStats
 	var es ErrorStats
-	for idx := t.first; idx < t.first+t.n; idx++ {
-		p := t.pics[idx]
+	for _, p := range t.unit.pics {
 		newPlanFrame(e.pool, p)
-		w, pes, err := decodePlanPic(&e.seq, t.pics, idx, wi, e.opt, scr)
+		w, pes, err := decodePlanPic(&e.seq, p, wi, e.opt, scr)
 		work.Add(w)
 		es.Add(pes)
 		if err != nil {
@@ -478,11 +473,7 @@ func (e *StreamExecutor) runGOPTask(t *gopTask, wi int, ws *WorkerStats, scr *sl
 			e.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
 			return
 		}
-		for _, ri := range p.holds {
-			if t.pics[ri].frame.Release() {
-				e.pool.Put(t.pics[ri].frame)
-			}
-		}
+		releaseHolds(e.pool, p)
 		e.disp.push(p.frame, p.displayIdx)
 	}
 	cost := time.Since(t1)
@@ -520,7 +511,7 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 		}()
 		for {
 			e.gate.enter(wi)
-			p, ti, pics, wait, ok := e.q.take(wi, ws)
+			p, ti, wait, ok := e.q.take(wi, ws)
 			e.tuner.NoteWait(wait)
 			if !ok {
 				return
@@ -528,7 +519,7 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 			t0 := time.Now()
 			reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
 			taskAddrs = taskAddrs[:0]
-			err := runPlanSliceTask(&e.seq, pics, p, ti, wi, e.opt, &scr, &work, &es, &sst, &taskAddrs)
+			err := runPlanSliceTask(&e.seq, p, ti, wi, e.opt, &scr, &work, &es, &sst, &taskAddrs)
 			reg.End()
 			cost := time.Since(t0)
 			ws.Busy += cost
@@ -557,16 +548,12 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 							e.q.fail()
 							return
 						}
-						concealMBs(pics, p, miss)
+						concealMBs(p, miss)
 						es.ConcealedMBs += len(miss)
 					}
 				}
 				e.q.completePic(p)
-				for _, ri := range p.holds {
-					if pics[ri].frame.Release() {
-						e.pool.Put(pics[ri].frame)
-					}
-				}
+				releaseHolds(e.pool, p)
 				e.disp.push(p.frame, p.displayIdx)
 				e.q.shipPic(p)
 				p.unit.retire()

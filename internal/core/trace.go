@@ -109,7 +109,7 @@ func traceSlices(data []byte, m *StreamMap, procs int, aff Affinity, tr memtrace
 			}
 			sr := p.rng.Slices[si]
 			traceInput(tr, data, proc, sr.Offset, sr.End)
-			if _, _, err := decodeOneSlice(m, pics, p, si, proc, opt, &scr); err != nil {
+			if _, _, err := decodeOneSlice(m, p, si, proc, opt, &scr); err != nil {
 				return err
 			}
 			task++

@@ -33,8 +33,8 @@ func refRowWindow(fcode int, field bool) int {
 // through (0 when p predicts from nothing, or from whole frames).
 func picRowWindow(p *picState) int {
 	w := 0
-	for dir, ri := range [...]int{p.fwd, p.bwd} {
-		if ri < 0 {
+	for dir, ref := range [...]*picState{p.fwd, p.bwd} {
+		if ref == nil {
 			continue
 		}
 		d := refRowWindow(p.params.FCode[dir][1], !p.params.FramePredFrameDCT)

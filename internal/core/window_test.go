@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,13 +113,13 @@ func TestRefRowWindowExhaustive(t *testing.T) {
 
 // windowTestPic builds a decodable picState of mbw×mbh macroblocks with
 // one slice per row, f_code 1 in both directions (a one-row window).
-func windowTestPic(mbw, mbh, fwd, bwd int, deps int32) *picState {
+func windowTestPic(mbw, mbh int, fwd, bwd *picState, deps int32) *picState {
 	pr := &PictureRange{}
 	for r := 0; r < mbh; r++ {
 		pr.Slices = append(pr.Slices, SliceRange{Row: r})
 	}
 	p := &picState{
-		rng: pr, fwd: fwd, bwd: bwd, subFrom: -1, deps: deps,
+		rng: pr, fwd: fwd, bwd: bwd, deps: deps,
 		nTasks: mbh, remaining: mbh, rowwise: true,
 		params: mpeg2.PictureParams{MBWidth: mbw, MBHeight: mbh,
 			FCode: [2][2]int{{1, 1}, {1, 1}}, FramePredFrameDCT: true},
@@ -139,7 +140,7 @@ func groupedTestPic(mbw, mbh, workers int, perRow func(r int) int) *picState {
 			pr.Slices = append(pr.Slices, SliceRange{Row: r})
 		}
 	}
-	p := windowTestPic(mbw, mbh, -1, -1, 0)
+	p := windowTestPic(mbw, mbh, nil, nil, 0)
 	p.rng = pr
 	p.bounds = sliceSpanBounds(pr.Slices, &p.params)
 	p.groups = buildRowGroups(pr.Slices, p.bounds, &p.params, workers)
@@ -168,13 +169,14 @@ func rowAddrs(p *picState, r int) []int {
 func TestSliceQueueRowWindow(t *testing.T) {
 	const mbw, mbh, held = 2, 12, 5
 	for _, depth := range []int{6, 2} {
-		pics := []*picState{
-			windowTestPic(mbw, mbh, -1, -1, 2), // I0
-			windowTestPic(mbw, mbh, 0, -1, 1),  // P1 <- I0
-			windowTestPic(mbw, mbh, 0, 1, 0),   // B2 <- I0, P1
-			windowTestPic(mbw, mbh, -1, -1, 0), // I3, next group
+		i0 := windowTestPic(mbw, mbh, nil, nil, 2)
+		p1 := windowTestPic(mbw, mbh, i0, nil, 1)
+		pics := []*picState{i0, p1,
+			windowTestPic(mbw, mbh, i0, p1, 0),   // B2 <- I0, P1
+			windowTestPic(mbw, mbh, nil, nil, 0), // I3, next group
 		}
-		q := &sliceQueue{pics: pics, improved: true, pool: frame.NewPool(mbw*16, mbh*16),
+		// The queue forgets I0 when it ships; pics keeps all four.
+		q := &sliceQueue{pics: slices.Clone(pics), improved: true, pool: frame.NewPool(mbw*16, mbh*16),
 			depth: depth, closed: true, workers: 1, affinity: AffinityNone}
 		q.cond = sync.NewCond(&q.mu)
 		runnable := func() bool {
@@ -190,8 +192,8 @@ func TestSliceQueueRowWindow(t *testing.T) {
 			if !runnable() {
 				t.Fatalf("depth %d: take would block; want a task of picture %d", depth, pindex(pics, want))
 			}
-			p, ti, snap, wait, ok := q.take(0, &WorkerStats{})
-			if !ok || p != want || wait != 0 || len(snap) != len(pics) {
+			p, ti, wait, ok := q.take(0, &WorkerStats{})
+			if !ok || p != want || wait != 0 {
 				t.Fatalf("depth %d: take = picture %d ok %v wait %v; want picture %d without blocking",
 					depth, pindex(pics, p), ok, wait, pindex(pics, want))
 			}
@@ -217,6 +219,9 @@ func TestSliceQueueRowWindow(t *testing.T) {
 			t.Fatal("depth 2: B2 issued a task while I0 was complete but not yet shipped")
 		}
 		q.shipPic(pics[0])
+		if len(q.pics) != 3 || q.pics[0] != pics[1] {
+			t.Fatalf("depth %d: the queue holds %d pictures after I0 shipped, want P1, B2, I3", depth, len(q.pics))
+		}
 
 		// B2 reads P1 through a one-row window: rows held-1..held+1 wait.
 		got := map[int]bool{}
@@ -253,9 +258,9 @@ func TestSliceQueueRowWindow(t *testing.T) {
 	// 2..6 through the one-row window, so it must wait for row 6 — the row
 	// below its last — and for row 2 above its first, and for nothing else.
 	for _, late := range []int{2, 6} {
-		ref := windowTestPic(mbw, mbh, -1, -1, 1)
+		ref := windowTestPic(mbw, mbh, nil, nil, 1)
 		dep := groupedTestPic(mbw, mbh, 1, func(int) int { return 1 })
-		dep.fwd = 0
+		dep.fwd = ref
 		if len(dep.groups) != 4 || len(dep.groups[1]) != 3 {
 			t.Fatalf("dependent picture planned as %v, want four tasks of three rows", dep.groups)
 		}
@@ -269,13 +274,13 @@ func TestSliceQueueRowWindow(t *testing.T) {
 		// Row mbh-1 stays out too, so the reference is not complete and
 		// the last task (rows 9..11) is never ready.
 		for ti, want := range []bool{late != 2, false, late != 6, false} {
-			if got := q.ready(dep, ti); got != want {
+			if got := ready(dep, ti); got != want {
 				t.Fatalf("reference row %d unpublished: task %d (rows %d..%d) ready = %v, want %v",
 					late, ti, 3*ti, 3*ti+2, got, want)
 			}
 		}
 		q.finish(ref, rowAddrs(ref, late))
-		if !q.ready(dep, 1) {
+		if !ready(dep, 1) {
 			t.Fatalf("task of rows 3..5 not ready once reference row %d is published", late)
 		}
 	}
@@ -286,8 +291,8 @@ func TestSliceQueueRowWindow(t *testing.T) {
 // split slices), and rows a damaged task left uncovered.
 func TestSliceQueueLatePublication(t *testing.T) {
 	const mbw, mbh = 2, 4
-	ref := windowTestPic(mbw, mbh, -1, -1, 1)
-	dep := windowTestPic(mbw, mbh, 0, -1, 0)
+	ref := windowTestPic(mbw, mbh, nil, nil, 1)
+	dep := windowTestPic(mbw, mbh, ref, nil, 0)
 	q := &sliceQueue{pics: []*picState{ref, dep}, improved: true}
 	q.cond = sync.NewCond(&q.mu)
 
@@ -295,24 +300,24 @@ func TestSliceQueueLatePublication(t *testing.T) {
 	for r := 0; r < mbh; r++ {
 		q.finish(ref, rowAddrs(ref, r))
 	}
-	if q.ready(dep, 0) {
+	if ready(dep, 0) {
 		t.Fatal("rows of a picture that publishes as a whole were readable before completePic")
 	}
 	q.completePic(ref)
-	if !q.ready(dep, 0) {
+	if !ready(dep, 0) {
 		t.Fatal("task not ready although its reference is complete")
 	}
 
-	ref = windowTestPic(mbw, mbh, -1, -1, 1)
-	q.pics[0] = ref
+	ref = windowTestPic(mbw, mbh, nil, nil, 1)
+	q.pics[0], dep.fwd = ref, ref
 	q.finish(ref, rowAddrs(ref, 0))
 	q.finish(ref, rowAddrs(ref, 1)[:1]) // a damaged task: half of row 1
 	q.finish(ref, rowAddrs(ref, 2))
-	if q.ready(dep, 0) || q.ready(dep, 1) || q.ready(dep, 2) {
+	if ready(dep, 0) || ready(dep, 1) || ready(dep, 2) {
 		t.Fatal("a task whose window holds a half-covered row was ready")
 	}
 	q.finish(ref, rowAddrs(ref, 3))
-	if !q.ready(dep, 3) {
+	if !ready(dep, 3) {
 		t.Fatal("row 3 (window 2..3, both covered) should be ready")
 	}
 	if miss := q.missing(ref); len(miss) != 1 || miss[0] != 1*mbw+1 {
@@ -341,8 +346,8 @@ func TestCoverageAllocs(t *testing.T) {
 	}
 	var scr sliceScratch
 	decodeAll := func() {
-		for idx := range pl.pics {
-			if _, _, err := decodePlanPic(&m.Seq, pl.pics, idx, 0, opt, &scr); err != nil {
+		for _, p := range pl.pics {
+			if _, _, err := decodePlanPic(&m.Seq, p, 0, opt, &scr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -352,7 +357,7 @@ func TestCoverageAllocs(t *testing.T) {
 		t.Fatalf("decodePlanPic allocates %.1f times per %d pictures, want 0", allocs, len(pl.pics))
 	}
 
-	p := windowTestPic(6, 4, -1, -1, 1)
+	p := windowTestPic(6, 4, nil, nil, 1)
 	q := &sliceQueue{pics: []*picState{p}, improved: true}
 	q.cond = sync.NewCond(&q.mu)
 	rows := [][]int{rowAddrs(p, 0), rowAddrs(p, 1), rowAddrs(p, 2), rowAddrs(p, 3)}

@@ -1,11 +1,20 @@
 // Package stream decodes an MPEG-2 elementary stream incrementally from
 // an io.Reader: the scan process discovers structure chunk by chunk and
 // feeds groups of pictures to the worker pool as soon as they close,
-// instead of after a full-stream scan. Memory stays bounded by the
-// scan-ahead window (plus one group of pictures), never by stream
-// length, and output is bit-identical to the batch decoder for every
-// mode and resilience policy — both sides drive the same incremental
-// scan state machine and plan builder.
+// instead of after a full-stream scan. Output is bit-identical to the batch
+// decoder for every mode and resilience policy — both sides drive the same
+// incremental scan state machine and plan builder.
+//
+// What a decode holds is bounded by windows, never by stream length: the
+// scan window (the open group and the unscanned tail, one chunk unless a
+// group outgrows it), at most MaxInFlight units — a closed group's bytes
+// and scanned ranges, handed over by the scan and forgotten there — with
+// their planned pictures, the slice queue's depth window and the reorder
+// buffer. A group's pictures leave the plan when every one of them has
+// been decoded and handed to the display process (its unit retires);
+// nothing later can name them, since references never leave a group.
+// Stats.PeakInFlightBytes gauges window + units; DESIGN.md, "Streaming
+// pipeline", has the table.
 package stream
 
 import (
@@ -75,14 +84,14 @@ func (w *windowScanner) run(ctx context.Context, note func(int)) (int, error) {
 			}
 			w.base = keep
 		}
-		// Read one chunk, growing the window only when the open group
-		// outruns the current capacity.
-		if cap(w.buf)-len(w.buf) < w.chunk {
+		// Read into the capacity that is left, a chunk at most; the window
+		// grows only when the open group has filled it.
+		if len(w.buf) == cap(w.buf) {
 			nb := make([]byte, len(w.buf), 2*len(w.buf)+w.chunk)
 			copy(nb, w.buf)
 			w.buf = nb
 		}
-		n, rerr := w.r.Read(w.buf[len(w.buf) : len(w.buf)+w.chunk])
+		n, rerr := w.r.Read(w.buf[len(w.buf):min(cap(w.buf), len(w.buf)+w.chunk)])
 		w.buf = w.buf[:len(w.buf)+n]
 		if n > 0 && w.gauge != nil {
 			w.gauge(int64(n))
@@ -121,25 +130,20 @@ func (w *windowScanner) run(ctx context.Context, note func(int)) (int, error) {
 	}
 }
 
-// rebaseGOP deep-copies a group range with every offset rebased so the
-// group's first byte is offset Offset-delta (the unit buffer origin).
-func rebaseGOP(gr *core.GOPRange, delta int) core.GOPRange {
-	out := *gr
-	out.Offset -= delta
-	out.End -= delta
-	out.Pictures = make([]core.PictureRange, len(gr.Pictures))
+// rebaseGOP moves every offset of a group range down by delta, in place, so
+// that they index the unit buffer whose first byte was stream offset delta.
+func rebaseGOP(gr *core.GOPRange, delta int) {
+	gr.Offset -= delta
+	gr.End -= delta
 	for i := range gr.Pictures {
-		p := gr.Pictures[i]
+		p := &gr.Pictures[i]
 		p.Offset -= delta
 		p.End -= delta
-		p.Slices = append([]core.SliceRange(nil), p.Slices...)
 		for j := range p.Slices {
 			p.Slices[j].Offset -= delta
 			p.Slices[j].End -= delta
 		}
-		out.Pictures[i] = p
 	}
-	return out
 }
 
 // ScanUnits drives the incremental scan over r in chunkSize-byte reads,
@@ -161,16 +165,14 @@ func ScanUnits(ctx context.Context, r io.Reader, chunkSize int, lenient bool, ga
 	ss := core.NewScanState(lenient)
 	w := &windowScanner{r: r, chunk: chunkSize, ss: ss, gauge: gauge}
 	ss.OnGOP = func(g int, gr *core.GOPRange) error {
-		// Copy the group out of the window so the window can slide on;
-		// the unit owns its bytes until its last picture completes.
-		data := append([]byte(nil), w.bytes(gr.Offset, gr.End)...)
-		return feed(core.Unit{
-			G:     g,
-			Base:  gr.Offset,
-			Data:  data,
-			Range: rebaseGOP(gr, gr.Offset),
-			Seq:   *ss.Seq(),
-		})
+		// Copy the group out of the window so the window can slide on; the
+		// unit owns its bytes, and the range the scan has just let go of,
+		// until its last picture completes.
+		u := core.Unit{G: g, Base: gr.Offset, Seq: *ss.Seq(),
+			Data: append([]byte(nil), w.bytes(gr.Offset, gr.End)...)}
+		rebaseGOP(gr, u.Base)
+		u.Range = *gr
+		return feed(u)
 	}
 	scanStart := time.Now()
 	total, err := w.run(ctx, note)

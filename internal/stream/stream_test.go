@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 	"mpeg2par/internal/encoder"
 	"mpeg2par/internal/faults"
 	"mpeg2par/internal/frame"
+	"mpeg2par/internal/server"
 	"mpeg2par/internal/stream"
 )
 
@@ -89,6 +91,22 @@ func TestScanReaderMatchesBatchAcrossChunkSizes(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("chunk %d: stream map differs from batch scan", chunk)
 		}
+	}
+}
+
+// TestScanWindowAllocatedOnce: a stream shorter than a chunk is read into
+// the window it was first given. (End of stream arrives on the read after the
+// last byte, and the window used to be regrown for that read.)
+func TestScanWindowAllocatedOnce(t *testing.T) {
+	data := testStream(t, 80, 48, 12, 4)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := stream.ScanReader(bytes.NewReader(data), stream.DefaultChunkSize, false); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > stream.DefaultChunkSize+4*uint64(len(data)) {
+		t.Fatalf("scanning %d bytes allocated %d, want one %d-byte window and the map", len(data), got, stream.DefaultChunkSize)
 	}
 }
 
@@ -176,60 +194,140 @@ func TestStreamingMatchesBatchGolden(t *testing.T) {
 			if policy == core.FailFast && di != 0 {
 				continue // damaged streams are for the resilient policies
 			}
-			var refSink collectSink
-			refSt, refErr := core.Decode(data, core.Options{
-				Mode: core.ModeSequential, Workers: 1, Resilience: policy, Sink: refSink.add,
+			matchBatch(t, fmt.Sprintf("input %d", di), data, policy)
+		}
+	}
+}
+
+// matchBatch decodes data under policy in every mode, streamed in small and
+// in large chunks, and demands the frames and error accounting of the batch
+// sequential decode of the same bytes — or a failure wherever batch fails.
+func matchBatch(t *testing.T, label string, data []byte, policy core.Resilience) {
+	t.Helper()
+	var refSink collectSink
+	refSt, refErr := core.Decode(data, core.Options{
+		Mode: core.ModeSequential, Workers: 1, Resilience: policy, Sink: refSink.add,
+	})
+	for _, mode := range allModes {
+		for _, chunk := range []int{997, 64 << 10} {
+			label := fmt.Sprintf("%s %v %v chunk %d", label, policy, mode, chunk)
+			var sink collectSink
+			st, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
+				Options:   core.Options{Mode: mode, Workers: 3, Resilience: policy, Sink: sink.add},
+				ChunkSize: chunk,
 			})
-			for _, mode := range allModes {
-				for _, chunk := range []int{997, 64 << 10} {
-					if refErr != nil {
-						// Damage the policy cannot absorb: streaming must
-						// fail wherever batch fails.
-						_, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
-							Options:   core.Options{Mode: mode, Workers: 3, Resilience: policy},
-							ChunkSize: chunk,
-						})
-						if err == nil {
-							t.Fatalf("input %d %v %v chunk %d: decoded cleanly where batch failed (%v)",
-								di, policy, mode, chunk, refErr)
-						}
-						continue
-					}
-					var sink collectSink
-					st, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
-						Options: core.Options{
-							Mode: mode, Workers: 3, Resilience: policy, Sink: sink.add,
-						},
-						ChunkSize: chunk,
-					})
-					if err != nil {
-						t.Fatalf("input %d %v %v chunk %d: %v", di, policy, mode, chunk, err)
-					}
-					if st.Pictures != refSt.Pictures || st.Displayed != refSt.Displayed {
-						t.Fatalf("input %d %v %v chunk %d: %d/%d pictures displayed, batch %d/%d",
-							di, policy, mode, chunk, st.Displayed, st.Pictures, refSt.Displayed, refSt.Pictures)
-					}
-					if st.Errors != refSt.Errors {
-						t.Fatalf("input %d %v %v chunk %d: error stats %+v, batch %+v",
-							di, policy, mode, chunk, st.Errors, refSt.Errors)
-					}
-					if len(sink.frames) != len(refSink.frames) {
-						t.Fatalf("input %d %v %v chunk %d: %d frames, batch %d",
-							di, policy, mode, chunk, len(sink.frames), len(refSink.frames))
-					}
-					for i := range refSink.frames {
-						if !sink.frames[i].Equal(refSink.frames[i]) {
-							t.Fatalf("input %d %v %v chunk %d: frame %d differs from batch",
-								di, policy, mode, chunk, i)
-						}
-					}
-					if st.LeakedFrameBytes != 0 {
-						t.Fatalf("input %d %v %v chunk %d: leaked %d frame bytes",
-							di, policy, mode, chunk, st.LeakedFrameBytes)
-					}
+			if refErr != nil {
+				// Damage the policy cannot absorb: streaming must fail
+				// wherever batch fails.
+				if err == nil {
+					t.Fatalf("%s: decoded cleanly where batch failed (%v)", label, refErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if st.Pictures != refSt.Pictures || st.Displayed != refSt.Displayed {
+				t.Fatalf("%s: %d/%d pictures displayed, batch %d/%d",
+					label, st.Displayed, st.Pictures, refSt.Displayed, refSt.Pictures)
+			}
+			if st.Errors != refSt.Errors {
+				t.Fatalf("%s: error stats %+v, batch %+v", label, st.Errors, refSt.Errors)
+			}
+			if len(sink.frames) != len(refSink.frames) {
+				t.Fatalf("%s: %d frames, batch %d", label, len(sink.frames), len(refSink.frames))
+			}
+			for i := range refSink.frames {
+				if !sink.frames[i].Equal(refSink.frames[i]) {
+					t.Fatalf("%s: frame %d differs from batch", label, i)
 				}
 			}
+			if st.LeakedFrameBytes != 0 {
+				t.Fatalf("%s: leaked %d frame bytes", label, st.LeakedFrameBytes)
+			}
 		}
+	}
+}
+
+var seqEnd = []byte{0, 0, 1, 0xB7}
+
+// tile repeats a stream of closed groups, each under its own sequence
+// header, n times over.
+func tile(data []byte, n int) []byte {
+	body := bytes.TrimSuffix(data, seqEnd)
+	out := make([]byte, 0, len(body)*n+len(seqEnd))
+	for i := 0; i < n; i++ {
+		out = append(out, body...)
+	}
+	return append(out, seqEnd...)
+}
+
+// lateFault tiles the groups of data to a stream of n and damages group at
+// alone: far enough in, every structure of the pipeline has let go of the
+// stream's beginning many times over by then.
+func lateFault(t *testing.T, data []byte, spec string, n, at int) []byte {
+	t.Helper()
+	sp, err := faults.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mustBatchScan(t, data, false)
+	var out []byte
+	for g := 0; g < n; g++ {
+		gr := m.GOPs[g%len(m.GOPs)]
+		group := data[gr.Offset:gr.End]
+		if g == at {
+			group, _ = sp.Apply(group, 2)
+		}
+		out = append(out, group...)
+	}
+	return append(out, seqEnd...)
+}
+
+// openGOPs rewrites every group but the first of a stream of I P B B groups
+// as an open one: closed_gop cleared, and copies of the two B pictures put
+// straight after the I picture as display pictures 0 and 1 — the pictures
+// that, in a stream cut from a longer one, predict from the last P picture
+// of the group before.
+func openGOPs(t *testing.T, data []byte) []byte {
+	t.Helper()
+	m := mustBatchScan(t, data, false)
+	var out []byte
+	for gi, g := range m.GOPs {
+		if gi == 0 {
+			out = append(out, data[g.Offset:g.End]...)
+			continue
+		}
+		ps := g.Pictures // decode order I0 P3 B1 B2
+		hdr := bytes.Clone(data[g.Offset:ps[0].Offset])
+		hdr[bytes.Index(hdr, []byte{0, 0, 1, 0xB8})+7] &^= 0x40 // closed_gop follows the 25-bit time code
+		out = append(out, hdr...)
+		for _, pt := range [][2]int{{0, 2}, {2, 0}, {3, 1}, {1, 5}, {2, 3}, {3, 4}} {
+			pic := bytes.Clone(data[ps[pt[0]].Offset:ps[pt[0]].End])
+			tref := pt[1] // temporal_reference: the ten bits after the startcode
+			pic[4], pic[5] = byte(tref>>2), byte(tref&3)<<6|pic[5]&0x3F
+			out = append(out, pic...)
+		}
+	}
+	return append(out, seqEnd...)
+}
+
+// TestLadderPastTheWindow takes the resilience ladder to where the stream's
+// beginning is long forgotten: damage in group 40 of 60 — a substitution
+// source and a concealment reference planned after some forty groups have
+// retired — and open groups whose leading B pictures have lost the group
+// they predicted from. Every mode must agree with the batch decode.
+func TestLadderPastTheWindow(t *testing.T) {
+	clean := testStream(t, 80, 48, 12, 4)
+	for _, spec := range []string{"burst:count=2,len=24", "droppic:1"} {
+		data := lateFault(t, clean, spec, 60, 40)
+		for _, policy := range allPolicies[1:] {
+			matchBatch(t, spec, data, policy)
+		}
+	}
+	open := tile(openGOPs(t, clean), 20)
+	for _, policy := range allPolicies {
+		matchBatch(t, "open groups", open, policy)
 	}
 }
 
@@ -271,6 +369,95 @@ func TestPeakInFlightBounded(t *testing.T) {
 	}
 	if bound >= int64(len(data)) {
 		t.Fatalf("vacuous bound: stream %d bytes <= bound %d; enlarge the test stream", len(data), bound)
+	}
+}
+
+// decodeFn is one way of decoding a stream end to end.
+type decodeFn func(ctx context.Context, data []byte, sink func(*frame.Frame)) (*core.Stats, error)
+
+// everyWay is the four modes of the streaming pipeline and one stream
+// through a Server (GOP-grain sessions on a shared pool), each on two
+// workers with two groups in flight, reading chunk bytes at a time.
+func everyWay(t *testing.T, chunk int, policy core.Resilience) (names []string, ways []decodeFn) {
+	for _, mode := range allModes {
+		mode := mode
+		names = append(names, mode.String())
+		ways = append(ways, func(ctx context.Context, data []byte, sink func(*frame.Frame)) (*core.Stats, error) {
+			return stream.Decode(ctx, bytes.NewReader(data), stream.Options{
+				Options:   core.Options{Mode: mode, Workers: 2, MaxInFlight: 2, Resilience: policy, Sink: sink},
+				ChunkSize: chunk,
+			})
+		})
+	}
+	srv := server.NewServer(server.Config{Workers: 2})
+	t.Cleanup(func() {
+		srv.Close()
+		if m := srv.Metrics(); m.SpareBytes != 0 {
+			t.Errorf("server: %d bytes of spare frames after the last stream", m.SpareBytes)
+		}
+	})
+	names = append(names, "server")
+	ways = append(ways, func(ctx context.Context, data []byte, sink func(*frame.Frame)) (*core.Stats, error) {
+		ss, err := srv.Decode(ctx, bytes.NewReader(data), server.StreamConfig{
+			MaxInFlight: 2, Resilience: policy, Sink: sink, ChunkSize: chunk,
+		})
+		return ss.Stats, err
+	})
+	return names, ways
+}
+
+// TestDecodeHeapFlat is the memory acceptance on the heap itself, which
+// TestPeakInFlightBounded's gauge only stands for. What a decode keeps live
+// — the heap collected and read from the sink every few pictures and at the
+// last, over what was live before the decode started (the input included),
+// less the frames, whose number is the schedule's business and has its own
+// test — must not depend on how much of the stream has gone by, and must be
+// what the gauge says plus a constant: worker scratch, the plan and queue
+// windows, the reorder buffer, 25–110 KB at this size.
+func TestDecodeHeapFlat(t *testing.T) {
+	const slack = 128 << 10
+	short := tile(testStream(t, 80, 48, 16, 4), 3) // 12 groups, 48 pictures
+	long := tile(short, 8)
+
+	// What the heap pays for a frame: its planes as the allocator rounds them.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f := frame.New(80, 48)
+	runtime.ReadMemStats(&m1)
+	frameCost := int64(m1.TotalAlloc - m0.TotalAlloc)
+
+	names, ways := everyWay(t, 16<<10, core.ConcealSlice)
+	for wi, decode := range ways {
+		var live [2]int64
+		for i, data := range [][]byte{short, long} {
+			total := 48 * (1 + 7*i)
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.GC() // twice: what a sync.Pool held goes in two steps
+			runtime.ReadMemStats(&ms)
+			before, peak, shown := ms.HeapAlloc, uint64(0), 0
+			st, err := decode(context.Background(), data, func(*frame.Frame) {
+				if shown++; shown%8 == 0 || shown == total {
+					runtime.GC()
+					runtime.ReadMemStats(&ms)
+					peak = max(peak, ms.HeapAlloc)
+				}
+			})
+			if err != nil || shown != total {
+				t.Fatalf("%s: %d of %d pictures, error %v", names[wi], shown, total, err)
+			}
+			live[i] = int64(peak) - int64(before) - st.FramesAllocated/int64(f.Bytes())*frameCost
+			if gauge := st.PeakInFlightBytes; live[i] > gauge+slack {
+				t.Errorf("%s: %d pictures: %d bytes live above the frames, PeakInFlightBytes says %d (+%d allowed)",
+					names[wi], total, live[i], gauge, slack)
+			}
+		}
+		t.Logf("%s: %d bytes live above the frames over 12 groups, %d over 96", names[wi], live[0], live[1])
+		// The short run may have caught the scan-ahead window empty, or a
+		// worker without a task yet, where the long run caught them full.
+		if live[1] > live[0]+live[0]/4+slack/2 {
+			t.Errorf("%s: %d bytes live over 96 groups, %d over 12: the decode holds on to the stream", names[wi], live[1], live[0])
+		}
 	}
 }
 
@@ -316,13 +503,16 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestCancellation cancels mid-decode at several injection points in
-// every mode and asserts clean teardown: context error surfaced, no
-// goroutine leaks, no frame-pool buffer loss.
+// every mode and through a Server — the last of them some twenty-five groups
+// in, long after the first pictures have left the plan and the queue — and
+// asserts clean teardown: context error surfaced, no goroutine leaks, no
+// frame-pool buffer loss.
 func TestCancellation(t *testing.T) {
-	data := testStream(t, 64, 48, 12, 4)
-	cancelled := 0
-	for _, mode := range allModes {
-		for _, after := range []int{0, 1, 3} {
+	data := tile(testStream(t, 64, 48, 12, 4), 20)
+	names, ways := everyWay(t, 512, core.ConcealSlice)
+	for wi, decode := range ways {
+		cancelled := 0
+		for _, after := range []int{0, 1, 3, 100} {
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			shown := 0
@@ -335,33 +525,30 @@ func TestCancellation(t *testing.T) {
 			if after == 0 {
 				cancel() // cancelled before the first byte
 			}
-			st, err := stream.Decode(ctx, bytes.NewReader(data), stream.Options{
-				Options: core.Options{
-					Mode: mode, Workers: 3, MaxInFlight: 1,
-					Resilience: core.ConcealSlice, Sink: sink,
-				},
-				ChunkSize: 512,
-			})
+			st, err := decode(ctx, data, sink)
 			cancel()
 			if err != nil {
 				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("%v after=%d: error %v, want context.Canceled", mode, after, err)
+					t.Fatalf("%s after=%d: error %v, want context.Canceled", names[wi], after, err)
 				}
 				cancelled++
 			} else if st.Displayed != st.Pictures {
-				t.Fatalf("%v after=%d: clean run displayed %d of %d", mode, after, st.Displayed, st.Pictures)
+				t.Fatalf("%s after=%d: clean run displayed %d of %d", names[wi], after, st.Displayed, st.Pictures)
 			}
 			if st == nil {
-				t.Fatalf("%v after=%d: nil stats", mode, after)
+				if names[wi] == "server" && after == 0 {
+					continue // turned away at admission: no session, no stats
+				}
+				t.Fatalf("%s after=%d: nil stats", names[wi], after)
 			}
 			if st.LeakedFrameBytes != 0 {
-				t.Fatalf("%v after=%d: leaked %d frame bytes", mode, after, st.LeakedFrameBytes)
+				t.Fatalf("%s after=%d: leaked %d frame bytes", names[wi], after, st.LeakedFrameBytes)
 			}
 			waitGoroutines(t, base)
 		}
-	}
-	if cancelled < len(allModes) {
-		t.Fatalf("only %d runs actually cancelled; injection points too late", cancelled)
+		if cancelled < 2 { // the one before the first byte, and at least one mid-stream
+			t.Fatalf("%s: only %d runs actually cancelled; injection points too late", names[wi], cancelled)
+		}
 	}
 }
 
@@ -388,25 +575,26 @@ func TestDeadline(t *testing.T) {
 }
 
 // TestFailFastErrorTeardown: a decode error (not cancellation) must
-// also tear down without leaking goroutines or frames.
+// also tear down without leaking goroutines or frames — here forty groups
+// in, with most of what was planned retired: a stream cut short, which fails
+// the plan, and a damaged slice, which fails a worker in the middle of a
+// group whose first pictures are already with the display process.
 func TestFailFastErrorTeardown(t *testing.T) {
-	data := append([]byte(nil), testStream(t, 64, 48, 12, 4)...)
-	sp, err := faults.Parse("truncate:0.6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut, _ := sp.Apply(data, 1)
-	for _, mode := range allModes {
-		base := runtime.NumGoroutine()
-		st, err := stream.Decode(context.Background(), bytes.NewReader(mut), stream.Options{
-			Options: core.Options{Mode: mode, Workers: 2, Resilience: core.FailFast},
-		})
-		if err == nil {
-			t.Fatalf("%v: truncated stream decoded cleanly under FailFast", mode)
+	clean := testStream(t, 64, 48, 12, 4)
+	cut := tile(clean, 20)
+	cut = cut[:len(cut)*2/3-100]
+	names, ways := everyWay(t, 0, core.FailFast)
+	for _, mut := range [][]byte{cut, lateFault(t, clean, "burst:count=2,len=24", 60, 40)} {
+		for wi, decode := range ways {
+			base := runtime.NumGoroutine()
+			st, err := decode(context.Background(), mut, nil)
+			if err == nil || st.Pictures < 100 {
+				t.Fatalf("%s: error %v with %d pictures planned, want a failure well into the stream", names[wi], err, st.Pictures)
+			}
+			if st.LeakedFrameBytes != 0 {
+				t.Fatalf("%s: leaked %d frame bytes", names[wi], st.LeakedFrameBytes)
+			}
+			waitGoroutines(t, base)
 		}
-		if st.LeakedFrameBytes != 0 {
-			t.Fatalf("%v: leaked %d frame bytes", mode, st.LeakedFrameBytes)
-		}
-		waitGoroutines(t, base)
 	}
 }
