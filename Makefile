@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify vet build test race bench perf fuzz faults stream compat trace sched kernels cross service vldsplit deadline apicheck
+.PHONY: verify vet build test race bench perf fuzz faults trace sched kernels cross service vldsplit deadline apicheck
 
-verify: vet build race bench stream compat trace sched kernels cross service vldsplit deadline apicheck ## full CI gate: vet + build + race tests + bench smoke + streaming race + compat shims + traced decode + scheduler gate + kernel matrix + cross-compile + service gate + split-decode gate + deadline gate + deprecated-API grep
+verify: vet build race bench trace sched kernels cross service vldsplit deadline apicheck ## full CI gate: vet + build + race tests (every package, the streaming pipeline, the public API and its deprecated shims among them) + bench smoke + traced decode + scheduler gate + kernel matrix + cross-compile + service gate + split-decode gate + deadline gate + deprecated-API grep
 
 # go vet, and gofmt: any file gofmt would rewrite fails the gate.
 vet:
@@ -19,12 +19,15 @@ vet:
 # macroblock header against its per-symbol reference) and the goldens; the same matrix under the race detector
 # with the asm tier force-disabled (the race runtime cannot see into
 # assembly, so race coverage comes from the pure-Go tiers), golden
-# bit-exactness with every forced tier, and the per-kernel
+# bit-exactness with every forced tier — by package as well, engine and
+# feeding goldens of ./internal/stream/ included, and -count=1 because the
+# tier is read at package init, where go's test cache does not see the
+# variable and would answer from a run of another tier — and the per-kernel
 # micro-benchmarks.
 kernels:
 	$(GO) test ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/ ./internal/vlc/ ./internal/quant/ ./internal/mpeg2/
-	MPEG2_KERNELS=scalar $(GO) test -race -run 'TierEquivalence|AsmEquivalence|Golden|MatchesSequential' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
-	MPEG2_KERNELS=swar $(GO) test -race -run 'TierEquivalence|AsmEquivalence|Golden|MatchesSequential' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
+	MPEG2_KERNELS=scalar $(GO) test -count=1 -race ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/ ./internal/stream/
+	MPEG2_KERNELS=swar $(GO) test -count=1 -race ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/ ./internal/stream/
 	$(GO) test -run=NONE -bench 'PredictBlock|AverageMB|StoreBlock|InverseTiers|DecodeBlock|InverseMasked|ReconMB|DecodeMBHeader|Average' -benchtime=10x ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/mpeg2/ ./internal/quant/
 
 # Cross-compile + per-arch vet gate: both SIMD targets must build and
@@ -48,26 +51,11 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Streaming pipeline under the race detector, by package: chunk-boundary
-# scans, backpressure, the heap a decode holds against stream length
-# (TestDecodeHeapFlat), the resilience ladder and cancellation/failure
-# teardown far past the scan-ahead window, and the public Decode API.
-stream:
-	$(GO) test -race ./internal/stream/ .
-
-# Deprecated-wrapper compatibility: vet the shims (deprecation-aware) and
-# build a client of the old entry points. (Old-vs-new agreement and the
-# examples are tests of the root package, which `race` and `stream` run by
-# package — a list of test names here would silently lose a renamed one.)
-compat:
-	$(GO) vet .
-	$(GO) build .
-
 # Observability gate: traced decodes under the race detector (bit
 # exactness in every mode, event presence, exported Chrome JSON
 # validated: well-formed, monotonic timestamps, balanced span counts),
 # by package (the root package's traced-decode tests run by package in
-# `make stream`), plus a real traced run through the CLI report path.
+# `make race`), plus a real traced run through the CLI report path.
 trace:
 	$(GO) test -race ./internal/obs/
 	$(GO) run ./cmd/mpeg2bench -timeline -trace /tmp/mpeg2par-trace.json > /dev/null
@@ -77,9 +65,9 @@ trace:
 # that live beside it, the simulator and the cost-model/LPT/auto-tune
 # policy under the race detector — by package, so a renamed or new test
 # cannot drop out of the gate (the scheduler tests of ./internal/stream/
-# and the root package run by package in `make stream`) — the slice
+# and the root package run by package in `make race`) — the slice
 # modes' frame-memory bound twenty times over, so that a schedule-dependent
-# breach shows up here and not by luck, and the LPT-vs-FIFO imbalance
+# breach shows up here and not by luck, and the LPT-vs-slice-order makespan
 # smoke (profiled costs replayed in the simulator).
 sched:
 	$(GO) test -race ./internal/core/ ./internal/simsched/ ./internal/sched/
@@ -93,7 +81,7 @@ sched:
 # overload-teardown suite, the frame-lending contract (tenant isolation,
 # the store's bound under churn, one worker's scratch across geometries)
 # and the 2000-stream soak — plus a real load-harness run through the CLI.
-# (The public Server API tests run by package under -race in `make stream`.)
+# (The public Server API tests run by package under -race in `make race`.)
 service:
 	$(GO) test -race -count=1 ./internal/server/
 	$(GO) run ./cmd/mpeg2load -streams 64 > /dev/null
@@ -104,19 +92,18 @@ service:
 # parallelizes a one-slice-per-picture stream. (The core goldens — indexed,
 # speculative, poisoned-index, faulted, the incremental verify chain — run
 # by package under -race in `make sched`; the public index API through the
-# streaming path runs by package under -race in `make stream`.)
+# streaming path runs by package under -race in `make race`.)
 vldsplit:
 	$(GO) test -race -count=1 ./internal/vldsplit/
 	$(GO) test -count=1 -run TestVLDSplitExperiment -v ./internal/bench/
 
-# Deadline-aware dispatch gate: the server package under the race
-# detector, by package — EDF ordering and slack-classification units, the
+# Deadline-aware dispatch gate: the scaled-down fair-vs-EDF study smoke.
+# (The server package — EDF ordering and slack-classification units, the
 # miss/shed disjointness and teardown-accounting tests, the EDF
-# bit-exactness goldens — and the scaled-down fair-vs-EDF study smoke.
-# (The cost-model cold-start regressions and core's assist goldens run by
-# package under -race in `make sched`.)
+# bit-exactness goldens — runs by package under -race in `make service`;
+# the cost-model cold-start regressions and core's assist goldens in
+# `make sched`.)
 deadline:
-	$(GO) test -race -count=1 ./internal/server/
 	$(GO) test -count=1 -run TestDeadlineExperimentSmoke -v ./internal/bench/
 
 # Deprecated-API grep gate: cmd/ and examples/ must stay on the
@@ -131,13 +118,16 @@ perf:
 	$(GO) run ./cmd/mpeg2bench -perf -label $(or $(LABEL),local)
 
 # Short corpus-seeded fuzz runs: the one list of the repo's fuzz targets
-# (CI calls this target).
+# (CI calls this target). The two targets that decode on several goroutines
+# see schedule-dependent coverage, which go's minimizer takes for an
+# interesting input and spends its default 60 s on, fuzzing nothing
+# meanwhile (15 executions in 20 s); they run with the minimizer off.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFindStartCode -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzScan -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzResilientDecode -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzSpeculativeSplit -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzResilientDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzSpeculativeSplit -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=NONE -fuzz=FuzzStreamScan -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/mpeg2

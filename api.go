@@ -70,10 +70,11 @@ func WithAutoTune() Option {
 	return func(c *decodeConfig) { c.opt.Mode = core.ModeAuto }
 }
 
-// WithPacking overrides the task-queue packing discipline (default
-// PackLPT, longest-first by byte-size cost). seed feeds PackRandom and
-// is ignored by the deterministic packings. Packing never changes
-// decoded output, only the order workers receive tasks.
+// WithPacking overrides the order the slice modes hand out the tasks of
+// one picture (default PackLPT, longest-first by byte-size cost; GOP mode
+// runs groups in stream order whatever the packing). seed feeds
+// PackRandom and is ignored by the deterministic packings. Packing never
+// changes decoded output, only the order workers receive tasks.
 func WithPacking(p Packing, seed int64) Option {
 	return func(c *decodeConfig) {
 		c.opt.Packing = p

@@ -12,7 +12,7 @@
 //	mpeg2bench -list           # experiment ids
 //	mpeg2bench -perf -json -label after   # append a perf run to BENCH_<n>.json
 //	mpeg2bench -faults [-json]            # corruption sweep: PSNR vs loss rate
-//	mpeg2bench -sched [-workers 4]        # FIFO-vs-LPT packing comparison
+//	mpeg2bench -sched [-workers 4]        # slice-order vs LPT packing comparison
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit structured JSON instead of tables")
 	perf := flag.Bool("perf", false, "run the perf-trajectory harness and append to a BENCH_<n>.json")
 	repeat := flag.Int("repeat", 0, "with -perf/-sched: timed repetitions per point, median kept (0 = default 3)")
-	sched := flag.Bool("sched", false, "run the packing comparison (FIFO vs LPT imbalance and throughput on a skewed stream)")
+	sched := flag.Bool("sched", false, "run the packing comparison (a picture's slices in slice order vs LPT, on a skewed stream)")
 	faultsSweep := flag.Bool("faults", false, "run the corruption sweep (PSNR vs loss rate under each resilience policy)")
 	faultSeed := flag.Int64("seed", 1, "with -faults: fault-injection seed")
 	perfOut := flag.String("o", "", "perf output file (default: highest existing BENCH_<n>.json, else BENCH_1.json)")
@@ -168,7 +168,8 @@ func runTimeline(mode string, workers int, traceOut string, jsonOut bool) error 
 }
 
 // runSched executes the packing comparison (internal/bench/sched.go):
-// FIFO vs LPT task packing on a stream with skewed slice costs, plus the
+// slice-order vs LPT packing of each picture's slice tasks on a stream
+// with skewed slice costs, beside the GOP row (stream order) and the
 // auto-tuned point, measured by imbalance factor and throughput.
 func runSched(workers, repeat int, jsonOut bool) error {
 	res, err := bench.SchedCompare(bench.SchedConfig{Workers: workers, Repeats: repeat})

@@ -166,7 +166,7 @@ func main() {
 	if stats.Errors.Any() {
 		fmt.Printf("recovered damage: %s\n", stats.Errors)
 	}
-	if n := stats.Concealed + stats.Errors.ConcealedMBs; n > 0 {
+	if n := stats.Errors.ConcealedMBs; n > 0 {
 		fmt.Printf("concealed %d macroblocks\n", n)
 	}
 	for i, ws := range stats.WorkerStats {

@@ -15,12 +15,13 @@ import (
 )
 
 // SchedCompare measures what the cost-model scheduler's packing buys on a
-// stream with a skewed cost distribution. Per-task costs are profiled
+// stream with a skewed cost distribution. Per-slice costs are profiled
 // from the real single-worker decode and replayed in the deterministic
-// simulator under P workers with the task queue packed in stream order
-// (FIFO) versus longest-first by byte size (LPT) — byte order, not
-// measured-cost order, because bytes are the proxy the real scheduler
-// packs by. A live traced decode of every variant runs alongside and its
+// simulator under P workers with each picture's slices handed out in
+// slice order (FIFO) versus longest-first by byte size (LPT) — byte order,
+// not measured-cost order, because bytes are the proxy the real scheduler
+// packs by. GOP mode runs its groups in stream order whatever the packing
+// and has one row. A live traced decode of every variant runs alongside and its
 // Timeline.Summary figures are reported too; on a single-CPU host those
 // only measure time-slicing, so the simulated columns are the
 // authoritative ones (the same reason the paper used TangoLite beside its
@@ -86,8 +87,8 @@ type SchedResult struct {
 		Bytes    int `json:"bytes"`
 	} `json:"stream"`
 	// SliceSkew and GOPSkew are max/mean task bytes — how lopsided the
-	// queue is that packing has to balance. CostSkew is max/mean of the
-	// profiled (real) per-GOP decode costs.
+	// stream's slices (which packing has to balance) and groups are.
+	// CostSkew is max/mean of the profiled (real) per-GOP decode costs.
 	SliceSkew float64      `json:"slice_skew"`
 	GOPSkew   float64      `json:"gop_skew"`
 	CostSkew  float64      `json:"cost_skew"`
@@ -102,8 +103,8 @@ type SchedResult struct {
 // the first GOP to the last. Ramping the band height rather than the
 // noise amplitude matters: amplitude saturates the VLD long before it
 // moves the reconstruction cost, while extra noisy rows scale the real
-// work linearly. The result is the adversarial queue for FIFO packing —
-// the heavy tasks sit at the end of stream order, so a worker starts them
+// work linearly. The result is the adversarial picture for FIFO packing —
+// its heavy slices sit at the end of slice order, so a worker starts them
 // last and straggles — and exactly the one LPT exists to fix.
 type skewSource struct {
 	src      *frame.Synth
@@ -199,7 +200,6 @@ func SchedCompare(cfg SchedConfig) (*SchedResult, error) {
 	}
 	variants := []variant{
 		{core.ModeGOP, core.PackFIFO},
-		{core.ModeGOP, core.PackLPT},
 		{core.ModeSliceImproved, core.PackFIFO},
 		{core.ModeSliceImproved, core.PackLPT},
 		{core.ModeAuto, core.PackLPT},
@@ -207,11 +207,10 @@ func SchedCompare(cfg SchedConfig) (*SchedResult, error) {
 
 	// Simulated executions: pack by bytes, replay measured costs.
 	simulate := func(mode core.Mode, packing core.Packing, workers int) simsched.Result {
-		lpt := packing == core.PackLPT
 		if mode == core.ModeGOP {
-			return simsched.SimulateGOP(orderGOPs(gopTasks, gopBytes, lpt), workers)
+			return simsched.SimulateGOP(gopTasks, workers)
 		}
-		return simsched.SimulateSlices(orderSlices(slicePics, sliceBytes, lpt), workers, true)
+		return simsched.SimulateSlices(orderSlices(slicePics, sliceBytes, packing == core.PackLPT), workers, true)
 	}
 
 	type rep struct {
@@ -267,23 +266,6 @@ func SchedCompare(cfg SchedConfig) (*SchedResult, error) {
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// orderGOPs returns tasks in stream order or longest-first by byte size.
-func orderGOPs(tasks []simsched.GOPTask, bytes []int64, lpt bool) []simsched.GOPTask {
-	out := append([]simsched.GOPTask(nil), tasks...)
-	if !lpt {
-		return out
-	}
-	idx := make([]int, len(tasks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return bytes[idx[a]] > bytes[idx[b]] })
-	for i, j := range idx {
-		out[i] = tasks[j]
-	}
-	return out
 }
 
 // orderSlices reorders each picture's slice costs longest-first by byte

@@ -49,6 +49,43 @@ func assistDecode(t testing.TB, data []byte, opt Options, parts int) (*Stats, []
 	return st, sink.frames, runErr
 }
 
+// TestSessionTaskBytesBorrowed: a unit that borrows the whole stream is
+// billed its own group's bytes — SessionTask.Bytes is the cost the
+// service's dispatcher schedules by, and len(Unit.Data) would bill every
+// group the stream.
+func TestSessionTaskBytesBorrowed(t *testing.T) {
+	res := testStream(t, 96, 64, 12, 4)
+	m, err := Scan(res.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(Options{Workers: 1, Sink: func(*frame.Frame) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scr Scratch
+	var total int64
+	for gi := range m.GOPs {
+		tk, err := sess.Feed(Unit{G: gi, Data: res.Data, Range: m.GOPs[gi], Seq: m.Seq})
+		if err != nil || tk == nil {
+			t.Fatalf("group %d: task %v, err %v", gi, tk, err)
+		}
+		if want := int64(m.GOPs[gi].End - m.GOPs[gi].Offset); tk.Bytes() != want {
+			t.Fatalf("group %d billed %d bytes, its range holds %d (stream %d)", gi, tk.Bytes(), want, len(res.Data))
+		}
+		total += tk.Bytes()
+		if err := sess.Run(tk, 0, &scr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sess.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	if total > int64(len(res.Data)) {
+		t.Fatalf("groups billed %d bytes of a %d-byte stream", total, len(res.Data))
+	}
+}
+
 // TestAssistIndexedBitExact is the assist contract: a task fanned out
 // across parallel row segments by the dispatch-time assist grant
 // reproduces the sequential oracle bit for bit, on an exact index every

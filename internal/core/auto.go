@@ -5,8 +5,8 @@ import (
 )
 
 // AutoDecision records how a ModeAuto run resolved: the concrete mode
-// and worker count the policy picked from the stream's geometry, and —
-// on the streaming path — what the online tuner did afterwards.
+// and worker count the policy picked from the first group's geometry, and
+// what the online tuner did afterwards.
 type AutoDecision struct {
 	Mode    Mode
 	Workers int
@@ -14,9 +14,8 @@ type AutoDecision struct {
 	// and the geometry it came from).
 	Reason string
 
-	// Streaming-only: how many GOP-boundary re-evaluations ran and the
-	// active-worker limit in force when the pipeline finished. Zero /
-	// equal to Workers on the batch paths (no online tuning there).
+	// How many GOP-boundary re-evaluations ran and the active-worker limit
+	// in force when the pipeline finished.
 	Reevals          int
 	FinalWorkerLimit int
 }
@@ -60,7 +59,7 @@ func modeOfHint(h sched.ModeHint) Mode {
 }
 
 // projectGeometry replicates a single-group geometry n times: the
-// streaming path's forecast of the stream from its first group, sized
+// executor's forecast of the stream from its first group, sized
 // to what the scan-ahead window can hold in flight. Multi-group
 // geometries pass through unchanged.
 func projectGeometry(g sched.Geometry, n int) sched.Geometry {
@@ -78,19 +77,4 @@ func projectGeometry(g sched.Geometry, n int) sched.Geometry {
 	// The per-slice detail stays the first group's sample; the policy
 	// normalizes by speedup, so a representative prefix suffices.
 	return out
-}
-
-// resolveAuto replaces ModeAuto in opt with the policy's concrete mode
-// and worker count for the scanned workload, and returns the decision
-// record for Stats.
-func resolveAuto(gops []GOPRange, opt Options) (Options, *AutoDecision) {
-	c := sched.Choose(autoGeometry(gops), opt.Workers, opt.Cost)
-	opt.Mode = modeOfHint(c.Mode)
-	opt.Workers = c.Workers
-	return opt, &AutoDecision{
-		Mode:             opt.Mode,
-		Workers:          c.Workers,
-		Reason:           c.Reason,
-		FinalWorkerLimit: c.Workers,
-	}
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
-	"mpeg2par/internal/kernels"
 	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/sched"
@@ -86,28 +86,23 @@ type Options struct {
 	// stream tagged with worker ids.
 	Tracer memtrace.Tracer
 
-	// Profile, when true, records per-task costs (single-worker runs are
-	// the meaningful profile source for the deterministic simulator).
+	// Profile, when true, records task costs at the paper's grain — one
+	// per slice (or segment of a split slice) in the slice modes, one per
+	// group and picture in GOP mode — whatever tasks the run fused them
+	// into (single-worker runs are the meaningful profile source for the
+	// deterministic simulator).
 	Profile bool
 
-	// Conceal makes damaged slices non-fatal: their macroblocks are
-	// filled by zero-vector temporal concealment and decoding continues.
-	//
-	// Deprecated shim kept for the legacy per-mode paths; new code should
-	// select a Resilience policy instead, which additionally guarantees
-	// bit-identical output across all scheduling modes.
-	Conceal bool
-
 	// Resilience selects the error-resilience ladder (FailFast default).
-	// Any policy above FailFast routes the decode through the shared-plan
-	// executor, where all scheduling modes produce bit-identical frames
-	// and identical ErrorStats for the same damaged stream.
+	// Every policy executes the same plan: all scheduling modes produce
+	// bit-identical frames and identical ErrorStats for the same damaged
+	// stream.
 	Resilience Resilience
 
-	// MaxInFlight bounds the streaming pipeline's scan-ahead window: how
-	// many GOP units may be buffered or decoding at once before the scan
-	// process blocks (backpressure). Zero selects 2×Workers+2. The batch
-	// paths ignore it.
+	// MaxInFlight bounds the scan-ahead window: how many GOP units may be
+	// buffered or decoding at once before the scan process blocks
+	// (backpressure) — or, decoding a scanned stream, before the next
+	// group is handed over. Zero selects 2×Workers+2.
 	MaxInFlight int
 
 	// Obs, when non-nil, receives structured scheduling events from every
@@ -125,9 +120,9 @@ type Options struct {
 	// bit-identical either way.
 	Affinity Affinity
 
-	// Packing selects the task-queue order (see Packing); the default is
-	// longest-processing-time-first by byte-size cost. Output is
-	// bit-identical under every packing.
+	// Packing selects the order of a picture's tasks in the slice queue
+	// (see Packing); the default is longest-processing-time-first by
+	// byte-size cost. Output is bit-identical under every packing.
 	Packing Packing
 	// PackSeed seeds PackRandom (ordering-invariance property tests).
 	PackSeed int64
@@ -241,7 +236,8 @@ type Stats struct {
 	WorkerStats []WorkerStats
 	Work        decoder.WorkStats
 
-	// Concealed counts macroblocks recovered by error concealment.
+	// Concealed counts macroblocks recovered by error concealment: it is
+	// Errors.ConcealedMBs, under its older name.
 	Concealed int
 
 	// Errors accounts the damage a resilient decode recovered from; for a
@@ -268,10 +264,11 @@ type Stats struct {
 	// PeakFrameBytes is the high watermark of decoded-picture memory —
 	// the quantity Figures 8 and 9 study.
 	PeakFrameBytes int64
-	// FramesAllocated is the cumulative number of distinct frame buffers.
+	// FramesAllocated is the cumulative size in bytes of the frame buffers
+	// the decode allocated (divide by one frame's bytes for their number).
 	FramesAllocated int64
 
-	// Streaming-pipeline gauges (zero on the batch paths).
+	// Pipeline gauges.
 
 	// PeakInFlightBytes is the high watermark of buffered bitstream
 	// bytes: the scan window plus GOP task buffers not yet decoded. It is
@@ -315,8 +312,11 @@ func (s *Stats) PicturesPerSecond() float64 {
 
 // Decode runs the parallel decoder over a complete elementary stream.
 func Decode(data []byte, opt Options) (*Stats, error) {
-	if opt.Workers < 1 {
-		return nil, badOption("Workers=%d (need at least one worker)", opt.Workers)
+	// The executor first: a bad option is reported before the scan is paid
+	// for, and whatever the scan would have said.
+	e, err := NewStreamExecutor(context.TODO(), opt)
+	if err != nil {
+		return nil, err
 	}
 	scanFn := Scan
 	if opt.Resilience != FailFast {
@@ -328,47 +328,29 @@ func Decode(data []byte, opt Options) (*Stats, error) {
 		return nil, err
 	}
 	opt.Obs.Record(obs.KindScan, obs.LaneScan, scanStart, m.ScanTime, -1, -1, -1)
-	return DecodeScanned(data, m, opt)
+	return e.decodeScanned(data, m)
 }
 
 // DecodeScanned runs the parallel decoder over a pre-scanned stream
-// (callers sweeping worker counts scan once).
+// (callers sweeping worker counts scan once): the streaming executor, fed
+// each scanned group as a unit that borrows the caller's bytes.
 func DecodeScanned(data []byte, m *StreamMap, opt Options) (*Stats, error) {
-	if opt.Workers < 1 {
-		return nil, badOption("Workers=%d (need at least one worker)", opt.Workers)
-	}
-	if opt.SplitParts < 0 {
-		return nil, badOption("SplitParts=%d (must be >= 0)", opt.SplitParts)
-	}
-	var auto *AutoDecision
-	if opt.Mode == ModeAuto {
-		opt, auto = resolveAuto(m.GOPs, opt)
-	}
-	st := &Stats{
-		Mode:     opt.Mode,
-		Workers:  opt.EffectiveWorkers(),
-		Kernels:  kernels.Describe(),
-		ScanTime: m.ScanTime,
-		ScanRate: m.ScanRate(),
-		Auto:     auto,
-	}
-	opt.Obs.SetMeta(opt.Mode.String(), st.Workers)
-	var err error
-	switch {
-	case opt.Mode == ModeSequential || opt.Resilience != FailFast:
-		// The resilient shared-plan executor; also the FailFast sequential
-		// baseline. The legacy per-mode paths below stay byte-for-byte
-		// untouched, keeping FailFast parallel decode at zero overhead.
-		err = decodeResilient(data, m, opt, st)
-	case opt.Mode == ModeGOP:
-		err = decodeGOPMode(data, m, opt, st)
-	case opt.Mode == ModeSliceSimple || opt.Mode == ModeSliceImproved:
-		err = decodeSliceMode(data, m, opt, st)
-	default:
-		err = badOption("Mode=%d (unknown mode)", int(opt.Mode))
-	}
+	e, err := NewStreamExecutor(context.TODO(), opt)
 	if err != nil {
 		return nil, err
 	}
+	return e.decodeScanned(data, m)
+}
+
+func (e *StreamExecutor) decodeScanned(data []byte, m *StreamMap) (*Stats, error) {
+	var feedErr error
+	for g := 0; g < len(m.GOPs) && feedErr == nil; g++ {
+		feedErr = e.Feed(Unit{G: g, Data: data, Range: m.GOPs[g], Seq: m.Seq})
+	}
+	st, err := e.Finish(feedErr)
+	if err != nil {
+		return nil, err
+	}
+	st.ScanTime, st.ScanRate = m.ScanTime, m.ScanRate()
 	return st, nil
 }

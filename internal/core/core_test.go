@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -36,6 +37,13 @@ func testStream(t testing.TB, w, h, pics, gop int) *encoder.Result {
 	return res
 }
 
+// everyMode is what the oracle sweeps run: each compares the engine, in
+// every mode, with sequentialFrames.
+var everyMode = []Mode{ModeSequential, ModeGOP, ModeSliceSimple, ModeSliceImproved}
+
+// sequentialFrames decodes with decoder.Decoder, the independent oracle: it
+// shares the syntax and reconstruction layers with the engine and nothing
+// above them — no scan map, plan, queue or frame pool.
 func sequentialFrames(t testing.TB, data []byte) []*frame.Frame {
 	t.Helper()
 	d, err := decoder.New(data)
@@ -125,7 +133,7 @@ func (c *collectSink) add(f *frame.Frame) {
 func TestParallelMatchesSequential(t *testing.T) {
 	res := testStream(t, 96, 64, 13, 13)
 	want := sequentialFrames(t, res.Data)
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		for _, workers := range []int{1, 2, 3, 7} {
 			var sink collectSink
 			st, err := Decode(res.Data, Options{Mode: mode, Workers: workers, Sink: sink.add})
@@ -154,7 +162,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelMultiGOP(t *testing.T) {
 	res := testStream(t, 80, 48, 16, 4)
 	want := sequentialFrames(t, res.Data)
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		var sink collectSink
 		_, err := Decode(res.Data, Options{Mode: mode, Workers: 4, Sink: sink.add})
 		if err != nil {
@@ -270,10 +278,81 @@ func TestProfileCollection(t *testing.T) {
 	}
 }
 
+// TestProfileSliceGrain: the slice profile stays at the paper's grain — one
+// cost per slice — whatever the run fused into a task: at SD a task is eight
+// rows on one worker and two on four. The costs are timed inside the tasks,
+// so together they cannot exceed what the workers were busy for. A split
+// slice is profiled per segment, SplitParts of them.
+func TestProfileSliceGrain(t *testing.T) {
+	sd := testStream(t, 704, 480, 4, 4)
+	m, err := Scan(sd.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		st, err := DecodeScanned(sd.Data, m, Options{Mode: ModeSliceImproved, Workers: workers, Profile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var busy, costs time.Duration
+		tasks := 0
+		for _, ws := range st.WorkerStats {
+			busy += ws.Busy
+			tasks += ws.Tasks
+		}
+		if grain := TaskGrain(30, workers); tasks != 4*(30/grain+min(30%grain, 1)) {
+			t.Fatalf("%d workers: %d tasks over 4 pictures at %d rows a task", workers, tasks, grain)
+		}
+		if len(st.SliceProf) != 4 {
+			t.Fatalf("%d workers: %d picture profiles, want 4", workers, len(st.SliceProf))
+		}
+		for i, p := range st.SliceProf {
+			if want := len(m.GOPs[0].Pictures[i].Slices); len(p.SliceCosts) != want || want != 30 {
+				t.Fatalf("%d workers: picture %d has %d slice costs for %d slices", workers, i, len(p.SliceCosts), want)
+			}
+			for _, c := range p.SliceCosts {
+				if c <= 0 {
+					t.Fatalf("%d workers: picture %d has an unmeasured slice", workers, i)
+				}
+				costs += c
+			}
+		}
+		if costs > busy {
+			t.Fatalf("%d workers: slices cost %v together, the workers were busy %v", workers, costs, busy)
+		}
+	}
+
+	tall := tallStream(t, 96, 80, 4, 4) // one five-row slice a picture
+	st, err := Decode(tall.Data, Options{Mode: ModeSliceImproved, Workers: 1, Profile: true,
+		SplitIndex: buildIndex(t, tall.Data), SplitParts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Split.SlicesSplit != 4 || st.Split.VerifyHits != 4 {
+		t.Fatalf("split stats %+v, want all 4 slices split and verified", st.Split)
+	}
+	for i, p := range st.SliceProf {
+		if len(p.SliceCosts) != 3 {
+			t.Fatalf("split picture %d has %d costs, want one per segment of SplitParts 3", i, len(p.SliceCosts))
+		}
+		for _, c := range p.SliceCosts {
+			if c <= 0 {
+				t.Fatalf("split picture %d has an unmeasured segment", i)
+			}
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	res := testStream(t, 80, 48, 4, 4)
 	if _, err := Decode(res.Data, Options{Mode: ModeGOP, Workers: 0}); err == nil {
 		t.Fatal("zero workers must fail")
+	}
+	// A bad option is reported as such even when the stream would not scan.
+	for _, opt := range []Options{{Mode: ModeGOP}, {Mode: ModeGOP, Workers: 1, SplitParts: -1}, {Mode: Mode(99), Workers: 1}} {
+		if _, err := Decode([]byte("not a stream"), opt); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("%+v on an unscannable input: %v, want ErrBadOption", opt, err)
+		}
 	}
 	if _, err := Decode(nil, Options{Mode: ModeGOP, Workers: 1}); err == nil {
 		t.Fatal("empty stream must fail")
@@ -288,7 +367,7 @@ func TestDecodeErrors(t *testing.T) {
 	for i := sl.Offset + 5; i < sl.End && i < sl.Offset+12; i++ {
 		mut[i] = 0xFF
 	}
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		if _, err := Decode(mut, Options{Mode: mode, Workers: 3}); err == nil {
 			t.Fatalf("%v: corrupted slice must fail", mode)
 		}
@@ -308,14 +387,14 @@ func TestConcealedParallelDecode(t *testing.T) {
 	for i := sl.Offset + 6; i < sl.Offset+14 && i < sl.End; i++ {
 		mut[i] = 0
 	}
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		// Without concealment: error.
 		if _, err := Decode(mut, Options{Mode: mode, Workers: 2}); err == nil {
 			t.Fatalf("%v: corruption must fail without concealment", mode)
 		}
 		// With concealment: full output.
 		var sink collectSink
-		st, err := Decode(mut, Options{Mode: mode, Workers: 2, Conceal: true, Sink: sink.add})
+		st, err := Decode(mut, Options{Mode: mode, Workers: 2, Resilience: ConcealSlice, Sink: sink.add})
 		if err != nil {
 			t.Fatalf("%v: concealed decode failed: %v", mode, err)
 		}
@@ -346,7 +425,7 @@ func TestParallelDecodeWithoutGOPHeaders(t *testing.T) {
 		t.Fatalf("scan synthesized %d groups, want 3", len(m.GOPs))
 	}
 	want := sequentialFrames(t, res.Data)
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		var sink collectSink
 		if _, err := Decode(res.Data, Options{Mode: mode, Workers: 3, Sink: sink.add}); err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -467,7 +546,7 @@ func TestConcurrentIndependentDecodes(t *testing.T) {
 func TestParallelGoldenWorkerSweep(t *testing.T) {
 	res := testStream(t, 352, 240, 26, 13)
 	want := sequentialFrames(t, res.Data)
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		for _, workers := range []int{1, 2, 4, 8} {
 			var sink collectSink
 			_, err := Decode(res.Data, Options{Mode: mode, Workers: workers, Sink: sink.add})
@@ -521,10 +600,10 @@ func TestConcealPoolCrossGOPSafety(t *testing.T) {
 		t.Fatal("corruption did not trigger concealment")
 	}
 
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		for _, workers := range []int{1, 2, 4} {
 			var sink collectSink
-			st, err := Decode(mut, Options{Mode: mode, Workers: workers, Conceal: true, Sink: sink.add})
+			st, err := Decode(mut, Options{Mode: mode, Workers: workers, Resilience: ConcealSlice, Sink: sink.add})
 			if err != nil {
 				t.Fatalf("%v/%d: %v", mode, workers, err)
 			}

@@ -40,9 +40,10 @@ func FuzzFindStartCode(f *testing.F) {
 }
 
 // FuzzResilientDecode is the differential fuzzer for the determinism
-// contract: whatever bytes arrive, each resilience policy must either
-// fail in both the sequential and the improved-slice parallel mode, or
-// succeed in both with bit-identical frames and identical ErrorStats.
+// contract: whatever bytes arrive, each resilience policy — FailFast among
+// them, now that it is a policy of the one plan — must either fail in both
+// the sequential and the improved-slice parallel mode, or succeed in both
+// with bit-identical frames and identical ErrorStats.
 // Run long with: go test -fuzz=FuzzResilientDecode ./internal/core
 func FuzzResilientDecode(f *testing.F) {
 	res, err := encoder.EncodeSequence(encoder.Config{
@@ -58,7 +59,7 @@ func FuzzResilientDecode(f *testing.F) {
 		if len(data) > 32<<10 {
 			return
 		}
-		for _, policy := range []Resilience{ConcealSlice, ConcealPicture, DropGOP} {
+		for _, policy := range []Resilience{FailFast, ConcealSlice, ConcealPicture, DropGOP} {
 			var seqSink collectSink
 			seqSt, seqErr := Decode(data, Options{Mode: ModeSequential, Workers: 1, Resilience: policy, Sink: seqSink.add})
 			var parSink collectSink

@@ -7,12 +7,12 @@ import (
 	"mpeg2par/internal/sched"
 )
 
-// Packing selects the order tasks are handed to the worker pool. Every
-// packing produces bit-identical output — tasks of one queue either
-// write disjoint pixels (slices of different macroblock rows, whole
-// GOPs) or are serialized by the queue's barrier discipline — so the
-// order is purely a load-balance decision; the ordering-invariance
-// tests pin the property.
+// Packing selects the order the slice queue hands out the tasks of one
+// picture (GOP tasks always go in stream order, inside the MaxInFlight
+// window). Every packing produces bit-identical output — tasks of one
+// picture write disjoint macroblock rows and the queue's barrier
+// discipline serializes pictures — so the order is purely a load-balance
+// decision; the ordering-invariance tests pin the property.
 type Packing int
 
 const (
@@ -20,7 +20,7 @@ const (
 	// cost — classic longest-processing-time-first list scheduling, the
 	// default. Big tasks start early so small ones can level the tail.
 	PackLPT Packing = iota
-	// PackFIFO preserves stream order (the pre-scheduler behavior).
+	// PackFIFO preserves slice order (the paper's).
 	PackFIFO
 	// PackReverse hands tasks out in reverse stream order (adversarial
 	// order for the invariance tests).

@@ -57,7 +57,7 @@ func TestPackOrderProperties(t *testing.T) {
 func TestPackingMatchesSequential(t *testing.T) {
 	res := testStream(t, 96, 64, 12, 4)
 	want := sequentialFrames(t, res.Data)
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		for _, pk := range testPackings {
 			for _, workers := range []int{1, 3} {
 				var sink collectSink

@@ -24,22 +24,15 @@ const (
 	fateSubstitute
 )
 
-// planGOP is one group of pictures kept by a batch plan.
-type planGOP struct {
-	g    int // index into StreamMap.GOPs
-	pics []*picState
-}
-
-// plan is the resolved decode schedule of a resilient run. Every policy
+// plan is the resolved decode schedule of a run. Every policy
 // decision — which pictures decode, which are substituted from what,
 // which GOPs are dropped, and which display slot each output occupies —
-// is made here, once, before any worker starts. That is what makes the
+// is made here, once per group, before any worker sees it. That is what makes the
 // determinism contract hold: the scheduling modes merely execute the
 // same plan in different orders, and the plan leaves no decision to
 // execution order.
 type plan struct {
-	// pics is every planned picture on the batch path, where gops groups
-	// them. On the streaming paths it is a window: a group's pictures leave
+	// pics is a window of the planned pictures: a group's pictures leave
 	// it (retire) once every one of them has been decoded and handed to the
 	// display process — nothing still to run can name them, because
 	// references never leave a group — and take with them all that a
@@ -51,7 +44,6 @@ type plan struct {
 	mu      sync.Mutex
 	pics    []*picState
 	planned int
-	gops    []planGOP
 	// pre holds the plan-time error accounting (dropped pictures and
 	// GOPs); slice-level damage is discovered during execution.
 	pre ErrorStats
@@ -63,10 +55,10 @@ type plan struct {
 	shed ShedStats
 }
 
-// planBuilder grows a plan one group of pictures at a time. The batch
-// path feeds it every GOP of a finished scan; the streaming path feeds
-// it each GOP as the incremental scanner closes it — the decisions are
-// identical because nothing in the planning of a GOP looks ahead.
+// planBuilder grows a plan one group of pictures at a time, from a
+// finished scan or as the incremental scanner closes each group — the
+// decisions are identical because nothing in the planning of a GOP looks
+// ahead.
 type planBuilder struct {
 	seq     *mpeg2.SequenceHeader
 	policy  Resilience
@@ -88,7 +80,7 @@ type planBuilder struct {
 	displayBase int
 
 	// Degradation inputs (the multi-stream service sets them between
-	// addGOP calls; the batch paths leave them zero). shed selects load
+	// addGOP calls; a single-stream decode leaves them zero). shed selects load
 	// shedding for subsequently planned groups; degraded bumps the
 	// effective resilience policy to at least ConcealPicture so damage
 	// that would fail the stream under its requested policy is
@@ -112,21 +104,17 @@ func (b *planBuilder) setSplit(opt Options) {
 	}
 }
 
-// buildPlan resolves a lenient (or strict) scan into a decode plan under
-// the given resilience policy. FailFast and ConcealSlice treat
-// picture-level damage as a hard error; ConcealPicture substitutes such
-// pictures; DropGOP additionally removes groups with no decodable intra
-// anchor.
+// buildPlan resolves a whole lenient (or strict) scan into a decode plan
+// under the given resilience policy, nothing retired: what the trace
+// generator walks. FailFast and ConcealSlice treat picture-level damage as
+// a hard error; ConcealPicture substitutes such pictures; DropGOP
+// additionally removes groups with no decodable intra anchor.
 func buildPlan(data []byte, m *StreamMap, opt Options) (*plan, error) {
 	b := newPlanBuilder(&m.Seq, opt)
 	b.setSplit(opt)
 	for g := range m.GOPs {
-		ps, err := b.addGOP(data, g, &m.GOPs[g])
-		if err != nil {
+		if _, err := b.addGOP(data, g, &m.GOPs[g]); err != nil {
 			return nil, err
-		}
-		if len(ps) > 0 {
-			b.pl.gops = append(b.pl.gops, planGOP{g: g, pics: ps})
 		}
 	}
 	return &b.pl, nil
@@ -145,10 +133,9 @@ func (pl *plan) retire(ps []*picState) {
 }
 
 // addGOP plans one group of pictures. data holds the bytes the group's
-// offsets index into — the whole stream on the batch path, the group's
-// own copied buffer on the streaming path (each planned picture keeps a
-// reference to it). It returns the pictures appended to the plan, nil
-// when the policy dropped the group.
+// offsets index into (Unit.Data; each planned picture keeps a reference to
+// it). It returns the pictures appended to the plan, nil when the policy
+// dropped the group.
 func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, error) {
 	policy := b.policy
 	degradedRun := false
@@ -255,8 +242,8 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	// them in any order), paid identically by every mode.
 	var refOld, refNew *picState
 	for pi, ps := range cands {
-		// The picture's place in the plan, identical on the batch and
-		// streaming paths, so a seeded packing is reproducible across both.
+		// The picture's place in the plan, so a seeded packing is
+		// reproducible however the stream is fed.
 		key := b.seed + int64(pl.planned+pi)
 		ps.displayIdx = b.displayBase + slotOf[pi]
 		ps.isRef = ps.typeKnown && ps.hdr.Type != vlc.CodingB
@@ -331,21 +318,13 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 			}
 			ps.order = packOrder(costs, b.packing, key)
 			if b.splitOn {
-				// Only a task holding a single slice can split: the slices
-				// of a multi-slice task run serially on one worker (same-row
-				// slices must), which a segment fan-out would break.
-				buildSplitTasks(ps, data, b.splitOpt, key, len(ps.groups), func(gi int) int {
-					if len(ps.groups[gi]) == 1 {
-						return ps.groups[gi][0]
-					}
-					return -1
-				}, &b.scratch)
+				buildSplitTasks(ps, data, b.splitOpt, key, &b.scratch)
 			}
 			// A task owns its rows outright. So does a segment of a split
 			// slice once its chain verifies — but only while a damaged slice
 			// is fatal: a concealing policy drops such a slice whole, so its
 			// join adopts or discards it in one piece (runSegment).
-			ps.minRow, _ = minSliceRow(ps.rng.Slices)
+			ps.minRow = minSliceRow(ps.rng.Slices)
 			ps.rowwise = ps.tasks == nil || b.policy == FailFast
 		}
 		ps.remaining = ps.nTasks

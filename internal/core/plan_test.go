@@ -72,7 +72,7 @@ func TestBuildRowGroupsProperties(t *testing.T) {
 				}
 				p := &picState{rng: pr, params: mpeg2.PictureParams{MBWidth: 3, MBHeight: mbh}}
 				p.bounds = sliceSpanBounds(pr.Slices, &p.params)
-				p.minRow, _ = minSliceRow(pr.Slices)
+				p.minRow = minSliceRow(pr.Slices)
 				p.groups = buildRowGroups(pr.Slices, p.bounds, &p.params, workers)
 
 				taskOf := make([]int, len(pr.Slices))

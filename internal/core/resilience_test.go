@@ -256,3 +256,30 @@ func TestParseResilienceRoundTrip(t *testing.T) {
 		t.Fatal("unknown policy accepted")
 	}
 }
+
+// TestConcealedCounted: Stats.Concealed is Errors.ConcealedMBs under its
+// older name, in every mode — eight dropped slices under ConcealSlice leave
+// macroblocks to conceal, the same number whoever schedules them.
+func TestConcealedCounted(t *testing.T) {
+	res := testStream(t, 96, 64, 12, 4)
+	sp, err := faults.Parse("dropslice:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut, _ := sp.Apply(res.Data, 1)
+	want := 0
+	for _, mode := range everyMode {
+		_, st, err := decodeResilientRun(t, mut, mode, 3, ConcealSlice)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if st.Concealed == 0 || st.Concealed != st.Errors.ConcealedMBs {
+			t.Fatalf("%v: Concealed %d, Errors.ConcealedMBs %d", mode, st.Concealed, st.Errors.ConcealedMBs)
+		}
+		if mode == ModeSequential {
+			want = st.Concealed
+		} else if st.Concealed != want {
+			t.Fatalf("%v: %d macroblocks concealed, sequential %d", mode, st.Concealed, want)
+		}
+	}
+}

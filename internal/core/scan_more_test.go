@@ -36,7 +36,7 @@ func TestScanSkipsUserDataAndExtensions(t *testing.T) {
 	}
 	// And the stream still decodes identically in every mode.
 	want := sequentialFrames(t, res.Data)
-	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+	for _, mode := range everyMode {
 		var sink collectSink
 		if _, err := Decode(mut, Options{Mode: mode, Workers: 2, Sink: sink.add}); err != nil {
 			t.Fatalf("%v: %v", mode, err)

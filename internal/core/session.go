@@ -245,7 +245,7 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 		pics:        ps,
 		g:           u.G,
 		off:         u.Base + u.Range.Offset,
-		bytes:       int64(len(u.Data)),
+		bytes:       int64(u.Range.End - u.Range.Offset),
 		displayBase: displayBase,
 		shed:        shedNow,
 		shedIdx:     shedIdx,
@@ -341,6 +341,7 @@ func (s *Session) Finish(cause error) (*Stats, error) {
 	}
 	st.Wall = time.Since(s.wallStart)
 	st.Errors.Add(s.pb.pl.pre)
+	st.Concealed = st.Errors.ConcealedMBs
 	st.Shed.Add(s.pb.pl.shed)
 	st.Pictures = s.pb.pl.planned
 	if err != nil {

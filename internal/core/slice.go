@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -9,23 +8,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	rtrace "runtime/trace"
-
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/mpeg2"
 	"mpeg2par/internal/obs"
-	"mpeg2par/internal/vlc"
 )
 
 // picState is one picture in the 2-D task queue (first level: pictures in
 // decode order; second level: that picture's slices).
 type picState struct {
 	rng *PictureRange
-	// data holds the bytes rng's offsets index into: the whole stream on
-	// the batch paths, the picture's own GOP buffer on the streaming path.
+	// data holds the bytes rng's offsets index into: the unit's (its own
+	// copy of the group, or the whole stream when the unit borrows it).
 	data       []byte
 	hdr        mpeg2.PictureHeader
 	params     mpeg2.PictureParams
@@ -46,11 +42,11 @@ type picState struct {
 	// means stream order. Tasks of one picture touch disjoint pixels
 	// (distinct macroblock rows, or row groups), so any order is safe.
 	order     []int
-	nTasks    int // tasks this picture issues (slices, row groups, or one substitute)
+	nTasks    int // tasks this picture issues (row groups, segments, or one substitute)
 	remaining int // tasks not yet completed
 	// tasks, when non-nil, is the expanded task table of a picture with
 	// at least one split slice: queue indices resolve through it to an
-	// underlying slice/group or to one segment of a split slice.
+	// underlying row group or to one segment of a split slice.
 	tasks []segTask
 	// bounds holds the per-slice inclusive macroblock address bound
 	// (sliceSpanBounds): the span a slice may legally cover before the
@@ -74,8 +70,8 @@ type picState struct {
 	// display process; the queue's depth window advances on it.
 	shipped bool
 
-	// Resilient-plan fields (see plan.go); unused by the legacy paths.
-	gop       int       // index into StreamMap.GOPs
+	// Plan fields (see plan.go).
+	gop       int       // group index, in stream order
 	typeKnown bool      // the coding type survived the scan
 	headerOK  bool      // the full picture header parsed
 	fate      picFate   // decode from the bitstream or substitute
@@ -89,9 +85,12 @@ type picState struct {
 	damaged int          // slices whose parse/reconstruction failed
 	resyncs int          // damaged slices recovered by a later startcode
 
-	// unit, on the streaming path, is the in-flight GOP buffer this
-	// picture decodes from; retired when its last picture completes.
+	// unit is the in-flight GOP buffer this picture decodes from; retired
+	// when its last picture completes.
 	unit *unitState
+	// prof, with Options.Profile in a slice mode, holds per task where its
+	// costs go: windows of the picture's PicProfile.SliceCosts.
+	prof [][]time.Duration
 }
 
 // sliceQueue is the shared 2-D task queue plus the synchronization the
@@ -100,9 +99,8 @@ type picState struct {
 // itself: a task is runnable once the reference rows inside its motion
 // window (refRowWindow) have been published, so a worker that reaches the
 // end of a reference picture finds most of the next picture runnable
-// instead of going to sleep. The batch paths construct the queue closed
-// over the full picture list; the streaming path appends pictures as the
-// scan discovers them and closes the queue at end of stream.
+// instead of going to sleep. The scan process appends pictures as it
+// discovers them and closes the queue at end of stream.
 type sliceQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -184,11 +182,10 @@ func (q *sliceQueue) idle(wi int) {
 	q.mu.Unlock()
 }
 
-// newSliceQueue builds the queue of a slice-mode decode over pics; closed
-// says that no picture will be appended.
-func newSliceQueue(pics []*picState, pool *frame.Pool, opt Options, closed bool) *sliceQueue {
+// newSliceQueue builds the empty, open queue of a slice-mode decode.
+func newSliceQueue(pool *frame.Pool, opt Options) *sliceQueue {
 	q := &sliceQueue{
-		pics: slices.Clone(pics), pool: pool, closed: closed,
+		pool:     pool,
 		improved: opt.Mode == ModeSliceImproved,
 		depth:    opt.Workers + 4,
 		obs:      opt.Obs, workers: opt.Workers, affinity: opt.Affinity,
@@ -197,8 +194,8 @@ func newSliceQueue(pics []*picState, pool *frame.Pool, opt Options, closed bool)
 	return q
 }
 
-// append adds pictures to the tail of the queue (streaming path: the
-// scan process feeding tasks as it discovers them).
+// append adds pictures to the tail of the queue (the scan process feeding
+// tasks as it discovers them).
 func (q *sliceQueue) append(ps []*picState) {
 	q.mu.Lock()
 	q.pics = append(q.pics, ps...)
@@ -364,12 +361,7 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, wait
 				// slice approach exists for. Get is a free-list pop (a
 				// slice executor's pool scrubs on Put), cheap enough for
 				// under q.mu.
-				// Retains: 1 for display plus one per picture that will
-				// reference this one.
-				p.frame = q.pool.Get()
-				p.frame.Retain(1 + p.deps)
-				p.frame.PictureType = "?IPB"[int(p.hdr.Type)]
-				p.frame.TemporalRef = p.hdr.TemporalReference
+				newPlanFrame(q.pool, p)
 			}
 			slice = p.handout(p.nextSlice)
 			p.nextSlice++
@@ -531,215 +523,6 @@ func (q *sliceQueue) missing(p *picState) []int {
 	return out
 }
 
-// buildPicStates flattens the scanned stream into decode-order pictures
-// with resolved reference indices, parsing each picture header (the scan
-// process's job in the paper's design). Each picture's slice tasks are
-// packed per opt.Packing (LPT by byte size unless overridden).
-func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error) {
-	var pics []*picState
-	var splitScratch []mpeg2.MB
-	var refOld, refNew *picState
-	for g := range m.GOPs {
-		gop := &m.GOPs[g]
-		if gop.Closed {
-			refOld, refNew = nil, nil
-		}
-		for pi := range gop.Pictures {
-			pr := &gop.Pictures[pi]
-			r := bits.NewReader(data[:pr.End])
-			r.SeekBit(int64(pr.Offset+4) * 8)
-			hdr, err := mpeg2.ParsePictureHeader(r)
-			if err != nil {
-				return nil, fmt.Errorf("core: picture %d of GOP %d: %w", pi, g, err)
-			}
-			if len(pr.Slices) == 0 {
-				return nil, fmt.Errorf("core: picture %d of GOP %d has no slices", pi, g)
-			}
-			ps := &picState{
-				rng:        pr,
-				data:       data,
-				hdr:        hdr,
-				displayIdx: gop.FirstDisplay + pr.TemporalRef,
-				isRef:      hdr.Type != vlc.CodingB,
-				nTasks:     len(pr.Slices),
-				remaining:  len(pr.Slices),
-			}
-			ps.order = packOrder(sliceCosts(pr.Slices), opt.Packing, opt.PackSeed+int64(len(pics)))
-			ps.params = decoder.PictureParams(&m.Seq, &ps.hdr)
-			ps.bounds = sliceSpanBounds(pr.Slices, &ps.params)
-			if splitEligible(opt) {
-				// Legacy-path base tasks are individual slices, so every
-				// slice is a split candidate.
-				buildSplitTasks(ps, data, opt, opt.PackSeed+int64(len(pics)),
-					len(pr.Slices), func(b int) int { return b }, &splitScratch)
-			}
-			// Tasks here are single slices, so two slices on one row are
-			// two tasks: such a picture publishes as a whole. So does one
-			// whose split slices a damaged segment may yet take back.
-			var distinct bool
-			ps.minRow, distinct = minSliceRow(pr.Slices)
-			ps.rowwise = distinct && (ps.tasks == nil || !opt.Conceal)
-			switch hdr.Type {
-			case vlc.CodingP:
-				if refNew == nil {
-					return nil, fmt.Errorf("core: P picture without reference")
-				}
-				ps.fwd = refNew
-			case vlc.CodingB:
-				if refOld == nil || refNew == nil {
-					return nil, fmt.Errorf("core: B picture without two references")
-				}
-				ps.fwd, ps.bwd = refOld, refNew
-			}
-			pics = append(pics, ps)
-			for _, ref := range [...]*picState{ps.fwd, ps.bwd} {
-				if ref != nil {
-					ref.deps++
-				}
-			}
-			if ps.isRef {
-				refOld, refNew = refNew, ps
-			}
-		}
-	}
-	return pics, nil
-}
-
-// decodeSliceMode runs the fine-grained decoder (simple or improved).
-func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
-	pics, err := buildPicStates(data, m, opt)
-	if err != nil {
-		return err
-	}
-	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
-	if opt.Conceal {
-		// Same stale-pixel defense as the GOP mode: see decodeGOPMode. On
-		// Put, because take calls Get under q.mu.
-		pool.SetScrub(frame.ScrubOnPut)
-	}
-	disp := newDisplay(pool, opt.Sink, opt.Obs)
-
-	q := newSliceQueue(pics, pool, opt, true) // batch: the full picture list is known up front
-
-	var errs firstErr
-	st.WorkerStats = make([]WorkerStats, opt.Workers)
-	if opt.Profile {
-		st.SliceProf = make([]PicProfile, len(pics))
-		for i, p := range pics {
-			st.SliceProf[i] = PicProfile{
-				Ref:        p.isRef,
-				Type:       "?IPB"[int(p.hdr.Type)],
-				SliceCosts: make([]time.Duration, p.nTasks),
-				DisplayIdx: p.displayIdx,
-				RowWindow:  picRowWindow(p),
-			}
-		}
-	}
-	var workMu sync.Mutex
-
-	release := func(f *frame.Frame) {
-		if f.Release() {
-			pool.Put(f)
-		}
-	}
-
-	wallStart := time.Now()
-	var wg sync.WaitGroup
-	for wi := 0; wi < opt.Workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			obs.Do(opt.Mode.String(), wi, func() {
-				ws := &st.WorkerStats[wi]
-				var scr sliceScratch
-				for {
-					p, ti, _, ok := q.take(wi, ws)
-					if !ok {
-						return
-					}
-					t0 := time.Now()
-					reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
-					var work decoder.WorkStats
-					var addrs []int
-					var err error
-					var sst SplitStats
-					kind := obs.KindTask
-					if si, j, seg := p.taskAt(ti); j != nil {
-						kind = obs.KindSegment
-						work, addrs, err = runSegment(&m.Seq, &p.hdr, &p.params, p.data,
-							picRefs(p), p.frame, j, seg, wi, p.rowwise, opt, opt.Tracer, &scr, &sst)
-					} else {
-						work, addrs, err = decodeOneSlice(m, p, si, wi, opt, &scr)
-					}
-					reg.End()
-					cost := time.Since(t0)
-					ws.Busy += cost
-					ws.Tasks++
-					opt.Obs.Record(kind, wi, t0, cost, -1, p.displayIdx, ti)
-					opt.Cost.Observe(taskBytes(p, ti), cost)
-					if err != nil && !opt.Conceal {
-						errs.set(err)
-						q.fail()
-						return
-					}
-					workMu.Lock()
-					st.Work.Add(work)
-					st.Split.Add(sst)
-					if opt.Profile {
-						st.SliceProf[pindex(pics, p)].SliceCosts[ti] = cost
-					}
-					workMu.Unlock()
-					if q.finish(p, addrs) {
-						// Picture complete: conceal anything the damaged
-						// slices left unwritten (before publishing completeness,
-						// so dependents never read a half-concealed reference),
-						// release the frames it referenced, and ship it to the
-						// display process.
-						if miss := q.missing(p); len(miss) > 0 {
-							if !opt.Conceal {
-								errs.set(fmt.Errorf("core: picture at display %d covered %d of %d macroblocks",
-									p.displayIdx, p.params.MBWidth*p.params.MBHeight-len(miss),
-									p.params.MBWidth*p.params.MBHeight))
-								q.fail()
-								return
-							}
-							concealMBs(p, miss)
-							workMu.Lock()
-							st.Concealed += len(miss)
-							workMu.Unlock()
-						}
-						q.completePic(p)
-						for _, ref := range [...]*picState{p.fwd, p.bwd} {
-							if ref != nil {
-								release(ref.frame)
-							}
-						}
-						disp.push(p.frame, p.displayIdx)
-						q.shipPic(p)
-					}
-				}
-			})
-		}(wi)
-	}
-	wg.Wait()
-	displayed, dispErr := disp.finish()
-	st.Wall = time.Since(wallStart)
-
-	if err := errs.get(); err != nil {
-		return err
-	}
-	if dispErr != nil {
-		return dispErr
-	}
-	st.Pictures = len(pics)
-	st.Displayed = displayed
-	st.poolGauges(pool)
-	if displayed != len(pics) {
-		return fmt.Errorf("core: displayed %d of %d pictures", displayed, len(pics))
-	}
-	return nil
-}
-
 // concealMBs fills the listed macroblock addresses of p's frame by
 // temporal concealment.
 func concealMBs(p *picState, addrs []int) {
@@ -747,17 +530,6 @@ func concealMBs(p *picState, addrs []int) {
 	for _, a := range addrs {
 		decoder.ConcealMB(p.frame, ref, a%mbw, a/mbw)
 	}
-}
-
-func pindex(pics []*picState, p *picState) int {
-	// Pictures are few; displayIdx is unique but not decode-ordered, so
-	// search by identity.
-	for i := range pics {
-		if pics[i] == p {
-			return i
-		}
-	}
-	return -1
 }
 
 // sliceScratch is one worker's reusable decode state: a bit reader, a
@@ -770,16 +542,6 @@ type sliceScratch struct {
 	mbs   []mpeg2.MB
 	addrs []int
 	cov   coverage
-}
-
-// decodeOneSlice parses and reconstructs a single slice — the unit of
-// work of the fine-grained decoder. It returns the addresses of the
-// macroblocks it reconstructed, for picture-coverage accounting. The
-// returned slice aliases scr.addrs and is valid until the worker's next
-// call.
-func decodeOneSlice(m *StreamMap, p *picState, si, wi int, opt Options, scr *sliceScratch) (decoder.WorkStats, []int, error) {
-	return decodeSliceRange(p.data, &m.Seq, &p.hdr, &p.params, p.rng.Slices[si],
-		p.sliceBound(si), picRefs(p), p.frame, wi, opt.Tracer, scr)
 }
 
 // concealRef returns the frame p's lost macroblocks are concealed from.

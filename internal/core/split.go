@@ -53,10 +53,10 @@ func (s SplitStats) Any() bool {
 
 // segTask is one entry of a picture's expanded task table. A picture
 // whose slices all decode whole has a nil task table and the queue's
-// task indices address slices (legacy path) or row groups (plan path)
-// directly; once any slice splits, every task is routed through the
-// table: base names the underlying slice/group, and join/seg identify a
-// segment of a split slice (join == nil for unsplit tasks).
+// task indices address row groups directly; once any slice splits, every
+// task is routed through the table: base names the underlying group, and
+// join/seg identify a segment of a split slice (join == nil for unsplit
+// tasks).
 type segTask struct {
 	base int
 	join *splitJoin
@@ -132,8 +132,8 @@ func (p *picState) sliceBound(si int) int {
 	return p.params.MBWidth*p.params.MBHeight - 1
 }
 
-// taskAt resolves queue task index ti: the underlying slice/group index
-// and, for a segment of a split slice, its join state.
+// taskAt resolves queue task index ti: the underlying group index and,
+// for a segment of a split slice, its join state.
 func (p *picState) taskAt(ti int) (base int, j *splitJoin, seg int) {
 	if p.tasks == nil {
 		return ti, nil, 0
@@ -149,10 +149,7 @@ func taskBytes(p *picState, ti int) int64 {
 	if j != nil {
 		return j.segBytes[seg]
 	}
-	if p.groups != nil {
-		return groupCost(p.rng.Slices, p.groups[base])
-	}
-	return int64(p.rng.Slices[base].Bytes)
+	return groupCost(p.rng.Slices, p.groups[base])
 }
 
 // splitEligible reports whether this decode should attempt intra-slice
@@ -224,19 +221,19 @@ func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRang
 	return j
 }
 
-// buildSplitTasks expands a picture's base tasks (slices on the legacy
-// path, row groups on the plan path) into a segment task table, splitting
-// every eligible tall slice. nBase is the base task count; baseSlice
-// maps a base task to its single slice index, or -1 when the task is
-// not a splittable single slice. Returns false (leaving the picture's
-// task fields untouched) when nothing split.
-func buildSplitTasks(p *picState, data []byte, opt Options, seed int64, nBase int, baseSlice func(int) int, scratch *[]mpeg2.MB) bool {
+// buildSplitTasks expands a picture's row groups into a segment task
+// table, splitting every eligible tall slice. Only a group holding a single
+// slice can split: the slices of a multi-slice task run serially on one
+// worker (same-row slices must), which a segment fan-out would break.
+// Returns false (leaving the picture's task fields untouched) when nothing
+// split.
+func buildSplitTasks(p *picState, data []byte, opt Options, seed int64, scratch *[]mpeg2.MB) bool {
 	var tasks []segTask
 	var costs []int64
 	split := false
-	for b := 0; b < nBase; b++ {
-		si := baseSlice(b)
-		if si >= 0 {
+	for b, group := range p.groups {
+		if len(group) == 1 {
+			si := group[0]
 			if j := newSplitJoin(data, &p.params, si, p.rng.Slices[si], p.sliceBound(si), opt, scratch); j != nil {
 				for seg := range j.res {
 					tasks = append(tasks, segTask{base: b, join: j, seg: seg})

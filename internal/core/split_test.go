@@ -319,9 +319,6 @@ func TestErrBadOption(t *testing.T) {
 			t.Fatalf("%s: NewStreamExecutor err %v, want ErrBadOption", tc.name, err)
 		}
 	}
-	if _, err := NewStreamExecutor(context.Background(), Options{Mode: ModeSliceImproved, Workers: 1, Profile: true}); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("streaming Profile err %v, want ErrBadOption", err)
-	}
 	if _, err := Decode(res.Data, Options{Mode: ModeSliceImproved, Workers: 1}); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}

@@ -18,15 +18,18 @@ import (
 	"mpeg2par/internal/vlc"
 )
 
-// Unit is one group of pictures handed from the streaming scanner to the
-// executor: an owned copy of the group's bytes (so the scan window can
-// slide on) with the scanned range rebased to that copy.
+// Unit is one group of pictures handed from the scan to the executor. The
+// streaming scanner makes Data an owned copy of the group's bytes (so the
+// scan window can slide on) with the scanned range rebased to that copy; a
+// decode of a scanned stream lends every unit the whole stream (Base 0,
+// the range as scanned). Either way the unit is charged for the bytes of
+// its range, and nothing writes to Data.
 type Unit struct {
 	G    int    // group index, in stream order
 	Base int    // absolute stream offset of Data[0]
-	Data []byte // the group's bytes, owned by the unit
-	// Range is the group's scanned structure with every offset rebased
-	// into Data (Range.Offset is 0 when the group starts the buffer).
+	Data []byte // the bytes Range indexes into
+	// Range is the group's scanned structure, every offset an index into
+	// Data.
 	Range GOPRange
 	// Seq is the sequence header in force when the group closed. The
 	// scan rejects (strict) or ignores (lenient) mid-stream geometry
@@ -89,16 +92,16 @@ type gopTask struct {
 	unit *unitState
 }
 
-// StreamExecutor runs the decode side of the streaming pipeline: the
-// scanner Feeds it groups of pictures as they are discovered, workers
-// decode them under the batch executors' exact plan semantics, and the
-// display process delivers frames in display order as soon as they are
-// ready — all long before the stream has been fully read.
+// StreamExecutor is the decode engine: the scan Feeds it groups of
+// pictures as they are discovered (or, from a finished scan, one after the
+// other), workers decode the plan grown from them, and the display process
+// delivers frames in display order as soon as they are ready — all long
+// before the stream has been fully read.
 //
 // Feed and Finish must be called from a single goroutine (the scan
-// process); the workers it starts are internal. Every mode and policy
-// produces output bit-identical to the batch path because both sides
-// execute plans grown by the same planBuilder over the same scan.
+// process); the workers it starts are internal. How the stream is cut into
+// reads never shows in the output: the plan of a group depends on the
+// group alone.
 type StreamExecutor struct {
 	ctx context.Context
 	opt Options
@@ -153,8 +156,8 @@ func (e *StreamExecutor) setErr(err error) {
 
 // NewStreamExecutor prepares a streaming executor. Workers start lazily
 // at the first Feed (the frame geometry arrives with the first unit).
-// ModeSequential runs on one worker regardless of Options.Workers,
-// preserving the batch sequential baseline's decode order.
+// ModeSequential runs on one worker regardless of Options.Workers: the
+// plan in decode order, the baseline every parallel mode must match.
 func NewStreamExecutor(ctx context.Context, opt Options) (*StreamExecutor, error) {
 	if opt.Workers < 1 {
 		return nil, badOption("Workers=%d (need at least one worker)", opt.Workers)
@@ -173,9 +176,6 @@ func NewStreamExecutor(ctx context.Context, opt Options) (*StreamExecutor, error
 		// known; Options.Workers is the ceiling the policy chooses under.
 	default:
 		return nil, badOption("Mode=%d (unknown mode)", int(opt.Mode))
-	}
-	if opt.Profile {
-		return nil, badOption("Profile requires the batch decoder")
 	}
 	return &StreamExecutor{
 		ctx:     ctx,
@@ -214,7 +214,7 @@ func (e *StreamExecutor) start(u *Unit) {
 	e.opt.Obs.SetMeta(e.opt.Mode.String(), e.workers)
 	switch e.opt.Mode {
 	case ModeSliceSimple, ModeSliceImproved:
-		e.q = newSliceQueue(nil, e.pool, e.opt, false) // Feed appends, Finish closes
+		e.q = newSliceQueue(e.pool, e.opt) // Feed appends, Finish closes
 		if e.gate != nil {
 			e.gate.park = e.q.idle
 		}
@@ -282,7 +282,7 @@ func (e *StreamExecutor) Feed(u Unit) error {
 		e.seq = u.Seq
 		e.start(&u)
 	}
-	us := &unitState{exec: e, bytes: int64(len(u.Data))}
+	us := &unitState{exec: e, bytes: int64(u.Range.End - u.Range.Offset)}
 	e.mu.Lock()
 	e.unitBytes += us.bytes
 	if t := e.unitBytes + e.winBytes; t > e.peakBytes {
@@ -306,6 +306,9 @@ func (e *StreamExecutor) Feed(u Unit) error {
 		e.st.Auto.Reevals++
 	}
 	us.pics = ps
+	if e.opt.Profile {
+		e.profile(u.G, ps)
+	}
 	if len(ps) == 0 {
 		// Empty or policy-dropped group: nothing will decode from the
 		// unit, release it immediately.
@@ -325,6 +328,43 @@ func (e *StreamExecutor) Feed(u Unit) error {
 		e.gopTasks <- gopTask{g: u.G, off: u.Base + u.Range.Offset, unit: us}
 	}
 	return nil
+}
+
+// profile readies the run's cost tables for one planned group: a GOPCosts
+// entry per group fed, or a SliceProf entry per planned picture whose
+// SliceCosts the picture's tasks fill in as they run — one cost per slice
+// of a row-group task and one per segment task, in task order, which on a
+// clean stream is slice order.
+func (e *StreamExecutor) profile(g int, ps []*picState) {
+	if e.q == nil {
+		e.workMu.Lock()
+		for len(e.st.GOPCosts) <= g {
+			e.st.GOPCosts = append(e.st.GOPCosts, TaskCost{})
+		}
+		e.workMu.Unlock()
+		return
+	}
+	for _, p := range ps {
+		width := func(ti int) int {
+			if base, j, _ := p.taskAt(ti); j == nil && p.fate == fateDecode {
+				return len(p.groups[base])
+			}
+			return 1
+		}
+		n := 0
+		for ti := 0; ti < p.nTasks; ti++ {
+			n += width(ti)
+		}
+		costs := make([]time.Duration, n)
+		p.prof = make([][]time.Duration, p.nTasks)
+		for ti, rest := 0, costs; ti < p.nTasks; ti++ {
+			p.prof[ti], rest = rest[:width(ti)], rest[width(ti):]
+		}
+		e.st.SliceProf = append(e.st.SliceProf, PicProfile{
+			Ref: p.isRef, Type: "?IPB"[int(p.hdr.Type)], SliceCosts: costs,
+			DisplayIdx: p.displayIdx, RowWindow: picRowWindow(p),
+		})
+	}
 }
 
 // AdjustBuffered charges (or releases) scanner window bytes against the
@@ -397,6 +437,7 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 	if e.started {
 		st.Wall = time.Since(e.wallStart)
 		st.Errors.Add(e.pb.pl.pre)
+		st.Concealed = st.Errors.ConcealedMBs
 		st.Pictures = e.pb.pl.planned
 	}
 	defer e.fillGauges()
@@ -427,9 +468,9 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 	return st, nil
 }
 
-// gopWorker is the streaming coarse-grained worker: one task decodes a
-// whole group of pictures, exactly as in decodeResilientGOP (and, with
-// one worker, in the same order as decodeResilientSeq).
+// gopWorker is the coarse-grained worker: one task decodes a whole group
+// of pictures (and, with one worker, the plan in decode order — the
+// sequential baseline).
 func (e *StreamExecutor) gopWorker(wi int) {
 	defer e.wg.Done()
 	obs.Do(e.opt.Mode.String(), wi, func() {
@@ -460,7 +501,9 @@ func (e *StreamExecutor) runGOPTask(t *gopTask, wi int, ws *WorkerStats, scr *sl
 	defer reg.End()
 	var work decoder.WorkStats
 	var es ErrorStats
+	var picCosts []time.Duration // with Options.Profile, what each picture took
 	for _, p := range t.unit.pics {
+		tp := time.Now()
 		newPlanFrame(e.pool, p)
 		w, pes, err := decodePlanPic(&e.seq, p, wi, e.opt, scr)
 		work.Add(w)
@@ -475,6 +518,9 @@ func (e *StreamExecutor) runGOPTask(t *gopTask, wi int, ws *WorkerStats, scr *sl
 		}
 		releaseHolds(e.pool, p)
 		e.disp.push(p.frame, p.displayIdx)
+		if e.opt.Profile {
+			picCosts = append(picCosts, time.Since(tp))
+		}
 	}
 	cost := time.Since(t1)
 	ws.Busy += cost
@@ -485,13 +531,15 @@ func (e *StreamExecutor) runGOPTask(t *gopTask, wi int, ws *WorkerStats, scr *sl
 	e.workMu.Lock()
 	e.st.Work.Add(work)
 	e.st.Errors.Add(es)
+	if e.opt.Profile {
+		e.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: work, Pictures: picCosts}
+	}
 	e.workMu.Unlock()
 }
 
-// sliceWorker is the streaming fine-grained worker: the same 2-D task
-// queue as decodeResilientSlice, except the queue grows while the scan
-// runs, and each completed picture retires its share of the unit that
-// carried its bytes.
+// sliceWorker is the fine-grained worker, on the 2-D task queue: the queue
+// grows while the scan runs, and each completed picture retires its share
+// of the unit that carried its bytes.
 func (e *StreamExecutor) sliceWorker(wi int) {
 	defer e.wg.Done()
 	obs.Do(e.opt.Mode.String(), wi, func() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpeg2par/internal/bits"
-	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/mpeg2"
@@ -42,10 +41,39 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, aff Affinity, tr memtr
 	if err != nil {
 		return err
 	}
-	if mode == ModeGOP {
-		return traceGOPs(data, m, procs, tr)
+	// The pictures the decoders run, walked in decode order on this
+	// goroutine: a GOP-mode picture whole on its group's processor, a
+	// slice-mode picture slice by slice.
+	pl, err := buildPlan(data, m, Options{Workers: 1, Packing: PackFIFO})
+	if err != nil {
+		return err
 	}
-	return traceSlices(data, m, procs, aff, tr)
+	opt := Options{Tracer: tr}
+	task := 0
+	var scr sliceScratch
+	for _, p := range pl.pics {
+		p.frame = frame.New(m.Seq.Width, m.Seq.Height)
+		if mode == ModeGOP {
+			proc := p.gop % procs
+			traceInput(tr, data, proc, p.rng.Offset, p.rng.End)
+			if _, _, err := decodePlanPic(&m.Seq, p, proc, opt, &scr); err != nil {
+				return err
+			}
+			continue
+		}
+		for si, sr := range p.rng.Slices {
+			proc := task % procs
+			if aff == AffinityRow {
+				proc = bandOf(sr.Row, procs, p.params.MBHeight)
+			}
+			traceInput(tr, data, proc, sr.Offset, sr.End)
+			if _, _, err := decodeSliceRange(data, &m.Seq, &p.hdr, &p.params, sr, p.sliceBound(si), picRefs(p), p.frame, proc, tr, &scr); err != nil {
+				return err
+			}
+			task++
+		}
+	}
+	return nil
 }
 
 // traceInput emits the VLD's sequential read of a coded byte range — the
@@ -62,71 +90,15 @@ func traceInput(tr memtrace.Tracer, data []byte, proc, off, end int) {
 	}
 }
 
-func traceGOPs(data []byte, m *StreamMap, procs int, tr memtrace.Tracer) error {
-	for g := range m.GOPs {
-		gop := &m.GOPs[g]
-		proc := g % procs
-		seq := m.Seq
-		pd := decoder.PictureDecoder{Seq: &seq, Tracer: tr, Proc: proc}
-		r := bits.NewReader(data[:gop.End])
-		r.SeekBit(int64(gop.Offset) * 8)
-		pi := 0
-		for {
-			code, err := r.NextStartCode()
-			if err != nil {
-				break
-			}
-			r.Skip(32)
-			if code == mpeg2.PictureStartCode {
-				if pi < len(gop.Pictures) {
-					pr := &gop.Pictures[pi]
-					traceInput(tr, data, proc, pr.Offset, pr.End)
-				}
-				pi++
-				if _, err := pd.DecodePicture(r); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func traceSlices(data []byte, m *StreamMap, procs int, aff Affinity, tr memtrace.Tracer) error {
-	pics, err := buildPicStates(data, m, Options{Packing: PackFIFO})
-	if err != nil {
-		return err
-	}
-	opt := Options{Tracer: tr}
-	task := 0
-	var scr sliceScratch
-	for _, p := range pics {
-		p.frame = frame.New(m.Seq.Width, m.Seq.Height)
-		for si := range p.rng.Slices {
-			proc := task % procs
-			if aff == AffinityRow {
-				proc = bandOf(p.rng.Slices[si].Row, procs, p.params.MBHeight)
-			}
-			sr := p.rng.Slices[si]
-			traceInput(tr, data, proc, sr.Offset, sr.End)
-			if _, _, err := decodeOneSlice(m, p, si, proc, opt, &scr); err != nil {
-				return err
-			}
-			task++
-		}
-	}
-	return nil
-}
-
 // VisitMacroblocks walks every macroblock of the stream at the syntax
 // level — no pixel reconstruction — calling fn for each decoded
 // macroblock in decode order. Useful for stream inspection and tests.
 func VisitMacroblocks(data []byte, m *StreamMap, fn func(mb *mpeg2.MB)) error {
-	pics, err := buildPicStates(data, m, Options{Packing: PackFIFO})
+	pl, err := buildPlan(data, m, Options{Workers: 1, Packing: PackFIFO})
 	if err != nil {
 		return err
 	}
-	for _, p := range pics {
+	for _, p := range pl.pics {
 		for _, sr := range p.rng.Slices {
 			r := bits.NewReader(data[:sr.End])
 			r.SeekBit(int64(sr.Offset) * 8)

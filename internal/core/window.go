@@ -72,14 +72,9 @@ func taskRows(p *picState, ti int) (r0, r1, entry int, ok bool) {
 		return 0, 0, 0, false
 	}
 	base, j, seg := p.taskAt(ti)
-	var task []int // the task's slices
-	switch {
-	case j != nil:
+	task := p.groups[base] // the task's slices
+	if j != nil {
 		task = []int{j.si}
-	case p.groups != nil:
-		task = p.groups[base]
-	default:
-		task = []int{base}
 	}
 	mbw, mbh := p.params.MBWidth, p.params.MBHeight
 	if len(task) == 0 || mbw <= 0 {
@@ -109,22 +104,16 @@ func taskRows(p *picState, ti int) (r0, r1, entry int, ok bool) {
 	return r0, r1, entry, true
 }
 
-// minSliceRow returns the lowest macroblock row any slice claims, and
-// whether every slice claims a row of its own.
-func minSliceRow(slices []SliceRange) (minRow int, distinct bool) {
-	var seen [256]bool // slice startcodes name rows 0..174
-	minRow, distinct = -1, true
+// minSliceRow returns the lowest macroblock row any slice claims (-1 when
+// there is no slice).
+func minSliceRow(slices []SliceRange) int {
+	minRow := -1
 	for i := range slices {
-		r := slices[i].Row
-		if minRow < 0 || r < minRow {
+		if r := slices[i].Row; minRow < 0 || r < minRow {
 			minRow = r
 		}
-		if r >= 0 && r < len(seen) {
-			distinct = distinct && !seen[r]
-			seen[r] = true
-		}
 	}
-	return minRow, distinct
+	return minRow
 }
 
 // coverage records which macroblocks of one picture have been

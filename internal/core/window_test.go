@@ -115,11 +115,13 @@ func TestRefRowWindowExhaustive(t *testing.T) {
 // one slice per row, f_code 1 in both directions (a one-row window).
 func windowTestPic(mbw, mbh int, fwd, bwd *picState, deps int32) *picState {
 	pr := &PictureRange{}
+	var groups [][]int
 	for r := 0; r < mbh; r++ {
 		pr.Slices = append(pr.Slices, SliceRange{Row: r})
+		groups = append(groups, []int{r})
 	}
 	p := &picState{
-		rng: pr, fwd: fwd, bwd: bwd, deps: deps,
+		rng: pr, fwd: fwd, bwd: bwd, deps: deps, groups: groups,
 		nTasks: mbh, remaining: mbh, rowwise: true,
 		params: mpeg2.PictureParams{MBWidth: mbw, MBHeight: mbh,
 			FCode: [2][2]int{{1, 1}, {1, 1}}, FramePredFrameDCT: true},
@@ -144,7 +146,7 @@ func groupedTestPic(mbw, mbh, workers int, perRow func(r int) int) *picState {
 	p.rng = pr
 	p.bounds = sliceSpanBounds(pr.Slices, &p.params)
 	p.groups = buildRowGroups(pr.Slices, p.bounds, &p.params, workers)
-	p.minRow, _ = minSliceRow(pr.Slices)
+	p.minRow = minSliceRow(pr.Slices)
 	p.nTasks, p.remaining = len(p.groups), len(p.groups)
 	return p
 }
@@ -190,12 +192,12 @@ func TestSliceQueueRowWindow(t *testing.T) {
 		take := func(want *picState) int {
 			t.Helper()
 			if !runnable() {
-				t.Fatalf("depth %d: take would block; want a task of picture %d", depth, pindex(pics, want))
+				t.Fatalf("depth %d: take would block; want a task of picture %d", depth, slices.Index(pics, want))
 			}
 			p, ti, wait, ok := q.take(0, &WorkerStats{})
 			if !ok || p != want || wait != 0 {
 				t.Fatalf("depth %d: take = picture %d ok %v wait %v; want picture %d without blocking",
-					depth, pindex(pics, p), ok, wait, pindex(pics, want))
+					depth, slices.Index(pics, p), ok, wait, slices.Index(pics, want))
 			}
 			return p.rng.Slices[ti].Row
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mpeg2par/internal/core"
+	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/encoder"
 	"mpeg2par/internal/faults"
 	"mpeg2par/internal/frame"
@@ -174,12 +175,46 @@ var allModes = []core.Mode{core.ModeSequential, core.ModeGOP, core.ModeSliceSimp
 
 var allPolicies = []core.Resilience{core.FailFast, core.ConcealSlice, core.ConcealPicture, core.DropGOP}
 
-// TestStreamingMatchesBatchGolden is the pipeline's bit-identity
-// contract: every mode × policy, streamed chunk by chunk through an
-// io.Reader, must produce the frames and error accounting of the batch
-// sequential reference — on clean and on damaged streams.
+// oracleFrames decodes a clean stream with decoder.Decoder: the sequential
+// decoder that shares the syntax and reconstruction layers with the engine
+// and nothing above them — no scan map, plan, queue or frame pool.
+func oracleFrames(t *testing.T, data []byte) []*frame.Frame {
+	t.Helper()
+	d, err := decoder.New(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := d.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// oracleRef is oracleFrames in the shape sameDecode compares against: the
+// frames, and the stats of a decode that displayed them all with no damage.
+func oracleRef(t *testing.T, data []byte) (*collectSink, *core.Stats) {
+	t.Helper()
+	ref := &collectSink{frames: oracleFrames(t, data)}
+	return ref, &core.Stats{Pictures: len(ref.frames), Displayed: len(ref.frames)}
+}
+
+// TestStreamingMatchesBatchGolden is the engine's bit-identity contract:
+// every mode × policy, however the stream is fed — the scanned map's groups
+// as units that borrow the caller's bytes, or an io.Reader chunked at 1, 7,
+// 4096 and the default size — must produce the same frames and accounting
+// as the sequential mode, on clean and on damaged streams; and on the clean
+// stream under FailFast, the frames of the independent oracle.
 func TestStreamingMatchesBatchGolden(t *testing.T) {
 	clean := testStream(t, 96, 64, 12, 4)
+	oracle, oracleSt := oracleRef(t, clean)
+	for _, mode := range allModes {
+		for _, workers := range []int{1, 2, 3, 7} {
+			var sink collectSink
+			st, err := core.Decode(clean, core.Options{Mode: mode, Workers: workers, Sink: sink.add})
+			sameDecode(t, fmt.Sprintf("%v/%d against decoder.Decoder", mode, workers), &sink, st, err, oracle, oracleSt, nil)
+		}
+	}
 	inputs := [][]byte{clean}
 	for _, spec := range []string{"burst:count=2,len=24", "droppic:1"} {
 		sp, err := faults.Parse(spec)
@@ -194,56 +229,82 @@ func TestStreamingMatchesBatchGolden(t *testing.T) {
 			if policy == core.FailFast && di != 0 {
 				continue // damaged streams are for the resilient policies
 			}
-			matchBatch(t, fmt.Sprintf("input %d", di), data, policy)
+			matchFeedings(t, fmt.Sprintf("input %d", di), data, policy, 1, 7, 4096, 0)
 		}
 	}
 }
 
-// matchBatch decodes data under policy in every mode, streamed in small and
-// in large chunks, and demands the frames and error accounting of the batch
-// sequential decode of the same bytes — or a failure wherever batch fails.
-func matchBatch(t *testing.T, label string, data []byte, policy core.Resilience) {
+// wholeMap, as a chunk size, stands for core.Decode: the stream scanned to
+// its end first, then every group fed as a unit that borrows the stream.
+const wholeMap = -1
+
+// decodeFed decodes data under opt fed one way: wholeMap, or through a
+// reader chunk bytes at a time.
+func decodeFed(data []byte, opt core.Options, chunk int) (*core.Stats, error) {
+	if chunk == wholeMap {
+		return core.Decode(data, opt)
+	}
+	return stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{Options: opt, ChunkSize: chunk})
+}
+
+// sameDecode demands of one decode the frames and accounting of a reference
+// decode of the same bytes — or a failure wherever the reference failed.
+func sameDecode(t *testing.T, label string, got *collectSink, st *core.Stats, err error, ref *collectSink, refSt *core.Stats, refErr error) {
+	t.Helper()
+	if refErr != nil {
+		// Damage the policy cannot absorb fails every mode and feeding.
+		if err == nil {
+			t.Fatalf("%s: decoded cleanly where the reference failed (%v)", label, refErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if st.Pictures != refSt.Pictures || st.Displayed != refSt.Displayed {
+		t.Fatalf("%s: %d/%d pictures displayed, reference %d/%d",
+			label, st.Displayed, st.Pictures, refSt.Displayed, refSt.Pictures)
+	}
+	if st.Errors != refSt.Errors || st.Concealed != refSt.Concealed {
+		t.Fatalf("%s: error stats %+v (%d concealed), reference %+v (%d)", label, st.Errors, st.Concealed, refSt.Errors, refSt.Concealed)
+	}
+	if len(got.frames) != len(ref.frames) {
+		t.Fatalf("%s: %d frames, reference %d", label, len(got.frames), len(ref.frames))
+	}
+	for i := range ref.frames {
+		if !got.frames[i].Equal(ref.frames[i]) {
+			t.Fatalf("%s: frame %d differs from the reference", label, i)
+		}
+	}
+	if st.LeakedFrameBytes != 0 {
+		t.Fatalf("%s: leaked %d frame bytes", label, st.LeakedFrameBytes)
+	}
+}
+
+// matchFeedings decodes data under policy in every mode, fed from the whole
+// map and through a reader at each of the chunk sizes, and demands of every
+// decode the frames and error accounting of the sequential mode fed from
+// the whole map — and the same split accounting whatever the feeding.
+func matchFeedings(t *testing.T, label string, data []byte, policy core.Resilience, chunks ...int) {
 	t.Helper()
 	var refSink collectSink
 	refSt, refErr := core.Decode(data, core.Options{
 		Mode: core.ModeSequential, Workers: 1, Resilience: policy, Sink: refSink.add,
 	})
 	for _, mode := range allModes {
-		for _, chunk := range []int{997, 64 << 10} {
+		var split core.SplitStats
+		for _, chunk := range append([]int{wholeMap}, chunks...) {
 			label := fmt.Sprintf("%s %v %v chunk %d", label, policy, mode, chunk)
 			var sink collectSink
-			st, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
-				Options:   core.Options{Mode: mode, Workers: 3, Resilience: policy, Sink: sink.add},
-				ChunkSize: chunk,
-			})
+			st, err := decodeFed(data, core.Options{Mode: mode, Workers: 3, Resilience: policy, Sink: sink.add}, chunk)
+			sameDecode(t, label, &sink, st, err, &refSink, refSt, refErr)
 			if refErr != nil {
-				// Damage the policy cannot absorb: streaming must fail
-				// wherever batch fails.
-				if err == nil {
-					t.Fatalf("%s: decoded cleanly where batch failed (%v)", label, refErr)
-				}
 				continue
 			}
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if st.Pictures != refSt.Pictures || st.Displayed != refSt.Displayed {
-				t.Fatalf("%s: %d/%d pictures displayed, batch %d/%d",
-					label, st.Displayed, st.Pictures, refSt.Displayed, refSt.Pictures)
-			}
-			if st.Errors != refSt.Errors {
-				t.Fatalf("%s: error stats %+v, batch %+v", label, st.Errors, refSt.Errors)
-			}
-			if len(sink.frames) != len(refSink.frames) {
-				t.Fatalf("%s: %d frames, batch %d", label, len(sink.frames), len(refSink.frames))
-			}
-			for i := range refSink.frames {
-				if !sink.frames[i].Equal(refSink.frames[i]) {
-					t.Fatalf("%s: frame %d differs from batch", label, i)
-				}
-			}
-			if st.LeakedFrameBytes != 0 {
-				t.Fatalf("%s: leaked %d frame bytes", label, st.LeakedFrameBytes)
+			if chunk == wholeMap {
+				split = st.Split
+			} else if st.Split != split {
+				t.Fatalf("%s: split stats %+v, fed from the whole map %+v", label, st.Split, split)
 			}
 		}
 	}
@@ -316,24 +377,28 @@ func openGOPs(t *testing.T, data []byte) []byte {
 // beginning is long forgotten: damage in group 40 of 60 — a substitution
 // source and a concealment reference planned after some forty groups have
 // retired — and open groups whose leading B pictures have lost the group
-// they predicted from. Every mode must agree with the batch decode.
+// they predicted from. Every mode must agree with the sequential one,
+// however the stream is fed.
 func TestLadderPastTheWindow(t *testing.T) {
 	clean := testStream(t, 80, 48, 12, 4)
 	for _, spec := range []string{"burst:count=2,len=24", "droppic:1"} {
 		data := lateFault(t, clean, spec, 60, 40)
 		for _, policy := range allPolicies[1:] {
-			matchBatch(t, spec, data, policy)
+			matchFeedings(t, spec, data, policy, 997, 64<<10)
 		}
 	}
 	open := tile(openGOPs(t, clean), 20)
 	for _, policy := range allPolicies {
-		matchBatch(t, "open groups", open, policy)
+		matchFeedings(t, "open groups", open, policy, 997, 64<<10)
 	}
 }
 
 // TestPeakInFlightBounded is the memory acceptance: decoding an N-GOP
 // stream through a reader must hold buffered bitstream bytes to the
-// scan-ahead window plus one group, never the stream length.
+// scan-ahead window plus one group, never the stream length. Decoding it
+// from a scanned map holds no bytes of its own, and the same gauge reads
+// the groups the window admits at once: a unit that borrows the stream is
+// charged for its group, not for what it borrows.
 func TestPeakInFlightBounded(t *testing.T) {
 	data := testStream(t, 80, 48, 96, 4)
 	m := mustBatchScan(t, data, false)
@@ -369,6 +434,14 @@ func TestPeakInFlightBounded(t *testing.T) {
 	}
 	if bound >= int64(len(data)) {
 		t.Fatalf("vacuous bound: stream %d bytes <= bound %d; enlarge the test stream", len(data), bound)
+	}
+	st, err = core.Decode(data, core.Options{Mode: core.ModeGOP, Workers: 2, MaxInFlight: maxInFlight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PeakInFlightBytes <= 0 || st.PeakInFlightBytes > int64(maxInFlight*maxGOP) {
+		t.Fatalf("core.Decode: peak in-flight %d, want within (0, %d]: %d groups of at most %d bytes",
+			st.PeakInFlightBytes, maxInFlight*maxGOP, maxInFlight, maxGOP)
 	}
 }
 

@@ -1,8 +1,6 @@
 package stream_test
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -14,7 +12,6 @@ import (
 	"mpeg2par/internal/faults"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/mpeg2"
-	"mpeg2par/internal/stream"
 )
 
 // scrollSource is a smooth texture sliding down the picture by speed
@@ -110,11 +107,12 @@ func vectorReach(t *testing.T, data []byte) (longest, limit, fieldMBs int) {
 // doubles) and tall slices (a task spans several rows). The improved
 // slice mode at 1/2/3/4/8 workers (the plan's task grain depends on the
 // pool size: three, two and one row a task here), under all four
-// resilience policies, on the clean stream and on two damaged ones,
-// through the batch executors (fail-fast: decodeSliceMode; resilient:
-// decodeResilientSlice) and the streaming one, must deliver every frame
-// equal to the sequential decoder's — or fail wherever it fails. Run under -race this also proves
-// no task reads a reference row another task is still writing.
+// resilience policies, on the clean stream and on two damaged ones, fed
+// from the scanned map and through a reader, must deliver every frame
+// equal to the sequential mode's — or fail wherever it fails — and the
+// sequential mode, on the clean stream under FailFast, every frame of
+// decoder.Decoder. Run under -race this also proves no task reads a
+// reference row another task is still writing.
 func TestRowWindowGolden(t *testing.T) {
 	const w, h = 48, 192
 	streams := []struct {
@@ -161,21 +159,18 @@ func TestRowWindowGolden(t *testing.T) {
 					Mode: core.ModeSequential, Workers: 1, Resilience: policy, Sink: want.add,
 				})
 				damaged = damaged || (wantErr == nil && wantSt.Errors.Any())
+				if di == 0 && policy == core.FailFast {
+					oracle, oracleSt := oracleRef(t, data)
+					sameDecode(t, s.name+": sequential mode against decoder.Decoder", &want, wantSt, wantErr, oracle, oracleSt, nil)
+				}
 				for _, workers := range []int{1, 2, 3, 4, 8} {
 					opt := core.Options{Mode: core.ModeSliceImproved, Workers: workers, Resilience: policy}
-					for _, exec := range []string{"batch", "streaming"} {
+					for _, chunk := range []int{wholeMap, 4096} {
 						var got collectSink
 						opt.Sink = got.add
-						var st *core.Stats
-						var err error
-						if exec == "batch" {
-							st, err = core.Decode(data, opt)
-						} else {
-							st, err = stream.Decode(context.Background(), bytes.NewReader(data),
-								stream.Options{Options: opt, ChunkSize: 4096})
-						}
+						st, err := decodeFed(data, opt, chunk)
 						id := func() string {
-							return fmt.Sprintf("%s input %d %v %s w%d", s.name, di, policy, exec, workers)
+							return fmt.Sprintf("%s input %d %v chunk %d w%d", s.name, di, policy, chunk, workers)
 						}
 						if (err != nil) != (wantErr != nil) {
 							t.Fatalf("%s: err=%v, sequential err=%v", id(), err, wantErr)

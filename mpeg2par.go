@@ -139,8 +139,9 @@ const (
 	ModeAuto          = core.ModeAuto
 )
 
-// Packing selects the order the scheduler hands tasks to the worker
-// pool; every packing produces bit-identical output.
+// Packing selects the order the slice queue hands a picture's tasks to
+// the worker pool (GOP mode runs groups in stream order); every packing
+// produces bit-identical output.
 type Packing = core.Packing
 
 // The task-queue packing disciplines. PackLPT (the default) packs
@@ -240,13 +241,13 @@ func ScanReader(r io.Reader, chunkSize int) (*StreamMap, error) {
 }
 
 // DecodeParallel runs the parallel decoder over a fully materialized
-// stream: scan first, then decode.
+// stream: scan first, then feed the same engine Decode runs one scanned
+// group at a time.
 //
 // Deprecated: use Decode, the streaming context-first API — it produces
 // bit-identical output in every mode and policy, overlaps scanning with
-// decoding, bounds memory by the scan-ahead window, and supports
-// cancellation. DecodeParallel remains for profiling (Options.Profile)
-// and pre-scanned sweeps.
+// decoding, holds only the scan-ahead window of the stream, and supports
+// cancellation. Options.Profile works through either.
 func DecodeParallel(data []byte, opt Options) (*Stats, error) {
 	return core.Decode(data, opt)
 }
