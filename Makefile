@@ -14,21 +14,25 @@ vet:
 # tier-equivalence matrix (each equivalence test internally sweeps
 # scalar/SWAR/asm against the scalar oracle), the coefficient path (block
 # VLD kernel against its bit-serial reference, mask-driven dequant against
-# the dense one), the write-once reconstruction (prediction into the frame,
-# in-place average and residual add against the two-buffer one; windowed
-# macroblock header against its per-symbol reference) and the goldens; the same matrix under the race detector
+# the dense one; the asm tier's one-call coded-block kernel against the
+# scalar dequant → IDCT → clamp chain), the write-once reconstruction
+# (prediction into the frame, in-place average and residual add against
+# the two-buffer one; windowed macroblock header against its per-symbol
+# reference) and the goldens; the same matrix under the race detector
 # with the asm tier force-disabled (the race runtime cannot see into
 # assembly, so race coverage comes from the pure-Go tiers), golden
 # bit-exactness with every forced tier — by package as well, engine and
 # feeding goldens of ./internal/stream/ included, and -count=1 because the
 # tier is read at package init, where go's test cache does not see the
-# variable and would answer from a run of another tier — and the per-kernel
-# micro-benchmarks.
+# variable and would answer from a run of another tier — and every
+# micro-benchmark of the kernel packages, by package too, so that a renamed
+# or new benchmark (BenchmarkReconBlock: the coded-block kernel against the
+# chain it replaced) cannot drop out.
 kernels:
 	$(GO) test ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/ ./internal/vlc/ ./internal/quant/ ./internal/mpeg2/
 	MPEG2_KERNELS=scalar $(GO) test -count=1 -race ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/ ./internal/stream/
 	MPEG2_KERNELS=swar $(GO) test -count=1 -race ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/ ./internal/stream/
-	$(GO) test -run=NONE -bench 'PredictBlock|AverageMB|StoreBlock|InverseTiers|DecodeBlock|InverseMasked|ReconMB|DecodeMBHeader|Average' -benchtime=10x ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/mpeg2/ ./internal/quant/
+	$(GO) test -run=NONE -bench=. -benchtime=10x ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/mpeg2/ ./internal/quant/
 
 # Cross-compile + per-arch vet gate: both SIMD targets must build and
 # their assembly must pass vet's asmdecl checks even when developing on
@@ -129,6 +133,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzResilientDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzSpeculativeSplit -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/decoder
+	$(GO) test -run=NONE -fuzz=FuzzReconBlock -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=NONE -fuzz=FuzzStreamScan -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/mpeg2
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMBHeader -fuzztime=$(FUZZTIME) ./internal/mpeg2

@@ -90,7 +90,9 @@ const (
 
 // Inverse computes the inverse DCT in place using Wang's fast integer
 // algorithm with 11 fractional bits in the row pass and results clamped to
-// [-256, 255], matching the MSSG reference decoder's idct.
+// [-256, 255], matching the MSSG reference decoder's idct. Coefficients
+// must fit int16, as the [-2048, 2047] saturation of dequantization
+// guarantees: the asm tier's row pass multiplies 16-bit pairs.
 func Inverse(block *[64]int32) {
 	if asmIDCT {
 		idctAsm(block)

@@ -141,10 +141,11 @@ func TestEncoderDeterminism(t *testing.T) {
 }
 
 // TestSparseKernelsBitExact decodes the same multi-GOP I/P/B stream with
-// the sparsity-aware kernels and with the dense quant.Inverse+dct.Inverse
+// the active tier's block path (on the asm tier, dct.ReconBlock; else the
+// sparsity-aware kernels) and with the dense quant.Inverse+dct.Inverse
 // reference pair, and requires byte-identical frames — no PSNR tolerance.
 // This is the whole-pipeline counterpart of the per-block equivalence
-// tests in internal/quant and internal/dct.
+// tests in internal/quant and internal/dct and of TestReconBlockEquivalence.
 func TestSparseKernelsBitExact(t *testing.T) {
 	res, err := encoder.EncodeSequence(encoder.Config{
 		Width: 176, Height: 112, Pictures: 13, GOPSize: 13,
@@ -154,9 +155,9 @@ func TestSparseKernelsBitExact(t *testing.T) {
 	}
 	decodeAll := func(dense bool) []*frame.Frame {
 		t.Helper()
-		prev := denseKernels
-		denseKernels = dense
-		defer func() { denseKernels = prev }()
+		prev, prevBlock := denseKernels, asmBlock
+		denseKernels, asmBlock = dense, asmBlock && !dense
+		defer func() { denseKernels, asmBlock = prev, prevBlock }()
 		d, err := New(res.Data)
 		if err != nil {
 			t.Fatal(err)
@@ -180,8 +181,9 @@ func TestSparseKernelsBitExact(t *testing.T) {
 }
 
 // TestSWARKernelsBitExact decodes a multi-GOP I/P/B stream twice — once
-// with every fast kernel enabled (SWAR motion compensation, branchless
-// stores, word-at-a-time scan, sparse dequant+IDCT) and once with every
+// with every fast kernel of the active tier enabled (SWAR or asm motion
+// compensation, branchless stores or the one-call block kernel,
+// word-at-a-time scan, sparse dequant+IDCT) and once with every
 // scalar/dense reference forced — and requires byte-identical frames.
 // This is the whole-pipeline counterpart of the per-kernel equivalence
 // sweeps in internal/motion and internal/bits.
@@ -207,12 +209,12 @@ func testSWARKernelsBitExact(t *testing.T, cfg encoder.Config) {
 	decodeAll := func(scalar bool) []*frame.Frame {
 		t.Helper()
 		prevMC, prevScan := motion.ScalarKernels, bits.ScalarScan
-		prevStore, prevDense := scalarStore, denseKernels
+		prevStore, prevDense, prevBlock := scalarStore, denseKernels, asmBlock
 		motion.ScalarKernels, bits.ScalarScan = scalar, scalar
-		scalarStore, denseKernels = scalar, scalar
+		scalarStore, denseKernels, asmBlock = scalar, scalar, asmBlock && !scalar
 		defer func() {
 			motion.ScalarKernels, bits.ScalarScan = prevMC, prevScan
-			scalarStore, denseKernels = prevStore, prevDense
+			scalarStore, denseKernels, asmBlock = prevStore, prevDense, prevBlock
 		}()
 		d, err := New(res.Data)
 		if err != nil {

@@ -76,11 +76,11 @@ func ReconSlice(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, d
 		return st, fmt.Errorf("decoder: B picture without backward reference")
 	}
 	mbw := seq.MBWidth()
-	var scratch motion.MBPred
+	var sc reconScratch
 	for i := range ds.MBs {
 		mb := &ds.MBs[i]
 		mbx, mby := mb.Addr%mbw, mb.Addr/mbw
-		if err := reconMB(seq, ph, refs, dst, mb, mbx, mby, &scratch, &st, proc, tr); err != nil {
+		if err := reconMB(seq, ph, refs, dst, mb, mbx, mby, &sc, &st, proc, tr); err != nil {
 			return st, fmt.Errorf("decoder: macroblock %d: %w", mb.Addr, err)
 		}
 		st.MBs++
@@ -117,6 +117,39 @@ func blockMask(mb *mpeg2.MB, b int) uint64 {
 	return quant.Mask(&mb.Blocks[b], 64)
 }
 
+// reconScratch is what ReconSlice keeps for its macroblocks: the
+// prediction buffer a bidirectional macroblock averages from, and the
+// dequantization tables of dct.ReconBlock, which change with
+// quantiser_scale only.
+type reconScratch struct {
+	pred         motion.MBPred
+	intra, inter dct.Dequant
+}
+
+// reconBlock reconstructs coded block b of mb into dst — an intra block
+// stored, a predicted one added to the prediction already there — and
+// returns how many quantized coefficients it held. On the asm tier that is
+// one dct.ReconBlock call on the quantized block itself; elsewhere a copy
+// of the block goes through dequantization, IDCT and a store.
+func reconBlock(dst *frame.Frame, mb *mpeg2.MB, b, mbx, mby int, p quant.Params, dq *dct.Dequant) int {
+	mask := blockMask(mb, b)
+	if asmBlock {
+		plane, x, y, stride, step := blockGeometry(dst, mbx, mby, b, mb.FieldDCT)
+		o, rs := y*stride+x, step*stride
+		_ = plane[o+7*rs+7] // one bounds check for the whole block
+		dct.ReconBlock(&plane[o], rs, &mb.Blocks[b], dq, !p.Intra)
+		return mathbits.OnesCount64(mask)
+	}
+	blk := mb.Blocks[b]
+	nz := inverseBlock(&blk, p, mask)
+	if p.Intra {
+		storeIntraBlock(dst, &blk, mbx, mby, b, mb.FieldDCT)
+	} else {
+		storePredBlock(dst, &blk, mbx, mby, b, mb.FieldDCT)
+	}
+	return nz
+}
+
 // reconMB reconstructs one macroblock into dst. A predicted pixel is
 // written once: motion compensation goes straight into dst (a
 // bidirectional macroblock: forward into dst, backward into scratch, then
@@ -124,15 +157,14 @@ func blockMask(mb *mpeg2.MB, b int) uint64 {
 // coded one is an in-place clamped residual add. Whether the macroblock
 // can be predicted at all is decided before dst is touched, so a rejected
 // macroblock leaves the frame as it found it.
-func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, scratch *motion.MBPred, st *WorkStats, proc int, tr memtrace.Tracer) error {
+func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, sc *reconScratch, st *WorkStats, proc int, tr memtrace.Tracer) error {
 	scale := quant.Scale(mb.QScaleCode, ph.QScaleType)
 	if mb.Type.Intra {
 		p := quant.Params{Matrix: &seq.IntraMatrix, Scale: scale, Intra: true, DCPrecision: ph.IntraDCPrecision}
+		sc.intra.Set(p.Matrix, scale, quant.IntraDCMult(p.DCPrecision))
 		for b := 0; b < 6; b++ {
-			blk := mb.Blocks[b]
-			nz := inverseBlock(&blk, p, blockMask(mb, b))
+			nz := reconBlock(dst, mb, b, mbx, mby, p, &sc.intra)
 			st.Coefs += nz
-			storeIntraBlock(dst, &blk, mbx, mby, b, mb.FieldDCT)
 			st.IntraBlocks++
 			traceBlock(proc, true, nz, tr)
 		}
@@ -155,8 +187,8 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 	switch {
 	case fwd && bwd:
 		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false, proc, tr)
-		predictMB(dst, scratch, refs.Bwd, mb, mbx, mby, true, proc, tr)
-		motion.AverageMBInto(dst, mbx, mby, scratch)
+		predictMB(dst, &sc.pred, refs.Bwd, mb, mbx, mby, true, proc, tr)
+		motion.AverageMBInto(dst, mbx, mby, &sc.pred)
 		traceMBWrite(dst, mbx, mby, proc, tr)
 		traceScratchPred(proc, tr)
 		traceMBUpdate(dst, mbx, mby, 0x3F, false, proc, tr)
@@ -172,14 +204,13 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 
 	// Add the residual of each coded block to the prediction in place.
 	p := quant.Params{Matrix: &seq.NonIntraMatrix, Scale: scale, Intra: false}
+	sc.inter.Set(p.Matrix, scale, 0)
 	for b := 0; b < 6; b++ {
 		if mb.CBP&(1<<uint(5-b)) == 0 {
 			continue
 		}
-		blk := mb.Blocks[b]
-		nz := inverseBlock(&blk, p, blockMask(mb, b))
+		nz := reconBlock(dst, mb, b, mbx, mby, p, &sc.inter)
 		st.Coefs += nz
-		storePredBlock(dst, &blk, mbx, mby, b, mb.FieldDCT)
 		st.CodedBlocks++
 		traceBlock(proc, false, nz, tr)
 	}
@@ -280,12 +311,11 @@ func storePredBlock(dst *frame.Frame, blk *[64]int32, mbx, mby, b int, fieldDCT 
 		rs := step * stride
 		o := y*stride + x
 		_ = plane[o+7*rs+7] // one bounds check for the whole block
-		storePredBlockAsm(&plane[o], rs, &plane[o], rs, &blk[0])
+		storePredBlockAsm(&plane[o], rs, &blk[0])
 		return
 	}
 	for r := 0; r < 8; r++ {
-		row := plane[(y+r*step)*stride+x:]
-		storePredRow8(row, row, blk[r*8:r*8+8])
+		storePredRow8(plane[(y+r*step)*stride+x:], blk[r*8:r*8+8])
 	}
 }
 
@@ -303,21 +333,19 @@ func storeIntraRow8(row []uint8, res []int32) {
 	row[7] = clampPixel(res[7])
 }
 
-// storePredRow8 adds one unrolled row of eight residuals to the prediction
-// and stores the clamped result. prow may be row itself: each pixel is
-// read before it is written.
-func storePredRow8(row, prow []uint8, res []int32) {
+// storePredRow8 adds one unrolled row of eight residuals to the
+// prediction in row and stores the clamped sums over it.
+func storePredRow8(row []uint8, res []int32) {
 	row = row[:8:8]
-	prow = prow[:8:8]
 	res = res[:8:8]
-	row[0] = clampPixel(int32(prow[0]) + res[0])
-	row[1] = clampPixel(int32(prow[1]) + res[1])
-	row[2] = clampPixel(int32(prow[2]) + res[2])
-	row[3] = clampPixel(int32(prow[3]) + res[3])
-	row[4] = clampPixel(int32(prow[4]) + res[4])
-	row[5] = clampPixel(int32(prow[5]) + res[5])
-	row[6] = clampPixel(int32(prow[6]) + res[6])
-	row[7] = clampPixel(int32(prow[7]) + res[7])
+	row[0] = clampPixel(int32(row[0]) + res[0])
+	row[1] = clampPixel(int32(row[1]) + res[1])
+	row[2] = clampPixel(int32(row[2]) + res[2])
+	row[3] = clampPixel(int32(row[3]) + res[3])
+	row[4] = clampPixel(int32(row[4]) + res[4])
+	row[5] = clampPixel(int32(row[5]) + res[5])
+	row[6] = clampPixel(int32(row[6]) + res[6])
+	row[7] = clampPixel(int32(row[7]) + res[7])
 }
 
 // clampPixel saturates to [0,255] without branches: the first step zeroes

@@ -210,12 +210,12 @@ func BenchmarkReconMB(b *testing.B) {
 		seq, ph, refs, ds := reconFixture(c, 3)
 		dst := frame.New(reconW, reconH)
 		b.Run(c.name, func(b *testing.B) {
-			var scratch motion.MBPred
+			var sc reconScratch
 			var st WorkStats
 			mbw := seq.MBWidth()
 			for n := 0; n < b.N; n++ {
 				k := n % len(ds.MBs)
-				if err := reconMB(seq, ph, refs, dst, &ds.MBs[k], k%mbw, k/mbw, &scratch, &st, 0, nil); err != nil {
+				if err := reconMB(seq, ph, refs, dst, &ds.MBs[k], k%mbw, k/mbw, &sc, &st, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,11 +4,15 @@ package decoder
 // kernels (NEON, architecturally mandatory on AArch64).
 const haveStoreAsm = true
 
-// See store_amd64.go for the kernel contracts, including that pred may
-// alias dst with equal strides (each row is loaded before it is stored).
+// storeIntraBlockAsm clamps 8 rows of 8 int32 IDCT outputs to [0,255]
+// and stores them at dst with rowStride bytes between rows.
 //
 //go:noescape
 func storeIntraBlockAsm(dst *byte, rowStride int, blk *int32)
 
+// storePredBlockAsm adds 8 rows of 8 int32 residuals to the prediction
+// rows at dst (rowStride apart) and stores the clamped sums over them:
+// each row is loaded before it is stored.
+//
 //go:noescape
-func storePredBlockAsm(dst *byte, rowStride int, pred *byte, pstride int, blk *int32)
+func storePredBlockAsm(dst *byte, rowStride int, blk *int32)

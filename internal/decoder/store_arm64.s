@@ -39,16 +39,13 @@ intraRow:
 	BNE    intraRow
 	RET
 
-// func storePredBlockAsm(dst *byte, rowStride int, pred *byte, pstride int, blk *int32)
+// func storePredBlockAsm(dst *byte, rowStride int, blk *int32)
 //
-// The prediction row is loaded before the destination row is stored, so
-// pred may be dst itself (equal strides).
-TEXT ·storePredBlockAsm(SB), NOSPLIT, $0-40
+// Each prediction row is loaded from dst before the sum is stored over it.
+TEXT ·storePredBlockAsm(SB), NOSPLIT, $0-24
 	MOVD dst+0(FP), R0
 	MOVD rowStride+8(FP), R1
-	MOVD pred+16(FP), R3
-	MOVD pstride+24(FP), R4
-	MOVD blk+32(FP), R2
+	MOVD blk+16(FP), R2
 	MOVD $8, R5
 
 	MOVD $0x80000000, R6
@@ -58,7 +55,7 @@ TEXT ·storePredBlockAsm(SB), NOSPLIT, $0-40
 
 predRow:
 	VLD1.P  32(R2), [V0.S4, V1.S4]
-	VLD1    (R3), [V2.B8]
+	VLD1    (R0), [V2.B8]
 	VUSHLL  $0, V2.B8, V2.H8
 	VUSHLL  $0, V2.H4, V3.S4
 	VUSHLL2 $0, V2.H8, V4.S4
@@ -76,7 +73,6 @@ predRow:
 	VUZP1   V0.B16, V0.B16, V0.B16
 	VST1    [V0.B8], (R0)
 	ADD     R1, R0
-	ADD     R4, R3
 	SUBS    $1, R5
 	BNE     predRow
 	RET

@@ -1,20 +1,25 @@
 // Package kernels is the runtime dispatch layer for the decoder's
-// reconstruction kernels. Three tiers exist for every hot kernel family
-// (motion compensation, prediction/residual stores, IDCT):
+// reconstruction kernels: motion compensation, and the path of a coded
+// block from quantized levels to pixels (dequantization, IDCT, clamped
+// store or residual add). Three tiers exist:
 //
 //   - LevelScalar: byte-at-a-time reference loops — the bit-exactness
 //     oracle every other tier is tested against.
 //   - LevelSWAR: portable SIMD-within-a-register kernels (8 pixels per
-//     uint64), the default on architectures without assembly kernels.
-//   - LevelASM: build-tagged Go assembly (AVX2 on amd64, NEON on arm64),
-//     selected at init when the CPU supports it.
+//     uint64), the default on architectures without assembly kernels and
+//     the tier the race detector can see into.
+//   - LevelASM: build-tagged Go assembly, selected at init when the CPU
+//     supports it.
 //
 // The package is a leaf: the kernel packages (internal/motion,
 // internal/decoder, internal/dct) import it and register an applier;
-// Set fans the active level out to every registered applier. Coverage is
-// per-kernel: an architecture may implement assembly for only a subset of
-// kernel families (each package's applier falls back to SWAR for the
-// rest), which Describe reports.
+// Set fans the active level out to every registered applier. What the
+// asm tier covers is per architecture, each package's applier keeping
+// the SWAR code for the rest: on amd64 (AVX2) motion compensation, the
+// IDCT, and one call that turns a coded block into pixels
+// (dct.ReconBlock), which is all the decoder's block path is there; on
+// arm64 (NEON) motion compensation and the clamped stores, with
+// dequantization and the IDCT in Go.
 //
 // The MPEG2_KERNELS environment variable (scalar | swar | asm) forces a
 // tier at process start — CI runs the full golden bit-exactness and fuzz
