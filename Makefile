@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify vet build test race bench perf fuzz faults trace sched kernels cross service vldsplit deadline apicheck
+.PHONY: verify vet build test race bench perf fuzz faults trace sched kernels cross service vldsplit deadline
 
-verify: vet build race bench trace sched kernels cross service vldsplit deadline apicheck ## full CI gate: vet + build + race tests (every package, the streaming pipeline, the public API and its deprecated shims among them) + bench smoke + traced decode + scheduler gate + kernel matrix + cross-compile + service gate + split-decode gate + deadline gate + deprecated-API grep
+verify: vet build race bench trace sched kernels cross service vldsplit deadline ## full CI gate: vet + build + race tests (every package, the streaming pipeline and the public API among them) + bench smoke + traced decode + scheduler gate + kernel matrix + cross-compile + service gate + split-decode gate + deadline gate
 
 # go vet, and gofmt: any file gofmt would rewrite fails the gate.
 vet:
@@ -109,13 +109,6 @@ vldsplit:
 # `make sched`.)
 deadline:
 	$(GO) test -count=1 -run TestDeadlineExperimentSmoke -v ./internal/bench/
-
-# Deprecated-API grep gate: cmd/ and examples/ must stay on the
-# streaming entry points (Decode/ScanReader); the deprecated wrappers
-# exist for external compatibility only.
-apicheck:
-	@! grep -rn 'mpeg2par\.DecodeAll\|mpeg2par\.DecodeParallel\|mpeg2par\.Scan(' cmd/ examples/ \
-		|| { echo 'apicheck: cmd/ and examples/ must use Decode/ScanReader, not deprecated wrappers' >&2; exit 1; }
 
 # Append a perf-trajectory run to the current BENCH_<n>.json.
 perf:

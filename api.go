@@ -72,9 +72,10 @@ func WithAutoTune() Option {
 
 // WithPacking overrides the order the slice modes hand out the tasks of
 // one picture (default PackLPT, longest-first by byte-size cost; GOP mode
-// runs groups in stream order whatever the packing). seed feeds
-// PackRandom and is ignored by the deterministic packings. Packing never
-// changes decoded output, only the order workers receive tasks.
+// runs groups in stream order whatever the packing). seed feeds the
+// randomized packing the ordering-invariance tests use and is ignored by
+// PackLPT and PackFIFO. Packing never changes decoded output, only the
+// order workers receive tasks.
 func WithPacking(p Packing, seed int64) Option {
 	return func(c *decodeConfig) {
 		c.opt.Packing = p

@@ -29,31 +29,33 @@ func ExampleGenerateStream() {
 	// GOPs: 1
 }
 
-// ExampleDecodeParallel decodes with the fine-grained parallel decoder
+// ExampleDecode_bitExact decodes with the fine-grained parallel decoder
 // and verifies it against the sequential decoder.
-func ExampleDecodeParallel() {
+func ExampleDecode_bitExact() {
 	stream, err := mpeg2par.GenerateStream(mpeg2par.StreamConfig{
 		Width: 96, Height: 64, Pictures: 8, GOPSize: 4,
 	})
 	if err != nil {
 		panic(err)
 	}
-	want, err := mpeg2par.DecodeAll(stream.Data)
+	seq, err := mpeg2par.NewDecoder(stream.Data)
+	if err != nil {
+		panic(err)
+	}
+	want, err := seq.All()
 	if err != nil {
 		panic(err)
 	}
 	identical := true
-	i := 0
-	stats, err := mpeg2par.DecodeParallel(stream.Data, mpeg2par.Options{
-		Mode:    mpeg2par.ModeSliceImproved,
-		Workers: 3,
-		Sink: func(f *mpeg2par.Frame) {
-			if !f.Equal(want[i]) {
+	stats, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(stream.Data),
+		mpeg2par.WithMode(mpeg2par.ModeSliceImproved),
+		mpeg2par.WithWorkers(3),
+		mpeg2par.WithFrameSink(func(f *mpeg2par.Frame) {
+			if !f.Equal(want[f.DisplayIndex]) {
 				identical = false
 			}
-			i++
-		},
-	})
+		}),
+	)
 	if err != nil {
 		panic(err)
 	}
@@ -100,16 +102,16 @@ func ExampleDecode() {
 	// in display order: true
 }
 
-// ExampleScan shows the structural index the scan process builds — the
-// foundation of task-parallel decoding.
-func ExampleScan() {
+// ExampleScanReader shows the structural index the scan process builds —
+// the foundation of task-parallel decoding.
+func ExampleScanReader() {
 	stream, err := mpeg2par.GenerateStream(mpeg2par.StreamConfig{
 		Width: 96, Height: 64, Pictures: 8, GOPSize: 4,
 	})
 	if err != nil {
 		panic(err)
 	}
-	m, err := mpeg2par.Scan(stream.Data)
+	m, err := mpeg2par.ScanReader(bytes.NewReader(stream.Data), 0)
 	if err != nil {
 		panic(err)
 	}

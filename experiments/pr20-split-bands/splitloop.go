@@ -39,7 +39,6 @@ func fail(err error) {
 
 func main() {
 	size := flag.String("size", "352x240", "picture size; 704x480 with -rows 1 is the slice-ipb-sd-w2 geometry")
-	batch := flag.Bool("batch", false, "decode through the batch entry point (fail-fast: the legacy one-slice-per-task path)")
 	rows := flag.Int("rows", 15, "macroblock rows per slice (15 at 352x240: one slice per picture)")
 	workers := flag.Int("workers", 2, "workers")
 	indexed := flag.Bool("index", true, "decode with a split index")
@@ -88,13 +87,8 @@ func main() {
 		n := 0
 		t0 := time.Now()
 		for d := 0; d < *decodes; d++ {
-			if *batch {
-				last, err = mpeg2par.DecodeParallel(data, mpeg2par.Options{Mode: mpeg2par.ModeSliceImproved, Workers: *workers,
-					Sink: func(*mpeg2par.Frame) { n++ }})
-			} else {
-				last, err = mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(data),
-					append(opts, mpeg2par.WithFrameSink(func(*mpeg2par.Frame) { n++ }))...)
-			}
+			last, err = mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(data),
+				append(opts, mpeg2par.WithFrameSink(func(*mpeg2par.Frame) { n++ }))...)
 			fail(err)
 		}
 		rates = append(rates, float64(n)/time.Since(t0).Seconds())

@@ -21,57 +21,8 @@ import (
 // parallel row segments through the split-decode verify-or-fallback
 // chain (internal/core/split.go), which is bit-exact by construction —
 // a failed verification re-decodes the slice sequentially, so assist
-// can cost time but never pixels or error fate.
-
-// decodeAssistPic is decodePlanPic with intra-slice fan-out: every
-// slice that the split source (index or speculation) can cut into two
-// or more row segments is decoded by up to `parts` goroutines; the
-// rest decode inline exactly as the plain path would. Coverage, damage
-// accounting, and concealment are identical to decodePlanPic — the
-// goldens assert bit-equality under every policy.
-func decodeAssistPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, scr *sliceScratch, parts int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
-	f := p.frame
-	var work decoder.WorkStats
-	var es ErrorStats
-	if p.fate == fateSubstitute {
-		substitute(p)
-		return work, es, nil
-	}
-	refs := picRefs(p)
-	scr.cov.reset(p.params.MBWidth * p.params.MBHeight)
-	last := len(p.rng.Slices) - 1
-	optSplit := opt
-	optSplit.SplitParts = parts
-	for _, group := range p.groups {
-		for _, si := range group {
-			sr := p.rng.Slices[si]
-			bound := p.sliceBound(si)
-			var w decoder.WorkStats
-			var addrs []int
-			var err error
-			if j := newSplitJoin(p.data, &p.params, si, sr, bound, optSplit, &scr.mbs); j != nil {
-				w, addrs, err = runSegmentsAssist(seq, p, j, refs, f, wi, opt, scr, sst, parts)
-			} else {
-				w, addrs, err = decodeSliceRange(p.data, seq, &p.hdr, &p.params, sr, bound, refs, f, wi, opt.Tracer, scr)
-			}
-			work.Add(w)
-			if err != nil {
-				if opt.Resilience == FailFast {
-					return work, es, err
-				}
-				es.DamagedSlices++
-				if si != last {
-					es.Resyncs++
-				}
-				continue
-			}
-			for _, a := range addrs {
-				scr.cov.add(a)
-			}
-		}
-	}
-	return work, es, concealUncovered(p, &scr.cov, opt, &es)
-}
+// can cost time but never pixels or error fate. decodePlanPic, given a
+// fan-out width, hands each such slice to runSegmentsAssist.
 
 // runSegmentsAssist executes every segment of one split slice across up
 // to `parts` goroutines (segment 0 inline on the caller, reusing its

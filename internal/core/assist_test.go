@@ -28,7 +28,7 @@ func assistDecode(t testing.TB, data []byte, opt Options, parts int) (*Stats, []
 	var scr Scratch
 	for gi := range m.GOPs {
 		u := Unit{G: gi, Data: data, Range: m.GOPs[gi], Seq: m.Seq}
-		tk, ferr := sess.Feed(u)
+		tk, ferr := sess.FeedShed(u, ShedNone)
 		if ferr != nil {
 			runErr = ferr
 			break
@@ -66,7 +66,7 @@ func TestSessionTaskBytesBorrowed(t *testing.T) {
 	var scr Scratch
 	var total int64
 	for gi := range m.GOPs {
-		tk, err := sess.Feed(Unit{G: gi, Data: res.Data, Range: m.GOPs[gi], Seq: m.Seq})
+		tk, err := sess.FeedShed(Unit{G: gi, Data: res.Data, Range: m.GOPs[gi], Seq: m.Seq}, ShedNone)
 		if err != nil || tk == nil {
 			t.Fatalf("group %d: task %v, err %v", gi, tk, err)
 		}

@@ -72,6 +72,10 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// sliceGrain reports whether the mode runs its pictures through the slice
+// queue (the rest decode each picture whole on one worker).
+func (m Mode) sliceGrain() bool { return m == ModeSliceSimple || m == ModeSliceImproved }
+
 // Options configures a parallel decode.
 type Options struct {
 	Mode    Mode
@@ -155,9 +159,9 @@ type Options struct {
 	// worker, the segment costs of a larger pool.
 	SplitParts int
 
-	// Frames, when non-nil, is the service's spare-frame store: a Session
-	// draws its frames from it and hands the idle ones back in Finish.
-	// Nil allocates per decode. The other executors ignore it.
+	// Frames, when non-nil, is the service's spare-frame store: the
+	// decode draws its frames from it and hands the idle ones back when it
+	// finishes. Nil allocates per decode.
 	Frames *frame.Store
 }
 

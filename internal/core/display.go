@@ -113,10 +113,12 @@ func (d *displayProc) finish() (int, error) {
 	return d.displayed, nil
 }
 
-// firstErr latches the first error reported by any process.
+// firstErr latches the first error reported by any process, and closes
+// done (made with the Session) as it does: a select can wait on the failure.
 type firstErr struct {
-	mu  sync.Mutex
-	err error
+	mu   sync.Mutex
+	err  error
+	done chan struct{}
 }
 
 func (e *firstErr) set(err error) {
@@ -126,6 +128,7 @@ func (e *firstErr) set(err error) {
 	e.mu.Lock()
 	if e.err == nil {
 		e.err = err
+		close(e.done)
 	}
 	e.mu.Unlock()
 }

@@ -44,10 +44,15 @@ func releaseHolds(pool *frame.Pool, p *picState) {
 }
 
 // decodePlanPic decodes or substitutes one planned picture into its
-// frame (the single-worker-per-picture executor shared by the sequential
-// and GOP-grain modes, the service's sessions and the trace generator). The
-// frames of the references and substitution source must be complete.
-func decodePlanPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, scr *sliceScratch) (decoder.WorkStats, ErrorStats, error) {
+// frame (the single-worker-per-picture executor of Session.Run — the
+// sequential and GOP-grain modes and the service — and the trace
+// generator). The frames of the references and substitution source must
+// be complete. With parts of 2 or more (the service's assist), every slice
+// the split source (index or speculation) can cut into two or more row
+// segments is decoded by up to parts goroutines, its split activity
+// tallied into sst; the rest decode inline. Coverage, damage accounting
+// and concealment are the same either way, and so are the pixels.
+func decodePlanPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, scr *sliceScratch, parts int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
 	f := p.frame
 	var work decoder.WorkStats
 	var es ErrorStats
@@ -58,9 +63,23 @@ func decodePlanPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, 
 	refs := picRefs(p)
 	scr.cov.reset(p.params.MBWidth * p.params.MBHeight)
 	last := len(p.rng.Slices) - 1
+	optSplit := opt
+	optSplit.SplitParts = parts
 	for _, group := range p.groups {
 		for _, si := range group {
-			w, addrs, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, f, wi, opt.Tracer, scr)
+			sr, bound := p.rng.Slices[si], p.sliceBound(si)
+			var j *splitJoin
+			if parts > 1 {
+				j = newSplitJoin(p.data, &p.params, si, sr, bound, optSplit, &scr.mbs)
+			}
+			var w decoder.WorkStats
+			var addrs []int
+			var err error
+			if j != nil {
+				w, addrs, err = runSegmentsAssist(seq, p, j, refs, f, wi, opt, scr, sst, parts)
+			} else {
+				w, addrs, err = decodeSliceRange(p.data, seq, &p.hdr, &p.params, sr, bound, refs, f, wi, opt.Tracer, scr)
+			}
 			work.Add(w)
 			if err != nil {
 				if opt.Resilience == FailFast {

@@ -16,16 +16,17 @@ import (
 	"mpeg2par/internal/obs"
 )
 
-// Session is one stream's decode state inside a multi-stream service:
-// the same scan→plan→decode→display pipeline as StreamExecutor, except
-// the session owns no workers. The service's scan goroutine Feeds it
-// scanned groups of pictures and receives back coarse-grained tasks;
-// the service's *shared* worker pool executes them through Run. That
-// inversion — tasks pulled by external workers instead of pushed to
-// per-decode goroutines — is what lets N streams multiplex onto one
-// pool.
+// Session is one stream's decode engine: the sequence header, the plan
+// grown from the scanned groups, the frame pool, the display process, the
+// first error and the run's Stats, and the teardown that reclaims all of
+// it. It owns no workers. Two drivers run it: the multi-stream service,
+// whose scan goroutine Feeds it and whose *shared* worker pool executes
+// the tasks it hands back through Run — the inversion that lets N streams
+// multiplex onto one pool — and StreamExecutor, which adds a scan-ahead
+// window and workers of its own (its GOP-grain workers call Run too; its
+// slice workers run the same plan through a slice queue).
 //
-// Concurrency contract: Feed and Finish are called from a single
+// Concurrency contract: FeedShed and Finish are called from a single
 // goroutine (the stream's feeder); Run may be called concurrently from
 // any number of pool workers, one call per task; SetShed and
 // SetDegraded may be called from any goroutine and apply to units
@@ -49,12 +50,12 @@ type Session struct {
 	degraded atomic.Bool  // resilience floor for subsequently planned units
 
 	errs   firstErr
-	workMu sync.Mutex
+	workMu sync.Mutex // guards st's tallies while tasks run
 }
 
 // SessionTask is one schedulable unit of a session: decode (or
-// substitute) every picture of one planned group. The service's pool
-// workers execute it via Session.Run.
+// substitute) every picture of one planned group. Workers execute it via
+// Session.Run.
 type SessionTask struct {
 	s     *Session
 	pics  []*picState // the group's planned pictures; what they reference is among them
@@ -78,10 +79,11 @@ type SessionTask struct {
 	// degraded). Run decodes under it so execution-time damage handling
 	// matches the plan's promises.
 	policy Resilience
-}
 
-// GOP returns the task's group index in stream order.
-func (t *SessionTask) GOP() int { return t.g }
+	// unit is the StreamExecutor window slot the task holds (nil in the
+	// service, whose per-stream token gate plays that part).
+	unit *unitState
+}
 
 // Pictures returns how many pictures the task will complete.
 func (t *SessionTask) Pictures() int { return len(t.pics) }
@@ -114,25 +116,28 @@ func (t *SessionTask) ShedDisplays() []int { return t.shedIdx }
 // handing the task to Run.
 func (t *SessionTask) SetAssist(n int) { t.assist = n }
 
-// Assist returns the granted fan-out width (0 or 1 means none).
-func (t *SessionTask) Assist() int { return t.assist }
-
-// NewSession prepares a session. opt.Workers is the shared pool size
-// (reported in Stats); opt.Resilience is the stream's requested policy
-// — the degradation ladder may raise its effective value per unit via
-// SetDegraded. opt.Mode is ignored: a service session always executes
-// at GOP grain (the paper's continuous-playback recommendation), and
-// Stats.Mode reports ModeGOP.
+// NewSession prepares a service session. opt.Workers is the shared pool
+// size (reported in Stats); opt.Resilience is the stream's requested
+// policy — the degradation ladder may raise its effective value per unit
+// via SetDegraded. opt.Mode is ignored: a service session always
+// executes at GOP grain (the paper's continuous-playback recommendation),
+// and Stats.Mode reports ModeGOP.
 func NewSession(opt Options) (*Session, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("core: need at least one worker")
 	}
 	opt.Mode = ModeGOP
-	return &Session{
+	return newSession(opt), nil
+}
+
+func newSession(opt Options) *Session {
+	s := &Session{
 		opt:  opt,
 		lane: obs.LaneDisplay,
-		st:   &Stats{Mode: ModeGOP, Workers: opt.Workers, Kernels: kernels.Describe()},
-	}, nil
+		st:   &Stats{Mode: opt.Mode, Workers: opt.EffectiveWorkers(), Kernels: kernels.Describe()},
+	}
+	s.errs.done = make(chan struct{})
+	return s
 }
 
 // SetLane routes the session's display and shed events to an obs lane
@@ -163,43 +168,51 @@ func (s *Session) Abort(err error) { s.errs.set(err) }
 // Err returns the first latched failure, nil while healthy.
 func (s *Session) Err() error { return s.errs.get() }
 
-// Displayed returns how many pictures have been delivered so far (the
-// service's watchdog samples it as the progress gauge).
-func (s *Session) Displayed() int {
-	if s.disp == nil {
-		return 0
+// poolScrub is the one place that decides whether and when a decode's
+// frame pool wipes recycled frames (see frame.Scrub). A pool that lends
+// to a frame.Store — the service's — always wipes on Get: shed
+// substitutions ship synthesized content even on clean streams, and a
+// recycled buffer must never leak stale pixels. Otherwise a FailFast
+// decode overwrites every pixel it ships and does not wipe; a concealing
+// slice-grain decode wipes on Put (the slice queue calls Get under its
+// lock), and a concealing GOP-grain or sequential one on Get, right
+// before the decode it warms the frame for.
+func poolScrub(mode Mode, policy Resilience, lends bool) frame.Scrub {
+	switch {
+	case lends:
+		return frame.ScrubOnGet
+	case policy == FailFast:
+		return frame.ScrubOff
+	case mode.sliceGrain():
+		return frame.ScrubOnPut
 	}
-	return s.disp.count()
+	return frame.ScrubOnGet
 }
 
+// start builds the engine once the first unit has brought the frame
+// geometry; opt.Mode must be resolved by then.
 func (s *Session) start(u *Unit) {
 	s.started = true
 	s.wallStart = time.Now()
 	s.seq = u.Seq
 	s.pb = newPlanBuilder(&s.seq, s.opt)
+	s.pb.setSplit(s.opt)
 	s.pool = frame.NewPool(s.seq.Width, s.seq.Height)
-	// Scrub always: shed substitutions ship synthesized content even on
-	// clean streams, and recycled buffers must never leak stale pixels.
-	s.pool.SetScrub(frame.ScrubOnGet)
+	s.pool.SetScrub(poolScrub(s.opt.Mode, s.opt.Resilience, s.opt.Frames != nil))
 	s.pool.SetStore(s.opt.Frames)
 	s.disp = newDisplay(s.pool, s.opt.Sink, s.opt.Obs)
 	s.disp.lane = s.lane
 }
 
-// Feed plans one scanned group of pictures under the session's current
-// shed level and resilience floor, and returns the task the shared pool
-// should execute — nil (with nil error) when the group planned empty
-// (no pictures, or dropped whole by the policy). Feed never blocks; the
-// service's per-stream token gate provides the backpressure.
-func (s *Session) Feed(u Unit) (*SessionTask, error) {
-	return s.FeedShed(u, ShedNone)
-}
-
-// FeedShed is Feed with a per-unit shedding floor: the unit is planned
-// at whichever is higher of the session-wide level (SetShed, the
-// ladder's global knob) and floor. The service's slack predictor uses
-// it to sacrifice a single already-doomed frame's B pictures before the
-// ladder escalates every stream.
+// FeedShed plans one scanned group of pictures and returns the task that
+// decodes it — nil (with nil error) when the group planned empty (no
+// pictures, or dropped whole by the policy). The group sheds at whichever
+// is higher of the session-wide level (SetShed, the ladder's global knob)
+// and floor, which the service's slack predictor raises to sacrifice a
+// single already-doomed frame's B pictures before the ladder escalates
+// every stream; it plans under the session's resilience floor
+// (SetDegraded). FeedShed never blocks: the driver provides the
+// backpressure.
 func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	if err := s.errs.get(); err != nil {
 		return nil, err
@@ -237,6 +250,9 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 			}
 		}
 	}
+	if s.opt.Profile {
+		s.profile(u.G, ps)
+	}
 	if len(ps) == 0 {
 		return nil, nil
 	}
@@ -253,31 +269,70 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	}, nil
 }
 
-// Scratch is one pool worker's reusable decode state (bit reader,
-// macroblock buffer, coverage bitmap). The zero value is ready; a worker
-// keeps one for its lifetime and lends it to every task it runs, of any
-// session and geometry, so the buffers grow when a stream is larger than
-// any the worker has seen and not once per task. Nothing a decode reads
-// from it survives from the task before.
+// profile readies the run's cost tables for one planned group: a GOPCosts
+// entry per group fed, which Run fills, or in the slice-grain modes a
+// SliceProf entry per planned picture whose SliceCosts the picture's tasks
+// fill in as they run — one cost per slice of a row-group task and one per
+// segment task, in task order, which on a clean stream is slice order.
+func (s *Session) profile(g int, ps []*picState) {
+	if !s.opt.Mode.sliceGrain() {
+		s.workMu.Lock()
+		for len(s.st.GOPCosts) <= g {
+			s.st.GOPCosts = append(s.st.GOPCosts, TaskCost{})
+		}
+		s.workMu.Unlock()
+		return
+	}
+	for _, p := range ps {
+		width := func(ti int) int {
+			if base, j, _ := p.taskAt(ti); j == nil && p.fate == fateDecode {
+				return len(p.groups[base])
+			}
+			return 1
+		}
+		n := 0
+		for ti := 0; ti < p.nTasks; ti++ {
+			n += width(ti)
+		}
+		costs := make([]time.Duration, n)
+		p.prof = make([][]time.Duration, p.nTasks)
+		for ti, rest := 0, costs; ti < p.nTasks; ti++ {
+			p.prof[ti], rest = rest[:width(ti)], rest[width(ti):]
+		}
+		s.st.SliceProf = append(s.st.SliceProf, PicProfile{
+			Ref: p.isRef, Type: "?IPB"[int(p.hdr.Type)], SliceCosts: costs,
+			DisplayIdx: p.displayIdx, RowWindow: picRowWindow(p),
+		})
+	}
+}
+
+// Scratch is one worker's reusable decode state (bit reader, macroblock
+// buffer, coverage bitmap). The zero value is ready; a worker keeps one
+// for its lifetime and lends it to every task it runs, of any session and
+// geometry, so the buffers grow when a stream is larger than any the
+// worker has seen and not once per task. Nothing a decode reads from it
+// survives from the task before.
 type Scratch struct{ s sliceScratch }
 
-// Run executes one task on pool worker wi with that worker's scratch:
-// decode or substitute every picture of the group, releasing reference
-// holds and pushing each completed frame to the display process (which
-// drains in display order into the sink), after which the group leaves the
-// plan. If the session has already failed, Run returns the latched error
-// without decoding — the drain path that keeps teardown prompt. A decode
-// error is latched and returned.
+// Run executes one task on worker wi with that worker's scratch: decode
+// or substitute every picture of the group, releasing reference holds and
+// pushing each completed frame to the display process (which drains in
+// display order into the sink), after which the group leaves the plan. If
+// the session has already failed, Run returns the latched error without
+// decoding — the drain path that keeps teardown prompt. A decode error is
+// latched and returned. With Options.Profile the task's cost, and each
+// picture's, fill the group's Stats.GOPCosts entry.
 func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 	if err := s.errs.get(); err != nil {
 		return err
 	}
 	t1 := time.Now()
-	reg := rtrace.StartRegion(context.Background(), "mpeg2par.sessionTask")
+	reg := rtrace.StartRegion(context.Background(), "mpeg2par.gopTask")
 	defer reg.End()
 	var work decoder.WorkStats
 	var es ErrorStats
 	var split SplitStats
+	var picCosts []time.Duration
 	opt := s.opt
 	opt.Resilience = t.policy
 	assist := 0
@@ -285,53 +340,57 @@ func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 		assist = t.assist
 	}
 	for _, p := range t.pics {
+		tp := time.Now()
 		newPlanFrame(s.pool, p)
-		var w decoder.WorkStats
-		var pes ErrorStats
-		var err error
-		if assist > 1 {
-			w, pes, err = decodeAssistPic(&s.seq, p, wi, opt, &scr.s, assist, &split)
-		} else {
-			w, pes, err = decodePlanPic(&s.seq, p, wi, opt, &scr.s)
-		}
+		w, pes, err := decodePlanPic(&s.seq, p, wi, opt, &scr.s, assist, &split)
 		work.Add(w)
 		es.Add(pes)
 		if err != nil {
 			err = fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err)
 			s.errs.set(err)
-			s.noteTask(t, wi, t1, work, es, split)
+			s.noteTask(t, wi, t1, work, es, split, nil)
 			return err
 		}
 		releaseHolds(s.pool, p)
 		s.disp.push(p.frame, p.displayIdx)
+		if s.opt.Profile {
+			picCosts = append(picCosts, time.Since(tp))
+		}
 	}
 	s.pb.pl.retire(t.pics)
-	s.noteTask(t, wi, t1, work, es, split)
-	s.opt.Cost.Observe(t.bytes, time.Since(t1))
+	cost := s.noteTask(t, wi, t1, work, es, split, picCosts)
+	s.opt.Cost.Observe(t.bytes, cost)
 	return nil
 }
 
-func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.WorkStats, es ErrorStats, split SplitStats) {
+// noteTask records a task's span and merges its tallies into the run's
+// (its profile too, when given one); it returns the task's cost.
+func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.WorkStats, es ErrorStats, split SplitStats, picCosts []time.Duration) time.Duration {
 	cost := time.Since(t1)
 	s.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
 	s.workMu.Lock()
 	s.st.Work.Add(work)
 	s.st.Errors.Add(es)
 	s.st.Split.Add(split)
+	if picCosts != nil {
+		s.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: work, Pictures: picCosts}
+	}
 	s.workMu.Unlock()
+	return cost
 }
 
 // Finish completes the session once every issued task has returned from
-// Run (the service drains its pool first — Finish does not join
-// workers). cause is the stream-side verdict: nil on a clean end of
-// stream, the context's error on cancellation. Any failure — cause or a
-// latched decode error — switches Finish into teardown: the frames in the
-// reorder buffer and those of the groups still in the plan (a group leaves
-// it when its task has run) are forcibly reclaimed, so a cancelled stream
-// holds no picture memory. Stats are returned in both
-// cases; LeakedFrameBytes reports pool bytes still unaccounted (always
-// zero — the teardown tests assert it). Either way the pool's idle frames
-// then go back to Options.Frames, once the gauges are read.
+// Run (a driver joins its workers first — Finish does not). cause is the
+// stream-side verdict: nil on a clean end of stream, the context's error
+// on cancellation. Any failure — cause or a latched decode error —
+// switches Finish into teardown: the frames in the reorder buffer and
+// those of the pictures still in the plan (a group leaves it once every
+// picture of it has been decoded and handed to display) are forcibly
+// reclaimed, so a cancelled stream holds no picture memory. Stats are
+// returned in both cases; LeakedFrameBytes reports pool bytes still
+// unaccounted (always zero — the cancellation and teardown tests assert
+// it). Either way the pool's idle frames then go back to Options.Frames,
+// once the gauges are read.
 func (s *Session) Finish(cause error) (*Stats, error) {
 	s.errs.set(cause)
 	st := s.st
@@ -351,19 +410,13 @@ func (s *Session) Finish(cause error) (*Stats, error) {
 				s.pool.Reclaim(p.frame)
 			}
 		}
-		st.LeakedFrameBytes = st.poolGauges(s.pool)
-		s.pool.HandBack()
-		return st, err
+	} else {
+		st.Displayed, err = s.disp.finish()
 	}
-	displayed, dispErr := s.disp.finish()
-	st.Displayed = displayed
 	st.LeakedFrameBytes = st.poolGauges(s.pool)
 	s.pool.HandBack()
-	if dispErr != nil {
-		return st, dispErr
+	if err == nil && st.Displayed != st.Pictures {
+		err = fmt.Errorf("core: displayed %d of %d pictures", st.Displayed, st.Pictures)
 	}
-	if displayed != st.Pictures {
-		return st, fmt.Errorf("core: displayed %d of %d pictures", displayed, st.Pictures)
-	}
-	return st, nil
+	return st, err
 }

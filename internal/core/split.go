@@ -159,7 +159,7 @@ func splitEligible(opt Options) bool {
 	if opt.SplitIndex == nil && !opt.SpeculativeSplit {
 		return false
 	}
-	return opt.Mode == ModeSliceSimple || opt.Mode == ModeSliceImproved
+	return opt.Mode.sliceGrain()
 }
 
 // newSplitJoin decides whether the slice at sr splits and builds the

@@ -56,7 +56,7 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, aff Affinity, tr memtr
 		if mode == ModeGOP {
 			proc := p.gop % procs
 			traceInput(tr, data, proc, p.rng.Offset, p.rng.End)
-			if _, _, err := decodePlanPic(&m.Seq, p, proc, opt, &scr); err != nil {
+			if _, _, err := decodePlanPic(&m.Seq, p, proc, opt, &scr, 0, nil); err != nil {
 				return err
 			}
 			continue

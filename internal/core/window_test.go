@@ -349,7 +349,7 @@ func TestCoverageAllocs(t *testing.T) {
 	var scr sliceScratch
 	decodeAll := func() {
 		for _, p := range pl.pics {
-			if _, _, err := decodePlanPic(&m.Seq, p, 0, opt, &scr); err != nil {
+			if _, _, err := decodePlanPic(&m.Seq, p, 0, opt, &scr, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,8 @@
 package mpeg2par_test
 
 import (
+	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -26,12 +28,37 @@ func testStream(t testing.TB) *mpeg2par.Stream {
 	return stream
 }
 
-func TestPublicRoundTrip(t *testing.T) {
-	s := testStream(t)
-	frames, err := mpeg2par.DecodeAll(s.Data)
+// sequentialFrames is the oracle the decode tests compare against: the
+// sequential decoder's frames, in display order.
+func sequentialFrames(t testing.TB, data []byte) []*mpeg2par.Frame {
+	t.Helper()
+	d, err := mpeg2par.NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames, err := d.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// decodeFrames runs Decode over data and returns copies of the frames it
+// delivered, in display order, with the run's Stats.
+func decodeFrames(t testing.TB, data []byte, opts ...mpeg2par.Option) ([]*mpeg2par.Frame, *mpeg2par.Stats) {
+	t.Helper()
+	var got []*mpeg2par.Frame
+	opts = append(opts, mpeg2par.WithFrameSink(func(f *mpeg2par.Frame) { got = append(got, f.Clone()) }))
+	st, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(data), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, st
+}
+
+func TestPublicRoundTrip(t *testing.T) {
+	s := testStream(t)
+	frames, _ := decodeFrames(t, s.Data, mpeg2par.WithMode(mpeg2par.ModeSequential))
 	if len(frames) != 26 {
 		t.Fatalf("%d frames", len(frames))
 	}
@@ -45,19 +72,9 @@ func TestPublicRoundTrip(t *testing.T) {
 
 func TestPublicParallelMatches(t *testing.T) {
 	s := testStream(t)
-	want, err := mpeg2par.DecodeAll(s.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sequentialFrames(t, s.Data)
 	for _, mode := range []mpeg2par.Mode{mpeg2par.ModeGOP, mpeg2par.ModeSliceSimple, mpeg2par.ModeSliceImproved} {
-		var got []*mpeg2par.Frame
-		st, err := mpeg2par.DecodeParallel(s.Data, mpeg2par.Options{
-			Mode: mode, Workers: 3,
-			Sink: func(f *mpeg2par.Frame) { got = append(got, f.Clone()) },
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
+		got, st := decodeFrames(t, s.Data, mpeg2par.WithMode(mode), mpeg2par.WithWorkers(3))
 		if st.Pictures != len(want) || len(got) != len(want) {
 			t.Fatalf("%v: %d/%d pictures", mode, st.Pictures, len(got))
 		}
@@ -71,7 +88,7 @@ func TestPublicParallelMatches(t *testing.T) {
 
 func TestPublicScan(t *testing.T) {
 	s := testStream(t)
-	m, err := mpeg2par.Scan(s.Data)
+	m, err := mpeg2par.ScanReader(bytes.NewReader(s.Data), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +174,7 @@ func TestEncodeFramesCustomSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := mpeg2par.DecodeAll(s.Data)
-	if err != nil || len(frames) != 4 {
-		t.Fatalf("%d frames, err %v", len(frames), err)
+	if frames, _ := decodeFrames(t, s.Data); len(frames) != 4 {
+		t.Fatalf("%d frames", len(frames))
 	}
 }
