@@ -65,7 +65,8 @@ trace:
 	$(GO) run ./cmd/mpeg2bench -timeline -trace /tmp/mpeg2par-trace.json > /dev/null
 
 # Adaptive-scheduler gate: the slice queue (task grain, readiness rule,
-# affinity, packing, auto mode) with the split-decode and assist goldens
+# affinity, packing, auto mode) with the split-decode and help goldens
+# (a session task an idle worker helps, against the help-free decode)
 # that live beside it, the simulator and the cost-model/LPT/auto-tune
 # policy under the race detector — by package, so a renamed or new test
 # cannot drop out of the gate (the scheduler tests of ./internal/stream/
@@ -83,8 +84,10 @@ sched:
 # the gate: the 64-stream overload smoke (zero wedged streams, zero leaks,
 # fairness, per-stream obs lanes validated as Chrome trace), the
 # overload-teardown suite, the frame-lending contract (tenant isolation,
-# the store's bound under churn, one worker's scratch across geometries)
-# and the 2000-stream soak — plus a real load-harness run through the CLI.
+# the store's bound under churn, one worker's scratch across geometries),
+# the 2000-stream soak and the help suite (a lone stream's helped groups
+# against the help-free decode, the helper's return to dispatch, cancel
+# mid-help) — plus a real load-harness run through the CLI.
 # (The public Server API tests run by package under -race in `make race`.)
 service:
 	$(GO) test -race -count=1 ./internal/server/
@@ -101,13 +104,13 @@ vldsplit:
 	$(GO) test -race -count=1 ./internal/vldsplit/
 	$(GO) test -count=1 -run TestVLDSplitExperiment -v ./internal/bench/
 
-# Deadline-aware dispatch gate: the scaled-down fair-vs-EDF study smoke.
-# (The server package — EDF ordering and slack-classification units, the
-# miss/shed disjointness and teardown-accounting tests, the EDF
-# bit-exactness goldens — runs by package under -race in `make service`;
-# the cost-model cold-start regressions and core's assist goldens in
-# `make sched`.)
-deadline:
+# Deadline-aware dispatch gate: the server package by package under
+# -race (EDF ordering and slack-classification units, the miss/shed
+# disjointness and teardown-accounting tests, the EDF bit-exactness and
+# help goldens — the `service` prerequisite, run once in `make verify`)
+# and the scaled-down fair-vs-EDF study smoke. (The cost-model cold-start
+# regressions and core's help goldens run in `make sched`.)
+deadline: service
 	$(GO) test -count=1 -run TestDeadlineExperimentSmoke -v ./internal/bench/
 
 # Append a perf-trajectory run to the current BENCH_<n>.json.

@@ -37,7 +37,7 @@ func main() {
 	inflight := flag.Int("inflight", 2, "per-stream scan-ahead bound (MaxInFlight)")
 	sinkDelay := flag.Duration("sinkdelay", 300*time.Microsecond, "artificial per-frame delivery cost (keeps the pool saturated; 0 disables)")
 	dispatch := flag.String("dispatch", "auto", "pool task ordering: auto, fair, or edf")
-	noSlack := flag.Bool("noslack", false, "freeze per-frame slack actions (plan-time shed, split assist)")
+	noSlack := flag.Bool("noslack", false, "freeze per-frame slack actions (plan-time shedding)")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of the table")
 	flag.Parse()
 

@@ -22,8 +22,7 @@ import (
 // The deadline study: the same overloaded fleet, once under PR 8's
 // weighted-fair dispatch with slack actions frozen (the baseline arm)
 // and once under EDF with the slack predictor live (plan-time shedding
-// of already-doomed frames, split assist for deadline-tight indexed
-// ones). The claim under test is the tentpole's: at the heaviest load
+// of already-doomed frames). The claim under test is the tentpole's: at the heaviest load
 // the EDF arm's deadline-miss rate is at least half cut — not because
 // EDF conjures capacity, but because shedding a frame the cost model
 // already knows will miss is cheaper than decoding it late, and the

@@ -7,7 +7,7 @@ import (
 
 // TestDeadlineExperimentSmoke runs a scaled-down deadline study: both
 // arms complete, every stream delivers every frame (the cell errors
-// otherwise), the frozen-slack fair arm takes no slack action, and
+// otherwise), the frozen-slack fair arm sheds nothing by slack, and
 // streams that shed nothing verify bit-exact against the oracle. The
 // miss-rate ratio itself is not gated here — it needs the full
 // overloaded configuration and a quiet host; the recorded BENCH run
@@ -29,7 +29,7 @@ func TestDeadlineExperimentSmoke(t *testing.T) {
 		if c.Frames != 6*16 {
 			t.Fatalf("%s arm fed %d frames, want %d", c.Dispatch, c.Frames, 6*16)
 		}
-		if c.Dispatch == "fair" && (c.SlackSheds != 0 || c.Assists != 0) {
+		if c.Dispatch == "fair" && c.SlackSheds != 0 {
 			t.Fatalf("fair arm took slack actions while frozen: %+v", c)
 		}
 		if c.OracleStreams == 0 && c.SlackSheds+int64(c.ShedB+c.ShedRef) == 0 {

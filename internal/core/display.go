@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpeg2par/internal/frame"
@@ -27,8 +28,8 @@ type displayProc struct {
 	pool      *frame.Pool
 	sink      func(*frame.Frame)
 	obs       *obs.Tracer
-	lane      int // obs lane of delivery events (a stream lane in the service)
-	displayed int
+	lane      int          // obs lane of delivery events (a stream lane in the service)
+	displayed atomic.Int64 // read without mu, so a slow sink never holds up its readers
 	err       error
 }
 
@@ -75,18 +76,14 @@ func (d *displayProc) deliver(f *frame.Frame, idx int, shown []*frame.Frame) []*
 			d.obs.Record(obs.KindDisplay, d.lane, time.Now(), 0, -1, d.next, -1)
 		}
 		shown = append(shown, g)
-		d.displayed++
+		d.displayed.Add(1)
 		d.next++
 	}
 }
 
 // count returns the number of pictures displayed so far (the streaming
 // pipeline's scan-lead gauge samples it).
-func (d *displayProc) count() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.displayed
-}
+func (d *displayProc) count() int { return int(d.displayed.Load()) }
 
 // abandon reclaims the undisplayed pictures still waiting in the reorder
 // buffer (cancelled-pipeline teardown, after every worker has stopped; the
@@ -105,12 +102,12 @@ func (d *displayProc) finish() (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.err != nil {
-		return d.displayed, d.err
+		return d.count(), d.err
 	}
 	if len(d.pending) != 0 {
-		return d.displayed, fmt.Errorf("core: %d pictures never displayed (gap at %d)", len(d.pending), d.next)
+		return d.count(), fmt.Errorf("core: %d pictures never displayed (gap at %d)", len(d.pending), d.next)
 	}
-	return d.displayed, nil
+	return d.count(), nil
 }
 
 // firstErr latches the first error reported by any process, and closes

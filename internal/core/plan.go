@@ -69,9 +69,9 @@ type planBuilder struct {
 	workers int
 	pl      plan
 
-	// Intra-slice split configuration (setSplit): when on, every planned
-	// single-slice row group whose slice spans multiple rows is expanded
-	// into segment tasks. scratch recycles the speculative probe buffer
+	// Intra-slice split configuration: when on, every planned single-slice
+	// row group whose slice spans multiple rows is expanded into segment
+	// tasks (per splitOpt). scratch recycles the speculative probe buffer
 	// across planned pictures (addGOP runs on one goroutine).
 	splitOn  bool
 	splitOpt Options
@@ -89,19 +89,13 @@ type planBuilder struct {
 	degraded bool
 }
 
+// newPlanBuilder starts a plan. Splitting is on when opt configures a split
+// source and a slice-grain mode: the sequential and GOP-grain executors,
+// the service's sessions among them, plan no segment tasks, so there it
+// would only waste plan-time probing.
 func newPlanBuilder(seq *mpeg2.SequenceHeader, opt Options) *planBuilder {
-	return &planBuilder{seq: seq, policy: opt.Resilience, packing: opt.Packing, seed: opt.PackSeed, workers: opt.Workers}
-}
-
-// setSplit arms intra-slice task splitting for subsequently planned
-// groups (no-op unless opt configures a split source and a slice-grain
-// mode — the sequential and GOP executors iterate row groups whole, so
-// splitting would only waste plan-time probing there).
-func (b *planBuilder) setSplit(opt Options) {
-	if splitEligible(opt) {
-		b.splitOn = true
-		b.splitOpt = opt
-	}
+	return &planBuilder{seq: seq, policy: opt.Resilience, packing: opt.Packing, seed: opt.PackSeed, workers: opt.Workers,
+		splitOn: opt.Mode.sliceGrain() && (opt.SplitIndex != nil || opt.SpeculativeSplit), splitOpt: opt}
 }
 
 // buildPlan resolves a whole lenient (or strict) scan into a decode plan
@@ -111,7 +105,6 @@ func (b *planBuilder) setSplit(opt Options) {
 // additionally removes groups with no decodable intra anchor.
 func buildPlan(data []byte, m *StreamMap, opt Options) (*plan, error) {
 	b := newPlanBuilder(&m.Seq, opt)
-	b.setSplit(opt)
 	for g := range m.GOPs {
 		if _, err := b.addGOP(data, g, &m.GOPs[g]); err != nil {
 			return nil, err

@@ -44,57 +44,21 @@ func releaseHolds(pool *frame.Pool, p *picState) {
 }
 
 // decodePlanPic decodes or substitutes one planned picture into its
-// frame (the single-worker-per-picture executor of Session.Run — the
-// sequential and GOP-grain modes and the service — and the trace
-// generator). The frames of the references and substitution source must
-// be complete. With parts of 2 or more (the service's assist), every slice
-// the split source (index or speculation) can cut into two or more row
-// segments is decoded by up to parts goroutines, its split activity
-// tallied into sst; the rest decode inline. Coverage, damage accounting
-// and concealment are the same either way, and so are the pixels.
-func decodePlanPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, scr *sliceScratch, parts int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
-	f := p.frame
-	var work decoder.WorkStats
-	var es ErrorStats
+// frame: the executor of Session.Run — the sequential and GOP-grain modes
+// and the service — and of the trace generator. The frames of the
+// references and substitution source must be complete. The picture's tasks
+// run in task order through d, where idle workers of the service's pool
+// may claim some of them (SessionTask.Help). Who ran which task shows in
+// nothing returned, nor in the pixels.
+func decodePlanPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, scr *sliceScratch, d *helpDesk) (decoder.WorkStats, ErrorStats, error) {
 	if p.fate == fateSubstitute {
 		substitute(p)
-		return work, es, nil
+		return decoder.WorkStats{}, ErrorStats{}, nil
 	}
-	refs := picRefs(p)
 	scr.cov.reset(p.params.MBWidth * p.params.MBHeight)
-	last := len(p.rng.Slices) - 1
-	optSplit := opt
-	optSplit.SplitParts = parts
-	for _, group := range p.groups {
-		for _, si := range group {
-			sr, bound := p.rng.Slices[si], p.sliceBound(si)
-			var j *splitJoin
-			if parts > 1 {
-				j = newSplitJoin(p.data, &p.params, si, sr, bound, optSplit, &scr.mbs)
-			}
-			var w decoder.WorkStats
-			var addrs []int
-			var err error
-			if j != nil {
-				w, addrs, err = runSegmentsAssist(seq, p, j, refs, f, wi, opt, scr, sst, parts)
-			} else {
-				w, addrs, err = decodeSliceRange(p.data, seq, &p.hdr, &p.params, sr, bound, refs, f, wi, opt.Tracer, scr)
-			}
-			work.Add(w)
-			if err != nil {
-				if opt.Resilience == FailFast {
-					return work, es, err
-				}
-				es.DamagedSlices++
-				if si != last {
-					es.Resyncs++
-				}
-				continue
-			}
-			for _, a := range addrs {
-				scr.cov.add(a)
-			}
-		}
+	work, es, err := d.share(seq, p, wi, opt, scr)
+	if err != nil {
+		return work, es, err
 	}
 	return work, es, concealUncovered(p, &scr.cov, opt, &es)
 }

@@ -28,7 +28,8 @@ import (
 //
 // Concurrency contract: FeedShed and Finish are called from a single
 // goroutine (the stream's feeder); Run may be called concurrently from
-// any number of pool workers, one call per task; SetShed and
+// any number of pool workers, one call per task, and SessionTask.Help by
+// any number of others while a task runs; SetShed and
 // SetDegraded may be called from any goroutine and apply to units
 // planned after the call. Tasks of one session may run concurrently
 // and in any order — each task is one group of pictures, and the
@@ -67,12 +68,7 @@ type SessionTask struct {
 	shed        int   // pictures of this group substituted by shedding
 	shedIdx     []int // display indices of the substituted pictures
 
-	// assist, when > 1, grants the task that many-way intra-picture
-	// fan-out: Run expands indexed tall slices through the split-decode
-	// chain (verify-or-fallback, so pixels and error fate never change)
-	// instead of decoding them on one worker. Set by the service's
-	// dispatcher for deadline-tight tasks when idle workers exist.
-	assist int
+	desk helpDesk // where Run shares its pictures with Help
 
 	// policy is the effective resilience the unit was planned under
 	// (the stream's requested policy, floored at ConcealPicture while
@@ -106,22 +102,15 @@ func (t *SessionTask) ShedPictures() int { return t.shed }
 // by the task; callers must not mutate it.
 func (t *SessionTask) ShedDisplays() []int { return t.shedIdx }
 
-// SetAssist grants the task n-way intra-picture fan-out: while it runs,
-// indexed tall slices are decoded as up to n parallel row segments
-// through the split-decode verify-or-fallback chain, spending otherwise
-// idle workers to pull a deadline-tight frame back under budget. Output
-// is unchanged by construction (a failed verify re-decodes
-// sequentially). Takes effect only when the session was built with
-// Options.SplitIndex or SpeculativeSplit; n < 2 disables. Call before
-// handing the task to Run.
-func (t *SessionTask) SetAssist(n int) { t.assist = n }
-
 // NewSession prepares a service session. opt.Workers is the shared pool
-// size (reported in Stats); opt.Resilience is the stream's requested
-// policy — the degradation ladder may raise its effective value per unit
-// via SetDegraded. opt.Mode is ignored: a service session always
-// executes at GOP grain (the paper's continuous-playback recommendation),
-// and Stats.Mode reports ModeGOP.
+// size (reported in Stats, and the grain of a picture's tasks);
+// opt.Resilience is the stream's requested policy — the degradation ladder
+// may raise its effective value per unit via SetDegraded. opt.Mode is
+// ignored: a service session always executes at GOP grain (the paper's
+// continuous-playback recommendation), and Stats.Mode reports ModeGOP. Its
+// pictures are planned as row-group tasks all the same, which idle workers
+// of the pool may share (SessionTask.Help); its slices are never split, so
+// opt.SplitIndex and opt.SpeculativeSplit have no effect.
 func NewSession(opt Options) (*Session, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("core: need at least one worker")
@@ -196,7 +185,6 @@ func (s *Session) start(u *Unit) {
 	s.wallStart = time.Now()
 	s.seq = u.Seq
 	s.pb = newPlanBuilder(&s.seq, s.opt)
-	s.pb.setSplit(s.opt)
 	s.pool = frame.NewPool(s.seq.Width, s.seq.Height)
 	s.pool.SetScrub(poolScrub(s.opt.Mode, s.opt.Resilience, s.opt.Frames != nil))
 	s.pool.SetStore(s.opt.Frames)
@@ -321,8 +309,10 @@ type Scratch struct{ s sliceScratch }
 // the session has already failed, Run returns the latched error without
 // decoding — the drain path that keeps teardown prompt. A decode error is
 // latched and returned. With Options.Profile the task's cost, and each
-// picture's, fill the group's Stats.GOPCosts entry.
+// picture's, fill the group's Stats.GOPCosts entry. Workers calling Help
+// meanwhile decode some of each picture's tasks.
 func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
+	defer t.desk.end()
 	if err := s.errs.get(); err != nil {
 		return err
 	}
@@ -331,24 +321,19 @@ func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 	defer reg.End()
 	var work decoder.WorkStats
 	var es ErrorStats
-	var split SplitStats
 	var picCosts []time.Duration
 	opt := s.opt
 	opt.Resilience = t.policy
-	assist := 0
-	if t.assist > 1 && (opt.SplitIndex != nil || opt.SpeculativeSplit) {
-		assist = t.assist
-	}
 	for _, p := range t.pics {
 		tp := time.Now()
 		newPlanFrame(s.pool, p)
-		w, pes, err := decodePlanPic(&s.seq, p, wi, opt, &scr.s, assist, &split)
+		w, pes, err := decodePlanPic(&s.seq, p, wi, opt, &scr.s, &t.desk)
 		work.Add(w)
 		es.Add(pes)
 		if err != nil {
 			err = fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err)
 			s.errs.set(err)
-			s.noteTask(t, wi, t1, work, es, split, nil)
+			s.noteTask(t, wi, t1, work, es, nil)
 			return err
 		}
 		releaseHolds(s.pool, p)
@@ -358,20 +343,19 @@ func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 		}
 	}
 	s.pb.pl.retire(t.pics)
-	cost := s.noteTask(t, wi, t1, work, es, split, picCosts)
+	cost := s.noteTask(t, wi, t1, work, es, picCosts)
 	s.opt.Cost.Observe(t.bytes, cost)
 	return nil
 }
 
 // noteTask records a task's span and merges its tallies into the run's
 // (its profile too, when given one); it returns the task's cost.
-func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.WorkStats, es ErrorStats, split SplitStats, picCosts []time.Duration) time.Duration {
+func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.WorkStats, es ErrorStats, picCosts []time.Duration) time.Duration {
 	cost := time.Since(t1)
 	s.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
 	s.workMu.Lock()
 	s.st.Work.Add(work)
 	s.st.Errors.Add(es)
-	s.st.Split.Add(split)
 	if picCosts != nil {
 		s.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: work, Pictures: picCosts}
 	}

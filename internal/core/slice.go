@@ -36,7 +36,8 @@ type picState struct {
 	deps     int32 // number of later pictures that reference this one
 
 	frame     *frame.Frame
-	nextSlice int // next task to hand out
+	nextSlice int          // next task to hand out
+	claim     atomic.Int32 // next task to claim, decoding the picture whole (helpDesk)
 	// order, when non-nil, maps handout position to task index — the
 	// scheduler's packing of this picture's tasks (LPT by default). Nil
 	// means stream order. Tasks of one picture touch disjoint pixels
@@ -533,15 +534,17 @@ func concealMBs(p *picState, addrs []int) {
 }
 
 // sliceScratch is one worker's reusable decode state: a bit reader, a
-// macroblock buffer, a coverage address list and (for the executors that
-// decode a whole picture on one worker) a coverage bitmap, recycled across
-// every slice the worker decodes so the steady-state loop is
-// allocation-free.
+// macroblock buffer, coverage address lists (a slice's, a task's) and (for
+// the executors that decode a whole picture) a coverage bitmap and the
+// picture's per-task work, recycled across every slice the worker
+// decodes so the steady-state loop is allocation-free.
 type sliceScratch struct {
-	r     bits.Reader
-	mbs   []mpeg2.MB
-	addrs []int
-	cov   coverage
+	r         bits.Reader
+	mbs       []mpeg2.MB
+	addrs     []int
+	taskAddrs []int
+	cov       coverage
+	taskWork  []decoder.WorkStats
 }
 
 // concealRef returns the frame p's lost macroblocks are concealed from.

@@ -152,16 +152,6 @@ func taskBytes(p *picState, ti int) int64 {
 	return groupCost(p.rng.Slices, p.groups[base])
 }
 
-// splitEligible reports whether this decode should attempt intra-slice
-// splits at all: a split source must be configured and the schedule must
-// be one that issues slice-grain tasks.
-func splitEligible(opt Options) bool {
-	if opt.SplitIndex == nil && !opt.SpeculativeSplit {
-		return false
-	}
-	return opt.Mode.sliceGrain()
-}
-
 // newSplitJoin decides whether the slice at sr splits and builds the
 // join state: exact split points from the index when its content is
 // known there, else (with speculation enabled) guessed resync points. The

@@ -373,7 +373,6 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 	obs.Do(opt.Mode.String(), wi, func() {
 		ws := &s.st.WorkerStats[wi]
 		var scr sliceScratch
-		var taskAddrs []int
 		// The worker's own tallies, merged into the run's once.
 		var work decoder.WorkStats
 		var es ErrorStats
@@ -394,8 +393,8 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 			}
 			t0 := time.Now()
 			reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
-			taskAddrs = taskAddrs[:0]
-			err := runPlanSliceTask(&s.seq, p, ti, wi, *opt, &scr, &work, &es, &sst, &taskAddrs)
+			scr.taskAddrs = scr.taskAddrs[:0]
+			err := runPlanSliceTask(&s.seq, p, ti, wi, *opt, &scr, &work, &es, &sst, &scr.taskAddrs)
 			reg.End()
 			cost := time.Since(t0)
 			ws.Busy += cost
@@ -414,7 +413,7 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 				e.q.fail()
 				return
 			}
-			if e.q.finish(p, taskAddrs) {
+			if e.q.finish(p, scr.taskAddrs) {
 				if p.fate == fateDecode {
 					if miss := e.q.missing(p); len(miss) > 0 {
 						if opt.Resilience == FailFast {

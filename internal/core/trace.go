@@ -51,12 +51,13 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, aff Affinity, tr memtr
 	opt := Options{Tracer: tr}
 	task := 0
 	var scr sliceScratch
+	var d helpDesk
 	for _, p := range pl.pics {
 		p.frame = frame.New(m.Seq.Width, m.Seq.Height)
 		if mode == ModeGOP {
 			proc := p.gop % procs
 			traceInput(tr, data, proc, p.rng.Offset, p.rng.End)
-			if _, _, err := decodePlanPic(&m.Seq, p, proc, opt, &scr, 0, nil); err != nil {
+			if _, _, err := decodePlanPic(&m.Seq, p, proc, opt, &scr, &d); err != nil {
 				return err
 			}
 			continue

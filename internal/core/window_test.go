@@ -347,9 +347,10 @@ func TestCoverageAllocs(t *testing.T) {
 		newPlanFrame(pool, p)
 	}
 	var scr sliceScratch
+	var d helpDesk
 	decodeAll := func() {
 		for _, p := range pl.pics {
-			if _, _, err := decodePlanPic(&m.Seq, p, 0, opt, &scr, 0, nil); err != nil {
+			if _, _, err := decodePlanPic(&m.Seq, p, 0, opt, &scr, &d); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -159,16 +159,18 @@ func reconBlock(dst *frame.Frame, mb *mpeg2.MB, b, mbx, mby int, p quant.Params,
 // macroblock leaves the frame as it found it.
 func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, sc *reconScratch, st *WorkStats, proc int, tr memtrace.Tracer) error {
 	scale := quant.Scale(mb.QScaleCode, ph.QScaleType)
+	var nz [6]int // coefficients per coded block, for the trace
 	if mb.Type.Intra {
 		p := quant.Params{Matrix: &seq.IntraMatrix, Scale: scale, Intra: true, DCPrecision: ph.IntraDCPrecision}
 		sc.intra.Set(p.Matrix, scale, quant.IntraDCMult(p.DCPrecision))
 		for b := 0; b < 6; b++ {
-			nz := reconBlock(dst, mb, b, mbx, mby, p, &sc.intra)
-			st.Coefs += nz
+			nz[b] = reconBlock(dst, mb, b, mbx, mby, p, &sc.intra)
+			st.Coefs += nz[b]
 			st.IntraBlocks++
-			traceBlock(proc, true, nz, tr)
 		}
-		traceMBWrite(dst, mbx, mby, proc, tr)
+		if tr != nil {
+			traceMB(refs, dst, mb, mbx, mby, false, false, &nz, proc, tr)
+		}
 		return nil
 	}
 
@@ -186,19 +188,14 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 	}
 	switch {
 	case fwd && bwd:
-		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false, proc, tr)
-		predictMB(dst, &sc.pred, refs.Bwd, mb, mbx, mby, true, proc, tr)
+		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false)
+		predictMB(dst, &sc.pred, refs.Bwd, mb, mbx, mby, true)
 		motion.AverageMBInto(dst, mbx, mby, &sc.pred)
-		traceMBWrite(dst, mbx, mby, proc, tr)
-		traceScratchPred(proc, tr)
-		traceMBUpdate(dst, mbx, mby, 0x3F, false, proc, tr)
 		st.BidirMBs++
 	case bwd:
-		predictMB(dst, nil, refs.Bwd, mb, mbx, mby, true, proc, tr)
-		traceMBWrite(dst, mbx, mby, proc, tr)
+		predictMB(dst, nil, refs.Bwd, mb, mbx, mby, true)
 	default:
-		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false, proc, tr)
-		traceMBWrite(dst, mbx, mby, proc, tr)
+		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false)
 	}
 	st.PredMBs++
 
@@ -209,12 +206,13 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 		if mb.CBP&(1<<uint(5-b)) == 0 {
 			continue
 		}
-		nz := reconBlock(dst, mb, b, mbx, mby, p, &sc.inter)
-		st.Coefs += nz
+		nz[b] = reconBlock(dst, mb, b, mbx, mby, p, &sc.inter)
+		st.Coefs += nz[b]
 		st.CodedBlocks++
-		traceBlock(proc, false, nz, tr)
 	}
-	traceMBUpdate(dst, mbx, mby, mb.CBP, mb.FieldDCT, proc, tr)
+	if tr != nil {
+		traceMB(refs, dst, mb, mbx, mby, fwd, bwd, &nz, proc, tr)
+	}
 	return nil
 }
 
@@ -223,9 +221,8 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 // macroblock's place in dst — or, for the second direction of a
 // bidirectional macroblock, into the scratch buffer when one is given.
 // With FieldMotion the direction carries two field vectors (field-unit
-// verticals); trace extents approximate the field reads with the
-// frame-scaled first vector.
-func predictMB(dst *frame.Frame, scratch *motion.MBPred, ref *frame.Frame, mb *mpeg2.MB, mbx, mby int, backward bool, proc int, tr memtrace.Tracer) {
+// verticals).
+func predictMB(dst *frame.Frame, scratch *motion.MBPred, ref *frame.Frame, mb *mpeg2.MB, mbx, mby int, backward bool) {
 	mv, mv2, sel := mb.MVFwd, mb.MVFwd2, mb.FieldSelFwd
 	if backward {
 		mv, mv2, sel = mb.MVBwd, mb.MVBwd2, mb.FieldSelBwd
@@ -240,10 +237,6 @@ func predictMB(dst *frame.Frame, scratch *motion.MBPred, ref *frame.Frame, mb *m
 	default:
 		motion.PredictMBInto(dst, ref, mbx, mby, mv)
 	}
-	if mb.FieldMotion {
-		mv.Y *= 2
-	}
-	traceMCRead(ref, mbx, mby, mv, proc, tr)
 }
 
 // blockGeometry returns the destination plane, top-left pixel position,
@@ -401,13 +394,41 @@ func scratchBase(tr memtrace.Tracer, proc int) uint64 {
 	return tr.Base(&scratchKeys[proc&63], scratchBytes)
 }
 
+// traceMB records one reconstructed macroblock's memory references in the
+// order reconstruction makes them; reconMB calls it after the fact, so a
+// decode without a tracer pays one branch per macroblock. nz holds each
+// coded block's coefficient count.
+func traceMB(refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, fwd, bwd bool, nz *[6]int, proc int, tr memtrace.Tracer) {
+	if mb.Type.Intra {
+		for b := range nz {
+			traceBlock(proc, true, nz[b], tr)
+		}
+		traceMBWrite(dst, mbx, mby, proc, tr)
+		return
+	}
+	if fwd {
+		traceMCRead(refs.Fwd, mbx, mby, mb.MVFwd, mb.FieldMotion, proc, tr)
+	}
+	if bwd {
+		traceMCRead(refs.Bwd, mbx, mby, mb.MVBwd, mb.FieldMotion, proc, tr)
+	}
+	traceMBWrite(dst, mbx, mby, proc, tr)
+	if fwd && bwd {
+		traceScratchPred(proc, tr)
+		traceMBUpdate(dst, mbx, mby, 0x3F, false, proc, tr)
+	}
+	for b := 0; b < 6; b++ {
+		if mb.CBP&(1<<uint(5-b)) != 0 {
+			traceBlock(proc, false, nz[b], tr)
+		}
+	}
+	traceMBUpdate(dst, mbx, mby, mb.CBP, mb.FieldDCT, proc, tr)
+}
+
 // traceBlock records the hot-structure traffic of decoding one 8×8 block:
 // VLC table lookups during VLD, the quantization matrix read, and the
 // dequant + two IDCT passes over the coefficient buffer.
 func traceBlock(proc int, intra bool, coefs int, tr memtrace.Tracer) {
-	if tr == nil {
-		return
-	}
 	sb := scratchBase(tr, proc)
 	tb := tr.Base(&tablesKey, tablesBytes)
 	// VLD: one 4-byte table probe per coded coefficient, spread over the
@@ -433,9 +454,6 @@ func traceBlock(proc int, intra bool, coefs int, tr memtrace.Tracer) {
 // prediction there, the average reads it back. No other macroblock
 // touches the buffer: its prediction is written straight into the frame.
 func traceScratchPred(proc int, tr memtrace.Tracer) {
-	if tr == nil {
-		return
-	}
 	sb := scratchBase(tr, proc)
 	tr.Access(proc, sb+scratchPred, 384, true)
 	tr.Access(proc, sb+scratchPred, 384, false)
@@ -446,9 +464,6 @@ func traceScratchPred(proc int, tr memtrace.Tracer) {
 // predicting straight into the frame: 16 luma rows of 16 bytes and 8+8
 // chroma rows of 8 bytes.
 func traceMBWrite(dst *frame.Frame, mbx, mby, proc int, tr memtrace.Tracer) {
-	if tr == nil {
-		return
-	}
 	yBase := tr.Base(&dst.Y[0], len(dst.Y))
 	for r := 0; r < 16; r++ {
 		tr.Access(proc, yBase+uint64((mby*16+r)*dst.YStride+mbx*16), 16, true)
@@ -468,9 +483,6 @@ func traceMBWrite(dst *frame.Frame, mbx, mby, proc int, tr memtrace.Tracer) {
 // clamped residual add of a coded block, or (all six blocks) the average
 // of a bidirectional macroblock with the scratch prediction.
 func traceMBUpdate(dst *frame.Frame, mbx, mby, blocks int, fieldDCT bool, proc int, tr memtrace.Tracer) {
-	if tr == nil {
-		return
-	}
 	for b := 0; b < 6; b++ {
 		if blocks&(1<<uint(5-b)) == 0 {
 			continue
@@ -486,10 +498,11 @@ func traceMBUpdate(dst *frame.Frame, mbx, mby, blocks int, fieldDCT bool, proc i
 }
 
 // traceMCRead records the reference extents read by motion compensation:
-// a (16+hx)×(16+hy) luma region and two half-size chroma regions.
-func traceMCRead(ref *frame.Frame, mbx, mby int, mv motion.MV, proc int, tr memtrace.Tracer) {
-	if tr == nil {
-		return
+// a (16+hx)×(16+hy) luma region and two half-size chroma regions. Field
+// motion reads are approximated with the frame-scaled first vector.
+func traceMCRead(ref *frame.Frame, mbx, mby int, mv motion.MV, fieldMotion bool, proc int, tr memtrace.Tracer) {
+	if fieldMotion {
+		mv.Y *= 2
 	}
 	yBase := tr.Base(&ref.Y[0], len(ref.Y))
 	ix := clampInt(mbx*16+(mv.X>>1), 0, ref.CodedW-17)

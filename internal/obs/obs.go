@@ -91,7 +91,7 @@ const (
 	// on the stream's lane. Pic carries the predicted slack in
 	// microseconds (signed — durations clamp negatives, coordinates
 	// don't); Slice carries the action taken: 0 none, 1 shed B, 2 shed
-	// refs, 3 split-assist candidate. GOP is the unit's group index.
+	// refs. GOP is the unit's group index.
 	KindSlack
 )
 

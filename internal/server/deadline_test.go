@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mpeg2par/internal/core"
-	"mpeg2par/internal/encoder"
 	"mpeg2par/internal/faults"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/sched"
@@ -238,96 +237,5 @@ func TestEDFNoStarvationAtTopRung(t *testing.T) {
 	}
 	if !hiStillRunning {
 		t.Fatal("low stream starved under EDF: it only finished after the high stream's overload ended")
-	}
-}
-
-// TestAssistOnTightSlack: a tight-but-makeable frame on an indexed
-// stream fans its tall slices out across idle workers at dispatch —
-// the assist fires (Metrics.Assists, Split.SlicesSplit) and the output
-// is still bit-exact against the sequential oracle.
-func TestAssistOnTightSlack(t *testing.T) {
-	res, err := encoder.EncodeSequence(encoder.Config{
-		Width: 96, Height: 64, Pictures: 16, GOPSize: 4,
-		RepeatSequenceHeader: true,
-		RowsPerSlice:         (64 + 15) / 16, // tall slices: the split geometry
-	}, frame.NewSynth(96, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := res.Data
-	m, err := core.Scan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := core.BuildIndexScanned(data, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Slices() == 0 {
-		t.Fatal("index covered no slices on a tall-slice stream")
-	}
-	// A synthetic model priced far above any real decode rate — 10µs per
-	// byte — keeps the classification deterministic under host load: the
-	// in-run observations the session folds back are orders of magnitude
-	// cheaper, so the EWMA only ever decays. Costs that only shrink can
-	// turn a tight unit comfortable (no assist, harmless) but never
-	// doomed (a shed would break the bit-exactness assertion).
-	model := &sched.CostModel{}
-	for i := 0; i < 4; i++ {
-		model.Observe(1000, 10*time.Millisecond)
-	}
-
-	// Pick a deadline the first unit classifies as tight: at least the
-	// priciest GOP's predicted cost (no unit doomed even before any
-	// decay), at most twice the cheapest's (within the slack<=cost
-	// window). With MaxInFlight 1 the queue-delay term is exactly zero
-	// at each feed.
-	minB, maxB := int64(1<<62), int64(0)
-	for _, g := range m.GOPs {
-		b := int64(g.End - g.Offset)
-		if b < minB {
-			minB = b
-		}
-		if b > maxB {
-			maxB = b
-		}
-	}
-	deadline := 2 * model.Predict(minB)
-	if deadline < model.Predict(maxB) {
-		t.Fatalf("GOP sizes too skewed for one tight deadline: min %d max %d bytes", minB, maxB)
-	}
-
-	_, refFrames := seqOracle(t, data, core.ConcealSlice)
-	srv := server.NewServer(server.Config{
-		Workers: 4, DisableAutoDegrade: true, Cost: model,
-	})
-	defer srv.Close()
-
-	var sink collectSink
-	ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
-		Resilience: core.ConcealSlice, MaxInFlight: 1,
-		Deadline: deadline,
-		Index:    ix,
-		Sink:     sink.add,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Stats.Shed.Any() {
-		t.Fatalf("tight (not doomed) slack shed pictures: %+v", ss.Stats.Shed)
-	}
-	if got := srv.Metrics().Assists; got == 0 {
-		t.Fatal("no task was granted assist despite tight slack, an index, and three idle workers")
-	}
-	if ss.Stats.Split.SlicesSplit == 0 {
-		t.Fatalf("assist granted but no slice was split: %+v", ss.Stats.Split)
-	}
-	if len(sink.frames) != len(refFrames) {
-		t.Fatalf("%d frames, oracle %d", len(sink.frames), len(refFrames))
-	}
-	for i := range refFrames {
-		if !sink.frames[i].Equal(refFrames[i]) {
-			t.Fatalf("frame %d differs from sequential oracle under assist", i)
-		}
 	}
 }

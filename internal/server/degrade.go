@@ -146,7 +146,7 @@ func (s *Server) tick(now time.Time) {
 	// for as long as anyone stays paused, so only runnable backlog feeds
 	// the signal.
 	if !s.cfg.DisableAutoDegrade {
-		load := float64(s.backlog-pausedPending) / float64(s.cfg.Workers)
+		load := float64(int(s.backlog.Load())-pausedPending) / float64(s.cfg.Workers)
 		hot := load > s.cfg.HighWater || s.missEWMA > s.cfg.MissHigh
 		cold := load < s.cfg.LowWater && s.missEWMA < s.cfg.MissLow
 		if now.Sub(s.lastMove) >= s.cfg.Dwell {

@@ -25,11 +25,11 @@ import (
 //     delay − predicted cost. A frame with negative slack is already
 //     doomed, so its unit sheds B (or, if that can't close the gap,
 //     reference) pictures at plan time — one stream's frame, before the
-//     global ladder would have escalated everyone. A frame with
-//     positive-but-tight slack on an indexed stream becomes an assist
-//     candidate: at dispatch, if workers are idle, the task fans its
-//     tall slices out as parallel row segments (core's split chain,
-//     bit-exact by construction).
+//     global ladder would have escalated everyone.
+//
+// A frame that one worker would barely make needs no verdict of its own:
+// when its group starts on a pool with a worker idle and nothing queued,
+// the idle worker helps decode it (the offer rule, pool.go).
 //
 // Both halves stand down while the cost model is uncalibrated
 // (sched.CostModel.Calibrated): an unknown cost must read as "be
@@ -172,7 +172,7 @@ func (s *Server) pickEDFLocked(now time.Time) *task {
 func (s *Server) takeLocked(st *stream) *task {
 	tk := st.pending[0]
 	st.pending = st.pending[1:]
-	s.backlog--
+	s.backlog.Add(-1)
 	s.pendingCost -= tk.cost
 	if s.pendingCost < 0 {
 		s.pendingCost = 0
@@ -199,39 +199,28 @@ func (s *Server) queueDelayLocked() time.Duration {
 	return time.Duration(int64(s.pendingCost) / int64(w))
 }
 
-// classifySlack turns one unit's predicted slack into an action.
-// slack = deadline − wait − cost; bSave / refSave are the predicted
-// decode time shedding B / B+P pictures would buy back.
-//
-//   - slack < 0: the frame is doomed as planned. Shed B pictures if
-//     that closes the gap, otherwise shed references too (even when
-//     anchors alone still miss, it is the closest the plan can get and
-//     the survivors stay bit-exact).
-//   - 0 ≤ slack ≤ cost on an indexed stream: tight — one worker will
-//     barely make it, so mark the task an assist (split fan-out)
-//     candidate for dispatch to act on if workers are idle.
-func classifySlack(deadline, wait, cost, bSave, refSave time.Duration, indexed bool) (floor core.ShedLevel, tight bool) {
-	slack := deadline - wait - cost
+// classifySlack turns one unit's predicted slack into a plan-time shed
+// floor. slack = deadline − wait − cost; bSave is the predicted decode
+// time shedding B pictures would buy back. A frame with slack ≥ 0 keeps
+// every picture; a doomed one sheds B pictures if that closes the gap,
+// otherwise references too (even when anchors alone still miss, it is the
+// closest the plan can get and the survivors stay bit-exact).
+func classifySlack(deadline, wait, cost, bSave time.Duration) core.ShedLevel {
 	switch {
-	case slack < 0:
-		if deadline-wait-(cost-bSave) >= 0 {
-			return core.ShedB, false
-		}
-		return core.ShedRef, false
-	case slack <= cost && indexed:
-		return core.ShedNone, true
+	case deadline-wait-cost >= 0:
+		return core.ShedNone
+	case deadline-wait-(cost-bSave) >= 0:
+		return core.ShedB
 	}
-	return core.ShedNone, false
+	return core.ShedRef
 }
 
 // slackPlan is one unit's feed-time slack verdict.
 type slackPlan struct {
-	floor  core.ShedLevel // per-unit plan-time shed floor
-	cost   time.Duration  // predicted decode cost (0 = model uncalibrated)
-	pred   time.Duration  // predicted slack (valid when known)
-	known  bool           // deadline set and model calibrated
-	tight  bool           // assist candidate
-	action int            // obs.KindSlack action code: 0 none, 1 shed B, 2 shed refs, 3 assist
+	floor core.ShedLevel // per-unit plan-time shed floor (the KindSlack action: 0 none, 1 shed B, 2 shed refs)
+	cost  time.Duration  // predicted decode cost (0 = model uncalibrated)
+	pred  time.Duration  // predicted slack (valid when known)
+	known bool           // deadline set and model calibrated
 }
 
 // planSlack prices one unit about to be fed: predicted cost from the
@@ -254,17 +243,7 @@ func (s *Server) planSlack(st *stream, u *core.Unit) slackPlan {
 	if s.cfg.DisableSlackActions {
 		return sp
 	}
-	bSave := s.cost.Predict(u.ShedSavings(core.ShedB))
-	refSave := s.cost.Predict(u.ShedSavings(core.ShedRef))
-	sp.floor, sp.tight = classifySlack(st.deadline, wait, sp.cost, bSave, refSave, st.index != nil)
-	switch {
-	case sp.floor == core.ShedB:
-		sp.action = 1
-	case sp.floor == core.ShedRef:
-		sp.action = 2
-	case sp.tight:
-		sp.action = 3
-	}
+	sp.floor = classifySlack(st.deadline, wait, sp.cost, s.cost.Predict(u.ShedSavings(core.ShedB)))
 	return sp
 }
 

@@ -59,26 +59,19 @@ func TestEDFActive(t *testing.T) {
 func TestClassifySlack(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	for _, tc := range []struct {
-		name                 string
-		deadline, wait, cost time.Duration
-		bSave, refSave       time.Duration
-		indexed              bool
-		wantFloor            core.ShedLevel
-		wantTight            bool
+		name                        string
+		deadline, wait, cost, bSave time.Duration
+		want                        core.ShedLevel
 	}{
-		{"comfortable", ms(100), ms(10), ms(20), ms(5), ms(10), false, core.ShedNone, false},
-		{"comfortable-indexed", ms(100), ms(10), ms(20), ms(5), ms(10), true, core.ShedNone, false},
-		{"tight-indexed", ms(40), ms(10), ms(20), ms(5), ms(10), true, core.ShedNone, true},
-		{"tight-unindexed-cannot-assist", ms(40), ms(10), ms(20), ms(5), ms(10), false, core.ShedNone, false},
-		{"doomed-b-saves-it", ms(30), ms(10), ms(30), ms(15), ms(25), true, core.ShedB, false},
-		{"doomed-needs-refs", ms(30), ms(10), ms(30), ms(5), ms(25), true, core.ShedRef, false},
-		{"doomed-beyond-saving-still-sheds-refs", ms(10), ms(10), ms(50), ms(5), ms(10), false, core.ShedRef, false},
-		{"zero-slack-is-tight-not-doomed", ms(30), ms(10), ms(20), ms(5), ms(10), true, core.ShedNone, true},
+		{"comfortable", ms(100), ms(10), ms(20), ms(5), core.ShedNone},
+		{"one-worker-just-makes-it", ms(40), ms(10), ms(20), ms(5), core.ShedNone},
+		{"doomed-b-saves-it", ms(30), ms(10), ms(30), ms(15), core.ShedB},
+		{"doomed-needs-refs", ms(30), ms(10), ms(30), ms(5), core.ShedRef},
+		{"doomed-beyond-saving-still-sheds-refs", ms(10), ms(10), ms(50), ms(5), core.ShedRef},
+		{"zero-slack-is-not-doomed", ms(30), ms(10), ms(20), ms(5), core.ShedNone},
 	} {
-		floor, tight := classifySlack(tc.deadline, tc.wait, tc.cost, tc.bSave, tc.refSave, tc.indexed)
-		if floor != tc.wantFloor || tight != tc.wantTight {
-			t.Errorf("%s: classifySlack = (%v, %v), want (%v, %v)",
-				tc.name, floor, tight, tc.wantFloor, tc.wantTight)
+		if got := classifySlack(tc.deadline, tc.wait, tc.cost, tc.bSave); got != tc.want {
+			t.Errorf("%s: classifySlack = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -134,7 +127,7 @@ func edfServer(streams ...*stream) *Server {
 	s.cfg.BestEffortLag = 500 * time.Millisecond
 	for _, st := range streams {
 		s.streams[st.id] = st
-		s.backlog += len(st.pending)
+		s.backlog.Add(int64(len(st.pending)))
 		for _, tk := range st.pending {
 			s.pendingCost += tk.cost
 		}
@@ -234,15 +227,15 @@ func TestPickEDFOrdering(t *testing.T) {
 			qstream(1, 0, &task{enq: now, deadline: ms(10), cost: 5 * time.Millisecond}),
 			qstream(2, 0, &task{enq: now, deadline: ms(50), cost: 7 * time.Millisecond}),
 		)
-		if s.backlog != 2 || s.pendingCost != 12*time.Millisecond {
-			t.Fatalf("setup: backlog %d pendingCost %v", s.backlog, s.pendingCost)
+		if s.backlog.Load() != 2 || s.pendingCost != 12*time.Millisecond {
+			t.Fatalf("setup: backlog %d pendingCost %v", s.backlog.Load(), s.pendingCost)
 		}
 		tk := s.pickEDFLocked(now)
 		if tk == nil || tk.st.id != 1 {
 			t.Fatalf("picked %+v, want stream 1", tk)
 		}
-		if s.backlog != 1 || s.pendingCost != 7*time.Millisecond {
-			t.Fatalf("after take: backlog %d pendingCost %v", s.backlog, s.pendingCost)
+		if s.backlog.Load() != 1 || s.pendingCost != 7*time.Millisecond {
+			t.Fatalf("after take: backlog %d pendingCost %v", s.backlog.Load(), s.pendingCost)
 		}
 		if len(tk.st.pending) != 0 {
 			t.Fatal("task not popped from its stream queue")

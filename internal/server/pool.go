@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"time"
 
 	"mpeg2par/internal/core"
@@ -16,68 +17,80 @@ type task struct {
 	enq      time.Time     // enqueue time (aging, virtual deadlines)
 	deadline time.Time     // absolute frame deadline; zero for best-effort
 	cost     time.Duration // predicted decode cost (0 = model uncalibrated)
-	tight    bool          // slack-tight at feed: assist candidate
+	helped   bool          // an idle worker has decoded part of it (Metrics.Assists)
 }
 
-// worker is one shared-pool goroutine: pick the next runnable task
-// under the active dispatch order, execute it through the owning
-// stream's session, repeat. Workers exit only when the server is closed
-// and every stream has unregistered — a closing server still needs them
-// to drain aborted streams' queues (Session.Run returns a latched error
-// without decoding, so the drain is fast). The worker owns one decode
-// scratch for its lifetime and lends it to each task.
+// worker is one shared-pool goroutine: pick the next runnable task under
+// the active dispatch order and execute it through the owning stream's
+// session; with nothing to pick, help a running task that took helpers
+// (the offer rule below), or sleep. Workers exit only when the server is
+// closed and every stream has unregistered — a closing server still needs
+// them to drain aborted streams' queues (Session.Run returns a latched
+// error without decoding, so the drain is fast). The worker owns one
+// decode scratch for its lifetime and lends it to each task it runs or
+// helps.
+//
+// The offer rule: a task takes helpers only if a worker is idle and
+// nothing is queued when it starts; a helper leaves after its current unit
+// (a row group) once a task is queued or the helped task ends. Neither side waits on s.mu meanwhile: the helper reads the atomic
+// backlog, the task shares its pictures through core's claim cursor. A
+// helper waiting for its task's next picture blocks, and enqueue closes
+// s.kick to end that wait the moment a task is queued. A loaded pool never
+// pays for help; a half-loaded one stops leaving a worker asleep while a
+// group decodes.
 func (s *Server) worker(wi int) {
 	defer s.wg.Done()
 	var scr core.Scratch
+	queued := func() bool { return s.backlog.Load() > 0 }
 	obs.Do("service", wi, func() {
 		for {
 			s.mu.Lock()
 			tk := s.pickLocked()
-			for tk == nil {
-				if s.closed && len(s.streams) == 0 {
+			for left := false; tk == nil; tk = s.pickLocked() {
+				switch {
+				case len(s.open) > 0 && !left:
+					// A helper that left for queued work it cannot run (a
+					// paused stream's) sleeps instead of rejoining at once.
+					h, kick := s.open[0], s.kick
+					s.mu.Unlock()
+					units, ended := h.t.Help(wi, &scr, queued, kick)
+					s.mu.Lock()
+					if units > 0 && !h.helped {
+						h.helped = true
+						s.assists.Add(1)
+					}
+					if ended {
+						s.closeLocked(h)
+					}
+					left = !ended
+				case s.closed && len(s.streams) == 0:
 					s.mu.Unlock()
 					return
+				default:
+					s.cond.Wait()
+					left = false
 				}
-				s.cond.Wait()
-				tk = s.pickLocked()
 			}
 			tk.st.inFlight++
 			s.busy++
-			s.grantAssistLocked(tk)
+			if s.busy < s.cfg.Workers && s.backlog.Load() == 0 {
+				s.open = append(s.open, tk)
+				s.cond.Broadcast()
+			}
 			s.mu.Unlock()
 
 			err := tk.st.sess.Run(tk.t, wi, &scr)
-			tk.st.complete(tk.t, err)
+			tk.st.complete(tk, err)
 		}
 	})
 }
 
-// grantAssistLocked decides, at the moment a slack-tight task is picked,
-// whether it may fan its indexed slices out across otherwise-idle
-// workers. Strictly opportunistic: assist is granted only when the rest
-// of the queue is empty and workers are idle, so the fan-out goroutines
-// spend capacity nothing else wants — it can never slow another stream
-// down, only pull this one's tight frame back under its deadline.
-func (s *Server) grantAssistLocked(tk *task) {
-	if !tk.tight || s.cfg.DisableSlackActions {
-		return
+// closeLocked withdraws a task that has ended from the helpers' offer.
+func (s *Server) closeLocked(tk *task) {
+	if i := slices.Index(s.open, tk); i >= 0 {
+		s.open = slices.Delete(s.open, i, i+1)
 	}
-	idle := s.cfg.Workers - s.busy
-	if idle <= 0 || s.backlog > 0 {
-		return
-	}
-	n := idle + 1
-	if n > maxAssistParts {
-		n = maxAssistParts
-	}
-	tk.t.SetAssist(n)
-	s.assists.Add(1)
 }
-
-// maxAssistParts caps the split fan-out width: beyond a handful of
-// segments per slice the verify chain's coordination outweighs the
-// latency won.
-const maxAssistParts = 8
 
 // pickLocked returns the next task under the active dispatch order:
 // earliest-effective-deadline-first while any admitted stream carries a
@@ -122,8 +135,12 @@ func (s *Server) pickFairLocked() *task {
 func (s *Server) enqueue(tk *task) {
 	s.mu.Lock()
 	tk.st.pending = append(tk.st.pending, tk)
-	s.backlog++
+	s.backlog.Add(1)
 	s.pendingCost += tk.cost
+	if len(s.open) > 0 {
+		close(s.kick)
+		s.kick = make(chan struct{})
+	}
 	s.mu.Unlock()
 	tk.st.touch()
 	s.cond.Broadcast()

@@ -94,10 +94,9 @@ type Config struct {
 	// EDF before it runs regardless of band or deadline — the aging
 	// guard that keeps the documented no-starvation invariant. Default 2s.
 	StarveWindow time.Duration
-	// DisableSlackActions freezes the slack predictor's per-frame
-	// actions (plan-time shedding and split assist) while leaving the
-	// dispatch order alone — the baseline arm of the deadline benchmarks
-	// and the deterministic-golden switch.
+	// DisableSlackActions freezes the slack predictor's plan-time
+	// shedding while leaving the dispatch order alone — the baseline arm
+	// of the deadline benchmarks and the deterministic-golden switch.
 	DisableSlackActions bool
 	// Cost is the shared byte→time cost model admission and scheduling
 	// calibrate through; nil allocates a fresh one.
@@ -195,7 +194,11 @@ type Server struct {
 	nslots  int     // admitted + granted-not-yet-registered streams
 	demand  float64 // Σ admitted demand, in workers
 	waiters []*waiter
-	backlog int // queued (not yet running) tasks across all streams
+	// backlog counts queued (not yet running) tasks across all streams;
+	// written under mu, read without it by helping workers.
+	backlog atomic.Int64
+	open    []*task       // running tasks that took helpers (the offer rule, pool.go)
+	kick    chan struct{} // closed and replaced by enqueue while open is not empty
 
 	nDeadline   int           // admitted streams with a frame deadline (EDF trigger)
 	busy        int           // workers currently running a task
@@ -217,7 +220,7 @@ type Server struct {
 	pauses     atomic.Int64
 	wedged     atomic.Int64
 	slackSheds atomic.Int64 // pictures shed by per-frame slack prediction
-	assists    atomic.Int64 // tasks granted split fan-out at dispatch
+	assists    atomic.Int64 // tasks an idle worker helped
 	stopMon    chan struct{}
 	wg         sync.WaitGroup
 }
@@ -232,6 +235,7 @@ func NewServer(cfg Config) *Server {
 		frames:  frame.NewStore(),
 		streams: make(map[int]*stream),
 		stopMon: make(chan struct{}),
+		kick:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.obs.SetMeta("service", cfg.Workers)
@@ -440,7 +444,7 @@ func (s *Server) unregister(st *stream) {
 	if st.deadline > 0 {
 		s.nDeadline--
 	}
-	s.backlog -= len(st.pending)
+	s.backlog.Add(-int64(len(st.pending)))
 	for _, tk := range st.pending {
 		s.pendingCost -= tk.cost
 	}
@@ -487,7 +491,7 @@ type Metrics struct {
 	MissEWMA   float64
 	DemandUsed float64 // Σ admitted demand, in workers
 	SlackSheds int64   // pictures shed by per-frame slack prediction
-	Assists    int64   // tasks granted split fan-out at dispatch
+	Assists    int64   // tasks an idle worker helped (see the offer rule in pool.go)
 	// Frame lending across streams (frame.Store). A stream's frames come
 	// from the spare stock finished streams left or are allocated; once
 	// streams of one size follow each other FramesReused should dwarf
@@ -505,7 +509,7 @@ func (s *Server) Metrics() Metrics {
 		Workers:    s.cfg.Workers,
 		Streams:    len(s.streams),
 		QueuedAdm:  len(s.waiters),
-		Backlog:    s.backlog,
+		Backlog:    int(s.backlog.Load()),
 		Rung:       s.rung,
 		MissEWMA:   s.missEWMA,
 		DemandUsed: s.demand,

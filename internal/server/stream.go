@@ -44,9 +44,8 @@ type StreamConfig struct {
 	// ChunkSize is the scanner's read granularity (0 = default).
 	ChunkSize int
 	// Index, when non-nil, is the stream's intra-slice split index
-	// (vldsplit): with a Deadline set, frames predicted slack-tight may
-	// fan their tall slices out across idle workers (bit-exact by
-	// construction; see edf.go). Without it, slack can only shed.
+	// (vldsplit). A session splits no slice (core.NewSession), so it is
+	// not read at present: helpers share a group's row groups only.
 	Index *vldsplit.Index
 }
 
@@ -79,7 +78,6 @@ type stream struct {
 	lastProgress atomic.Int64 // UnixNano of last feed/complete/display/resume
 
 	deadline time.Duration
-	index    *vldsplit.Index
 	dmu      sync.Mutex
 	feedAt   map[int]feedMark // display index → feed-time facts
 	lats     []time.Duration
@@ -194,12 +192,13 @@ func (st *stream) accountUndelivered() {
 // complete is a pool worker's epilogue for one task: progress and
 // fairness bookkeeping, the admission estimator's bytes-per-picture
 // sample, then the token release that re-opens the stream's gate.
-func (st *stream) complete(t *core.SessionTask, err error) {
+func (st *stream) complete(tk *task, err error) {
 	if err != nil {
 		st.fail(err)
 	}
-	s := st.srv
+	s, t := st.srv, tk.t
 	s.mu.Lock()
+	s.closeLocked(tk)
 	st.inFlight--
 	s.busy--
 	st.mustServe = false // the post-resume service window has been honored
@@ -300,7 +299,6 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 		srv:      s,
 		failCh:   make(chan struct{}),
 		deadline: cfg.Deadline,
-		index:    cfg.Index,
 		feedAt:   make(map[int]feedMark),
 	}
 	maxInFlight := cfg.MaxInFlight
@@ -371,11 +369,10 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 			}
 		}
 		// Price the unit before planning it: a negative-slack frame sheds
-		// at plan time (this frame only — the ladder stays where it is),
-		// a tight one becomes an assist candidate for dispatch.
+		// at plan time (this frame only — the ladder stays where it is).
 		sp := s.planSlack(st, &u)
 		if sp.known {
-			s.obs.Record(obs.KindSlack, st.lane, time.Now(), 0, u.G, int(sp.pred/time.Microsecond), sp.action)
+			s.obs.Record(obs.KindSlack, st.lane, time.Now(), 0, u.G, int(sp.pred/time.Microsecond), int(sp.floor))
 		}
 		ladder := st.sess.ShedLevel()
 		t, err := st.sess.FeedShed(u, sp.floor)
@@ -400,7 +397,7 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 		st.noteFed(t, now, sp.pred, sp.known)
 		st.touch()
 		st.wgTasks.Add(1)
-		tk := &task{st: st, t: t, enq: now, cost: sp.cost, tight: sp.tight}
+		tk := &task{st: st, t: t, enq: now, cost: sp.cost}
 		if st.deadline > 0 {
 			tk.deadline = now.Add(st.deadline)
 		}

@@ -534,22 +534,49 @@ func TestDecodeHeapFlat(t *testing.T) {
 	}
 }
 
+// eofReader signals once its reader has returned io.EOF: whoever reads
+// it has read the whole stream.
+type eofReader struct {
+	r    io.Reader
+	once sync.Once
+	eof  chan struct{}
+}
+
+func (e *eofReader) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err == io.EOF {
+		e.once.Do(func() { close(e.eof) })
+	}
+	return n, err
+}
+
 // TestScanLeadGauge pins the scan-lead gauge: with the display held
-// back, the scan process must run ahead by more than one group.
+// back, the scan process must run ahead by more than one group. The first
+// frame is held until the scanner has read the whole stream, so the gauge
+// sees every group scanned and none displayed, however the goroutines
+// are scheduled.
 func TestScanLeadGauge(t *testing.T) {
 	data := testStream(t, 80, 48, 12, 4)
-	first := true
+	r := &eofReader{r: bytes.NewReader(data), eof: make(chan struct{})}
+	first, scanned := true, true
 	sink := func(f *frame.Frame) {
 		if first {
 			first = false
-			time.Sleep(30 * time.Millisecond)
+			select {
+			case <-r.eof:
+			case <-time.After(10 * time.Second):
+				scanned = false
+			}
 		}
 	}
-	st, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
+	st, err := stream.Decode(context.Background(), r, stream.Options{
 		Options: core.Options{Mode: core.ModeGOP, Workers: 2, MaxInFlight: 4, Sink: sink},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !scanned {
+		t.Fatal("the scanner did not read the stream while the first frame was held")
 	}
 	if st.ScanLeadPeak < 8 {
 		t.Fatalf("scan-lead peak %d; want the scanner at least two GOPs ahead of display", st.ScanLeadPeak)

@@ -47,8 +47,9 @@ type ServerConfig struct {
 	// has a frame deadline and weighted fair otherwise; DispatchFair
 	// and DispatchEDF force one order. Under EDF, predicted slack from
 	// the calibrated cost model also sheds already-doomed frames at
-	// plan time and fans deadline-tight indexed frames out across idle
-	// workers — both bit-exact for surviving frames.
+	// plan time, bit-exact for surviving frames. Whatever the order, a
+	// group that starts while a worker is idle and nothing is queued
+	// takes the idle worker as a helper on its pictures' slices.
 	Dispatch DispatchPolicy
 	// Trace, when non-nil, records the service's scheduling events:
 	// task spans on worker lanes, and admission, shed, degradation,
@@ -145,10 +146,10 @@ func WithStreamChunkSize(n int) StreamOption {
 }
 
 // WithStreamIndex attaches the stream's intra-slice split index (built
-// by BuildIndex, or NewIndex plus a deserialized payload). Combined with
-// WithFrameDeadline, frames the slack predictor judges tight may fan
-// their tall slices out across idle pool workers through the
-// verify-or-fallback split chain — identical output, lower latency.
+// by BuildIndex, or NewIndex plus a deserialized payload). The service
+// does not split slices at present — an idle pool worker helping the
+// stream's running group shares its row groups only — so the index is
+// accepted and not read; output is the same either way.
 func WithStreamIndex(ix *Index) StreamOption {
 	return func(c *server.StreamConfig) { c.Index = ix }
 }
