@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"bytes"
@@ -14,73 +14,34 @@ import (
 	"mpeg2par/internal/core"
 	"mpeg2par/internal/encoder"
 	"mpeg2par/internal/frame"
-	"mpeg2par/internal/kernels"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/server"
 )
 
-// ServiceConfig shapes the multi-stream load harness: N identical
-// synthetic streams pushed through one decode service at once,
-// deliberately past pool capacity.
-type ServiceConfig struct {
-	Workers         int // pool size (default runtime.NumCPU())
-	Streams         int // concurrent streams (default 64)
-	PriorityClasses int // streams assigned round-robin to classes 0..n-1 (default 2)
+// loadConfig shapes one run: Streams identical synthetic streams pushed
+// through one decode service at once, deliberately past pool capacity.
+type loadConfig struct {
+	Workers         int // pool size (0 = runtime.NumCPU())
+	Streams         int // concurrent streams
+	PriorityClasses int // streams assigned round-robin to classes 0..n-1
 
-	// Per-stream synthetic source (defaults 48x32, 16 pictures, GOP 4 —
-	// small enough that a 64-stream sweep stays in CI budget).
+	// Per-stream synthetic source.
 	Width, Height, Pictures, GOPSize int
 
-	Deadline    time.Duration // per-frame budget (default 250ms)
-	MaxInFlight int           // scan-ahead bound per stream (default 2)
+	Deadline    time.Duration // per-frame budget
+	MaxInFlight int           // scan-ahead bound per stream
 
 	// SinkDelay is an artificial per-frame delivery cost. Zero is fine on
 	// slow hosts; on fast ones a small delay keeps the pool saturated so
 	// the run actually exercises the overload machinery.
 	SinkDelay time.Duration
 
-	// Dispatch selects the pool's task ordering (auto / fair / edf); the
-	// zero value is DispatchAuto.
-	Dispatch server.DispatchPolicy
-	// DisableSlackActions freezes the per-frame slack actions (the
-	// baseline arm of the deadline comparison).
-	DisableSlackActions bool
+	Dispatch            server.DispatchPolicy
+	DisableSlackActions bool // freeze the per-frame slack actions
 }
 
-func (c ServiceConfig) withDefaults() ServiceConfig {
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
-	if c.Streams <= 0 {
-		c.Streams = 64
-	}
-	if c.PriorityClasses <= 0 {
-		c.PriorityClasses = 2
-	}
-	if c.Width <= 0 {
-		c.Width = 48
-	}
-	if c.Height <= 0 {
-		c.Height = 32
-	}
-	if c.Pictures <= 0 {
-		c.Pictures = 16
-	}
-	if c.GOPSize <= 0 {
-		c.GOPSize = 4
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 250 * time.Millisecond
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2
-	}
-	return c
-}
-
-// ServicePoint is one service-load measurement, recorded under
-// PerfRun.Service in BENCH_<n>.json.
-type ServicePoint struct {
+// loadPoint is the aggregate measurement of one run.
+type loadPoint struct {
 	Workers         int    `json:"workers"`
 	Streams         int    `json:"streams"`
 	PriorityClasses int    `json:"priority_classes"`
@@ -114,8 +75,8 @@ type ServicePoint struct {
 	SparePeakBytes int64 `json:"spare_peak_bytes"`
 }
 
-// ServiceStreamLine is one stream's line in the per-stream report.
-type ServiceStreamLine struct {
+// streamLine is one stream's line in the per-stream report.
+type streamLine struct {
 	ID         int     `json:"id"`
 	Priority   int     `json:"priority"`
 	PicsPerSec float64 `json:"pics_per_sec"`
@@ -126,27 +87,27 @@ type ServiceStreamLine struct {
 	Paused     int     `json:"paused"`
 }
 
-// ServiceResult is the full load-harness outcome.
-type ServiceResult struct {
-	Point      ServicePoint        `json:"point"`
-	PerStream  []ServiceStreamLine `json:"per_stream"`
-	TraceNote  string              `json:"trace_note"`
-	lastErrors []error
+// loadResult is the whole outcome of one run.
+type loadResult struct {
+	Point     loadPoint    `json:"point"`
+	PerStream []streamLine `json:"per_stream"`
+	TraceNote string       `json:"trace_note"`
 }
 
-// ServiceLoad runs the multi-stream overload harness against the real
-// service: every stream must complete (no wedges, no leaks), and the
-// per-stream obs lanes must carry each stream's admission record and
-// export to a valid Chrome trace — the same invariants the `make
-// service` gate asserts under the race detector.
-func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
-	cfg = cfg.withDefaults()
+// runLoad drives the overload against the real service. It fails if any
+// stream errs, displays fewer pictures than it holds, or leaks frame
+// bytes, if an admitted stream's obs lane lacks its admission record,
+// or if the trace does not export as valid Chrome JSON.
+func runLoad(cfg loadConfig) (*loadResult, error) {
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.NumCPU()
+	}
 	enc, err := encoder.EncodeSequence(encoder.Config{
 		Width: cfg.Width, Height: cfg.Height, Pictures: cfg.Pictures,
 		GOPSize: cfg.GOPSize, RepeatSequenceHeader: true,
 	}, frame.NewSynth(cfg.Width, cfg.Height))
 	if err != nil {
-		return nil, fmt.Errorf("bench: service stream: %w", err)
+		return nil, fmt.Errorf("service stream: %w", err)
 	}
 
 	tr := obs.New(0)
@@ -206,14 +167,14 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 	t0 := time.Now()
 	close(start)
 
-	res := &ServiceResult{}
 	var all []*server.StreamStats
+	var errs []error
 	var allLats []time.Duration
 	totalPics := 0
 	for i := 0; i < cfg.Streams; i++ {
 		r := <-results
 		if r.err != nil {
-			res.lastErrors = append(res.lastErrors, r.err)
+			errs = append(errs, r.err)
 			continue
 		}
 		all = append(all, r.ss)
@@ -226,26 +187,27 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 	m := srv.Metrics()
 	srv.Close()
 
-	if len(res.lastErrors) > 0 {
-		return nil, fmt.Errorf("bench: %d of %d streams failed under load, first: %w",
-			len(res.lastErrors), cfg.Streams, res.lastErrors[0])
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("%d of %d streams failed under load, first: %w",
+			len(errs), cfg.Streams, errs[0])
 	}
 	for _, ss := range all {
 		if ss.Stats.Displayed != ss.Stats.Pictures {
-			return nil, fmt.Errorf("bench: stream %d displayed %d of %d pictures", ss.ID, ss.Stats.Displayed, ss.Stats.Pictures)
+			return nil, fmt.Errorf("stream %d displayed %d of %d pictures", ss.ID, ss.Stats.Displayed, ss.Stats.Pictures)
 		}
 		if ss.Stats.LeakedFrameBytes != 0 {
-			return nil, fmt.Errorf("bench: stream %d leaked %d frame bytes", ss.ID, ss.Stats.LeakedFrameBytes)
+			return nil, fmt.Errorf("stream %d leaked %d frame bytes", ss.ID, ss.Stats.LeakedFrameBytes)
 		}
 	}
 
 	// Per-stream report and per-class fairness.
+	res := &loadResult{}
 	classTP := map[int][]float64{}
-	pt := ServicePoint{
+	pt := loadPoint{
 		Workers: cfg.Workers, Streams: cfg.Streams, PriorityClasses: cfg.PriorityClasses,
 		Dispatch:            cfg.Dispatch.String(),
 		WallMS:              ms(wall),
-		AggregatePicsPerSec: safeRate(float64(totalPics), wall),
+		AggregatePicsPerSec: rate(float64(totalPics), wall),
 		DeadlineMisses:      m.Misses,
 		SlackSheds:          m.SlackSheds,
 		Assists:             m.Assists,
@@ -261,12 +223,12 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	for _, ss := range all {
 		st := ss.Stats
-		tp := safeRate(float64(st.Displayed), st.Wall)
+		tp := rate(float64(st.Displayed), st.Wall)
 		classTP[ss.Priority] = append(classTP[ss.Priority], tp)
 		pt.ShedBPictures += st.Shed.BPictures
 		pt.ShedRefPictures += st.Shed.RefPictures
 		pt.DegradedPictures += st.Shed.DegradedPictures
-		res.PerStream = append(res.PerStream, ServiceStreamLine{
+		res.PerStream = append(res.PerStream, streamLine{
 			ID: ss.ID, Priority: ss.Priority, PicsPerSec: tp,
 			P50MS: ms(ss.LatencyP50()), P99MS: ms(ss.LatencyP99()),
 			Misses: ss.DeadlineMisses, Shed: st.Shed.Total() + st.Shed.DegradedPictures,
@@ -276,12 +238,7 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 	for _, tps := range classTP {
 		lo, hi := tps[0], tps[0]
 		for _, tp := range tps {
-			if tp < lo {
-				lo = tp
-			}
-			if tp > hi {
-				hi = tp
-			}
+			lo, hi = min(lo, tp), max(hi, tp)
 		}
 		if lo > 0 && hi/lo > pt.FairnessRatio {
 			pt.FairnessRatio = hi / lo
@@ -294,7 +251,7 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 	}
 	res.Point = pt
 
-	// Trace gate: every admitted stream must have its admission event on
+	// Trace check: every admitted stream must have its admission event on
 	// its own lane, and the export must be a valid Chrome trace.
 	tl := tr.Snapshot()
 	admits := map[int]bool{}
@@ -305,7 +262,7 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 	}
 	for _, ss := range all {
 		if !admits[ss.ID] {
-			return nil, fmt.Errorf("bench: stream %d admitted but has no KindAdmit event on its lane", ss.ID)
+			return nil, fmt.Errorf("stream %d admitted but has no KindAdmit event on its lane", ss.ID)
 		}
 	}
 	var buf bytes.Buffer
@@ -313,7 +270,7 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 		return nil, err
 	}
 	if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
-		return nil, fmt.Errorf("bench: service trace invalid: %w", err)
+		return nil, fmt.Errorf("service trace invalid: %w", err)
 	}
 	res.TraceNote = fmt.Sprintf("%d events across %d stream lanes, trace valid, %d dropped",
 		len(tl.Events), len(admits), tl.Dropped)
@@ -321,7 +278,7 @@ func ServiceLoad(cfg ServiceConfig) (*ServiceResult, error) {
 }
 
 // WriteText renders the load report.
-func (r *ServiceResult) WriteText(w io.Writer) {
+func (r *loadResult) WriteText(w io.Writer) {
 	pt := r.Point
 	fmt.Fprintf(w, "service load: %d streams x %d-class priorities on %d workers (%s dispatch)\n",
 		pt.Streams, pt.PriorityClasses, pt.Workers, pt.Dispatch)
@@ -346,26 +303,19 @@ func (r *ServiceResult) WriteText(w io.Writer) {
 }
 
 // WriteJSON emits the result as indented JSON.
-func (r *ServiceResult) WriteJSON(w io.Writer) error {
+func (r *loadResult) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
 
-// ServiceRun wraps a ServicePoint in a host-stamped PerfRun for
-// BENCH_<n>.json (the service harness measures a fleet, not the
-// mode-by-mode trajectory, so the usual Points stay empty).
-func ServiceRun(label string, pt *ServicePoint) *PerfRun {
-	return &PerfRun{
-		Label:       label,
-		Timestamp:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		CPUFeatures: kernels.CPUFeatures(),
-		KernelLevel: kernels.Describe(),
-		Service:     pt,
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// rate returns n per second of d, or 0 when d is not positive (JSON
+// cannot carry the +Inf a zero duration would give).
+func rate(n float64, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
 	}
+	return n / d.Seconds()
 }

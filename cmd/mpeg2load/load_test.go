@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"bytes"
@@ -8,12 +8,15 @@ import (
 	"time"
 )
 
-// TestServiceLoadSmoke runs a scaled-down overload through the harness:
-// every stream completes, the ladder counters are coherent, and both
-// report encodings render.
+// TestServiceLoadSmoke runs a scaled-down overload: every stream
+// completes without a leak, each admitted stream's admission event sits
+// on its own lane, the trace exports as valid Chrome JSON (runLoad fails
+// otherwise), nothing wedges, and both report encodings render.
 func TestServiceLoadSmoke(t *testing.T) {
-	res, err := ServiceLoad(ServiceConfig{
-		Workers: 1, Streams: 8, Pictures: 8,
+	res, err := runLoad(loadConfig{
+		Workers: 1, Streams: 8, PriorityClasses: 2,
+		Width: 48, Height: 32, Pictures: 8, GOPSize: 4,
+		Deadline: 250 * time.Millisecond, MaxInFlight: 2,
 		SinkDelay: 200 * time.Microsecond,
 	})
 	if err != nil {
@@ -32,6 +35,9 @@ func TestServiceLoadSmoke(t *testing.T) {
 	if pt.LatencyP99MS < pt.LatencyP50MS {
 		t.Fatalf("p99 %.2fms below p50 %.2fms", pt.LatencyP99MS, pt.LatencyP50MS)
 	}
+	if !strings.Contains(res.TraceNote, "8 stream lanes, trace valid") {
+		t.Fatalf("trace note %q", res.TraceNote)
+	}
 
 	var text bytes.Buffer
 	res.WriteText(&text)
@@ -42,16 +48,11 @@ func TestServiceLoadSmoke(t *testing.T) {
 	if err := res.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	var back ServiceResult
+	var back loadResult
 	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Point.Streams != 8 {
 		t.Fatalf("JSON round-trip lost the point: %+v", back.Point)
-	}
-
-	run := ServiceRun("test", &pt)
-	if run.Service == nil || run.Service.Streams != 8 || run.Label != "test" {
-		t.Fatalf("ServiceRun %+v", run)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"mpeg2par/internal/bench"
 	"mpeg2par/internal/server"
 )
 
@@ -47,7 +46,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	res, err := bench.ServiceLoad(bench.ServiceConfig{
+	res, err := runLoad(loadConfig{
 		Workers: *workers, Streams: *streams, PriorityClasses: *classes,
 		Width: *width, Height: *height, Pictures: *pics, GOPSize: *gop,
 		Deadline: *deadline, MaxInFlight: *inflight, SinkDelay: *sinkDelay,

@@ -13,12 +13,3 @@ func safeRate(n float64, d time.Duration) float64 {
 	}
 	return n / d.Seconds()
 }
-
-// safeDiv returns n/d, or 0 when d is zero (same rationale as safeRate
-// for dimensionless ratios such as speedups).
-func safeDiv(n, d float64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return n / d
-}

@@ -10,35 +10,28 @@ import (
 // Experiments maps experiment ids to their drivers. Every table and
 // figure of the paper's evaluation appears here (DESIGN.md's index).
 var Experiments = map[string]func(*Runner, io.Writer) error{
-	"table1":        func(r *Runner, w io.Writer) error { _, err := r.Table1(w); return err },
-	"table2":        func(r *Runner, w io.Writer) error { _, err := r.Table2(w); return err },
-	"table3":        func(r *Runner, w io.Writer) error { _, err := r.Table34(w); return err },
-	"table4":        func(r *Runner, w io.Writer) error { _, err := r.Table34(w); return err },
-	"fig5":          func(r *Runner, w io.Writer) error { _, err := r.Fig5(w); return err },
-	"fig6":          func(r *Runner, w io.Writer) error { _, err := r.Fig6(w); return err },
-	"fig7":          func(r *Runner, w io.Writer) error { _, err := r.Fig7(w); return err },
-	"fig8":          func(r *Runner, w io.Writer) error { _, err := r.Fig8(w); return err },
-	"fig9":          func(r *Runner, w io.Writer) error { _, err := r.Fig9(w); return err },
-	"fig11":         func(r *Runner, w io.Writer) error { _, _, err := r.Fig11(w); return err },
-	"fig12":         func(r *Runner, w io.Writer) error { _, err := r.Fig12(w); return err },
-	"fig13":         func(r *Runner, w io.Writer) error { _, err := r.Fig13(w); return err },
-	"fig14":         func(r *Runner, w io.Writer) error { _, err := r.Fig14(w); return err },
-	"fig15":         func(r *Runner, w io.Writer) error { _, err := r.Fig15(w); return err },
-	"locality":      func(r *Runner, w io.Writer) error { _, err := r.LocalityStudy(w); return err },
-	"dash":          func(r *Runner, w io.Writer) error { _, err := r.Dash(w); return err },
-	"ablation-sync": func(r *Runner, w io.Writer) error { _, err := r.AblationSync(w); return err },
-	"ablation-dsm":  func(r *Runner, w io.Writer) error { _, err := r.AblationDSM(w); return err },
-	"ablation-granularity": func(r *Runner, w io.Writer) error {
-		_, err := r.AblationGranularity(w)
-		return err
-	},
+	"table1":   func(r *Runner, w io.Writer) error { _, err := r.Table1(w); return err },
+	"table2":   func(r *Runner, w io.Writer) error { _, err := r.Table2(w); return err },
+	"table3":   func(r *Runner, w io.Writer) error { _, err := r.Table34(w); return err },
+	"table4":   func(r *Runner, w io.Writer) error { _, err := r.Table34(w); return err },
+	"fig5":     func(r *Runner, w io.Writer) error { _, err := r.Fig5(w); return err },
+	"fig6":     func(r *Runner, w io.Writer) error { _, err := r.Fig6(w); return err },
+	"fig7":     func(r *Runner, w io.Writer) error { _, err := r.Fig7(w); return err },
+	"fig8":     func(r *Runner, w io.Writer) error { _, err := r.Fig8(w); return err },
+	"fig9":     func(r *Runner, w io.Writer) error { _, err := r.Fig9(w); return err },
+	"fig11":    func(r *Runner, w io.Writer) error { _, _, err := r.Fig11(w); return err },
+	"fig12":    func(r *Runner, w io.Writer) error { _, err := r.Fig12(w); return err },
+	"fig13":    func(r *Runner, w io.Writer) error { _, err := r.Fig13(w); return err },
+	"fig14":    func(r *Runner, w io.Writer) error { _, err := r.Fig14(w); return err },
+	"fig15":    func(r *Runner, w io.Writer) error { _, err := r.Fig15(w); return err },
+	"locality": func(r *Runner, w io.Writer) error { _, err := r.LocalityStudy(w); return err },
+	"dash":     func(r *Runner, w io.Writer) error { _, err := r.Dash(w); return err },
 }
 
 // order lists experiments in the paper's presentation order.
 var order = []string{
 	"table1", "table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9",
 	"fig11", "fig12", "table4", "fig13", "fig14", "fig15", "locality", "dash",
-	"ablation-sync", "ablation-dsm", "ablation-granularity",
 }
 
 // Names returns the known experiment ids, ordered.
@@ -102,17 +95,12 @@ var ResultsJSON = map[string]func(*Runner) (any, error){
 		simple, improved, err := r.Fig11(io.Discard)
 		return map[string]any{"simple": simple, "improved": improved}, err
 	},
-	"fig12":         func(r *Runner) (any, error) { return r.Fig12(io.Discard) },
-	"fig13":         func(r *Runner) (any, error) { return r.Fig13(io.Discard) },
-	"fig14":         func(r *Runner) (any, error) { return r.Fig14(io.Discard) },
-	"fig15":         func(r *Runner) (any, error) { return r.Fig15(io.Discard) },
-	"locality":      func(r *Runner) (any, error) { return r.LocalityStudy(io.Discard) },
-	"dash":          func(r *Runner) (any, error) { return r.Dash(io.Discard) },
-	"ablation-sync": func(r *Runner) (any, error) { return r.AblationSync(io.Discard) },
-	"ablation-dsm":  func(r *Runner) (any, error) { return r.AblationDSM(io.Discard) },
-	"ablation-granularity": func(r *Runner) (any, error) {
-		return r.AblationGranularity(io.Discard)
-	},
+	"fig12":    func(r *Runner) (any, error) { return r.Fig12(io.Discard) },
+	"fig13":    func(r *Runner) (any, error) { return r.Fig13(io.Discard) },
+	"fig14":    func(r *Runner) (any, error) { return r.Fig14(io.Discard) },
+	"fig15":    func(r *Runner) (any, error) { return r.Fig15(io.Discard) },
+	"locality": func(r *Runner) (any, error) { return r.LocalityStudy(io.Discard) },
+	"dash":     func(r *Runner) (any, error) { return r.Dash(io.Discard) },
 }
 
 // RunJSON executes one experiment and writes its structured result as

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mpeg2par/internal/kernels"
 )
 
 func TestWriterBasic(t *testing.T) {
@@ -349,9 +351,9 @@ func BenchmarkFindStartCode(b *testing.B) {
 	// The byte-at-a-time reference scan (skips by the distance the failed
 	// third byte allows, like the seed decoder's scan).
 	b.Run("skip3", func(b *testing.B) {
-		prev := ScalarScan
-		ScalarScan = true
-		defer func() { ScalarScan = prev }()
+		prev := kernels.Active()
+		kernels.Set(kernels.LevelScalar)
+		defer kernels.Set(prev)
 		run(b)
 	})
 	// A truly naive scan checking every position — the lower bound the
@@ -404,6 +406,21 @@ func TestFindStartCodeSWARvsScalar(t *testing.T) {
 	check([]byte{0xFF, 0, 0, 0, 0, 0, 0, 1, 0xB3, 0, 0, 1, 0x42})
 	check(nil)
 	check([]byte{0, 0, 1})
+}
+
+// TestScalarLevelScansByteAtATime: the kernel level drives the scan like
+// every other kernel, so forcing kernels.LevelScalar (as MPEG2_KERNELS=scalar
+// does) must put FindStartCode on the byte-at-a-time reference, and any
+// other tier back on the word-at-a-time scan.
+func TestScalarLevelScansByteAtATime(t *testing.T) {
+	prev := kernels.Active()
+	t.Cleanup(func() { kernels.Set(prev) })
+	for _, l := range []kernels.Level{kernels.LevelScalar, kernels.LevelSWAR, kernels.LevelScalar, kernels.LevelASM} {
+		kernels.Set(l)
+		if scalarScan != (l == kernels.LevelScalar) {
+			t.Fatalf("after kernels.Set(%v): scalar scan %v", l, scalarScan)
+		}
+	}
 }
 
 // peekRef is the pre-accumulator byte-gather Peek, kept as the semantic

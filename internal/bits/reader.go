@@ -218,10 +218,10 @@ func (r *Reader) ReadStartCode() (byte, error) {
 	return byte(r.Read(8)), nil
 }
 
-// ScalarScan forces the byte-at-a-time reference scan in place of the
-// word-at-a-time SWAR scan. The equivalence and fuzz tests flip it; it
-// stays false in production.
-var ScalarScan = false
+// scalarScan forces the byte-at-a-time reference scan in place of the
+// word-at-a-time SWAR scan. The kernel level sets it: true at
+// kernels.LevelScalar, false on every other tier.
+var scalarScan = false
 
 // FindStartCode returns the byte index of the first startcode prefix
 // (0x00 0x00 0x01) at or after index from, or -1 if none. The index points
@@ -236,7 +236,7 @@ func FindStartCode(data []byte, from int) int {
 	if from < 0 {
 		from = 0
 	}
-	if ScalarScan {
+	if scalarScan {
 		return findStartCodeScalar(data, from)
 	}
 	const (

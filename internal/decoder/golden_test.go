@@ -6,7 +6,7 @@ import (
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/encoder"
 	"mpeg2par/internal/frame"
-	"mpeg2par/internal/motion"
+	"mpeg2par/internal/kernels"
 	"mpeg2par/internal/mpeg2"
 	"mpeg2par/internal/vlc"
 )
@@ -208,14 +208,12 @@ func testSWARKernelsBitExact(t *testing.T, cfg encoder.Config) {
 	}
 	decodeAll := func(scalar bool) []*frame.Frame {
 		t.Helper()
-		prevMC, prevScan := motion.ScalarKernels, bits.ScalarScan
-		prevStore, prevDense, prevBlock := scalarStore, denseKernels, asmBlock
-		motion.ScalarKernels, bits.ScalarScan = scalar, scalar
-		scalarStore, denseKernels, asmBlock = scalar, scalar, asmBlock && !scalar
-		defer func() {
-			motion.ScalarKernels, bits.ScalarScan = prevMC, prevScan
-			scalarStore, denseKernels, asmBlock = prevStore, prevDense, prevBlock
-		}()
+		if scalar {
+			prev, prevDense := kernels.Active(), denseKernels
+			kernels.Set(kernels.LevelScalar)
+			denseKernels = true
+			defer func() { kernels.Set(prev); denseKernels = prevDense }()
+		}
 		d, err := New(res.Data)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpeg2par/internal/frame"
+	"mpeg2par/internal/kernels"
 	"mpeg2par/internal/motion"
 )
 
@@ -26,9 +27,9 @@ func TestClampPixelBranchless(t *testing.T) {
 // withScalarStore runs f with the per-pixel reference store loops forced.
 func withScalarStore(t testing.TB, f func()) {
 	t.Helper()
-	prev := scalarStore
-	scalarStore = true
-	defer func() { scalarStore = prev }()
+	prev := kernels.Active()
+	kernels.Set(kernels.LevelScalar)
+	defer kernels.Set(prev)
 	f()
 }
 

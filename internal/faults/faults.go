@@ -1,8 +1,8 @@
 // Package faults injects deterministic, seeded damage into MPEG-2
 // elementary streams. It is the adversary half of the error-resilience
 // story: the decoder's Resilience ladder (internal/core) consumes the
-// corruption this package produces, and the sweep harness
-// (cmd/mpeg2bench -faults) measures how gracefully quality degrades.
+// corruption this package produces, and the benchmark's faulted-decode
+// probes measure what it costs.
 //
 // Every fault kind is driven by math/rand's frozen Go-1 generator seeded
 // from the caller's seed, so a (Spec, seed, input) triple always yields

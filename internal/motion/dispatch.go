@@ -12,6 +12,6 @@ var asmKernels = false
 func init() {
 	kernels.Register(func(l kernels.Level) {
 		asmKernels = haveAsm && l == kernels.LevelASM
-		ScalarKernels = l == kernels.LevelScalar
+		scalarKernels = l == kernels.LevelScalar
 	})
 }

@@ -56,7 +56,7 @@ func sampleOrigin(stride, refW, refH, px, py, mvx, mvy, w, h int) (off, phase in
 // phase hx | hy<<1. The edge check happened once in sampleOrigin, not per
 // pixel: the (w+hx)×(h+hy) region at src lies inside the plane.
 func interpolate(dst []uint8, dstStride int, src []uint8, srcStride, w, h, phase int) {
-	if ScalarKernels || w&7 != 0 {
+	if scalarKernels || w&7 != 0 {
 		predictBlockScalar(dst, dstStride, src, srcStride, w, h, phase&1, phase>>1)
 		return
 	}
@@ -239,7 +239,7 @@ func PredictMB(pred *MBPred, ref *frame.Frame, mbx, mby int, mv MV) {
 // prediction (§7.6.7.1). The SWAR path fuses the whole macroblock into
 // 48 eight-pixel averages; dst may alias a or b.
 func AverageMB(dst, a, b *MBPred) {
-	if ScalarKernels {
+	if scalarKernels {
 		for i := range dst.Y {
 			dst.Y[i] = uint8((int(a.Y[i]) + int(b.Y[i]) + 1) >> 1)
 		}
@@ -280,7 +280,7 @@ func averageRows(dst []uint8, dstStride int, src []uint8, srcStride, w, h int) {
 	_ = dst[(h-1)*dstStride+w-1]
 	_ = src[(h-1)*srcStride+w-1]
 	switch {
-	case ScalarKernels:
+	case scalarKernels:
 		for y := 0; y < h; y++ {
 			d, s := dst[y*dstStride:], src[y*srcStride:]
 			for x := 0; x < w; x++ {

@@ -6,13 +6,13 @@ import "encoding/binary"
 // and bidirectional-average inner loops process eight pixels per uint64
 // instead of one byte at a time. All kernels are bit-exact against the
 // scalar reference paths (the equivalence tests in swar_test.go sweep
-// every byte pair and every half-pel phase), so flipping ScalarKernels
+// every byte pair and every half-pel phase), so flipping scalarKernels
 // must never change a single output pixel.
 
-// ScalarKernels forces the byte-at-a-time reference paths in place of the
-// SWAR kernels. The golden tests flip it to prove both paths reconstruct
-// bit-identical frames; it stays false in production.
-var ScalarKernels = false
+// scalarKernels forces the byte-at-a-time reference paths in place of the
+// SWAR kernels. The kernel level sets it: true at kernels.LevelScalar,
+// false on every other tier.
+var scalarKernels = false
 
 const (
 	swarByteHi = 0x8080808080808080 // high bit of each byte lane

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"mpeg2par/internal/kernels"
 )
 
 // TestAvg2Exhaustive checks the SWAR rounded average against the scalar
@@ -82,9 +84,9 @@ func TestAvg4(t *testing.T) {
 // withScalarKernels runs f with the scalar reference paths forced on.
 func withScalarKernels(t testing.TB, f func()) {
 	t.Helper()
-	prev := ScalarKernels
-	ScalarKernels = true
-	defer func() { ScalarKernels = prev }()
+	prev := kernels.Active()
+	kernels.Set(kernels.LevelScalar)
+	defer kernels.Set(prev)
 	f()
 }
 
