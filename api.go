@@ -62,37 +62,10 @@ func WithWorkers(n int) Option {
 // the workload balances at each grain, and the policy resolves to
 // sequential, GOP, or improved-slice decoding with a worker count at
 // the efficiency knee — WithWorkers (or its CPU-count default) is the
-// ceiling. As the stream plays, worker utilization is re-evaluated at
-// every GOP boundary and surplus workers are parked. The decision and
-// its outcome are reported in Stats.Auto; output is bit-identical to
-// every fixed mode.
+// ceiling. The decision holds for the whole stream and is reported in
+// Stats.Auto; output is bit-identical to every fixed mode.
 func WithAutoTune() Option {
 	return func(c *decodeConfig) { c.opt.Mode = core.ModeAuto }
-}
-
-// WithPacking overrides the order the slice modes hand out the tasks of
-// one picture (default PackLPT, longest-first by byte-size cost; GOP mode
-// runs groups in stream order whatever the packing). seed feeds the
-// randomized packing the ordering-invariance tests use and is ignored by
-// PackLPT and PackFIFO. Packing never changes decoded output, only the
-// order workers receive tasks.
-func WithPacking(p Packing, seed int64) Option {
-	return func(c *decodeConfig) {
-		c.opt.Packing = p
-		c.opt.PackSeed = seed
-	}
-}
-
-// WithAffinity overrides the task-steering discipline of the slice modes
-// (default AffinityRow: the picture is cut into one horizontal band per
-// worker and each task — a few adjacent macroblock rows — is steered to
-// the worker whose band it starts in, the worker that decoded the same
-// band of the reference picture, so motion-compensation reference reads
-// reuse that worker's cache). AffinityNone restores pure dynamic
-// assignment. Affinity never changes decoded output, only which worker
-// runs a task.
-func WithAffinity(a Affinity) Option {
-	return func(c *decodeConfig) { c.opt.Affinity = a }
 }
 
 // WithResilience selects the error-resilience policy (default
@@ -146,15 +119,6 @@ func WithIndex(idx *Index) Option {
 // sequentially. Wrong guesses cost time, never correctness.
 func WithSpeculativeSplit(on bool) Option {
 	return func(c *decodeConfig) { c.opt.SpeculativeSplit = on }
-}
-
-// WithSplitParts overrides how many segments a split slice is divided
-// into. The default (0) cuts it at the grain of every other slice-mode
-// task on the same pool — segments of ceil(rows / (4·workers)) macroblock
-// rows, about four per worker for a slice that spans the picture — not
-// into one segment per worker.
-func WithSplitParts(n int) Option {
-	return func(c *decodeConfig) { c.opt.SplitParts = n }
 }
 
 // WithTrace attaches a timeline recorder to the decode: every process —

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -310,36 +311,60 @@ func TestWithAutoTune(t *testing.T) {
 	}
 }
 
-// TestWithPacking: overriding the packing discipline never changes
-// decoded output.
-func TestWithPacking(t *testing.T) {
-	res := apiStream(t)
-	want := sequentialFrames(t, res.Data)
-	for _, pk := range []struct {
-		name string
-		p    mpeg2par.Packing
-		seed int64
-	}{
-		{"lpt", mpeg2par.PackLPT, 0},
-		{"fifo", mpeg2par.PackFIFO, 0},
-	} {
-		var got []*mpeg2par.Frame
-		_, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(res.Data),
-			mpeg2par.WithMode(mpeg2par.ModeSliceImproved),
-			mpeg2par.WithWorkers(3),
-			mpeg2par.WithPacking(pk.p, pk.seed),
-			mpeg2par.WithFrameSink(func(f *mpeg2par.Frame) { got = append(got, f.Clone()) }),
-		)
-		if err != nil {
-			t.Fatalf("%s: %v", pk.name, err)
+// oversizedStream is a small clean stream whose every sequence extension
+// claims 8240×12320: the size extension bits of its 48×32 headers set to 2
+// and 3 (2<<12+48, 3<<12+32) — the header a fuzzer once mutated into a
+// decode that ran out of memory.
+func oversizedStream(t testing.TB) []byte {
+	t.Helper()
+	res, err := mpeg2par.GenerateStream(mpeg2par.StreamConfig{
+		Width: 48, Height: 32, Pictures: 4, GOPSize: 2, RepeatSequenceHeader: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte(nil), res.Data...)
+	n := 0
+	for i := 0; i+6 < len(data); i++ {
+		// A sequence extension (extension id 1): horizontal_size_extension
+		// is bits 15-16 of its payload, vertical_size_extension bits 17-18.
+		if data[i] == 0 && data[i+1] == 0 && data[i+2] == 1 && data[i+3] == 0xB5 && data[i+4]>>4 == 1 {
+			data[i+5] |= 0x01 // horizontal 2 = 0b10
+			data[i+6] |= 0x60 // vertical 3 = 0b11
+			n++
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d frames, want %d", pk.name, len(got), len(want))
+	}
+	if n != 2 {
+		t.Fatalf("patched %d sequence extensions, want 2", n)
+	}
+	return data
+}
+
+// TestOversizedHeaderRejected: a sequence header claiming more than Main
+// Profile @ High Level fails the decode before any frame is allocated, in
+// every resilience policy and through the service alike.
+func TestOversizedHeaderRejected(t *testing.T) {
+	data := oversizedStream(t)
+	policies := []mpeg2par.Resilience{mpeg2par.FailFast, mpeg2par.ConcealSlice, mpeg2par.ConcealPicture, mpeg2par.DropGOP}
+	for _, policy := range policies {
+		st, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(data),
+			mpeg2par.WithWorkers(2), mpeg2par.WithResilience(policy))
+		if err == nil || !strings.Contains(err.Error(), "8240x12320") {
+			t.Fatalf("%v: err %v, want a rejection naming the size 8240x12320", policy, err)
 		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("%s: frame %d differs from sequential baseline", pk.name, i)
-			}
+		if st == nil || st.PeakFrameBytes != 0 {
+			t.Fatalf("%v: stats %+v, want no frame memory", policy, st)
+		}
+	}
+	srv := mpeg2par.NewServer(mpeg2par.ServerConfig{Workers: 2})
+	defer srv.Close()
+	for _, policy := range policies {
+		ss, err := srv.Decode(context.Background(), mpeg2par.FromBytes(data), mpeg2par.WithStreamResilience(policy))
+		if err == nil || !strings.Contains(err.Error(), "8240x12320") {
+			t.Fatalf("server %v: err %v, want a rejection naming the size 8240x12320", policy, err)
+		}
+		if ss.Stats.PeakFrameBytes != 0 {
+			t.Fatalf("server %v: peak frame bytes %d, want 0", policy, ss.Stats.PeakFrameBytes)
 		}
 	}
 }

@@ -154,8 +154,7 @@ func main() {
 		fatal("decode: %v", err)
 	}
 	if a := stats.Auto; a != nil {
-		fmt.Printf("auto-tune: %s (reevals %d, final worker limit %d)\n",
-			a.Reason, a.Reevals, a.FinalWorkerLimit)
+		fmt.Printf("auto-tune: %s\n", a.Reason)
 	}
 	fmt.Printf("%s x%d (%s): %d pictures in %v (%.1f pics/s), scan %.0f pics/s, kernels %s\n",
 		stats.Mode, stats.Workers, policy, stats.Pictures, stats.Wall.Round(time.Millisecond),

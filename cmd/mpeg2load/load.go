@@ -35,17 +35,13 @@ type loadConfig struct {
 	// slow hosts; on fast ones a small delay keeps the pool saturated so
 	// the run actually exercises the overload machinery.
 	SinkDelay time.Duration
-
-	Dispatch            server.DispatchPolicy
-	DisableSlackActions bool // freeze the per-frame slack actions
 }
 
 // loadPoint is the aggregate measurement of one run.
 type loadPoint struct {
-	Workers         int    `json:"workers"`
-	Streams         int    `json:"streams"`
-	PriorityClasses int    `json:"priority_classes"`
-	Dispatch        string `json:"dispatch,omitempty"`
+	Workers         int `json:"workers"`
+	Streams         int `json:"streams"`
+	PriorityClasses int `json:"priority_classes"`
 
 	WallMS              float64 `json:"wall_ms"`
 	AggregatePicsPerSec float64 `json:"aggregate_pics_per_sec"`
@@ -113,12 +109,10 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 	tr := obs.New(0)
 	srv := server.NewServer(server.Config{
 		Workers: cfg.Workers, MaxStreams: cfg.Streams, QueueDepth: cfg.Streams,
-		DefaultDemand:       0.01, // overload on purpose: admit everyone
-		Tick:                5 * time.Millisecond,
-		PauseBase:           10 * time.Millisecond,
-		Dispatch:            cfg.Dispatch,
-		DisableSlackActions: cfg.DisableSlackActions,
-		Obs:                 tr,
+		DefaultDemand: 0.01, // overload on purpose: admit everyone
+		Tick:          5 * time.Millisecond,
+		PauseBase:     10 * time.Millisecond,
+		Obs:           tr,
 	})
 
 	// The ladder is only visible between ticks; sample its high-water
@@ -205,7 +199,6 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 	classTP := map[int][]float64{}
 	pt := loadPoint{
 		Workers: cfg.Workers, Streams: cfg.Streams, PriorityClasses: cfg.PriorityClasses,
-		Dispatch:            cfg.Dispatch.String(),
 		WallMS:              ms(wall),
 		AggregatePicsPerSec: rate(float64(totalPics), wall),
 		DeadlineMisses:      m.Misses,
@@ -280,8 +273,8 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 // WriteText renders the load report.
 func (r *loadResult) WriteText(w io.Writer) {
 	pt := r.Point
-	fmt.Fprintf(w, "service load: %d streams x %d-class priorities on %d workers (%s dispatch)\n",
-		pt.Streams, pt.PriorityClasses, pt.Workers, pt.Dispatch)
+	fmt.Fprintf(w, "service load: %d streams x %d-class priorities on %d workers\n",
+		pt.Streams, pt.PriorityClasses, pt.Workers)
 	fmt.Fprintf(w, "  wall %.1fms   aggregate %.0f pics/s   frame latency p50 %.2fms p99 %.2fms\n",
 		pt.WallMS, pt.AggregatePicsPerSec, pt.LatencyP50MS, pt.LatencyP99MS)
 	fmt.Fprintf(w, "  fairness max/min within class %.2f   max rung %d\n", pt.FairnessRatio, pt.MaxRung)

@@ -10,9 +10,12 @@
 //	mpeg2load                          # 64 streams, 2 priority classes, NumCPU workers
 //	mpeg2load -streams 128 -workers 2  # heavier overload
 //	mpeg2load -sinkdelay 300us         # add per-frame delivery cost to force saturation
-//	mpeg2load -dispatch edf            # earliest-deadline-first with slack actions
-//	mpeg2load -dispatch fair -noslack  # PR 8 baseline (weighted fair, slack frozen)
+//	mpeg2load -deadline 5ms            # tight budget: slack actions shed doomed frames
 //	mpeg2load -json                    # structured output
+//
+// Every stream carries the -deadline budget, so the pool dispatches
+// earliest-deadline-first throughout (see DESIGN.md, "Multi-stream
+// service").
 package main
 
 import (
@@ -20,8 +23,6 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"mpeg2par/internal/server"
 )
 
 func main() {
@@ -35,22 +36,13 @@ func main() {
 	deadline := flag.Duration("deadline", 250*time.Millisecond, "per-frame latency budget")
 	inflight := flag.Int("inflight", 2, "per-stream scan-ahead bound (MaxInFlight)")
 	sinkDelay := flag.Duration("sinkdelay", 300*time.Microsecond, "artificial per-frame delivery cost (keeps the pool saturated; 0 disables)")
-	dispatch := flag.String("dispatch", "auto", "pool task ordering: auto, fair, or edf")
-	noSlack := flag.Bool("noslack", false, "freeze per-frame slack actions (plan-time shedding)")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of the table")
 	flag.Parse()
-
-	policy, err := server.ParseDispatch(*dispatch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpeg2load: %v\n", err)
-		os.Exit(1)
-	}
 
 	res, err := runLoad(loadConfig{
 		Workers: *workers, Streams: *streams, PriorityClasses: *classes,
 		Width: *width, Height: *height, Pictures: *pics, GOPSize: *gop,
 		Deadline: *deadline, MaxInFlight: *inflight, SinkDelay: *sinkDelay,
-		Dispatch: policy, DisableSlackActions: *noSlack,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpeg2load: %v\n", err)

@@ -35,7 +35,7 @@ func fail(err error) {
 }
 
 func profile(data []byte, opt core.Options) []simsched.SimPicture {
-	opt.Mode, opt.Workers, opt.Profile, opt.Packing = core.ModeSliceImproved, 1, true, core.PackFIFO
+	opt.Mode, opt.Workers, opt.Profile = core.ModeSliceImproved, 1, true // one worker: stream order
 	st, err := core.Decode(data, opt)
 	fail(err)
 	out := make([]simsched.SimPicture, len(st.SliceProf))

@@ -274,9 +274,9 @@ func medianCost(cost func(pass int) time.Duration) time.Duration {
 }
 
 // profileGOPTasks measures per-GOP decode costs at one worker, and the
-// wall time of the first such decode. Profiling pins stream-order (FIFO)
-// packing so the cold-cache cost of each picture's first task lands on the
-// same slice in every run — the simulator assumes stream-order
+// wall time of the first such decode. A one-worker plan hands tasks out in
+// stream order, so the cold-cache cost of each picture's first task lands
+// on the same slice in every run — the simulator assumes stream-order
 // measurement. A task's cost is put together picture by picture, plus what
 // the task spends outside pictures, not taken as one interval (see
 // profilePasses).
@@ -284,7 +284,7 @@ func profileGOPTasks(data []byte, m *core.StreamMap) ([]simsched.GOPTask, time.D
 	var passes [profilePasses]*core.Stats
 	for i := range passes {
 		var err error
-		if passes[i], err = core.Decode(data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true, Packing: core.PackFIFO}); err != nil {
+		if passes[i], err = core.Decode(data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true}); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -320,7 +320,7 @@ func profileSlicePics(data []byte, pictures int) ([]simsched.SimPicture, error) 
 // decode on one worker (the per-task median of profilePasses passes) under
 // opt's split settings, and returns the last pass's stats beside them.
 func profileSliceTasks(data []byte, opt core.Options) ([]simsched.SimPicture, *core.Stats, error) {
-	opt.Mode, opt.Workers, opt.Profile, opt.Packing = core.ModeSliceImproved, 1, true, core.PackFIFO
+	opt.Mode, opt.Workers, opt.Profile = core.ModeSliceImproved, 1, true
 	var passes [profilePasses]*core.Stats
 	for i := range passes {
 		var err error

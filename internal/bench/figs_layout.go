@@ -30,7 +30,7 @@ type LocalityRow struct {
 // explicit frame layout and task→processor assignment. Traces are not
 // cached across calls: the Runner's trace cache is keyed without layout
 // or assignment, and the study's whole point is varying them.
-func (r *Runner) localityTrace(res Resolution, procs int, padded bool, aff core.Affinity) ([]memtrace.Event, error) {
+func (r *Runner) localityTrace(res Resolution, procs int, padded, bands bool) ([]memtrace.Event, error) {
 	s, err := r.Stream(res, 13)
 	if err != nil {
 		return nil, err
@@ -38,7 +38,7 @@ func (r *Runner) localityTrace(res Resolution, procs int, padded bool, aff core.
 	defer func(v bool) { frame.PadStrides = v }(frame.PadStrides)
 	frame.PadStrides = padded
 	rec := memtrace.NewRecorder()
-	if err := core.TraceDecodeAssign(s.Data, core.ModeSliceSimple, procs, aff, rec); err != nil {
+	if err := core.TraceDecodeAssign(s.Data, core.ModeSliceSimple, procs, bands, rec); err != nil {
 		return nil, err
 	}
 	return rec.Events(), nil
@@ -64,7 +64,7 @@ func simulate(evs []memtrace.Event, size, assoc, procs int) (cachesim.Stats, err
 //     The padded layout is the adopted variant for 512-multiple widths;
 //     dense stays adopted elsewhere (the study's non-aliasing control
 //     resolution shows padding buys nothing there).
-//   - Affinity: the locality-study resolution decoded with tasks
+//   - Steering (study "affinity"): the locality-study resolution decoded with tasks
 //     assigned round-robin (the paper's dynamic assignment) versus
 //     steered by band (the picture cut into one horizontal band per
 //     processor), on per-processor caches large enough to hold a band
@@ -100,7 +100,7 @@ func (r *Runner) LocalityStudy(w io.Writer) ([]LocalityRow, error) {
 		padded  bool
 		adopted bool
 	}{{"dense", false, false}, {"padded", true, true}} {
-		evs, err := r.localityTrace(aliasRes, layoutProcs, variant.padded, core.AffinityNone)
+		evs, err := r.localityTrace(aliasRes, layoutProcs, variant.padded, false)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +125,7 @@ func (r *Runner) LocalityStudy(w io.Writer) ([]LocalityRow, error) {
 		// Forcing the pad rule on a non-multiple width is a no-op, so
 		// simulate the dense trace both times and let the table show the
 		// identical rates (stride is unchanged by PadStrides there).
-		evs, err := r.localityTrace(ctrlRes, layoutProcs, variant.padded, core.AffinityNone)
+		evs, err := r.localityTrace(ctrlRes, layoutProcs, variant.padded, false)
 		if err != nil {
 			return nil, err
 		}
@@ -142,10 +142,10 @@ func (r *Runner) LocalityStudy(w io.Writer) ([]LocalityRow, error) {
 	const affProcs = 8
 	for _, variant := range []struct {
 		name    string
-		aff     core.Affinity
+		bands   bool
 		adopted bool
-	}{{"round-robin", core.AffinityNone, false}, {"band", core.AffinityRow, true}} {
-		evs, err := r.localityTrace(ctrlRes, affProcs, true, variant.aff)
+	}{{"round-robin", false, false}, {"band", true, true}} {
+		evs, err := r.localityTrace(ctrlRes, affProcs, true, variant.bands)
 		if err != nil {
 			return nil, err
 		}

@@ -9,26 +9,25 @@ import (
 	"mpeg2par/internal/vldsplit"
 )
 
-// TestAffinityInvariance pins that task steering never changes output:
-// AffinityNone (the paper's dynamic assignment) must reproduce the
-// sequential decode exactly, like the default AffinityRow, which every
-// other test exercises.
+// TestAffinityInvariance pins that task steering never changes output: on
+// one worker (no steering) and on three (band steering) the slice modes
+// must reproduce the sequential decode exactly.
 func TestAffinityInvariance(t *testing.T) {
 	res := testStream(t, 96, 64, 13, 13)
 	want := sequentialFrames(t, res.Data)
-	for _, aff := range []Affinity{AffinityRow, AffinityNone} {
+	for _, workers := range []int{1, 3} {
 		for _, mode := range []Mode{ModeSliceSimple, ModeSliceImproved} {
 			var sink collectSink
-			_, err := Decode(res.Data, Options{Mode: mode, Workers: 3, Affinity: aff, Sink: sink.add})
+			_, err := Decode(res.Data, Options{Mode: mode, Workers: workers, Sink: sink.add})
 			if err != nil {
-				t.Fatalf("%v/%v: %v", mode, aff, err)
+				t.Fatalf("%v/%d: %v", mode, workers, err)
 			}
 			if len(sink.frames) != len(want) {
-				t.Fatalf("%v/%v: %d frames, want %d", mode, aff, len(sink.frames), len(want))
+				t.Fatalf("%v/%d: %d frames, want %d", mode, workers, len(sink.frames), len(want))
 			}
 			for i := range want {
 				if !sink.frames[i].Equal(want[i]) {
-					t.Fatalf("%v/%v: frame %d differs from sequential decode", mode, aff, i)
+					t.Fatalf("%v/%d: frame %d differs from sequential decode", mode, workers, i)
 				}
 			}
 		}
@@ -46,13 +45,13 @@ func pickHead(q *sliceQueue, p *picState, wi int) int {
 	return p.handout(p.nextSlice)
 }
 
-// TestPickTaskSteering checks the queue-level steering directly: with
-// band affinity a worker receives the tasks that start in its horizontal
-// band of the picture while any remain, then falls back to whatever is
-// left (work conservation), and every task is handed out exactly once.
+// TestPickTaskSteering checks the queue-level steering directly: a worker
+// receives the tasks that start in its horizontal band of the picture
+// while any remain, then falls back to whatever is left (work
+// conservation), and every task is handed out exactly once.
 func TestPickTaskSteering(t *testing.T) {
 	const rows, workers = 8, 2
-	q := &sliceQueue{workers: workers, affinity: AffinityRow}
+	q := &sliceQueue{workers: workers}
 	q.cond = sync.NewCond(&q.mu)
 	p := windowTestPic(2, rows, nil, nil, 0) // one task per row
 
@@ -81,18 +80,6 @@ func TestPickTaskSteering(t *testing.T) {
 	if p.nextSlice != rows {
 		t.Fatalf("handed out %d tasks, want %d", p.nextSlice, rows)
 	}
-
-	// AffinityNone must preserve pure queue order.
-	q2 := &sliceQueue{workers: workers, affinity: AffinityNone}
-	q2.cond = sync.NewCond(&q2.mu)
-	p2 := windowTestPic(2, rows, nil, nil, 0)
-	for want := 0; want < rows; want++ {
-		ti := pickHead(q2, p2, 1)
-		p2.nextSlice++
-		if p2.rng.Slices[ti].Row != want {
-			t.Fatalf("AffinityNone: got row %d, want %d", p2.rng.Slices[ti].Row, want)
-		}
-	}
 }
 
 // TestPickTaskSteeringGroups checks steering over the plan path's fused
@@ -112,7 +99,7 @@ func TestPickTaskSteeringGroups(t *testing.T) {
 	if len(p.groups) != 12 {
 		t.Fatalf("%d tasks, want 12 of two rows each: %v", len(p.groups), p.groups)
 	}
-	q := &sliceQueue{workers: workers, affinity: AffinityRow}
+	q := &sliceQueue{workers: workers}
 	q.cond = sync.NewCond(&q.mu)
 	firstRow := func(gi int) int { return p.rng.Slices[p.groups[gi][0]].Row }
 
@@ -191,15 +178,15 @@ func TestTraceDecodeAssign(t *testing.T) {
 	// round-robin labeling shifts by one row each picture, so it cannot
 	// coincide with the row labeling.
 	res := testStream(t, 96, 80, 5, 5)
-	run := func(aff Affinity) []memtrace.Event {
+	run := func(bands bool) []memtrace.Event {
 		rec := memtrace.NewRecorder()
-		if err := TraceDecodeAssign(res.Data, ModeSliceSimple, 4, aff, rec); err != nil {
+		if err := TraceDecodeAssign(res.Data, ModeSliceSimple, 4, bands, rec); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Events()
 	}
-	rr := run(AffinityNone)
-	row := run(AffinityRow)
+	rr := run(false)
+	row := run(true)
 	if len(rr) != len(row) {
 		t.Fatalf("event counts differ: %d round-robin vs %d row-affinity", len(rr), len(row))
 	}

@@ -5,19 +5,14 @@ import (
 )
 
 // AutoDecision records how a ModeAuto run resolved: the concrete mode
-// and worker count the policy picked from the first group's geometry, and
-// what the online tuner did afterwards.
+// and worker count the policy picked from the first group's geometry,
+// fixed for the rest of the stream.
 type AutoDecision struct {
 	Mode    Mode
 	Workers int
 	// Reason is the policy's one-line justification (predicted speedup
 	// and the geometry it came from).
 	Reason string
-
-	// How many GOP-boundary re-evaluations ran and the active-worker limit
-	// in force when the pipeline finished.
-	Reevals          int
-	FinalWorkerLimit int
 }
 
 // maxSliceDetail caps how many pictures of per-slice cost detail feed

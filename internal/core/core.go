@@ -116,21 +116,6 @@ type Options struct {
 	// each hook is a single pointer test.
 	Obs *obs.Tracer
 
-	// Affinity selects task→worker steering in the slice queues (see
-	// Affinity). The zero value AffinityRow steers each task to the worker
-	// whose horizontal band of the picture its first row lies in — the
-	// worker that decoded that band of the reference picture;
-	// AffinityNone restores the paper's pure dynamic assignment. Output is
-	// bit-identical either way.
-	Affinity Affinity
-
-	// Packing selects the order of a picture's tasks in the slice queue
-	// (see Packing); the default is longest-processing-time-first by
-	// byte-size cost. Output is bit-identical under every packing.
-	Packing Packing
-	// PackSeed seeds PackRandom (ordering-invariance property tests).
-	PackSeed int64
-
 	// Cost, when non-nil, is fed one (compressed bytes, wall duration)
 	// observation per completed task, calibrating byte-size cost
 	// estimates into absolute time across runs. Shared across decodes;

@@ -1,70 +1,26 @@
 package core
 
-import (
-	"fmt"
-	"math/rand"
+import "mpeg2par/internal/sched"
 
-	"mpeg2par/internal/sched"
-)
-
-// Packing selects the order the slice queue hands out the tasks of one
-// picture (GOP tasks always go in stream order, inside the MaxInFlight
-// window). Every packing produces bit-identical output — tasks of one
-// picture write disjoint macroblock rows and the queue's barrier
-// discipline serializes pictures — so the order is purely a load-balance
-// decision; the ordering-invariance tests pin the property.
-type Packing int
-
-const (
-	// PackLPT hands tasks out longest-first by predicted (byte-size)
-	// cost — classic longest-processing-time-first list scheduling, the
-	// default. Big tasks start early so small ones can level the tail.
-	PackLPT Packing = iota
-	// PackFIFO preserves slice order (the paper's).
-	PackFIFO
-	// PackReverse hands tasks out in reverse stream order (adversarial
-	// order for the invariance tests).
-	PackReverse
-	// PackRandom shuffles tasks with the seed in Options.PackSeed
-	// (property-test order).
-	PackRandom
-)
-
-func (p Packing) String() string {
-	switch p {
-	case PackLPT:
-		return "lpt"
-	case PackFIFO:
-		return "fifo"
-	case PackReverse:
-		return "reverse"
-	case PackRandom:
-		return "random"
-	}
-	return fmt.Sprintf("Packing(%d)", int(p))
-}
-
-// packOrder returns the order to hand out len(costs) tasks under the
-// given packing. The identity order comes back as nil (callers treat
-// nil as FIFO and skip the indirection).
-func packOrder(costs []int64, packing Packing, seed int64) []int {
-	n := len(costs)
-	if n < 2 {
+// packOrder returns the order the slice queue hands out the tasks of one
+// picture, given their byte-size costs and the size of the pool that runs
+// them: longest first by predicted cost (longest-processing-time-first list
+// scheduling), so big tasks start early and small ones level the tail —
+// except on a one-worker pool, where order cannot change the makespan and
+// tasks go in stream order. The identity order comes back as nil (callers
+// treat nil as stream order and skip the indirection). GOP tasks always go
+// in stream order, inside the MaxInFlight window.
+//
+// Every order produces bit-identical output — tasks of one picture write
+// disjoint macroblock rows and the queue's barrier discipline serializes
+// pictures — so the order is purely a load-balance decision. The
+// ordering-invariance tests swap this variable for adversarial orders to
+// pin the property.
+var packOrder = func(costs []int64, workers int) []int {
+	if workers < 2 || len(costs) < 2 {
 		return nil
 	}
-	switch packing {
-	case PackLPT:
-		return sched.LPT(costs)
-	case PackReverse:
-		order := make([]int, n)
-		for i := range order {
-			order[i] = n - 1 - i
-		}
-		return order
-	case PackRandom:
-		return rand.New(rand.NewSource(seed)).Perm(n)
-	}
-	return nil // PackFIFO and anything unknown: stream order
+	return sched.LPT(costs)
 }
 
 // gopCosts returns the per-GOP byte-size cost vector of a scan.

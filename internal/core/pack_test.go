@@ -2,79 +2,106 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"mpeg2par/internal/encoder"
 	"mpeg2par/internal/faults"
+	"mpeg2par/internal/frame"
+	"mpeg2par/internal/vldsplit"
 )
 
-// packings exercised by the invariance tests: every discipline the
-// scheduler can emit, including two random shuffles.
-var testPackings = []struct {
-	name    string
-	packing Packing
-	seed    int64
-}{
-	{"fifo", PackFIFO, 0},
-	{"lpt", PackLPT, 0},
-	{"reverse", PackReverse, 0},
-	{"random-1", PackRandom, 1},
-	{"random-99", PackRandom, 99},
+// testOrder is a handout order the invariance tests put in packOrder's
+// place.
+type testOrder struct {
+	name  string
+	order func(costs []int64, workers int) []int
+}
+
+// testOrders returns the orders the invariance tests run every mode under
+// — the scheduler's own (longest first, stream order on one worker),
+// stream order, reversed, and two seeded shuffles — and restores the
+// scheduler's packOrder when t ends. The caller assigns each to packOrder
+// in turn; the tests do not run in parallel, because packOrder is shared.
+func testOrders(t *testing.T) []testOrder {
+	sched := packOrder
+	t.Cleanup(func() { packOrder = sched })
+	shuffle := func(seed int64) func([]int64, int) []int {
+		rng := rand.New(rand.NewSource(seed))
+		return func(costs []int64, _ int) []int { return rng.Perm(len(costs)) }
+	}
+	return []testOrder{
+		{"lpt", sched},
+		{"stream", func([]int64, int) []int { return nil }},
+		{"reverse", func(costs []int64, _ int) []int {
+			order := make([]int, len(costs))
+			for i := range order {
+				order[i] = len(costs) - 1 - i
+			}
+			return order
+		}},
+		{"random-1", shuffle(1)},
+		{"random-99", shuffle(99)},
+	}
 }
 
 func TestPackOrderProperties(t *testing.T) {
 	costs := []int64{5, 7, 5, 7, 5}
-	if got := packOrder(costs, PackFIFO, 0); got != nil {
-		t.Fatalf("FIFO order = %v, want nil (identity)", got)
-	}
-	if got := packOrder([]int64{42}, PackLPT, 0); got != nil {
+	if got := packOrder([]int64{42}, 4); got != nil {
 		t.Fatalf("single-task order = %v, want nil", got)
 	}
-	if got, want := packOrder(costs, PackLPT, 0), []int{1, 3, 0, 2, 4}; !reflect.DeepEqual(got, want) {
+	if got := packOrder(costs, 1); got != nil {
+		t.Fatalf("one-worker order = %v, want nil (stream order)", got)
+	}
+	if got, want := packOrder(costs, 2), []int{1, 3, 0, 2, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("LPT order = %v, want %v (descending, ties in stream order)", got, want)
-	}
-	if got, want := packOrder(costs[:4], PackReverse, 0), []int{3, 2, 1, 0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("reverse order = %v, want %v", got, want)
-	}
-	r1 := packOrder(costs, PackRandom, 7)
-	r2 := packOrder(costs, PackRandom, 7)
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("random order not deterministic per seed: %v vs %v", r1, r2)
-	}
-	seen := make([]bool, len(costs))
-	for _, i := range r1 {
-		if i < 0 || i >= len(costs) || seen[i] {
-			t.Fatalf("random order %v is not a permutation", r1)
-		}
-		seen[i] = true
 	}
 }
 
 // TestPackingMatchesSequential is the ordering-invariance contract on a
 // clean stream: whatever order the scheduler hands tasks out in — stream
 // order, longest-first, reversed, or seeded shuffles — every mode must
-// reproduce the sequential oracle bit-exactly.
+// reproduce the sequential oracle bit-exactly. The second stream is one
+// tall slice a picture decoded with its split index, so segment tasks are
+// packed too, and the slice modes must split it.
 func TestPackingMatchesSequential(t *testing.T) {
-	res := testStream(t, 96, 64, 12, 4)
-	want := sequentialFrames(t, res.Data)
-	for _, mode := range everyMode {
-		for _, pk := range testPackings {
-			for _, workers := range []int{1, 3} {
-				var sink collectSink
-				_, err := Decode(res.Data, Options{
-					Mode: mode, Workers: workers, Sink: sink.add,
-					Packing: pk.packing, PackSeed: pk.seed,
-				})
-				if err != nil {
-					t.Fatalf("%v/%s/%d: %v", mode, pk.name, workers, err)
-				}
-				if len(sink.frames) != len(want) {
-					t.Fatalf("%v/%s/%d: %d frames, want %d", mode, pk.name, workers, len(sink.frames), len(want))
-				}
-				for i := range want {
-					if !sink.frames[i].Equal(want[i]) {
-						t.Fatalf("%v/%s/%d: frame %d differs from sequential decode",
-							mode, pk.name, workers, i)
+	tall, err := encoder.EncodeSequence(encoder.Config{
+		Width: 48, Height: 192, Pictures: 12, GOPSize: 4, RepeatSequenceHeader: true, RowsPerSlice: 12,
+	}, frame.NewSynth(48, 192))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := testOrders(t)
+	for _, in := range []struct {
+		name string
+		data []byte
+		ix   *vldsplit.Index
+	}{
+		{"rows", testStream(t, 96, 64, 12, 4).Data, nil},
+		{"tall", tall.Data, buildIndex(t, tall.Data)},
+	} {
+		want := sequentialFrames(t, in.data)
+		for _, mode := range everyMode {
+			for _, pk := range orders {
+				packOrder = pk.order
+				for _, workers := range []int{1, 3} {
+					id := fmt.Sprintf("%s %v/%s/%d", in.name, mode, pk.name, workers)
+					var sink collectSink
+					st, err := Decode(in.data, Options{Mode: mode, Workers: workers, Sink: sink.add, SplitIndex: in.ix})
+					if err != nil {
+						t.Fatalf("%s: %v", id, err)
+					}
+					if in.ix != nil && mode.sliceGrain() && st.Split.VerifyHits == 0 {
+						t.Fatalf("%s: no slice split: %+v", id, st.Split)
+					}
+					if len(sink.frames) != len(want) {
+						t.Fatalf("%s: %d frames, want %d", id, len(sink.frames), len(want))
+					}
+					for i := range want {
+						if !sink.frames[i].Equal(want[i]) {
+							t.Fatalf("%s: frame %d differs from sequential decode", id, i)
+						}
 					}
 				}
 			}
@@ -89,6 +116,7 @@ func TestPackingMatchesSequential(t *testing.T) {
 // the pool size, on which the plan's task grain depends (the 12-row
 // stream is planned three, two and one row a task).
 func TestPackingResilientGolden(t *testing.T) {
+	orders := testOrders(t)
 	for _, dim := range [][2]int{{96, 64}, {48, 192}} {
 		res := testStream(t, dim[0], dim[1], 12, 4)
 		for _, spec := range []string{"burst:count=2,len=24", "dropslice:3"} {
@@ -101,13 +129,11 @@ func TestPackingResilientGolden(t *testing.T) {
 				want, wantSt, refErr := decodeResilientRun(t, mut, ModeSequential, 1, policy)
 				for _, mode := range []Mode{ModeGOP, ModeSliceImproved} {
 					for _, workers := range []int{1, 2, 3, 4, 8} {
-						for _, pk := range testPackings {
+						for _, pk := range orders {
+							packOrder = pk.order
 							id := fmt.Sprintf("%dx%d %s/%v %v/%d/%s", dim[0], dim[1], spec, policy, mode, workers, pk.name)
 							var sink collectSink
-							st, err := Decode(mut, Options{
-								Mode: mode, Workers: workers, Resilience: policy, Sink: sink.add,
-								Packing: pk.packing, PackSeed: pk.seed,
-							})
+							st, err := Decode(mut, Options{Mode: mode, Workers: workers, Resilience: policy, Sink: sink.add})
 							if refErr != nil {
 								// Damage the policy cannot absorb: every packing
 								// must fail exactly where sequential fails.

@@ -60,12 +60,10 @@ type plan struct {
 // decisions are identical because nothing in the planning of a GOP looks
 // ahead.
 type planBuilder struct {
-	seq     *mpeg2.SequenceHeader
-	policy  Resilience
-	packing Packing
-	seed    int64
-	// workers sizes the slice-queue tasks (buildRowGroups): the pool the
-	// plan will run on, or the ceiling it may run on.
+	seq    *mpeg2.SequenceHeader
+	policy Resilience
+	// workers sizes and orders the slice-queue tasks (buildRowGroups,
+	// packOrder): the pool the plan will run on.
 	workers int
 	pl      plan
 
@@ -94,7 +92,7 @@ type planBuilder struct {
 // the service's sessions among them, plan no segment tasks, so there it
 // would only waste plan-time probing.
 func newPlanBuilder(seq *mpeg2.SequenceHeader, opt Options) *planBuilder {
-	return &planBuilder{seq: seq, policy: opt.Resilience, packing: opt.Packing, seed: opt.PackSeed, workers: opt.Workers,
+	return &planBuilder{seq: seq, policy: opt.Resilience, workers: opt.Workers,
 		splitOn: opt.Mode.sliceGrain() && (opt.SplitIndex != nil || opt.SpeculativeSplit), splitOpt: opt}
 }
 
@@ -235,9 +233,6 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	// them in any order), paid identically by every mode.
 	var refOld, refNew *picState
 	for pi, ps := range cands {
-		// The picture's place in the plan, so a seeded packing is
-		// reproducible however the stream is fed.
-		key := b.seed + int64(pl.planned+pi)
 		ps.displayIdx = b.displayBase + slotOf[pi]
 		ps.isRef = ps.typeKnown && ps.hdr.Type != vlc.CodingB
 		ps.params = decoder.PictureParams(b.seq, &ps.hdr)
@@ -309,9 +304,9 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 			for gi, grp := range ps.groups {
 				costs[gi] = groupCost(ps.rng.Slices, grp)
 			}
-			ps.order = packOrder(costs, b.packing, key)
+			ps.order = packOrder(costs, b.workers)
 			if b.splitOn {
-				buildSplitTasks(ps, data, b.splitOpt, key, &b.scratch)
+				buildSplitTasks(ps, data, b.splitOpt, &b.scratch)
 			}
 			// A task owns its rows outright. So does a segment of a split
 			// slice once its chain verifies — but only while a damaged slice

@@ -25,23 +25,22 @@ func pollQueue(n int, chained bool) (*sliceQueue, []*picState) {
 		}
 		pics[i] = windowTestPic(2, 1, fwd, nil, deps)
 	}
-	q := &sliceQueue{pics: slices.Clone(pics), improved: true, pool: frame.NewPool(32, 16), workers: 2, affinity: AffinityNone}
+	q := &sliceQueue{pics: slices.Clone(pics), improved: true, pool: frame.NewPool(32, 16), workers: 2}
 	q.cond = sync.NewCond(&q.mu)
 	return q, pics
 }
 
 type takeResult struct {
-	p    *picState
-	wait time.Duration
-	ok   bool
+	p  *picState
+	ok bool
 }
 
 // takeAsync runs one take of worker wi on its own goroutine.
 func takeAsync(q *sliceQueue, wi int, ws *WorkerStats) <-chan takeResult {
 	ch := make(chan takeResult, 1)
 	go func() {
-		p, _, wait, ok := q.take(wi, ws)
-		ch <- takeResult{p, wait, ok}
+		p, _, ok := q.take(wi, ws)
+		ch <- takeResult{p, ok}
 	}()
 	return ch
 }
@@ -85,7 +84,7 @@ func TestTakePollsWhilePeerHoldsTask(t *testing.T) {
 		q, pics := pollQueue(2, true)
 		q.closed = true
 		var ws0, ws1 WorkerStats
-		if p, _, _, ok := q.take(0, &ws0); !ok || p != pics[0] {
+		if p, _, ok := q.take(0, &ws0); !ok || p != pics[0] {
 			t.Fatal("worker 0 did not get the reference picture's task")
 		}
 		got := takeAsync(q, 1, &ws1)
@@ -101,7 +100,7 @@ func TestTakePollsWhilePeerHoldsTask(t *testing.T) {
 				t.Fatal("reference picture not done after its only task")
 			}
 			q.completePic(pics[0])
-			if r := recv(t, got, "the dependent task"); !r.ok || r.p != pics[1] || r.wait <= 0 {
+			if r := recv(t, got, "the dependent task"); !r.ok || r.p != pics[1] || ws1.Wait <= 0 {
 				t.Fatalf("worker 1: take = %+v, want the dependent picture after a blocked wait", r)
 			}
 			q.shipPic(pics[0])
@@ -136,7 +135,7 @@ func TestTakeParksOnUnboundedWaits(t *testing.T) {
 	q, pics = pollQueue(2, false)
 	q.closed, q.depth = true, 1
 	ws0, ws1 = WorkerStats{}, WorkerStats{}
-	if _, _, _, ok := q.take(0, &ws0); !ok {
+	if _, _, ok := q.take(0, &ws0); !ok {
 		t.Fatal("worker 0 got no task")
 	}
 	q.finish(pics[0], rowAddrs(pics[0], 0))
@@ -148,38 +147,34 @@ func TestTakeParksOnUnboundedWaits(t *testing.T) {
 		t.Fatalf("worker 1 after shipPic: %+v", r)
 	}
 
-	// A peer parked at the auto-mode gate.
-	gatedPool(t)()
+	// A source that stalls after the peer has run the only task.
+	stalledPool(t)()
 }
 
-// gatedPool leaves a two-worker pool the way the online tuner does when it
-// lowers the limit to one while the scan has nothing queued: worker 1 has
-// run the only task and sits at the gate, worker 0 is blocked in take on an
-// empty, open queue — asleep, because a gated worker holds no task. The
-// returned function opens the gate, closes the queue and joins both.
-func gatedPool(t *testing.T) (release func()) {
+// stalledPool leaves a two-worker pool the way a stalled source does:
+// worker 1 has run the only task and handed its picture to display, and
+// both workers are blocked in take on an empty, open queue — asleep,
+// because neither holds a task. The returned function closes the queue and
+// joins both.
+func stalledPool(t *testing.T) (release func()) {
 	t.Helper()
 	q, pics := pollQueue(1, false)
 	var ws0, ws1 WorkerStats
-	gate := newWorkerGate(1)
-	gate.park = q.idle
-	if _, _, _, ok := q.take(1, &ws1); !ok {
+	if _, _, ok := q.take(1, &ws1); !ok {
 		t.Fatal("worker 1 got no task")
 	}
 	q.finish(pics[0], rowAddrs(pics[0], 0))
 	q.completePic(pics[0])
 	q.shipPic(pics[0])
-	gated := make(chan struct{})
-	go func() { gate.enter(1); close(gated) }()
-	got0 := takeAsync(q, 0, &ws0)
-	awaitBlocked(t, q, "worker 0 asleep beside a gated peer", func() bool { return ws0.Parks == 1 })
+	got0, got1 := takeAsync(q, 0, &ws0), takeAsync(q, 1, &ws1)
+	awaitBlocked(t, q, "both workers asleep on the stalled queue", func() bool { return ws0.Parks == 1 && ws1.Parks == 1 })
 	return func() {
 		t.Helper()
-		gate.close()
 		q.close()
-		<-gated
-		if r := recv(t, got0, "worker 0"); r.ok {
-			t.Fatal("take handed out a task from a drained queue")
+		for _, got := range []<-chan takeResult{got0, got1} {
+			if r := recv(t, got, "a worker"); r.ok {
+				t.Fatal("take handed out a task from a drained queue")
+			}
 		}
 	}
 }

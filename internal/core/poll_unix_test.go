@@ -18,18 +18,18 @@ func processCPU(t *testing.T) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// TestGatedPoolBurnsNoCPU: a pool whose tuner has gated a worker, with
-// nothing queued, waits for the scan process asleep. (Were the gated
-// worker still counted as holding a task, the other would poll for as long
-// as the source stalls: one whole CPU.)
-func TestGatedPoolBurnsNoCPU(t *testing.T) {
-	release := gatedPool(t)
+// TestStalledPoolBurnsNoCPU: a pool with nothing queued waits for the scan
+// process asleep. (Were a worker that has run its task still counted as
+// holding one, the other would poll for as long as the source stalls: one
+// whole CPU.)
+func TestStalledPoolBurnsNoCPU(t *testing.T) {
+	release := stalledPool(t)
 	const hold = 200 * time.Millisecond
 	cpu0 := processCPU(t)
 	time.Sleep(hold)
 	cpu := processCPU(t) - cpu0
 	release()
 	if cpu > hold/4 {
-		t.Fatalf("a gated pool with an empty queue used %v of CPU in %v", cpu, hold)
+		t.Fatalf("a stalled pool with an empty queue used %v of CPU in %v", cpu, hold)
 	}
 }

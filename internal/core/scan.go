@@ -142,6 +142,7 @@ type ScanState struct {
 	m       *StreamMap
 	lenient bool
 	seqSeen bool
+	badSeq  error // why the first unreadable sequence header was skipped (lenient)
 
 	curGOP           *GOPRange
 	curPic           *PictureRange
@@ -159,7 +160,9 @@ type ScanState struct {
 	// forgets it, so a scan with a callback holds one open group however
 	// long the stream, and Finish's map carries the header and the counts
 	// but no GOPs. The streaming pipeline copies the group's bytes out of
-	// its window here; returning an error aborts the scan.
+	// its window here; returning an error aborts the scan. A group that
+	// closes before any sequence header was readable aborts it too (the
+	// batch scan still maps it, under the header that comes later).
 	OnGOP  func(g int, gr *GOPRange) error
 	groups int // groups closed so far
 }
@@ -243,6 +246,10 @@ func (s *ScanState) closeGOP(end int) error {
 	s.groups++
 	s.curGOP = nil
 	if s.OnGOP != nil {
+		if !s.seqSeen {
+			// Handed on now, the group would decode without a geometry.
+			return s.noSeq()
+		}
 		return s.OnGOP(g, gr)
 	}
 	s.m.GOPs = append(s.m.GOPs, *gr)
@@ -282,6 +289,9 @@ func (s *ScanState) Step(view []byte, base, i int) error {
 			}
 			// Damaged repeated header: keep decoding with the last
 			// good geometry.
+			if s.badSeq == nil {
+				s.badSeq = err
+			}
 			s.m.Damage.BadHeaders++
 			s.pendingSeqOffset = -1
 			return nil
@@ -376,12 +386,21 @@ func (s *ScanState) Finish(total int) (*StreamMap, error) {
 	m := s.m
 	m.Bytes = total
 	if !s.seqSeen {
-		return nil, fmt.Errorf("core: scan: no sequence header")
+		return nil, s.noSeq()
 	}
 	if m.TotalPictures == 0 {
 		return nil, fmt.Errorf("core: scan: no pictures")
 	}
 	return m, nil
+}
+
+// noSeq is the error of a scan that has no sequence header to decode by,
+// naming why the first unreadable one was skipped.
+func (s *ScanState) noSeq() error {
+	if s.badSeq != nil {
+		return fmt.Errorf("core: scan: no readable sequence header: %w", s.badSeq)
+	}
+	return fmt.Errorf("core: scan: no sequence header")
 }
 
 // DisplayIndex returns the absolute display position of picture p of GOP g.

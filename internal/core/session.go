@@ -109,8 +109,10 @@ func (t *SessionTask) ShedDisplays() []int { return t.shedIdx }
 // ignored: a service session always executes at GOP grain (the paper's
 // continuous-playback recommendation), and Stats.Mode reports ModeGOP. Its
 // pictures are planned as row-group tasks all the same, which idle workers
-// of the pool may share (SessionTask.Help); its slices are never split, so
-// opt.SplitIndex and opt.SpeculativeSplit have no effect.
+// of the pool may share (SessionTask.Help), claimed in stream order: there
+// is no band to steer them by and no tail for packing to level. Its slices
+// are never split, so opt.SplitIndex and opt.SpeculativeSplit have no
+// effect.
 func NewSession(opt Options) (*Session, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("core: need at least one worker")

@@ -39,8 +39,8 @@ type picState struct {
 	nextSlice int          // next task to hand out
 	claim     atomic.Int32 // next task to claim, decoding the picture whole (helpDesk)
 	// order, when non-nil, maps handout position to task index — the
-	// scheduler's packing of this picture's tasks (LPT by default). Nil
-	// means stream order. Tasks of one picture touch disjoint pixels
+	// scheduler's packing of this picture's tasks (packOrder). Nil means
+	// stream order. Tasks of one picture touch disjoint pixels
 	// (distinct macroblock rows, or row groups), so any order is safe.
 	order     []int
 	nTasks    int // tasks this picture issues (row groups, segments, or one substitute)
@@ -124,26 +124,21 @@ type sliceQueue struct {
 	failed bool
 	closed bool // no more pictures will be appended
 
-	// workers and affinity configure band→worker task steering (see
-	// Affinity). With affinity on, take prefers handing worker wi a task
-	// that starts in the wi-th of `workers` horizontal bands of the
-	// picture, falling back to the first runnable task so no worker ever
-	// idles while work exists.
-	workers  int
-	affinity Affinity
+	// workers is the pool size, the number of horizontal bands take steers
+	// tasks by (pickTask).
+	workers int
 
 	// obs, when non-nil, receives a queue-wait or barrier-wait event for
 	// every blocked take (classified by what the worker was blocked on).
 	obs *obs.Tracer
 
 	// How a blocked take waits. out[wi] marks worker wi as holding a task:
-	// set by the take that handed it one, cleared by its next take (or by
-	// idle, at the auto-mode gate). busy counts the marked workers, less
-	// those handing a finished picture to the display process. While
-	// busy > 0 whatever the taker waits for is at most one band task away,
-	// so it polls gen, which every change to the queue bumps; at busy == 0
-	// only the scan process or the frame consumer can end the wait, which
-	// has no bound, so it sleeps on cond. Sleeping costs the wake-up: the
+	// set by the take that handed it one, cleared by its next take. busy
+	// counts the marked workers, less those handing a finished picture to
+	// the display process. While busy > 0 whatever the taker waits for is
+	// at most one band task away, so it polls gen, which every change to
+	// the queue bumps; at busy == 0 only the scan process or the frame
+	// consumer can end the wait, which has no bound, so it sleeps on cond. Sleeping costs the wake-up: the
 	// woken goroutine sits in the waker's run queue until another P steals
 	// it, a picture's worth of time at SIF (DESIGN.md, "Slice queue").
 	out  []bool
@@ -175,21 +170,13 @@ func (q *sliceQueue) hold(wi int, on bool) {
 	}
 }
 
-// idle records that worker wi is about to wait for something other than
-// the queue (the auto-mode gate), so no blocked take polls on its account.
-func (q *sliceQueue) idle(wi int) {
-	q.mu.Lock()
-	q.hold(wi, false)
-	q.mu.Unlock()
-}
-
 // newSliceQueue builds the empty, open queue of a slice-mode decode.
 func newSliceQueue(pool *frame.Pool, opt Options) *sliceQueue {
 	q := &sliceQueue{
 		pool:     pool,
 		improved: opt.Mode == ModeSliceImproved,
 		depth:    opt.Workers + 4,
-		obs:      opt.Obs, workers: opt.Workers, affinity: opt.Affinity,
+		obs:      opt.Obs, workers: opt.Workers,
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -297,13 +284,13 @@ func (q *sliceQueue) next(wi int) *picState {
 
 // take blocks until a slice task is available (returning picture and
 // task index) or the queue is exhausted/failed (ok=false). The time spent
-// blocked — polling or asleep, see sliceQueue.busy — is returned and
-// added to ws.Wait, and each sleep counted in ws.Parks; wi identifies the
-// taking worker for the wait event a blocked take records (a block with
-// tasks queued behind the barrier discipline is a barrier wait, a block
-// on an empty queue is starvation). A take that never blocks reads no
+// blocked — polling or asleep, see sliceQueue.busy — is added to ws.Wait,
+// and each sleep counted in ws.Parks; wi identifies the taking worker for
+// the wait event a blocked take records (a block with tasks queued behind
+// the barrier discipline is a barrier wait, a block on an empty queue is
+// starvation). A take that never blocks reads no
 // clock and records nothing.
-func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, wait time.Duration, ok bool) {
+func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, ok bool) {
 	var t0 time.Time
 	blocked, barrier := false, false
 	block := func() {
@@ -332,7 +319,7 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, wait
 		if !blocked {
 			return
 		}
-		wait = time.Since(t0)
+		wait := time.Since(t0)
 		ws.Wait += wait
 		kind := obs.KindWait
 		if barrier {
@@ -342,7 +329,7 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, wait
 	}()
 	for {
 		if q.failed {
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
 		// Skip over fully-issued pictures.
 		for q.issueIdx < len(q.pics) && q.pics[q.issueIdx].nextSlice >= q.pics[q.issueIdx].nTasks {
@@ -350,7 +337,7 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, wait
 		}
 		if q.issueIdx >= len(q.pics) {
 			if q.closed {
-				return nil, 0, 0, false
+				return nil, 0, false
 			}
 			block() // more pictures may still be appended
 			continue
@@ -367,7 +354,7 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, wait
 			slice = p.handout(p.nextSlice)
 			p.nextSlice++
 			q.hold(wi, true)
-			return p, slice, 0, true
+			return p, slice, true
 		}
 		// Tasks exist but none is runnable under the barrier discipline
 		// (or pipeline depth): synchronization, not starvation.
@@ -388,17 +375,16 @@ func (p *picState) handout(pos int) int {
 // swaps it to the head position p.nextSlice, so every task is still
 // handed out exactly once (the caller holds q.mu and advances
 // p.nextSlice). With gated set only tasks that are ready qualify, and
-// pickTask reports false when none is. Among the qualifying tasks band
-// affinity prefers one that starts in worker wi's band — entry row r with
-// r·workers / MBHeight == wi, the picture cut into `workers` static
-// horizontal bands — so a worker's chain through consecutive pictures
-// reads reference rows it wrote itself, except at the band edges;
-// otherwise, and on a miss (work conservation), the first in packed
-// order wins. The scan is O(tasks-per-picture) per take — a handful of
-// band-grain tasks.
+// pickTask reports false when none is. On a pool of more than one worker,
+// the qualifying task that starts in worker wi's band (bandOf) wins, so a
+// worker's chain through consecutive pictures reads reference rows it
+// wrote itself, except at the band edges; otherwise, and on a miss, the
+// first in packed order wins — the preference is work-conserving, so no
+// worker idles while work exists. The scan is O(tasks-per-picture) per
+// take — a handful of band-grain tasks.
 func (q *sliceQueue) pickTask(p *picState, wi int, gated bool) bool {
 	head := p.nextSlice
-	steer := q.affinity == AffinityRow && q.workers > 1
+	steer := q.workers > 1
 	pick := -1
 	for pos := head; pos < p.nTasks; pos++ {
 		ti := p.handout(pos)
@@ -430,6 +416,13 @@ func (q *sliceQueue) pickTask(p *picState, wi int, gated bool) bool {
 		p.order[head], p.order[pick] = p.order[pick], p.order[head]
 	}
 	return true
+}
+
+// bandOf returns which of `bands` equal horizontal bands of a picture mbh
+// macroblock rows high row lies in: pickTask's steering rule, and the
+// trace generator's band labelling.
+func bandOf(row, bands, mbh int) int {
+	return min(row*bands/mbh, bands-1)
 }
 
 func (q *sliceQueue) fail() {
@@ -505,32 +498,6 @@ func (q *sliceQueue) shipPic(p *picState) {
 	q.busy++
 	q.changed()
 	q.mu.Unlock()
-}
-
-// missing returns the addresses of macroblocks never reconstructed (call
-// only after finish returned true for the picture).
-func (q *sliceQueue) missing(p *picState) []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if p.cov.full() {
-		return nil
-	}
-	var out []int
-	for a := 0; a < p.cov.total; a++ {
-		if !p.cov.has(a) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// concealMBs fills the listed macroblock addresses of p's frame by
-// temporal concealment.
-func concealMBs(p *picState, addrs []int) {
-	ref, mbw := concealRef(p), p.params.MBWidth
-	for _, a := range addrs {
-		decoder.ConcealMB(p.frame, ref, a%mbw, a/mbw)
-	}
 }
 
 // sliceScratch is one worker's reusable decode state: a bit reader, a

@@ -217,7 +217,7 @@ func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRang
 // worker (same-row slices must), which a segment fan-out would break.
 // Returns false (leaving the picture's task fields untouched) when nothing
 // split.
-func buildSplitTasks(p *picState, data []byte, opt Options, seed int64, scratch *[]mpeg2.MB) bool {
+func buildSplitTasks(p *picState, data []byte, opt Options, scratch *[]mpeg2.MB) bool {
 	var tasks []segTask
 	var costs []int64
 	split := false
@@ -242,7 +242,7 @@ func buildSplitTasks(p *picState, data []byte, opt Options, seed int64, scratch 
 	p.tasks = tasks
 	p.nTasks = len(tasks)
 	p.remaining = len(tasks)
-	p.order = packOrder(costs, opt.Packing, seed)
+	p.order = packOrder(costs, opt.Workers)
 	return true
 }
 

@@ -169,8 +169,8 @@ func TestSplitChainPublishesPrefix(t *testing.T) {
 		if sst.VerifyHits != 1 || sst.Fallbacks != 0 || sst.SegmentsRun != 3 {
 			t.Fatalf("order %v: split stats %+v, want one verified slice of three segments", order, sst)
 		}
-		if miss := c.q.missing(c.pics[0]); len(miss) != 0 {
-			t.Fatalf("order %v: %d macroblocks never covered", order, len(miss))
+		if cov := &c.pics[0].cov; !cov.full() {
+			t.Fatalf("order %v: %d macroblocks never covered", order, cov.total-cov.n)
 		}
 	}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,12 +109,6 @@ type StreamExecutor struct {
 	tasks chan *SessionTask // ModeGOP / ModeSequential intake
 	q     *sliceQueue       // slice-mode intake
 
-	// Online auto-tuning (ModeAuto only). The tuner collects busy/wait
-	// from the workers; Feed re-evaluates it at every GOP boundary and
-	// the gate parks workers above the resulting limit.
-	tuner *sched.Tuner
-	gate  *workerGate
-
 	mu        sync.Mutex
 	winBytes  int64 // scanner window bytes (AdjustBuffered)
 	unitBytes int64 // live unit bytes
@@ -154,8 +147,8 @@ func NewStreamExecutor(ctx context.Context, opt Options) (*StreamExecutor, error
 
 // start spins up the executor once the first unit has arrived. For
 // ModeAuto the first group's geometry, projected across the scan-ahead
-// window, resolves the mode and worker count here; the mode is fixed
-// for the rest of the stream (only the worker limit adapts online).
+// window, resolves the mode and worker count here, for the rest of the
+// stream.
 func (e *StreamExecutor) start(u *Unit) {
 	opt := &e.s.opt
 	if opt.Mode == ModeAuto {
@@ -166,9 +159,6 @@ func (e *StreamExecutor) start(u *Unit) {
 	opt.Obs.SetMeta(opt.Mode.String(), e.workers)
 	if opt.Mode.sliceGrain() {
 		e.q = newSliceQueue(e.s.pool, *opt) // Feed appends, Finish closes
-		if e.gate != nil {
-			e.gate.park = e.q.idle
-		}
 		for wi := 0; wi < e.workers; wi++ {
 			e.wg.Add(1)
 			go e.sliceWorker(wi)
@@ -187,8 +177,7 @@ func (e *StreamExecutor) start(u *Unit) {
 // resolveAuto picks the mode and worker count for an auto-tuned
 // pipeline from the first group's geometry, projected across the
 // scan-ahead window (a single group in isolation would always look
-// like a slice-grain workload). The chosen worker count becomes the
-// online tuner's ceiling; the gate parks workers it tunes away.
+// like a slice-grain workload).
 func (e *StreamExecutor) resolveAuto(u *Unit) {
 	opt, st := &e.s.opt, e.s.st
 	g := projectGeometry(autoGeometry([]GOPRange{u.Range}), opt.EffectiveMaxInFlight())
@@ -199,14 +188,9 @@ func (e *StreamExecutor) resolveAuto(u *Unit) {
 	st.Mode = opt.Mode
 	st.Workers = e.workers
 	st.Auto = &AutoDecision{
-		Mode:             opt.Mode,
-		Workers:          e.workers,
-		Reason:           c.Reason + " (projected from first group)",
-		FinalWorkerLimit: e.workers,
-	}
-	if e.workers > 1 {
-		e.tuner = sched.NewTuner(e.workers, e.workers)
-		e.gate = newWorkerGate(e.workers)
+		Mode:    opt.Mode,
+		Workers: e.workers,
+		Reason:  c.Reason + " (projected from first group)",
 	}
 }
 
@@ -242,16 +226,6 @@ func (e *StreamExecutor) Feed(u Unit) error {
 	t, err := s.FeedShed(u, ShedNone)
 	if err != nil {
 		return err
-	}
-	if e.tuner != nil {
-		// GOP boundary: close the utilization window and move the
-		// active-worker limit at most one step. Feed is the single scan
-		// goroutine, as Reevaluate requires.
-		if lim, changed := e.tuner.Reevaluate(); changed {
-			e.gate.setLimit(lim)
-			s.st.Auto.FinalWorkerLimit = lim
-		}
-		s.st.Auto.Reevals++
 	}
 	switch {
 	case t == nil:
@@ -316,13 +290,9 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 		} else {
 			close(e.tasks)
 		}
-		e.gate.close() // wake parked workers so they can drain and exit
 		e.wg.Wait()
 	}
 	st := e.s.st
-	if e.tuner != nil {
-		st.Auto.FinalWorkerLimit = e.tuner.Limit()
-	}
 	e.mu.Lock()
 	st.PeakInFlightBytes = e.peakBytes
 	st.ScanLeadPeak = e.leadPeak
@@ -339,25 +309,19 @@ func (e *StreamExecutor) gopWorker(wi int) {
 		ws := &e.s.st.WorkerStats[wi]
 		var scr Scratch
 		for {
-			e.gate.enter(wi)
 			t0 := time.Now()
 			t, ok := <-e.tasks
 			wait := time.Since(t0)
 			ws.Wait += wait
-			e.tuner.NoteWait(wait)
 			e.s.opt.Obs.Record(obs.KindWait, wi, t0, wait, -1, -1, -1)
 			if !ok {
 				return
 			}
 			if e.s.Err() == nil {
 				t1 := time.Now()
-				err := e.s.Run(t, wi, &scr)
-				cost := time.Since(t1)
-				ws.Busy += cost
+				e.s.Run(t, wi, &scr) // a failure is latched in the session
+				ws.Busy += time.Since(t1)
 				ws.Tasks++
-				if err == nil {
-					e.tuner.NoteTask(cost)
-				}
 			}
 			t.unit.retire()
 		}
@@ -385,9 +349,7 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 			s.workMu.Unlock()
 		}()
 		for {
-			e.gate.enter(wi)
-			p, ti, wait, ok := e.q.take(wi, ws)
-			e.tuner.NoteWait(wait)
+			p, ti, ok := e.q.take(wi, ws)
 			if !ok {
 				return
 			}
@@ -399,7 +361,6 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 			cost := time.Since(t0)
 			ws.Busy += cost
 			ws.Tasks++
-			e.tuner.NoteTask(cost)
 			kind := obs.KindTask
 			if _, j, _ := p.taskAt(ti); j != nil {
 				kind = obs.KindSegment
@@ -414,17 +375,13 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 				return
 			}
 			if e.q.finish(p, scr.taskAddrs) {
+				// The picture's last task has returned: nothing writes p.cov
+				// any more.
 				if p.fate == fateDecode {
-					if miss := e.q.missing(p); len(miss) > 0 {
-						if opt.Resilience == FailFast {
-							total := p.params.MBWidth * p.params.MBHeight
-							s.Abort(fmt.Errorf("core: picture at display %d covered %d of %d macroblocks",
-								p.displayIdx, total-len(miss), total))
-							e.q.fail()
-							return
-						}
-						concealMBs(p, miss)
-						es.ConcealedMBs += len(miss)
+					if err := concealUncovered(p, &p.cov, *opt, &es); err != nil {
+						s.Abort(err)
+						e.q.fail()
+						return
 					}
 				}
 				e.q.completePic(p)

@@ -21,19 +21,19 @@ import (
 // worker ids) is essential on small hosts: with one CPU a single worker
 // goroutine would otherwise execute — and label — every task.
 func TraceDecode(data []byte, mode Mode, procs int, tr memtrace.Tracer) error {
-	return TraceDecodeAssign(data, mode, procs, AffinityNone, tr)
+	return TraceDecodeAssign(data, mode, procs, false, tr)
 }
 
 // TraceDecodeAssign is TraceDecode with an explicit task→processor
-// assignment discipline for the slice modes: AffinityNone labels tasks
+// assignment for the slice modes: without bands it labels tasks
 // round-robin (the paper's dynamic assignment, and what TraceDecode
-// emits), AffinityRow labels each slice with the band its row lies in,
-// row·procs / MBHeight — the deterministic steady state of the
-// band-affinity queue, where the work-conserving fallback never fires
-// because the simulator has no timing skew. GOP mode ignores the discipline (each GOP is already one
-// processor's task). The locality study A/Bs the two labelings under
-// cachesim.
-func TraceDecodeAssign(data []byte, mode Mode, procs int, aff Affinity, tr memtrace.Tracer) error {
+// emits); with bands it labels each slice with the band its row lies in,
+// row·procs / MBHeight — the deterministic steady state of the slice
+// queue's band steering, where the work-conserving fallback never fires
+// because the simulator has no timing skew. GOP mode ignores bands (each
+// GOP is already one processor's task). The locality study A/Bs the two
+// labelings under cachesim.
+func TraceDecodeAssign(data []byte, mode Mode, procs int, bands bool, tr memtrace.Tracer) error {
 	if procs < 1 {
 		return fmt.Errorf("core: need at least one processor")
 	}
@@ -44,7 +44,7 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, aff Affinity, tr memtr
 	// The pictures the decoders run, walked in decode order on this
 	// goroutine: a GOP-mode picture whole on its group's processor, a
 	// slice-mode picture slice by slice.
-	pl, err := buildPlan(data, m, Options{Workers: 1, Packing: PackFIFO})
+	pl, err := buildPlan(data, m, Options{Workers: 1})
 	if err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, aff Affinity, tr memtr
 		}
 		for si, sr := range p.rng.Slices {
 			proc := task % procs
-			if aff == AffinityRow {
+			if bands {
 				proc = bandOf(sr.Row, procs, p.params.MBHeight)
 			}
 			traceInput(tr, data, proc, sr.Offset, sr.End)
@@ -95,7 +95,7 @@ func traceInput(tr memtrace.Tracer, data []byte, proc, off, end int) {
 // level — no pixel reconstruction — calling fn for each decoded
 // macroblock in decode order. Useful for stream inspection and tests.
 func VisitMacroblocks(data []byte, m *StreamMap, fn func(mb *mpeg2.MB)) error {
-	pl, err := buildPlan(data, m, Options{Workers: 1, Packing: PackFIFO})
+	pl, err := buildPlan(data, m, Options{Workers: 1})
 	if err != nil {
 		return err
 	}

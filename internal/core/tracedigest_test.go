@@ -49,17 +49,17 @@ func traceDigest(name string, evs []memtrace.Event) string {
 func TestTraceGeneratorMatchesRecord(t *testing.T) {
 	res := testStream(t, 96, 80, 26, 13)
 	var got strings.Builder
-	run := func(name string, mode Mode, procs int, aff Affinity) {
+	run := func(name string, mode Mode, procs int, bands bool) {
 		rec := memtrace.NewRecorder()
-		if err := TraceDecodeAssign(res.Data, mode, procs, aff, rec); err != nil {
+		if err := TraceDecodeAssign(res.Data, mode, procs, bands, rec); err != nil {
 			t.Fatal(err)
 		}
 		got.WriteString(traceDigest(name, rec.Events()))
 	}
-	run("gop procs=1", ModeGOP, 1, AffinityNone)
-	run("gop procs=4", ModeGOP, 4, AffinityNone)
-	run("slice-simple procs=4 affinity=none", ModeSliceSimple, 4, AffinityNone)
-	run("slice-simple procs=4 affinity=row", ModeSliceSimple, 4, AffinityRow)
+	run("gop procs=1", ModeGOP, 1, false)
+	run("gop procs=4", ModeGOP, 4, false)
+	run("slice-simple procs=4 affinity=none", ModeSliceSimple, 4, false)
+	run("slice-simple procs=4 affinity=row", ModeSliceSimple, 4, true)
 	want, err := os.ReadFile(traceRecord)
 	if err != nil {
 		t.Fatal(err)

@@ -179,7 +179,7 @@ func TestSliceQueueRowWindow(t *testing.T) {
 		}
 		// The queue forgets I0 when it ships; pics keeps all four.
 		q := &sliceQueue{pics: slices.Clone(pics), improved: true, pool: frame.NewPool(mbw*16, mbh*16),
-			depth: depth, closed: true, workers: 1, affinity: AffinityNone}
+			depth: depth, closed: true, workers: 1}
 		q.cond = sync.NewCond(&q.mu)
 		runnable := func() bool {
 			q.mu.Lock()
@@ -194,10 +194,11 @@ func TestSliceQueueRowWindow(t *testing.T) {
 			if !runnable() {
 				t.Fatalf("depth %d: take would block; want a task of picture %d", depth, slices.Index(pics, want))
 			}
-			p, ti, wait, ok := q.take(0, &WorkerStats{})
-			if !ok || p != want || wait != 0 {
+			var ws WorkerStats
+			p, ti, ok := q.take(0, &ws)
+			if !ok || p != want || ws.Wait != 0 {
 				t.Fatalf("depth %d: take = picture %d ok %v wait %v; want picture %d without blocking",
-					depth, slices.Index(pics, p), ok, wait, slices.Index(pics, want))
+					depth, slices.Index(pics, p), ok, ws.Wait, slices.Index(pics, want))
 			}
 			return p.rng.Slices[ti].Row
 		}
@@ -322,8 +323,8 @@ func TestSliceQueueLatePublication(t *testing.T) {
 	if !ready(dep, 3) {
 		t.Fatal("row 3 (window 2..3, both covered) should be ready")
 	}
-	if miss := q.missing(ref); len(miss) != 1 || miss[0] != 1*mbw+1 {
-		t.Fatalf("missing = %v, want the one uncovered macroblock of row 1", miss)
+	if ref.cov.n != mbw*mbh-1 || ref.cov.has(1*mbw+1) {
+		t.Fatalf("covered %d of %d, want all but the second macroblock of row 1", ref.cov.n, mbw*mbh)
 	}
 }
 

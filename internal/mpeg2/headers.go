@@ -101,9 +101,17 @@ func (h *SequenceHeader) Write(w *bits.Writer) {
 	w.Put(0, 5) // frame_rate_extension_d
 }
 
+// maxWidth and maxHeight bound the picture size a sequence header may
+// claim: the upper bounds of Main Profile @ High Level, the most a Main
+// Profile stream can carry. The syntax alone allows 16383×16383 (some
+// 400 MB a frame), so without the bound a dozen hostile header bytes could
+// make a decode allocate that.
+const maxWidth, maxHeight = 1920, 1152
+
 // ParseSequenceHeader parses a sequence header; the reader must be
 // positioned just after the sequence_header_code. It also parses the
-// sequence extension if one follows immediately.
+// sequence extension if one follows immediately, and rejects a picture
+// size above Main Profile @ High Level.
 func ParseSequenceHeader(r *bits.Reader) (SequenceHeader, error) {
 	var h SequenceHeader
 	h.Width = int(r.Read(12))
@@ -156,6 +164,10 @@ func ParseSequenceHeader(r *bits.Reader) (SequenceHeader, error) {
 	}
 	if h.Width <= 0 || h.Height <= 0 {
 		return h, fmt.Errorf("mpeg2: invalid picture size %dx%d", h.Width, h.Height)
+	}
+	if h.Width > maxWidth || h.Height > maxHeight {
+		return h, fmt.Errorf("mpeg2: picture size %dx%d exceeds Main Profile @ High Level (%dx%d)",
+			h.Width, h.Height, maxWidth, maxHeight)
 	}
 	if h.ChromaFormat != 0 && h.ChromaFormat != Chroma420 {
 		return h, fmt.Errorf("mpeg2: unsupported chroma format %d", h.ChromaFormat)

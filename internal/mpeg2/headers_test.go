@@ -1,6 +1,8 @@
 package mpeg2
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"mpeg2par/internal/bits"
@@ -98,9 +100,10 @@ func TestSequenceHeaderCustomMatrix(t *testing.T) {
 }
 
 func TestSequenceHeaderLargeDims(t *testing.T) {
-	// 1408x960 exercises the 12-bit base fields; a >4095 width exercises
-	// the extension bits.
-	for _, dims := range [][2]int{{1408, 960}, {5000, 2000}} {
+	// 1408x960 and the Main Profile @ High Level bound 1920x1152 exercise
+	// the 12-bit base fields; anything larger is rejected, with the size
+	// named — at >4095 only the extension bits can carry it.
+	for _, dims := range [][2]int{{1408, 960}, {1920, 1152}, {1921, 1088}, {1920, 1153}, {5000, 2000}} {
 		h := SequenceHeader{Width: dims[0], Height: dims[1]}
 		var w bits.Writer
 		h.Write(&w)
@@ -109,6 +112,12 @@ func TestSequenceHeaderLargeDims(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := ParseSequenceHeader(r)
+		if dims[0] > maxWidth || dims[1] > maxHeight {
+			if size := fmt.Sprintf("%dx%d", dims[0], dims[1]); err == nil || !strings.Contains(err.Error(), size) {
+				t.Fatalf("%s: err %v, want a rejection naming the size", size, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

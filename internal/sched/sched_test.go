@@ -242,66 +242,3 @@ func TestChooseReasonGatedOnCalibration(t *testing.T) {
 		t.Fatalf("calibrated model quoted no time estimate: %q", c.Reason)
 	}
 }
-
-func TestTunerStepsDownOnStarvation(t *testing.T) {
-	tu := NewTuner(4, 8)
-	for i := 0; i < 3; i++ {
-		tu.NoteTask(1 * time.Millisecond)
-		tu.NoteWait(9 * time.Millisecond)
-		lim, changed := tu.Reevaluate()
-		if !changed || lim != 3-i {
-			t.Fatalf("step %d: limit %d changed=%v, want %d", i, lim, changed, 3-i)
-		}
-	}
-	// Never below one worker.
-	for i := 0; i < 5; i++ {
-		tu.NoteTask(1 * time.Millisecond)
-		tu.NoteWait(9 * time.Millisecond)
-		tu.Reevaluate()
-	}
-	if tu.Limit() < 1 {
-		t.Fatalf("limit %d fell below 1", tu.Limit())
-	}
-}
-
-func TestTunerStepsUpWhenSaturated(t *testing.T) {
-	tu := NewTuner(2, 4)
-	for i := 0; i < 4; i++ {
-		tu.NoteTask(10 * time.Millisecond)
-		tu.Reevaluate()
-	}
-	if tu.Limit() != 4 {
-		t.Fatalf("limit %d, want ceiling 4", tu.Limit())
-	}
-}
-
-func TestTunerDeadBandAndMinWindow(t *testing.T) {
-	tu := NewTuner(3, 8)
-	// Mid utilization: inside the dead band, no movement.
-	tu.NoteTask(7 * time.Millisecond)
-	tu.NoteWait(3 * time.Millisecond)
-	if lim, changed := tu.Reevaluate(); changed || lim != 3 {
-		t.Fatalf("dead band moved the limit: %d changed=%v", lim, changed)
-	}
-	// Window too small to decide.
-	tu.NoteTask(10 * time.Microsecond)
-	tu.NoteWait(90 * time.Microsecond)
-	if _, changed := tu.Reevaluate(); changed {
-		t.Fatal("sub-minimum window must not move the limit")
-	}
-	// The tiny window was still consumed.
-	tu.NoteTask(time.Millisecond)
-	tu.NoteWait(9 * time.Millisecond)
-	if lim, _ := tu.Reevaluate(); lim != 2 {
-		t.Fatalf("limit %d, want 2", lim)
-	}
-}
-
-func TestNewTunerClamps(t *testing.T) {
-	if tu := NewTuner(0, 0); tu.Limit() != 1 || tu.Max() != 1 {
-		t.Fatalf("got limit %d max %d", tu.Limit(), tu.Max())
-	}
-	if tu := NewTuner(9, 4); tu.Limit() != 4 {
-		t.Fatalf("initial above max: limit %d", tu.Limit())
-	}
-}

@@ -136,7 +136,7 @@ func TestEDFBitExactCleanAndFaulted(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			refSt, refFrames := seqOracle(t, tc.data, core.ConcealSlice)
 			srv := server.NewServer(server.Config{
-				Workers: 2, DisableAutoDegrade: true, Dispatch: server.DispatchEDF,
+				Workers: 2, DisableAutoDegrade: true,
 			})
 			defer srv.Close()
 
@@ -192,8 +192,8 @@ func TestEDFNoStarvationAtTopRung(t *testing.T) {
 	loData := testStream(t, 48, 32, 32, 4)
 	hiData := testStream(t, 48, 32, 256, 4)
 	srv := server.NewServer(server.Config{
-		Workers: 1, Dispatch: server.DispatchEDF,
-		Tick: time.Millisecond, Dwell: 2 * time.Millisecond,
+		Workers: 1,
+		Tick:    time.Millisecond, Dwell: 2 * time.Millisecond,
 		HighWater: 0.5, LowWater: 0.25,
 		PauseBase: 5 * time.Millisecond, PauseMax: 20 * time.Millisecond,
 	})

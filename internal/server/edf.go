@@ -35,57 +35,10 @@ import (
 // (sched.CostModel.Calibrated): an unknown cost must read as "be
 // conservative", never as "free".
 
-// DispatchPolicy selects the pool's task ordering.
-type DispatchPolicy int
-
-const (
-	// DispatchAuto (the default) runs EDF while any admitted stream has
-	// a frame deadline and weighted fair otherwise.
-	DispatchAuto DispatchPolicy = iota
-	// DispatchFair always runs the weighted fair order (PR 8 behavior) —
-	// the baseline arm of the deadline benchmarks.
-	DispatchFair
-	// DispatchEDF always runs earliest-effective-deadline-first, giving
-	// best-effort streams virtual deadlines of feed time + BestEffortLag.
-	DispatchEDF
-)
-
-func (d DispatchPolicy) String() string {
-	switch d {
-	case DispatchFair:
-		return "fair"
-	case DispatchEDF:
-		return "edf"
-	}
-	return "auto"
-}
-
-// ParseDispatch maps the CLI spelling to a policy.
-func ParseDispatch(s string) (DispatchPolicy, error) {
-	switch s {
-	case "", "auto":
-		return DispatchAuto, nil
-	case "fair":
-		return DispatchFair, nil
-	case "edf":
-		return DispatchEDF, nil
-	}
-	return DispatchAuto, fmt.Errorf("server: unknown dispatch policy %q (want auto, fair, or edf)", s)
-}
-
 // edfActiveLocked reports whether the pool should order by deadline
-// right now. Under DispatchAuto that is "any admitted stream has one":
-// tracked as a count on register/unregister so the per-pick cost stays
-// O(1).
-func (s *Server) edfActiveLocked() bool {
-	switch s.cfg.Dispatch {
-	case DispatchFair:
-		return false
-	case DispatchEDF:
-		return true
-	}
-	return s.nDeadline > 0
-}
+// right now: while any admitted stream has one, tracked as a count on
+// register/unregister so the per-pick cost stays O(1).
+func (s *Server) edfActiveLocked() bool { return s.nDeadline > 0 }
 
 // effDeadline is a queued task's EDF key: its real absolute deadline,
 // or the virtual one a best-effort task ages under (enqueue time +
@@ -225,10 +178,8 @@ type slackPlan struct {
 
 // planSlack prices one unit about to be fed: predicted cost from the
 // calibrated model, queue delay from the pool's pending-cost gauge, and
-// the action classifySlack picks. With slack actions disabled the
-// prediction is still made (the histograms and bench arms want it) but
-// no action is taken. Uncalibrated or best-effort: everything stands
-// down — unknown cost is not free cost.
+// the action classifySlack picks. Uncalibrated or best-effort: everything
+// stands down — unknown cost is not free cost.
 func (s *Server) planSlack(st *stream, u *core.Unit) slackPlan {
 	var sp slackPlan
 	sp.cost = s.cost.Predict(int64(len(u.Data)))
@@ -240,9 +191,6 @@ func (s *Server) planSlack(st *stream, u *core.Unit) slackPlan {
 	s.mu.Unlock()
 	sp.pred = st.deadline - wait - sp.cost
 	sp.known = true
-	if s.cfg.DisableSlackActions {
-		return sp
-	}
 	sp.floor = classifySlack(st.deadline, wait, sp.cost, s.cost.Predict(u.ShedSavings(core.ShedB)))
 	return sp
 }

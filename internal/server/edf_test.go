@@ -11,48 +11,14 @@ import (
 	"mpeg2par/internal/sched"
 )
 
-func TestParseDispatch(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want DispatchPolicy
-	}{
-		{"", DispatchAuto},
-		{"auto", DispatchAuto},
-		{"fair", DispatchFair},
-		{"edf", DispatchEDF},
-	} {
-		got, err := ParseDispatch(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseDispatch(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if tc.in != "" && got.String() != tc.in {
-			t.Fatalf("%v.String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseDispatch("bogus"); err == nil {
-		t.Fatal("unknown policy must error")
-	}
-}
-
 func TestEDFActive(t *testing.T) {
 	s := &Server{}
-	s.cfg.Dispatch = DispatchFair
-	s.nDeadline = 5
 	if s.edfActiveLocked() {
-		t.Fatal("DispatchFair must never run EDF")
-	}
-	s.cfg.Dispatch = DispatchEDF
-	s.nDeadline = 0
-	if !s.edfActiveLocked() {
-		t.Fatal("DispatchEDF must always run EDF")
-	}
-	s.cfg.Dispatch = DispatchAuto
-	if s.edfActiveLocked() {
-		t.Fatal("auto with no deadline streams must fall back to fair")
+		t.Fatal("no deadline streams must fall back to fair")
 	}
 	s.nDeadline = 1
 	if !s.edfActiveLocked() {
-		t.Fatal("auto with a deadline stream must run EDF")
+		t.Fatal("a deadline stream must run EDF")
 	}
 }
 
@@ -122,7 +88,6 @@ func qstream(id, prio int, heads ...*task) *stream {
 // queue gauges.
 func edfServer(streams ...*stream) *Server {
 	s := &Server{streams: make(map[int]*stream)}
-	s.cfg.Dispatch = DispatchEDF
 	s.cfg.StarveWindow = 2 * time.Second
 	s.cfg.BestEffortLag = 500 * time.Millisecond
 	for _, st := range streams {

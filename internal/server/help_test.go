@@ -213,9 +213,11 @@ func TestHelperReturnsToDispatch(t *testing.T) {
 
 // TestCancelMidHelp: a stream cancelled while an idle worker helps its
 // group tears down like any other — the context's error, no frame bytes
-// and no goroutines left behind.
+// and no goroutines left behind. The sink holds the last frame until the
+// cancellation lands, so a loaded host cannot finish the stream first.
 func TestCancelMidHelp(t *testing.T) {
-	data := testStream(t, 352, 240, 65, 13)
+	const pics = 65
+	data := testStream(t, 352, 240, pics, 13)
 	base := runtime.NumGoroutine()
 	tr, helped := helping()
 	srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true, Obs: tr})
@@ -228,8 +230,14 @@ func TestCancelMidHelp(t *testing.T) {
 		}
 		cancel()
 	}()
+	var shown atomic.Int32
 	ss, err := srv.Decode(ctx, bytes.NewReader(data), server.StreamConfig{
 		Resilience: core.ConcealSlice, MaxInFlight: 1,
+		Sink: func(*frame.Frame) {
+			if shown.Add(1) == pics {
+				<-ctx.Done()
+			}
+		},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -82,10 +82,6 @@ type Config struct {
 	// DisableAutoDegrade freezes the ladder; SetDegradation still moves
 	// it manually (deterministic tests).
 	DisableAutoDegrade bool
-	// Dispatch selects the pool's task ordering: DispatchAuto (EDF while
-	// any admitted stream has a frame deadline, weighted fair otherwise),
-	// DispatchFair, or DispatchEDF. See edf.go.
-	Dispatch DispatchPolicy
 	// BestEffortLag is the virtual deadline granted to tasks of streams
 	// without one while EDF is active: enqueue time + BestEffortLag.
 	// Best-effort work thus runs late but keeps flowing. Default 500ms.
@@ -94,10 +90,6 @@ type Config struct {
 	// EDF before it runs regardless of band or deadline — the aging
 	// guard that keeps the documented no-starvation invariant. Default 2s.
 	StarveWindow time.Duration
-	// DisableSlackActions freezes the slack predictor's plan-time
-	// shedding while leaving the dispatch order alone — the baseline arm
-	// of the deadline benchmarks and the deterministic-golden switch.
-	DisableSlackActions bool
 	// Cost is the shared byte→time cost model admission and scheduling
 	// calibrate through; nil allocates a fresh one.
 	Cost *sched.CostModel

@@ -127,32 +127,6 @@ const (
 	ModeAuto          = core.ModeAuto
 )
 
-// Packing selects the order the slice queue hands a picture's tasks to
-// the worker pool (GOP mode runs groups in stream order); every packing
-// produces bit-identical output.
-type Packing = core.Packing
-
-// The task-queue packing disciplines. PackLPT (the default) packs
-// longest-first by byte-size cost; PackFIFO hands tasks out in slice
-// order, for measurement.
-const (
-	PackLPT  = core.PackLPT
-	PackFIFO = core.PackFIFO
-)
-
-// Affinity selects task→worker steering in the slice task queue; every
-// affinity produces bit-identical output.
-type Affinity = core.Affinity
-
-// The task-steering disciplines. AffinityRow (the default) steers each
-// task to the worker whose horizontal band of the picture it starts in —
-// the worker that decoded that band of the reference picture;
-// AffinityNone is the paper's pure dynamic assignment.
-const (
-	AffinityRow  = core.AffinityRow
-	AffinityNone = core.AffinityNone
-)
-
 // AutoDecision records how a ModeAuto run resolved (Stats.Auto).
 type AutoDecision = core.AutoDecision
 

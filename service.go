@@ -42,15 +42,6 @@ type ServerConfig struct {
 	// DisableAutoDegrade freezes the graceful-degradation ladder;
 	// Server.SetDegradation still moves it manually.
 	DisableAutoDegrade bool
-	// Dispatch selects the pool's task ordering: DispatchAuto (the
-	// default) runs earliest-deadline-first while any admitted stream
-	// has a frame deadline and weighted fair otherwise; DispatchFair
-	// and DispatchEDF force one order. Under EDF, predicted slack from
-	// the calibrated cost model also sheds already-doomed frames at
-	// plan time, bit-exact for surviving frames. Whatever the order, a
-	// group that starts while a worker is idle and nothing is queued
-	// takes the idle worker as a helper on its pictures' slices.
-	Dispatch DispatchPolicy
 	// Trace, when non-nil, records the service's scheduling events:
 	// task spans on worker lanes, and admission, shed, degradation,
 	// pause and display events on one lane per stream.
@@ -59,22 +50,6 @@ type ServerConfig struct {
 
 // ServiceMetrics is a point-in-time snapshot of a Server's gauges.
 type ServiceMetrics = server.Metrics
-
-// DispatchPolicy selects the shared pool's task ordering (see
-// ServerConfig.Dispatch).
-type DispatchPolicy = server.DispatchPolicy
-
-// Dispatch policies.
-const (
-	// DispatchAuto: EDF while any admitted stream has a deadline,
-	// weighted fair otherwise.
-	DispatchAuto = server.DispatchAuto
-	// DispatchFair: always weighted fair by priority.
-	DispatchFair = server.DispatchFair
-	// DispatchEDF: always earliest-effective-deadline-first (best-effort
-	// streams age under a virtual deadline).
-	DispatchEDF = server.DispatchEDF
-)
 
 // SlackHist is a fixed-bucket histogram of deadline slack; StreamStats
 // carries one of predicted (feed-time) and one of actual (delivery)
@@ -160,7 +135,13 @@ func WithStreamIndex(ix *Index) StreamOption {
 // deadlines, scan-ahead), and a graceful-degradation ladder that sheds
 // B pictures, then reference pictures plus a resilience floor, then
 // pauses the lowest-priority class with bounded backoff, and only then
-// rejects new streams. See DESIGN.md, "Multi-stream service".
+// rejects new streams. The pool runs earliest-deadline-first while any
+// admitted stream has a frame deadline, and weighted fair order
+// otherwise; under EDF, predicted slack from the calibrated cost model
+// also sheds already-doomed frames at plan time, bit-exact for surviving
+// frames. A group that starts while a worker is idle and nothing is
+// queued takes the idle worker as a helper on its pictures' slices. See
+// DESIGN.md, "Multi-stream service".
 type Server struct {
 	s *server.Server
 }
@@ -174,7 +155,6 @@ func NewServer(cfg ServerConfig) *Server {
 		TargetUtilization:  cfg.TargetUtilization,
 		Watchdog:           cfg.Watchdog,
 		DisableAutoDegrade: cfg.DisableAutoDegrade,
-		Dispatch:           cfg.Dispatch,
 		Obs:                cfg.Trace,
 	})}
 }

@@ -76,7 +76,6 @@ func TestWithIndexStreaming(t *testing.T) {
 		mpeg2par.WithMode(mpeg2par.ModeSliceImproved),
 		mpeg2par.WithWorkers(3),
 		mpeg2par.WithIndex(loaded),
-		mpeg2par.WithSplitParts(3),
 		mpeg2par.WithFrameSink(got.add))
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +133,13 @@ func TestWithSpeculativeSplitStreaming(t *testing.T) {
 // the public API.
 func TestErrBadOptionPublic(t *testing.T) {
 	s := tallStream(t)
-	_, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(s.Data), mpeg2par.WithSplitParts(-1))
+	_, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(s.Data), mpeg2par.WithMode(mpeg2par.Mode(99)))
 	if !errors.Is(err, mpeg2par.ErrBadOption) {
-		t.Fatalf("negative split parts: err %v, want ErrBadOption", err)
+		t.Fatalf("unknown mode: err %v, want ErrBadOption", err)
 	}
 }
 
-// TestWithIndexDefaultGrain: without WithSplitParts the streaming pipeline
-// cuts a tall slice at the band grain of its pool — a SIF picture's one
+// TestWithIndexDefaultGrain: the streaming pipeline cuts a tall slice at the band grain of its pool — a SIF picture's one
 // slice becomes four, eight and fifteen segments on one, two and four
 // workers — and the frames stay the sequential decode's.
 func TestWithIndexDefaultGrain(t *testing.T) {
