@@ -67,5 +67,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=NONE -fuzz=FuzzReconBlock -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=NONE -fuzz=FuzzStreamScan -fuzztime=$(FUZZTIME) ./internal/stream
+	$(GO) test -run=NONE -fuzz=FuzzIndexUnmarshal -fuzztime=$(FUZZTIME) ./internal/vldsplit
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/mpeg2
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMBHeader -fuzztime=$(FUZZTIME) ./internal/mpeg2

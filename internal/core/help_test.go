@@ -1,7 +1,7 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +15,7 @@ import (
 
 // helpDecode drives a Session the way the service's pool runs a task that
 // took helpers: every unit is fed and run on this goroutine while a second
-// goroutine, with its own Scratch, helps it until Run returns. With help
+// goroutine, with its own Scratch, helps it until no task is left. With help
 // false nobody helps — the decode a helped one must equal. A session plans
 // no split segments, so a group that holds any fails the test. It returns
 // how many tasks the helper decoded.
@@ -53,7 +53,7 @@ func helpDecode(t testing.TB, data []byte, opt Options, help bool) (*Stats, []*f
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				n, _ := tk.Help(1, &hscr, func() bool { return false }, nil)
+				n, _ := tk.Help(1, &hscr, func() bool { return false })
 				units += n
 			}()
 		}
@@ -242,79 +242,80 @@ func TestAssistFaultedGolden(t *testing.T) {
 
 // TestHelperLeavesAfterOneUnit pins the helper's side of the offer rule:
 // once leave reports true — a task has been queued — a helper returns after
-// the unit it is decoding, having claimed nothing more, and what it decoded
-// is merged so that the owner, claiming the rest, completes the picture as
-// if alone.
+// the unit it is decoding, having taken nothing more, and the owner, taking
+// the rest, completes every picture bit-exact with what decoding alone
+// counts.
 func TestHelperLeavesAfterOneUnit(t *testing.T) {
 	res := testStream(t, 96, 64, 4, 4)
 	want := sequentialFrames(t, res.Data)
-	sess, tk := helpTask(t, res.Data)
+	var sink collectSink
+	sess, tk := helpTask(t, res.Data, sink.add)
 	p := tk.pics[0] // the intra picture: nothing to wait for
 	if p.nTasks < 3 {
 		t.Fatalf("picture has %d tasks, want several", p.nTasks)
 	}
 	var owner, helper Scratch
-	newPlanFrame(sess.pool, p)
-	owner.s.cov.reset(p.params.MBWidth * p.params.MBHeight)
-	d := &tk.desk
-	d.open(p, &owner.s)
-
 	asked := 0
-	units, ended := tk.Help(1, &helper, func() bool { asked++; return asked > 1 }, nil)
-	if units != 1 || ended || p.claim.Load() != 1 {
-		t.Fatalf("helper decoded %d tasks (ended %v, %d claimed), want one and back to dispatch", units, ended, p.claim.Load())
+	units, ended := tk.Help(1, &helper, func() bool { asked++; return asked > 1 })
+	if units != 1 || ended || p.nextSlice != 1 || p.remaining != p.nTasks-1 {
+		t.Fatalf("helper decoded %d tasks (ended %v, %d taken, %d of %d left), want one and back to dispatch",
+			units, ended, p.nextSlice, p.remaining, p.nTasks)
 	}
-	for d.runClaim(&sess.seq, p, 0, sess.opt, &owner.s) {
+	if err := sess.Run(tk, 0, &owner); err != nil {
+		t.Fatal(err)
 	}
-	mbs := 0
-	for _, w := range d.work {
-		mbs += w.MBs
+	st, err := sess.Finish(nil)
+	if err != nil || st.LeakedFrameBytes != 0 {
+		t.Fatalf("finish: %v, %d frame bytes leaked", err, st.LeakedFrameBytes)
 	}
-	if d.err != nil || !owner.s.cov.full() || mbs != p.params.MBWidth*p.params.MBHeight {
-		t.Fatalf("picture incomplete after the owner's claims: err %v, covered %d, %d macroblocks decoded", d.err, owner.s.cov.n, mbs)
+	if mbs := len(want) * p.params.MBWidth * p.params.MBHeight; st.Work.MBs != mbs || st.Errors.Any() {
+		t.Fatalf("%d macroblocks decoded, errors %+v; want %d and none", st.Work.MBs, st.Errors, mbs)
 	}
-	if !p.frame.Equal(want[p.displayIdx]) {
-		t.Fatal("picture differs from the sequential oracle")
+	if len(sink.frames) != len(want) {
+		t.Fatalf("%d frames shown, want %d", len(sink.frames), len(want))
 	}
-	if st, _ := sess.Finish(context.Canceled); st.LeakedFrameBytes != 0 {
-		t.Fatalf("%d frame bytes leaked", st.LeakedFrameBytes)
+	for i := range want {
+		if !sink.frames[i].Equal(want[i]) {
+			t.Fatalf("frame %d differs from the sequential oracle", i)
+		}
 	}
 }
 
-// TestHelperBlocksUntilWoken: a helper with nothing to claim asks leave
-// only while its short poll lasts, then blocks — no naps, no polling — and
-// returns the moment wake is closed, however long it has waited; a helper
-// waiting when the task's Run returns comes back too.
+// TestHelperBlocksUntilWoken: a helper with nothing to take while no peer
+// holds a task — it has run every task of the first picture, which only
+// the owner completes, and the owner has not started — asks leave only as
+// it takes and once more as it blocks — no naps, no polling — and returns
+// the moment Wake is called, however long it has waited. A helper waiting
+// when the owner takes the task's last unit comes back too, the task ended.
 func TestHelperBlocksUntilWoken(t *testing.T) {
-	sess, tk := helpTask(t, testStream(t, 96, 64, 4, 4).Data)
+	sess, tk := helpTask(t, testStream(t, 96, 64, 4, 4).Data, nil)
 	var scr, owner Scratch
 	var asked atomic.Int32
 	var quit atomic.Bool
-	wake := make(chan struct{})
 	done := make(chan bool)
 	go func() {
-		_, ended := tk.Help(1, &scr, func() bool { asked.Add(1); return quit.Load() }, wake)
+		_, ended := tk.Help(1, &scr, func() bool { asked.Add(1); return quit.Load() })
 		done <- ended
 	}()
-	time.Sleep(20 * time.Millisecond) // no picture is open: the helper waits
+	time.Sleep(20 * time.Millisecond) // the helper runs the first picture's tasks, then waits
 	n := asked.Load()
 	time.Sleep(20 * time.Millisecond)
 	if d := asked.Load() - n; d > 2 {
 		t.Fatalf("a waiting helper asked leave %d times in 20 ms: it polls or naps instead of blocking", d)
 	}
 	quit.Store(true)
-	close(wake)
+	tk.Wake()
 	select {
 	case ended := <-done:
 		if ended {
 			t.Fatal("helper reports an ended task that never ran")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("closing wake did not end the helper's wait")
+		t.Fatal("Wake did not end the helper's wait")
 	}
 
 	go func() {
-		_, ended := tk.Help(1, &scr, func() bool { return false }, nil)
+		_, ended := tk.Help(1, &scr, func() bool { return false })
 		done <- ended
 	}()
 	if err := sess.Run(tk, 0, &owner); err != nil {
@@ -323,7 +324,7 @@ func TestHelperBlocksUntilWoken(t *testing.T) {
 	select {
 	case ended := <-done:
 		if !ended {
-			t.Fatal("helper left a task that had ended without seeing the end")
+			t.Fatal("helper left a task with nothing left to take without seeing its end")
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the task's end did not end the helper's wait")
@@ -333,14 +334,56 @@ func TestHelperBlocksUntilWoken(t *testing.T) {
 	}
 }
 
-// helpTask starts a 2-worker session on data and plans its first group.
-func helpTask(t *testing.T, data []byte) (*Session, *SessionTask) {
+// TestRunWaitsOutHelpersOfFailedSession: Run on a session that has already
+// failed decodes nothing, but returns only once no helper still decodes a
+// unit of the task into a frame the teardown is about to reclaim; the
+// helper, back for its next unit, finds the queue failed.
+func TestRunWaitsOutHelpersOfFailedSession(t *testing.T) {
+	sess, tk := helpTask(t, testStream(t, 96, 64, 4, 4).Data, nil)
+	var ws WorkerStats
+	stay := func() bool { return false }
+	p, ti, ok := tk.q.take(1, &ws, stay) // a helper holds a unit
+	if !ok || ti < 0 {
+		t.Fatal("the helper got no unit")
+	}
+	sess.Abort(errors.New("stream failed"))
+	var owner Scratch
+	done := make(chan error, 1)
+	go func() { done <- sess.Run(tk, 0, &owner) }()
+	select {
+	case err := <-done:
+		t.Fatalf("Run returned (%v) while a helper held a unit", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	tk.q.finish(p, ti, nil, &tally{}, nil)
+	if _, _, ok := tk.q.take(1, &ws, stay); ok {
+		t.Fatal("a failed queue handed out a unit")
+	}
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Run on a failed session reported no error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return once the helper let go of its unit")
+	}
+	if st, _ := sess.Finish(nil); st.LeakedFrameBytes != 0 {
+		t.Fatalf("%d frame bytes leaked", st.LeakedFrameBytes)
+	}
+}
+
+// helpTask starts a 2-worker session on data and plans its first group;
+// sink, if not nil, receives the frames.
+func helpTask(t *testing.T, data []byte, sink func(*frame.Frame)) (*Session, *SessionTask) {
 	t.Helper()
 	m, err := Scan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(Options{Workers: 2, Sink: func(*frame.Frame) {}})
+	if sink == nil {
+		sink = func(*frame.Frame) {}
+	}
+	sess, err := NewSession(Options{Workers: 2, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,9 +62,11 @@ type plan struct {
 type planBuilder struct {
 	seq    *mpeg2.SequenceHeader
 	policy Resilience
-	// workers sizes and orders the slice-queue tasks (buildRowGroups,
-	// packOrder): the pool the plan will run on.
+	// workers sizes the slice-queue tasks (buildRowGroups) and, in a
+	// slice-grain plan (pack), orders them (packOrder): the pool the plan
+	// will run on. A GOP-grain plan's tasks go out in task order.
 	workers int
+	pack    bool
 	pl      plan
 
 	// Intra-slice split configuration: when on, every planned single-slice
@@ -92,7 +94,7 @@ type planBuilder struct {
 // the service's sessions among them, plan no segment tasks, so there it
 // would only waste plan-time probing.
 func newPlanBuilder(seq *mpeg2.SequenceHeader, opt Options) *planBuilder {
-	return &planBuilder{seq: seq, policy: opt.Resilience, workers: opt.Workers,
+	return &planBuilder{seq: seq, policy: opt.Resilience, workers: opt.Workers, pack: opt.Mode.sliceGrain(),
 		splitOn: opt.Mode.sliceGrain() && (opt.SplitIndex != nil || opt.SpeculativeSplit), splitOpt: opt}
 }
 
@@ -299,12 +301,13 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 				ps.groups = [][]int{nil}
 			}
 			ps.nTasks = len(ps.groups)
-			// Pack the row-group tasks for the slice queue.
-			costs := make([]int64, len(ps.groups))
-			for gi, grp := range ps.groups {
-				costs[gi] = groupCost(ps.rng.Slices, grp)
+			if b.pack {
+				costs := make([]int64, len(ps.groups))
+				for gi, grp := range ps.groups {
+					costs[gi] = groupCost(ps.rng.Slices, grp)
+				}
+				ps.order = packOrder(costs, b.workers)
 			}
-			ps.order = packOrder(costs, b.workers)
 			if b.splitOn {
 				buildSplitTasks(ps, data, b.splitOpt, &b.scratch)
 			}

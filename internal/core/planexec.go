@@ -18,7 +18,6 @@ func newPlanFrame(pool *frame.Pool, p *picState) *frame.Frame {
 	f.Retain(1 + p.deps)
 	f.PictureType = "?IPB"[int(p.hdr.Type)]
 	f.TemporalRef = p.hdr.TemporalReference
-	p.frame = f
 	return f
 }
 
@@ -43,29 +42,9 @@ func releaseHolds(pool *frame.Pool, p *picState) {
 	}
 }
 
-// decodePlanPic decodes or substitutes one planned picture into its
-// frame: the executor of Session.Run — the sequential and GOP-grain modes
-// and the service — and of the trace generator. The frames of the
-// references and substitution source must be complete. The picture's tasks
-// run in task order through d, where idle workers of the service's pool
-// may claim some of them (SessionTask.Help). Who ran which task shows in
-// nothing returned, nor in the pixels.
-func decodePlanPic(seq *mpeg2.SequenceHeader, p *picState, wi int, opt Options, scr *sliceScratch, d *helpDesk) (decoder.WorkStats, ErrorStats, error) {
-	if p.fate == fateSubstitute {
-		substitute(p)
-		return decoder.WorkStats{}, ErrorStats{}, nil
-	}
-	scr.cov.reset(p.params.MBWidth * p.params.MBHeight)
-	work, es, err := d.share(seq, p, wi, opt, scr)
-	if err != nil {
-		return work, es, err
-	}
-	return work, es, concealUncovered(p, &scr.cov, opt, &es)
-}
-
-// concealUncovered is the completion step of a picture decoded on one
-// worker: every macroblock cov lacks is concealed from the picture's
-// reference and tallied into es — or, under FailFast, reported.
+// concealUncovered is the completion step of a decoded picture: every
+// macroblock cov lacks is concealed from the picture's reference and
+// tallied into es — or, under FailFast, reported.
 func concealUncovered(p *picState, cov *coverage, opt Options, es *ErrorStats) error {
 	if cov.full() {
 		return nil
@@ -94,12 +73,12 @@ func lap(prof []time.Duration, k int, t0 *time.Time) {
 
 // runPlanSliceTask executes task ti of planned picture p: the single
 // substitution step of a dropped picture, one macroblock-row group of
-// slices, or one segment of a split slice. Damage is tallied into es and
-// split activity into sst; reconstructed macroblock addresses are
+// slices, or one segment of a split slice. Work, damage and split
+// activity are tallied into tl; reconstructed macroblock addresses are
 // appended to taskAddrs; with Options.Profile each slice of the group, or
 // the segment, is timed into p.prof[ti]. A non-nil error is only possible
 // under FailFast.
-func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Options, scr *sliceScratch, work *decoder.WorkStats, es *ErrorStats, sst *SplitStats, taskAddrs *[]int) error {
+func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Options, scr *sliceScratch, tl *tally, taskAddrs *[]int) error {
 	var prof []time.Duration
 	var t0 time.Time
 	if p.prof != nil {
@@ -117,16 +96,16 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 		// A segment of a split slice. Only the join's (fallback) error is
 		// authoritative — a failed segment alone proves nothing about the
 		// slice, so per-segment errors stay inside the join state.
-		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, p.rowwise, opt, opt.Tracer, scr, sst)
-		work.Add(w)
+		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, p.rowwise, opt, opt.Tracer, scr, &tl.sst)
+		tl.work.Add(w)
 		lap(prof, 0, &t0)
 		if err != nil {
 			if opt.Resilience == FailFast {
 				return err
 			}
-			es.DamagedSlices++
+			tl.es.DamagedSlices++
 			if j.si != last {
-				es.Resyncs++
+				tl.es.Resyncs++
 			}
 			return nil
 		}
@@ -135,15 +114,15 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 	}
 	for k, si := range p.groups[gi] {
 		w, addrs, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, p.frame, wi, opt.Tracer, scr)
-		work.Add(w)
+		tl.work.Add(w)
 		lap(prof, k, &t0)
 		if err != nil {
 			if opt.Resilience == FailFast {
 				return err
 			}
-			es.DamagedSlices++
+			tl.es.DamagedSlices++
 			if si != last {
-				es.Resyncs++
+				tl.es.Resyncs++
 			}
 			continue
 		}

@@ -39,7 +39,7 @@ type takeResult struct {
 func takeAsync(q *sliceQueue, wi int, ws *WorkerStats) <-chan takeResult {
 	ch := make(chan takeResult, 1)
 	go func() {
-		p, _, ok := q.take(wi, ws)
+		p, _, ok := q.take(wi, ws, nil)
 		ch <- takeResult{p, ok}
 	}()
 	return ch
@@ -84,7 +84,7 @@ func TestTakePollsWhilePeerHoldsTask(t *testing.T) {
 		q, pics := pollQueue(2, true)
 		q.closed = true
 		var ws0, ws1 WorkerStats
-		if p, _, ok := q.take(0, &ws0); !ok || p != pics[0] {
+		if p, _, ok := q.take(0, &ws0, nil); !ok || p != pics[0] {
 			t.Fatal("worker 0 did not get the reference picture's task")
 		}
 		got := takeAsync(q, 1, &ws1)
@@ -96,10 +96,10 @@ func TestTakePollsWhilePeerHoldsTask(t *testing.T) {
 				t.Fatal("take handed out a task from a failed queue")
 			}
 		} else {
-			if !q.finish(pics[0], rowAddrs(pics[0], 0)) {
+			if !q.finish(pics[0], 0, rowAddrs(pics[0], 0), &tally{}, nil) {
 				t.Fatal("reference picture not done after its only task")
 			}
-			q.completePic(pics[0])
+			q.completePic(pics[0], ErrorStats{})
 			if r := recv(t, got, "the dependent task"); !r.ok || r.p != pics[1] || ws1.Wait <= 0 {
 				t.Fatalf("worker 1: take = %+v, want the dependent picture after a blocked wait", r)
 			}
@@ -135,11 +135,11 @@ func TestTakeParksOnUnboundedWaits(t *testing.T) {
 	q, pics = pollQueue(2, false)
 	q.closed, q.depth = true, 1
 	ws0, ws1 = WorkerStats{}, WorkerStats{}
-	if _, _, ok := q.take(0, &ws0); !ok {
+	if _, _, ok := q.take(0, &ws0, nil); !ok {
 		t.Fatal("worker 0 got no task")
 	}
-	q.finish(pics[0], rowAddrs(pics[0], 0))
-	q.completePic(pics[0]) // worker 0 is now inside the display process
+	q.finish(pics[0], 0, rowAddrs(pics[0], 0), &tally{}, nil)
+	q.completePic(pics[0], ErrorStats{}) // worker 0 is now inside the display process
 	got1 = takeAsync(q, 1, &ws1)
 	awaitBlocked(t, q, "worker 1 asleep behind the depth window", asleep(&ws1))
 	q.shipPic(pics[0])
@@ -160,11 +160,11 @@ func stalledPool(t *testing.T) (release func()) {
 	t.Helper()
 	q, pics := pollQueue(1, false)
 	var ws0, ws1 WorkerStats
-	if _, _, ok := q.take(1, &ws1); !ok {
+	if _, _, ok := q.take(1, &ws1, nil); !ok {
 		t.Fatal("worker 1 got no task")
 	}
-	q.finish(pics[0], rowAddrs(pics[0], 0))
-	q.completePic(pics[0])
+	q.finish(pics[0], 0, rowAddrs(pics[0], 0), &tally{}, nil)
+	q.completePic(pics[0], ErrorStats{})
 	q.shipPic(pics[0])
 	got0, got1 := takeAsync(q, 0, &ws0), takeAsync(q, 1, &ws1)
 	awaitBlocked(t, q, "both workers asleep on the stalled queue", func() bool { return ws0.Parks == 1 && ws1.Parks == 1 })

@@ -3,13 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	rtrace "runtime/trace"
 
-	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/kernels"
 	"mpeg2par/internal/mpeg2"
@@ -28,8 +28,8 @@ import (
 //
 // Concurrency contract: FeedShed and Finish are called from a single
 // goroutine (the stream's feeder); Run may be called concurrently from
-// any number of pool workers, one call per task, and SessionTask.Help by
-// any number of others while a task runs; SetShed and
+// any number of pool workers, one call per task, and SessionTask.Help and
+// Wake by others while it runs — only Run's worker displays; SetShed and
 // SetDegraded may be called from any goroutine and apply to units
 // planned after the call. Tasks of one session may run concurrently
 // and in any order — each task is one group of pictures, and the
@@ -68,7 +68,7 @@ type SessionTask struct {
 	shed        int   // pictures of this group substituted by shedding
 	shedIdx     []int // display indices of the substituted pictures
 
-	desk helpDesk // where Run shares its pictures with Help
+	q sliceQueue // hands the group's tasks to Run and Help (simple variant)
 
 	// policy is the effective resilience the unit was planned under
 	// (the stream's requested policy, floored at ConcealPicture while
@@ -108,11 +108,11 @@ func (t *SessionTask) ShedDisplays() []int { return t.shedIdx }
 // may raise its effective value per unit via SetDegraded. opt.Mode is
 // ignored: a service session always executes at GOP grain (the paper's
 // continuous-playback recommendation), and Stats.Mode reports ModeGOP. Its
-// pictures are planned as row-group tasks all the same, which idle workers
-// of the pool may share (SessionTask.Help), claimed in stream order: there
-// is no band to steer them by and no tail for packing to level. Its slices
-// are never split, so opt.SplitIndex and opt.SpeculativeSplit have no
-// effect.
+// pictures are planned as row-group tasks all the same, which each task's
+// queue hands to its worker and to idle workers of the pool that help it
+// (SessionTask.Help), in task order: there is no band to steer them by and
+// no tail for packing to level. Its slices are never split, so
+// opt.SplitIndex and opt.SpeculativeSplit have no effect.
 func NewSession(opt Options) (*Session, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("core: need at least one worker")
@@ -165,9 +165,9 @@ func (s *Session) Err() error { return s.errs.get() }
 // substitutions ship synthesized content even on clean streams, and a
 // recycled buffer must never leak stale pixels. Otherwise a FailFast
 // decode overwrites every pixel it ships and does not wipe; a concealing
-// slice-grain decode wipes on Put (the slice queue calls Get under its
-// lock), and a concealing GOP-grain or sequential one on Get, right
-// before the decode it warms the frame for.
+// slice-grain decode wipes on Put (the queue's other workers wait for a
+// picture's frame), and a concealing GOP-grain or sequential one on Get,
+// right before the decode it warms the frame for.
 func poolScrub(mode Mode, policy Resilience, lends bool) frame.Scrub {
 	switch {
 	case lends:
@@ -246,7 +246,7 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	if len(ps) == 0 {
 		return nil, nil
 	}
-	return &SessionTask{
+	t := &SessionTask{
 		s:           s,
 		pics:        ps,
 		g:           u.G,
@@ -256,7 +256,10 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 		shed:        shedNow,
 		shedIdx:     shedIdx,
 		policy:      policy,
-	}, nil
+	}
+	t.q = sliceQueue{pics: slices.Clone(ps), pool: s.pool, solo: true, closed: true}
+	t.q.cond = sync.NewCond(&t.q.mu)
+	return t, nil
 }
 
 // profile readies the run's cost tables for one planned group: a GOPCosts
@@ -312,57 +315,79 @@ type Scratch struct{ s sliceScratch }
 // decoding — the drain path that keeps teardown prompt. A decode error is
 // latched and returned. With Options.Profile the task's cost, and each
 // picture's, fill the group's Stats.GOPCosts entry. Workers calling Help
-// meanwhile decode some of each picture's tasks.
+// meanwhile decode some of each picture's tasks; Run returns only once
+// none of them holds one.
 func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
-	defer t.desk.end()
+	var ws WorkerStats // a task's inner waits are not the worker's: its Busy is the whole Run
 	if err := s.errs.get(); err != nil {
+		t.q.fail()
+		s.drive(&t.q, wi, &ws, s.opt, &scr.s, nil, nil) // hands out nothing: waits out the helpers' tasks
 		return err
 	}
 	t1 := time.Now()
 	reg := rtrace.StartRegion(context.Background(), "mpeg2par.gopTask")
 	defer reg.End()
-	var work decoder.WorkStats
-	var es ErrorStats
-	var picCosts []time.Duration
 	opt := s.opt
 	opt.Resilience = t.policy
-	for _, p := range t.pics {
-		tp := time.Now()
-		newPlanFrame(s.pool, p)
-		w, pes, err := decodePlanPic(&s.seq, p, wi, opt, &scr.s, &t.desk)
-		work.Add(w)
-		es.Add(pes)
-		if err != nil {
-			err = fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err)
-			s.errs.set(err)
-			s.noteTask(t, wi, t1, work, es, nil)
-			return err
-		}
-		releaseHolds(s.pool, p)
-		s.disp.push(p.frame, p.displayIdx)
-		if s.opt.Profile {
+	var picCosts []time.Duration
+	tp := t1
+	err := s.drive(&t.q, wi, &ws, opt, &scr.s, nil, func(_ *picState, ti int, _ time.Time) {
+		if ti < 0 && s.opt.Profile {
 			picCosts = append(picCosts, time.Since(tp))
+			tp = time.Now()
 		}
+	})
+	if err != nil {
+		err = fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err)
+		s.errs.set(err)
+		s.noteTask(t, wi, t1, nil)
+		return err
 	}
 	s.pb.pl.retire(t.pics)
-	cost := s.noteTask(t, wi, t1, work, es, picCosts)
+	cost := s.noteTask(t, wi, t1, picCosts)
 	s.opt.Cost.Observe(t.bytes, cost)
 	return nil
 }
 
-// noteTask records a task's span and merges its tallies into the run's
-// (its profile too, when given one); it returns the task's cost.
-func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.WorkStats, es ErrorStats, picCosts []time.Duration) time.Duration {
+// noteTask records a task's span and merges what it tallied into the run's
+// Stats (its profile too, when given one); it returns the task's cost.
+func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, picCosts []time.Duration) time.Duration {
 	cost := time.Since(t1)
 	s.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
 	s.workMu.Lock()
-	s.st.Work.Add(work)
-	s.st.Errors.Add(es)
+	s.st.Work.Add(t.q.sum.work)
+	s.st.Errors.Add(t.q.sum.es)
 	if picCosts != nil {
-		s.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: work, Pictures: picCosts}
+		s.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: t.q.sum.work, Pictures: picCosts}
 	}
 	s.workMu.Unlock()
 	return cost
+}
+
+// Help lends worker wi, with its scratch, to t while another worker runs
+// it: it runs t's tasks as Run does until leave reports true or none is
+// left to hand out, and completes no picture, so it never calls a sink.
+// leave is asked before every task and whenever a wait for one wakes — a
+// helper polls while a peer holds a task and sleeps otherwise — so call
+// Wake whenever leave may have turned true. Help returns how many tasks it
+// ran, each an obs.KindTask span on lane wi naming its picture, and
+// whether t has none left for it.
+func (t *SessionTask) Help(wi int, scr *Scratch, leave func() bool) (units int, ended bool) {
+	opt := t.s.opt
+	opt.Resilience = t.policy
+	var ws WorkerStats
+	t.s.drive(&t.q, wi, &ws, opt, &scr.s, leave, func(p *picState, ti int, t0 time.Time) {
+		units++
+		opt.Obs.Record(obs.KindTask, wi, t0, time.Since(t0), t.g, p.displayIdx, ti)
+	})
+	return units, !leave()
+}
+
+// Wake wakes t's waiting helpers, each to ask its leave again.
+func (t *SessionTask) Wake() {
+	t.q.mu.Lock()
+	t.q.changed()
+	t.q.mu.Unlock()
 }
 
 // Finish completes the session once every issued task has returned from

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	rtrace "runtime/trace"
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/decoder"
@@ -36,8 +39,7 @@ type picState struct {
 	deps     int32 // number of later pictures that reference this one
 
 	frame     *frame.Frame
-	nextSlice int          // next task to hand out
-	claim     atomic.Int32 // next task to claim, decoding the picture whole (helpDesk)
+	nextSlice int // next task to hand out
 	// order, when non-nil, maps handout position to task index — the
 	// scheduler's packing of this picture's tasks (packOrder). Nil means
 	// stream order. Tasks of one picture touch disjoint pixels
@@ -100,8 +102,9 @@ type picState struct {
 // itself: a task is runnable once the reference rows inside its motion
 // window (refRowWindow) have been published, so a worker that reaches the
 // end of a reference picture finds most of the next picture runnable
-// instead of going to sleep. The scan process appends pictures as it
-// discovers them and closes the queue at end of stream.
+// instead of going to sleep. In a slice-grain decode the scan process
+// appends pictures as it discovers them and closes the queue at end of
+// stream; every SessionTask holds one too, over its group (solo).
 type sliceQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -133,7 +136,8 @@ type sliceQueue struct {
 	obs *obs.Tracer
 
 	// How a blocked take waits. out[wi] marks worker wi as holding a task:
-	// set by the take that handed it one, cleared by its next take. busy
+	// set by the take that handed it one, cleared by its next take (a task's
+	// owner: by its last, as what its helpers wait for is its to end). busy
 	// counts the marked workers, less those handing a finished picture to
 	// the display process. While busy > 0 whatever the taker waits for is
 	// at most one band task away, so it polls gen, which every change to
@@ -144,6 +148,26 @@ type sliceQueue struct {
 	out  []bool
 	busy int
 	gen  atomic.Uint64
+
+	// solo marks a SessionTask's queue: the simple variant over one group,
+	// closed as built, tasks in task order, no band steering; its owner
+	// (Session.Run) completes every picture, its helpers none (see take).
+	solo bool
+	// sum is what the queue's tasks and completions counted, whoever ran
+	// them; err, in a task's queue, the lowest failing task's (errAt) of the
+	// first picture with one: what the owner decoding alone meets.
+	sum   tally
+	err   error
+	errAt int
+	// spare: a completed simple-variant picture's coverage, for the next.
+	spare []uint64
+}
+
+// tally is what tasks count as they run.
+type tally struct {
+	work decoder.WorkStats
+	es   ErrorStats
+	sst  SplitStats
 }
 
 // changed announces a change of queue state to the blocked takes, polling
@@ -154,7 +178,8 @@ func (q *sliceQueue) changed() {
 }
 
 // hold marks worker wi as holding a task or not (the caller holds q.mu).
-// The last worker to let go turns the pollers into sleepers.
+// The last worker to let go turns the pollers into sleepers; in a failed
+// queue each one tells them, for an owner waits out its helpers' tasks.
 func (q *sliceQueue) hold(wi int, on bool) {
 	for wi >= len(q.out) {
 		q.out = append(q.out, false)
@@ -165,7 +190,7 @@ func (q *sliceQueue) hold(wi int, on bool) {
 	q.out[wi] = on
 	if on {
 		q.busy++
-	} else if q.busy--; q.busy == 0 {
+	} else if q.busy--; q.busy == 0 || q.failed {
 		q.changed()
 	}
 }
@@ -265,8 +290,8 @@ func (q *sliceQueue) next(wi int) *picState {
 		}
 		p := q.pics[i]
 		if !q.improved {
-			// Simple version: barrier after every picture.
-			if i > 0 && !q.pics[i-1].complete {
+			// Simple version: barrier after every picture; p waits for its frame.
+			if i > 0 && !q.pics[i-1].complete || p.frame == nil && p.nextSlice > 0 {
 				return nil
 			}
 			q.pickTask(p, wi, false)
@@ -275,7 +300,7 @@ func (q *sliceQueue) next(wi int) *picState {
 		// Improved version: any picture inside the depth window may issue
 		// a task whose reference rows are published. The common case —
 		// every reference complete — skips the per-task check.
-		if p.nextSlice < p.nTasks && q.pickTask(p, wi, !refsComplete(p)) {
+		if p.nextSlice < p.nTasks && (p.frame != nil || p.nextSlice == 0) && q.pickTask(p, wi, !refsComplete(p)) {
 			return p
 		}
 	}
@@ -283,14 +308,21 @@ func (q *sliceQueue) next(wi int) *picState {
 }
 
 // take blocks until a slice task is available (returning picture and
-// task index) or the queue is exhausted/failed (ok=false). The time spent
-// blocked — polling or asleep, see sliceQueue.busy — is added to ws.Wait,
-// and each sleep counted in ws.Parks; wi identifies the taking worker for
-// the wait event a blocked take records (a block with tasks queued behind
-// the barrier discipline is a barrier wait, a block on an empty queue is
-// starvation). A take that never blocks reads no
-// clock and records nothing.
-func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, ok bool) {
+// task index) or the queue has nothing more for worker wi (ok=false). The
+// time spent blocked — polling or asleep, see sliceQueue.busy — is added
+// to ws.Wait, and each sleep counted in ws.Parks; wi identifies the taking
+// worker for the wait event a blocked take records (a block with tasks
+// queued behind the barrier discipline is a barrier wait, a block on an
+// empty queue is starvation). A take that never blocks reads no clock and
+// records nothing.
+//
+// In a task's queue (solo) a taker with leave is a helper: it asks leave
+// before every task and whenever its wait wakes, and returns once leave
+// reports true or no task is left. The taker without one is the owner: take
+// also hands it the oldest picture once its tasks have all finished (slice
+// -1: complete it), and returns only when every picture has shipped or, the
+// queue failed, no helper holds a task.
+func (q *sliceQueue) take(wi int, ws *WorkerStats, leave func() bool) (p *picState, slice int, ok bool) {
 	var t0 time.Time
 	blocked, barrier := false, false
 	block := func() {
@@ -314,8 +346,12 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, ok b
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.hold(wi, false)
+	owner := q.solo && leave == nil
+	q.hold(wi, owner)
 	defer func() {
+		if !ok {
+			q.hold(wi, false)
+		}
 		if !blocked {
 			return
 		}
@@ -328,32 +364,54 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats) (p *picState, slice int, ok b
 		q.obs.Record(kind, wi, t0, wait, -1, -1, -1)
 	}()
 	for {
-		if q.failed {
+		if leave != nil {
+			// Asked without q.mu; a change meanwhile (a Wake) asks again.
+			gen := q.gen.Load()
+			q.mu.Unlock()
+			quit := leave()
+			q.mu.Lock()
+			if quit {
+				return nil, 0, false
+			}
+			if q.gen.Load() != gen {
+				continue
+			}
+		}
+		switch {
+		case q.failed && owner && q.busy > 1:
+			block() // helpers still hold tasks
+			continue
+		case q.failed:
 			return nil, 0, false
+		case owner && len(q.pics) > 0 && q.pics[0].remaining == 0:
+			return q.pics[0], -1, true
 		}
 		// Skip over fully-issued pictures.
 		for q.issueIdx < len(q.pics) && q.pics[q.issueIdx].nextSlice >= q.pics[q.issueIdx].nTasks {
 			q.issueIdx++
 		}
 		if q.issueIdx >= len(q.pics) {
-			if q.closed {
+			if q.closed && (!owner || len(q.pics) == 0) {
 				return nil, 0, false
 			}
-			block() // more pictures may still be appended
+			block() // more pictures may still be appended, or tasks finish
 			continue
 		}
 		if p = q.next(wi); p != nil {
-			if p.frame == nil {
-				// Lazy allocation keeps live frames to the in-flight
-				// pictures plus references — the memory property the
-				// slice approach exists for. Get is a free-list pop (a
-				// slice executor's pool scrubs on Put), cheap enough for
-				// under q.mu.
-				newPlanFrame(q.pool, p)
-			}
 			slice = p.handout(p.nextSlice)
 			p.nextSlice++
 			q.hold(wi, true)
+			if p.frame == nil {
+				// Lazy allocation keeps live frames to the in-flight
+				// pictures plus references — the memory property the
+				// slice approach exists for. Get may wipe the frame, so
+				// not under q.mu: p hands out no other task until then.
+				q.mu.Unlock()
+				f := newPlanFrame(q.pool, p)
+				q.mu.Lock()
+				p.frame = f
+				q.changed()
+			}
 			return p, slice, true
 		}
 		// Tasks exist but none is runnable under the barrier discipline
@@ -432,24 +490,31 @@ func (q *sliceQueue) fail() {
 	q.mu.Unlock()
 }
 
-// finish records one completed task of p (and which macroblocks it
-// reconstructed) and reports whether it was the picture's last. A row of
-// a rowwise picture that the task filled is published here, under q.mu,
-// to the tasks waiting on it: every macroblock of it is final, because
-// the task that owns the row has returned and concealment only ever
-// writes macroblocks nothing covered. The picture is NOT yet marked
-// complete: the finishing worker still owns the frame for completion
-// work (concealing missing macroblocks) and must call completePic
-// afterwards — publishing completeness first would let dependent
-// pictures read the frame while concealment writes it.
-func (q *sliceQueue) finish(p *picState, addrs []int) bool {
+// finish records one completed task ti of p — which macroblocks it
+// reconstructed, what it tallied and, in a task's queue, its error — and
+// reports whether it was the picture's last. A row of a rowwise picture
+// that the task filled is published here, under q.mu, to the tasks
+// waiting on it: every macroblock of it is final, because the task that
+// owns the row has returned and concealment only ever writes macroblocks
+// nothing covered. The picture is NOT yet marked complete: the finishing
+// worker still owns the frame for completion work (concealing missing
+// macroblocks) and must call completePic afterwards — publishing
+// completeness first would let dependent pictures read the frame while
+// concealment writes it. In a task's queue finish reports false all the
+// same: the owner's take hands the picture over.
+func (q *sliceQueue) finish(p *picState, ti int, addrs []int, tl *tally, err error) bool {
 	q.mu.Lock()
 	if p.rowCov == nil {
 		mbw, mbh := p.params.MBWidth, p.params.MBHeight
-		words := (mbw*mbh + 63) / 64
-		buf := make([]uint64, words+mbh)
-		p.cov = coverage{bits: buf[:words:words], total: mbw * mbh}
-		p.rowCov = buf[words:]
+		n := mbh + (mbw*mbh+63)/64
+		buf := q.spare[:0]
+		if cap(buf) < n {
+			buf = make([]uint64, n)
+		}
+		buf, q.spare = buf[:n], nil
+		clear(buf)
+		p.rowCov = buf[:mbh]
+		p.cov = coverage{bits: buf[mbh:], total: mbw * mbh}
 	}
 	published := false
 	for _, a := range addrs {
@@ -459,23 +524,34 @@ func (q *sliceQueue) finish(p *picState, addrs []int) bool {
 			published = published || p.rowCov[r] == uint64(p.params.MBWidth)
 		}
 	}
-	if published && p.rowwise && p.deps > 0 {
-		q.changed()
+	q.sum.work.Add(tl.work)
+	q.sum.es.Add(tl.es)
+	q.sum.sst.Add(tl.sst)
+	if err != nil && q.solo && (q.err == nil || ti < q.errAt) {
+		q.err, q.errAt = err, ti
 	}
 	p.remaining--
 	done := p.remaining == 0
+	if published && p.rowwise && p.deps > 0 || done && q.solo {
+		q.changed()
+	}
 	q.mu.Unlock()
-	return done
+	return done && !q.solo
 }
 
-// completePic publishes p as complete, waking pictures that wait on it.
-// Call only after finish returned true and all completion-time writes to
-// the frame are done. The caller goes on to hand p to the display process,
-// where the frame consumer may hold it for as long as it likes: from here
-// to shipPic it is not busy.
-func (q *sliceQueue) completePic(p *picState) {
+// completePic publishes p as complete, waking pictures that wait on it,
+// and tallies what completing it concealed. Call only after every task of
+// p has finished and all completion-time writes to the frame are done. The
+// caller goes on to hand p to the display process, where the frame
+// consumer may hold it for as long as it likes: from here to shipPic it is
+// not busy.
+func (q *sliceQueue) completePic(p *picState, es ErrorStats) {
 	q.mu.Lock()
 	p.complete = true
+	q.sum.es.Add(es)
+	if !q.improved {
+		q.spare = p.rowCov[:cap(p.rowCov)]
+	}
 	q.busy--
 	q.changed()
 	q.mu.Unlock()
@@ -500,18 +576,62 @@ func (q *sliceQueue) shipPic(p *picState) {
 	q.mu.Unlock()
 }
 
+// drive is the loop every worker of a slice queue runs — an executor's
+// slice worker, a task's owner and its helpers alike: take a task, run it
+// and finish it; complete (conceal, publish, hand to display, ship) each
+// picture finish or take hands over; stop when take has nothing more. note
+// hears of every task run (ti, from t0) and picture shipped (ti -1). A
+// FailFast failure fails the queue and is returned.
+func (s *Session) drive(q *sliceQueue, wi int, ws *WorkerStats, opt Options, scr *sliceScratch, leave func() bool, note func(p *picState, ti int, t0 time.Time)) error {
+	for {
+		p, ti, ok := q.take(wi, ws, leave)
+		if !ok {
+			return nil
+		}
+		if ti >= 0 {
+			t0 := time.Now()
+			reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
+			var tl tally
+			scr.taskAddrs = scr.taskAddrs[:0]
+			err := runPlanSliceTask(&s.seq, p, ti, wi, opt, scr, &tl, &scr.taskAddrs)
+			reg.End()
+			note(p, ti, t0)
+			done := q.finish(p, ti, scr.taskAddrs, &tl, err)
+			if err != nil && !q.solo {
+				q.fail()
+				return err
+			}
+			if !done {
+				continue
+			}
+		}
+		// Every task of p has returned: nothing writes p.cov any more.
+		var es ErrorStats
+		err := q.err
+		if err == nil && p.fate == fateDecode {
+			err = concealUncovered(p, &p.cov, opt, &es)
+		}
+		if err != nil {
+			q.fail()
+			return err
+		}
+		q.completePic(p, es)
+		releaseHolds(s.pool, p)
+		s.disp.push(p.frame, p.displayIdx)
+		q.shipPic(p)
+		note(p, -1, time.Time{})
+	}
+}
+
 // sliceScratch is one worker's reusable decode state: a bit reader, a
-// macroblock buffer, coverage address lists (a slice's, a task's) and (for
-// the executors that decode a whole picture) a coverage bitmap and the
-// picture's per-task work, recycled across every slice the worker
-// decodes so the steady-state loop is allocation-free.
+// macroblock buffer and coverage address lists (a slice's, a task's),
+// recycled across every slice the worker decodes so the steady-state loop
+// is allocation-free.
 type sliceScratch struct {
 	r         bits.Reader
 	mbs       []mpeg2.MB
 	addrs     []int
 	taskAddrs []int
-	cov       coverage
-	taskWork  []decoder.WorkStats
 }
 
 // concealRef returns the frame p's lost macroblocks are concealed from.

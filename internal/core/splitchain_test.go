@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/encoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/vldsplit"
@@ -86,7 +85,7 @@ func newChainFixture(t *testing.T, data []byte, ix *vldsplit.Index, policy Resil
 	}
 	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
 	for _, p := range pl.pics[:2] {
-		newPlanFrame(pool, p)
+		p.frame = newPlanFrame(pool, p)
 	}
 	if ref, dep := pl.pics[0], pl.pics[1]; len(ref.tasks) != 3 || dep.fwd != ref {
 		t.Fatalf("fixture: first picture has %d tasks, second predicts from %p; want 3 segments and the first", len(ref.tasks), dep.fwd)
@@ -100,13 +99,13 @@ func newChainFixture(t *testing.T, data []byte, ix *vldsplit.Index, policy Resil
 // hands what it returns to the queue; it returns the coverage handed over.
 func (c *chainFixture) run(t *testing.T, ti int, sst *SplitStats) []int {
 	t.Helper()
-	var work decoder.WorkStats
-	var es ErrorStats
+	var tl tally
 	var addrs []int
-	if err := runPlanSliceTask(&c.seq.Seq, c.pics[0], ti, ti, c.opt, &c.scr[ti], &work, &es, sst, &addrs); err != nil {
+	if err := runPlanSliceTask(&c.seq.Seq, c.pics[0], ti, ti, c.opt, &c.scr[ti], &tl, &addrs); err != nil {
 		t.Fatalf("segment %d: %v", ti, err)
 	}
-	c.q.finish(c.pics[0], addrs)
+	sst.Add(tl.sst)
+	c.q.finish(c.pics[0], ti, addrs, &tl, nil)
 	return addrs
 }
 

@@ -6,9 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	rtrace "runtime/trace"
-
-	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/mpeg2"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/sched"
@@ -293,6 +290,11 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 		e.wg.Wait()
 	}
 	st := e.s.st
+	if e.q != nil {
+		st.Work.Add(e.q.sum.work)
+		st.Errors.Add(e.q.sum.es)
+		st.Split.Add(e.q.sum.sst)
+	}
 	e.mu.Lock()
 	st.PeakInFlightBytes = e.peakBytes
 	st.ScanLeadPeak = e.leadPeak
@@ -337,27 +339,11 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 	obs.Do(opt.Mode.String(), wi, func() {
 		ws := &s.st.WorkerStats[wi]
 		var scr sliceScratch
-		// The worker's own tallies, merged into the run's once.
-		var work decoder.WorkStats
-		var es ErrorStats
-		var sst SplitStats
-		defer func() {
-			s.workMu.Lock()
-			s.st.Work.Add(work)
-			s.st.Errors.Add(es)
-			s.st.Split.Add(sst)
-			s.workMu.Unlock()
-		}()
-		for {
-			p, ti, ok := e.q.take(wi, ws)
-			if !ok {
+		s.Abort(s.drive(e.q, wi, ws, *opt, &scr, nil, func(p *picState, ti int, t0 time.Time) {
+			if ti < 0 {
+				p.unit.retire()
 				return
 			}
-			t0 := time.Now()
-			reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
-			scr.taskAddrs = scr.taskAddrs[:0]
-			err := runPlanSliceTask(&s.seq, p, ti, wi, *opt, &scr, &work, &es, &sst, &scr.taskAddrs)
-			reg.End()
 			cost := time.Since(t0)
 			ws.Busy += cost
 			ws.Tasks++
@@ -369,27 +355,6 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 			if p.fate == fateDecode {
 				opt.Cost.Observe(taskBytes(p, ti), cost)
 			}
-			if err != nil { // only possible under FailFast
-				s.Abort(err)
-				e.q.fail()
-				return
-			}
-			if e.q.finish(p, scr.taskAddrs) {
-				// The picture's last task has returned: nothing writes p.cov
-				// any more.
-				if p.fate == fateDecode {
-					if err := concealUncovered(p, &p.cov, *opt, &es); err != nil {
-						s.Abort(err)
-						e.q.fail()
-						return
-					}
-				}
-				e.q.completePic(p)
-				releaseHolds(s.pool, p)
-				s.disp.push(p.frame, p.displayIdx)
-				e.q.shipPic(p)
-				p.unit.retire()
-			}
-		}
+		}))
 	})
 }

@@ -51,14 +51,29 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, bands bool, tr memtrac
 	opt := Options{Tracer: tr}
 	task := 0
 	var scr sliceScratch
-	var d helpDesk
+	var cov coverage
+	var tl tally
 	for _, p := range pl.pics {
 		p.frame = frame.New(m.Seq.Width, m.Seq.Height)
 		if mode == ModeGOP {
+			// The picture's tasks in task order, as a lone owner's queue
+			// hands them out, then its completion step.
 			proc := p.gop % procs
 			traceInput(tr, data, proc, p.rng.Offset, p.rng.End)
-			if _, _, err := decodePlanPic(&m.Seq, p, proc, opt, &scr, &d); err != nil {
-				return err
+			cov.reset(p.params.MBWidth * p.params.MBHeight)
+			for ti := 0; ti < p.nTasks; ti++ {
+				scr.taskAddrs = scr.taskAddrs[:0]
+				if err := runPlanSliceTask(&m.Seq, p, ti, proc, opt, &scr, &tl, &scr.taskAddrs); err != nil {
+					return err
+				}
+				for _, a := range scr.taskAddrs {
+					cov.add(a)
+				}
+			}
+			if p.fate == fateDecode {
+				if err := concealUncovered(p, &cov, opt, &tl.es); err != nil {
+					return err
+				}
 			}
 			continue
 		}

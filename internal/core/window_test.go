@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/motion"
@@ -195,7 +196,7 @@ func TestSliceQueueRowWindow(t *testing.T) {
 				t.Fatalf("depth %d: take would block; want a task of picture %d", depth, slices.Index(pics, want))
 			}
 			var ws WorkerStats
-			p, ti, ok := q.take(0, &ws)
+			p, ti, ok := q.take(0, &ws, nil)
 			if !ok || p != want || ws.Wait != 0 {
 				t.Fatalf("depth %d: take = picture %d ok %v wait %v; want picture %d without blocking",
 					depth, slices.Index(pics, p), ok, ws.Wait, slices.Index(pics, want))
@@ -207,13 +208,13 @@ func TestSliceQueueRowWindow(t *testing.T) {
 		// every row but one.
 		for r := 0; r < mbh; r++ {
 			row := take(pics[0])
-			if q.finish(pics[0], rowAddrs(pics[0], row)) {
-				q.completePic(pics[0])
+			if q.finish(pics[0], 0, rowAddrs(pics[0], row), &tally{}, nil) {
+				q.completePic(pics[0], ErrorStats{})
 			}
 		}
 		for r := 0; r < mbh; r++ {
 			if row := take(pics[1]); row != held {
-				q.finish(pics[1], rowAddrs(pics[1], row))
+				q.finish(pics[1], 0, rowAddrs(pics[1], row), &tally{}, nil)
 			}
 		}
 		// The depth window advances when I0 is handed to the display, not
@@ -245,7 +246,7 @@ func TestSliceQueueRowWindow(t *testing.T) {
 		}
 
 		// Publishing P's last row releases the three held-back B tasks.
-		if !q.finish(pics[1], rowAddrs(pics[1], held)) {
+		if !q.finish(pics[1], 0, rowAddrs(pics[1], held), &tally{}, nil) {
 			t.Fatal("P1 not done after its last task")
 		}
 		for i := 0; i < 3; i++ {
@@ -271,7 +272,7 @@ func TestSliceQueueRowWindow(t *testing.T) {
 		q.cond = sync.NewCond(&q.mu)
 		for r := 0; r < mbh; r++ {
 			if r != late && r != mbh-1 {
-				q.finish(ref, rowAddrs(ref, r))
+				q.finish(ref, 0, rowAddrs(ref, r), &tally{}, nil)
 			}
 		}
 		// Row mbh-1 stays out too, so the reference is not complete and
@@ -282,7 +283,7 @@ func TestSliceQueueRowWindow(t *testing.T) {
 					late, ti, 3*ti, 3*ti+2, got, want)
 			}
 		}
-		q.finish(ref, rowAddrs(ref, late))
+		q.finish(ref, 0, rowAddrs(ref, late), &tally{}, nil)
 		if !ready(dep, 1) {
 			t.Fatalf("task of rows 3..5 not ready once reference row %d is published", late)
 		}
@@ -301,25 +302,25 @@ func TestSliceQueueLatePublication(t *testing.T) {
 
 	ref.rowwise = false
 	for r := 0; r < mbh; r++ {
-		q.finish(ref, rowAddrs(ref, r))
+		q.finish(ref, 0, rowAddrs(ref, r), &tally{}, nil)
 	}
 	if ready(dep, 0) {
 		t.Fatal("rows of a picture that publishes as a whole were readable before completePic")
 	}
-	q.completePic(ref)
+	q.completePic(ref, ErrorStats{})
 	if !ready(dep, 0) {
 		t.Fatal("task not ready although its reference is complete")
 	}
 
 	ref = windowTestPic(mbw, mbh, nil, nil, 1)
 	q.pics[0], dep.fwd = ref, ref
-	q.finish(ref, rowAddrs(ref, 0))
-	q.finish(ref, rowAddrs(ref, 1)[:1]) // a damaged task: half of row 1
-	q.finish(ref, rowAddrs(ref, 2))
+	q.finish(ref, 0, rowAddrs(ref, 0), &tally{}, nil)
+	q.finish(ref, 0, rowAddrs(ref, 1)[:1], &tally{}, nil) // a damaged task: half of row 1
+	q.finish(ref, 0, rowAddrs(ref, 2), &tally{}, nil)
 	if ready(dep, 0) || ready(dep, 1) || ready(dep, 2) {
 		t.Fatal("a task whose window holds a half-covered row was ready")
 	}
-	q.finish(ref, rowAddrs(ref, 3))
+	q.finish(ref, 0, rowAddrs(ref, 3), &tally{}, nil)
 	if !ready(dep, 3) {
 		t.Fatal("row 3 (window 2..3, both covered) should be ready")
 	}
@@ -329,46 +330,51 @@ func TestSliceQueueLatePublication(t *testing.T) {
 }
 
 // TestCoverageAllocs pins the steady-state allocations of the coverage
-// bookkeeping: none per picture on the paths that decode a picture on one
-// worker (the bitmap lives in the worker's scratch), one per picture in
-// the slice queue (bitmap and row counts share a buffer).
+// bookkeeping: none per picture in a GOP task's queue (the simple variant
+// hands one buffer from picture to picture), one per picture in the
+// improved slice queue (bitmap and row counts share a buffer).
 func TestCoverageAllocs(t *testing.T) {
-	res := testStream(t, 96, 64, 12, 4)
+	res := testStream(t, 96, 64, 12, 12)
 	m, err := Scan(res.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Mode: ModeSequential, Workers: 1}
-	pl, err := buildPlan(res.Data, m, opt)
+	sess, err := NewSession(Options{Workers: 2, Sink: func(*frame.Frame) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
-	for _, p := range pl.pics {
-		newPlanFrame(pool, p)
+	tk, err := sess.FeedShed(Unit{G: 0, Data: res.Data, Range: m.GOPs[0], Seq: m.Seq}, ShedNone)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var scr sliceScratch
-	var d helpDesk
-	decodeAll := func() {
-		for _, p := range pl.pics {
-			if _, _, err := decodePlanPic(&m.Seq, p, 0, opt, &scr, &d); err != nil {
-				t.Fatal(err)
-			}
+	var scr Scratch
+	var ws WorkerStats
+	// Run's owner loop over the group, its queue and pictures put back as
+	// planned before each pass; the frames come from the pool's free list.
+	decodeGroup := func() {
+		for _, p := range tk.pics {
+			p.frame, p.nextSlice, p.remaining, p.complete, p.shipped = nil, 0, p.nTasks, false, false
+		}
+		tk.q.pics, tk.q.issueIdx = append(tk.q.pics[:0], tk.pics...), 0
+		sess.disp.next = 0
+		if err := sess.drive(&tk.q, 0, &ws, sess.opt, &scr.s, nil, func(*picState, int, time.Time) {}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	decodeAll() // warm-up grows the scratch
-	if allocs := testing.AllocsPerRun(5, decodeAll); allocs != 0 {
-		t.Fatalf("decodePlanPic allocates %.1f times per %d pictures, want 0", allocs, len(pl.pics))
+	decodeGroup() // warm-up grows the scratch and fills the pool
+	if allocs := testing.AllocsPerRun(5, decodeGroup); allocs != 0 {
+		t.Fatalf("a GOP task's queue allocates %.1f times per %d pictures, want 0", allocs, len(tk.pics))
 	}
 
 	p := windowTestPic(6, 4, nil, nil, 1)
 	q := &sliceQueue{pics: []*picState{p}, improved: true}
 	q.cond = sync.NewCond(&q.mu)
 	rows := [][]int{rowAddrs(p, 0), rowAddrs(p, 1), rowAddrs(p, 2), rowAddrs(p, 3)}
+	var tl tally
 	onePicture := func() {
 		p.cov, p.rowCov, p.remaining = coverage{}, nil, len(rows)
 		for _, addrs := range rows {
-			q.finish(p, addrs)
+			q.finish(p, 0, addrs, &tl, nil)
 		}
 	}
 	if allocs := testing.AllocsPerRun(20, onePicture); allocs != 1 {

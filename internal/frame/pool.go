@@ -43,9 +43,9 @@ const (
 	ScrubOnGet
 	// ScrubOnPut wipes a frame as Put takes it back, on the goroutine
 	// that gives it up, so that a frame on the free list is clean and Get
-	// is a free-list pop: for the slice queue, which calls Get with its
-	// own lock held (a 507 KB wipe there cost slice mode a fifth of its
-	// throughput under ConcealSlice).
+	// is a free-list pop: for the slice queue, whose other workers wait
+	// for a picture's frame (a 507 KB wipe under its lock cost slice mode
+	// a fifth of its throughput under ConcealSlice).
 	ScrubOnPut
 )
 

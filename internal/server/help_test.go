@@ -211,6 +211,46 @@ func TestHelperReturnsToDispatch(t *testing.T) {
 	}
 }
 
+// TestHelperDecodesWhileOwnerDisplays: a helper takes a picture's units
+// as soon as the picture before it completes, not once the group's owner
+// is back from displaying it. A lone stream's group takes the idle worker
+// as a helper; the sink holds display index 1 — a B picture, shown as the
+// owner hands it over, with B picture 2 next in decode order — until a
+// helper's span names picture 2.
+func TestHelperDecodesWhileOwnerDisplays(t *testing.T) {
+	data := testStream(t, 352, 240, 13, 13) // I0 P3 B1 B2 ... in decode order
+	tr := obs.New(0)
+	next := make(chan struct{})
+	var once sync.Once
+	tr.SetSink(func(e obs.Event) {
+		if e.Kind == obs.KindTask && e.Lane >= 0 && e.Pic == 2 {
+			once.Do(func() { close(next) })
+		}
+	})
+	srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true, Obs: tr})
+	defer srv.Close()
+	var timedOut atomic.Bool
+	_, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+		MaxInFlight: 1,
+		Sink: func(f *frame.Frame) {
+			if f.DisplayIndex != 1 {
+				return
+			}
+			select {
+			case <-next:
+			case <-time.After(10 * time.Second):
+				timedOut.Store(true)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if timedOut.Load() {
+		t.Fatal("no helper decoded picture 2 while the owner displayed picture 1")
+	}
+}
+
 // TestCancelMidHelp: a stream cancelled while an idle worker helps its
 // group tears down like any other — the context's error, no frame bytes
 // and no goroutines left behind. The sink holds the last frame until the

@@ -32,12 +32,14 @@ type task struct {
 //
 // The offer rule: a task takes helpers only if a worker is idle and
 // nothing is queued when it starts; a helper leaves after its current unit
-// (a row group) once a task is queued or the helped task ends. Neither side waits on s.mu meanwhile: the helper reads the atomic
-// backlog, the task shares its pictures through core's claim cursor. A
-// helper waiting for its task's next picture blocks, and enqueue closes
-// s.kick to end that wait the moment a task is queued. A loaded pool never
-// pays for help; a half-loaded one stops leaving a worker asleep while a
-// group decodes.
+// (a row group) once a task is queued, or once the helped task has no unit
+// left to hand out. Neither side waits on s.mu meanwhile: the helper reads
+// the atomic backlog, the task hands out its pictures' units through its
+// own slice queue, where a helper with nothing to take waits, and enqueue
+// wakes that wait (SessionTask.Wake) the moment a task is queued. The
+// helper never displays a picture: the task's own worker does. A loaded
+// pool never pays for help; a half-loaded one stops leaving a worker
+// asleep while a group decodes.
 func (s *Server) worker(wi int) {
 	defer s.wg.Done()
 	var scr core.Scratch
@@ -51,9 +53,9 @@ func (s *Server) worker(wi int) {
 				case len(s.open) > 0 && !left:
 					// A helper that left for queued work it cannot run (a
 					// paused stream's) sleeps instead of rejoining at once.
-					h, kick := s.open[0], s.kick
+					h := s.open[0]
 					s.mu.Unlock()
-					units, ended := h.t.Help(wi, &scr, queued, kick)
+					units, ended := h.t.Help(wi, &scr, queued)
 					s.mu.Lock()
 					if units > 0 && !h.helped {
 						h.helped = true
@@ -137,9 +139,8 @@ func (s *Server) enqueue(tk *task) {
 	tk.st.pending = append(tk.st.pending, tk)
 	s.backlog.Add(1)
 	s.pendingCost += tk.cost
-	if len(s.open) > 0 {
-		close(s.kick)
-		s.kick = make(chan struct{})
+	for _, h := range s.open {
+		h.t.Wake()
 	}
 	s.mu.Unlock()
 	tk.st.touch()

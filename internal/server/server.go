@@ -189,8 +189,7 @@ type Server struct {
 	// backlog counts queued (not yet running) tasks across all streams;
 	// written under mu, read without it by helping workers.
 	backlog atomic.Int64
-	open    []*task       // running tasks that took helpers (the offer rule, pool.go)
-	kick    chan struct{} // closed and replaced by enqueue while open is not empty
+	open    []*task // running tasks that took helpers (the offer rule, pool.go)
 
 	nDeadline   int           // admitted streams with a frame deadline (EDF trigger)
 	busy        int           // workers currently running a task
@@ -227,7 +226,6 @@ func NewServer(cfg Config) *Server {
 		frames:  frame.NewStore(),
 		streams: make(map[int]*stream),
 		stopMon: make(chan struct{}),
-		kick:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.obs.SetMeta("service", cfg.Workers)
@@ -483,7 +481,7 @@ type Metrics struct {
 	MissEWMA   float64
 	DemandUsed float64 // Σ admitted demand, in workers
 	SlackSheds int64   // pictures shed by per-frame slack prediction
-	Assists    int64   // tasks an idle worker helped (see the offer rule in pool.go)
+	Assists    int64   // tasks an idle worker decoded units of (see the offer rule in pool.go)
 	// Frame lending across streams (frame.Store). A stream's frames come
 	// from the spare stock finished streams left or are allocated; once
 	// streams of one size follow each other FramesReused should dwarf

@@ -203,7 +203,9 @@ func (ix *Index) UnmarshalBinary(b []byte) error {
 	if n > maxIdxSlices {
 		return fmt.Errorf("vldsplit: implausible slice count %d", n)
 	}
-	m := make(map[SliceKey][]Point, n)
+	// A slice takes at least 16+pointSize bytes: a count the bytes cannot
+	// hold must not size the map.
+	m := make(map[SliceKey][]Point, min(n, uint32(len(b)/(16+pointSize))))
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 16 {
 			return fmt.Errorf("vldsplit: truncated index")

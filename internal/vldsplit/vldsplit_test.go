@@ -2,7 +2,10 @@ package vldsplit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/fnv"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"mpeg2par/internal/mpeg2"
@@ -109,6 +112,61 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	qsOff := 8 + 4 + 8 + 4 + 4 + 8 + 4
 	mut[qsOff] = 0
 	bad("invalid qscale", mut)
+}
+
+// hugeCount is a 12-byte index whose header claims the most slices the
+// reader accepts and whose body holds none.
+func hugeCount() []byte {
+	return binary.BigEndian.AppendUint32([]byte(indexMagic), maxIdxSlices)
+}
+
+// TestUnmarshalHugeCountAllocatesLittle: a slice count the bytes cannot
+// hold is rejected without sizing anything by it (it once sized a map for
+// 2^24 slices: 1.6 GB for 12 bytes).
+func TestUnmarshalHugeCountAllocatesLittle(t *testing.T) {
+	b := hugeCount()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := NewIndex().UnmarshalBinary(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("UnmarshalBinary accepted a count of slices with no slice bytes")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("a %d-byte index allocated %d bytes before failing", len(b), d)
+	}
+}
+
+// FuzzIndexUnmarshal: the reader never panics on arbitrary bytes, and an
+// index it accepts marshals and reads back to the same index.
+func FuzzIndexUnmarshal(f *testing.F) {
+	ix := NewIndex()
+	if err := ix.Add(make([]byte, 32), []Point{pt(40, 3, 8), pt(80, 7, 9)}); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := ix.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(hugeCount())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got := NewIndex()
+		if got.UnmarshalBinary(b) != nil {
+			return
+		}
+		out, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatalf("an accepted index does not marshal: %v", err)
+		}
+		back := NewIndex()
+		if err := back.UnmarshalBinary(out); err != nil {
+			t.Fatalf("a marshalled index does not read back: %v", err)
+		}
+		if !reflect.DeepEqual(back.m, got.m) {
+			t.Fatal("the index changed through a marshal round trip")
+		}
+	})
 }
 
 func TestSelectPoints(t *testing.T) {
