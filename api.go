@@ -56,18 +56,6 @@ func WithWorkers(n int) Option {
 	return func(c *decodeConfig) { c.opt.Workers = n }
 }
 
-// WithAutoTune lets the cost-model scheduler pick the parallelization
-// strategy instead of WithMode: the first group of pictures' geometry
-// (per-GOP and per-slice byte sizes from the scan) predicts how well
-// the workload balances at each grain, and the policy resolves to
-// sequential, GOP, or improved-slice decoding with a worker count at
-// the efficiency knee — WithWorkers (or its CPU-count default) is the
-// ceiling. The decision holds for the whole stream and is reported in
-// Stats.Auto; output is bit-identical to every fixed mode.
-func WithAutoTune() Option {
-	return func(c *decodeConfig) { c.opt.Mode = core.ModeAuto }
-}
-
 // WithResilience selects the error-resilience policy (default
 // FailFast). Every policy produces bit-identical output in all modes.
 func WithResilience(p Resilience) Option {

@@ -278,14 +278,14 @@ func TestDecodeCancel(t *testing.T) {
 	}
 }
 
-// TestWithAutoTune: the auto-tuned decode must match the sequential
+// TestWithAutoTune: a WithMode(ModeAuto) decode must match the sequential
 // baseline bit-exactly and report its resolved decision in Stats.Auto.
 func TestWithAutoTune(t *testing.T) {
 	res := apiStream(t)
 	want := sequentialFrames(t, res.Data)
 	var got []*mpeg2par.Frame
 	st, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(res.Data),
-		mpeg2par.WithAutoTune(),
+		mpeg2par.WithMode(mpeg2par.ModeAuto),
 		mpeg2par.WithWorkers(3),
 		mpeg2par.WithFrameSink(func(f *mpeg2par.Frame) { got = append(got, f.Clone()) }),
 	)

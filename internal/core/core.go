@@ -8,7 +8,6 @@ import (
 
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
-	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/sched"
 	"mpeg2par/internal/vldsplit"
@@ -86,10 +85,6 @@ type Options struct {
 	// the pool afterwards). Nil discards output.
 	Sink func(*frame.Frame)
 
-	// Tracer, when non-nil, receives the reconstruction memory-reference
-	// stream tagged with worker ids.
-	Tracer memtrace.Tracer
-
 	// Profile, when true, records task costs at the paper's grain — one
 	// per slice (or segment of a split slice) in the slice modes, one per
 	// group and picture in GOP mode — whatever tasks the run fused them
@@ -106,7 +101,7 @@ type Options struct {
 	// MaxInFlight bounds the scan-ahead window: how many GOP units may be
 	// buffered or decoding at once before the scan process blocks
 	// (backpressure) — or, decoding a scanned stream, before the next
-	// group is handed over. Zero selects 2×Workers+2.
+	// group is handed over. Zero selects 2×EffectiveWorkers()+2.
 	MaxInFlight int
 
 	// Obs, when non-nil, receives structured scheduling events from every
@@ -167,7 +162,7 @@ func (o Options) EffectiveMaxInFlight() int {
 	if o.MaxInFlight > 0 {
 		return o.MaxInFlight
 	}
-	w := o.Workers
+	w := o.EffectiveWorkers()
 	if w < 1 {
 		w = 1
 	}

@@ -197,6 +197,17 @@ func TestWorkerStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestSequentialScanAheadWindow: a sequential decode sizes its scan-ahead
+// window for the one worker it runs on, not for Options.Workers.
+func TestSequentialScanAheadWindow(t *testing.T) {
+	if got := (Options{Mode: ModeSequential, Workers: 8}).EffectiveMaxInFlight(); got != 4 {
+		t.Fatalf("sequential decode with Workers=8 buffers %d groups, want 4", got)
+	}
+	if got := (Options{Mode: ModeGOP, Workers: 8}).EffectiveMaxInFlight(); got != 18 {
+		t.Fatalf("GOP decode with Workers=8 buffers %d groups, want 18", got)
+	}
+}
+
 func TestFrameMemoryBounded(t *testing.T) {
 	// Slice-mode live frame memory stays at a handful of pictures no
 	// matter the GOP size, and with in-order execution (which is what a

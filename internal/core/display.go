@@ -12,8 +12,9 @@ import (
 
 // displayProc is the display process: decoded pictures arrive in
 // completion order and wait in the reorder buffer until their display
-// turn, then go to the sink and back to the frame pool. (Dithering is
-// omitted, as in the paper's measurements.)
+// turn, then go to the sink and back to the frame pool as they are: the
+// next picture to take a frame overwrites every pixel of it. (Dithering
+// is omitted, as in the paper's measurements.)
 //
 // The reorder buffer drains synchronously inside push: on a single-CPU
 // host a dedicated goroutine would starve during decode bursts and
@@ -38,34 +39,22 @@ func newDisplay(pool *frame.Pool, sink func(*frame.Frame), tr *obs.Tracer) *disp
 }
 
 // push hands one decoded picture (with its absolute display index) to the
-// display process and drains everything that is now in order. The drained
-// frames go back to the pool after d.mu is dropped: a slice executor's
-// pool wipes a frame on Put (frame.ScrubOnPut), and that must not hold up
-// the other workers' pushes.
+// display process, which displays everything now in order and returns it
+// to the pool.
 func (d *displayProc) push(f *frame.Frame, idx int) {
-	var buf [4]*frame.Frame
-	for _, g := range d.deliver(f, idx, buf[:0]) {
-		if g.Release() {
-			d.pool.Put(g)
-		}
-	}
-}
-
-// deliver is push under d.mu: it appends the frames it displayed to shown.
-func (d *displayProc) deliver(f *frame.Frame, idx int, shown []*frame.Frame) []*frame.Frame {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if idx < d.next || d.pending[idx] != nil {
 		if d.err == nil {
 			d.err = fmt.Errorf("core: duplicate display index %d", idx)
 		}
-		return shown
+		return
 	}
 	d.pending[idx] = f
 	for {
 		g, ok := d.pending[d.next]
 		if !ok {
-			return shown
+			return
 		}
 		delete(d.pending, d.next)
 		g.DisplayIndex = d.next
@@ -75,7 +64,9 @@ func (d *displayProc) deliver(f *frame.Frame, idx int, shown []*frame.Frame) []*
 		if d.obs != nil {
 			d.obs.Record(obs.KindDisplay, d.lane, time.Now(), 0, -1, d.next, -1)
 		}
-		shown = append(shown, g)
+		if g.Release() {
+			d.pool.Put(g)
+		}
 		d.displayed.Add(1)
 		d.next++
 	}

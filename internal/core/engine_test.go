@@ -178,32 +178,3 @@ func TestEngineParity(t *testing.T) {
 		waitGoroutines(t, base, run.name)
 	}
 }
-
-// TestPoolScrubRule pins the one function that decides a decode's frame
-// scrubbing: the service (a pool lending to a frame.Store) always wipes on
-// Get, a FailFast single decode never wipes, and a concealing decode wipes
-// on Put at slice grain and on Get otherwise.
-func TestPoolScrubRule(t *testing.T) {
-	cases := []struct {
-		name   string
-		modes  []Mode
-		policy Resilience
-		lends  bool
-		want   frame.Scrub
-	}{
-		{"service", []Mode{ModeGOP}, FailFast, true, frame.ScrubOnGet},
-		{"service degraded", []Mode{ModeGOP}, ConcealPicture, true, frame.ScrubOnGet},
-		{"FailFast single decode", everyMode, FailFast, false, frame.ScrubOff},
-		{"slice grain", []Mode{ModeSliceSimple, ModeSliceImproved}, ConcealSlice, false, frame.ScrubOnPut},
-		{"slice grain", []Mode{ModeSliceSimple, ModeSliceImproved}, DropGOP, false, frame.ScrubOnPut},
-		{"GOP grain", []Mode{ModeGOP, ModeSequential}, ConcealSlice, false, frame.ScrubOnGet},
-		{"GOP grain", []Mode{ModeGOP, ModeSequential}, ConcealPicture, false, frame.ScrubOnGet},
-	}
-	for _, c := range cases {
-		for _, mode := range c.modes {
-			if got := poolScrub(mode, c.policy, c.lends); got != c.want {
-				t.Errorf("%s: poolScrub(%v, %v, lends=%v) = %d, want %d", c.name, mode, c.policy, c.lends, got, c.want)
-			}
-		}
-	}
-}

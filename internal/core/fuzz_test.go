@@ -43,7 +43,9 @@ func FuzzFindStartCode(f *testing.F) {
 // contract: whatever bytes arrive, each resilience policy — FailFast among
 // them, now that it is a policy of the one plan — must either fail in both
 // the sequential and the improved-slice parallel mode, or succeed in both
-// with bit-identical frames and identical ErrorStats.
+// with bit-identical frames and identical ErrorStats. The two decodes'
+// frames are poisoned with different values (see poison), so every pixel
+// either ships must be the decode's own.
 // Run long with: go test -fuzz=FuzzResilientDecode ./internal/core
 func FuzzResilientDecode(f *testing.F) {
 	res, err := encoder.EncodeSequence(encoder.Config{
@@ -61,9 +63,13 @@ func FuzzResilientDecode(f *testing.F) {
 		}
 		for _, policy := range []Resilience{FailFast, ConcealSlice, ConcealPicture, DropGOP} {
 			var seqSink collectSink
+			restore := poison(0x00)
 			seqSt, seqErr := Decode(data, Options{Mode: ModeSequential, Workers: 1, Resilience: policy, Sink: seqSink.add})
+			restore()
 			var parSink collectSink
+			restore = poison(0xFF)
 			parSt, parErr := Decode(data, Options{Mode: ModeSliceImproved, Workers: 2, Resilience: policy, Sink: parSink.add})
+			restore()
 			if (seqErr != nil) != (parErr != nil) {
 				t.Fatalf("%v: sequential err=%v, parallel err=%v", policy, seqErr, parErr)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,10 +17,11 @@ import (
 // helpDecode drives a Session the way the service's pool runs a task that
 // took helpers: every unit is fed and run on this goroutine while a second
 // goroutine, with its own Scratch, helps it until no task is left. With help
-// false nobody helps — the decode a helped one must equal. A session plans
-// no split segments, so a group that holds any fails the test. It returns
-// how many tasks the helper decoded.
-func helpDecode(t testing.TB, data []byte, opt Options, help bool) (*Stats, []*frame.Frame, int, error) {
+// false nobody helps — the decode a helped one must equal. prep, if not
+// nil, sets the session's shed level and resilience floor before the first
+// feed. A session plans no split segments, so a group that holds any fails
+// the test. It returns how many tasks the helper decoded.
+func helpDecode(t testing.TB, data []byte, opt Options, help bool, prep func(*Session)) (*Stats, []*frame.Frame, int, error) {
 	t.Helper()
 	m, err := ScanLenient(data)
 	if err != nil {
@@ -30,6 +32,9 @@ func helpDecode(t testing.TB, data []byte, opt Options, help bool) (*Stats, []*f
 	sess, err := NewSession(opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prep != nil {
+		prep(sess)
 	}
 	var runErr error
 	var scr, hscr Scratch
@@ -157,8 +162,8 @@ func bandStream(t testing.TB) *encoder.Result {
 // source it is given.
 func helpedWhole(t *testing.T, name string, data []byte, opt Options) {
 	t.Helper()
-	refSt, _, _, refErr := helpDecode(t, data, opt, false)
-	st, frames, n, err := helpDecode(t, data, opt, true)
+	refSt, _, _, refErr := helpDecode(t, data, opt, false, nil)
+	st, frames, n, err := helpDecode(t, data, opt, true, nil)
 	sameRun(t, name, st, frames, err, refSt, sequentialFrames(t, data), refErr)
 	if st.Split != (SplitStats{}) || st.Errors.Any() {
 		t.Fatalf("%s: a clean helped decode split or accounted damage: %+v %+v", name, st.Split, st.Errors)
@@ -210,8 +215,8 @@ func TestAssistFaultedGolden(t *testing.T) {
 		mut, _ := sp.Apply(res.Data, seed)
 		for _, policy := range []Resilience{FailFast, ConcealSlice, ConcealPicture} {
 			opt := Options{Workers: 2, Resilience: policy, SplitIndex: ix}
-			refSt, refFrames, _, refErr := helpDecode(t, mut, opt, false)
-			st, frames, _, err := helpDecode(t, mut, opt, true)
+			refSt, refFrames, _, refErr := helpDecode(t, mut, opt, false, nil)
+			st, frames, _, err := helpDecode(t, mut, opt, true, nil)
 			sameRun(t, policy.String(), st, frames, err, refSt, refFrames, refErr)
 			if policy == FailFast {
 				anyFailure = anyFailure || err != nil
@@ -237,6 +242,53 @@ func TestAssistFaultedGolden(t *testing.T) {
 	}
 	if !anyDamage || !anyFailure {
 		t.Fatalf("faults damaged a concealed stream: %v, failed a FailFast one: %v; raise the burst size", anyDamage, anyFailure)
+	}
+}
+
+// TestServiceSessionShipsOnlyDecodedPixels drives sessions the way the
+// service does — frames from a frame.Store, shed B pictures, then shed
+// references under the degraded floor — over damaged streams, once with
+// every frame the pools hand out poisoned to 0x00 and nobody helping, once
+// poisoned to 0xFF and helped. The runs agree bit for bit: each pixel they
+// ship was decoded, concealed or substituted, none left from a frame's
+// last use.
+func TestServiceSessionShipsOnlyDecodedPixels(t *testing.T) {
+	res := bandStream(t)
+	sp, err := faults.Parse("burst:count=2,len=24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		shed     ShedLevel
+		degraded bool
+		policy   Resilience
+	}{{ShedB, false, ConcealSlice}, {ShedRef, true, FailFast}} {
+		prep := func(s *Session) {
+			s.SetShed(c.shed)
+			s.SetDegraded(c.degraded)
+		}
+		damaged := false
+		for seed := int64(1); seed <= 3; seed++ {
+			mut, _ := sp.Apply(res.Data, seed)
+			name := fmt.Sprintf("%v seed %d", c.shed, seed)
+			run := func(v byte, help bool) (*Stats, []*frame.Frame, int, error) {
+				defer poison(v)()
+				return helpDecode(t, mut, Options{Workers: 2, Resilience: c.policy, Frames: frame.NewStore()}, help, prep)
+			}
+			refSt, refFrames, _, refErr := run(0x00, false)
+			st, frames, _, err := run(0xFF, true)
+			sameRun(t, name, st, frames, err, refSt, refFrames, refErr)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if st.Shed.Total() == 0 {
+				t.Fatalf("%s: nothing shed: %v", name, st.Shed)
+			}
+			damaged = damaged || st.Errors.Any()
+		}
+		if !damaged {
+			t.Fatalf("%v: the faults damaged no picture; raise the burst size", c.shed)
+		}
 	}
 }
 

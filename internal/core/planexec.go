@@ -9,12 +9,18 @@ import (
 	"mpeg2par/internal/mpeg2"
 )
 
+// poolGet is the one call that hands a decode its output frames, stale
+// pixels and all. It is a variable only so that tests can poison every
+// frame it returns and prove that the decode overwrites each pixel it
+// ships.
+var poolGet = (*frame.Pool).Get
+
 // newPlanFrame allocates and tags the output frame of one planned
 // picture, storing it in the picState. Retains: 1 for the display
 // process plus one per holder (pictures that predict from, or substitute
 // from, this frame).
 func newPlanFrame(pool *frame.Pool, p *picState) *frame.Frame {
-	f := pool.Get()
+	f := poolGet(pool)
 	f.Retain(1 + p.deps)
 	f.PictureType = "?IPB"[int(p.hdr.Type)]
 	f.TemporalRef = p.hdr.TemporalReference
@@ -96,7 +102,7 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 		// A segment of a split slice. Only the join's (fallback) error is
 		// authoritative — a failed segment alone proves nothing about the
 		// slice, so per-segment errors stay inside the join state.
-		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, p.rowwise, opt, opt.Tracer, scr, &tl.sst)
+		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, p.rowwise, opt, scr, &tl.sst)
 		tl.work.Add(w)
 		lap(prof, 0, &t0)
 		if err != nil {
@@ -113,7 +119,7 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 		return nil
 	}
 	for k, si := range p.groups[gi] {
-		w, addrs, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, p.frame, wi, opt.Tracer, scr)
+		w, addrs, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, p.frame, wi, scr)
 		tl.work.Add(w)
 		lap(prof, k, &t0)
 		if err != nil {

@@ -19,10 +19,31 @@ var resilientModes = []struct {
 	{ModeSliceImproved, []int{1, 3}},
 }
 
+// poison makes every frame the decodes that follow take from their pools
+// hold v in every sample until the decode writes it, and returns the undo.
+// A decode ships only pixels it decoded, concealed or substituted, so two
+// decodes poisoned with different values agree bit for bit — and one
+// pixel left over from a frame's last use makes them differ.
+func poison(v byte) (restore func()) {
+	poolGet = func(p *frame.Pool) *frame.Frame {
+		f := p.Get()
+		f.Fill(v)
+		return f
+	}
+	return func() { poolGet = (*frame.Pool).Get }
+}
+
 // decodeResilientRun decodes data under one (mode, workers, policy) and
-// returns the displayed frames plus stats (nil stats on error).
+// returns the displayed frames plus stats (nil stats on error). Its frames
+// are poisoned (see poison): the sequential reference's with 0x00, every
+// other run's with 0xFF.
 func decodeResilientRun(t *testing.T, data []byte, mode Mode, workers int, policy Resilience) ([]*frame.Frame, *Stats, error) {
 	t.Helper()
+	v := byte(0xFF)
+	if mode == ModeSequential {
+		v = 0x00
+	}
+	defer poison(v)()
 	var sink collectSink
 	st, err := Decode(data, Options{Mode: mode, Workers: workers, Resilience: policy, Sink: sink.add})
 	if err != nil {
@@ -34,7 +55,9 @@ func decodeResilientRun(t *testing.T, data []byte, mode Mode, workers int, polic
 // TestResilientGolden is the determinism contract: a fixed fault seed and
 // policy must yield bit-identical frames and identical ErrorStats across
 // sequential, GOP-parallel, and both slice-parallel modes — or fail in
-// all of them.
+// all of them. The reference's frames are poisoned with 0x00 and the
+// others' with 0xFF, so the agreement also proves that every pixel shipped
+// was written by the decode.
 func TestResilientGolden(t *testing.T) {
 	res := testStream(t, 96, 64, 12, 4)
 	specs := []string{

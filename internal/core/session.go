@@ -159,27 +159,6 @@ func (s *Session) Abort(err error) { s.errs.set(err) }
 // Err returns the first latched failure, nil while healthy.
 func (s *Session) Err() error { return s.errs.get() }
 
-// poolScrub is the one place that decides whether and when a decode's
-// frame pool wipes recycled frames (see frame.Scrub). A pool that lends
-// to a frame.Store — the service's — always wipes on Get: shed
-// substitutions ship synthesized content even on clean streams, and a
-// recycled buffer must never leak stale pixels. Otherwise a FailFast
-// decode overwrites every pixel it ships and does not wipe; a concealing
-// slice-grain decode wipes on Put (the queue's other workers wait for a
-// picture's frame), and a concealing GOP-grain or sequential one on Get,
-// right before the decode it warms the frame for.
-func poolScrub(mode Mode, policy Resilience, lends bool) frame.Scrub {
-	switch {
-	case lends:
-		return frame.ScrubOnGet
-	case policy == FailFast:
-		return frame.ScrubOff
-	case mode.sliceGrain():
-		return frame.ScrubOnPut
-	}
-	return frame.ScrubOnGet
-}
-
 // start builds the engine once the first unit has brought the frame
 // geometry; opt.Mode must be resolved by then.
 func (s *Session) start(u *Unit) {
@@ -188,7 +167,6 @@ func (s *Session) start(u *Unit) {
 	s.seq = u.Seq
 	s.pb = newPlanBuilder(&s.seq, s.opt)
 	s.pool = frame.NewPool(s.seq.Width, s.seq.Height)
-	s.pool.SetScrub(poolScrub(s.opt.Mode, s.opt.Resilience, s.opt.Frames != nil))
 	s.pool.SetStore(s.opt.Frames)
 	s.disp = newDisplay(s.pool, s.opt.Sink, s.opt.Obs)
 	s.disp.lane = s.lane

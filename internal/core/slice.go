@@ -404,8 +404,9 @@ func (q *sliceQueue) take(wi int, ws *WorkerStats, leave func() bool) (p *picSta
 			if p.frame == nil {
 				// Lazy allocation keeps live frames to the in-flight
 				// pictures plus references — the memory property the
-				// slice approach exists for. Get may wipe the frame, so
-				// not under q.mu: p hands out no other task until then.
+				// slice approach exists for. Get may allocate a frame, or
+				// clear one another stream used, so not under q.mu: p
+				// hands out no other task until then.
 				q.mu.Unlock()
 				f := newPlanFrame(q.pool, p)
 				q.mu.Lock()
@@ -626,12 +627,14 @@ func (s *Session) drive(q *sliceQueue, wi int, ws *WorkerStats, opt Options, scr
 // sliceScratch is one worker's reusable decode state: a bit reader, a
 // macroblock buffer and coverage address lists (a slice's, a task's),
 // recycled across every slice the worker decodes so the steady-state loop
-// is allocation-free.
+// is allocation-free. tr, set only by the trace generator, receives the
+// reconstruction memory-reference stream.
 type sliceScratch struct {
 	r         bits.Reader
 	mbs       []mpeg2.MB
 	addrs     []int
 	taskAddrs []int
+	tr        memtrace.Tracer
 }
 
 // concealRef returns the frame p's lost macroblocks are concealed from.
@@ -663,7 +666,7 @@ func picRefs(p *picState) decoder.Refs {
 // corrupted slice can also never write pixels another concurrently
 // decoding slice owns. The returned addresses alias scr.addrs and are
 // valid until the next call with the same scr.
-func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, sr SliceRange, maxAddr int, refs decoder.Refs, dst *frame.Frame, wi int, tr memtrace.Tracer, scr *sliceScratch) (decoder.WorkStats, []int, error) {
+func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, sr SliceRange, maxAddr int, refs decoder.Refs, dst *frame.Frame, wi int, scr *sliceScratch) (decoder.WorkStats, []int, error) {
 	scr.r.Reset(data[:sr.End])
 	scr.r.SeekBit(int64(sr.Offset) * 8)
 	code, err := scr.r.ReadStartCode()
@@ -675,7 +678,7 @@ func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.Picture
 	if err != nil {
 		return decoder.WorkStats{}, nil, fmt.Errorf("core: slice row %d: %w", int(code)-1, err)
 	}
-	work, err := decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, tr)
+	work, err := decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
 	if err != nil {
 		return work, nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
-	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/mpeg2"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/vldsplit"
@@ -271,7 +270,7 @@ func (j *splitJoin) chains(k int) bool {
 // rows a reader may already hold — and its result is authoritative for
 // pixels and errors, so a wrong guess or poisoned index never changes
 // output. Returned addrs alias scr.addrs; the error is the re-decode's.
-func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, rowwise bool, opt Options, tr memtrace.Tracer, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, []int, error) {
+func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, rowwise bool, opt Options, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, []int, error) {
 	sst.SegmentsRun++
 	sr := j.sr
 	nSeg := len(j.res)
@@ -305,7 +304,7 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 	}
 	var work decoder.WorkStats
 	if err == nil {
-		work, err = decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, tr)
+		work, err = decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
 	}
 
 	res := segRes{done: true, err: err, exitBit: end.BitOff, exit: end.State, atEnd: end.AtEnd, last: -1}
@@ -352,7 +351,7 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 	sst.Fallbacks++
 	opt.Obs.Record(obs.KindVerify, wi, t0, 0, -1, -1, 0)
 	if verified == 0 {
-		w2, addrs, err := decodeSliceRange(data, seq, hdr, params, sr, j.maxAddr, refs, dst, wi, tr, scr)
+		w2, addrs, err := decodeSliceRange(data, seq, hdr, params, sr, j.maxAddr, refs, dst, wi, scr)
 		work.Add(w2)
 		return work, addrs, err
 	}
@@ -367,7 +366,7 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 		if err != nil {
 			return work, nil, fmt.Errorf("core: slice row %d: %w", sr.Row, err)
 		}
-		w2, err := decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, tr)
+		w2, err := decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
 		work.Add(w2)
 		if err != nil {
 			return work, nil, err

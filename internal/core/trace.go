@@ -20,6 +20,8 @@ import (
 // A deterministic label assignment (rather than the goroutine engine's
 // worker ids) is essential on small hosts: with one CPU a single worker
 // goroutine would otherwise execute — and label — every task.
+// ModeSequential traces on one processor whatever procs says; ModeAuto
+// fails, since its assignment is decided at run time.
 func TraceDecode(data []byte, mode Mode, procs int, tr memtrace.Tracer) error {
 	return TraceDecodeAssign(data, mode, procs, false, tr)
 }
@@ -34,8 +36,13 @@ func TraceDecode(data []byte, mode Mode, procs int, tr memtrace.Tracer) error {
 // GOP is already one processor's task). The locality study A/Bs the two
 // labelings under cachesim.
 func TraceDecodeAssign(data []byte, mode Mode, procs int, bands bool, tr memtrace.Tracer) error {
-	if procs < 1 {
+	switch {
+	case mode == ModeAuto:
+		return badOption("a trace needs a fixed mode, not %v", mode)
+	case procs < 1:
 		return fmt.Errorf("core: need at least one processor")
+	case mode == ModeSequential:
+		procs = 1
 	}
 	m, err := Scan(data)
 	if err != nil {
@@ -48,9 +55,9 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, bands bool, tr memtrac
 	if err != nil {
 		return err
 	}
-	opt := Options{Tracer: tr}
+	var opt Options
 	task := 0
-	var scr sliceScratch
+	scr := sliceScratch{tr: tr}
 	var cov coverage
 	var tl tally
 	for _, p := range pl.pics {
@@ -83,7 +90,7 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, bands bool, tr memtrac
 				proc = bandOf(sr.Row, procs, p.params.MBHeight)
 			}
 			traceInput(tr, data, proc, sr.Offset, sr.End)
-			if _, _, err := decodeSliceRange(data, &m.Seq, &p.hdr, &p.params, sr, p.sliceBound(si), picRefs(p), p.frame, proc, tr, &scr); err != nil {
+			if _, _, err := decodeSliceRange(data, &m.Seq, &p.hdr, &p.params, sr, p.sliceBound(si), picRefs(p), p.frame, proc, &scr); err != nil {
 				return err
 			}
 			task++

@@ -16,6 +16,8 @@ import (
 // macroblocks (16×16); planes are allocated at coded size so slice and
 // motion-compensation code never needs edge special cases for the last
 // macroblock row/column. Chroma planes are coded-size/2 in each dimension.
+// A frame a Pool recycles holds its last picture's pixels until a decode
+// overwrites them, which it does over the whole coded area.
 type Frame struct {
 	Width, Height  int // display size in pixels
 	CodedW, CodedH int // coded size, multiples of 16
@@ -137,7 +139,8 @@ func planeEqual(a, b []uint8, aStride, bStride, w, h int) bool {
 }
 
 // Fill sets every sample of all three planes to v (mid-grey 128 is the
-// error-concealment background when no reference picture exists).
+// error-concealment background when no reference picture exists, and what
+// a frame crossing streams through a Store is cleared to).
 func (f *Frame) Fill(v uint8) {
 	for _, pl := range [][]uint8{f.Y, f.Cb, f.Cr} {
 		if len(pl) == 0 {

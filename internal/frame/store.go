@@ -20,7 +20,8 @@ import "sync"
 // The bound is enforced where lent bytes fall, in the hand-back.
 //
 // A frame that leaves the store has belonged to another stream: Pool.Get
-// wipes it before anyone decodes into it, whatever the pool's Scrub.
+// clears it to mid-grey before anyone decodes into it: tenant isolation,
+// not decode hygiene — within one stream, a recycled frame is not cleared.
 type Store struct {
 	mu    sync.Mutex
 	spare map[[2]int][]*Frame // by coded width and height

@@ -8,9 +8,8 @@ func clean(f *Frame) bool {
 
 // tenant returns a pool attached to s with n frames drawn and put back, so
 // that HandBack has n idle frames to offer.
-func tenant(s *Store, w, h, n int, scrub Scrub) *Pool {
+func tenant(s *Store, w, h, n int) *Pool {
 	p := NewPool(w, h)
-	p.SetScrub(scrub)
 	p.SetStore(s)
 	fs := make([]*Frame, n)
 	for i := range fs {
@@ -24,41 +23,42 @@ func tenant(s *Store, w, h, n int, scrub Scrub) *Pool {
 }
 
 // A frame that crosses pools through the store is wiped by the Get that
-// hands it out under every scrub mode — ScrubOff included, which leaves a
-// frame recycled inside one pool as it was.
+// hands it out, while a frame recycled inside one pool stays as it was.
 func TestStoreFrameCrossesWiped(t *testing.T) {
-	for _, mode := range []Scrub{ScrubOff, ScrubOnGet, ScrubOnPut} {
-		s := NewStore()
-		live := tenant(s, 48, 32, 2, ScrubOff) // keeps the bound above zero
-		gone := tenant(s, 48, 32, 2, ScrubOff)
-		gone.HandBack()
-		if st := s.Stats(); st.SpareBytes != 2*int64(New(48, 32).Bytes()) {
-			t.Fatalf("two idle frames handed back, store holds %+v", st)
-		}
-		// Same coded size, other display size: the frame fits and takes
-		// the new pool's dimensions.
-		p := NewPool(40, 30)
-		p.SetScrub(mode)
-		p.SetStore(s)
-		f := p.Get()
-		if st := s.Stats(); st.Reused != 1 {
-			t.Fatalf("scrub mode %d: Get allocated beside a stocked store: %+v", mode, st)
-		}
-		if !clean(f) {
-			t.Fatalf("scrub mode %d: a frame crossed pools with the other stream's pixels", mode)
-		}
-		if f.Width != 40 || f.Height != 30 || f.RefCount() != 0 {
-			t.Fatalf("scrub mode %d: crossed frame is %dx%d, rc %d", mode, f.Width, f.Height, f.RefCount())
-		}
-		if ps := p.Stats(); ps.AllocBytes != int64(f.Bytes()) || ps.InUseBytes != int64(f.Bytes()) {
-			t.Fatalf("scrub mode %d: a lent frame must count as the pool's own: %+v", mode, ps)
-		}
-		p.Put(f)
-		p.HandBack()
-		live.HandBack()
-		if st := s.Stats(); st.SpareBytes != 0 || st.LentBytes != 0 {
-			t.Fatalf("scrub mode %d: no tenant left, store holds %+v", mode, st)
-		}
+	s := NewStore()
+	live := tenant(s, 48, 32, 2) // keeps the bound above zero
+	gone := tenant(s, 48, 32, 2)
+	gone.HandBack()
+	if st := s.Stats(); st.SpareBytes != 2*int64(New(48, 32).Bytes()) {
+		t.Fatalf("two idle frames handed back, store holds %+v", st)
+	}
+	// Same coded size, other display size: the frame fits and takes the
+	// new pool's dimensions.
+	p := NewPool(40, 30)
+	p.SetStore(s)
+	f := p.Get()
+	if st := s.Stats(); st.Reused != 1 {
+		t.Fatalf("Get allocated beside a stocked store: %+v", st)
+	}
+	if !clean(f) {
+		t.Fatal("a frame crossed pools with the other stream's pixels")
+	}
+	if f.Width != 40 || f.Height != 30 || f.RefCount() != 0 {
+		t.Fatalf("crossed frame is %dx%d, rc %d", f.Width, f.Height, f.RefCount())
+	}
+	if ps := p.Stats(); ps.AllocBytes != int64(f.Bytes()) || ps.InUseBytes != int64(f.Bytes()) {
+		t.Fatalf("a lent frame must count as the pool's own: %+v", ps)
+	}
+	dirty(f)
+	p.Put(f)
+	if g := p.Get(); g != f || clean(g) {
+		t.Fatal("a frame recycled within the pool was not handed back as it was")
+	}
+	p.Put(f)
+	p.HandBack()
+	live.HandBack()
+	if st := s.Stats(); st.SpareBytes != 0 || st.LentBytes != 0 {
+		t.Fatalf("no tenant left, store holds %+v", st)
 	}
 }
 
@@ -67,10 +67,10 @@ func TestStoreFrameCrossesWiped(t *testing.T) {
 func TestStoreBound(t *testing.T) {
 	small, big := int64(New(48, 32).Bytes()), int64(New(352, 240).Bytes())
 	s := NewStore()
-	live := tenant(s, 48, 32, 2, ScrubOnGet)
+	live := tenant(s, 48, 32, 2)
 
 	// Two small frames lent: a leaving tenant's five come back as four.
-	tenant(s, 48, 32, 5, ScrubOnGet).HandBack()
+	tenant(s, 48, 32, 5).HandBack()
 	if st := s.Stats(); st.LentBytes != 2*small || st.SpareBytes != 4*small || st.Bound() != 4*small {
 		t.Fatalf("five handed back beside two lent: %+v", st)
 	}
@@ -79,13 +79,13 @@ func TestStoreBound(t *testing.T) {
 	if big <= 4*small {
 		t.Fatalf("test geometry: big frame %d, bound %d", big, 4*small)
 	}
-	tenant(s, 352, 240, 2, ScrubOnGet).HandBack()
+	tenant(s, 352, 240, 2).HandBack()
 	if st := s.Stats(); st.SpareBytes != 4*small || st.PeakBytes != 4*small {
 		t.Fatalf("big frames beside a small bound: %+v (a big frame is %d)", st, big)
 	}
 	// A tenant that draws one of the spare frames and never puts it back:
 	// the frame is written off with the tenancy, not lent for ever.
-	leaky := tenant(s, 48, 32, 1, ScrubOnGet)
+	leaky := tenant(s, 48, 32, 1)
 	leaky.Get()
 	leaky.HandBack()
 	leaky.HandBack() // and a second hand-back is nothing
@@ -94,7 +94,7 @@ func TestStoreBound(t *testing.T) {
 	}
 	// A tenant that lives on a spare frame and hands it back leaves the
 	// books as they were.
-	other := tenant(s, 48, 32, 1, ScrubOnGet)
+	other := tenant(s, 48, 32, 1)
 	if st := s.Stats(); st.LentBytes != 3*small || st.SpareBytes != 2*small {
 		t.Fatalf("a third tenant drew from the stock: %+v", st)
 	}

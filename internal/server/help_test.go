@@ -65,9 +65,9 @@ func helping() (*obs.Tracer, <-chan struct{}) {
 // group takes the idle worker as a helper, delivers what a help-free decode
 // of the same plan delivers — frames, Work, Errors, Split, Shed and
 // Displayed, or the same FailFast error and Work — on clean and faulted
-// bytes, with and without a split index (which splits nothing in the
-// service), under every policy; the frames are the sequential oracle's
-// wherever the decode succeeds.
+// bytes, under every policy, with the help-free session given a split
+// index or not (a session splits nothing, so the index changes nothing);
+// the frames are the sequential oracle's wherever the decode succeeds.
 func TestHelpMatchesHelpFree(t *testing.T) {
 	plain := testStream(t, 352, 240, 13, 13)
 	tallRes, err := encoder.EncodeSequence(encoder.Config{
@@ -110,7 +110,7 @@ func TestHelpMatchesHelpFree(t *testing.T) {
 				srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true})
 				var sink collectSink
 				ss, err := srv.Decode(context.Background(), bytes.NewReader(bytes_.data), server.StreamConfig{
-					Resilience: policy, MaxInFlight: 1, Index: in.ix, Sink: sink.add,
+					Resilience: policy, MaxInFlight: 1, Sink: sink.add,
 				})
 				srv.Close() // the helpers are back: Assists is final
 				assists += srv.Metrics().Assists

@@ -12,7 +12,6 @@ import (
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/obs"
 	scan "mpeg2par/internal/stream"
-	"mpeg2par/internal/vldsplit"
 )
 
 // StreamConfig is one stream's budgets and preferences.
@@ -43,10 +42,6 @@ type StreamConfig struct {
 	PicRate float64
 	// ChunkSize is the scanner's read granularity (0 = default).
 	ChunkSize int
-	// Index, when non-nil, is the stream's intra-slice split index
-	// (vldsplit). A session splits no slice (core.NewSession), so it is
-	// not read at present: helpers share a group's row groups only.
-	Index *vldsplit.Index
 }
 
 // stream is one admitted stream's server-side state.
@@ -313,7 +308,6 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 		Resilience: cfg.Resilience,
 		Obs:        s.obs,
 		Cost:       s.cost,
-		SplitIndex: cfg.Index,
 		Frames:     s.frames,
 		Sink: func(f *frame.Frame) {
 			st.noteDisplayed(f.DisplayIndex)

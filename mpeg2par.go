@@ -118,7 +118,10 @@ type Mode = core.Mode
 
 // The decoder variants the paper evaluates, plus the single-worker
 // planned executor the resilient modes are verified against, plus the
-// cost-model-driven automatic mode (see WithAutoTune).
+// cost-model-driven automatic mode: WithMode(ModeAuto) lets the scheduler
+// pick sequential, GOP or improved-slice decoding, with WithWorkers as the
+// worker ceiling, from the first group's geometry, for the whole stream.
+// Stats.Auto reports the decision; output is bit-identical to every mode.
 const (
 	ModeGOP           = core.ModeGOP
 	ModeSliceSimple   = core.ModeSliceSimple
@@ -371,11 +374,14 @@ type CacheConfig = cachesim.Config
 // CacheStats are the simulated miss counters.
 type CacheStats = cachesim.Stats
 
-// TraceDecode decodes the stream under the given mode and worker count,
-// recording the reconstruction memory-reference stream.
+// TraceDecode records the reconstruction memory-reference stream of the
+// stream decoded under mode as if workers processors had run it, each
+// event labelled by a fixed task assignment (see core.TraceDecode), so
+// that every call on every host returns the same events. ModeSequential
+// traces on one processor; ModeAuto is rejected with ErrBadOption.
 func TraceDecode(data []byte, mode Mode, workers int) ([]TraceEvent, error) {
 	rec := memtrace.NewRecorder()
-	if _, err := core.Decode(data, core.Options{Mode: mode, Workers: workers, Tracer: rec}); err != nil {
+	if err := core.TraceDecode(data, mode, workers, rec); err != nil {
 		return nil, err
 	}
 	return rec.Events(), nil

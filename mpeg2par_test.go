@@ -3,6 +3,8 @@ package mpeg2par_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -131,6 +133,9 @@ func TestPublicProfileAndSimulate(t *testing.T) {
 	}
 }
 
+// TestPublicTraceAndCache: TraceDecode labels events by a fixed
+// assignment — the same events on every call, every event of GOP-mode
+// group g on processor g%2 — and its trace drives the cache simulator.
 func TestPublicTraceAndCache(t *testing.T) {
 	s := testStream(t)
 	events, err := mpeg2par.TraceDecode(s.Data, mpeg2par.ModeGOP, 2)
@@ -139,6 +144,39 @@ func TestPublicTraceAndCache(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("no trace events")
+	}
+	again, err := mpeg2par.TraceDecode(s.Data, mpeg2par.ModeGOP, 2)
+	if err != nil || !slices.Equal(again, events) {
+		t.Fatalf("a second trace of the same stream differs (err %v)", err)
+	}
+	// Each picture's events open with the read of its coded bytes, the
+	// first of them at the first picture's offset: the reads tell which
+	// group the events that follow belong to.
+	m, err := mpeg2par.ScanReader(bytes.NewReader(s.Data), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := events[0].Addr - uint64(m.GOPs[0].Pictures[0].Offset)
+	g, seen := -1, 0
+	for i, e := range events {
+		if off := e.Addr - base; !e.Write && e.Addr >= base && off < uint64(len(s.Data)) {
+			for g = 0; g < len(m.GOPs) && int(off) >= m.GOPs[g].End; g++ {
+			}
+			seen |= 1 << g
+		}
+		if g < 0 || int(e.Proc) != g%2 {
+			t.Fatalf("event %d of group %d on processor %d, want %d", i, g, e.Proc, g%2)
+		}
+	}
+	if seen != 1<<len(m.GOPs)-1 {
+		t.Fatalf("input reads found for groups %b of %d", seen, len(m.GOPs))
+	}
+	if _, err := mpeg2par.TraceDecode(s.Data, mpeg2par.ModeAuto, 2); !errors.Is(err, mpeg2par.ErrBadOption) {
+		t.Fatalf("ModeAuto trace: err %v, want ErrBadOption", err)
+	}
+	seq, err := mpeg2par.TraceDecode(s.Data, mpeg2par.ModeSequential, 4)
+	if err != nil || len(seq) == 0 || slices.ContainsFunc(seq, func(e mpeg2par.TraceEvent) bool { return e.Proc != 0 }) {
+		t.Fatalf("sequential trace: %d events, err %v; want all on processor 0", len(seq), err)
 	}
 	st, err := mpeg2par.SimulateCache(events, mpeg2par.CacheConfig{
 		Size: 64 << 10, LineSize: 64, Assoc: 2, Procs: 2,

@@ -120,15 +120,6 @@ func WithStreamChunkSize(n int) StreamOption {
 	return func(c *server.StreamConfig) { c.ChunkSize = n }
 }
 
-// WithStreamIndex attaches the stream's intra-slice split index (built
-// by BuildIndex, or NewIndex plus a deserialized payload). The service
-// does not split slices at present — an idle pool worker helping the
-// stream's running group shares its row groups only — so the index is
-// accepted and not read; output is the same either way.
-func WithStreamIndex(ix *Index) StreamOption {
-	return func(c *server.StreamConfig) { c.Index = ix }
-}
-
 // Server is the multi-stream decode service: N concurrent streams
 // multiplexed onto one shared worker pool, with admission control from
 // the calibrated cost model, per-stream budgets (priority, frame
