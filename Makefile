@@ -72,3 +72,4 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzIndexUnmarshal -fuzztime=$(FUZZTIME) ./internal/vldsplit
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/mpeg2
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMBHeader -fuzztime=$(FUZZTIME) ./internal/mpeg2
+	$(GO) test -run=NONE -fuzz=FuzzPredictMB -fuzztime=$(FUZZTIME) ./internal/motion

@@ -11,10 +11,10 @@ package core
 // prediction (frame_pred_frame_dct = 0). It returns -1 — the whole frame —
 // for an f_code the slice layer rejects.
 //
-// decodeVector wraps every vertical component into [-16f, 16f-1] half-pels,
-// f = 2^(f_code-1). A frame vector displaces the 16-line block by at most
-// 8f lines up and, with the half-pel line, 8f lines down: ⌈f/2⌉ rows either
-// way. A field vector is in field lines, each two frame lines, so the same
+// The header decode wraps every vertical component into [-16f, 16f-1]
+// half-pels, f = 2^(f_code-1). A frame vector displaces the 16-line block
+// by at most 8f lines up and, with the half-pel line, 8f lines down: ⌈f/2⌉
+// rows either way. A field vector is in field lines, each two frame lines, so the same
 // range reaches f rows. Chroma halves both the vector and the row height,
 // and motion.PredictBlock's edge clamp only ever moves a block back towards
 // its own row, so neither widens the window.

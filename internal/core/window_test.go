@@ -41,7 +41,7 @@ func predZero(p *motion.MBPred) bool {
 
 // TestRefRowWindowExhaustive checks refRowWindow against the rows motion
 // compensation really reads: for every legal f_code, every vertical
-// vector decodeVector can produce, frame and field prediction, and
+// vector the header decode can produce, frame and field prediction, and
 // macroblock rows at the top edge, the bottom edge and clear of both. A
 // reference whose rows outside the window are white and inside black must
 // predict pure black whatever the vector (nothing outside the window is

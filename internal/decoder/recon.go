@@ -118,11 +118,10 @@ func blockMask(mb *mpeg2.MB, b int) uint64 {
 }
 
 // reconScratch is what ReconSlice keeps for its macroblocks: the
-// prediction buffer a bidirectional macroblock averages from, and the
 // dequantization tables of dct.ReconBlock, which change with
-// quantiser_scale only.
+// quantiser_scale only. A bidirectional macroblock needs no prediction
+// buffer: its backward prediction is averaged straight into the frame.
 type reconScratch struct {
-	pred         motion.MBPred
 	intra, inter dct.Dequant
 }
 
@@ -151,12 +150,12 @@ func reconBlock(dst *frame.Frame, mb *mpeg2.MB, b, mbx, mby int, p quant.Params,
 }
 
 // reconMB reconstructs one macroblock into dst. A predicted pixel is
-// written once: motion compensation goes straight into dst (a
-// bidirectional macroblock: forward into dst, backward into scratch, then
-// dst = avg(dst, scratch)), so an uncoded block costs nothing more and a
-// coded one is an in-place clamped residual add. Whether the macroblock
-// can be predicted at all is decided before dst is touched, so a rejected
-// macroblock leaves the frame as it found it.
+// written once: motion compensation goes straight into dst, one
+// prediction call per direction — a bidirectional macroblock predicts
+// forward into dst and averages backward into it — so an uncoded block
+// costs nothing more and a coded one is an in-place clamped residual add.
+// Whether the macroblock can be predicted at all is decided before dst is
+// touched, so a rejected macroblock leaves the frame as it found it.
 func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, sc *reconScratch, st *WorkStats, proc int, tr memtrace.Tracer) error {
 	scale := quant.Scale(mb.QScaleCode, ph.QScaleType)
 	var nz [6]int // coefficients per coded block, for the trace
@@ -188,14 +187,13 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 	}
 	switch {
 	case fwd && bwd:
-		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false)
-		predictMB(dst, &sc.pred, refs.Bwd, mb, mbx, mby, true)
-		motion.AverageMBInto(dst, mbx, mby, &sc.pred)
+		predictMB(dst, refs.Fwd, mb, mbx, mby, false, false)
+		predictMB(dst, refs.Bwd, mb, mbx, mby, true, true)
 		st.BidirMBs++
 	case bwd:
-		predictMB(dst, nil, refs.Bwd, mb, mbx, mby, true)
+		predictMB(dst, refs.Bwd, mb, mbx, mby, true, false)
 	default:
-		predictMB(dst, nil, refs.Fwd, mb, mbx, mby, false)
+		predictMB(dst, refs.Fwd, mb, mbx, mby, false, false)
 	}
 	st.PredMBs++
 
@@ -218,25 +216,19 @@ func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst 
 
 // predictMB writes one direction's prediction of mb (backward selects
 // MVBwd and its field selects, else forward) from ref straight into the
-// macroblock's place in dst — or, for the second direction of a
-// bidirectional macroblock, into the scratch buffer when one is given.
+// macroblock's place in dst, or with avg averages it into what is there.
 // With FieldMotion the direction carries two field vectors (field-unit
-// verticals).
-func predictMB(dst *frame.Frame, scratch *motion.MBPred, ref *frame.Frame, mb *mpeg2.MB, mbx, mby int, backward bool) {
+// verticals), one prediction call per field.
+func predictMB(dst, ref *frame.Frame, mb *mpeg2.MB, mbx, mby int, backward, avg bool) {
 	mv, mv2, sel := mb.MVFwd, mb.MVFwd2, mb.FieldSelFwd
 	if backward {
 		mv, mv2, sel = mb.MVBwd, mb.MVBwd2, mb.FieldSelBwd
 	}
-	switch {
-	case scratch != nil && mb.FieldMotion:
-		motion.PredictMBField(scratch, ref, mbx, mby, sel, mv, mv2)
-	case scratch != nil:
-		motion.PredictMB(scratch, ref, mbx, mby, mv)
-	case mb.FieldMotion:
-		motion.PredictMBFieldInto(dst, ref, mbx, mby, sel, mv, mv2)
-	default:
-		motion.PredictMBInto(dst, ref, mbx, mby, mv)
+	if mb.FieldMotion {
+		motion.PredictMBFieldInto(dst, ref, mbx, mby, sel, mv, mv2, avg)
+		return
 	}
+	motion.PredictMBInto(dst, ref, mbx, mby, mv, avg)
 }
 
 // blockGeometry returns the destination plane, top-left pixel position,
@@ -364,12 +356,12 @@ func clampPixelRef(v int32) uint8 {
 
 // --- tracing ---------------------------------------------------------------
 
-// Per-processor scratch regions (coefficient block, the prediction buffer
-// bidirectional macroblocks average from, VLD state) and the shared
-// read-only tables (quantization matrices, VLC lookup tables). These
-// small, hot structures are what forms the program's working set — the
-// frame planes mostly stream through the cache — so the locality figures
-// need them in the trace.
+// Per-processor scratch regions (coefficient block, a prediction buffer
+// for bidirectional macroblocks, VLD state) and the shared read-only
+// tables (quantization matrices, VLC lookup tables). These small, hot
+// structures are what forms the program's working set — the frame planes
+// mostly stream through the cache — so the locality figures need them in
+// the trace.
 //
 // The VLC region is one DCT coefficient decode table, the table a block
 // decode probes once per symbol: vlc.CoefTableBytes, 5 KB. (Before the
@@ -449,10 +441,13 @@ func traceBlock(proc int, intra bool, coefs int, tr memtrace.Tracer) {
 	}
 }
 
-// traceScratchPred records the prediction-buffer traffic of one
-// bidirectional macroblock: motion compensation writes the backward
-// prediction there, the average reads it back. No other macroblock
-// touches the buffer: its prediction is written straight into the frame.
+// traceScratchPred records the prediction-buffer traffic the model
+// charges one bidirectional macroblock: the backward prediction written
+// to the processor's scratch region and read back by the average. The
+// decoder has no such buffer any more (the backward prediction is averaged
+// into the frame in registers), but the model keeps it, so the reference
+// stream stays the one TestTraceGeneratorMatchesRecord pins. No other
+// macroblock touches the buffer.
 func traceScratchPred(proc int, tr memtrace.Tracer) {
 	sb := scratchBase(tr, proc)
 	tr.Access(proc, sb+scratchPred, 384, true)
@@ -481,7 +476,7 @@ func traceMBWrite(dst *frame.Frame, mbx, mby, proc int, tr memtrace.Tracer) {
 // every block in blocks (a coded_block_pattern-ordered mask) has its
 // eight 8-byte destination rows read back and written again — the
 // clamped residual add of a coded block, or (all six blocks) the average
-// of a bidirectional macroblock with the scratch prediction.
+// of a bidirectional macroblock with the modelled prediction buffer.
 func traceMBUpdate(dst *frame.Frame, mbx, mby, blocks int, fieldDCT bool, proc int, tr memtrace.Tracer) {
 	for b := 0; b < 6; b++ {
 		if blocks&(1<<uint(5-b)) == 0 {

@@ -24,3 +24,11 @@ func avgBytesAsm(dst, a, b *byte, n int)
 
 //go:noescape
 func avgRowsAsm(dst, src *byte, dstStride, srcStride, w, h int)
+
+// mbAsm is false: the arm64 tier composes a macroblock's prediction from
+// the per-plane kernels (interpolate, averageRows).
+const mbAsm = false
+
+func predictMBAsm(dY, dCb, dCr, sY, sCb, sCr *byte, dys, dcs, ys, cs, h, ySel, cSel int) {
+	panic("motion: no macroblock kernel on arm64")
+}

@@ -6,6 +6,8 @@ package motion
 // dispatch layer never routes here, so the stubs are unreachable.
 const haveAsm = false
 
+const mbAsm = false
+
 func predictCopyAsm(dst, src *byte, dstStride, srcStride, w, h int) {
 	panic("motion: no assembly kernels on this architecture")
 }
@@ -27,5 +29,9 @@ func avgBytesAsm(dst, a, b *byte, n int) {
 }
 
 func avgRowsAsm(dst, src *byte, dstStride, srcStride, w, h int) {
+	panic("motion: no assembly kernels on this architecture")
+}
+
+func predictMBAsm(dY, dCb, dCr, sY, sCb, sCr *byte, dys, dcs, ys, cs, h, ySel, cSel int) {
 	panic("motion: no assembly kernels on this architecture")
 }

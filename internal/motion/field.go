@@ -9,18 +9,22 @@ import "mpeg2par/internal/frame"
 // *field* units (one field line = two frame lines).
 
 // PredictMBFieldInto writes a full field-predicted macroblock straight
-// into macroblock (mbx, mby) of dst (see PredictMBInto): the top field
-// lines from (sel[0], mv1) and the bottom field lines from (sel[1], mv2).
-func PredictMBFieldInto(dst, ref *frame.Frame, mbx, mby int, sel [2]bool, mv1, mv2 MV) {
-	predictInto(dst, ref, mbx, mby, mv1, true, 0, parity(sel[0]))
-	predictInto(dst, ref, mbx, mby, mv2, true, 1, parity(sel[1]))
+// into macroblock (mbx, mby) of dst (see PredictMBInto), or with avg
+// averages it into what that macroblock holds: the top field lines from
+// (sel[0], mv1) and the bottom field lines from (sel[1], mv2), one
+// prediction call per field.
+func PredictMBFieldInto(dst, ref *frame.Frame, mbx, mby int, sel [2]bool, mv1, mv2 MV, avg bool) {
+	y, c := mbOffsets(dst, mbx, mby)
+	predict(dst, y, c, ref, mbx, mby, mv1, true, 0, parity(sel[0]), avg)
+	predict(dst, y, c, ref, mbx, mby, mv2, true, 1, parity(sel[1]), avg)
 }
 
 // PredictMBField fills pred with a full field-predicted macroblock: the
 // top field from (sel[0], mv1) and the bottom field from (sel[1], mv2).
 func PredictMBField(pred *MBPred, ref *frame.Frame, mbx, mby int, sel [2]bool, mv1, mv2 MV) {
-	predict(pred.Y[:], pred.Cb[:], pred.Cr[:], 16, 8, ref, mbx, mby, mv1, true, 0, parity(sel[0]))
-	predict(pred.Y[:], pred.Cb[:], pred.Cr[:], 16, 8, ref, mbx, mby, mv2, true, 1, parity(sel[1]))
+	dst := mbView(pred)
+	predict(&dst, 0, 0, ref, mbx, mby, mv1, true, 0, parity(sel[0]), false)
+	predict(&dst, 0, 0, ref, mbx, mby, mv2, true, 1, parity(sel[1]), false)
 }
 
 // parity maps a motion_vertical_field_select to a line parity: 1 selects

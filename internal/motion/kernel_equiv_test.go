@@ -223,13 +223,39 @@ func samePlanes(a, b *frame.Frame) bool {
 	return bytes.Equal(a.Y, b.Y) && bytes.Equal(a.Cb, b.Cb) && bytes.Equal(a.Cr, b.Cr)
 }
 
+// averageInto returns a copy of f whose macroblock (mbx, mby) is the
+// rounded average of what f holds there and pred (AverageMB).
+func averageInto(f *frame.Frame, pred *MBPred, mbx, mby int) *frame.Frame {
+	var held, avg MBPred
+	y, c := mbOffsets(f, mbx, mby)
+	for r := 0; r < 16; r++ {
+		copy(held.Y[r*16:r*16+16], f.Y[y+r*f.YStride:])
+	}
+	for r := 0; r < 8; r++ {
+		copy(held.Cb[r*8:r*8+8], f.Cb[c+r*f.CStride:])
+		copy(held.Cr[r*8:r*8+8], f.Cr[c+r*f.CStride:])
+	}
+	AverageMB(&avg, &held, pred)
+	g := cloneFrame(f)
+	placeMB(g, &avg, mbx, mby)
+	return g
+}
+
+func cloneFrame(f *frame.Frame) *frame.Frame {
+	g := *f
+	g.Y, g.Cb, g.Cr = bytes.Clone(f.Y), bytes.Clone(f.Cb), bytes.Clone(f.Cr)
+	return &g
+}
+
 // TestPredictMBIntoTierEquivalence checks, at every kernel tier, that
-// predicting straight into a frame-shaped destination writes what
-// PredictMB / PredictMBField write into an MBPred, there and nowhere else
-// (the rest of the destination, row padding included, keeps a sentinel):
-// every macroblock of a 3×3 picture, so each picture edge clamps, vectors
-// in all four half-pel phases from far outside the picture to far outside
-// it on the other side, frame prediction and field prediction with every
+// predicting straight into a frame-shaped destination writes what the
+// scalar tier's PredictMB / PredictMBField write into an MBPred, there and
+// nowhere else (the rest of the destination, row padding included, keeps
+// a sentinel), and that with avg set it writes the scalar AverageMB of
+// what the frame held (random content) and that prediction: every
+// macroblock of a 3×3 picture, so each picture edge clamps, vectors in
+// all four half-pel phases from far outside the picture to far outside it
+// on the other side, frame prediction and field prediction with every
 // pair of field selects, dense and padded strides on either side.
 func TestPredictMBIntoTierEquivalence(t *testing.T) {
 	tiers := kernelTiers(t)
@@ -240,32 +266,51 @@ func TestPredictMBIntoTierEquivalence(t *testing.T) {
 		rng.fill(ref.Y)
 		rng.fill(ref.Cb)
 		rng.fill(ref.Cr)
-		for _, tier := range tiers {
-			kernels.Set(tier)
-			for mb := 0; mb < 9; mb++ {
-				mbx, mby := mb%3, mb/3
-				for _, x := range comps {
-					for _, y := range comps {
-						mv := MV{X: x, Y: y}
-						mv2 := MV{X: comps[rng.next()%9], Y: comps[rng.next()%9]}
-						var pred MBPred
-						PredictMB(&pred, ref, mbx, mby, mv)
-						want := viewFrame(48, 48, pad[0], pad[1], 0xA5)
-						placeMB(want, &pred, mbx, mby)
-						got := viewFrame(48, 48, pad[0], pad[1], 0xA5)
-						PredictMBInto(got, ref, mbx, mby, mv)
-						if !samePlanes(want, got) {
-							t.Fatalf("tier=%v pad=%v mb=(%d,%d) mv=%v: frame prediction into the frame differs from PredictMB", tier, pad, mbx, mby, mv)
-						}
-						for s := 0; s < 4; s++ {
-							sel := [2]bool{s&1 != 0, s&2 != 0}
-							PredictMBField(&pred, ref, mbx, mby, sel, mv, mv2)
-							want = viewFrame(48, 48, pad[0], pad[1], 0xA5)
-							placeMB(want, &pred, mbx, mby)
-							got = viewFrame(48, 48, pad[0], pad[1], 0xA5)
-							PredictMBFieldInto(got, ref, mbx, mby, sel, mv, mv2)
-							if !samePlanes(want, got) {
-								t.Fatalf("tier=%v pad=%v mb=(%d,%d) sel=%v mv=%v/%v: field prediction into the frame differs from PredictMBField", tier, pad, mbx, mby, sel, mv, mv2)
+		held := viewFrame(48, 48, pad[0], pad[1], 0)
+		for mb := 0; mb < 9; mb++ {
+			mbx, mby := mb%3, mb/3
+			for _, x := range comps {
+				for _, y := range comps {
+					mv := MV{X: x, Y: y}
+					mv2 := MV{X: comps[rng.next()%9], Y: comps[rng.next()%9]}
+					rng.fill(held.Y)
+					rng.fill(held.Cb)
+					rng.fill(held.Cr)
+					// The references, from the scalar tier.
+					kernels.Set(kernels.LevelScalar)
+					var pred MBPred
+					PredictMB(&pred, ref, mbx, mby, mv)
+					want := viewFrame(48, 48, pad[0], pad[1], 0xA5)
+					placeMB(want, &pred, mbx, mby)
+					wantAvg := averageInto(held, &pred, mbx, mby)
+					var fieldWant, fieldAvg [4]*frame.Frame
+					for s := range fieldWant {
+						PredictMBField(&pred, ref, mbx, mby, [2]bool{s&1 != 0, s&2 != 0}, mv, mv2)
+						fieldWant[s] = viewFrame(48, 48, pad[0], pad[1], 0xA5)
+						placeMB(fieldWant[s], &pred, mbx, mby)
+						fieldAvg[s] = averageInto(held, &pred, mbx, mby)
+					}
+					for _, tier := range tiers {
+						kernels.Set(tier)
+						for _, avg := range []bool{false, true} {
+							got, w := viewFrame(48, 48, pad[0], pad[1], 0xA5), want
+							if avg {
+								got, w = cloneFrame(held), wantAvg
+							}
+							PredictMBInto(got, ref, mbx, mby, mv, avg)
+							if !samePlanes(w, got) {
+								t.Fatalf("tier=%v pad=%v mb=(%d,%d) mv=%v avg=%v: frame prediction into the frame differs from the scalar tier's", tier, pad, mbx, mby, mv, avg)
+							}
+							for s := range fieldWant {
+								sel := [2]bool{s&1 != 0, s&2 != 0}
+								got, w = viewFrame(48, 48, pad[0], pad[1], 0xA5), fieldWant[s]
+								if avg {
+									got, w = cloneFrame(held), fieldAvg[s]
+								}
+								PredictMBFieldInto(got, ref, mbx, mby, sel, mv, mv2, avg)
+								if !samePlanes(w, got) {
+									t.Fatalf("tier=%v pad=%v mb=(%d,%d) sel=%v mv=%v/%v avg=%v: field prediction into the frame differs from the scalar tier's", tier, pad, mbx, mby, sel, mv, mv2, avg)
+								}
 							}
 						}
 					}
@@ -275,11 +320,13 @@ func TestPredictMBIntoTierEquivalence(t *testing.T) {
 	}
 }
 
-// TestAverageMBIntoTierEquivalence checks the strided in-place average
-// against AverageMB at every tier: random macroblocks at every position
-// of a padded frame, and every one of the 65536 byte pairs through both
-// the 16-byte luma rows and the 8-byte chroma rows.
-func TestAverageMBIntoTierEquivalence(t *testing.T) {
+// TestPredictMBIntoAverageBytes checks the average of a bidirectional
+// prediction (PredictMBInto with avg) against AverageMB at every tier:
+// random macroblocks at every position of a padded frame, and every one
+// of the 65536 byte pairs through both the 16-byte luma rows and the
+// 8-byte chroma rows. The prediction is the zero vector from a reference
+// holding b, so it is b itself.
+func TestPredictMBIntoAverageBytes(t *testing.T) {
 	tiers := kernelTiers(t)
 	rng := prng(0xdeadbeef12345)
 	check := func(tier kernels.Level, a, b *MBPred, mbx, mby int, what string) {
@@ -288,11 +335,13 @@ func TestAverageMBIntoTierEquivalence(t *testing.T) {
 		AverageMB(&avg, a, b)
 		want := viewFrame(48, 32, 9, 3, 0x5A)
 		placeMB(want, &avg, mbx, mby)
+		ref := viewFrame(48, 32, 5, 7, 0x33)
+		placeMB(ref, b, mbx, mby)
 		got := viewFrame(48, 32, 9, 3, 0x5A)
 		placeMB(got, a, mbx, mby)
-		AverageMBInto(got, mbx, mby, b)
+		PredictMBInto(got, ref, mbx, mby, Zero, true)
 		if !samePlanes(want, got) {
-			t.Fatalf("tier=%v mb=(%d,%d) %s: in-place average differs from AverageMB", tier, mbx, mby, what)
+			t.Fatalf("tier=%v mb=(%d,%d) %s: averaged prediction differs from AverageMB", tier, mbx, mby, what)
 		}
 	}
 	for _, tier := range tiers {
@@ -315,6 +364,71 @@ func TestAverageMBIntoTierEquivalence(t *testing.T) {
 			check(tier, &a, &b, 1, 1, fmt.Sprintf("byte %d against all", v))
 		}
 	}
+}
+
+// predictGeometry is one of FuzzPredictMB's frame shapes: an SD frame's
+// strides, odd strides, and a one-macroblock picture too small for a
+// half-pel sample region (predictBlockClamped's replication).
+func predictGeometry(g uint8) (w, h, ypad, cpad int) {
+	switch g % 3 {
+	case 0:
+		return 704, 64, 0, 0
+	case 1:
+		return 48, 48, 13, 5
+	}
+	return 16, 16, 1, 3
+}
+
+// FuzzPredictMB holds every tier's one-call prediction to the scalar
+// tier's: a forward prediction into the frame, then a backward one
+// averaged into it (one bidirectional macroblock), frame or field
+// prediction with any selects, any macroblock of the picture, any vectors
+// — far outside the picture included, where the origin clamps — and
+// PredictMB / PredictMBField into an MBPred beside them. The seeds cover
+// all 16 forward/backward phase pairs on each frame shape, frame and field.
+func FuzzPredictMB(f *testing.F) {
+	for g := uint8(0); g < 3; g++ {
+		for ph := 0; ph < 16; ph++ {
+			fx, fy, bx, by := int16(ph&1), int16(ph>>1&1), int16(ph>>2&1), int16(ph>>3)
+			f.Add(uint64(ph+1), g, uint8(ph), uint8(ph/4), fx-4, fy+2, bx+6, by-8, int16(3), int16(-5), uint8(ph&7))
+		}
+	}
+	f.Add(uint64(99), uint8(0), uint8(43), uint8(3), int16(-2000), int16(1999), int16(511), int16(-512), int16(1023), int16(-1024), uint8(7))
+	f.Fuzz(func(t *testing.T, seed uint64, geom, mbx, mby uint8, fx, fy, bx, by, x2, y2 int16, flags uint8) {
+		w, h, ypad, cpad := predictGeometry(geom)
+		rng := prng(seed | 1)
+		refF, refB := viewFrame(w, h, ypad, cpad, 0), viewFrame(w, h, cpad, ypad, 0)
+		held := viewFrame(w, h, ypad, cpad, 0)
+		for _, p := range [][]uint8{refF.Y, refF.Cb, refF.Cr, refB.Y, refB.Cb, refB.Cr, held.Y, held.Cb, held.Cr} {
+			rng.fill(p)
+		}
+		x, y := int(mbx)%(w/16), int(mby)%(h/16)
+		fwd, bwd, mv2 := MV{X: int(fx), Y: int(fy)}, MV{X: int(bx), Y: int(by)}, MV{X: int(x2), Y: int(y2)}
+		field, sel := flags&1 != 0, [2]bool{flags&2 != 0, flags&4 != 0}
+		run := func(l kernels.Level) (*frame.Frame, MBPred) {
+			kernels.Set(l)
+			dst := cloneFrame(held)
+			var pred MBPred
+			if field {
+				PredictMBFieldInto(dst, refF, x, y, sel, fwd, mv2, false)
+				PredictMBFieldInto(dst, refB, x, y, sel, bwd, mv2, true)
+				PredictMBField(&pred, refB, x, y, sel, bwd, mv2)
+			} else {
+				PredictMBInto(dst, refF, x, y, fwd, false)
+				PredictMBInto(dst, refB, x, y, bwd, true)
+				PredictMB(&pred, refB, x, y, bwd)
+			}
+			return dst, pred
+		}
+		tiers := kernelTiers(t)
+		want, wantPred := run(kernels.LevelScalar)
+		for _, l := range tiers[1:] {
+			got, gotPred := run(l)
+			if !samePlanes(want, got) || gotPred != wantPred {
+				t.Fatalf("tier %v differs from scalar: %dx%d mb (%d,%d) field %v sel %v vectors %v %v %v", l, w, h, x, y, field, sel, fwd, bwd, mv2)
+			}
+		}
+	})
 }
 
 // BenchmarkPredictBlock measures each tier on the 16×16 luma diagonal
@@ -369,18 +483,18 @@ func BenchmarkAverageMBTiers(b *testing.B) {
 	}
 }
 
-// BenchmarkAverageMBIntoTiers measures the strided in-place average — the
-// second half of a bidirectional macroblock whose first prediction went
-// straight into the frame — across tiers, at an SD frame's strides.
-func BenchmarkAverageMBIntoTiers(b *testing.B) {
+// BenchmarkPredictMBBidir measures one bidirectional macroblock of an SD
+// frame per op, across tiers: a forward prediction into the frame and a
+// backward one averaged into it, each direction's half-pel phase cycling
+// through all four, so the 16 phase pairs take equal turns.
+func BenchmarkPredictMBBidir(b *testing.B) {
 	prev := kernels.Active()
 	b.Cleanup(func() { kernels.Set(prev) })
-	dst := frame.New(704, 64)
-	var y MBPred
+	dst, refF, refB := frame.New(704, 64), frame.New(704, 64), frame.New(704, 64)
 	rng := prng(13)
-	rng.fill(dst.Y)
-	rng.fill(y.Y[:])
-
+	for _, p := range [][]uint8{refF.Y, refF.Cb, refF.Cr, refB.Y, refB.Cb, refB.Cr} {
+		rng.fill(p)
+	}
 	tiers := []kernels.Level{kernels.LevelScalar, kernels.LevelSWAR}
 	if kernels.Supported() == kernels.LevelASM {
 		tiers = append(tiers, kernels.LevelASM)
@@ -390,8 +504,10 @@ func BenchmarkAverageMBIntoTiers(b *testing.B) {
 		b.Run(tier.String(), func(b *testing.B) {
 			b.SetBytes(384)
 			for i := 0; i < b.N; i++ {
-				AverageMBInto(dst, i%44, 1, &y)
+				PredictMBInto(dst, refF, i%44, 1, MV{X: 6 + i&1, Y: -4 + i>>1&1}, false)
+				PredictMBInto(dst, refB, i%44, 1, MV{X: -9 + i>>2&1, Y: 3 + i>>3&1}, true)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/MB")
 		})
 	}
 }

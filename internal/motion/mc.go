@@ -60,7 +60,8 @@ func interpolate(dst []uint8, dstStride int, src []uint8, srcStride, w, h, phase
 		predictBlockScalar(dst, dstStride, src, srcStride, w, h, phase&1, phase>>1)
 		return
 	}
-	if !asmKernels || (w != 16 && w != 8) {
+	// amd64's per-plane kernels are 16 wide: its chroma is predictMBAsm's.
+	if !asmKernels || w != 16 && (w != 8 || mbAsm) {
 		predictBlockSWAR(dst, dstStride, src, srcStride, w, h, phase&1, phase>>1)
 		return
 	}
@@ -94,55 +95,91 @@ func PredictBlock(dst []uint8, dstStride int, ref []uint8, refStride, refW, refH
 }
 
 // predict is the one macroblock-prediction implementation, behind every
-// PredictMB* entry point. Its destination is a view, not a buffer: dY,
-// dCb and dCr are three planes from the macroblock's first sample on,
-// their rows dys and dcs apart — an MBPred (strides 16 and 8), or the
-// frame under reconstruction at that macroblock, where a predicted pixel
-// is then written once and stays.
+// PredictMB* entry point. Its destination is macroblock (mbx, mby) of
+// dst, whose luma and chroma samples start at dy and dc: the frame under
+// reconstruction, where a predicted pixel is then written once and stays,
+// or an MBPred seen as a frame (mbView).
 //
-// With field false it predicts macroblock (mbx, mby) from ref with the
-// half-pel vector mv: 16×16 luma, 8×8 of each chroma plane. With field
-// true it predicts only the macroblock's lines of parity rv from the
-// lines of parity sel of ref, mv's vertical component in field lines
-// (§7.6.3.1): the same planes entered one line down, strides doubled,
-// half as high, a 16×8 block at field line mby*8. The clamp, phase and
-// source offset are resolved once for luma and once for the two chroma
-// planes, which share the 4:2:0 vector; the destination is written over
-// exactly those blocks and nowhere else.
-func predict(dY, dCb, dCr []uint8, dys, dcs int, ref *frame.Frame, mbx, mby int, mv MV, field bool, rv, sel int) {
+// With field false it predicts the macroblock from ref with the half-pel
+// vector mv: 16×16 luma, 8×8 of each chroma plane. With field true it
+// predicts only the macroblock's lines of parity rv from the lines of
+// parity sel of ref, mv's vertical component in field lines (§7.6.3.1):
+// the same planes entered one line down, strides doubled, half as high, a
+// 16×8 block at field line mby*8. With avg set the prediction is averaged
+// into what the destination holds, (a+b+1)>>1 (§7.6.7.1), instead of
+// written over it: the second direction of a bidirectional macroblock,
+// which so needs no buffer of its own.
+//
+// The clamp, phase and source offset are resolved once for luma and once
+// for the two chroma planes, which share the 4:2:0 vector. On amd64's asm
+// tier the samples are then one AVX2 call (predictMBAsm) for all three
+// planes. The other tiers, and a plane too small for its sample region,
+// take the composition of per-plane kernels (predictPlane), which is also
+// the reference the kernel is held to. The destination is written over
+// exactly the predicted blocks and nowhere else.
+func predict(dst *frame.Frame, dy, dc int, ref *frame.Frame, mbx, mby int, mv MV, field bool, rv, sel int, avg bool) {
 	h, shift, rY, rC := 16, 0, 0, 0
 	if field {
 		h, shift = 8, 1
-		dY, dCb, dCr = dY[rv*dys:], dCb[rv*dcs:], dCr[rv*dcs:]
+		dy, dc = dy+rv*dst.YStride, dc+rv*dst.CStride
 		rY, rC = sel*ref.YStride, sel*ref.CStride
 	}
-	dys <<= shift
-	rs, rw, rh := ref.YStride<<shift, ref.CodedW, ref.CodedH>>shift
-	if off, phase := sampleOrigin(rs, rw, rh, mbx*16, mby*h, mv.X, mv.Y, 16, h); off >= 0 {
-		interpolate(dY, dys, ref.Y[rY+off:], rs, 16, h, phase)
-	} else {
-		predictBlockClamped(dY, dys, ref.Y[rY:], rs, rw, rh, mbx*16, mby*h, mv.X, mv.Y, 16, h)
-	}
-
+	dys, dcs := dst.YStride<<shift, dst.CStride<<shift
+	ys, yw, yh := ref.YStride<<shift, ref.CodedW, ref.CodedH>>shift
+	cs, cw, ch := ref.CStride<<shift, yw/2, yh/2
 	c := mv.ChromaMV()
-	h /= 2
-	dcs <<= shift
-	rs, cw, ch := ref.CStride<<shift, rw/2, rh/2
-	off, phase := sampleOrigin(rs, cw, ch, mbx*8, mby*h, c.X, c.Y, 8, h)
-	if off < 0 {
-		predictBlockClamped(dCb, dcs, ref.Cb[rC:], rs, cw, ch, mbx*8, mby*h, c.X, c.Y, 8, h)
-		predictBlockClamped(dCr, dcs, ref.Cr[rC:], rs, cw, ch, mbx*8, mby*h, c.X, c.Y, 8, h)
+	yOff, yPh := sampleOrigin(ys, yw, yh, mbx*16, mby*h, mv.X, mv.Y, 16, h)
+	cOff, cPh := sampleOrigin(cs, cw, ch, mbx*8, mby*h/2, c.X, c.Y, 8, h/2)
+	if mbAsm && asmKernels && yOff >= 0 && cOff >= 0 {
+		yOff, cOff = yOff+rY, cOff+rC
+		// Anchor the bounds the assembly relies on: h rows (+1 for
+		// vertical interpolation) of 16 (+1 for horizontal) luma samples,
+		// h/2 (+1) rows of 8 (+1) of each chroma plane, and the rows of
+		// the destination.
+		_ = ref.Y[yOff+(h+yPh>>1-1)*ys+16+yPh&1-1]
+		_ = ref.Cb[cOff+(h/2+cPh>>1-1)*cs+8+cPh&1-1]
+		_ = ref.Cr[cOff+(h/2+cPh>>1-1)*cs+8+cPh&1-1]
+		_ = dst.Y[dy+(h-1)*dys+15]
+		_ = dst.Cb[dc+(h/2-1)*dcs+7]
+		_ = dst.Cr[dc+(h/2-1)*dcs+7]
+		if avg {
+			yPh, cPh = yPh|4, cPh|4
+		}
+		predictMBAsm(&dst.Y[dy], &dst.Cb[dc], &dst.Cr[dc], &ref.Y[yOff], &ref.Cb[cOff], &ref.Cr[cOff], dys, dcs, ys, cs, h, yPh, cPh)
 		return
 	}
-	interpolate(dCb, dcs, ref.Cb[rC+off:], rs, 8, h, phase)
-	interpolate(dCr, dcs, ref.Cr[rC+off:], rs, 8, h, phase)
+	px, py := mbx*16, mby*h
+	predictPlane(dst.Y[dy:], dys, ref.Y[rY:], ys, yw, yh, px, py, mv, 16, h, yOff, yPh, avg)
+	predictPlane(dst.Cb[dc:], dcs, ref.Cb[rC:], cs, cw, ch, px/2, py/2, c, 8, h/2, cOff, cPh, avg)
+	predictPlane(dst.Cr[dc:], dcs, ref.Cr[rC:], cs, cw, ch, px/2, py/2, c, 8, h/2, cOff, cPh, avg)
 }
 
-// predictInto runs predict with macroblock (mbx, mby) of dst itself as
-// the destination.
-func predictInto(dst, ref *frame.Frame, mbx, mby int, mv MV, field bool, rv, sel int) {
-	y, c := mbOffsets(dst, mbx, mby)
-	predict(dst.Y[y:], dst.Cb[c:], dst.Cr[c:], dst.YStride, dst.CStride, ref, mbx, mby, mv, field, rv, sel)
+// predictPlane is predict for one plane, from the per-plane kernels: the
+// w×h block at pixel (px, py) displaced by v, sampled by interpolate from
+// the origin off at the phase sampleOrigin resolved — or, on a plane
+// smaller than the sample region (off < 0), replicated at the plane's
+// edges by predictBlockClamped — into dst, or with avg through a scratch
+// block that averageRows averages into dst.
+func predictPlane(dst []uint8, ds int, ref []uint8, rs, rw, rh, px, py int, v MV, w, h, off, phase int, avg bool) {
+	out, outStride := dst, ds
+	if avg {
+		var tmp [256]uint8
+		out, outStride = tmp[:], w
+	}
+	if off < 0 {
+		predictBlockClamped(out, outStride, ref, rs, rw, rh, px, py, v.X, v.Y, w, h)
+	} else {
+		interpolate(out, outStride, ref[off:], rs, w, h, phase)
+	}
+	if avg {
+		averageRows(dst, ds, out, w, w, h)
+	}
+}
+
+// mbView is pred seen as the destination predict writes: a frame of one
+// macroblock, planes 16 and 8 samples wide.
+func mbView(pred *MBPred) frame.Frame {
+	return frame.Frame{Y: pred.Y[:], Cb: pred.Cb[:], Cr: pred.Cr[:], YStride: 16, CStride: 8}
 }
 
 // mbOffsets returns where macroblock (mbx, mby) starts in the luma plane
@@ -224,15 +261,19 @@ func predictBlockClamped(dst []uint8, dstStride int, ref []uint8, refStride, ref
 
 // PredictMBInto predicts the macroblock at (mbx, mby) (macroblock
 // coordinates) from ref with the half-pel luma vector mv straight into
-// that macroblock of dst, the frame under reconstruction.
-func PredictMBInto(dst, ref *frame.Frame, mbx, mby int, mv MV) {
-	predictInto(dst, ref, mbx, mby, mv, false, 0, 0)
+// that macroblock of dst, the frame under reconstruction. With avg set it
+// averages the prediction into what the macroblock holds, (a+b+1)>>1
+// (§7.6.7.1): the second direction of a bidirectional macroblock.
+func PredictMBInto(dst, ref *frame.Frame, mbx, mby int, mv MV, avg bool) {
+	y, c := mbOffsets(dst, mbx, mby)
+	predict(dst, y, c, ref, mbx, mby, mv, false, 0, 0, avg)
 }
 
 // PredictMB fills pred from ref for the macroblock at (mbx, mby)
 // (macroblock coordinates) using the half-pel luma vector mv.
 func PredictMB(pred *MBPred, ref *frame.Frame, mbx, mby int, mv MV) {
-	predict(pred.Y[:], pred.Cb[:], pred.Cr[:], 16, 8, ref, mbx, mby, mv, false, 0, 0)
+	dst := mbView(pred)
+	predict(&dst, 0, 0, ref, mbx, mby, mv, false, 0, 0, false)
 }
 
 // AverageMB sets dst to the rounded average of a and b — bidirectional
@@ -260,21 +301,11 @@ func AverageMB(dst, a, b *MBPred) {
 	avgBytes8(dst.Cr[:], a.Cr[:], b.Cr[:], len(dst.Cr))
 }
 
-// AverageMBInto sets macroblock (mbx, mby) of dst to the rounded average
-// of what it holds and b: bidirectional prediction (§7.6.7.1) when the
-// first prediction was written straight into the frame and the second
-// into the scratch b. dst is read and written in place, row by row at its
-// strides; the result equals AverageMB of the two predictions.
-func AverageMBInto(dst *frame.Frame, mbx, mby int, b *MBPred) {
-	y, c := mbOffsets(dst, mbx, mby)
-	averageRows(dst.Y[y:], dst.YStride, b.Y[:], 16, 16, 16)
-	averageRows(dst.Cb[c:], dst.CStride, b.Cb[:], 8, 8, 8)
-	averageRows(dst.Cr[c:], dst.CStride, b.Cr[:], 8, 8, 8)
-}
-
 // averageRows sets h rows of w bytes (w 8 or 16) of dst to the rounded
 // average of themselves and the matching rows of src, through the active
-// tier's kernel.
+// tier's kernel. amd64's asm tier averages inside predictMBAsm; it comes
+// here only for a macroblock with a plane too small for its sample region,
+// and then averages on the SWAR rows.
 func averageRows(dst []uint8, dstStride int, src []uint8, srcStride, w, h int) {
 	// One bounds check per plane for the rows every tier touches.
 	_ = dst[(h-1)*dstStride+w-1]
@@ -287,7 +318,7 @@ func averageRows(dst []uint8, dstStride int, src []uint8, srcStride, w, h int) {
 				d[x] = uint8((int(d[x]) + int(s[x]) + 1) >> 1)
 			}
 		}
-	case asmKernels:
+	case asmKernels && !mbAsm:
 		avgRowsAsm(&dst[0], &src[0], dstStride, srcStride, w, h)
 	default:
 		avgRows8(dst, dstStride, src, srcStride, w, h)

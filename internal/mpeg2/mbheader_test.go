@@ -140,7 +140,8 @@ func refDecodeHeader(r *bits.Reader, p *PictureParams, hs *headerState, mb *MB) 
 // decodeHeader and with the reference, from the same predictors, and fails
 // on any difference: the decision, and whether accepted or refused the
 // error, the bit position and sticky error the reader is left with, the
-// predictors, and the header fields of the macroblock. It returns the
+// predictors, and the header fields of the macroblock. It then holds the
+// window alone to the serial readers alone (checkWindow). It returns the
 // kernel's macroblock, state and error.
 func checkHeader(t testing.TB, data []byte, off int64, p *PictureParams, in headerState) (MB, headerState, error) {
 	t.Helper()
@@ -156,7 +157,8 @@ func checkHeader(t testing.TB, data []byte, off int64, p *PictureParams, in head
 	var got MB
 	r := bits.NewReader(data)
 	r.SeekBit(off)
-	err := st.decodeHeader(r, &got)
+	w, n := r.Window()
+	_, _, err := st.decodeHeader(r, &got, w, n)
 	gotState := headerState{pmv: st.pmv, qscale: st.qscale}
 
 	desc := fmt.Sprintf("type %v fcode %v framePredFrameDCT %v off %d data %x state %+v", p.Type, p.FCode, p.FramePredFrameDCT, off, data, in)
@@ -172,7 +174,51 @@ func checkHeader(t testing.TB, data []byte, off int64, p *PictureParams, in head
 	if err == nil && got != want {
 		t.Fatalf("%s: macroblock\nkernel    %+v\nreference %+v", desc, got, want)
 	}
+	checkWindow(t, desc, data, off, p, in)
 	return got, gotState, err
+}
+
+// checkWindow runs the header window on its own and the serial readers
+// (decodeHeaderSerial) on their own from the same start. A header the
+// window takes must be the serial readers' to the bit: no error, the same
+// bits consumed, every MB field, the predictors and qscale. A header it
+// declines must leave the macroblock and the state untouched and the
+// reader without a sticky error (decodeHeader moves it back to the start).
+// It reports whether the window took the header.
+func checkWindow(t testing.TB, desc string, data []byte, off int64, p *PictureParams, in headerState) bool {
+	t.Helper()
+	var ws, ss sliceState
+	for _, st := range []*sliceState{&ws, &ss} {
+		st.init(p, in.qscale)
+		st.pmv = in.pmv
+	}
+	var wmb, smb MB
+	wr, sr := bits.NewReader(data), bits.NewReader(data)
+	wr.SeekBit(off)
+	sr.SeekBit(off)
+	w, n := wr.Window()
+	_, _, ok := ws.headerWindow(wr, &wmb, w, n)
+	serr := ss.decodeHeaderSerial(sr, &smb)
+	wState := headerState{pmv: ws.pmv, qscale: ws.qscale}
+	if !ok {
+		if wmb != (MB{}) || wState != in || wr.Err() != nil {
+			t.Fatalf("%s: declining window left macroblock %+v, predictors %+v, reader error %v", desc, wmb, wState, wr.Err())
+		}
+		return false
+	}
+	if serr != nil {
+		t.Fatalf("%s: window took a header the serial readers refuse: %v", desc, serr)
+	}
+	if wr.BitPos() != sr.BitPos() || wr.Err() != nil || sr.Err() != nil {
+		t.Fatalf("%s: window consumed to bit %d (err %v), serial readers to %d (err %v)", desc, wr.BitPos(), wr.Err(), sr.BitPos(), sr.Err())
+	}
+	if sState := (headerState{pmv: ss.pmv, qscale: ss.qscale}); wState != sState {
+		t.Fatalf("%s: window predictors %+v, serial %+v", desc, wState, sState)
+	}
+	if wmb != smb {
+		t.Fatalf("%s: macroblock\nwindow %+v\nserial %+v", desc, wmb, smb)
+	}
+	return true
 }
 
 // headerParams returns picture parameters for a header test.
@@ -304,7 +350,7 @@ func randomState(rng *rand.Rand, p *PictureParams) headerState {
 // decodes must be what was written (and what the reference decodes).
 func TestDecodeHeaderRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	fields := 0
+	fields, windowed := 0, 0
 	for trial := 0; trial < 4000; trial++ {
 		p := randomHeaderParams(rng)
 		in := randomState(rng, p)
@@ -330,9 +376,15 @@ func TestDecodeHeaderRoundTrip(t *testing.T) {
 		if mb.FieldMotion {
 			fields++
 		}
+		if checkWindow(t, fmt.Sprintf("trial %d", trial), w.Bytes(), off, p, in) {
+			windowed++
+		}
 	}
 	if fields < 400 {
 		t.Fatalf("only %d field-motion headers exercised", fields)
+	}
+	if windowed != 4000 {
+		t.Fatalf("the window took %d of 4000 well-formed headers", windowed)
 	}
 }
 
@@ -502,6 +554,57 @@ func TestDecodeHeaderTail(t *testing.T) {
 	}
 }
 
+// longHeader writes one of the longest headers there are: a bidirectional
+// field macroblock of a B picture with every f_code 9, macroblock_quant
+// and dct_type, and all four vectors 4000 half-pels (sign +1) or -4000
+// from the zero predictors, so that every component is an 11-bit
+// motion_code (±16) and an 8-bit residual: 169 bits, more than two
+// windows.
+func longHeader(tb testing.TB, sign int) ([]byte, *PictureParams, headerState) {
+	p := headerParams(vlc.CodingB, [2][2]int{{9, 9}, {9, 9}}, false)
+	in := headerState{qscale: 3}
+	var st sliceState
+	st.init(p, in.qscale)
+	far := motion.MV{X: 4000 * sign, Y: 4000 * sign}
+	mb := MB{Type: vlc.MBType{Quant: true, MotionForward: true, MotionBackward: true, Pattern: true}, QScaleCode: 17,
+		FieldMotion: true, FieldDCT: true, MVFwd: far, MVFwd2: far, MVBwd: far, MVBwd2: far,
+		FieldSelFwd: [2]bool{true, false}, FieldSelBwd: [2]bool{false, true}}
+	var w bits.Writer
+	putHeader(tb, &w, &st, &mb)
+	if n := w.BitsWritten(); n != 169 {
+		tb.Fatalf("long header is %d bits", n)
+	}
+	w.Put(0xFFFF, 16)
+	return w.Bytes(), p, in
+}
+
+// TestDecodeHeaderLong decodes headers longer than any one window, at every
+// bit offset within a byte and cut short at every byte: whole, the window
+// takes them (a vector that runs past what is left of it is decoded again
+// from a fresh one) and agrees with the serial readers; cut, decodeHeader
+// moves the reader back and agrees with the reference.
+func TestDecodeHeaderLong(t *testing.T) {
+	for _, sign := range []int{1, -1} {
+		data, p, in := longHeader(t, sign)
+		for off := int64(0); off < 8; off++ {
+			shifted := make([]byte, len(data)+1)
+			for i := range data {
+				shifted[i] |= data[i] >> uint(off)
+				shifted[i+1] |= data[i] << uint(8-off)
+			}
+			if _, _, err := checkHeader(t, shifted, off, p, in); err != nil {
+				t.Fatalf("sign %d off %d: %v", sign, off, err)
+			}
+			if !checkWindow(t, "long header", shifted, off, p, in) {
+				t.Fatalf("sign %d off %d: the window declined a well-formed long header", sign, off)
+			}
+			for cut := 1; cut < len(shifted)-2; cut++ {
+				checkHeader(t, shifted[:cut:cut], min(off, int64(cut)*8), p, in)
+			}
+		}
+	}
+}
+
 // FuzzDecodeMBHeader: arbitrary bytes from any starting bit, every picture
 // type, any f_code per slot (valid or not), frame_pred_frame_dct either
 // way — which with the bytes decides frame or field motion — from arbitrary
@@ -521,6 +624,10 @@ func FuzzDecodeMBHeader(f *testing.F) {
 		putHeader(f, &w, &st, &mb)
 		fc := p.FCode
 		f.Add(w.Bytes(), uint8(p.Type), uint16(fc[0][0]|fc[0][1]<<4|fc[1][0]<<8|fc[1][1]<<12), p.FramePredFrameDCT, uint16(0), int64(i))
+	}
+	for _, sign := range []int{1, -1} { // longer than a window; the fuzzer's predictors differ, so the codes do too
+		data, _, _ := longHeader(f, sign)
+		f.Add(data, uint8(vlc.CodingB-1), uint16(0x9999), false, uint16(0), int64(sign))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, pic uint8, fcodes uint16, framePredFrameDCT bool, off uint16, seed int64) {
 		var fcode [2][2]int

@@ -220,86 +220,24 @@ func (s *sliceState) encodeMV(w *bits.Writer, dir int, mv motion.MV) error {
 	return nil
 }
 
-// decodeVector reads motion vector rv of direction dir: with field set, its
-// motion_vertical_field_select and a vector whose vertical component is
-// in field units (semantics as in encodeVector).
-//
-// The select and both components — 1 + 2 × (motion_code of at most 11
-// bits + residual of at most 8) = 39 bits at most — are read through one
-// window on the stream and consumed with one Skip (vectorWindow). Anything
-// irregular — no code matches, an invalid f_code, fewer bits left than the
-// window consumed — is left to the symbol-at-a-time reader, which starts
-// over from an untouched reader and state and so reports the error it
-// always did, where it always did.
-func (s *sliceState) decodeVector(r *bits.Reader, rv, dir int, field bool) (mv motion.MV, sel bool, err error) {
-	if mv, sel, ok := s.vectorWindow(r, rv, dir, field); ok {
-		return mv, sel, nil
-	}
+// decodeVectorSerial reads motion vector rv of direction dir one symbol
+// at a time: with field set, its motion_vertical_field_select and a
+// vector whose vertical component is in field units (semantics as in
+// encodeVector). It is the reader behind the header window, and the
+// reference the window's results are defined by.
+func (s *sliceState) decodeVectorSerial(r *bits.Reader, rv, dir int, field bool) (mv motion.MV, sel bool, err error) {
 	if field {
 		sel = r.ReadBit()
 	}
-	mv, err = s.decodeVectorSerial(r, rv, dir, field)
-	return mv, sel, err
-}
-
-// vectorWindow is decodeVector on a well-formed stream. When it reports
-// !ok it has consumed nothing and changed no predictor.
-func (s *sliceState) vectorWindow(r *bits.Reader, rv, dir int, field bool) (mv motion.MV, sel, ok bool) {
-	w, _ := r.Window() // at least 57 bits; zeros past the end of the buffer
-	used := uint(0)
-	if field {
-		sel = w>>63 != 0
-		w <<= 1
-		used = 1
-	}
-	var comps [2]int
-	for t := 0; t < 2; t++ {
-		m := &s.mv[dir][t]
-		code, n := vlc.MotionCodeLookup(w)
-		if n == 0 || !m.ok {
-			return motion.MV{}, false, false
-		}
-		w <<= n
-		used += n
-		delta := 0
-		if code != 0 {
-			// rbits is 0..8; the mask only tells the compiler so. The two
-			// right shifts make a zero-bit residual read as 0.
-			rbits := m.rbits & 15
-			delta = m.delta(code, int(w>>1>>(63-rbits)))
-			w <<= rbits
-			used += rbits
-		}
-		pred := s.pmv[rv][dir][t]
-		if field && t == 1 {
-			pred >>= 1
-		}
-		comps[t] = m.wrap(pred + delta)
-	}
-	if int64(used) > r.Remaining() {
-		return motion.MV{}, false, false
-	}
-	r.Skip(used)
-	s.pmv[rv][dir][0], s.pmv[rv][dir][1] = comps[0], comps[1]
-	if field {
-		s.pmv[rv][dir][1] = comps[1] * 2
-	}
-	return motion.MV{X: comps[0], Y: comps[1]}, sel, true
-}
-
-// decodeVectorSerial reads the two components of a vector one symbol at
-// a time: the reader behind vectorWindow, and the reference its results
-// are defined by.
-func (s *sliceState) decodeVectorSerial(r *bits.Reader, rv, dir int, field bool) (motion.MV, error) {
 	var comps [2]int
 	for t := 0; t < 2; t++ {
 		m := &s.mv[dir][t]
 		if !m.ok {
-			return motion.MV{}, fmt.Errorf("mpeg2: invalid f_code %d in stream", s.p.FCode[dir][t])
+			return motion.MV{}, sel, fmt.Errorf("mpeg2: invalid f_code %d in stream", s.p.FCode[dir][t])
 		}
 		code, err := vlc.DecodeMotionCode(r)
 		if err != nil {
-			return motion.MV{}, err
+			return motion.MV{}, sel, err
 		}
 		delta := 0
 		if code != 0 {
@@ -321,92 +259,35 @@ func (s *sliceState) decodeVectorSerial(r *bits.Reader, rv, dir int, field bool)
 		s.pmv[rv][dir][t] = upd
 		comps[t] = v
 	}
-	return motion.MV{X: comps[0], Y: comps[1]}, r.Err()
+	return motion.MV{X: comps[0], Y: comps[1]}, sel, r.Err()
 }
 
-// decodeVectors reads the vectors of direction dir (0 forward, 1
-// backward) into mb: one frame vector, duplicated into PMV slot 1
-// (§7.6.3.1), or with FieldMotion two field vectors and their selects.
-func (s *sliceState) decodeVectors(r *bits.Reader, mb *MB, dir int) (err error) {
+// decodeVectorsSerial reads the vectors of direction dir (0 forward, 1
+// backward) into mb one symbol at a time: one frame vector, duplicated
+// into PMV slot 1 (§7.6.3.1), or with FieldMotion two field vectors and
+// their selects.
+func (s *sliceState) decodeVectorsSerial(r *bits.Reader, mb *MB, dir int) (err error) {
 	mv, mv2, sel := &mb.MVFwd, &mb.MVFwd2, &mb.FieldSelFwd
 	if dir == 1 {
 		mv, mv2, sel = &mb.MVBwd, &mb.MVBwd2, &mb.FieldSelBwd
 	}
 	if !mb.FieldMotion {
-		if *mv, _, err = s.decodeVector(r, 0, dir, false); err == nil {
+		if *mv, _, err = s.decodeVectorSerial(r, 0, dir, false); err == nil {
 			s.pmv[1][dir] = [2]int{mv.X, mv.Y} // = pmv[0][dir], without reloading it
 		}
 		return err
 	}
-	if *mv, sel[0], err = s.decodeVector(r, 0, dir, true); err != nil {
+	if *mv, sel[0], err = s.decodeVectorSerial(r, 0, dir, true); err != nil {
 		return err
 	}
-	*mv2, sel[1], err = s.decodeVector(r, 1, dir, true)
+	*mv2, sel[1], err = s.decodeVectorSerial(r, 1, dir, true)
 	return err
 }
 
-// --- macroblock modes (§6.2.5.1) -----------------------------------------
-
-// decodeModes reads what opens a macroblock — macroblock_type and, as the
-// type and the picture call for them, frame_motion_type, dct_type and
-// quantiser_scale_code, 14 bits at most — into mb and the quantiser state.
-// Like a vector they come out of one window and one Skip (modesWindow),
-// and anything irregular (no type matches, a reserved or dual-prime
-// frame_motion_type, quantiser_scale_code 0, the end of the buffer inside
-// the window) is left to the symbol-at-a-time reader to report.
-func (s *sliceState) decodeModes(r *bits.Reader, mb *MB) error {
-	if s.modesWindow(r, mb) {
-		return nil
-	}
-	return s.decodeModesSerial(r, mb)
-}
-
-// modesWindow is decodeModes on a well-formed stream. When it reports
-// false it has consumed nothing and changed neither mb nor the state.
-func (s *sliceState) modesWindow(r *bits.Reader, mb *MB) bool {
-	w, _ := r.Window()
-	t, used := vlc.MBTypeLookup(w, s.p.Type)
-	if used == 0 {
-		return false
-	}
-	w <<= used
-	fieldMotion, fieldDCT := false, false
-	if !s.p.FramePredFrameDCT {
-		if t.MotionForward || t.MotionBackward {
-			switch w >> 62 {
-			case 0b10: // frame-based
-			case 0b01:
-				fieldMotion = true
-			default: // dual prime, reserved
-				return false
-			}
-			w <<= 2
-			used += 2
-		}
-		if t.Intra || t.Pattern {
-			fieldDCT = w>>63 != 0
-			w <<= 1
-			used++
-		}
-	}
-	qs := s.qscale
-	if t.Quant {
-		if qs = int(w >> 59); qs == 0 {
-			return false
-		}
-		used += 5
-	}
-	if int64(used) > r.Remaining() {
-		return false
-	}
-	r.Skip(used)
-	mb.Type, mb.FieldMotion, mb.FieldDCT = t, fieldMotion, fieldDCT
-	s.qscale = qs
-	return true
-}
-
-// decodeModesSerial reads the macroblock modes one field at a time: the
-// reader behind modesWindow, and the reference its results are defined by.
+// decodeModesSerial reads what opens a macroblock — macroblock_type and,
+// as the type and the picture call for them, frame_motion_type, dct_type
+// and quantiser_scale_code (§6.2.5.1) — one field at a time: the reader
+// behind the header window, and the reference its results are defined by.
 func (s *sliceState) decodeModesSerial(r *bits.Reader, mb *MB) error {
 	t, err := vlc.DecodeMBType(r, s.p.Type)
 	if err != nil {
@@ -440,22 +321,203 @@ func (s *sliceState) decodeModesSerial(r *bits.Reader, mb *MB) error {
 	return nil
 }
 
+// --- macroblock header (§6.2.5) -------------------------------------------
+
 // decodeHeader reads everything of a macroblock ahead of its
-// coded_block_pattern: the modes, then the vectors the type calls for.
-func (s *sliceState) decodeHeader(r *bits.Reader, mb *MB) error {
-	if err := s.decodeModes(r, mb); err != nil {
+// coded_block_pattern: the modes (macroblock_type, frame_motion_type,
+// dct_type, quantiser_scale_code), then the vectors of each direction the
+// type names — one frame vector, or two field vectors with their selects.
+//
+// The header is decoded out of w, a window holding the next n bits of the
+// stream (the one the macroblock's address increment came from), and
+// consumed with one Skip (headerWindow); what is left of the window is
+// returned for what follows the header. Anything irregular — no type or
+// motion code matches, a reserved or dual-prime frame_motion_type,
+// quantiser_scale_code 0, an invalid f_code in a coded direction, a
+// header that runs past the end of the buffer — is left to the
+// symbol-at-a-time readers, which start over from an untouched reader and
+// state and so report the error they always did, where they always did.
+func (s *sliceState) decodeHeader(r *bits.Reader, mb *MB, w uint64, n uint) (uint64, uint, error) {
+	start := r.BitPos()
+	if w, n, ok := s.headerWindow(r, mb, w, n); ok {
+		return w, n, nil
+	}
+	r.SeekBit(start)
+	err := s.decodeHeaderSerial(r, mb)
+	w, n = r.Window()
+	return w, n, err
+}
+
+// decodeHeaderSerial is decodeHeader one symbol at a time: the modes, then
+// each direction's vectors.
+func (s *sliceState) decodeHeaderSerial(r *bits.Reader, mb *MB) error {
+	if err := s.decodeModesSerial(r, mb); err != nil {
 		return err
 	}
 	mb.QScaleCode = s.qscale
 	if mb.Type.MotionForward {
-		if err := s.decodeVectors(r, mb, 0); err != nil {
+		if err := s.decodeVectorsSerial(r, mb, 0); err != nil {
 			return err
 		}
 	}
 	if mb.Type.MotionBackward {
-		return s.decodeVectors(r, mb, 1)
+		return s.decodeVectorsSerial(r, mb, 1)
 	}
 	return nil
+}
+
+// maxVectorBits is the most one vector of a header can take: a
+// motion_vertical_field_select and two components of an 11-bit
+// motion_code and an 8-bit residual.
+const maxVectorBits = 1 + 2*(11+8)
+
+// headerWindow is decodeHeader on a well-formed header. The modes take at
+// most 14 of the window's bits, and it holds at least 46 (57 less an
+// address increment). A vector that runs past what is left of it is
+// decoded again from a fresh window: the reader moves up to it, which
+// mostly only a long header needs (a bidirectional field header reaches
+// 169 bits), and the caller moves the reader back if the header is then
+// refused. The predictors, the quantiser state and mb change only once
+// the whole header has decoded; when it reports !ok they are as they
+// were. It returns what is left of the window.
+func (s *sliceState) headerWindow(r *bits.Reader, mb *MB, w uint64, n uint) (uint64, uint, bool) {
+	t, used := vlc.MBTypeLookup(w, s.p.Type)
+	if used == 0 {
+		return 0, 0, false
+	}
+	w <<= used
+	fieldMotion, fieldDCT := false, false
+	if !s.p.FramePredFrameDCT {
+		if t.MotionForward || t.MotionBackward {
+			switch w >> 62 {
+			case 0b10: // frame-based
+			case 0b01:
+				fieldMotion = true
+			default: // dual prime, reserved
+				return 0, 0, false
+			}
+			w <<= 2
+			used += 2
+		}
+		if t.Intra || t.Pattern {
+			fieldDCT = w>>63 != 0
+			w <<= 1
+			used++
+		}
+	}
+	qs := s.qscale
+	if t.Quant {
+		if qs = int(w >> 59); qs == 0 {
+			return 0, 0, false
+		}
+		w <<= 5
+		used += 5
+	}
+	var mv [2][2]motion.MV // [dir][rv]
+	var sel [2][2]bool
+	vectors := 1
+	if fieldMotion {
+		vectors = 2
+	}
+	for dir, coded := range [2]bool{t.MotionForward, t.MotionBackward} {
+		if !coded {
+			continue
+		}
+		for rv := 0; rv < vectors; rv++ {
+			v, sl, rest, k := s.windowVector(w, s.pmv[rv][dir], dir, fieldMotion)
+			if (k == 0 || used+k > n) && n-used < maxVectorBits {
+				// The vector may have run past the window: decode it
+				// again from a fresh one.
+				if int64(used) > r.Remaining() {
+					return 0, 0, false
+				}
+				r.Skip(used)
+				w, n = r.Window()
+				used = 0
+				v, sl, rest, k = s.windowVector(w, s.pmv[rv][dir], dir, fieldMotion)
+			}
+			if k == 0 {
+				return 0, 0, false
+			}
+			mv[dir][rv], sel[dir][rv], w, used = v, sl, rest, used+k
+		}
+	}
+	if int64(used) > r.Remaining() {
+		return 0, 0, false
+	}
+	r.Skip(used)
+	s.qscale = qs
+	mb.Type, mb.FieldMotion, mb.FieldDCT, mb.QScaleCode = t, fieldMotion, fieldDCT, qs
+	if t.MotionForward {
+		mb.MVFwd, mb.MVFwd2, mb.FieldSelFwd = mv[0][0], mv[0][1], sel[0]
+		s.setPMV(0, fieldMotion, &mv[0])
+	}
+	if t.MotionBackward {
+		mb.MVBwd, mb.MVBwd2, mb.FieldSelBwd = mv[1][0], mv[1][1], sel[1]
+		s.setPMV(1, fieldMotion, &mv[1])
+	}
+	return w, n - used, true
+}
+
+// setPMV makes the vectors v of direction dir its predictors, as
+// decodeVectorSerial leaves them: a frame vector in both slots (§7.6.3.1),
+// field vectors each in its own with the vertical doubled back to frame
+// scale.
+func (s *sliceState) setPMV(dir int, field bool, v *[2]motion.MV) {
+	if field {
+		s.pmv[0][dir] = [2]int{v[0].X, v[0].Y * 2}
+		s.pmv[1][dir] = [2]int{v[1].X, v[1].Y * 2}
+		return
+	}
+	s.pmv[0][dir] = [2]int{v[0].X, v[0].Y}
+	s.pmv[1][dir] = [2]int{v[0].X, v[0].Y}
+}
+
+// windowVector decodes a vector of direction dir from the top of w — with
+// field set, its motion_vertical_field_select first — against its
+// predictor pmv (frame scale; a field vector's vertical predictor is
+// halved). It returns the vector, the select, w past them, and how many
+// bits they took: 0 when no motion_code matches or the direction's f_code
+// is invalid.
+func (s *sliceState) windowVector(w uint64, pmv [2]int, dir int, field bool) (motion.MV, bool, uint64, uint) {
+	sel, used := false, uint(0)
+	if field {
+		sel, w, used = w>>63 != 0, w<<1, 1
+		pmv[1] >>= 1
+	}
+	var comps [2]int
+	for t := 0; t < 2; t++ {
+		m := &s.mv[dir][t]
+		code, n := vlc.MotionCodeLookup(w)
+		if n == 0 || !m.ok {
+			return motion.MV{}, false, w, 0
+		}
+		w <<= n
+		// Without branches on the data: a zero code has no residual and
+		// no differential. rbits is 0..8; the mask only tells the
+		// compiler so. The two right shifts make a zero-bit residual read
+		// as 0.
+		rbits := m.rbits & 15
+		if code == 0 {
+			rbits = 0
+		}
+		residual := int(w >> 1 >> (63 - rbits))
+		w <<= rbits
+		used += n + rbits
+		mag := code
+		if code < 0 {
+			mag = -code
+		}
+		delta := (mag-1)<<m.rbits + residual + 1
+		if code < 0 {
+			delta = -delta
+		}
+		if code == 0 {
+			delta = 0
+		}
+		comps[t] = m.wrap(pmv[t] + delta)
+	}
+	return motion.MV{X: comps[0], Y: comps[1]}, sel, w, used
 }
 
 // --- block coefficient coding (§7.2) --------------------------------------

@@ -331,6 +331,10 @@ type sliceRun struct {
 // and mid-slice segment decodes.
 func decodeSliceRun(r *bits.Reader, p *PictureParams, st *sliceState, prevAddr int, firstMB bool, prevDir vlc.MBType, mbs []MB, run sliceRun) ([]MB, SegmentEnd, error) {
 	coded := 0
+	// w holds the next n bits of the stream: what ends a slice, and what
+	// opens the next macroblock — its address increment, then its header —
+	// are read from it.
+	w, n := r.Window()
 	for {
 		if run.endBit > 0 && r.BitPos() >= run.endBit {
 			return mbs, SegmentEnd{State: snapshotSplit(st, prevAddr, prevDir), BitOff: r.BitPos()}, nil
@@ -341,9 +345,18 @@ func decodeSliceRun(r *bits.Reader, p *PictureParams, st *sliceState, prevAddr i
 		if run.capture != nil && !firstMB {
 			run.capture(r.BitPos(), snapshotSplit(st, prevAddr, prevDir))
 		}
-		inc, err := vlc.DecodeMBAddrInc(r)
-		if err != nil {
-			return mbs, SegmentEnd{}, err
+		// One code and no escape from the window; anything else from the
+		// symbol reader, which reports what it always did.
+		inc, k := vlc.MBAddrIncLookup(w)
+		if k != 0 && inc <= 33 && int64(k) <= r.Remaining() {
+			r.Skip(k)
+			w, n = w<<k, n-k
+		} else {
+			var err error
+			if inc, err = vlc.DecodeMBAddrInc(r); err != nil {
+				return mbs, SegmentEnd{}, err
+			}
+			w, n = r.Window()
 		}
 		if !firstMB && inc > 1 {
 			// Materialize skipped macroblocks.
@@ -369,7 +382,7 @@ func decodeSliceRun(r *bits.Reader, p *PictureParams, st *sliceState, prevAddr i
 		mbs = growMBs(mbs)
 		mb := &mbs[len(mbs)-1]
 		mb.Addr, mb.QScaleCode = addr, st.qscale
-		if err := decodeMB(r, p, st, mb); err != nil {
+		if err := decodeMB(r, p, st, mb, w, n); err != nil {
 			return mbs, SegmentEnd{}, fmt.Errorf("mpeg2: macroblock %d: %w", addr, err)
 		}
 		prevAddr = addr
@@ -381,7 +394,7 @@ func decodeSliceRun(r *bits.Reader, p *PictureParams, st *sliceState, prevAddr i
 		}
 		// End of slice: 23 zero bits signal byte stuffing + the next
 		// startcode prefix (§6.2.4).
-		if r.Peek(23) == 0 || r.Remaining() == 0 {
+		if w, n = r.Window(); w>>41 == 0 || r.Remaining() == 0 {
 			return mbs, SegmentEnd{State: snapshotSplit(st, prevAddr, prevDir), BitOff: r.BitPos(), AtEnd: true}, nil
 		}
 	}
@@ -442,16 +455,23 @@ func synthesizeSkip(p *PictureParams, st *sliceState, prevDir vlc.MBType, addr i
 	return nil
 }
 
-func decodeMB(r *bits.Reader, p *PictureParams, st *sliceState, mb *MB) error {
-	err := st.decodeHeader(r, mb)
+// decodeMB reads one macroblock from r; w holds the next n bits of the
+// stream.
+func decodeMB(r *bits.Reader, p *PictureParams, st *sliceState, mb *MB, w uint64, n uint) error {
+	w, n, err := st.decodeHeader(r, mb, w, n)
 	if err != nil {
 		return err
 	}
 	t := mb.Type
 	cbp := 0
 	if t.Pattern {
-		cbp, err = vlc.DecodeCBP(r)
-		if err != nil {
+		// From what the header left of the window when the code lies in
+		// it; otherwise from the symbol reader, which reports what it
+		// always did.
+		var k uint
+		if cbp, k = vlc.CBPLookup(w); k != 0 && k <= n && int64(k) <= r.Remaining() {
+			r.Skip(k)
+		} else if cbp, err = vlc.DecodeCBP(r); err != nil {
 			return err
 		}
 		if cbp == 0 {
@@ -473,10 +493,11 @@ func decodeMB(r *bits.Reader, p *PictureParams, st *sliceState, mb *MB) error {
 	if t.Intra {
 		mb.CBP = 0x3F
 	}
-	for i := 0; i < 6; i++ {
-		if mb.CBP&cbpBit(i) == 0 {
-			continue
-		}
+	// The coded blocks in order, one iteration each: block i is bit 5-i.
+	for cbp := uint(mb.CBP); cbp != 0; {
+		b := mathbits.Len(cbp) - 1
+		cbp &^= 1 << b
+		i := 5 - b
 		cc, luma := blockComponent(i)
 		mask, err := st.decodeBlock(r, &mb.Blocks[i], t.Intra, cc, luma)
 		if err != nil {

@@ -38,6 +38,14 @@ func EncodeCBP(w *bits.Writer, cbp int) error {
 	return nil
 }
 
+// CBPLookup returns the coded_block_pattern whose code word starts the
+// left-justified stream window w, and the code's length: 0 when no code
+// matches.
+func CBPLookup(w uint64) (cbp int, n uint) {
+	sym, n := cbpTable.lookup(w)
+	return int(sym), n
+}
+
 // DecodeCBP reads a coded_block_pattern value.
 func DecodeCBP(r *bits.Reader) (int, error) {
 	sym, err := cbpTable.decode(r)

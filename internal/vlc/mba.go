@@ -99,6 +99,15 @@ var mbaPrefixOK = func() (t [1 << 11]bool) {
 // prefilter before trial-parsing a full macroblock.
 func ValidMBAddrIncPrefix(v uint32) bool { return mbaPrefixOK[v&(1<<11-1)] }
 
+// MBAddrIncLookup returns the macroblock_address_increment whose code
+// word starts the left-justified stream window w, and the code's length:
+// 0 when no code matches, and an increment above 33 for a
+// macroblock_escape, which only DecodeMBAddrInc folds in.
+func MBAddrIncLookup(w uint64) (inc int, n uint) {
+	sym, n := mbaTable.lookup(w)
+	return int(sym), n
+}
+
 // DecodeMBAddrInc reads a macroblock address increment, folding in any
 // escape codes.
 func DecodeMBAddrInc(r *bits.Reader) (int, error) {

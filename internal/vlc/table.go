@@ -94,10 +94,14 @@ func (t *table) lookup(w uint64) (sym int32, n uint) {
 	return int32(packed&0xFFFFFF) - symBias, uint(packed >> 24)
 }
 
-// decode reads one symbol. On an invalid code it returns an error and
-// leaves the reader positioned at the offending code.
+// decode reads one symbol, looked up in a window on the stream (the
+// window's 64-bit load is cheaper than the reader's accumulator, which the
+// window-based decoders around this one leave stale). On an invalid code
+// it returns an error and leaves the reader positioned at the offending
+// code.
 func (t *table) decode(r *bits.Reader) (int32, error) {
-	idx := r.Peek(t.maxLen)
+	w, _ := r.Window()
+	idx := w >> (64 - t.maxLen)
 	packed := t.lut[idx]
 	if packed == 0 {
 		if r.Remaining() < int64(t.maxLen) && r.Remaining() <= 0 {
