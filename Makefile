@@ -46,14 +46,15 @@ bench:
 # the CLI report path and its Chrome-trace export, a 64-stream overload of
 # the decode service through the load tool (which fails on a wedged,
 # leaking or untraced stream), and, twenty times over, the slice modes'
-# frame-memory bound and the poisoned-frame golden (slice mode recycles
+# frame-memory bound, the poisoned-frame golden (slice mode recycles
 # frames in schedule order, so a pixel no decode writes may ship on some
-# runs only), so that a schedule-dependent breach shows up here and not
-# by luck.
+# runs only) and the split goldens (which segments verify while others
+# still run depends on the schedule), so that a schedule-dependent breach
+# shows up here and not by luck.
 smoke:
 	$(GO) run ./cmd/mpeg2bench -timeline -trace /tmp/mpeg2par-trace.json > /dev/null
 	$(GO) run ./cmd/mpeg2load -streams 64 > /dev/null
-	$(GO) test -count=20 -run '^(TestFrameMemoryBounded|TestResilientGolden)$$' ./internal/core/
+	$(GO) test -count=20 -run '^(TestFrameMemoryBounded|TestResilientGolden|TestSplitIndexedBitExact|TestSplitDefaultGrainBitExact|TestPoisonedIndexFallsBack)$$' ./internal/core/
 
 # Short corpus-seeded fuzz runs: the one list of the repo's fuzz targets
 # (CI calls this target). The two targets that decode on several goroutines

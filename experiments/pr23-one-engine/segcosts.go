@@ -58,7 +58,7 @@ func main() {
 	fail(err)
 	ix, err := core.BuildIndexScanned(enc.Data, m)
 	fail(err)
-	grain := core.TaskGrain(rows, workers)
+	grain := core.TaskGrain((w+15)/16, rows, workers, true)
 	parts := (rows + grain - 1) / grain
 	fmt.Printf("%dx%d, 13 pictures, %d rows, %d parts\n", w, h, rows, parts)
 	report := func(name string, unsplit, split []simsched.SimPicture) {

@@ -122,13 +122,18 @@ func (r *Runner) localityRes() Resolution {
 type Runner struct {
 	cfg Config
 
-	mu       sync.Mutex
-	streams  map[streamKey]*encoder.Result
-	maps     map[streamKey]*core.StreamMap
-	gopProf  map[streamKey][]simsched.GOPTask
-	slcProf  map[streamKey][]simsched.SimPicture
-	baseline map[streamKey]time.Duration // 1-worker decode time of profile stream
-	traces   map[traceKey][]memtrace.Event
+	mu      sync.Mutex
+	streams map[streamKey]*encoder.Result
+	maps    map[streamKey]*core.StreamMap
+	profs   map[streamKey]taskProfile
+	traces  map[traceKey][]memtrace.Event
+}
+
+// taskProfile is a stream's measured task costs in both decompositions,
+// tiled to the configured stream length.
+type taskProfile struct {
+	gop []simsched.GOPTask
+	slc []simsched.SimPicture
 }
 
 type streamKey struct {
@@ -139,12 +144,10 @@ type streamKey struct {
 // NewRunner returns a Runner for the configuration.
 func NewRunner(cfg Config) *Runner {
 	return &Runner{
-		cfg:      cfg.withDefaults(),
-		streams:  make(map[streamKey]*encoder.Result),
-		maps:     make(map[streamKey]*core.StreamMap),
-		gopProf:  make(map[streamKey][]simsched.GOPTask),
-		slcProf:  make(map[streamKey][]simsched.SimPicture),
-		baseline: make(map[streamKey]time.Duration),
+		cfg:     cfg.withDefaults(),
+		streams: make(map[streamKey]*encoder.Result),
+		maps:    make(map[streamKey]*core.StreamMap),
+		profs:   make(map[streamKey]taskProfile),
 	}
 }
 
@@ -201,66 +204,58 @@ func (r *Runner) Map(res Resolution, gop int) (*core.StreamMap, error) {
 // GOPTasks returns measured GOP task costs tiled to the configured stream
 // length.
 func (r *Runner) GOPTasks(res Resolution, gop int) ([]simsched.GOPTask, error) {
-	r.mu.Lock()
-	key := streamKey{res, gop}
-	if t, ok := r.gopProf[key]; ok {
-		r.mu.Unlock()
-		return t, nil
-	}
-	s, err := r.streamLocked(res, gop)
-	r.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	m, err := r.Map(res, gop)
-	if err != nil {
-		return nil, err
-	}
-	measured, wall, err := profileGOPTasks(s.Data, m)
-	if err != nil {
-		return nil, err
-	}
-	tiled := tileGOPs(measured, (r.cfg.StreamPictures+gop-1)/gop)
-	r.mu.Lock()
-	r.gopProf[key] = tiled
-	r.baseline[key] = wall
-	r.mu.Unlock()
-	return tiled, nil
+	p, err := r.profile(res, gop)
+	return p.gop, err
 }
 
 // SlicePics returns measured per-slice costs tiled to the configured
 // stream length.
 func (r *Runner) SlicePics(res Resolution, gop int) ([]simsched.SimPicture, error) {
+	p, err := r.profile(res, gop)
+	return p.slc, err
+}
+
+// profile returns (measuring on first use) both task profiles of a
+// resolution's stream.
+func (r *Runner) profile(res Resolution, gop int) (taskProfile, error) {
 	r.mu.Lock()
 	key := streamKey{res, gop}
-	if p, ok := r.slcProf[key]; ok {
+	if p, ok := r.profs[key]; ok {
 		r.mu.Unlock()
 		return p, nil
 	}
 	s, err := r.streamLocked(res, gop)
 	r.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return taskProfile{}, err
 	}
-	tiled, err := profileSlicePics(s.Data, r.cfg.StreamPictures)
+	m, err := r.Map(res, gop)
 	if err != nil {
-		return nil, err
+		return taskProfile{}, err
+	}
+	gt, sp, err := profileTasks(s.Data, m)
+	if err != nil {
+		return taskProfile{}, err
+	}
+	p := taskProfile{
+		gop: tileGOPs(gt, (r.cfg.StreamPictures+gop-1)/gop),
+		slc: tileSlices(sp, r.cfg.StreamPictures),
 	}
 	r.mu.Lock()
-	r.slcProf[key] = tiled
+	r.profs[key] = p
 	r.mu.Unlock()
-	return tiled, nil
+	return p, nil
 }
 
 // profilePasses is how many times a stream is decoded to profile its task
 // costs. A cost is the median over the passes of an interval of at most a
-// picture — a slice in the slice profile, a picture (and the task's
-// remainder) in the GOP profile: the simulated tables compare the two
-// profiles, and the host is shared, so what must not decide an ordering is
-// one slow pass, one lucky one (a minimum), or the time a worker spends
-// descheduled, which every pass of an interval of milliseconds contains
-// and few passes of one of microseconds do. The first pass also warms code
-// and data paths.
+// slice — the slice profile's tasks, and in the GOP profile the same
+// slices decoded in GOP mode plus what a group spends outside them: the
+// simulated tables compare the two profiles, and the host is shared, so
+// what must not decide an ordering is one slow pass, one lucky one (a
+// minimum), or the time a worker spends descheduled, which most passes of
+// an interval of a picture contain on a loaded host and few of one of a
+// slice do. The first pass also warms code and data paths.
 const profilePasses = 5
 
 // medianCost returns the median of cost(0) … cost(profilePasses-1).
@@ -273,61 +268,59 @@ func medianCost(cost func(pass int) time.Duration) time.Duration {
 	return c[profilePasses/2]
 }
 
-// profileGOPTasks measures per-GOP decode costs at one worker, and the
-// wall time of the first such decode. A one-worker plan hands tasks out in
+// profileTasks measures a stream's GOP task costs and its improved-slice
+// task costs at one worker, in one run that alternates a GOP-mode pass with
+// a slice-mode pass, so that a load that comes and goes on a shared host
+// weighs on both profiles alike. A one-worker plan hands tasks out in
 // stream order, so the cold-cache cost of each picture's first task lands
 // on the same slice in every run — the simulator assumes stream-order
-// measurement. A task's cost is put together picture by picture, plus what
-// the task spends outside pictures, not taken as one interval (see
-// profilePasses).
-func profileGOPTasks(data []byte, m *core.StreamMap) ([]simsched.GOPTask, time.Duration, error) {
-	var passes [profilePasses]*core.Stats
-	for i := range passes {
+// measurement.
+func profileTasks(data []byte, m *core.StreamMap) ([]simsched.GOPTask, []simsched.SimPicture, error) {
+	var gp, sp [profilePasses]*core.Stats
+	for i := range gp {
 		var err error
-		if passes[i], err = core.Decode(data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true}); err != nil {
-			return nil, 0, err
+		if gp[i], err = core.Decode(data, core.Options{Mode: core.ModeGOP, Workers: 1, Profile: true}); err != nil {
+			return nil, nil, err
 		}
-	}
-	tasks := make([]simsched.GOPTask, len(passes[0].GOPCosts))
-	for i := range tasks {
-		cost := medianCost(func(pass int) time.Duration {
-			c := passes[pass].GOPCosts[i]
-			rest := c.Cost
-			for _, p := range c.Pictures {
-				rest -= p
-			}
-			return rest
-		})
-		for p := range passes[0].GOPCosts[i].Pictures {
-			cost += medianCost(func(pass int) time.Duration { return passes[pass].GOPCosts[i].Pictures[p] })
-		}
-		tasks[i] = simsched.GOPTask{Cost: cost, Pictures: len(m.GOPs[i].Pictures)}
-	}
-	return tasks, passes[0].Wall, nil
-}
-
-// profileSlicePics measures per-slice costs and tiles them out to the
-// requested stream length.
-func profileSlicePics(data []byte, pictures int) ([]simsched.SimPicture, error) {
-	measured, _, err := profileSliceTasks(data, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return tileSlices(measured, pictures), nil
-}
-
-// profileSliceTasks measures the per-task costs of an improved-slice-mode
-// decode on one worker (the per-task median of profilePasses passes) under
-// opt's split settings, and returns the last pass's stats beside them.
-func profileSliceTasks(data []byte, opt core.Options) ([]simsched.SimPicture, *core.Stats, error) {
-	opt.Mode, opt.Workers, opt.Profile = core.ModeSliceImproved, 1, true
-	var passes [profilePasses]*core.Stats
-	for i := range passes {
-		var err error
-		if passes[i], err = core.Decode(data, opt); err != nil {
+		if sp[i], err = core.Decode(data, core.Options{Mode: core.ModeSliceImproved, Workers: 1, Profile: true}); err != nil {
 			return nil, nil, err
 		}
 	}
+	return gopCosts(&gp, m), sliceCosts(&sp), nil
+}
+
+// gopCosts puts each GOP task's cost together from its slices, as GOP mode
+// decoded them, and what the task spent outside them, each the median over
+// the passes (see profilePasses). A GOP-mode profile lists its pictures'
+// slice costs in decode order, group after group.
+func gopCosts(passes *[profilePasses]*core.Stats, m *core.StreamMap) []simsched.GOPTask {
+	tasks := make([]simsched.GOPTask, len(passes[0].GOPCosts))
+	first := 0 // the group's first picture in SliceProf
+	for g := range tasks {
+		pics := passes[0].SliceProf[first : first+len(m.GOPs[g].Pictures)]
+		cost := medianCost(func(pass int) time.Duration {
+			rest := passes[pass].GOPCosts[g].Cost
+			for _, p := range passes[pass].SliceProf[first : first+len(pics)] {
+				for _, c := range p.SliceCosts {
+					rest -= c
+				}
+			}
+			return rest
+		})
+		for i, p := range pics {
+			for j := range p.SliceCosts {
+				cost += medianCost(func(pass int) time.Duration { return passes[pass].SliceProf[first+i].SliceCosts[j] })
+			}
+		}
+		tasks[g] = simsched.GOPTask{Cost: cost, Pictures: len(pics)}
+		first += len(pics)
+	}
+	return tasks
+}
+
+// sliceCosts takes each slice-queue task's cost as its median over the
+// passes.
+func sliceCosts(passes *[profilePasses]*core.Stats) []simsched.SimPicture {
 	measured := make([]simsched.SimPicture, len(passes[0].SliceProf))
 	for i, p := range passes[0].SliceProf {
 		costs := make([]time.Duration, len(p.SliceCosts))
@@ -336,7 +329,7 @@ func profileSliceTasks(data []byte, opt core.Options) ([]simsched.SimPicture, *c
 		}
 		measured[i] = simsched.SimPicture{Ref: p.Ref, Intra: p.Type == 'I', DisplayIdx: p.DisplayIdx, SliceCosts: costs}
 	}
-	return measured, passes[profilePasses-1], nil
+	return measured
 }
 
 // tileGOPs repeats measured GOP costs out to n tasks.

@@ -87,9 +87,9 @@ func TestPickTaskSteering(t *testing.T) {
 // row, whichever rows follow; a segment of a split slice by the row its
 // entry point is on; a task without rows is steered nowhere.
 func TestPickTaskSteeringGroups(t *testing.T) {
-	// 24 rows, row 17 claimed twice, three workers: tasks of two rows,
-	// bands of eight.
-	const mbw, mbh, workers = 2, 24, 3
+	// 24 rows of SIF width, row 17 claimed twice, three workers: tasks of
+	// two rows, bands of eight.
+	const mbw, mbh, workers = 22, 24, 3
 	p := groupedTestPic(mbw, mbh, workers, func(r int) int {
 		if r == 17 {
 			return 2

@@ -86,10 +86,9 @@ type Options struct {
 	Sink func(*frame.Frame)
 
 	// Profile, when true, records task costs at the paper's grain — one
-	// per slice (or segment of a split slice) in the slice modes, one per
-	// group and picture in GOP mode — whatever tasks the run fused them
-	// into (single-worker runs are the meaningful profile source for the
-	// deterministic simulator).
+	// per slice (or segment of a split slice), in GOP mode also one per
+	// group — whatever tasks the run fused them into (single-worker runs
+	// are the meaningful profile source for the deterministic simulator).
 	Profile bool
 
 	// Resilience selects the error-resilience ladder (FailFast default).
@@ -133,10 +132,13 @@ type Options struct {
 	// guess costs a sequential fallback, never wrong pixels.
 	SpeculativeSplit bool
 
-	// SplitParts overrides how many segments a split slice targets
-	// (0 cuts it into segments of TaskGrain rows, the grain of every other
-	// slice-queue task). Profiling runs set it to capture, on a single
-	// worker, the segment costs of a larger pool.
+	// SplitParts overrides how many segments a split slice targets. At 0
+	// a slice is cut at TaskGrain's split grain: the pool's band grain,
+	// but never segments under 49 macroblocks, each of which costs about
+	// 0.65 µs beyond its decode (a 352x240 slice: 4 segments on one
+	// worker, 5 on more). Profiling runs set it to capture, on a single
+	// worker, the segment costs of a larger pool;
+	// BenchmarkSplitSegmentCost sets it to measure what a segment costs.
 	SplitParts int
 
 	// Frames, when non-nil, is the service's spare-frame store: the
@@ -183,11 +185,6 @@ type WorkerStats struct {
 type TaskCost struct {
 	Cost time.Duration
 	Work decoder.WorkStats
-	// Pictures splits a GOP task's Cost by picture, in decode order (the
-	// rest of Cost is the task's own overhead): intervals short enough
-	// that a profile taken on a busy host can tell the few a preemption
-	// fell into from the others, which it cannot for a whole GOP.
-	Pictures []time.Duration
 }
 
 // PicProfile is the per-picture slice cost profile used by the simulator.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -160,7 +161,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestParallelMultiGOP(t *testing.T) {
-	res := testStream(t, 80, 48, 16, 4)
+	res := testStream(t, 352, 48, 16, 4) // wide enough for three tasks a picture
 	want := sequentialFrames(t, res.Data)
 	for _, mode := range everyMode {
 		var sink collectSink
@@ -189,8 +190,10 @@ func TestWorkerStatsAccounting(t *testing.T) {
 	for _, ws := range st.WorkerStats {
 		totalTasks += ws.Tasks
 	}
-	if totalTasks != 13*4 { // 64px high → 4 slices per picture
-		t.Fatalf("%d slice tasks, want %d", totalTasks, 13*4)
+	// 64px high → 4 slices per picture, fused TaskGrain rows a task.
+	grain := TaskGrain(6, 4, 3, false)
+	if want := 13 * ((4 + grain - 1) / grain); totalTasks != want {
+		t.Fatalf("%d slice tasks, want %d", totalTasks, want)
 	}
 	if st.Work.MBs != 13*6*4 {
 		t.Fatalf("Work.MBs = %d", st.Work.MBs)
@@ -253,15 +256,17 @@ func TestProfileCollection(t *testing.T) {
 	if len(st.GOPCosts) != 1 || st.GOPCosts[0].Cost <= 0 {
 		t.Fatalf("GOP profile missing: %+v", st.GOPCosts)
 	}
-	var inPictures time.Duration
-	for _, c := range st.GOPCosts[0].Pictures {
-		if c <= 0 {
-			t.Fatal("unmeasured picture cost")
+	var inSlices time.Duration
+	for _, p := range st.SliceProf {
+		if len(p.SliceCosts) != 4 || slices.Min(p.SliceCosts) <= 0 {
+			t.Fatalf("GOP mode: picture slice costs %v, want four measured", p.SliceCosts)
 		}
-		inPictures += c
+		for _, c := range p.SliceCosts {
+			inSlices += c
+		}
 	}
-	if n := len(st.GOPCosts[0].Pictures); n != 13 || inPictures > st.GOPCosts[0].Cost {
-		t.Fatalf("GOP task of %v split into %d pictures of %v together", st.GOPCosts[0].Cost, n, inPictures)
+	if n := len(st.SliceProf); n != 13 || inSlices > st.GOPCosts[0].Cost {
+		t.Fatalf("GOP task of %v split into %d pictures of slices of %v together", st.GOPCosts[0].Cost, n, inSlices)
 	}
 	st2, err := Decode(res.Data, Options{Mode: ModeSliceImproved, Workers: 1, Profile: true})
 	if err != nil {
@@ -311,7 +316,7 @@ func TestProfileSliceGrain(t *testing.T) {
 			busy += ws.Busy
 			tasks += ws.Tasks
 		}
-		if grain := TaskGrain(30, workers); tasks != 4*(30/grain+min(30%grain, 1)) {
+		if grain := TaskGrain(44, 30, workers, false); tasks != 4*(30/grain+min(30%grain, 1)) {
 			t.Fatalf("%d workers: %d tasks over 4 pictures at %d rows a task", workers, tasks, grain)
 		}
 		if len(st.SliceProf) != 4 {
@@ -423,8 +428,8 @@ func TestParallelDecodeWithoutGOPHeaders(t *testing.T) {
 	// scan process must synthesize groups from the repeated sequence
 	// headers and every parallel mode must still decode correctly.
 	res, err := encoder.EncodeSequence(encoder.Config{
-		Width: 80, Height: 48, Pictures: 12, GOPSize: 4, OmitGOPHeaders: true,
-	}, frame.NewSynth(80, 48))
+		Width: 352, Height: 48, Pictures: 12, GOPSize: 4, OmitGOPHeaders: true,
+	}, frame.NewSynth(352, 48))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +461,7 @@ func TestParallelEquivalenceQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := testStream(t, 80, 48, 8, 8)
+	res := testStream(t, 352, 48, 8, 8) // wide enough for three tasks a picture
 	want := sequentialFrames(t, res.Data)
 	f := func(modeRaw, workersRaw uint8) bool {
 		mode := Mode(modeRaw % 3)
@@ -506,7 +511,7 @@ func TestConcurrentIndependentDecodes(t *testing.T) {
 	// Several parallel decodes of different streams at once must not
 	// interfere (a video server decodes many channels in one process).
 	resA := testStream(t, 96, 64, 8, 4)
-	resB := testStream(t, 80, 48, 12, 4)
+	resB := testStream(t, 352, 48, 12, 4)
 	wantA := sequentialFrames(t, resA.Data)
 	wantB := sequentialFrames(t, resB.Data)
 	var wg sync.WaitGroup

@@ -5,6 +5,7 @@ import (
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/encoder"
+	"mpeg2par/internal/faults"
 	"mpeg2par/internal/frame"
 )
 
@@ -45,18 +46,29 @@ func FuzzFindStartCode(f *testing.F) {
 // the sequential and the improved-slice parallel mode, or succeed in both
 // with bit-identical frames and identical ErrorStats. The two decodes'
 // frames are poisoned with different values (see poison), so every pixel
-// either ships must be the decode's own.
+// either ships must be the decode's own. The seeds are 288 pixels wide, wide
+// enough that TaskGrain plans each of their pictures in two tasks on two
+// workers, so two tasks of one picture run side by side; the committed
+// corpus is 48x32, one task a picture.
 // Run long with: go test -fuzz=FuzzResilientDecode ./internal/core
 func FuzzResilientDecode(f *testing.F) {
 	res, err := encoder.EncodeSequence(encoder.Config{
-		Width: 48, Height: 32, Pictures: 4, GOPSize: 2, RepeatSequenceHeader: true,
-	}, frame.NewSynth(48, 32))
+		Width: 288, Height: 32, Pictures: 4, GOPSize: 2, RepeatSequenceHeader: true,
+	}, frame.NewSynth(288, 32))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(res.Data)
 	trunc := res.Data[:len(res.Data)*3/4]
 	f.Add(append([]byte(nil), trunc...))
+	for _, spec := range []string{"burst:count=2,len=24", "bitflip:6", "dropslice:1"} {
+		sp, err := faults.Parse(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		mut, _ := sp.Apply(res.Data, 1)
+		f.Add(mut)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 32<<10 {
 			return

@@ -298,7 +298,7 @@ func TestServiceSessionShipsOnlyDecodedPixels(t *testing.T) {
 // the rest, completes every picture bit-exact with what decoding alone
 // counts.
 func TestHelperLeavesAfterOneUnit(t *testing.T) {
-	res := testStream(t, 96, 64, 4, 4)
+	res := testStream(t, 288, 64, 4, 4) // wide enough for a task a row
 	want := sequentialFrames(t, res.Data)
 	var sink collectSink
 	sess, tk := helpTask(t, res.Data, sink.add)

@@ -64,7 +64,9 @@ func TestPackOrderProperties(t *testing.T) {
 // order, longest-first, reversed, or seeded shuffles — every mode must
 // reproduce the sequential oracle bit-exactly. The second stream is one
 // tall slice a picture decoded with its split index, so segment tasks are
-// packed too, and the slice modes must split it.
+// packed too, and the slice modes must split it: into 4·workers segments,
+// the band grain's count, since its 36 macroblocks are below TaskGrain's
+// floor for a segment.
 func TestPackingMatchesSequential(t *testing.T) {
 	tall, err := encoder.EncodeSequence(encoder.Config{
 		Width: 48, Height: 192, Pictures: 12, GOPSize: 4, RepeatSequenceHeader: true, RowsPerSlice: 12,
@@ -88,7 +90,7 @@ func TestPackingMatchesSequential(t *testing.T) {
 				for _, workers := range []int{1, 3} {
 					id := fmt.Sprintf("%s %v/%s/%d", in.name, mode, pk.name, workers)
 					var sink collectSink
-					st, err := Decode(in.data, Options{Mode: mode, Workers: workers, Sink: sink.add, SplitIndex: in.ix})
+					st, err := Decode(in.data, Options{Mode: mode, Workers: workers, Sink: sink.add, SplitIndex: in.ix, SplitParts: 4 * workers})
 					if err != nil {
 						t.Fatalf("%s: %v", id, err)
 					}

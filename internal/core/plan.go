@@ -353,16 +353,12 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 // SD, which a small pool deals out row by row: every row a worker
 // motion-compensates then has both neighbour rows of the reference in
 // another core's cache. So row groups adjacent in row order are fused
-// until a task spans ceil(MBHeight / (4·workers)) macroblock rows: about
-// four tasks per worker per picture, enough for the LPT order to level the
-// tail, few enough that a worker stays inside the band pickTask steers it
-// to. Measured on two cores at SD, 3· and 5·workers both read 2–3 % below
-// 4· (experiments/pr17-band-tasks), so the grain is derived (TaskGrain) and
-// nowhere configurable. A row group that already spans
-// the target — a tall slice — is a task of its own, which keeps it a
-// single-slice group, the only kind buildSplitTasks may split (into
-// segments of the same grain); with many workers the target is one row
-// and the tasks are the paper's.
+// until a task spans TaskGrain rows (the band grain, or more on a narrow
+// picture). A row group that already spans the target — a tall slice — is
+// a task of its own, which keeps it a single-slice group, the only kind
+// buildSplitTasks may split (into segments of TaskGrain's split grain);
+// with many workers and wide pictures the target is one row and the tasks
+// are the paper's.
 //
 // The sequential and GOP executors iterate the groups whole and decode the
 // same slices into the same pixels whatever the grouping.
@@ -379,7 +375,7 @@ func buildRowGroups(slices []SliceRange, bounds []int, params *mpeg2.PicturePara
 		sort.SliceStable(byRow, func(a, b int) bool { return slices[byRow[a]].Row < slices[byRow[b]].Row })
 	}
 
-	target := TaskGrain(params.MBHeight, workers)
+	target := TaskGrain(params.MBWidth, params.MBHeight, workers, false)
 	groups := make([][]int, 0, min(len(slices), (params.MBHeight+target-1)/target))
 	start, rows := 0, 0 // the open task is byRow[start:i], spanning rows macroblock rows
 	flush := func(end int) {
@@ -415,13 +411,40 @@ func buildRowGroups(slices []SliceRange, bounds []int, params *mpeg2.PicturePara
 	return groups
 }
 
+// The fewest macroblocks a task may span: twenty times its fixed cost over
+// a macroblock's decode (0.28 µs), so that the fixed cost stays under 5 %
+// of the task. A row group pays take, finish and its picture's completion
+// (BenchmarkSplitSegmentCost's ns/task-outside, 0.23 µs); a segment of a
+// split slice also its entry state, its join and its verify (ns/extra-seg,
+// 0.65 µs, quartiles 0.59–1.08). Each constant is the median over sixteen
+// runs of its per-run ratio, rounded up; 2 CPUs, asm(avx2), go1.24
+// (EXPERIMENTS.md, "A split slice pays per macroblock, not per segment").
+const (
+	rowGroupMBs = 17 // 20 · ns/task-outside ÷ ns/MB
+	segmentMBs  = 49 // 20 · ns/extra-seg ÷ ns/MB
+)
+
 // TaskGrain is the one place that decides the slice-queue grain: how many
 // macroblock rows a task spans on a pool of the given size, whether the
-// task is a run of fused row groups (buildRowGroups) or a segment of a
-// split slice (newSplitJoin).
-func TaskGrain(mbHeight, workers int) int {
-	if workers <= 0 {
-		return 1
+// task is a run of fused row groups (buildRowGroups) or, with split set, a
+// segment of a split slice (newSplitJoin). One rule serves both: a task
+// spans the band grain, ceil(mbHeight / (4·workers)) rows — about four
+// tasks per worker per picture, enough for the LPT order to level the
+// tail, few enough that a worker stays inside the band pickTask steers it
+// to (3· and 5·workers both read 2–3 % below 4· on two cores at SD,
+// experiments/pr17-band-tasks) — and never fewer macroblocks than keep its
+// fixed cost under 5 % of its decode (rowGroupMBs, segmentMBs). So a
+// 704x480 picture keeps the band grain up to eight workers, its split
+// slices up to four; a 352x240 split slice is cut into segments of three
+// rows from two workers on; a 176x120 picture is planned in tasks of two.
+func TaskGrain(mbWidth, mbHeight, workers int, split bool) int {
+	rows := 1
+	if workers > 0 {
+		rows = (mbHeight + 4*workers - 1) / (4 * workers)
 	}
-	return max((mbHeight+4*workers-1)/(4*workers), 1)
+	floor := rowGroupMBs
+	if split {
+		floor = segmentMBs
+	}
+	return max(rows, (floor+mbWidth-1)/max(mbWidth, 1))
 }

@@ -63,7 +63,7 @@ func TestBuildRowGroupsProperties(t *testing.T) {
 	}
 	for _, mbh := range []int{8, 15, 30, 68} {
 		for workers := 1; workers <= 16; workers++ {
-			target := (mbh + 4*workers - 1) / (4 * workers)
+			target := TaskGrain(3, mbh, workers, false)
 			for _, l := range lists {
 				id := fmt.Sprintf("%s mbh %d workers %d", l.name, mbh, workers)
 				pr := &PictureRange{}
@@ -144,14 +144,16 @@ func TestBuildRowGroupsProperties(t *testing.T) {
 	}
 }
 
-// TestBuildRowGroupsGrain pins the grain the issue derives: SD on two
-// workers is eight tasks of four rows, SIF on two is two rows a task, and
-// sixteen workers at SD get the paper's one row per task.
+// TestBuildRowGroupsGrain pins the band grain: SD on two workers is eight
+// tasks of four rows, SIF on two is two rows a task, sixteen workers at SD
+// get the paper's one row per task — and a 176x120 picture's tasks span
+// two rows whatever the pool, TaskGrain's floor for a row group.
 func TestBuildRowGroupsGrain(t *testing.T) {
-	for _, c := range []struct{ mbh, workers, rows, tasks int }{
-		{30, 2, 4, 8}, {15, 2, 2, 8}, {30, 16, 1, 30}, {30, 1, 8, 4}, {68, 4, 5, 14},
+	for _, c := range []struct{ mbw, mbh, workers, rows, tasks int }{
+		{44, 30, 2, 4, 8}, {22, 15, 2, 2, 8}, {44, 30, 16, 1, 30}, {44, 30, 1, 8, 4}, {120, 68, 4, 5, 14},
+		{11, 8, 2, 2, 4}, {11, 8, 16, 2, 4},
 	} {
-		p := groupedTestPic(2, c.mbh, c.workers, func(int) int { return 1 })
+		p := groupedTestPic(c.mbw, c.mbh, c.workers, func(int) int { return 1 })
 		if len(p.groups) != c.tasks || len(p.groups[0]) != c.rows {
 			t.Errorf("%d rows on %d workers: %d tasks, the first of %d rows; want %d of %d",
 				c.mbh, c.workers, len(p.groups), len(p.groups[0]), c.tasks, c.rows)

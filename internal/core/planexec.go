@@ -80,11 +80,11 @@ func lap(prof []time.Duration, k int, t0 *time.Time) {
 // runPlanSliceTask executes task ti of planned picture p: the single
 // substitution step of a dropped picture, one macroblock-row group of
 // slices, or one segment of a split slice. Work, damage and split
-// activity are tallied into tl; reconstructed macroblock addresses are
-// appended to taskAddrs; with Options.Profile each slice of the group, or
+// activity are tallied into tl; reconstructed macroblocks are appended to
+// scr's task spans; with Options.Profile each slice of the group, or
 // the segment, is timed into p.prof[ti]. A non-nil error is only possible
 // under FailFast.
-func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Options, scr *sliceScratch, tl *tally, taskAddrs *[]int) error {
+func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Options, scr *sliceScratch, tl *tally) error {
 	var prof []time.Duration
 	var t0 time.Time
 	if p.prof != nil {
@@ -102,10 +102,12 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 		// A segment of a split slice. Only the join's (fallback) error is
 		// authoritative — a failed segment alone proves nothing about the
 		// slice, so per-segment errors stay inside the join state.
-		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, p.rowwise, opt, scr, &tl.sst)
+		n := len(scr.taskSpans)
+		w, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, p.rowwise, opt, scr, &tl.sst)
 		tl.work.Add(w)
 		lap(prof, 0, &t0)
 		if err != nil {
+			scr.taskSpans = scr.taskSpans[:n] // a failed re-decode hands over no coverage
 			if opt.Resilience == FailFast {
 				return err
 			}
@@ -113,13 +115,11 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 			if j.si != last {
 				tl.es.Resyncs++
 			}
-			return nil
 		}
-		*taskAddrs = append(*taskAddrs, addrs...)
 		return nil
 	}
 	for k, si := range p.groups[gi] {
-		w, addrs, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, p.frame, wi, scr)
+		w, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, p.frame, wi, scr)
 		tl.work.Add(w)
 		lap(prof, k, &t0)
 		if err != nil {
@@ -130,9 +130,7 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 			if si != last {
 				tl.es.Resyncs++
 			}
-			continue
 		}
-		*taskAddrs = append(*taskAddrs, addrs...)
 	}
 	return nil
 }

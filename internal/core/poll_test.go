@@ -192,8 +192,9 @@ func TestPollerYieldsOnOneP(t *testing.T) {
 		data []byte
 		opt  Options
 	}{
-		{"split, fail-fast", tall.Data, Options{SplitIndex: ix}},
-		{"split, conceal", tall.Data, Options{SplitIndex: ix, Resilience: ConcealSlice}},
+		// A segment a row: 36 macroblocks are below TaskGrain's floor.
+		{"split, fail-fast", tall.Data, Options{SplitIndex: ix, SplitParts: 6}},
+		{"split, conceal", tall.Data, Options{SplitIndex: ix, SplitParts: 6, Resilience: ConcealSlice}},
 		{"rows", rows.Data, Options{Resilience: ConcealSlice}},
 	} {
 		want := sequentialFrames(t, tc.data)

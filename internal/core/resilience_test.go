@@ -154,7 +154,7 @@ func TestResilientCleanStream(t *testing.T) {
 // GOP: DropGOP must excise the whole group (shorter but clean output)
 // while ConcealPicture substitutes through it, identically in all modes.
 func TestDropGOPRemovesAnchorlessGroup(t *testing.T) {
-	res := testStream(t, 80, 48, 12, 4)
+	res := testStream(t, 352, 48, 12, 4) // wide enough for three tasks a picture
 	m, err := Scan(res.Data)
 	if err != nil {
 		t.Fatal(err)

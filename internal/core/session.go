@@ -240,8 +240,8 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	return t, nil
 }
 
-// profile readies the run's cost tables for one planned group: a GOPCosts
-// entry per group fed, which Run fills, or in the slice-grain modes a
+// profile readies the run's cost tables for one planned group: in GOP
+// mode a GOPCosts entry per group fed, which Run fills, and in every mode a
 // SliceProf entry per planned picture whose SliceCosts the picture's tasks
 // fill in as they run — one cost per slice of a row-group task and one per
 // segment task, in task order, which on a clean stream is slice order.
@@ -252,7 +252,6 @@ func (s *Session) profile(g int, ps []*picState) {
 			s.st.GOPCosts = append(s.st.GOPCosts, TaskCost{})
 		}
 		s.workMu.Unlock()
-		return
 	}
 	for _, p := range ps {
 		width := func(ti int) int {
@@ -291,8 +290,9 @@ type Scratch struct{ s sliceScratch }
 // display order into the sink), after which the group leaves the plan. If
 // the session has already failed, Run returns the latched error without
 // decoding — the drain path that keeps teardown prompt. A decode error is
-// latched and returned. With Options.Profile the task's cost, and each
-// picture's, fill the group's Stats.GOPCosts entry. Workers calling Help
+// latched and returned. With Options.Profile the task's cost fills the
+// group's Stats.GOPCosts entry (its slices' fill Stats.SliceProf, as in
+// the slice modes). Workers calling Help
 // meanwhile decode some of each picture's tasks; Run returns only once
 // none of them holds one.
 func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
@@ -307,36 +307,30 @@ func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 	defer reg.End()
 	opt := s.opt
 	opt.Resilience = t.policy
-	var picCosts []time.Duration
-	tp := t1
-	err := s.drive(&t.q, wi, &ws, opt, &scr.s, nil, func(_ *picState, ti int, _ time.Time) {
-		if ti < 0 && s.opt.Profile {
-			picCosts = append(picCosts, time.Since(tp))
-			tp = time.Now()
-		}
-	})
+	err := s.drive(&t.q, wi, &ws, opt, &scr.s, nil, func(*picState, int, time.Time) {})
 	if err != nil {
 		err = fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err)
 		s.errs.set(err)
-		s.noteTask(t, wi, t1, nil)
+		s.noteTask(t, wi, t1, false)
 		return err
 	}
 	s.pb.pl.retire(t.pics)
-	cost := s.noteTask(t, wi, t1, picCosts)
+	cost := s.noteTask(t, wi, t1, s.opt.Profile)
 	s.opt.Cost.Observe(t.bytes, cost)
 	return nil
 }
 
 // noteTask records a task's span and merges what it tallied into the run's
-// Stats (its profile too, when given one); it returns the task's cost.
-func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, picCosts []time.Duration) time.Duration {
+// Stats (its GOPCosts entry too, when profiling); it returns the task's
+// cost.
+func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, profile bool) time.Duration {
 	cost := time.Since(t1)
 	s.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
 	s.workMu.Lock()
 	s.st.Work.Add(t.q.sum.work)
 	s.st.Errors.Add(t.q.sum.es)
-	if picCosts != nil {
-		s.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: t.q.sum.work, Pictures: picCosts}
+	if profile {
+		s.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: t.q.sum.work}
 	}
 	s.workMu.Unlock()
 	return cost

@@ -491,7 +491,7 @@ func (q *sliceQueue) fail() {
 	q.mu.Unlock()
 }
 
-// finish records one completed task ti of p — which macroblocks it
+// finish records one completed task ti of p — the spans of macroblocks it
 // reconstructed, what it tallied and, in a task's queue, its error — and
 // reports whether it was the picture's last. A row of a rowwise picture
 // that the task filled is published here, under q.mu, to the tasks
@@ -503,7 +503,7 @@ func (q *sliceQueue) fail() {
 // completeness first would let dependent pictures read the frame while
 // concealment writes it. In a task's queue finish reports false all the
 // same: the owner's take hands the picture over.
-func (q *sliceQueue) finish(p *picState, ti int, addrs []int, tl *tally, err error) bool {
+func (q *sliceQueue) finish(p *picState, ti int, spans []mbSpan, tl *tally, err error) bool {
 	q.mu.Lock()
 	if p.rowCov == nil {
 		mbw, mbh := p.params.MBWidth, p.params.MBHeight
@@ -518,11 +518,16 @@ func (q *sliceQueue) finish(p *picState, ti int, addrs []int, tl *tally, err err
 		p.cov = coverage{bits: buf[mbh:], total: mbw * mbh}
 	}
 	published := false
-	for _, a := range addrs {
-		if p.cov.add(a) {
-			r := a / p.params.MBWidth
-			p.rowCov[r]++
-			published = published || p.rowCov[r] == uint64(p.params.MBWidth)
+	mbw := p.params.MBWidth
+	for _, s := range spans {
+		for lo := max(s.first, 0); lo <= s.last && lo < p.cov.total; {
+			r := lo / mbw
+			hi := min(s.last, r*mbw+mbw-1)
+			if n := p.cov.addRange(lo, hi); n > 0 {
+				p.rowCov[r] += uint64(n)
+				published = published || p.rowCov[r] == uint64(mbw)
+			}
+			lo = hi + 1
 		}
 	}
 	q.sum.work.Add(tl.work)
@@ -593,11 +598,11 @@ func (s *Session) drive(q *sliceQueue, wi int, ws *WorkerStats, opt Options, scr
 			t0 := time.Now()
 			reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
 			var tl tally
-			scr.taskAddrs = scr.taskAddrs[:0]
-			err := runPlanSliceTask(&s.seq, p, ti, wi, opt, scr, &tl, &scr.taskAddrs)
+			scr.taskSpans = scr.taskSpans[:0]
+			err := runPlanSliceTask(&s.seq, p, ti, wi, opt, scr, &tl)
 			reg.End()
 			note(p, ti, t0)
-			done := q.finish(p, ti, scr.taskAddrs, &tl, err)
+			done := q.finish(p, ti, scr.taskSpans, &tl, err)
 			if err != nil && !q.solo {
 				q.fail()
 				return err
@@ -625,16 +630,34 @@ func (s *Session) drive(q *sliceQueue, wi int, ws *WorkerStats, opt Options, scr
 }
 
 // sliceScratch is one worker's reusable decode state: a bit reader, a
-// macroblock buffer and coverage address lists (a slice's, a task's),
-// recycled across every slice the worker decodes so the steady-state loop
-// is allocation-free. tr, set only by the trace generator, receives the
+// macroblock buffer, the reconstruction's dequantization tables and the
+// spans of macroblocks its current task has reconstructed, recycled
+// across every slice the worker decodes so the steady-state loop is
+// allocation-free. tr, set only by the trace generator, receives the
 // reconstruction memory-reference stream.
 type sliceScratch struct {
 	r         bits.Reader
 	mbs       []mpeg2.MB
-	addrs     []int
-	taskAddrs []int
+	rec       decoder.Scratch
+	taskSpans []mbSpan
 	tr        memtrace.Tracer
+}
+
+// mbSpan is a run of consecutive macroblock addresses, first through last,
+// that a task reconstructed.
+type mbSpan struct{ first, last int }
+
+// addSpans appends the addresses of mbs to the task's spans, extending the
+// last span where they continue it: a slice decoded cleanly is one span.
+func (scr *sliceScratch) addSpans(mbs []mpeg2.MB) {
+	for i := range mbs {
+		a := mbs[i].Addr
+		if n := len(scr.taskSpans); n > 0 && scr.taskSpans[n-1].last == a-1 {
+			scr.taskSpans[n-1].last = a
+			continue
+		}
+		scr.taskSpans = append(scr.taskSpans, mbSpan{a, a})
+	}
 }
 
 // concealRef returns the frame p's lost macroblocks are concealed from.
@@ -664,27 +687,23 @@ func picRefs(p *picState) decoder.Refs {
 // what makes mid-slice resync deterministic. maxAddr is the inclusive
 // macroblock address bound of the slice's span (sliceSpanBounds), so a
 // corrupted slice can also never write pixels another concurrently
-// decoding slice owns. The returned addresses alias scr.addrs and are
-// valid until the next call with the same scr.
-func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, sr SliceRange, maxAddr int, refs decoder.Refs, dst *frame.Frame, wi int, scr *sliceScratch) (decoder.WorkStats, []int, error) {
+// decoding slice owns. The macroblocks it reconstructed are appended to
+// scr's task spans.
+func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, sr SliceRange, maxAddr int, refs decoder.Refs, dst *frame.Frame, wi int, scr *sliceScratch) (decoder.WorkStats, error) {
 	scr.r.Reset(data[:sr.End])
 	scr.r.SeekBit(int64(sr.Offset) * 8)
 	code, err := scr.r.ReadStartCode()
 	if err != nil {
-		return decoder.WorkStats{}, nil, err
+		return decoder.WorkStats{}, err
 	}
 	ds, err := mpeg2.DecodeSliceBounded(&scr.r, params, int(code)-1, maxAddr, scr.mbs)
 	scr.mbs = ds.MBs // keep the grown buffer for the next slice
 	if err != nil {
-		return decoder.WorkStats{}, nil, fmt.Errorf("core: slice row %d: %w", int(code)-1, err)
+		return decoder.WorkStats{}, fmt.Errorf("core: slice row %d: %w", int(code)-1, err)
 	}
-	work, err := decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
-	if err != nil {
-		return work, nil, err
+	work, err := scr.rec.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
+	if err == nil {
+		scr.addSpans(ds.MBs)
 	}
-	scr.addrs = scr.addrs[:0]
-	for i := range ds.MBs {
-		scr.addrs = append(scr.addrs, ds.MBs[i].Addr)
-	}
-	return work, scr.addrs, nil
+	return work, err
 }

@@ -154,10 +154,10 @@ func taskBytes(p *picState, ti int) int64 {
 // newSplitJoin decides whether the slice at sr splits and builds the
 // join state: exact split points from the index when its content is
 // known there, else (with speculation enabled) guessed resync points. The
-// source's point per macroblock row is thinned to segments of TaskGrain
-// rows unless opt.SplitParts names the segment count. Returns nil when the
-// slice spans fewer than two rows or no usable points exist. scratch
-// recycles the probe's macroblock buffer.
+// source's point per macroblock row is thinned to segments of TaskGrain's
+// split grain unless opt.SplitParts names the segment count. Returns nil
+// when the slice spans fewer than two rows or no usable points exist.
+// scratch recycles the probe's macroblock buffer.
 func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRange, bound int, opt Options, scratch *[]mpeg2.MB) *splitJoin {
 	mbw := params.MBWidth
 	if mbw <= 0 || sr.Row < 0 || bound < 0 {
@@ -169,7 +169,7 @@ func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRang
 	}
 	parts := opt.SplitParts
 	if parts == 0 {
-		grain := TaskGrain(params.MBHeight, opt.Workers)
+		grain := TaskGrain(mbw, params.MBHeight, opt.Workers, true)
 		parts = (spanRows + grain - 1) / grain
 	}
 	parts = min(parts, spanRows)
@@ -254,23 +254,23 @@ func (j *splitJoin) chains(k int) bool {
 }
 
 // runSegment executes one segment of a split slice, advances the verify
-// chain over every leading segment it now reaches, and returns the
-// coverage that may leave the join. With rowwise set (a damaged slice
-// fails the decode, so nothing is ever taken back) that is the coverage
-// of the newly verified segments, whichever worker ran them: a verified
-// segment is bit-exact with the sequential decode by construction — it
-// parsed the same bits under the same predictors — so its rows go to the
-// queue while later segments still run. Otherwise a damaged slice must be
-// dropped whole, and only the last segment to finish returns coverage: all
-// of the slice's or none.
+// chain over every leading segment it now reaches, and appends to scr's
+// task spans the coverage that may leave the join. With rowwise set (a
+// damaged slice fails the decode, so nothing is ever taken back) that is
+// the coverage of the newly verified segments, whichever worker ran them:
+// a verified segment is bit-exact with the sequential decode by
+// construction — it parsed the same bits under the same predictors — so
+// its rows go to the queue while later segments still run. Otherwise a
+// damaged slice must be dropped whole, and only the last segment to finish
+// returns coverage: all of the slice's or none.
 //
 // The last to finish also settles what the chain did not reach: it
 // re-decodes the slice from where the verified prefix really stopped (the
 // whole slice when nothing verified). That touches no row of the prefix —
 // rows a reader may already hold — and its result is authoritative for
 // pixels and errors, so a wrong guess or poisoned index never changes
-// output. Returned addrs alias scr.addrs; the error is the re-decode's.
-func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, rowwise bool, opt Options, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, []int, error) {
+// output. The error is the re-decode's; the caller then drops the spans.
+func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, rowwise bool, opt Options, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, error) {
 	sst.SegmentsRun++
 	sr := j.sr
 	nSeg := len(j.res)
@@ -304,7 +304,7 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 	}
 	var work decoder.WorkStats
 	if err == nil {
-		work, err = decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
+		work, err = scr.rec.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
 	}
 
 	res := segRes{done: true, err: err, exitBit: end.BitOff, exit: end.State, atEnd: end.AtEnd, last: -1}
@@ -330,14 +330,11 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 	to := j.handed
 	j.mu.Unlock()
 	// A verified segment's result is never written again.
-	scr.addrs = scr.addrs[:0]
 	for k := from; k < to; k++ {
-		for a := j.res[k].first; a <= j.res[k].last; a++ {
-			scr.addrs = append(scr.addrs, a)
-		}
+		scr.taskSpans = append(scr.taskSpans, mbSpan{j.res[k].first, j.res[k].last})
 	}
 	if !last {
-		return work, scr.addrs, nil
+		return work, nil
 	}
 
 	sst.SlicesSplit++
@@ -345,15 +342,15 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 	if verified == nSeg {
 		sst.VerifyHits++
 		opt.Obs.Record(obs.KindVerify, wi, t0, 0, -1, -1, 1)
-		return work, scr.addrs, nil
+		return work, nil
 	}
 	sst.VerifyMisses++
 	sst.Fallbacks++
 	opt.Obs.Record(obs.KindVerify, wi, t0, 0, -1, -1, 0)
 	if verified == 0 {
-		w2, addrs, err := decodeSliceRange(data, seq, hdr, params, sr, j.maxAddr, refs, dst, wi, scr)
+		w2, err := decodeSliceRange(data, seq, hdr, params, sr, j.maxAddr, refs, dst, wi, scr)
 		work.Add(w2)
-		return work, addrs, err
+		return work, err
 	}
 	// Every segment has finished, so j.res is quiescent. The prefix's last
 	// segment stopped at a true macroblock boundary of the slice, with the
@@ -364,18 +361,16 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 		ds, _, err = mpeg2.DecodeSliceSegment(&scr.r, params, prev.exit, j.maxAddr, 0, scr.mbs)
 		scr.mbs = ds.MBs
 		if err != nil {
-			return work, nil, fmt.Errorf("core: slice row %d: %w", sr.Row, err)
+			return work, fmt.Errorf("core: slice row %d: %w", sr.Row, err)
 		}
-		w2, err := decoder.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
+		w2, err := scr.rec.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
 		work.Add(w2)
 		if err != nil {
-			return work, nil, err
+			return work, err
 		}
-		for i := range ds.MBs {
-			scr.addrs = append(scr.addrs, ds.MBs[i].Addr)
-		}
+		scr.addSpans(ds.MBs)
 	}
-	return work, scr.addrs, nil
+	return work, nil
 }
 
 // BuildIndexScanned walks a scanned stream and records exact split

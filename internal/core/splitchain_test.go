@@ -96,16 +96,24 @@ func newChainFixture(t *testing.T, data []byte, ix *vldsplit.Index, policy Resil
 }
 
 // run executes segment task ti of the first picture as worker ti would and
-// hands what it returns to the queue; it returns the coverage handed over.
+// hands what it returns to the queue; it returns the addresses of the
+// coverage handed over.
 func (c *chainFixture) run(t *testing.T, ti int, sst *SplitStats) []int {
 	t.Helper()
 	var tl tally
-	var addrs []int
-	if err := runPlanSliceTask(&c.seq.Seq, c.pics[0], ti, ti, c.opt, &c.scr[ti], &tl, &addrs); err != nil {
+	scr := &c.scr[ti]
+	scr.taskSpans = scr.taskSpans[:0]
+	if err := runPlanSliceTask(&c.seq.Seq, c.pics[0], ti, ti, c.opt, scr, &tl); err != nil {
 		t.Fatalf("segment %d: %v", ti, err)
 	}
 	sst.Add(tl.sst)
-	c.q.finish(c.pics[0], ti, addrs, &tl, nil)
+	c.q.finish(c.pics[0], ti, scr.taskSpans, &tl, nil)
+	var addrs []int
+	for _, s := range scr.taskSpans {
+		for a := s.first; a <= s.last; a++ {
+			addrs = append(addrs, a)
+		}
+	}
 	return addrs
 }
 
@@ -265,7 +273,8 @@ func TestLaterPoisonedPointBitExact(t *testing.T) {
 		"state":      func(p *vldsplit.Point) { p.State.DCPred[0] += 8 },
 	} {
 		bad := poisonIndex(t, res.Data, ix, func(pts []vldsplit.Point, i int) bool {
-			sel := vldsplit.SelectPoints(pts, (15+TaskGrain(15, workers)-1)/TaskGrain(15, workers))
+			grain := TaskGrain(22, 15, workers, true)
+			sel := vldsplit.SelectPoints(pts, (15+grain-1)/grain)
 			return pts[i].BitOff == sel[len(sel)/2].BitOff
 		}, mutate)
 		for _, policy := range []Resilience{FailFast, ConcealSlice} {
@@ -291,13 +300,16 @@ func TestLaterPoisonedPointBitExact(t *testing.T) {
 }
 
 // TestSplitDefaultGrainBitExact: with no SplitParts the segments are cut at
-// the band grain of the pool — eight, eight and fifteen a SIF picture on
-// one, two and four workers — and the frames are the sequential oracle's.
+// TaskGrain's split grain for the pool — SIF pictures on one, two and four
+// workers, however many segments that makes — and the frames are the
+// sequential oracle's.
 func TestSplitDefaultGrainBitExact(t *testing.T) {
 	res := tallIPB(t, 352, 240, 13, 13)
 	want := sequentialFrames(t, res.Data)
 	ix := buildIndex(t, res.Data)
-	for workers, segs := range map[int]int{1: 4, 2: 8, 4: 15} {
+	for _, workers := range []int{1, 2, 4} {
+		grain := TaskGrain(22, 15, workers, true)
+		segs := (15 + grain - 1) / grain
 		for _, policy := range []Resilience{FailFast, ConcealSlice} {
 			var sink collectSink
 			st, err := Decode(res.Data, Options{Mode: ModeSliceImproved, Workers: workers, Resilience: policy,

@@ -69,12 +69,12 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, bands bool, tr memtrac
 			traceInput(tr, data, proc, p.rng.Offset, p.rng.End)
 			cov.reset(p.params.MBWidth * p.params.MBHeight)
 			for ti := 0; ti < p.nTasks; ti++ {
-				scr.taskAddrs = scr.taskAddrs[:0]
-				if err := runPlanSliceTask(&m.Seq, p, ti, proc, opt, &scr, &tl, &scr.taskAddrs); err != nil {
+				scr.taskSpans = scr.taskSpans[:0]
+				if err := runPlanSliceTask(&m.Seq, p, ti, proc, opt, &scr, &tl); err != nil {
 					return err
 				}
-				for _, a := range scr.taskAddrs {
-					cov.add(a)
+				for _, s := range scr.taskSpans {
+					cov.addRange(s.first, s.last)
 				}
 			}
 			if p.fate == fateDecode {
@@ -90,7 +90,7 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, bands bool, tr memtrac
 				proc = bandOf(sr.Row, procs, p.params.MBHeight)
 			}
 			traceInput(tr, data, proc, sr.Offset, sr.End)
-			if _, _, err := decodeSliceRange(data, &m.Seq, &p.hdr, &p.params, sr, p.sliceBound(si), picRefs(p), p.frame, proc, &scr); err != nil {
+			if _, err := decodeSliceRange(data, &m.Seq, &p.hdr, &p.params, sr, p.sliceBound(si), picRefs(p), p.frame, proc, &scr); err != nil {
 				return err
 			}
 			task++

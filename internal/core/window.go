@@ -1,5 +1,7 @@
 package core
 
+import mathbits "math/bits"
+
 // Row-window readiness: the data dependency the improved slice mode
 // synchronises on. A task of picture p may run once every macroblock row
 // it can read in p's reference frames has been published; which rows those
@@ -136,15 +138,20 @@ func (c *coverage) reset(total int) {
 	c.total, c.n = total, 0
 }
 
-// add marks macroblock a and reports whether it was new; addresses
-// outside the picture are ignored.
-func (c *coverage) add(a int) bool {
-	if a < 0 || a >= c.total || c.has(a) {
-		return false
+// addRange marks macroblocks lo through hi, clipped to the picture, and
+// returns how many of them were new.
+func (c *coverage) addRange(lo, hi int) int {
+	lo, hi = max(lo, 0), min(hi, c.total-1)
+	n := 0
+	for lo <= hi {
+		end := min(hi, lo|63)
+		m := ^uint64(0) >> uint(63-(end-lo)) << uint(lo&63)
+		n += mathbits.OnesCount64(m &^ c.bits[lo>>6])
+		c.bits[lo>>6] |= m
+		lo = end + 1
 	}
-	c.bits[a>>6] |= 1 << uint(a&63)
-	c.n++
-	return true
+	c.n += n
+	return n
 }
 
 func (c *coverage) has(a int) bool { return c.bits[a>>6]>>uint(a&63)&1 != 0 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -152,13 +153,10 @@ func groupedTestPic(mbw, mbh, workers int, perRow func(r int) int) *picState {
 	return p
 }
 
-// rowAddrs lists the macroblock addresses of row r.
-func rowAddrs(p *picState, r int) []int {
-	var a []int
-	for x := 0; x < p.params.MBWidth; x++ {
-		a = append(a, r*p.params.MBWidth+x)
-	}
-	return a
+// rowAddrs is the span of row r's macroblocks.
+func rowAddrs(p *picState, r int) []mbSpan {
+	mbw := p.params.MBWidth
+	return []mbSpan{{r * mbw, r*mbw + mbw - 1}}
 }
 
 // TestSliceQueueRowWindow drives the queue white-box through the
@@ -170,7 +168,7 @@ func rowAddrs(p *picState, r int) []int {
 // does the same with fused tasks: one that spans several rows waits for
 // the reference rows around its last row, not only its first.
 func TestSliceQueueRowWindow(t *testing.T) {
-	const mbw, mbh, held = 2, 12, 5
+	const mbw, mbh, held = 22, 12, 5 // SIF width: TaskGrain's floor is one row
 	for _, depth := range []int{6, 2} {
 		i0 := windowTestPic(mbw, mbh, nil, nil, 2)
 		p1 := windowTestPic(mbw, mbh, i0, nil, 1)
@@ -315,7 +313,7 @@ func TestSliceQueueLatePublication(t *testing.T) {
 	ref = windowTestPic(mbw, mbh, nil, nil, 1)
 	q.pics[0], dep.fwd = ref, ref
 	q.finish(ref, 0, rowAddrs(ref, 0), &tally{}, nil)
-	q.finish(ref, 0, rowAddrs(ref, 1)[:1], &tally{}, nil) // a damaged task: half of row 1
+	q.finish(ref, 0, []mbSpan{{mbw, mbw}}, &tally{}, nil) // a damaged task: part of row 1
 	q.finish(ref, 0, rowAddrs(ref, 2), &tally{}, nil)
 	if ready(dep, 0) || ready(dep, 1) || ready(dep, 2) {
 		t.Fatal("a task whose window holds a half-covered row was ready")
@@ -369,7 +367,7 @@ func TestCoverageAllocs(t *testing.T) {
 	p := windowTestPic(6, 4, nil, nil, 1)
 	q := &sliceQueue{pics: []*picState{p}, improved: true}
 	q.cond = sync.NewCond(&q.mu)
-	rows := [][]int{rowAddrs(p, 0), rowAddrs(p, 1), rowAddrs(p, 2), rowAddrs(p, 3)}
+	rows := [][]mbSpan{rowAddrs(p, 0), rowAddrs(p, 1), rowAddrs(p, 2), rowAddrs(p, 3)}
 	var tl tally
 	onePicture := func() {
 		p.cov, p.rowCov, p.remaining = coverage{}, nil, len(rows)
@@ -379,5 +377,42 @@ func TestCoverageAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, onePicture); allocs != 1 {
 		t.Fatalf("sliceQueue.finish allocates %.1f times per picture, want 1", allocs)
+	}
+}
+
+// TestCoverageAddRange: marking a range marks exactly its macroblocks that
+// lie inside the picture, counts only the new ones, and agrees with a
+// macroblock-at-a-time reference across word boundaries.
+func TestCoverageAddRange(t *testing.T) {
+	const total = 200
+	var c coverage
+	c.reset(total)
+	ref := make([]bool, total)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		lo := rng.Intn(total+20) - 10
+		hi := lo + rng.Intn(80) - 5
+		want := 0
+		for a := max(lo, 0); a <= min(hi, total-1); a++ {
+			if !ref[a] {
+				ref[a] = true
+				want++
+			}
+		}
+		if got := c.addRange(lo, hi); got != want {
+			t.Fatalf("addRange(%d, %d) = %d new, want %d", lo, hi, got, want)
+		}
+		n := 0
+		for a, on := range ref {
+			if c.has(a) != on {
+				t.Fatalf("after addRange(%d, %d): macroblock %d marked %v, want %v", lo, hi, a, c.has(a), on)
+			}
+			if on {
+				n++
+			}
+		}
+		if c.n != n {
+			t.Fatalf("count %d, want %d", c.n, n)
+		}
 	}
 }

@@ -68,6 +68,15 @@ func PictureParams(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader) mpeg2.Pic
 // ReconSlice reconstructs every macroblock of ds into dst. proc and tr are
 // the tracing hooks (tr may be nil). It returns the work performed.
 func ReconSlice(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, ds *mpeg2.DecodedSlice, proc int, tr memtrace.Tracer) (WorkStats, error) {
+	var sc Scratch
+	return sc.ReconSlice(seq, ph, refs, dst, ds, proc, tr)
+}
+
+// ReconSlice is the package's ReconSlice, keeping its dequantization
+// tables in sc for the next call: a worker that cuts a picture into many
+// short runs of macroblocks builds them once a quantiser_scale, not once a
+// run.
+func (sc *Scratch) ReconSlice(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, ds *mpeg2.DecodedSlice, proc int, tr memtrace.Tracer) (WorkStats, error) {
 	var st WorkStats
 	if ph.Type != vlc.CodingI && refs.Fwd == nil {
 		return st, fmt.Errorf("decoder: %s picture without forward reference", ph.Type)
@@ -75,12 +84,14 @@ func ReconSlice(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, d
 	if ph.Type == vlc.CodingB && refs.Bwd == nil {
 		return st, fmt.Errorf("decoder: B picture without backward reference")
 	}
+	if sc.intraM != seq.IntraMatrix || sc.interM != seq.NonIntraMatrix {
+		*sc = Scratch{intraM: seq.IntraMatrix, interM: seq.NonIntraMatrix}
+	}
 	mbw := seq.MBWidth()
-	var sc reconScratch
 	for i := range ds.MBs {
 		mb := &ds.MBs[i]
 		mbx, mby := mb.Addr%mbw, mb.Addr/mbw
-		if err := reconMB(seq, ph, refs, dst, mb, mbx, mby, &sc, &st, proc, tr); err != nil {
+		if err := reconMB(seq, ph, refs, dst, mb, mbx, mby, sc, &st, proc, tr); err != nil {
 			return st, fmt.Errorf("decoder: macroblock %d: %w", mb.Addr, err)
 		}
 		st.MBs++
@@ -117,12 +128,16 @@ func blockMask(mb *mpeg2.MB, b int) uint64 {
 	return quant.Mask(&mb.Blocks[b], 64)
 }
 
-// reconScratch is what ReconSlice keeps for its macroblocks: the
+// Scratch is what a reconstruction keeps for its macroblocks: the
 // dequantization tables of dct.ReconBlock, which change with
-// quantiser_scale only. A bidirectional macroblock needs no prediction
-// buffer: its backward prediction is averaged straight into the frame.
-type reconScratch struct {
-	intra, inter dct.Dequant
+// quantiser_scale only. It holds copies of the weight matrices they were
+// built from: a kept Scratch may meet another sequence, even one at the
+// address of the last, and then starts afresh. A bidirectional macroblock
+// needs no prediction buffer: its backward prediction is averaged
+// straight into the frame.
+type Scratch struct {
+	intra, inter   dct.Dequant
+	intraM, interM [64]uint8
 }
 
 // reconBlock reconstructs coded block b of mb into dst — an intra block
@@ -156,7 +171,7 @@ func reconBlock(dst *frame.Frame, mb *mpeg2.MB, b, mbx, mby int, p quant.Params,
 // costs nothing more and a coded one is an in-place clamped residual add.
 // Whether the macroblock can be predicted at all is decided before dst is
 // touched, so a rejected macroblock leaves the frame as it found it.
-func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, sc *reconScratch, st *WorkStats, proc int, tr memtrace.Tracer) error {
+func reconMB(seq *mpeg2.SequenceHeader, ph *mpeg2.PictureHeader, refs Refs, dst *frame.Frame, mb *mpeg2.MB, mbx, mby int, sc *Scratch, st *WorkStats, proc int, tr memtrace.Tracer) error {
 	scale := quant.Scale(mb.QScaleCode, ph.QScaleType)
 	var nz [6]int // coefficients per coded block, for the trace
 	if mb.Type.Intra {

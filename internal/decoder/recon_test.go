@@ -210,7 +210,7 @@ func BenchmarkReconMB(b *testing.B) {
 		seq, ph, refs, ds := reconFixture(c, 3)
 		dst := frame.New(reconW, reconH)
 		b.Run(c.name, func(b *testing.B) {
-			var sc reconScratch
+			var sc Scratch
 			var st WorkStats
 			mbw := seq.MBWidth()
 			for n := 0; n < b.N; n++ {

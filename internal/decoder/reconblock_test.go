@@ -349,7 +349,7 @@ func BenchmarkReconBlock(b *testing.B) {
 				defer kernels.Set(kernels.LevelSWAR)
 				dst := frame.New(s.seq.Width, s.seq.Height)
 				mbw := s.seq.MBWidth()
-				var sc reconScratch
+				var sc Scratch
 				blocks := 0
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {

@@ -19,7 +19,9 @@ import (
 // (which sets the plan's task grain), fed from the whole map and chunk by
 // chunk, must reproduce the independent oracle bit-exactly with the same
 // split accounting either way. The third stream is one tall slice a
-// picture decoded with its split index: segment tasks are packed too.
+// picture decoded with its split index: segment tasks are packed too, 4·workers
+// of them a picture (its 36 macroblocks are below core.TaskGrain's floor for
+// a segment).
 // Other handout orders are swapped in by core's own invariance tests.
 func TestStreamingPackingMatchesBatch(t *testing.T) {
 	for _, dim := range [][2]int{{96, 64}, {48, 192}} {
@@ -47,7 +49,7 @@ func streamingPackingMatchesBatch(t *testing.T, data []byte, ix *vldsplit.Index)
 				label := fmt.Sprintf("%v/%d chunk %d", mode, workers, chunk)
 				var sink collectSink
 				st, err := decodeFed(data, core.Options{
-					Mode: mode, Workers: workers, Sink: sink.add, SplitIndex: ix,
+					Mode: mode, Workers: workers, Sink: sink.add, SplitIndex: ix, SplitParts: 4 * workers,
 				}, chunk)
 				sameDecode(t, label, &sink, st, err, ref, refSt, nil)
 				if ix != nil && mode == core.ModeSliceImproved && st.Split.VerifyHits == 0 {
@@ -129,8 +131,8 @@ func TestScanReaderSliceBytes(t *testing.T) {
 
 // TestProfileThroughReader: Options.Profile is the engine's, not a feeding's
 // — a reader-fed decode returns the tables a scanned-map decode does, one
-// GOPCosts entry per group with its pictures' costs, one SliceProf entry per
-// picture with a cost per slice.
+// GOPCosts entry per group in GOP mode, one SliceProf entry per picture with
+// a cost per slice.
 func TestProfileThroughReader(t *testing.T) {
 	data := testStream(t, 96, 64, 12, 4)
 	for _, chunk := range []int{wholeMap, 997} {
@@ -142,9 +144,12 @@ func TestProfileThroughReader(t *testing.T) {
 			t.Fatalf("chunk %d: %d GOP costs, want 3", chunk, len(st.GOPCosts))
 		}
 		for g, c := range st.GOPCosts {
-			if c.Cost <= 0 || len(c.Pictures) != 4 || c.Work.MBs != 4*6*4 {
+			if c.Cost <= 0 || c.Work.MBs != 4*6*4 {
 				t.Fatalf("chunk %d: GOP %d profiled as %+v", chunk, g, c)
 			}
+		}
+		if len(st.SliceProf) != 12 {
+			t.Fatalf("chunk %d: GOP mode: %d picture profiles, want 12", chunk, len(st.SliceProf))
 		}
 		st, err = decodeFed(data, core.Options{Mode: core.ModeSliceImproved, Workers: 2, Profile: true}, chunk)
 		if err != nil {

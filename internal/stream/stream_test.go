@@ -380,7 +380,7 @@ func openGOPs(t *testing.T, data []byte) []byte {
 // they predicted from. Every mode must agree with the sequential one,
 // however the stream is fed.
 func TestLadderPastTheWindow(t *testing.T) {
-	clean := testStream(t, 80, 48, 12, 4)
+	clean := testStream(t, 352, 48, 12, 4) // wide enough for three tasks a picture
 	for _, spec := range []string{"burst:count=2,len=24", "droppic:1"} {
 		data := lateFault(t, clean, spec, 60, 40)
 		for _, policy := range allPolicies[1:] {

@@ -7,16 +7,18 @@ import (
 	"testing"
 
 	"mpeg2par"
+	"mpeg2par/internal/core"
 )
 
 // tallStream generates a one-slice-per-picture stream: the geometry
 // where slice-level parallelism is zero and intra-slice splitting is
-// the only parallelism left.
+// the only parallelism left. Its slices are 132 macroblocks, enough for
+// two segments of core.TaskGrain's split grain.
 func tallStream(t testing.TB) *mpeg2par.Stream {
 	t.Helper()
 	s, err := mpeg2par.GenerateStream(mpeg2par.StreamConfig{
-		Width: 96, Height: 64, Pictures: 8, GOPSize: 4,
-		RowsPerSlice: 4, // 64/16 rows -> one slice per picture
+		Width: 352, Height: 96, Pictures: 8, GOPSize: 4,
+		RowsPerSlice: 6, // 96/16 rows -> one slice per picture
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +141,10 @@ func TestErrBadOptionPublic(t *testing.T) {
 	}
 }
 
-// TestWithIndexDefaultGrain: the streaming pipeline cuts a tall slice at the band grain of its pool — a SIF picture's one
-// slice becomes four, eight and fifteen segments on one, two and four
-// workers — and the frames stay the sequential decode's.
+// TestWithIndexDefaultGrain: the streaming pipeline cuts a tall slice at
+// the split grain of its pool (core.TaskGrain) — a SIF picture's one slice
+// on one, two and four workers — and the frames stay the sequential
+// decode's.
 func TestWithIndexDefaultGrain(t *testing.T) {
 	ctx := context.Background()
 	s, err := mpeg2par.GenerateStream(mpeg2par.StreamConfig{
@@ -160,7 +163,9 @@ func TestWithIndexDefaultGrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers, segs := range map[int]int{1: 4, 2: 8, 4: 15} {
+	for _, workers := range []int{1, 2, 4} {
+		grain := core.TaskGrain(22, 15, workers, true)
+		segs := (15 + grain - 1) / grain
 		var got frameCollector
 		st, err := mpeg2par.Decode(ctx, mpeg2par.FromBytes(s.Data),
 			mpeg2par.WithMode(mpeg2par.ModeSliceImproved), mpeg2par.WithWorkers(workers),
