@@ -57,16 +57,15 @@ smoke:
 	$(GO) test -count=20 -run '^(TestFrameMemoryBounded|TestResilientGolden|TestSplitIndexedBitExact|TestSplitDefaultGrainBitExact|TestPoisonedIndexFallsBack)$$' ./internal/core/
 
 # Short corpus-seeded fuzz runs: the one list of the repo's fuzz targets
-# (CI calls this target). The two targets that decode on several goroutines
-# see schedule-dependent coverage, which go's minimizer takes for an
+# (CI calls this target). The one target that decodes on several goroutines
+# sees schedule-dependent coverage, which go's minimizer takes for an
 # interesting input and spends its default 60 s on, fuzzing nothing
-# meanwhile (15 executions in 20 s); they run with the minimizer off.
+# meanwhile (15 executions in 20 s); it runs with the minimizer off.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFindStartCode -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzScan -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzResilientDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzSpeculativeSplit -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=NONE -fuzz=FuzzReconBlock -fuzztime=$(FUZZTIME) ./internal/decoder
 	$(GO) test -run=NONE -fuzz=FuzzStreamScan -fuzztime=$(FUZZTIME) ./internal/stream

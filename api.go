@@ -99,14 +99,14 @@ func WithIndex(idx *Index) Option {
 	return func(c *decodeConfig) { c.opt.SplitIndex = idx }
 }
 
-// WithSpeculativeSplit enables speculative intra-slice splitting for
-// slices with no index entry: the decoder guesses resynchronization
-// points near macroblock-row boundaries, decodes the segments
-// optimistically, and keeps the result only if every segment's entry
-// state verifies exactly; otherwise the slice is re-decoded
-// sequentially. Wrong guesses cost time, never correctness.
-func WithSpeculativeSplit(on bool) Option {
-	return func(c *decodeConfig) { c.opt.SpeculativeSplit = on }
+// WithSpeculativeSplit has no effect: guessed split points never
+// verified (the DC and motion predictors are not at their reset values
+// in the middle of a slice), so only WithIndex splits a slice. Its one
+// caller is benchmark/probes.go, whose vldsplit.spec_hit_share reads
+// share(0, 0) = 0 as it always did; the next change to the benchmark
+// deletes the option together with that probe and metric.
+func WithSpeculativeSplit(bool) Option {
+	return func(*decodeConfig) {}
 }
 
 // WithTrace attaches a timeline recorder to the decode: every process —

@@ -173,9 +173,6 @@ func (r *Reader) Skip(n uint) {
 	}
 }
 
-// ByteAligned reports whether the position is at a byte boundary.
-func (r *Reader) ByteAligned() bool { return r.pos&7 == 0 }
-
 // AlignByte advances to the next byte boundary (no-op if already aligned).
 func (r *Reader) AlignByte() {
 	r.pos = (r.pos + 7) &^ 7

@@ -47,28 +47,10 @@ func (w *Writer) Put64(v uint64, n uint) {
 	w.Put(uint32(v), n)
 }
 
-// PutBit writes a single bit.
-func (w *Writer) PutBit(b bool) {
-	if b {
-		w.Put(1, 1)
-	} else {
-		w.Put(0, 1)
-	}
-}
-
 // Align pads with zero bits to the next byte boundary.
 func (w *Writer) Align() {
 	if w.n != 0 {
 		w.Put(0, 8-w.n)
-	}
-}
-
-// AlignOnes pads with one bits to the next byte boundary (used before some
-// MPEG startcodes when stuffing is required to be '1' padding is not; MPEG-2
-// uses zero stuffing, this exists for tests).
-func (w *Writer) AlignOnes() {
-	for w.n != 0 {
-		w.Put(1, 1)
 	}
 }
 

@@ -125,13 +125,6 @@ type Options struct {
 	// only costs time.
 	SplitIndex *vldsplit.Index
 
-	// SpeculativeSplit enables guessed split points for tall slices the
-	// index does not cover (or when no index is given): resync
-	// candidates are found by trial-parsing near even payload fractions
-	// and verified at the join exactly like indexed points. A wrong
-	// guess costs a sequential fallback, never wrong pixels.
-	SpeculativeSplit bool
-
 	// SplitParts overrides how many segments a split slice targets. At 0
 	// a slice is cut at TaskGrain's split grain: the pool's band grain,
 	// but never segments under 49 macroblocks, each of which costs about
@@ -233,9 +226,9 @@ type Stats struct {
 	Shed ShedStats
 
 	// Split accounts the intra-slice split decoder (zero unless
-	// Options.SplitIndex or Options.SpeculativeSplit was set and tall
-	// slices were found). Disjoint from Errors and Shed: a verify miss
-	// is a failed speculation, not stream damage.
+	// Options.SplitIndex was set and knew tall slices of the stream).
+	// Disjoint from Errors and Shed: a verify miss is a poisoned or stale
+	// index, not stream damage.
 	Split SplitStats
 
 	// Auto records a ModeAuto run's scheduling decision (nil for fixed

@@ -184,12 +184,6 @@ func TestAssistIndexedBitExact(t *testing.T) {
 	}
 }
 
-// TestAssistSpeculativeBitExact: nor do guessed split points cut a helped
-// session's slices.
-func TestAssistSpeculativeBitExact(t *testing.T) {
-	helpedWhole(t, "speculative", bandStream(t).Data, Options{Workers: 2, Resilience: ConcealSlice, SpeculativeSplit: true})
-}
-
 // TestAssistPoisonedIndexFallsBack: a session never reads its split index,
 // so wrong split points cost a helped task neither pixels nor a fallback.
 func TestAssistPoisonedIndexFallsBack(t *testing.T) {

@@ -70,12 +70,10 @@ type planBuilder struct {
 	pl      plan
 
 	// Intra-slice split configuration: when on, every planned single-slice
-	// row group whose slice spans multiple rows is expanded into segment
-	// tasks (per splitOpt). scratch recycles the speculative probe buffer
-	// across planned pictures (addGOP runs on one goroutine).
+	// row group whose slice spans multiple rows and is known to the index
+	// is expanded into segment tasks (per splitOpt).
 	splitOn  bool
 	splitOpt Options
-	scratch  []mpeg2.MB
 
 	displayBase int
 
@@ -89,13 +87,13 @@ type planBuilder struct {
 	degraded bool
 }
 
-// newPlanBuilder starts a plan. Splitting is on when opt configures a split
-// source and a slice-grain mode: the sequential and GOP-grain executors,
+// newPlanBuilder starts a plan. Splitting is on when opt supplies a split
+// index and a slice-grain mode: the sequential and GOP-grain executors,
 // the service's sessions among them, plan no segment tasks, so there it
-// would only waste plan-time probing.
+// would only waste plan-time lookups.
 func newPlanBuilder(seq *mpeg2.SequenceHeader, opt Options) *planBuilder {
 	return &planBuilder{seq: seq, policy: opt.Resilience, workers: opt.Workers, pack: opt.Mode.sliceGrain(),
-		splitOn: opt.Mode.sliceGrain() && (opt.SplitIndex != nil || opt.SpeculativeSplit), splitOpt: opt}
+		splitOn: opt.Mode.sliceGrain() && opt.SplitIndex != nil, splitOpt: opt}
 }
 
 // buildPlan resolves a whole lenient (or strict) scan into a decode plan
@@ -309,7 +307,7 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 				ps.order = packOrder(costs, b.workers)
 			}
 			if b.splitOn {
-				buildSplitTasks(ps, data, b.splitOpt, &b.scratch)
+				buildSplitTasks(ps, data, b.splitOpt)
 			}
 			// A task owns its rows outright. So does a segment of a split
 			// slice once its chain verifies — but only while a damaged slice

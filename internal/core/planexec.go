@@ -7,6 +7,7 @@ import (
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/mpeg2"
+	"mpeg2par/internal/obs"
 )
 
 // poolGet is the one call that hands a decode its output frames, stale
@@ -102,10 +103,13 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 		// A segment of a split slice. Only the join's (fallback) error is
 		// authoritative — a failed segment alone proves nothing about the
 		// slice, so per-segment errors stay inside the join state.
-		n := len(scr.taskSpans)
-		w, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, wi, p.rowwise, opt, scr, &tl.sst)
+		n, splits, hits := len(scr.taskSpans), tl.sst.SlicesSplit, tl.sst.VerifyHits
+		w, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, p.frame, j, seg, p.rowwise, scr, &tl.sst)
 		tl.work.Add(w)
 		lap(prof, 0, &t0)
+		if tl.sst.SlicesSplit > splits { // the last segment: the join's verdict
+			opt.Obs.Record(obs.KindVerify, wi, time.Now(), 0, -1, -1, tl.sst.VerifyHits-hits)
+		}
 		if err != nil {
 			scr.taskSpans = scr.taskSpans[:n] // a failed re-decode hands over no coverage
 			if opt.Resilience == FailFast {
@@ -119,7 +123,7 @@ func runPlanSliceTask(seq *mpeg2.SequenceHeader, p *picState, ti, wi int, opt Op
 		return nil
 	}
 	for k, si := range p.groups[gi] {
-		w, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, p.frame, wi, scr)
+		w, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, p.frame, scr)
 		tl.work.Add(w)
 		lap(prof, k, &t0)
 		if err != nil {

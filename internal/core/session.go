@@ -112,7 +112,7 @@ func (t *SessionTask) ShedDisplays() []int { return t.shedIdx }
 // queue hands to its worker and to idle workers of the pool that help it
 // (SessionTask.Help), in task order: there is no band to steer them by and
 // no tail for packing to level. Its slices are never split, so
-// opt.SplitIndex and opt.SpeculativeSplit have no effect.
+// opt.SplitIndex has no effect.
 func NewSession(opt Options) (*Session, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("core: need at least one worker")

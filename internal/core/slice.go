@@ -14,7 +14,6 @@ import (
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
-	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/mpeg2"
 	"mpeg2par/internal/obs"
 )
@@ -633,14 +632,12 @@ func (s *Session) drive(q *sliceQueue, wi int, ws *WorkerStats, opt Options, scr
 // macroblock buffer, the reconstruction's dequantization tables and the
 // spans of macroblocks its current task has reconstructed, recycled
 // across every slice the worker decodes so the steady-state loop is
-// allocation-free. tr, set only by the trace generator, receives the
-// reconstruction memory-reference stream.
+// allocation-free.
 type sliceScratch struct {
 	r         bits.Reader
 	mbs       []mpeg2.MB
 	rec       decoder.Scratch
 	taskSpans []mbSpan
-	tr        memtrace.Tracer
 }
 
 // mbSpan is a run of consecutive macroblock addresses, first through last,
@@ -688,8 +685,8 @@ func picRefs(p *picState) decoder.Refs {
 // macroblock address bound of the slice's span (sliceSpanBounds), so a
 // corrupted slice can also never write pixels another concurrently
 // decoding slice owns. The macroblocks it reconstructed are appended to
-// scr's task spans.
-func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, sr SliceRange, maxAddr int, refs decoder.Refs, dst *frame.Frame, wi int, scr *sliceScratch) (decoder.WorkStats, error) {
+// scr's task spans, and are what scr.mbs holds on return.
+func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, sr SliceRange, maxAddr int, refs decoder.Refs, dst *frame.Frame, scr *sliceScratch) (decoder.WorkStats, error) {
 	scr.r.Reset(data[:sr.End])
 	scr.r.SeekBit(int64(sr.Offset) * 8)
 	code, err := scr.r.ReadStartCode()
@@ -701,7 +698,7 @@ func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.Picture
 	if err != nil {
 		return decoder.WorkStats{}, fmt.Errorf("core: slice row %d: %w", int(code)-1, err)
 	}
-	work, err := scr.rec.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
+	work, err := scr.rec.ReconSlice(seq, hdr, refs, dst, &ds)
 	if err == nil {
 		scr.addSpans(ds.MBs)
 	}

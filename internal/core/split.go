@@ -3,21 +3,19 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/mpeg2"
-	"mpeg2par/internal/obs"
 	"mpeg2par/internal/vldsplit"
 )
 
 // SplitStats accounts the intra-slice split decoder: how many tall
 // slices were fanned out as row-segments, how the verify rule judged
 // them, and how many fell back to a sequential re-decode. Disjoint from
-// ErrorStats and ShedStats — a verify miss is a failed speculation, not
-// stream damage, and costs only time.
+// ErrorStats and ShedStats — a verify miss is a poisoned or stale index,
+// not stream damage, and costs only time.
 type SplitStats struct {
 	// SlicesSplit counts slices decoded as parallel segments (whether or
 	// not the split verified).
@@ -28,8 +26,8 @@ type SplitStats struct {
 	// VerifyHits counts splits whose segment chain verified exactly —
 	// the parallel result was adopted bit-for-bit.
 	VerifyHits int
-	// VerifyMisses counts splits rejected by the verify rule (wrong
-	// speculation or a poisoned index).
+	// VerifyMisses counts splits rejected by the verify rule (a poisoned
+	// or stale index).
 	VerifyMisses int
 	// Fallbacks counts sequential re-decodes after a miss (of what the
 	// verified prefix did not reach: at most the whole slice).
@@ -87,7 +85,6 @@ type splitJoin struct {
 	sr       SliceRange // the slice's scanned byte range
 	maxAddr  int        // inclusive macroblock address bound of the slice span
 	pts      []vldsplit.Point
-	spec     bool    // points are unverified guesses, not an exact index
 	segBytes []int64 // per-segment byte-size cost estimates
 
 	mu       sync.Mutex
@@ -152,13 +149,11 @@ func taskBytes(p *picState, ti int) int64 {
 }
 
 // newSplitJoin decides whether the slice at sr splits and builds the
-// join state: exact split points from the index when its content is
-// known there, else (with speculation enabled) guessed resync points. The
-// source's point per macroblock row is thinned to segments of TaskGrain's
+// join state from the split points the index knows for its content. The
+// index's point per macroblock row is thinned to segments of TaskGrain's
 // split grain unless opt.SplitParts names the segment count. Returns nil
 // when the slice spans fewer than two rows or no usable points exist.
-// scratch recycles the probe's macroblock buffer.
-func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRange, bound int, opt Options, scratch *[]mpeg2.MB) *splitJoin {
+func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRange, bound int, opt Options) *splitJoin {
 	mbw := params.MBWidth
 	if mbw <= 0 || sr.Row < 0 || bound < 0 {
 		return nil
@@ -173,23 +168,14 @@ func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRang
 		parts = (spanRows + grain - 1) / grain
 	}
 	parts = min(parts, spanRows)
-	sliceBytes := data[sr.Offset:sr.End]
-	var pts []vldsplit.Point
-	spec := false
-	if opt.SplitIndex != nil {
-		pts = vldsplit.SelectPoints(opt.SplitIndex.Lookup(sliceBytes), parts)
-	}
-	if len(pts) == 0 && opt.SpeculativeSplit {
-		pts, *scratch = vldsplit.GuessPoints(sliceBytes, params, sr.Row, bound, parts, *scratch)
-		spec = true
-	}
+	pts := vldsplit.SelectPoints(opt.SplitIndex.Lookup(data[sr.Offset:sr.End]), parts)
 	// A point above the slice's own rows would let a segment write rows
 	// another task owns; no decode of this slice can chain through it.
 	if len(pts) == 0 || pts[0].State.PrevAddr < sr.Row*mbw {
 		return nil
 	}
 	j := &splitJoin{
-		si: si, sr: sr, maxAddr: bound, pts: pts, spec: spec,
+		si: si, sr: sr, maxAddr: bound, pts: pts,
 		res: make([]segRes, len(pts)+1),
 	}
 	j.segBytes = make([]int64, len(pts)+1)
@@ -216,14 +202,14 @@ func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRang
 // worker (same-row slices must), which a segment fan-out would break.
 // Returns false (leaving the picture's task fields untouched) when nothing
 // split.
-func buildSplitTasks(p *picState, data []byte, opt Options, scratch *[]mpeg2.MB) bool {
+func buildSplitTasks(p *picState, data []byte, opt Options) bool {
 	var tasks []segTask
 	var costs []int64
 	split := false
 	for b, group := range p.groups {
 		if len(group) == 1 {
 			si := group[0]
-			if j := newSplitJoin(data, &p.params, si, p.rng.Slices[si], p.sliceBound(si), opt, scratch); j != nil {
+			if j := newSplitJoin(data, &p.params, si, p.rng.Slices[si], p.sliceBound(si), opt); j != nil {
 				for seg := range j.res {
 					tasks = append(tasks, segTask{base: b, join: j, seg: seg})
 					costs = append(costs, j.segBytes[seg])
@@ -268,9 +254,9 @@ func (j *splitJoin) chains(k int) bool {
 // re-decodes the slice from where the verified prefix really stopped (the
 // whole slice when nothing verified). That touches no row of the prefix —
 // rows a reader may already hold — and its result is authoritative for
-// pixels and errors, so a wrong guess or poisoned index never changes
+// pixels and errors, so a poisoned or stale index never changes
 // output. The error is the re-decode's; the caller then drops the spans.
-func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, rowwise bool, opt Options, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, error) {
+func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg int, rowwise bool, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, error) {
 	sst.SegmentsRun++
 	sr := j.sr
 	nSeg := len(j.res)
@@ -304,7 +290,7 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 	}
 	var work decoder.WorkStats
 	if err == nil {
-		work, err = scr.rec.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
+		work, err = scr.rec.ReconSlice(seq, hdr, refs, dst, &ds)
 	}
 
 	res := segRes{done: true, err: err, exitBit: end.BitOff, exit: end.State, atEnd: end.AtEnd, last: -1}
@@ -317,7 +303,7 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 	last := j.done == nSeg
 	for v := j.verified; v < nSeg; v++ {
 		r := &j.res[v]
-		// An empty segment proves nothing (a guess at the payload's first bit).
+		// An empty segment proves nothing (a point at the payload's last bit).
 		if !r.done || r.err != nil || r.last < r.first || v > 0 && !j.chains(v-1) || v == nSeg-1 && !r.atEnd {
 			break
 		}
@@ -338,17 +324,14 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 	}
 
 	sst.SlicesSplit++
-	t0 := time.Now()
 	if verified == nSeg {
 		sst.VerifyHits++
-		opt.Obs.Record(obs.KindVerify, wi, t0, 0, -1, -1, 1)
 		return work, nil
 	}
 	sst.VerifyMisses++
 	sst.Fallbacks++
-	opt.Obs.Record(obs.KindVerify, wi, t0, 0, -1, -1, 0)
 	if verified == 0 {
-		w2, err := decodeSliceRange(data, seq, hdr, params, sr, j.maxAddr, refs, dst, wi, scr)
+		w2, err := decodeSliceRange(data, seq, hdr, params, sr, j.maxAddr, refs, dst, scr)
 		work.Add(w2)
 		return work, err
 	}
@@ -363,7 +346,7 @@ func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpe
 		if err != nil {
 			return work, fmt.Errorf("core: slice row %d: %w", sr.Row, err)
 		}
-		w2, err := scr.rec.ReconSlice(seq, hdr, refs, dst, &ds, wi, scr.tr)
+		w2, err := scr.rec.ReconSlice(seq, hdr, refs, dst, &ds)
 		work.Add(w2)
 		if err != nil {
 			return work, err

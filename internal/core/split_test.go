@@ -83,38 +83,6 @@ func TestSplitIndexedBitExact(t *testing.T) {
 	}
 }
 
-// TestSpeculativeSplitNoDivergence is the speculation contract: with no
-// index the decoder may guess resync points, but whatever it guesses —
-// verified or not — the output is the sequential oracle's, and FailFast
-// still succeeds on a clean stream.
-func TestSpeculativeSplitNoDivergence(t *testing.T) {
-	res := tallStream(t, 96, 64, 8, 4)
-	want := sequentialFrames(t, res.Data)
-	for _, mode := range []Mode{ModeSliceSimple, ModeSliceImproved} {
-		for _, policy := range []Resilience{FailFast, ConcealSlice} {
-			var sink collectSink
-			st, err := Decode(res.Data, Options{
-				Mode: mode, Workers: 3, Resilience: policy,
-				SpeculativeSplit: true, SplitParts: 3, Sink: sink.add,
-			})
-			if err != nil {
-				t.Fatalf("%v %v: %v", mode, policy, err)
-			}
-			if policy == FailFast && st.Errors.Any() {
-				t.Fatalf("%v: clean stream reported damage under speculation: %+v", mode, st.Errors)
-			}
-			if len(sink.frames) != len(want) {
-				t.Fatalf("%v %v: %d frames, want %d", mode, policy, len(sink.frames), len(want))
-			}
-			for i := range want {
-				if !sink.frames[i].Equal(want[i]) {
-					t.Fatalf("%v %v: frame %d differs from sequential", mode, policy, i)
-				}
-			}
-		}
-	}
-}
-
 // TestPoisonedIndexFallsBack: an index whose points are structurally
 // valid but wrong (offsets shifted) must never change the output — every
 // poisoned slice fails verification and is re-decoded sequentially, even
@@ -173,10 +141,9 @@ func TestPoisonedIndexFallsBack(t *testing.T) {
 }
 
 // TestSplitFaultedGolden extends the determinism contract to split
-// decoding on damaged tall-slice streams: for a fixed fault, indexed and
-// speculative split decodes must agree bit-exactly — frames and
-// ErrorStats — with the sequential non-split reference under every
-// policy. (Damage changes slice bytes, so the content-keyed index simply
+// decoding on damaged tall-slice streams: for a fixed fault, an indexed
+// split decode must agree bit-exactly — frames and ErrorStats — with the
+// sequential non-split reference under every policy. (Damage changes slice bytes, so the content-keyed index simply
 // stops matching damaged slices; intact ones still split.)
 func TestSplitFaultedGolden(t *testing.T) {
 	res := tallStream(t, 96, 64, 8, 4)
@@ -195,32 +162,26 @@ func TestSplitFaultedGolden(t *testing.T) {
 				if wantSt != nil && wantSt.Errors.Any() {
 					anyDamage = true
 				}
-				for _, opts := range []Options{
-					{SplitIndex: ix, SplitParts: 3},
-					{SpeculativeSplit: true, SplitParts: 3},
-				} {
-					opts.Mode = ModeSliceImproved
-					opts.Workers = 3
-					opts.Resilience = policy
-					var sink collectSink
-					opts.Sink = sink.add
-					st, err := Decode(mut, opts)
-					if (err != nil) != (refErr != nil) {
-						t.Fatalf("%s seed %d %v: split err=%v, sequential err=%v", spec, seed, policy, err, refErr)
-					}
-					if refErr != nil {
-						continue
-					}
-					if st.Errors != wantSt.Errors {
-						t.Fatalf("%s seed %d %v: split stats %+v, sequential %+v", spec, seed, policy, st.Errors, wantSt.Errors)
-					}
-					if len(sink.frames) != len(want) {
-						t.Fatalf("%s seed %d %v: %d frames, want %d", spec, seed, policy, len(sink.frames), len(want))
-					}
-					for i := range want {
-						if !sink.frames[i].Equal(want[i]) {
-							t.Fatalf("%s seed %d %v: frame %d differs", spec, seed, policy, i)
-						}
+				var sink collectSink
+				st, err := Decode(mut, Options{
+					Mode: ModeSliceImproved, Workers: 3, Resilience: policy,
+					SplitIndex: ix, SplitParts: 3, Sink: sink.add,
+				})
+				if (err != nil) != (refErr != nil) {
+					t.Fatalf("%s seed %d %v: split err=%v, sequential err=%v", spec, seed, policy, err, refErr)
+				}
+				if refErr != nil {
+					continue
+				}
+				if st.Errors != wantSt.Errors {
+					t.Fatalf("%s seed %d %v: split stats %+v, sequential %+v", spec, seed, policy, st.Errors, wantSt.Errors)
+				}
+				if len(sink.frames) != len(want) {
+					t.Fatalf("%s seed %d %v: %d frames, want %d", spec, seed, policy, len(sink.frames), len(want))
+				}
+				for i := range want {
+					if !sink.frames[i].Equal(want[i]) {
+						t.Fatalf("%s seed %d %v: frame %d differs", spec, seed, policy, i)
 					}
 				}
 			}
@@ -229,68 +190,6 @@ func TestSplitFaultedGolden(t *testing.T) {
 	if !anyDamage {
 		t.Fatal("no corruption produced recoverable damage; the golden test exercised nothing")
 	}
-}
-
-// FuzzSpeculativeSplit is the differential fuzzer of the speculation
-// contract: for arbitrary bytes, a speculative-split parallel decode
-// must agree with the sequential non-split decode — same error fate,
-// same ErrorStats, same frames — under every policy. Any divergence is
-// a verify-rule hole.
-func FuzzSpeculativeSplit(f *testing.F) {
-	res, err := encoder.EncodeSequence(encoder.Config{
-		Width: 48, Height: 32, Pictures: 4, GOPSize: 2,
-		RepeatSequenceHeader: true, RowsPerSlice: 2,
-	}, frame.NewSynth(48, 32))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(res.Data)
-	f.Add(append([]byte(nil), res.Data[:len(res.Data)*3/4]...))
-	mut := append([]byte(nil), res.Data...)
-	for i := 150; i < len(mut); i += 97 {
-		mut[i] ^= 0x40
-	}
-	f.Add(mut)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 32<<10 {
-			return
-		}
-		for _, policy := range []Resilience{FailFast, ConcealSlice, DropGOP} {
-			// The non-split baseline: sequential for the resilient
-			// policies (their cross-mode equality is already pinned by
-			// FuzzResilientDecode); the same mode for FailFast, which
-			// isolates exactly what speculation changed.
-			base := Options{Mode: ModeSequential, Workers: 1, Resilience: policy}
-			if policy == FailFast {
-				base = Options{Mode: ModeSliceImproved, Workers: 2}
-			}
-			var seqSink collectSink
-			base.Sink = seqSink.add
-			seqSt, seqErr := Decode(data, base)
-			var spSink collectSink
-			spSt, spErr := Decode(data, Options{
-				Mode: ModeSliceImproved, Workers: 2, Resilience: policy,
-				SpeculativeSplit: true, SplitParts: 2, Sink: spSink.add,
-			})
-			if (seqErr != nil) != (spErr != nil) {
-				t.Fatalf("%v: sequential err=%v, speculative err=%v", policy, seqErr, spErr)
-			}
-			if seqErr != nil {
-				continue
-			}
-			if seqSt.Errors != spSt.Errors {
-				t.Fatalf("%v: stats diverge: %+v vs %+v", policy, seqSt.Errors, spSt.Errors)
-			}
-			if len(seqSink.frames) != len(spSink.frames) {
-				t.Fatalf("%v: %d vs %d frames", policy, len(seqSink.frames), len(spSink.frames))
-			}
-			for i := range seqSink.frames {
-				if !seqSink.frames[i].Equal(spSink.frames[i]) {
-					t.Fatalf("%v: frame %d diverges under speculation", policy, i)
-				}
-			}
-		}
-	})
 }
 
 // TestErrBadOption pins the unified option-validation surface: every

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpeg2par/internal/bits"
+	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/mpeg2"
@@ -49,51 +50,50 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, bands bool, tr memtrac
 		return err
 	}
 	// The pictures the decoders run, walked in decode order on this
-	// goroutine: a GOP-mode picture whole on its group's processor, a
-	// slice-mode picture slice by slice.
+	// goroutine slice by slice. Reconstruction carries no tracing hook:
+	// each slice's references are replayed once it is reconstructed. A
+	// picture its slices do not cover fails the trace, whatever the mode.
 	pl, err := buildPlan(data, m, Options{Workers: 1})
 	if err != nil {
 		return err
 	}
-	var opt Options
-	task := 0
-	scr := sliceScratch{tr: tr}
+	var scr sliceScratch
 	var cov coverage
-	var tl tally
+	var es ErrorStats
+	task := 0
 	for _, p := range pl.pics {
 		p.frame = frame.New(m.Seq.Width, m.Seq.Height)
-		if mode == ModeGOP {
-			// The picture's tasks in task order, as a lone owner's queue
-			// hands them out, then its completion step.
-			proc := p.gop % procs
-			traceInput(tr, data, proc, p.rng.Offset, p.rng.End)
-			cov.reset(p.params.MBWidth * p.params.MBHeight)
-			for ti := 0; ti < p.nTasks; ti++ {
-				scr.taskSpans = scr.taskSpans[:0]
-				if err := runPlanSliceTask(&m.Seq, p, ti, proc, opt, &scr, &tl); err != nil {
-					return err
-				}
-				for _, s := range scr.taskSpans {
-					cov.addRange(s.first, s.last)
-				}
-			}
-			if p.fate == fateDecode {
-				if err := concealUncovered(p, &cov, opt, &tl.es); err != nil {
-					return err
-				}
-			}
+		if p.fate == fateSubstitute {
+			substitute(p)
 			continue
 		}
+		// A GOP-mode picture is one task, on its group's processor.
+		proc := p.gop % procs
+		if mode == ModeGOP {
+			traceInput(tr, data, proc, p.rng.Offset, p.rng.End)
+		}
+		refs := picRefs(p)
+		scr.taskSpans = scr.taskSpans[:0]
 		for si, sr := range p.rng.Slices {
-			proc := task % procs
-			if bands {
-				proc = bandOf(sr.Row, procs, p.params.MBHeight)
+			if mode != ModeGOP {
+				proc = task % procs
+				if bands {
+					proc = bandOf(sr.Row, procs, p.params.MBHeight)
+				}
+				task++
+				traceInput(tr, data, proc, sr.Offset, sr.End)
 			}
-			traceInput(tr, data, proc, sr.Offset, sr.End)
-			if _, err := decodeSliceRange(data, &m.Seq, &p.hdr, &p.params, sr, p.sliceBound(si), picRefs(p), p.frame, proc, &scr); err != nil {
+			if _, err := decodeSliceRange(data, &m.Seq, &p.hdr, &p.params, sr, p.sliceBound(si), refs, p.frame, &scr); err != nil {
 				return err
 			}
-			task++
+			decoder.TraceSlice(&m.Seq, &p.hdr, refs, p.frame, &mpeg2.DecodedSlice{MBs: scr.mbs}, proc, tr)
+		}
+		cov.reset(p.params.MBWidth * p.params.MBHeight)
+		for _, s := range scr.taskSpans {
+			cov.addRange(s.first, s.last)
+		}
+		if err := concealUncovered(p, &cov, Options{}, &es); err != nil {
+			return err
 		}
 	}
 	return nil

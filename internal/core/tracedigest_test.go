@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpeg2par/internal/faults"
 	"mpeg2par/internal/memtrace"
 )
 
@@ -66,5 +67,31 @@ func TestTraceGeneratorMatchesRecord(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("trace differs from %s:\n%s", traceRecord, got.String())
+	}
+}
+
+// TestTraceRejectsUncoveredPicture: a stream whose dropped slices leave
+// pictures uncovered scans cleanly, but no decoder under FailFast would
+// ship those pictures, so the trace generator fails on it in every mode —
+// not only in GOP mode.
+func TestTraceRejectsUncoveredPicture(t *testing.T) {
+	res := testStream(t, 96, 80, 26, 13)
+	sp, err := faults.Parse("dropslice:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		mut, _ := sp.Apply(res.Data, seed)
+		if _, err := Scan(mut); err != nil {
+			t.Fatalf("seed %d: the damaged stream does not scan: %v", seed, err)
+		}
+		for _, mode := range []Mode{ModeSequential, ModeGOP, ModeSliceSimple, ModeSliceImproved} {
+			for _, bands := range []bool{false, true} {
+				err := TraceDecodeAssign(mut, mode, 4, bands, memtrace.NewRecorder())
+				if err == nil || !strings.Contains(err.Error(), "covered") {
+					t.Fatalf("seed %d %v bands=%v: err %v, want an uncovered picture", seed, mode, bands, err)
+				}
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/frame"
-	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/mpeg2"
 	"mpeg2par/internal/vlc"
 )
@@ -20,10 +19,6 @@ type Decoder struct {
 	r   *bits.Reader
 	Seq mpeg2.SequenceHeader
 
-	// Tracer, when non-nil, receives the reconstruction reference stream.
-	Tracer memtrace.Tracer
-	// Proc is the processor id reported to the tracer.
-	Proc int
 	// Conceal makes slice errors non-fatal: damaged slices are skipped
 	// and their macroblocks concealed from the reference picture.
 	Conceal bool
@@ -34,6 +29,7 @@ type Decoder struct {
 	displayIdx     int
 	done           bool
 	mbScratch      []mpeg2.MB // macroblock buffer recycled across slices
+	rec            Scratch    // dequantization tables recycled across slices
 
 	// Work accumulates reconstruction work counters across the stream.
 	Work WorkStats
@@ -172,7 +168,7 @@ func (d *Decoder) decodePicture() error {
 		d.mbScratch = ds.MBs // keep the grown buffer for the next slice
 		if err == nil {
 			var w WorkStats
-			w, err = ReconSlice(&d.Seq, &ph, refs, dst, &ds, d.Proc, d.Tracer)
+			w, err = d.rec.ReconSlice(&d.Seq, &ph, refs, dst, &ds)
 			d.Work.Add(w)
 			if err == nil {
 				cov.markSlice(&ds)

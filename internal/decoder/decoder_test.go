@@ -128,48 +128,36 @@ func TestTruncatedStreamsNeverPanic(t *testing.T) {
 	}
 }
 
+// TestTracerReceivesReferences reconstructs every predicted macroblock
+// shape through ReconSlice with a tracer: every replayed event is on the
+// processor asked for, there are reads and writes, and at least every
+// macroblock's pixels are written and each prediction direction's read.
 func TestTracerReceivesReferences(t *testing.T) {
-	res := testStream(t, encoder.Config{Width: 64, Height: 48, Pictures: 4, GOPSize: 4})
-	d, err := New(res.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := memtrace.NewRecorder()
-	d.Tracer = rec
-	d.Proc = 3
-	if _, err := d.All(); err != nil {
-		t.Fatal(err)
-	}
-	evs := rec.Events()
-	if len(evs) == 0 {
-		t.Fatal("no events recorded")
-	}
-	var reads, writes int
-	for _, e := range evs {
-		if e.Proc != 3 {
-			t.Fatalf("event proc %d, want 3", e.Proc)
+	for _, c := range reconCases {
+		seq, ph, refs, ds := reconFixture(c, 5)
+		rec := memtrace.NewRecorder()
+		if _, err := ReconSlice(seq, ph, refs, frame.New(reconW, reconH), ds, 3, rec); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if e.Write {
-			writes++
-		} else {
-			reads++
+		var read, written int
+		for _, e := range rec.Events() {
+			if e.Proc != 3 {
+				t.Fatalf("%s: event proc %d, want 3", c.name, e.Proc)
+			}
+			if e.Write {
+				written += int(e.Size)
+			} else {
+				read += int(e.Size)
+			}
 		}
-	}
-	if writes == 0 || reads == 0 {
-		t.Fatalf("reads=%d writes=%d — both expected", reads, writes)
-	}
-	// Frame-plane write volume: every macroblock writes 16*16 luma +
-	// 2*8*8 chroma bytes; 4 pictures of 12 MBs. (Scratch-buffer writes
-	// are additional trace events at small synthetic addresses.)
-	wantFrameWrites := 4 * 12 * (256 + 128)
-	var gotWrite int
-	for _, e := range evs {
-		if e.Write {
-			gotWrite += int(e.Size)
+		dirs := 1
+		if c.typ.MotionForward && c.typ.MotionBackward {
+			dirs = 2
 		}
-	}
-	if gotWrite < wantFrameWrites {
-		t.Fatalf("write bytes %d < frame-plane minimum %d", gotWrite, wantFrameWrites)
+		mbBytes := len(ds.MBs) * (256 + 128)
+		if written < mbBytes || read < dirs*mbBytes {
+			t.Fatalf("%s: read %d written %d bytes, want at least %d and %d", c.name, read, written, dirs*mbBytes, mbBytes)
+		}
 	}
 }
 

@@ -215,7 +215,7 @@ func BenchmarkReconMB(b *testing.B) {
 			mbw := seq.MBWidth()
 			for n := 0; n < b.N; n++ {
 				k := n % len(ds.MBs)
-				if err := reconMB(seq, ph, refs, dst, &ds.MBs[k], k%mbw, k/mbw, &sc, &st, 0, nil); err != nil {
+				if err := reconMB(seq, ph, refs, dst, &ds.MBs[k], k%mbw, k/mbw, &sc, &st); err != nil {
 					b.Fatal(err)
 				}
 			}

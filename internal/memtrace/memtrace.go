@@ -1,12 +1,13 @@
 // Package memtrace defines the memory-reference trace interface the
-// decoder's reconstruction loops emit into, plus a recording implementation
-// that feeds the cache simulator.
+// decoder's trace replay emits into, plus a recording implementation that
+// feeds the cache simulator.
 //
 // This substitutes for the paper's TangoLite execution-driven reference
 // generator: instead of instrumenting every load/store of a compiled
-// binary, the decoder's inner loops report the extents they touch (frame
-// plane rows read by motion compensation, rows written by reconstruction,
-// coefficient blocks, bitstream bytes). Addresses are synthetic but
+// binary, a replay of each reconstructed slice (decoder.TraceSlice)
+// reports the extents its reconstruction touched (frame plane rows read
+// by motion compensation, rows written by reconstruction, coefficient
+// blocks), and the trace generator adds the bitstream bytes. Addresses are synthetic but
 // layout-faithful: each buffer gets a contiguous region of a virtual
 // address space, so spatial locality (sequential rows, strided plane
 // walks) and inter-processor sharing are preserved — which is exactly what

@@ -323,23 +323,18 @@ func DecodeSliceHead(r *bits.Reader, p *PictureParams, row, maxAddr int, endBit 
 type sliceRun struct {
 	maxAddr int   // inclusive macroblock address bound
 	endBit  int64 // >0: stop cleanly when the bit position reaches it
-	maxMBs  int   // >0: stop after this many coded macroblocks (probing)
 	capture func(bitOff int64, s SplitState)
 }
 
 // decodeSliceRun is the macroblock loop shared by whole-slice, bounded,
 // and mid-slice segment decodes.
 func decodeSliceRun(r *bits.Reader, p *PictureParams, st *sliceState, prevAddr int, firstMB bool, prevDir vlc.MBType, mbs []MB, run sliceRun) ([]MB, SegmentEnd, error) {
-	coded := 0
 	// w holds the next n bits of the stream: what ends a slice, and what
 	// opens the next macroblock — its address increment, then its header —
 	// are read from it.
 	w, n := r.Window()
 	for {
 		if run.endBit > 0 && r.BitPos() >= run.endBit {
-			return mbs, SegmentEnd{State: snapshotSplit(st, prevAddr, prevDir), BitOff: r.BitPos()}, nil
-		}
-		if run.maxMBs > 0 && coded >= run.maxMBs {
 			return mbs, SegmentEnd{State: snapshotSplit(st, prevAddr, prevDir), BitOff: r.BitPos()}, nil
 		}
 		if run.capture != nil && !firstMB {
@@ -387,7 +382,6 @@ func decodeSliceRun(r *bits.Reader, p *PictureParams, st *sliceState, prevAddr i
 		}
 		prevAddr = addr
 		firstMB = false
-		coded++
 		prevDir = vlc.MBType{MotionForward: mb.Type.MotionForward, MotionBackward: mb.Type.MotionBackward}
 		if err := r.Err(); err != nil {
 			return mbs, SegmentEnd{}, err

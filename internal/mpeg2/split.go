@@ -56,7 +56,7 @@ func (s *SplitState) restore(st *sliceState, p *PictureParams) (prevAddr int, pr
 // SegmentEnd describes where and how a (partial) slice decode stopped.
 type SegmentEnd struct {
 	// State is the predictive state at the stop point — what the next
-	// segment's recorded (or guessed) entry state must equal exactly for
+	// segment's recorded entry state must equal exactly for
 	// a split decode to be valid.
 	State SplitState
 	// BitOff is the reader's absolute bit position at the stop point.
@@ -68,11 +68,11 @@ type SegmentEnd struct {
 
 // DecodeSliceSegment resumes a slice mid-stream: the reader must be
 // positioned at a macroblock boundary (a split point's bit offset) and
-// entry must be the predictive state recorded or guessed for that
+// entry must be the predictive state recorded for that
 // boundary. Decoding stops cleanly once the bit position reaches endBit
 // (0 decodes to the end of the slice); macroblock addresses above
 // maxAddr are an error, which confines a segment decoded from a wrong
-// guess to its own address range. The returned end state is compared
+// point to its own address range. The returned end state is compared
 // against the next split point's entry state to verify the split.
 func DecodeSliceSegment(r *bits.Reader, p *PictureParams, entry SplitState, maxAddr int, endBit int64, buf []MB) (DecodedSlice, SegmentEnd, error) {
 	ds := DecodedSlice{MBs: buf[:0]}
@@ -92,18 +92,4 @@ func DecodeSliceSegment(r *bits.Reader, p *PictureParams, entry SplitState, maxA
 	mbs, end, err := decodeSliceRun(r, p, &st, prevAddr, false, prevDir, ds.MBs, sliceRun{maxAddr: maxAddr, endBit: endBit})
 	ds.MBs = mbs
 	return ds, end, err
-}
-
-// ProbeSliceSegment trial-parses up to maxMBs macroblocks from the
-// current reader position under the given entry state, reporting only
-// whether the bits parse cleanly — the speculative split's candidate
-// filter. buf is recycled scratch; the parsed macroblocks are discarded.
-func ProbeSliceSegment(r *bits.Reader, p *PictureParams, entry SplitState, maxAddr, maxMBs int, buf []MB) ([]MB, error) {
-	if entry.QScale < 1 || entry.QScale > 31 || entry.PrevAddr < 0 || entry.PrevAddr >= maxAddr {
-		return buf, fmt.Errorf("mpeg2: bad probe entry state")
-	}
-	var st sliceState
-	prevAddr, prevDir := entry.restore(&st, p)
-	mbs, _, err := decodeSliceRun(r, p, &st, prevAddr, false, prevDir, buf[:0], sliceRun{maxAddr: maxAddr, maxMBs: maxMBs})
-	return mbs, err
 }

@@ -73,32 +73,6 @@ func EncodeMBAddrInc(w *bits.Writer, inc int) error {
 	return nil
 }
 
-// mbaPrefixOK marks, for every 11-bit lookahead value, whether some
-// macroblock_address_increment code word (or the escape) is a prefix of
-// it. Table B-1's longest code is 11 bits, so 11 bits of lookahead
-// decide membership exactly.
-var mbaPrefixOK = func() (t [1 << 11]bool) {
-	mark := func(c Code) {
-		shift := uint(11 - c.Len)
-		base := c.Bits << shift
-		for v := uint32(0); v < 1<<shift; v++ {
-			t[base|v] = true
-		}
-	}
-	for v := 1; v <= 33; v++ {
-		mark(mbaCodes[v])
-	}
-	mark(mbaEscape)
-	return
-}()
-
-// ValidMBAddrIncPrefix reports whether the 11-bit lookahead v (the next
-// 11 bits of the stream, MSB-first) can begin a macroblock address
-// increment. A candidate resynchronization point must start with one —
-// the speculative intra-slice splitter uses this as a one-load
-// prefilter before trial-parsing a full macroblock.
-func ValidMBAddrIncPrefix(v uint32) bool { return mbaPrefixOK[v&(1<<11-1)] }
-
 // MBAddrIncLookup returns the macroblock_address_increment whose code
 // word starts the left-justified stream window w, and the code's length:
 // 0 when no code matches, and an increment above 33 for a

@@ -175,36 +175,37 @@ func TestMBAddrIncRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValidMBAddrIncPrefix checks the 11-bit prefilter against the
-// ground truth: a lookahead is valid iff decoding it (padded with a
-// terminator) starts with a legal code word.
-func TestValidMBAddrIncPrefix(t *testing.T) {
-	for v := uint32(0); v < 1<<11; v++ {
-		// Ground truth by direct prefix match against table B-1 + escape.
-		want := false
-		for inc := 1; inc <= 33 && !want; inc++ {
-			c := mbaCodes[inc]
-			if v>>(11-uint32(c.Len)) == c.Bits {
-				want = true
+// TestMBAddrIncLookupPrefixes checks the window lookup against the
+// ground truth: for every 11-bit lookahead (Table B-1's longest code),
+// it matches exactly the code word, or the escape, that prefixes it,
+// and no code at all where none does.
+func TestMBAddrIncLookupPrefixes(t *testing.T) {
+	for v := uint64(0); v < 1<<11; v++ {
+		wantInc, wantLen := 0, uint(0)
+		for inc := 1; inc <= 33; inc++ {
+			if c := mbaCodes[inc]; v>>(11-uint64(c.Len)) == uint64(c.Bits) {
+				wantInc, wantLen = inc, uint(c.Len)
 			}
 		}
-		if v>>(11-uint32(mbaEscape.Len)) == mbaEscape.Bits {
-			want = true
+		if v>>(11-uint64(mbaEscape.Len)) == uint64(mbaEscape.Bits) {
+			wantInc, wantLen = mbaEscapeSym, uint(mbaEscape.Len)
 		}
-		if got := ValidMBAddrIncPrefix(v); got != want {
-			t.Fatalf("prefix %011b: got %v want %v", v, got, want)
+		inc, n := MBAddrIncLookup(v << 53)
+		if n != wantLen || n != 0 && inc != wantInc {
+			t.Fatalf("prefix %011b: got (%d, %d) want (%d, %d)", v, inc, n, wantInc, wantLen)
 		}
 	}
-	// Every encodable increment must pass its own prefilter.
+	// Every encodable increment's first code word is found in its window.
 	for inc := 1; inc <= 100; inc++ {
 		var w bits.Writer
 		if err := EncodeMBAddrInc(&w, inc); err != nil {
 			t.Fatal(err)
 		}
-		w.Put(0x7ff, 11) // padding so Peek has bits
-		r := bits.NewReader(w.Bytes())
-		if !ValidMBAddrIncPrefix(r.Peek(11)) {
-			t.Fatalf("inc %d rejected by its own prefilter", inc)
+		w.Put(0x7ff, 11) // padding so the window has bits
+		win, _ := bits.NewReader(w.Bytes()).Window()
+		got, n := MBAddrIncLookup(win)
+		if want := min(inc, mbaEscapeSym); n == 0 || got != want {
+			t.Fatalf("inc %d: lookup gave (%d, %d), want %d", inc, got, n, want)
 		}
 	}
 }

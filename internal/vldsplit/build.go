@@ -5,7 +5,6 @@ import (
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/mpeg2"
-	"mpeg2par/internal/vlc"
 )
 
 // BuildSlice scans one slice and returns its macroblock-row split
@@ -63,101 +62,4 @@ func SelectPoints(pts []Point, parts int) []Point {
 		out = append(out, pts[i])
 	}
 	return out
-}
-
-// guessWindow bounds the number of candidate bit offsets tried per
-// speculative boundary. Row sizes in a slice vary with content, so the
-// scan starts a little before the even-split estimate and walks
-// forward; a real boundary outside the window simply means no split.
-const guessWindow = 4096
-
-// GuessPoints proposes speculative split points for a slice with no
-// index entry. It estimates where each of parts-1 row boundaries should
-// fall (even byte fractions of the payload), then scans bit offsets
-// near each estimate for a position that trial-parses cleanly under a
-// guessed entry state: DC predictors at reset, zero motion predictors,
-// the slice header's quantiser scale, and the macroblock address at a
-// row boundary. The guesses are unverified by construction — the
-// decoder's verify rule accepts them only if the sequential chain of
-// segment states matches exactly, so a wrong guess costs a fallback,
-// never wrong pixels.
-func GuessPoints(data []byte, p *mpeg2.PictureParams, row, maxAddr, parts int, scratch []mpeg2.MB) ([]Point, []mpeg2.MB) {
-	mbw := p.MBWidth
-	spanRows := maxAddr/mbw - row + 1
-	if parts > spanRows {
-		parts = spanRows
-	}
-	if parts < 2 {
-		return nil, scratch
-	}
-	var r bits.Reader
-	r.Reset(data)
-	if _, err := r.ReadStartCode(); err != nil {
-		return nil, scratch
-	}
-	qs := int(r.Read(5))
-	if qs < 1 {
-		return nil, scratch
-	}
-	for r.ReadBit() { // extra_information_slice
-		r.Skip(8)
-	}
-	hdrEnd := r.BitPos()
-	payload := int64(len(data))*8 - hdrEnd
-	if payload <= 0 {
-		return nil, scratch
-	}
-
-	entry := mpeg2.SplitState{QScale: qs}
-	entry.DCPred = resetDCPred(p.IntraDCPrecision)
-
-	var pts []Point
-	for k := 1; k < parts; k++ {
-		boundaryRow := row + k*spanRows/parts
-		if boundaryRow <= row || boundaryRow*mbw-1 >= maxAddr {
-			continue
-		}
-		entry.PrevAddr = boundaryRow*mbw - 1
-		// The probe is confined to the boundary row: a candidate whose
-		// first macroblock lands past it cannot be this row's boundary.
-		probeMax := boundaryRow*mbw + mbw - 1
-		if probeMax > maxAddr {
-			probeMax = maxAddr
-		}
-		target := hdrEnd + int64(k)*payload/int64(parts)
-		start := target - 256
-		if len(pts) > 0 && start <= pts[len(pts)-1].BitOff {
-			start = pts[len(pts)-1].BitOff + 1
-		}
-		if start < hdrEnd {
-			start = hdrEnd
-		}
-		end := target + guessWindow
-		if max := int64(len(data))*8 - 24; end > max {
-			end = max
-		}
-		for off := start; off < end; off++ {
-			r.SeekBit(off)
-			// One-load prefilter: a resync point must start with a valid
-			// macroblock_address_increment code, which 11 bits decide.
-			if !vlc.ValidMBAddrIncPrefix(r.Peek(11)) {
-				continue
-			}
-			var err error
-			scratch, err = mpeg2.ProbeSliceSegment(&r, p, entry, probeMax, 2, scratch)
-			if err != nil {
-				continue
-			}
-			pts = append(pts, Point{BitOff: off, State: entry})
-			break
-		}
-	}
-	return pts, scratch
-}
-
-// resetDCPred returns the intra DC predictors at their reset value for
-// the given intra_dc_precision (§7.2.1).
-func resetDCPred(prec int) [3]int32 {
-	v := int32(1) << (uint(prec) + 7)
-	return [3]int32{v, v, v}
 }

@@ -98,8 +98,8 @@ func TestWithIndexStreaming(t *testing.T) {
 	}
 }
 
-// TestWithSpeculativeSplitStreaming: speculation through the public
-// streaming pipeline never changes the output.
+// TestWithSpeculativeSplitStreaming: the option is a no-op — a tall-slice
+// stream decoded with it splits nothing and yields the sequential frames.
 func TestWithSpeculativeSplitStreaming(t *testing.T) {
 	ctx := context.Background()
 	s := tallStream(t)
@@ -118,15 +118,15 @@ func TestWithSpeculativeSplitStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Errors.Any() {
-		t.Fatalf("clean stream reported damage under speculation: %+v", st.Errors)
+	if st.Split.Any() || st.Errors.Any() {
+		t.Fatalf("the no-op option split or accounted damage: %+v %+v", st.Split, st.Errors)
 	}
 	if len(got.frames) != len(ref.frames) {
 		t.Fatalf("%d frames, want %d", len(got.frames), len(ref.frames))
 	}
 	for i := range ref.frames {
 		if !ref.frames[i].Equal(got.frames[i]) {
-			t.Fatalf("frame %d differs under speculation", i)
+			t.Fatalf("frame %d differs from sequential decode", i)
 		}
 	}
 }
