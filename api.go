@@ -1,7 +1,6 @@
 package mpeg2par
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"runtime"
@@ -13,14 +12,17 @@ import (
 )
 
 // Source is where a decode reads its elementary stream from. Construct
-// one with FromBytes or FromReader; the zero Source is invalid.
+// one with FromBytes or FromReader; the zero Source is an empty stream.
 type Source struct {
-	r io.Reader
+	s stream.Source
 }
 
-// FromBytes sources a decode from an in-memory elementary stream.
+// FromBytes sources a decode from an in-memory elementary stream. The
+// decode reads data where it lies: no copy of it is made, and no byte of
+// it is ever written. The caller must not modify data until the call that
+// reads it (Decode, Server.Decode, BuildIndex) has returned.
 func FromBytes(data []byte) Source {
-	return Source{r: bytes.NewReader(data)}
+	return Source{s: stream.Source{Data: data}}
 }
 
 // FromReader sources a decode from r. The stream is consumed
@@ -28,7 +30,7 @@ func FromBytes(data []byte) Source {
 // memory (see WithMaxInFlight), so r may be a file, a socket, or any
 // other reader far larger than memory.
 func FromReader(r io.Reader) Source {
-	return Source{r: r}
+	return Source{s: stream.Source{R: r}}
 }
 
 // FrameSink receives every decoded frame in display order, called from
@@ -77,13 +79,15 @@ func WithFrameSink(sink FrameSink) Option {
 // pictures may be buffered or decoding at once before the scan process
 // blocks. Smaller values cut peak memory (Stats.PeakInFlightBytes);
 // larger values let the scan run further ahead. Zero (the default)
-// selects 2×workers+2.
+// selects 2×workers+2. For a FromBytes source the in-flight bytes are the
+// caller's bytes of those groups, read in place: the bound then limits
+// how far the plan runs ahead, and no stream bytes are buffered.
 func WithMaxInFlight(n int) Option {
 	return func(c *decodeConfig) { c.opt.MaxInFlight = n }
 }
 
-// WithChunkSize sets the read granularity over the source (default
-// 64 KiB).
+// WithChunkSize sets the read granularity over a FromReader source
+// (default 64 KiB).
 func WithChunkSize(n int) Option {
 	return func(c *decodeConfig) { c.opt.ChunkSize = n }
 }
@@ -162,5 +166,5 @@ func Decode(ctx context.Context, src Source, opts ...Option) (*Stats, error) {
 		}
 		cfg.opt.Obs.SetSink(cfg.sink)
 	}
-	return stream.Decode(ctx, src.r, cfg.opt)
+	return stream.Decode(ctx, src.s, cfg.opt)
 }

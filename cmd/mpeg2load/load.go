@@ -16,6 +16,7 @@ import (
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/server"
+	"mpeg2par/internal/stream"
 )
 
 // loadConfig shapes one run: Streams identical synthetic streams pushed
@@ -69,6 +70,15 @@ type loadPoint struct {
 	FramesFresh    int64 `json:"frames_fresh"`
 	SpareBytes     int64 `json:"spare_bytes"`
 	SparePeakBytes int64 `json:"spare_peak_bytes"`
+}
+
+// reuseShare is the share of the frames streams drew that came from the
+// spare stock: FramesReused / (FramesReused + FramesFresh).
+func (pt *loadPoint) reuseShare() float64 {
+	if n := pt.FramesReused + pt.FramesFresh; n > 0 {
+		return float64(pt.FramesReused) / float64(n)
+	}
+	return 0
 }
 
 // streamLine is one stream's line in the per-stream report.
@@ -151,7 +161,7 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 			if cfg.SinkDelay > 0 {
 				sink = func(*frame.Frame) { time.Sleep(cfg.SinkDelay) }
 			}
-			ss, err := srv.Decode(context.Background(), bytes.NewReader(enc.Data), server.StreamConfig{
+			ss, err := srv.Decode(context.Background(), stream.Source{Data: enc.Data}, server.StreamConfig{
 				Priority: prio, Resilience: core.ConcealSlice,
 				Deadline: cfg.Deadline, MaxInFlight: cfg.MaxInFlight, Sink: sink,
 			})
@@ -184,6 +194,9 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("%d of %d streams failed under load, first: %w",
 			len(errs), cfg.Streams, errs[0])
+	}
+	if m.SpareBytes != 0 {
+		return nil, fmt.Errorf("every stream has ended and the frame store still holds %d spare bytes", m.SpareBytes)
 	}
 	for _, ss := range all {
 		if ss.Stats.Displayed != ss.Stats.Pictures {
@@ -281,8 +294,8 @@ func (r *loadResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "  shed: %d B, %d ref, %d degraded (%d by slack)   misses %d   assists %d   rejected %d   pauses %d   wedged %d\n",
 		pt.ShedBPictures, pt.ShedRefPictures, pt.DegradedPictures, pt.SlackSheds,
 		pt.DeadlineMisses, pt.Assists, pt.Rejected, pt.Pauses, pt.Wedged)
-	fmt.Fprintf(w, "  frames: %d reused, %d allocated   spare %d bytes now, %d at peak\n",
-		pt.FramesReused, pt.FramesFresh, pt.SpareBytes, pt.SparePeakBytes)
+	fmt.Fprintf(w, "  frames: %d reused, %d allocated (%.0f %% reused)   spare %d bytes now, %d at peak\n",
+		pt.FramesReused, pt.FramesFresh, 100*pt.reuseShare(), pt.SpareBytes, pt.SparePeakBytes)
 	fmt.Fprintf(w, "  obs: %s\n", r.TraceNote)
 	if len(r.PerStream) == 0 {
 		return

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -21,6 +20,7 @@ import (
 	"mpeg2par/internal/encoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/server"
+	"mpeg2par/internal/stream"
 )
 
 func main() {
@@ -37,7 +37,7 @@ func main() {
 	var ds []time.Duration
 	for i := 0; i < *streams; i++ {
 		t0 := time.Now()
-		if _, err := srv.Decode(context.Background(), bytes.NewReader(res.Data), server.StreamConfig{
+		if _, err := srv.Decode(context.Background(), stream.Source{Data: res.Data}, server.StreamConfig{
 			MaxInFlight: 1, Sink: func(*frame.Frame) {},
 		}); err != nil {
 			log.Fatal(err)

@@ -111,7 +111,7 @@ func TestTracedDecodeBitExact(t *testing.T) {
 		// Streaming pipeline.
 		got = nil
 		rec = obs.New(0)
-		if _, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
+		if _, err := stream.Decode(context.Background(), stream.Source{R: bytes.NewReader(data)}, stream.Options{
 			Options: core.Options{
 				Mode: mode, Workers: 3, Sink: collectFrames(&got), Obs: rec,
 			},

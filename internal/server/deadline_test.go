@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -14,6 +13,7 @@ import (
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/sched"
 	"mpeg2par/internal/server"
+	scan "mpeg2par/internal/stream"
 )
 
 // slowModel returns a calibrated cost model that prices every byte at
@@ -41,7 +41,7 @@ func TestSlackShedDisjointFromMisses(t *testing.T) {
 	})
 	defer srv.Close()
 
-	ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+	ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 		Resilience: core.ConcealSlice, MaxInFlight: 1,
 		Deadline: time.Nanosecond, // nothing delivers in a nanosecond
 	})
@@ -93,7 +93,7 @@ func TestUndeliveredMissesCountedOnCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	ss, err := srv.Decode(ctx, bytes.NewReader(data), server.StreamConfig{
+	ss, err := srv.Decode(ctx, scan.Source{Data: data}, server.StreamConfig{
 		Resilience: core.ConcealSlice, MaxInFlight: 2,
 		Deadline: time.Millisecond,
 		Sink: func(f *frame.Frame) {
@@ -150,7 +150,7 @@ func TestEDFBitExactCleanAndFaulted(t *testing.T) {
 			for i := 0; i < n; i++ {
 				go func() {
 					var sink collectSink
-					ss, err := srv.Decode(context.Background(), bytes.NewReader(tc.data), server.StreamConfig{
+					ss, err := srv.Decode(context.Background(), scan.Source{Data: tc.data}, server.StreamConfig{
 						Resilience: core.ConcealSlice, MaxInFlight: 2,
 						Deadline: 10 * time.Second, // generous: EDF order, no slack pressure
 						Sink:     sink.add,
@@ -206,7 +206,7 @@ func TestEDFNoStarvationAtTopRung(t *testing.T) {
 	var hiDone atomic.Bool
 	hiC := make(chan result, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(hiData), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: hiData}, server.StreamConfig{
 			Priority: 1, MaxInFlight: 2,
 			Deadline: 5 * time.Millisecond, // real deadline: EDF always prefers this stream
 			Sink:     func(f *frame.Frame) { time.Sleep(2 * time.Millisecond) },
@@ -216,7 +216,7 @@ func TestEDFNoStarvationAtTopRung(t *testing.T) {
 	}()
 	loC := make(chan result, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(loData), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: loData}, server.StreamConfig{
 			Priority: 0, MaxInFlight: 2,
 			Sink: func(f *frame.Frame) { time.Sleep(time.Millisecond) },
 		})
@@ -237,5 +237,33 @@ func TestEDFNoStarvationAtTopRung(t *testing.T) {
 	}
 	if !hiStillRunning {
 		t.Fatal("low stream starved under EDF: it only finished after the high stream's overload ended")
+	}
+}
+
+// TestFeedMarksSpanFramesInFlight: a stream keeps feed marks, by display
+// index, only for the frames fed and not yet delivered, however long the
+// stream, and every frame's latency is sampled.
+func TestFeedMarksSpanFramesInFlight(t *testing.T) {
+	const pics = 240
+	data := testStream(t, 64, 48, pics, 8)
+	srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true})
+	defer srv.Close()
+	pending := 0
+	ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
+		MaxInFlight: 2, Deadline: time.Hour,
+		Sink: func(*frame.Frame) {
+			for _, m := range srv.FeedMarks() {
+				if m[0] != m[1] {
+					t.Errorf("%d feed marks kept for %d frames in flight", m[0], m[1])
+				}
+				pending = max(pending, m[1])
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss.Latencies) != pics || ss.DeadlineMisses != 0 || pending == 0 {
+		t.Fatalf("%d latencies of %d pictures, %d misses, up to %d frames in flight", len(ss.Latencies), pics, ss.DeadlineMisses, pending)
 	}
 }

@@ -245,10 +245,10 @@ func TestAccountUndeliveredCountsOnlyExpiredNonShed(t *testing.T) {
 	st := &stream{
 		srv:      srv,
 		deadline: 50 * time.Millisecond,
-		feedAt: map[int]feedMark{
-			0: {at: now.Add(-time.Second)},             // expired, not shed: miss
-			1: {at: now},                               // budget not yet expired: no verdict
-			2: {at: now.Add(-time.Second), shed: true}, // expired but shed: not a miss
+		feedAt: []feedMark{
+			{at: now.Add(-time.Second), fed: true},             // expired, not shed: miss
+			{at: now, fed: true},                               // budget not yet expired: no verdict
+			{at: now.Add(-time.Second), shed: true, fed: true}, // expired but shed: not a miss
 		},
 	}
 	st.accountUndelivered()
@@ -260,7 +260,7 @@ func TestAccountUndeliveredCountsOnlyExpiredNonShed(t *testing.T) {
 	}
 
 	// Best-effort streams have no deadline and no misses, ever.
-	be := &stream{srv: srv, feedAt: map[int]feedMark{0: {at: now.Add(-time.Hour)}}}
+	be := &stream{srv: srv, feedAt: []feedMark{{at: now.Add(-time.Hour), fed: true}}}
 	be.accountUndelivered()
 	if be.misses != 0 || srv.misses.Load() != 1 {
 		t.Fatalf("best-effort teardown changed miss counters: %d / %d", be.misses, srv.misses.Load())

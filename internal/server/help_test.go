@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -32,7 +31,7 @@ func helpFree(t *testing.T, data []byte, policy core.Resilience, ix *vldsplit.In
 		t.Fatal(err)
 	}
 	var scr core.Scratch
-	_, _, err = scan.ScanUnits(context.Background(), bytes.NewReader(data), 0, true, nil, nil, func(u core.Unit) error {
+	_, _, err = scan.ScanUnits(context.Background(), scan.Source{Data: data}, 0, true, nil, nil, func(u core.Unit) error {
 		tk, err := sess.FeedShed(u, core.ShedNone)
 		if err != nil || tk == nil {
 			return err
@@ -109,7 +108,7 @@ func TestHelpMatchesHelpFree(t *testing.T) {
 				}
 				srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true})
 				var sink collectSink
-				ss, err := srv.Decode(context.Background(), bytes.NewReader(bytes_.data), server.StreamConfig{
+				ss, err := srv.Decode(context.Background(), scan.Source{Data: bytes_.data}, server.StreamConfig{
 					Resilience: policy, MaxInFlight: 1, Sink: sink.add,
 				})
 				srv.Close() // the helpers are back: Assists is final
@@ -177,7 +176,7 @@ func TestHelperReturnsToDispatch(t *testing.T) {
 	longErr := make(chan error, 1)
 	go func() {
 		shown := 0
-		_, err := srv.Decode(context.Background(), bytes.NewReader(long), server.StreamConfig{
+		_, err := srv.Decode(context.Background(), scan.Source{Data: long}, server.StreamConfig{
 			MaxInFlight: 1,
 			Sink: func(*frame.Frame) {
 				if shown++; shown == 2 {
@@ -194,7 +193,7 @@ func TestHelperReturnsToDispatch(t *testing.T) {
 	}()
 	<-held
 	time.Sleep(20 * time.Millisecond) // past the helper's short poll: it blocks
-	if _, err := srv.Decode(context.Background(), bytes.NewReader(short), server.StreamConfig{
+	if _, err := srv.Decode(context.Background(), scan.Source{Data: short}, server.StreamConfig{
 		Sink: func(f *frame.Frame) {
 			if f.DisplayIndex == 0 {
 				close(release)
@@ -230,7 +229,7 @@ func TestHelperDecodesWhileOwnerDisplays(t *testing.T) {
 	srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true, Obs: tr})
 	defer srv.Close()
 	var timedOut atomic.Bool
-	_, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+	_, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 		MaxInFlight: 1,
 		Sink: func(f *frame.Frame) {
 			if f.DisplayIndex != 1 {
@@ -271,7 +270,7 @@ func TestCancelMidHelp(t *testing.T) {
 		cancel()
 	}()
 	var shown atomic.Int32
-	ss, err := srv.Decode(ctx, bytes.NewReader(data), server.StreamConfig{
+	ss, err := srv.Decode(ctx, scan.Source{Data: data}, server.StreamConfig{
 		Resilience: core.ConcealSlice, MaxInFlight: 1,
 		Sink: func(*frame.Frame) {
 			if shown.Add(1) == pics {

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"runtime"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"mpeg2par/internal/faults"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/server"
+	scan "mpeg2par/internal/stream"
 )
 
 // flatSource renders every picture as one luma and chroma value.
@@ -70,7 +70,7 @@ func TestLentFramesIsolateTenants(t *testing.T) {
 		fresh.SetDegradation(rung)
 		var want collectSink
 		cfg.Sink = want.add
-		ss, err := fresh.Decode(context.Background(), bytes.NewReader(damaged), cfg)
+		ss, err := fresh.Decode(context.Background(), scan.Source{Data: damaged}, cfg)
 		if err != nil {
 			t.Fatalf("rung %d, fresh server: %v", rung, err)
 		}
@@ -87,7 +87,7 @@ func TestLentFramesIsolateTenants(t *testing.T) {
 		held := make(chan error, 1)
 		go func() {
 			n := 0
-			_, err := srv.Decode(context.Background(), bytes.NewReader(holder), server.StreamConfig{
+			_, err := srv.Decode(context.Background(), scan.Source{Data: holder}, server.StreamConfig{
 				Sink: func(*frame.Frame) {
 					if n++; n == 12 {
 						close(parked)
@@ -99,7 +99,7 @@ func TestLentFramesIsolateTenants(t *testing.T) {
 		}()
 		<-parked
 		cfg.Sink = nil
-		if _, err := srv.Decode(context.Background(), bytes.NewReader(bright.Data), cfg); err != nil {
+		if _, err := srv.Decode(context.Background(), scan.Source{Data: bright.Data}, cfg); err != nil {
 			t.Fatalf("rung %d, bright stream: %v", rung, err)
 		}
 		left := srv.FrameStats()
@@ -109,7 +109,7 @@ func TestLentFramesIsolateTenants(t *testing.T) {
 		srv.SetDegradation(rung)
 		var got collectSink
 		cfg.Sink = got.add
-		if _, err := srv.Decode(context.Background(), bytes.NewReader(damaged), cfg); err != nil {
+		if _, err := srv.Decode(context.Background(), scan.Source{Data: damaged}, cfg); err != nil {
 			t.Fatalf("rung %d, after the bright stream: %v", rung, err)
 		}
 		if now := srv.FrameStats(); now.Reused == left.Reused {
@@ -180,7 +180,7 @@ func TestLendingUnderChurn(t *testing.T) {
 			for round := 0; round < 2; round++ {
 				ctx, cancel := context.WithCancel(context.Background())
 				shown := 0
-				ss, err := srv.Decode(ctx, bytes.NewReader(data), server.StreamConfig{
+				ss, err := srv.Decode(ctx, scan.Source{Data: data}, server.StreamConfig{
 					Resilience: core.ConcealSlice,
 					Sink: func(*frame.Frame) {
 						if shown++; shown == 5 && i%4 < 2 {
@@ -230,7 +230,7 @@ func TestWorkerScratchAcrossGeometries(t *testing.T) {
 		data := testStream(t, g.w, g.h, 8, 4)
 		_, want := seqOracle(t, data, core.FailFast)
 		var got collectSink
-		if _, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{Sink: got.add}); err != nil {
+		if _, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{Sink: got.add}); err != nil {
 			t.Fatalf("%dx%d: %v", g.w, g.h, err)
 		}
 		if len(got.frames) != len(want) {
@@ -261,7 +261,7 @@ func TestSoakFlat(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < streams/4; i++ {
-					ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{Resilience: core.ConcealSlice})
+					ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{Resilience: core.ConcealSlice})
 					if err != nil || ss.Stats.LeakedFrameBytes != 0 {
 						t.Errorf("stream failed or leaked: %v, %+v", err, ss.Stats)
 						return

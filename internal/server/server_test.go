@@ -16,6 +16,7 @@ import (
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/server"
+	scan "mpeg2par/internal/stream"
 )
 
 var streamCache sync.Map
@@ -91,7 +92,7 @@ func TestServiceMatchesSequential(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv := server.NewServer(server.Config{Workers: 3, DisableAutoDegrade: true})
 	var sink collectSink
-	ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+	ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 		Resilience: core.ConcealSlice, Sink: sink.add,
 	})
 	if err != nil {
@@ -140,7 +141,7 @@ func TestShedBitExact(t *testing.T) {
 		srv := server.NewServer(server.Config{Workers: 3, DisableAutoDegrade: true})
 		srv.SetDegradation(tc.rung)
 		var sink collectSink
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 			Resilience: core.ConcealSlice, Sink: sink.add,
 		})
 		if err != nil {
@@ -218,7 +219,7 @@ probe:
 	// The stream's own policy (ConcealPicture) absorbs the damage as an
 	// error drop.
 	srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true})
-	ss, err := srv.Decode(context.Background(), bytes.NewReader(damaged), server.StreamConfig{
+	ss, err := srv.Decode(context.Background(), scan.Source{Data: damaged}, server.StreamConfig{
 		Resilience: core.ConcealPicture,
 	})
 	if err != nil {
@@ -235,7 +236,7 @@ probe:
 
 	// A FailFast stream fails on the damage at rung 0...
 	srv = server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true})
-	ss, err = srv.Decode(context.Background(), bytes.NewReader(damaged), server.StreamConfig{
+	ss, err = srv.Decode(context.Background(), scan.Source{Data: damaged}, server.StreamConfig{
 		Resilience: core.FailFast,
 	})
 	if err == nil {
@@ -250,7 +251,7 @@ probe:
 	// recovery accounted as degradation, not as an error drop.
 	srv = server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true})
 	srv.SetDegradation(2)
-	ss, err = srv.Decode(context.Background(), bytes.NewReader(damaged), server.StreamConfig{
+	ss, err = srv.Decode(context.Background(), scan.Source{Data: damaged}, server.StreamConfig{
 		Resilience: core.FailFast,
 	})
 	if err != nil {
@@ -294,7 +295,7 @@ func TestAdmissionQueueAndReject(t *testing.T) {
 	}
 	aDone := make(chan result, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 			Sink: func(f *frame.Frame) {
 				once.Do(func() { close(opened) })
 				<-gate
@@ -306,7 +307,7 @@ func TestAdmissionQueueAndReject(t *testing.T) {
 
 	bDone := make(chan result, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{})
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{})
 		bDone <- result{ss, err}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -318,7 +319,7 @@ func TestAdmissionQueueAndReject(t *testing.T) {
 	}
 
 	// C: queue full → immediate rejection.
-	ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{})
+	ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{})
 	if !errors.Is(err, server.ErrRejected) {
 		t.Fatalf("queue-full arrival: err=%v, want ErrRejected", err)
 	}
@@ -342,7 +343,7 @@ func TestAdmissionQueueAndReject(t *testing.T) {
 
 	// Top rung: arrivals rejected outright.
 	srv.SetDegradation(3)
-	if _, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{}); !errors.Is(err, server.ErrRejected) {
+	if _, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{}); !errors.Is(err, server.ErrRejected) {
 		t.Fatalf("top-rung arrival: err=%v, want ErrRejected", err)
 	}
 }
@@ -367,7 +368,7 @@ func TestWatchdogWedgedStream(t *testing.T) {
 	}
 	aDone := make(chan result, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 			Sink: func(f *frame.Frame) {
 				once.Do(func() { close(started) })
 				<-release
@@ -379,7 +380,7 @@ func TestWatchdogWedgedStream(t *testing.T) {
 
 	bDone := make(chan result, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{})
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{})
 		bDone <- result{ss, err}
 	}()
 
@@ -425,7 +426,7 @@ func TestPauseLadderAndResume(t *testing.T) {
 		err error
 	}
 	run := func(prio int, done chan result) {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 			Priority: prio, Sink: slow, MaxInFlight: 2,
 		})
 		done <- result{ss, err}
@@ -507,7 +508,7 @@ func TestAutoDegradeNoStarvationAtTopRung(t *testing.T) {
 	var hiDone atomic.Bool
 	hiC := make(chan result, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(hiData), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: hiData}, server.StreamConfig{
 			Priority: 1, MaxInFlight: 2,
 			Sink: func(f *frame.Frame) { time.Sleep(2 * time.Millisecond) },
 		})
@@ -516,7 +517,7 @@ func TestAutoDegradeNoStarvationAtTopRung(t *testing.T) {
 	}()
 	loC := make(chan result, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(loData), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: loData}, server.StreamConfig{
 			Priority: 0, MaxInFlight: 2,
 			Sink: func(f *frame.Frame) { time.Sleep(time.Millisecond) },
 		})
@@ -564,7 +565,7 @@ func TestCancelMidDegradation(t *testing.T) {
 			}
 			defer cancel()
 			shown := 0
-			ss, err := srv.Decode(ctx, bytes.NewReader(data), server.StreamConfig{
+			ss, err := srv.Decode(ctx, scan.Source{Data: data}, server.StreamConfig{
 				Resilience:  core.ConcealSlice,
 				MaxInFlight: 1,
 				Sink: func(f *frame.Frame) {
@@ -611,7 +612,7 @@ func TestServerCloseTeardown(t *testing.T) {
 	done := make(chan error, 1)
 	statc := make(chan *server.StreamStats, 1)
 	go func() {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 			Sink: func(f *frame.Frame) {
 				once.Do(func() { close(started) })
 				time.Sleep(time.Millisecond)
@@ -630,7 +631,7 @@ func TestServerCloseTeardown(t *testing.T) {
 	if ss.Stats != nil && ss.Stats.LeakedFrameBytes != 0 {
 		t.Fatalf("leaked %d frame bytes", ss.Stats.LeakedFrameBytes)
 	}
-	if _, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{}); !errors.Is(err, server.ErrServerClosed) {
+	if _, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{}); !errors.Is(err, server.ErrServerClosed) {
 		t.Fatalf("post-close arrival err=%v, want ErrServerClosed", err)
 	}
 	waitGoroutines(t, base)
@@ -689,7 +690,7 @@ func TestLoadSmoke(t *testing.T) {
 	for i := 0; i < nStreams; i++ {
 		go func() {
 			<-start
-			ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+			ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 				Resilience: core.ConcealSlice, MaxInFlight: 2,
 				Deadline: 250 * time.Millisecond,
 				Sink: func(f *frame.Frame) {
@@ -786,7 +787,7 @@ func TestWeightedFairShare(t *testing.T) {
 		err error
 	}
 	run := func(prio int, done chan result) {
-		ss, err := srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+		ss, err := srv.Decode(context.Background(), scan.Source{Data: data}, server.StreamConfig{
 			Priority: prio, MaxInFlight: 2,
 			Sink: func(f *frame.Frame) { time.Sleep(500 * time.Microsecond) },
 		})

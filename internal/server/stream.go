@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,7 +39,8 @@ type StreamConfig struct {
 	// admission charge the stream's true predicted cost instead of the
 	// flat default. Zero feeds as fast as backpressure allows.
 	PicRate float64
-	// ChunkSize is the scanner's read granularity (0 = default).
+	// ChunkSize is the scanner's read granularity over a reader source
+	// (0 = default).
 	ChunkSize int
 }
 
@@ -74,7 +74,8 @@ type stream struct {
 
 	deadline time.Duration
 	dmu      sync.Mutex
-	feedAt   map[int]feedMark // display index → feed-time facts
+	feedAt   []feedMark // feed-time facts by display index, from feedLo on
+	feedLo   int        // display index of feedAt[0]: every earlier one is settled
 	lats     []time.Duration
 	misses   int
 	predHist SlackHist // predicted slack at feed (deadline streams)
@@ -92,6 +93,7 @@ type feedMark struct {
 	pred  time.Duration
 	known bool
 	shed  bool
+	fed   bool // fed and not yet delivered or settled
 }
 
 const maxLatencySamples = 1 << 16
@@ -119,14 +121,17 @@ func (st *stream) noteFed(t *core.SessionTask, now time.Time, pred time.Duration
 	st.dmu.Lock()
 	for i := 0; i < t.Pictures(); i++ {
 		idx := t.DisplayBase() + i
-		fm := feedMark{at: now, pred: pred, known: known}
+		fm := feedMark{at: now, pred: pred, known: known, fed: true}
 		for _, si := range shed {
 			if si == idx {
 				fm.shed = true
 				break
 			}
 		}
-		st.feedAt[idx] = fm
+		for len(st.feedAt) <= idx-st.feedLo {
+			st.feedAt = append(st.feedAt, feedMark{})
+		}
+		st.feedAt[idx-st.feedLo] = fm
 		if st.deadline > 0 && known {
 			st.predHist.Add(pred)
 		}
@@ -143,8 +148,16 @@ func (st *stream) noteDisplayed(idx int) {
 	st.touch()
 	st.srv.displays.Add(1)
 	st.dmu.Lock()
-	if fed, ok := st.feedAt[idx]; ok {
-		delete(st.feedAt, idx)
+	if i := idx - st.feedLo; i >= 0 && i < len(st.feedAt) && st.feedAt[i].fed {
+		fed := st.feedAt[i]
+		st.feedAt[i].fed = false
+		// Frames are delivered in display order: drop the settled prefix,
+		// so that the marks span the stream's frames in flight, not the
+		// stream.
+		for len(st.feedAt) > 0 && !st.feedAt[0].fed {
+			st.feedAt = st.feedAt[1:]
+			st.feedLo++
+		}
 		lat := now.Sub(fed.at)
 		if len(st.lats) < maxLatencySamples {
 			st.lats = append(st.lats, lat)
@@ -174,13 +187,14 @@ func (st *stream) accountUndelivered() {
 	}
 	now := time.Now()
 	st.dmu.Lock()
-	for idx, fed := range st.feedAt {
-		if !fed.shed && now.Sub(fed.at) > st.deadline {
+	for _, fed := range st.feedAt {
+		if fed.fed && !fed.shed && now.Sub(fed.at) > st.deadline {
 			st.misses++
 			st.srv.misses.Add(1)
 		}
-		delete(st.feedAt, idx)
 	}
+	st.feedLo += len(st.feedAt)
+	st.feedAt = nil
 	st.dmu.Unlock()
 }
 
@@ -262,10 +276,11 @@ func (ss *StreamStats) latencyQ(q float64) time.Duration {
 // the stream's queued tasks through the pool (no decode, just
 // bookkeeping), waits for them, and tears the session down reclaiming
 // every pooled frame — StreamStats.Stats.LeakedFrameBytes is zero, and
-// the tests assert it. One caveat: the scanner reads r synchronously,
-// so a reader that blocks forever blocks Decode (use a context-aware
-// reader for untrusted sources).
-func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*StreamStats, error) {
+// the tests assert it. An in-memory source is read in place (see
+// scan.ScanUnits). One caveat: the scanner reads a reader source
+// synchronously, so a reader that blocks forever blocks Decode (use a
+// context-aware reader for untrusted sources).
+func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) (*StreamStats, error) {
 	s.mu.Lock()
 	id := s.nextID
 	s.nextID++
@@ -294,7 +309,6 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 		srv:      s,
 		failCh:   make(chan struct{}),
 		deadline: cfg.Deadline,
-		feedAt:   make(map[int]feedMark),
 	}
 	maxInFlight := cfg.MaxInFlight
 	if maxInFlight <= 0 {
@@ -402,7 +416,7 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 	// Scanning is always lenient: whether damage fails the stream is the
 	// plan's decision under the stream's (possibly degraded) policy, so
 	// the ladder can floor resilience mid-stream without re-scanning.
-	pics, scanDur, scanErr := scan.ScanUnits(ctx, r, cfg.ChunkSize, true, nil, nil, feed)
+	pics, scanDur, scanErr := scan.ScanUnits(ctx, src, cfg.ChunkSize, true, nil, nil, feed)
 	if scanErr != nil {
 		st.fail(scanErr)
 	}

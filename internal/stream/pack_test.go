@@ -73,7 +73,7 @@ func TestStreamingAutoTune(t *testing.T) {
 	refSink := collectSink{frames: oracleFrames(t, data)}
 	for _, workers := range []int{1, 3} {
 		var sink collectSink
-		st, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
+		st, err := stream.Decode(context.Background(), stream.Source{R: bytes.NewReader(data)}, stream.Options{
 			Options:   core.Options{Mode: core.ModeAuto, Workers: workers, Sink: sink.add},
 			ChunkSize: 997,
 		})

@@ -1,13 +1,15 @@
-// Package stream decodes an MPEG-2 elementary stream incrementally from
-// an io.Reader: the scan process discovers structure chunk by chunk and
-// feeds groups of pictures to the worker pool as soon as they close,
-// instead of after a full-stream scan. Output is bit-identical to the batch
+// Package stream decodes an MPEG-2 elementary stream incrementally, from
+// an io.Reader or from memory: the scan process discovers structure chunk
+// by chunk (or over the caller's bytes in place) and feeds groups of
+// pictures to the worker pool as soon as they close, instead of after a
+// full-stream scan. Output is bit-identical to the batch
 // decoder for every mode and resilience policy — both sides drive the same
 // incremental scan state machine and plan builder.
 //
 // What a decode holds is bounded by windows, never by stream length: the
 // scan window (the open group and the unscanned tail, one chunk unless a
-// group outgrows it), at most MaxInFlight units — a closed group's bytes
+// group outgrows it; none for an in-memory source, whose bytes are read
+// where they lie), at most MaxInFlight units — a closed group's bytes
 // and scanned ranges, handed over by the scan and forgotten there — with
 // their planned pictures, the slice queue's depth window and the reorder
 // buffer. A group's pictures leave the plan when every one of them has
@@ -38,18 +40,26 @@ const DefaultChunkSize = 64 << 10
 type Options struct {
 	core.Options
 
-	// ChunkSize is the read granularity over the source reader; zero
+	// ChunkSize is the read granularity over a reader source; zero
 	// selects DefaultChunkSize. Small chunks exercise more startcode
 	// boundary splits, large chunks amortize read overhead.
 	ChunkSize int
 }
 
+// Source is the elementary stream a decode reads: Data, in place, when R
+// is nil, or R through the scan window otherwise.
+type Source struct {
+	Data []byte
+	R    io.Reader
+}
+
 // windowScanner slides a bounded byte window over a reader and drives
 // the incremental scan state machine across it. The window keeps, at
 // most, the open group of pictures plus the unscanned tail — the floor
-// ScanState.KeepFrom reports.
+// ScanState.KeepFrom reports. Without a reader the window is the whole
+// in-memory stream, never slid, grown or written.
 type windowScanner struct {
-	r     io.Reader
+	r     io.Reader // nil: buf is the caller's stream
 	chunk int
 	ss    *core.ScanState
 	buf   []byte
@@ -60,6 +70,41 @@ type windowScanner struct {
 // bytes returns the window's view of absolute range [from, to).
 func (w *windowScanner) bytes(from, to int) []byte {
 	return w.buf[from-w.base : to-w.base]
+}
+
+// fill slides the window past the bytes the scan state is done with and
+// reads one chunk into it; it reports whether the stream has ended. An
+// in-memory stream is all in the window from the start.
+func (w *windowScanner) fill(searchFrom int) (eof bool, err error) {
+	if w.r == nil {
+		return true, nil
+	}
+	// Slide the window: bytes below the scan state's floor (open group,
+	// pending sequence header, scan position) are done.
+	if keep := w.ss.KeepFrom(searchFrom); keep > w.base {
+		n := copy(w.buf, w.buf[keep-w.base:])
+		w.buf = w.buf[:n]
+		if w.gauge != nil {
+			w.gauge(int64(-(keep - w.base)))
+		}
+		w.base = keep
+	}
+	// Read into the capacity that is left, a chunk at most; the window
+	// grows only when the open group has filled it.
+	if len(w.buf) == cap(w.buf) {
+		nb := make([]byte, len(w.buf), 2*len(w.buf)+w.chunk)
+		copy(nb, w.buf)
+		w.buf = nb
+	}
+	n, rerr := w.r.Read(w.buf[len(w.buf):min(cap(w.buf), len(w.buf)+w.chunk)])
+	w.buf = w.buf[:len(w.buf)+n]
+	if n > 0 && w.gauge != nil {
+		w.gauge(int64(n))
+	}
+	if rerr != nil && rerr != io.EOF {
+		return false, fmt.Errorf("stream: read at %d: %w", w.base+len(w.buf), rerr)
+	}
+	return rerr == io.EOF, nil
 }
 
 // run reads the stream to EOF, stepping the scan state machine over
@@ -74,31 +119,9 @@ func (w *windowScanner) run(ctx context.Context, note func(int)) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return w.base + len(w.buf), err
 		}
-		// Slide the window: bytes below the scan state's floor (open
-		// group, pending sequence header, scan position) are done.
-		if keep := w.ss.KeepFrom(searchFrom); keep > w.base {
-			n := copy(w.buf, w.buf[keep-w.base:])
-			w.buf = w.buf[:n]
-			if w.gauge != nil {
-				w.gauge(int64(-(keep - w.base)))
-			}
-			w.base = keep
-		}
-		// Read into the capacity that is left, a chunk at most; the window
-		// grows only when the open group has filled it.
-		if len(w.buf) == cap(w.buf) {
-			nb := make([]byte, len(w.buf), 2*len(w.buf)+w.chunk)
-			copy(nb, w.buf)
-			w.buf = nb
-		}
-		n, rerr := w.r.Read(w.buf[len(w.buf):min(cap(w.buf), len(w.buf)+w.chunk)])
-		w.buf = w.buf[:len(w.buf)+n]
-		if n > 0 && w.gauge != nil {
-			w.gauge(int64(n))
-		}
-		eof := rerr == io.EOF
-		if rerr != nil && !eof {
-			return w.base + len(w.buf), fmt.Errorf("stream: read at %d: %w", w.base+len(w.buf), rerr)
+		eof, err := w.fill(searchFrom)
+		if err != nil {
+			return w.base + len(w.buf), err
 		}
 		end := w.base + len(w.buf)
 		for {
@@ -146,32 +169,39 @@ func rebaseGOP(gr *core.GOPRange, delta int) {
 	}
 }
 
-// ScanUnits drives the incremental scan over r in chunkSize-byte reads,
-// invoking feed with each closed group of pictures as a self-contained
-// core.Unit: an owned copy of the group's bytes with the scanned range
-// rebased to it, exactly the units stream.Decode feeds its executor. A
-// feed error aborts the scan and is returned. gauge (may be nil)
-// receives in-flight window byte deltas; note (may be nil) is called
-// with the running picture count after every scan step. Returns the
-// pictures scanned and the scan-side wall time.
+// ScanUnits drives the incremental scan over src, invoking feed with each
+// closed group of pictures as a core.Unit, exactly the units stream.Decode
+// feeds its executor. A unit of an in-memory source borrows src.Data, its
+// scanned range indexing the whole stream, as core.DecodeScanned's units
+// do: nothing is copied, and the bytes a unit holds in flight are the
+// caller's. A reader is scanned in chunkSize-byte reads, and each unit
+// owns a copy of its group's bytes with the range rebased to it, so that
+// the window can slide on. A feed error aborts the scan and is returned.
+// gauge (may be nil) receives the window's byte deltas, none for an
+// in-memory source; note (may be nil) is called with the running picture
+// count after every scan step. Returns the pictures scanned and the
+// scan-side wall time.
 //
 // This is the scan front half of the streaming pipeline with the decode
 // back half factored out — the multi-stream service uses it to feed
 // per-stream sessions whose tasks a shared pool executes.
-func ScanUnits(ctx context.Context, r io.Reader, chunkSize int, lenient bool, gauge func(int64), note func(int), feed func(core.Unit) error) (int, time.Duration, error) {
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
-	}
+func ScanUnits(ctx context.Context, src Source, chunkSize int, lenient bool, gauge func(int64), note func(int), feed func(core.Unit) error) (int, time.Duration, error) {
 	ss := core.NewScanState(lenient)
-	w := &windowScanner{r: r, chunk: chunkSize, ss: ss, gauge: gauge}
+	w := newWindowScanner(src, chunkSize, ss)
+	w.gauge = gauge
 	ss.OnGOP = func(g int, gr *core.GOPRange) error {
-		// Copy the group out of the window so the window can slide on; the
-		// unit owns its bytes, and the range the scan has just let go of,
-		// until its last picture completes.
-		u := core.Unit{G: g, Base: gr.Offset, Seq: *ss.Seq(),
-			Data: append([]byte(nil), w.bytes(gr.Offset, gr.End)...)}
-		rebaseGOP(gr, u.Base)
-		u.Range = *gr
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		// The unit owns the range the scan has just let go of until its
+		// last picture completes.
+		u := core.Unit{G: g, Seq: *ss.Seq(), Data: w.buf, Range: *gr}
+		if w.r != nil {
+			// Copy the group out of the window so the window can slide on.
+			u.Base = gr.Offset
+			u.Data = append([]byte(nil), w.bytes(gr.Offset, gr.End)...)
+			rebaseGOP(&u.Range, u.Base)
+		}
 		return feed(u)
 	}
 	scanStart := time.Now()
@@ -190,13 +220,13 @@ func ScanUnits(ctx context.Context, r io.Reader, chunkSize int, lenient bool, ga
 //
 // Unlike the batch API, the returned Stats are non-nil even alongside
 // an error, carrying the teardown gauges (notably LeakedFrameBytes).
-func Decode(ctx context.Context, r io.Reader, opt Options) (*core.Stats, error) {
+func Decode(ctx context.Context, src Source, opt Options) (*core.Stats, error) {
 	exec, err := core.NewStreamExecutor(ctx, opt.Options)
 	if err != nil {
 		return &core.Stats{Mode: opt.Mode, Workers: opt.EffectiveWorkers()}, err
 	}
 	lastScan := time.Now()
-	pics, scanDur, scanErr := ScanUnits(ctx, r, opt.ChunkSize, opt.Resilience != core.FailFast,
+	pics, scanDur, scanErr := ScanUnits(ctx, src, opt.ChunkSize, opt.Resilience != core.FailFast,
 		exec.AdjustBuffered, exec.NoteScanned,
 		func(u core.Unit) error {
 			// The scan lane's span for this group covers reading + scanning
@@ -221,13 +251,9 @@ func Decode(ctx context.Context, r io.Reader, opt Options) (*core.Stats, error) 
 // field for field, offset for offset — to core.Scan (strict) or
 // core.ScanLenient over the same bytes, except for ScanTime.
 func ScanReader(r io.Reader, chunkSize int, lenient bool) (*core.StreamMap, error) {
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
-	}
 	start := time.Now()
 	ss := core.NewScanState(lenient)
-	w := &windowScanner{r: r, chunk: chunkSize, ss: ss}
-	total, err := w.run(context.Background(), nil)
+	total, err := newWindowScanner(Source{R: r}, chunkSize, ss).run(context.Background(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -237,4 +263,16 @@ func ScanReader(r io.Reader, chunkSize int, lenient bool) (*core.StreamMap, erro
 	}
 	m.ScanTime = time.Since(start)
 	return m, nil
+}
+
+// newWindowScanner returns the scanner of src: over its bytes in place, or
+// over its reader in chunkSize-byte reads (DefaultChunkSize when zero).
+func newWindowScanner(src Source, chunkSize int, ss *core.ScanState) *windowScanner {
+	if src.R == nil {
+		return &windowScanner{ss: ss, buf: src.Data}
+	}
+	if chunkSize <= 0 {
+		chunkSize = DefaultChunkSize
+	}
+	return &windowScanner{r: src.R, chunk: chunkSize, ss: ss}
 }

@@ -201,7 +201,8 @@ func oracleRef(t *testing.T, data []byte) (*collectSink, *core.Stats) {
 
 // TestStreamingMatchesBatchGolden is the engine's bit-identity contract:
 // every mode × policy, however the stream is fed — the scanned map's groups
-// as units that borrow the caller's bytes, or an io.Reader chunked at 1, 7,
+// as units that borrow the caller's bytes, the incremental scan over them in
+// place, or an io.Reader chunked at 1, 7,
 // 4096 and the default size — must produce the same frames and accounting
 // as the sequential mode, on clean and on damaged streams; and on the clean
 // stream under FailFast, the frames of the independent oracle.
@@ -236,15 +237,23 @@ func TestStreamingMatchesBatchGolden(t *testing.T) {
 
 // wholeMap, as a chunk size, stands for core.Decode: the stream scanned to
 // its end first, then every group fed as a unit that borrows the stream.
-const wholeMap = -1
+// inPlace stands for stream.Decode of an in-memory source: the incremental
+// scan over the caller's bytes, its units borrowing them.
+const (
+	wholeMap = -1
+	inPlace  = -2
+)
 
-// decodeFed decodes data under opt fed one way: wholeMap, or through a
-// reader chunk bytes at a time.
+// decodeFed decodes data under opt fed one way: wholeMap, inPlace, or
+// through a reader chunk bytes at a time.
 func decodeFed(data []byte, opt core.Options, chunk int) (*core.Stats, error) {
-	if chunk == wholeMap {
+	switch chunk {
+	case wholeMap:
 		return core.Decode(data, opt)
+	case inPlace:
+		return stream.Decode(context.Background(), stream.Source{Data: data}, stream.Options{Options: opt})
 	}
-	return stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{Options: opt, ChunkSize: chunk})
+	return stream.Decode(context.Background(), stream.Source{R: bytes.NewReader(data)}, stream.Options{Options: opt, ChunkSize: chunk})
 }
 
 // sameDecode demands of one decode the frames and accounting of a reference
@@ -282,7 +291,7 @@ func sameDecode(t *testing.T, label string, got *collectSink, st *core.Stats, er
 }
 
 // matchFeedings decodes data under policy in every mode, fed from the whole
-// map and through a reader at each of the chunk sizes, and demands of every
+// map, in place and through a reader at each of the chunk sizes, and demands of every
 // decode the frames and error accounting of the sequential mode fed from
 // the whole map — and the same split accounting whatever the feeding.
 func matchFeedings(t *testing.T, label string, data []byte, policy core.Resilience, chunks ...int) {
@@ -293,7 +302,7 @@ func matchFeedings(t *testing.T, label string, data []byte, policy core.Resilien
 	})
 	for _, mode := range allModes {
 		var split core.SplitStats
-		for _, chunk := range append([]int{wholeMap}, chunks...) {
+		for _, chunk := range append([]int{wholeMap, inPlace}, chunks...) {
 			label := fmt.Sprintf("%s %v %v chunk %d", label, policy, mode, chunk)
 			var sink collectSink
 			st, err := decodeFed(data, core.Options{Mode: mode, Workers: 3, Resilience: policy, Sink: sink.add}, chunk)
@@ -411,7 +420,7 @@ func TestPeakInFlightBounded(t *testing.T) {
 	const chunk = 1024
 	const maxInFlight = 2
 	var sink collectSink
-	st, err := stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
+	st, err := stream.Decode(context.Background(), stream.Source{R: bytes.NewReader(data)}, stream.Options{
 		Options: core.Options{
 			Mode: core.ModeGOP, Workers: 2, MaxInFlight: maxInFlight, Sink: sink.add,
 		},
@@ -456,7 +465,7 @@ func everyWay(t *testing.T, chunk int, policy core.Resilience) (names []string, 
 		mode := mode
 		names = append(names, mode.String())
 		ways = append(ways, func(ctx context.Context, data []byte, sink func(*frame.Frame)) (*core.Stats, error) {
-			return stream.Decode(ctx, bytes.NewReader(data), stream.Options{
+			return stream.Decode(ctx, stream.Source{R: bytes.NewReader(data)}, stream.Options{
 				Options:   core.Options{Mode: mode, Workers: 2, MaxInFlight: 2, Resilience: policy, Sink: sink},
 				ChunkSize: chunk,
 			})
@@ -471,7 +480,7 @@ func everyWay(t *testing.T, chunk int, policy core.Resilience) (names []string, 
 	})
 	names = append(names, "server")
 	ways = append(ways, func(ctx context.Context, data []byte, sink func(*frame.Frame)) (*core.Stats, error) {
-		ss, err := srv.Decode(ctx, bytes.NewReader(data), server.StreamConfig{
+		ss, err := srv.Decode(ctx, stream.Source{R: bytes.NewReader(data)}, server.StreamConfig{
 			MaxInFlight: 2, Resilience: policy, Sink: sink, ChunkSize: chunk,
 		})
 		return ss.Stats, err
@@ -569,7 +578,7 @@ func TestScanLeadGauge(t *testing.T) {
 			}
 		}
 	}
-	st, err := stream.Decode(context.Background(), r, stream.Options{
+	st, err := stream.Decode(context.Background(), stream.Source{R: r}, stream.Options{
 		Options: core.Options{Mode: core.ModeGOP, Workers: 2, MaxInFlight: 4, Sink: sink},
 	})
 	if err != nil {
@@ -659,7 +668,7 @@ func TestDeadline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	st, err := stream.Decode(ctx, bytes.NewReader(data), stream.Options{
+	st, err := stream.Decode(ctx, stream.Source{R: bytes.NewReader(data)}, stream.Options{
 		Options: core.Options{Mode: core.ModeSliceImproved, Workers: 2},
 	})
 	if err == nil {

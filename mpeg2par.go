@@ -226,9 +226,12 @@ var ErrBadOption = core.ErrBadOption
 // keyed by slice content, so it remains valid when the same elementary
 // stream is decoded from a different container or offset.
 func BuildIndex(ctx context.Context, src Source) (*Index, error) {
-	data, err := io.ReadAll(src.r)
-	if err != nil {
-		return nil, err
+	data := src.s.Data
+	if src.s.R != nil {
+		var err error
+		if data, err = io.ReadAll(src.s.R); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

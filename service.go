@@ -114,8 +114,8 @@ func WithPicRate(rate float64) StreamOption {
 	return func(c *server.StreamConfig) { c.PicRate = rate }
 }
 
-// WithStreamChunkSize sets the stream scanner's read granularity
-// (default 64 KiB).
+// WithStreamChunkSize sets the stream scanner's read granularity over a
+// FromReader source (default 64 KiB).
 func WithStreamChunkSize(n int) StreamOption {
 	return func(c *server.StreamConfig) { c.ChunkSize = n }
 }
@@ -161,7 +161,7 @@ func (sv *Server) Decode(ctx context.Context, src Source, opts ...StreamOption) 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return sv.s.Decode(ctx, src.r, cfg)
+	return sv.s.Decode(ctx, src.s, cfg)
 }
 
 // Close rejects new streams, aborts admitted ones (their Decode calls
