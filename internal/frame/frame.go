@@ -262,17 +262,3 @@ func padPlane(p []uint8, stride, w, h, codedH int) {
 		copy(p[y*stride:(y+1)*stride], p[(h-1)*stride:h*stride])
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

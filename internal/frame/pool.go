@@ -21,6 +21,7 @@ type Pool struct {
 	peakBytes  int64
 	totalAlloc int64  // cumulative bytes ever allocated (not recycled)
 	store      *Store // where frames come from and go back to; nil: New and the collector
+	turn       int    // the store's turnover this pool's tenancy began in
 }
 
 // NewPool returns a pool producing width×height frames.
@@ -30,10 +31,16 @@ func NewPool(width, height int) *Pool {
 
 // SetStore makes the pool a tenant of s: frames its free list cannot
 // supply come from s, and HandBack returns them. Call it before the first
-// Get. The pool's own counters read as without a store — a frame drawn
-// from s counts as allocated, since this pool's stream needed one more
-// buffer.
-func (p *Pool) SetStore(s *Store) { p.store = s }
+// Get, and end every tenancy with HandBack: the store keeps frames while
+// it has a tenant. The pool's own counters read as without a store — a
+// frame drawn from s counts as allocated, since this pool's stream needed
+// one more buffer. A nil s leaves the pool without a store.
+func (p *Pool) SetStore(s *Store) {
+	p.store = s
+	if s != nil {
+		p.turn = s.attach()
+	}
+}
 
 // HandBack ends the pool's tenancy of its store, if it has one: the idle
 // frames go back (see Store), frames still handed out are written off, and
@@ -46,7 +53,7 @@ func (p *Pool) HandBack() {
 	}
 	p.mu.Unlock()
 	if s != nil {
-		s.handBack(idle, lent)
+		s.handBack(idle, lent, p.turn)
 	}
 }
 

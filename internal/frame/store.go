@@ -5,19 +5,28 @@ import "sync"
 // Store is a stock of spare frames shared by the pools of one service, so
 // that a stream's frames cost an allocation (and the collector a sweep)
 // only while the service's working set grows, not once per stream. A Pool
-// attached with SetStore draws from the store when its own free list is
-// empty and gives its idle frames back with HandBack when its stream ends.
+// attached with SetStore is a tenant: it draws from the store when its own
+// free list is empty and gives its idle frames back with HandBack when its
+// stream ends.
 //
 // The store is bounded in bytes by its own state: what it keeps idle never
-// exceeds twice what is lent — the bytes attached pools have drawn and not
-// yet handed back. The stock has to seat what the live tenants will hand
-// back, which is their peaks; a pool only grows, so a tenant met at a
-// random point of its life holds about half of what it will end with, and
-// twice the lent bytes is that sum of peaks. The service's frame memory
-// thus stays within three times what its live streams use; with no live
-// stream the bound is zero and the store is empty, and a frame larger than
-// the bound (one oversized stream among a few small ones) is never kept.
-// The bound is enforced where lent bytes fall, in the hand-back.
+// exceeds the most that was lent at once — drawn by tenants and not yet
+// handed back — over the current turnover of its tenants and the two
+// before it. A turnover ends when every tenant that was live at its start
+// has handed back. The stock has to seat what an ending stream hands back
+// until the stream that takes its place has drawn it again, and under a
+// steady load the most lent at once is what the live streams draw between
+// them, so the frames a stream hands back are the next one's. What one
+// stream draws varies with how far its decode runs ahead of its display,
+// so that sum has a tail: over two turnovers its maximum falls short of a
+// later one often enough that about one frame in twenty is allocated, over
+// three about one in forty. A burst raises the bound only as long as its
+// streams are live and two turnovers after: then the bound is what the
+// load that followed draws. The service's frame memory thus stays within
+// twice its recent working set; with no live tenant the bound is zero and
+// the store is empty, and a frame larger than the bound is never kept.
+// Lent bytes fall, and the bound moves down, only in a hand-back, which
+// enforces it.
 //
 // A frame that leaves the store has belonged to another stream: Pool.Get
 // clears it to mid-grey before anyone decodes into it: tenant isolation,
@@ -26,6 +35,11 @@ type Store struct {
 	mu    sync.Mutex
 	spare map[[2]int][]*Frame // by coded width and height
 	st    StoreStats
+
+	turn  int      // turnovers ended so far
+	older int      // live tenants attached before the current turnover began
+	newer int      // live tenants attached since
+	peaks [3]int64 // most lent at once in the current turnover and the two before
 }
 
 // StoreStats is a snapshot of a store's counters.
@@ -35,10 +49,13 @@ type StoreStats struct {
 	SpareBytes int64 // bytes idle in the store now
 	PeakBytes  int64 // high watermark of SpareBytes
 	LentBytes  int64 // bytes attached pools have drawn and not handed back
+	// WorkingBytes is the most lent at once over the current turnover of
+	// the tenants and the two before it: the bound on SpareBytes.
+	WorkingBytes int64
 }
 
-// Bound returns the most the store would keep at the snapshot's LentBytes.
-func (s StoreStats) Bound() int64 { return 2 * s.LentBytes }
+// Bound returns the most the store would keep in the snapshot's state.
+func (s StoreStats) Bound() int64 { return s.WorkingBytes }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
@@ -62,7 +79,7 @@ func (s *Store) take(width, height int) (f *Frame, recycled bool) {
 		l[len(l)-1] = nil
 		s.spare[key] = l[:len(l)-1]
 		s.st.SpareBytes -= int64(f.Bytes())
-		s.st.LentBytes += int64(f.Bytes())
+		s.lend(int64(f.Bytes()))
 		s.st.Reused++
 		s.mu.Unlock()
 		f.Width, f.Height = width, height
@@ -71,20 +88,50 @@ func (s *Store) take(width, height int) (f *Frame, recycled bool) {
 	s.mu.Unlock()
 	f = New(width, height)
 	s.mu.Lock()
-	s.st.LentBytes += int64(f.Bytes())
+	s.lend(int64(f.Bytes()))
 	s.st.Fresh++
 	s.mu.Unlock()
 	return f, false
 }
 
-// handBack ends one pool's tenancy: lent bytes stop counting whether or not
-// their frames came back, the idle frames are kept as far as the bound
-// allows, and what the lower bound no longer allows of the older stock is
-// dropped for the collector.
-func (s *Store) handBack(idle []*Frame, lent int64) {
+// attach registers a tenant and returns the turnover it joined in.
+func (s *Store) attach() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.newer++
+	return s.turn
+}
+
+// lend counts n more bytes lent, under s.mu.
+func (s *Store) lend(n int64) {
+	s.st.LentBytes += n
+	s.peaks[0] = max(s.peaks[0], s.st.LentBytes)
+	s.st.WorkingBytes = max(s.st.WorkingBytes, s.peaks[0])
+}
+
+// handBack ends the tenancy of a pool that joined in turnover turn: lent
+// bytes stop counting whether or not their frames came back, the turnover
+// ends if this was the last of the tenants it began with, the idle frames
+// are kept as far as the bound allows, and what a lower bound no longer
+// allows of the older stock is dropped for the collector.
+func (s *Store) handBack(idle []*Frame, lent int64, turn int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.st.LentBytes -= lent
+	if turn == s.turn {
+		s.newer--
+	} else {
+		s.older--
+	}
+	if s.older == 0 {
+		s.turn++
+		s.older, s.newer = s.newer, 0
+		s.peaks = [3]int64{s.st.LentBytes, s.peaks[0], s.peaks[1]}
+		if s.older == 0 {
+			s.peaks = [3]int64{} // no tenant is live: keep nothing
+		}
+		s.st.WorkingBytes = max(s.peaks[0], s.peaks[1], s.peaks[2])
+	}
 	bound := s.st.Bound()
 	for key, l := range s.spare {
 		for len(l) > 0 && s.st.SpareBytes > bound {

@@ -62,54 +62,111 @@ func TestStoreFrameCrossesWiped(t *testing.T) {
 	}
 }
 
-// The store keeps no more than twice what is lent: the bound follows the
-// live tenants, falls with them, and a frame larger than it is never kept.
+// The store keeps no more than the most lent at once over the current
+// turnover of its tenants and the two before it: the bound rises with what
+// tenants draw and falls three turnovers later, a leaked frame is written
+// off, and with no tenant left the store is empty.
 func TestStoreBound(t *testing.T) {
 	small, big := int64(New(48, 32).Bytes()), int64(New(352, 240).Bytes())
+	if big <= 5*small {
+		t.Fatalf("test geometry: big frame %d, five small ones %d", big, 5*small)
+	}
 	s := NewStore()
-	live := tenant(s, 48, 32, 2)
+	want := func(step string, lent, spare, bound int64) {
+		t.Helper()
+		if st := s.Stats(); st.LentBytes != lent || st.SpareBytes != spare || st.Bound() != bound {
+			t.Fatalf("%s: %+v, want lent %d, spare %d, bound %d", step, st, lent, spare, bound)
+		}
+	}
+	a := tenant(s, 48, 32, 2)
 
-	// Two small frames lent: a leaving tenant's five come back as four.
+	// Seven small frames were lent at once; a leaving tenant's five are
+	// all kept for whoever takes its place. Its hand-back ends the first
+	// turnover: no tenant is older than it.
 	tenant(s, 48, 32, 5).HandBack()
-	if st := s.Stats(); st.LentBytes != 2*small || st.SpareBytes != 4*small || st.Bound() != 4*small {
-		t.Fatalf("five handed back beside two lent: %+v", st)
-	}
-	// A big frame does not fit under a bound of four small ones, and does
-	// not push the small ones out.
-	if big <= 4*small {
-		t.Fatalf("test geometry: big frame %d, bound %d", big, 4*small)
-	}
+	want("five handed back beside two lent", 2*small, 5*small, 7*small)
+
+	// A tenant of another size raises the bound by its own draw, so one of
+	// its two frames fits beside the small stock and the other does not.
 	tenant(s, 352, 240, 2).HandBack()
-	if st := s.Stats(); st.SpareBytes != 4*small || st.PeakBytes != 4*small {
-		t.Fatalf("big frames beside a small bound: %+v (a big frame is %d)", st, big)
+	want("two big frames handed back", 2*small, 5*small+big, 2*small+2*big)
+
+	// A tenant lives on a spare frame; when a, the last tenant of the
+	// second turnover, leaves, the third begins with the big frames kept.
+	c := tenant(s, 48, 32, 1)
+	a.HandBack()
+	want("a turnover after the big tenant", small, 6*small+big, 2*small+2*big)
+
+	// c leaks its frame: it is written off with the tenancy, and a second
+	// hand-back is nothing. c was the last tenant of the third turnover.
+	d := tenant(s, 48, 32, 1)
+	c.Get()
+	c.HandBack()
+	c.HandBack()
+	want("a leaking tenant ends the next", small, 5*small+big, 2*small+2*big)
+
+	// One more turnover, and the big tenant's draw leaves the bound and
+	// its frame the stock.
+	e := tenant(s, 48, 32, 1)
+	d.HandBack()
+	if st := s.Stats(); st.LentBytes != small || st.Bound() != 2*small || st.SpareBytes > 2*small || len(s.spare[[2]int{352, 240}]) != 0 {
+		t.Fatalf("three turnovers after the big tenant: %+v, %d big frames kept", st, len(s.spare[[2]int{352, 240}]))
 	}
-	// A tenant that draws one of the spare frames and never puts it back:
-	// the frame is written off with the tenancy, not lent for ever.
-	leaky := tenant(s, 48, 32, 1)
-	leaky.Get()
-	leaky.HandBack()
-	leaky.HandBack() // and a second hand-back is nothing
-	if st := s.Stats(); st.LentBytes != 2*small || st.SpareBytes != 3*small {
-		t.Fatalf("after a leaking tenant: %+v", st)
-	}
-	// A tenant that lives on a spare frame and hands it back leaves the
-	// books as they were.
-	other := tenant(s, 48, 32, 1)
-	if st := s.Stats(); st.LentBytes != 3*small || st.SpareBytes != 2*small {
-		t.Fatalf("a third tenant drew from the stock: %+v", st)
-	}
-	other.HandBack()
-	if st := s.Stats(); st.LentBytes != 2*small || st.SpareBytes != 3*small {
-		t.Fatalf("and handed back: %+v", st)
-	}
+
 	// The last tenant leaves: nothing is lent, nothing is kept, its own
 	// idle frames included.
-	live.HandBack()
-	if st := s.Stats(); st.LentBytes != 0 || st.SpareBytes != 0 || len(s.spare) != 0 {
+	e.HandBack()
+	if st := s.Stats(); st.LentBytes != 0 || st.SpareBytes != 0 || st.Bound() != 0 || len(s.spare) != 0 {
 		t.Fatalf("idle store holds %+v, %d lists", st, len(s.spare))
 	}
-	if st := s.Stats(); st.Reused != 2 || st.Fresh != 2+5+2 {
+	if st := s.Stats(); st.Reused != 3 || st.Fresh != 2+5+2 {
 		t.Fatalf("counters: %+v", st)
+	}
+}
+
+// A burst of thirty-two streams, then two at a time: while the burst
+// drains, each stream that takes an ended one's place draws its frames
+// from the stock, and within six hand-backs of the burst's last (three
+// turnovers of two streams) the stock holds no more than the two live
+// streams draw. When they end, it is empty.
+func TestStoreBurst(t *testing.T) {
+	const draw = 3 // frames one stream draws
+	one := int64(New(48, 32).Bytes())
+	s := NewStore()
+	live := make([]*Pool, 32)
+	for i := range live {
+		live[i] = tenant(s, 48, 32, draw)
+	}
+	fresh := s.Stats().Fresh
+	handBacks := 0
+	// Two clients carry on: live[0] and live[1] are theirs, and each of
+	// their streams that ends is replaced by a new one.
+	next := func(c int) {
+		live[c].HandBack()
+		handBacks++
+		live[c] = tenant(s, 48, 32, draw)
+	}
+	for i := 2; i < 32; i++ {
+		live[i].HandBack()
+		handBacks++
+		next(i % 2)
+	}
+	if st := s.Stats(); st.Fresh != fresh {
+		t.Fatalf("streams after the burst allocated %d frames beside its stock: %+v", st.Fresh-fresh, st)
+	}
+	for end := handBacks + 6; handBacks < end; {
+		next(handBacks % 2)
+	}
+	for k := 0; k < 16; k++ {
+		next(k % 2)
+		if st := s.Stats(); st.SpareBytes > 2*draw*one || st.LentBytes != 2*draw*one {
+			t.Fatalf("two streams live, %d hand-backs after the burst: %+v (they draw %d)", 6+k+1, st, 2*draw*one)
+		}
+	}
+	live[0].HandBack()
+	live[1].HandBack()
+	if st := s.Stats(); st.SpareBytes != 0 || st.LentBytes != 0 || len(s.spare) != 0 {
+		t.Fatalf("no stream live, store holds %+v", st)
 	}
 }
 

@@ -79,9 +79,9 @@ func TestLentFramesIsolateTenants(t *testing.T) {
 		}
 		fresh.Close()
 
-		// The store keeps no more than is lent, so a third stream holds
-		// its frames, parked in the delivery of its last picture, while
-		// the bright stream comes and goes.
+		// The store keeps nothing once no stream is live, so a third
+		// stream, parked in the delivery of its last picture, stays live
+		// while the bright stream comes and goes.
 		srv := server.NewServer(server.Config{Workers: 3, DisableAutoDegrade: true})
 		parked, release := make(chan struct{}), make(chan struct{})
 		held := make(chan error, 1)
@@ -135,15 +135,15 @@ func TestLentFramesIsolateTenants(t *testing.T) {
 // TestLendingUnderChurn is the accounting half: two geometries, sixteen
 // clients at once with two streams each, half of them cancelled mid-stream. No stream leaks,
 // every snapshot of the store — one after each stream's hand-back and a
-// sampler's in between — has its spare bytes within its bound, and the
-// store is empty once the streams are done, before Close and after.
+// sampler's in between — has its spare bytes within its bound (the most
+// lent at once over the last two turnovers of its tenants), and the store
+// is empty once the streams are done, before Close and after.
 func TestLendingUnderChurn(t *testing.T) {
 	small, big := testStream(t, 64, 48, 24, 4), testStream(t, 176, 120, 24, 4)
 	srv := server.NewServer(server.Config{Workers: 3, MaxStreams: 16, DefaultDemand: 0.01, DisableAutoDegrade: true})
 
 	// Spare bytes within the bound at every instant also means no frame
-	// larger than the bound is ever among them: when only small streams
-	// are live, a big stream's frames are not kept.
+	// larger than the bound is ever among them.
 	var once sync.Once
 	check := func(fs frame.StoreStats) {
 		if fs.SpareBytes > fs.Bound() || fs.SpareBytes < 0 || fs.LentBytes < 0 {
