@@ -13,18 +13,12 @@ import "sync"
 // exceeds the most that was lent at once — drawn by tenants and not yet
 // handed back — over the current turnover of its tenants and the two
 // before it. A turnover ends when every tenant that was live at its start
-// has handed back. The stock has to seat what an ending stream hands back
-// until the stream that takes its place has drawn it again, and under a
-// steady load the most lent at once is what the live streams draw between
-// them, so the frames a stream hands back are the next one's. What one
-// stream draws varies with how far its decode runs ahead of its display,
-// so that sum has a tail: over two turnovers its maximum falls short of a
-// later one often enough that about one frame in twenty is allocated, over
-// three about one in forty. A burst raises the bound only as long as its
-// streams are live and two turnovers after: then the bound is what the
-// load that followed draws. The service's frame memory thus stays within
-// twice its recent working set; with no live tenant the bound is zero and
-// the store is empty, and a frame larger than the bound is never kept.
+// has handed back. Under a steady load that peak is what the live streams
+// draw between them, so what one stream hands back is the next one's; a
+// window of three turnovers, not two, covers the spread of what one stream
+// draws (DESIGN.md, "What a stream costs"). A burst's stock goes three
+// turnovers after the load falls; with no live tenant the bound is zero
+// and the store is empty, and a frame larger than the bound is never kept.
 // Lent bytes fall, and the bound moves down, only in a hand-back, which
 // enforces it.
 //
