@@ -22,8 +22,8 @@ import (
 // decode order; second level: that picture's slices).
 type picState struct {
 	rng *PictureRange
-	// data holds the bytes rng's offsets index into: the unit's (its own
-	// copy of the group, or the whole stream when the unit borrows it).
+	// data holds the bytes rng's offsets index into: the unit's (its
+	// group's bytes, or the whole stream for a decode of a scanned stream).
 	data       []byte
 	hdr        mpeg2.PictureHeader
 	params     mpeg2.PictureParams

@@ -13,12 +13,13 @@ import (
 )
 
 // Unit is one group of pictures handed from the scan to the executor. The
-// streaming scanner of a reader makes Data an owned copy of the group's
-// bytes (so the scan window can slide on) with the scanned range rebased to
-// that copy; a decode of an in-memory stream, scanned whole or as it goes,
-// lends every unit the whole stream (Base 0, the range as scanned). Either
-// way the unit is charged for the bytes of its range — for an in-memory
-// stream, bytes the caller holds, not a copy — and nothing writes to Data.
+// streaming scanner makes Data the group's bytes, with the scanned range
+// rebased to them: the caller's bytes in place for an in-memory stream, an
+// owned copy for a reader (so the scan window can slide on). A decode of a
+// scanned stream lends every unit the whole stream (Base 0, the range as
+// scanned). Either way the unit is charged for the bytes of its range — for
+// an in-memory stream, bytes the caller holds, not a copy — and nothing
+// writes to Data.
 type Unit struct {
 	G    int    // group index, in stream order
 	Base int    // absolute stream offset of Data[0]

@@ -182,7 +182,7 @@ type slackPlan struct {
 // stands down — unknown cost is not free cost.
 func (s *Server) planSlack(st *stream, u *core.Unit) slackPlan {
 	var sp slackPlan
-	sp.cost = s.cost.Predict(int64(len(u.Data)))
+	sp.cost = s.cost.Predict(int64(u.Range.End - u.Range.Offset))
 	if st.deadline <= 0 || !s.cost.Calibrated() {
 		return sp
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"strings"
@@ -8,7 +9,10 @@ import (
 	"time"
 
 	"mpeg2par/internal/core"
+	"mpeg2par/internal/encoder"
+	"mpeg2par/internal/frame"
 	"mpeg2par/internal/sched"
+	scan "mpeg2par/internal/stream"
 )
 
 func TestEDFActive(t *testing.T) {
@@ -348,5 +352,52 @@ func TestEmptyPoolAdmitsClampedDemand(t *testing.T) {
 	s.releaseSlot(d)
 	if m := s.Metrics(); m.DemandUsed != 0 || m.QueuedAdm != 0 {
 		t.Fatalf("books after the last release: %+v", m)
+	}
+}
+
+// TestPlanSlackPricesTheGroup: the slack planner prices a unit by the bytes
+// of its group. An in-memory source, whose units borrow the caller's bytes,
+// must price every group as a reader source does, never as the whole
+// stream: a multi-group stream priced by its length is charged that many
+// times over, and the inflated cost sheds pictures of a deadline stream
+// that has ample slack.
+func TestPlanSlackPricesTheGroup(t *testing.T) {
+	res, err := encoder.EncodeSequence(encoder.Config{
+		Width: 64, Height: 48, Pictures: 12, GOPSize: 4, RepeatSequenceHeader: true,
+	}, frame.NewSynth(64, 48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &sched.CostModel{}
+	for i := 0; i < 4; i++ {
+		model.Observe(1000, time.Millisecond)
+	}
+	s := &Server{cost: model}
+	s.cfg.Workers = 1
+	st := &stream{srv: s, deadline: 10 * time.Second}
+	price := func(src scan.Source) (plans []slackPlan, groups []int64) {
+		_, _, err := scan.ScanUnits(context.Background(), src, 1024, false, nil, nil, func(u core.Unit) error {
+			plans = append(plans, s.planSlack(st, &u))
+			groups = append(groups, int64(u.Range.End-u.Range.Offset))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plans, groups
+	}
+	mem, groups := price(scan.Source{Data: res.Data})
+	rd, _ := price(scan.Source{R: bytes.NewReader(res.Data)})
+	if len(mem) < 3 || len(mem) != len(rd) {
+		t.Fatalf("%d in-memory units, %d reader units; want the same 3 or more", len(mem), len(rd))
+	}
+	for g := range mem {
+		if want := model.Predict(groups[g]); mem[g].cost != want || rd[g].cost != want {
+			t.Errorf("group %d (%d bytes of %d): in-memory cost %v, reader %v, want %v",
+				g, groups[g], len(res.Data), mem[g].cost, rd[g].cost, want)
+		}
+		if !mem[g].known || mem[g].floor != core.ShedNone {
+			t.Errorf("group %d: in-memory plan %+v, want a known slack and no shed", g, mem[g])
+		}
 	}
 }

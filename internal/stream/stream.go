@@ -171,12 +171,11 @@ func rebaseGOP(gr *core.GOPRange, delta int) {
 
 // ScanUnits drives the incremental scan over src, invoking feed with each
 // closed group of pictures as a core.Unit, exactly the units stream.Decode
-// feeds its executor. A unit of an in-memory source borrows src.Data, its
-// scanned range indexing the whole stream, as core.DecodeScanned's units
-// do: nothing is copied, and the bytes a unit holds in flight are the
-// caller's. A reader is scanned in chunkSize-byte reads, and each unit
-// owns a copy of its group's bytes with the range rebased to it, so that
-// the window can slide on. A feed error aborts the scan and is returned.
+// feeds its executor. A unit's Data is its group's bytes, with the scanned
+// range rebased to them: for an in-memory source a subslice of src.Data —
+// nothing is copied, and the bytes a unit holds in flight are the
+// caller's — and for a reader, scanned in chunkSize-byte reads, a copy, so
+// that the window can slide on. A feed error aborts the scan and is returned.
 // gauge (may be nil) receives the window's byte deltas, none for an
 // in-memory source; note (may be nil) is called with the running picture
 // count after every scan step. Returns the pictures scanned and the
@@ -195,13 +194,12 @@ func ScanUnits(ctx context.Context, src Source, chunkSize int, lenient bool, gau
 		}
 		// The unit owns the range the scan has just let go of until its
 		// last picture completes.
-		u := core.Unit{G: g, Seq: *ss.Seq(), Data: w.buf, Range: *gr}
+		u := core.Unit{G: g, Seq: *ss.Seq(), Base: gr.Offset, Data: w.bytes(gr.Offset, gr.End), Range: *gr}
 		if w.r != nil {
 			// Copy the group out of the window so the window can slide on.
-			u.Base = gr.Offset
-			u.Data = append([]byte(nil), w.bytes(gr.Offset, gr.End)...)
-			rebaseGOP(&u.Range, u.Base)
+			u.Data = append([]byte(nil), u.Data...)
 		}
+		rebaseGOP(&u.Range, u.Base)
 		return feed(u)
 	}
 	scanStart := time.Now()
