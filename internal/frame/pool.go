@@ -21,7 +21,6 @@ type Pool struct {
 	peakBytes  int64
 	totalAlloc int64  // cumulative bytes ever allocated (not recycled)
 	store      *Store // where frames come from and go back to; nil: New and the collector
-	turn       int    // the store's turnover this pool's tenancy began in
 }
 
 // NewPool returns a pool producing width×height frames.
@@ -38,7 +37,7 @@ func NewPool(width, height int) *Pool {
 func (p *Pool) SetStore(s *Store) {
 	p.store = s
 	if s != nil {
-		p.turn = s.attach()
+		s.attach()
 	}
 }
 
@@ -53,7 +52,7 @@ func (p *Pool) HandBack() {
 	}
 	p.mu.Unlock()
 	if s != nil {
-		s.handBack(idle, lent, p.turn)
+		s.handBack(idle, lent)
 	}
 }
 

@@ -12,13 +12,15 @@ import "sync"
 // The store is bounded in bytes by its own state: what it keeps idle never
 // exceeds the most that was lent at once — drawn by tenants and not yet
 // handed back — over the current turnover of its tenants and the two
-// before it. A turnover ends when every tenant that was live at its start
-// has handed back. Under a steady load that peak is what the live streams
-// draw between them, so what one stream hands back is the next one's; a
-// window of three turnovers, not two, covers the spread of what one stream
-// draws (DESIGN.md, "What a stream costs"). A burst's stock goes three
-// turnovers after the load falls; with no live tenant the bound is zero
-// and the store is empty, and a frame larger than the bound is never kept.
+// before it. A turnover ends after as many hand-backs as there were live
+// tenants at its start, whichever tenants hand back: a long-lived tenant
+// does not hold it open. Under a steady load that peak is what the live
+// streams draw between them, so what one stream hands back is the next
+// one's; a window of three turnovers, not two, covers the spread of what
+// one stream draws (DESIGN.md, "What a stream costs"). A burst's stock goes
+// three turnovers after the load falls; with no live tenant the bound is
+// zero and the store is empty, and a frame larger than the bound is never
+// kept.
 // Lent bytes fall, and the bound moves down, only in a hand-back, which
 // enforces it.
 //
@@ -30,9 +32,8 @@ type Store struct {
 	spare map[[2]int][]*Frame // by coded width and height
 	st    StoreStats
 
-	turn  int      // turnovers ended so far
-	older int      // live tenants attached before the current turnover began
-	newer int      // live tenants attached since
+	live  int      // tenants attached and not handed back
+	left  int      // hand-backs that end the current turnover
 	peaks [3]int64 // most lent at once in the current turnover and the two before
 }
 
@@ -88,12 +89,11 @@ func (s *Store) take(width, height int) (f *Frame, recycled bool) {
 	return f, false
 }
 
-// attach registers a tenant and returns the turnover it joined in.
-func (s *Store) attach() int {
+// attach registers a tenant.
+func (s *Store) attach() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.newer++
-	return s.turn
+	s.live++
+	s.mu.Unlock()
 }
 
 // lend counts n more bytes lent, under s.mu.
@@ -103,25 +103,20 @@ func (s *Store) lend(n int64) {
 	s.st.WorkingBytes = max(s.st.WorkingBytes, s.peaks[0])
 }
 
-// handBack ends the tenancy of a pool that joined in turnover turn: lent
-// bytes stop counting whether or not their frames came back, the turnover
-// ends if this was the last of the tenants it began with, the idle frames
-// are kept as far as the bound allows, and what a lower bound no longer
-// allows of the older stock is dropped for the collector.
-func (s *Store) handBack(idle []*Frame, lent int64, turn int) {
+// handBack ends a tenancy: lent bytes stop counting whether or not their
+// frames came back, the turnover ends if this was the last hand-back it
+// waits for, the idle frames are kept as far as the bound allows, and what
+// a lower bound no longer allows of the older stock is dropped for the
+// collector.
+func (s *Store) handBack(idle []*Frame, lent int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.st.LentBytes -= lent
-	if turn == s.turn {
-		s.newer--
-	} else {
-		s.older--
-	}
-	if s.older == 0 {
-		s.turn++
-		s.older, s.newer = s.newer, 0
+	s.live--
+	if s.left--; s.left <= 0 {
+		s.left = s.live
 		s.peaks = [3]int64{s.st.LentBytes, s.peaks[0], s.peaks[1]}
-		if s.older == 0 {
+		if s.live == 0 {
 			s.peaks = [3]int64{} // no tenant is live: keep nothing
 		}
 		s.st.WorkingBytes = max(s.peaks[0], s.peaks[1], s.peaks[2])

@@ -65,7 +65,8 @@ func TestStoreFrameCrossesWiped(t *testing.T) {
 // The store keeps no more than the most lent at once over the current
 // turnover of its tenants and the two before it: the bound rises with what
 // tenants draw and falls three turnovers later, a leaked frame is written
-// off, and with no tenant left the store is empty.
+// off, and with no tenant left the store is empty. Here a is live
+// throughout, so every turnover is one hand-back long.
 func TestStoreBound(t *testing.T) {
 	small, big := int64(New(48, 32).Bytes()), int64(New(352, 240).Bytes())
 	if big <= 5*small {
@@ -82,7 +83,7 @@ func TestStoreBound(t *testing.T) {
 
 	// Seven small frames were lent at once; a leaving tenant's five are
 	// all kept for whoever takes its place. Its hand-back ends the first
-	// turnover: no tenant is older than it.
+	// turnover, which began with no tenant.
 	tenant(s, 48, 32, 5).HandBack()
 	want("five handed back beside two lent", 2*small, 5*small, 7*small)
 
@@ -91,27 +92,25 @@ func TestStoreBound(t *testing.T) {
 	tenant(s, 352, 240, 2).HandBack()
 	want("two big frames handed back", 2*small, 5*small+big, 2*small+2*big)
 
-	// A tenant lives on a spare frame; when a, the last tenant of the
-	// second turnover, leaves, the third begins with the big frames kept.
-	c := tenant(s, 48, 32, 1)
-	a.HandBack()
-	want("a turnover after the big tenant", small, 6*small+big, 2*small+2*big)
-
-	// c leaks its frame: it is written off with the tenancy, and a second
-	// hand-back is nothing. c was the last tenant of the third turnover.
-	d := tenant(s, 48, 32, 1)
+	// c draws the big frame and leaks it: it is written off with the
+	// tenancy, and a second hand-back is nothing.
+	c := NewPool(352, 240)
+	c.SetStore(s)
 	c.Get()
 	c.HandBack()
 	c.HandBack()
-	want("a leaking tenant ends the next", small, 5*small+big, 2*small+2*big)
+	want("a leaking tenant", 2*small, 5*small, 2*small+2*big)
 
-	// One more turnover, and the big tenant's draw leaves the bound and
-	// its frame the stock.
+	// A tenant lives on a spare frame while a leaves; a's frames are kept.
+	d := tenant(s, 48, 32, 1)
+	a.HandBack()
+	want("two turnovers after the big tenant", small, 6*small, 2*small+big)
+
+	// One more turnover, and the big tenant's draw leaves the bound: the
+	// stock falls to the most lent since, and d's frame is not kept.
 	e := tenant(s, 48, 32, 1)
 	d.HandBack()
-	if st := s.Stats(); st.LentBytes != small || st.Bound() != 2*small || st.SpareBytes > 2*small || len(s.spare[[2]int{352, 240}]) != 0 {
-		t.Fatalf("three turnovers after the big tenant: %+v, %d big frames kept", st, len(s.spare[[2]int{352, 240}]))
-	}
+	want("three turnovers after the big tenant", small, 3*small, 3*small)
 
 	// The last tenant leaves: nothing is lent, nothing is kept, its own
 	// idle frames included.
@@ -129,10 +128,24 @@ func TestStoreBound(t *testing.T) {
 // from the stock, and within six hand-backs of the burst's last (three
 // turnovers of two streams) the stock holds no more than the two live
 // streams draw. When they end, it is empty.
-func TestStoreBurst(t *testing.T) {
+func TestStoreBurst(t *testing.T) { storeBurst(t, false) }
+
+// The same burst beside a tenant that is live throughout, as a long stream
+// is: the turnovers run on the other tenants' hand-backs, so the burst's
+// stock goes within nine hand-backs of its last (three turnovers of three
+// streams) and does not wait for the long tenant to end.
+func TestStoreBurstBesideLongTenant(t *testing.T) { storeBurst(t, true) }
+
+func storeBurst(t *testing.T, long bool) {
 	const draw = 3 // frames one stream draws
 	one := int64(New(48, 32).Bytes())
 	s := NewStore()
+	var lasting *Pool
+	steady, within := 2*draw*one, 6
+	if long {
+		lasting = tenant(s, 48, 32, draw)
+		steady, within = 3*draw*one, 9
+	}
 	live := make([]*Pool, 32)
 	for i := range live {
 		live[i] = tenant(s, 48, 32, draw)
@@ -154,17 +167,20 @@ func TestStoreBurst(t *testing.T) {
 	if st := s.Stats(); st.Fresh != fresh {
 		t.Fatalf("streams after the burst allocated %d frames beside its stock: %+v", st.Fresh-fresh, st)
 	}
-	for end := handBacks + 6; handBacks < end; {
+	for end := handBacks + within; handBacks < end; {
 		next(handBacks % 2)
 	}
 	for k := 0; k < 16; k++ {
 		next(k % 2)
-		if st := s.Stats(); st.SpareBytes > 2*draw*one || st.LentBytes != 2*draw*one {
-			t.Fatalf("two streams live, %d hand-backs after the burst: %+v (they draw %d)", 6+k+1, st, 2*draw*one)
+		if st := s.Stats(); st.SpareBytes > steady || st.LentBytes != steady {
+			t.Fatalf("%d hand-backs after the burst: %+v (the live streams draw %d)", within+k+1, st, steady)
 		}
 	}
 	live[0].HandBack()
 	live[1].HandBack()
+	if lasting != nil {
+		lasting.HandBack()
+	}
 	if st := s.Stats(); st.SpareBytes != 0 || st.LentBytes != 0 || len(s.spare) != 0 {
 		t.Fatalf("no stream live, store holds %+v", st)
 	}

@@ -136,7 +136,8 @@ func TestLentFramesIsolateTenants(t *testing.T) {
 // clients at once with two streams each, half of them cancelled mid-stream. No stream leaks,
 // every snapshot of the store — one after each stream's hand-back and a
 // sampler's in between — has its spare bytes within its bound (the most
-// lent at once over the last two turnovers of its tenants), and the store
+// lent at once over the current turnover of its tenants and the two before
+// it), and the store
 // is empty once the streams are done, before Close and after.
 func TestLendingUnderChurn(t *testing.T) {
 	small, big := testStream(t, 64, 48, 24, 4), testStream(t, 176, 120, 24, 4)
