@@ -76,7 +76,7 @@ func WithFrameSink(sink FrameSink) Option {
 }
 
 // WithMaxInFlight bounds the scan-ahead window: how many groups of
-// pictures may be buffered or decoding at once before the scan process
+// pictures may be fed and not yet delivered before the scan process
 // blocks. Smaller values cut peak memory (Stats.PeakInFlightBytes);
 // larger values let the scan run further ahead. Zero (the default)
 // selects 2×workers+2. For a FromBytes source the in-flight bytes are the

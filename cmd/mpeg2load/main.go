@@ -34,7 +34,7 @@ func main() {
 	width := flag.Int("width", 48, "stream width")
 	height := flag.Int("height", 32, "stream height")
 	deadline := flag.Duration("deadline", 250*time.Millisecond, "per-frame latency budget")
-	inflight := flag.Int("inflight", 2, "per-stream scan-ahead bound (MaxInFlight)")
+	inflight := flag.Int("inflight", 2, "per-stream scan-ahead bound: groups fed and not yet delivered (MaxInFlight)")
 	sinkDelay := flag.Duration("sinkdelay", 300*time.Microsecond, "artificial per-frame delivery cost (keeps the pool saturated; 0 disables)")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of the table")
 	flag.Parse()

@@ -97,10 +97,10 @@ type Options struct {
 	// stream.
 	Resilience Resilience
 
-	// MaxInFlight bounds the scan-ahead window: how many GOP units may be
-	// buffered or decoding at once before the scan process blocks
-	// (backpressure) — or, decoding a scanned stream, before the next
-	// group is handed over. Zero selects 2×EffectiveWorkers()+2.
+	// MaxInFlight bounds the scan-ahead window: how many groups may be fed
+	// and not yet delivered before the scan process blocks (backpressure)
+	// — or, decoding a scanned stream, before the next group is handed
+	// over. Zero selects 2×EffectiveWorkers()+2.
 	MaxInFlight int
 
 	// Obs, when non-nil, receives structured scheduling events from every
@@ -245,7 +245,7 @@ type Stats struct {
 	// Pipeline gauges.
 
 	// PeakInFlightBytes is the high watermark of buffered bitstream
-	// bytes: the scan window plus GOP task buffers not yet decoded. It is
+	// bytes: the scan window plus the groups fed and not yet delivered. It is
 	// bounded by the scan-ahead window (Options.MaxInFlight) and the GOP
 	// size, never by stream length — the paper's §5 memory claim, made
 	// measurable.

@@ -213,11 +213,23 @@ func TestSequentialScanAheadWindow(t *testing.T) {
 
 func TestFrameMemoryBounded(t *testing.T) {
 	// Slice-mode live frame memory stays at a handful of pictures no
-	// matter the GOP size, and with in-order execution (which is what a
-	// single-CPU host gives the goroutine engine) the GOP mode needs only
-	// its reference window too. The worker-count-dependent growth of the
-	// GOP mode under real concurrency is reproduced by the deterministic
-	// simulator (see internal/simsched), not this wall-clock engine.
+	// matter the GOP size, and GOP-mode memory grows with the groups in
+	// flight (the paper's Figs. 8-9), never with the pictures gone by: a
+	// group holds its place in the scan-ahead window until its last
+	// picture is delivered, so however the workers' tasks finish, no more
+	// than MaxInFlight groups' frames are live at once.
+	gop := testStream(t, 64, 48, 240, 8)
+	gopBound := int64(2*8) * int64(frame.New(64, 48).Bytes())
+	for run := 0; run < 20; run++ {
+		st, err := Decode(gop.Data, Options{Mode: ModeGOP, Workers: 2, MaxInFlight: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PeakFrameBytes > gopBound {
+			t.Fatalf("GOP mode, 2 groups in flight: peak %d bytes > %d (16 frames)", st.PeakFrameBytes, gopBound)
+		}
+	}
+
 	res := testStream(t, 96, 64, 24, 4)
 	frameBytes := int64(frame.New(96, 64).Bytes())
 	// The live set is the reference window plus the pipeline window the

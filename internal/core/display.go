@@ -28,14 +28,15 @@ type displayProc struct {
 	next      int
 	pool      *frame.Pool
 	sink      func(*frame.Frame)
+	delivered func(idx int) // told of each delivery, in display order (Session.delivered)
 	obs       *obs.Tracer
 	lane      int          // obs lane of delivery events (a stream lane in the service)
 	displayed atomic.Int64 // read without mu, so a slow sink never holds up its readers
 	err       error
 }
 
-func newDisplay(pool *frame.Pool, sink func(*frame.Frame), tr *obs.Tracer) *displayProc {
-	return &displayProc{pending: make(map[int]*frame.Frame), pool: pool, sink: sink, obs: tr, lane: obs.LaneDisplay}
+func newDisplay(pool *frame.Pool, sink func(*frame.Frame), delivered func(int), tr *obs.Tracer) *displayProc {
+	return &displayProc{pending: make(map[int]*frame.Frame), pool: pool, sink: sink, delivered: delivered, obs: tr, lane: obs.LaneDisplay}
 }
 
 // push hands one decoded picture (with its absolute display index) to the
@@ -68,6 +69,7 @@ func (d *displayProc) push(f *frame.Frame, idx int) {
 			d.pool.Put(g)
 		}
 		d.displayed.Add(1)
+		d.delivered(d.next)
 		d.next++
 	}
 }

@@ -63,7 +63,9 @@ func poolDecode(t *testing.T, data []byte, m *StreamMap, opt Options, stopAt int
 			break
 		}
 		var tk *SessionTask
-		tk, feedErr = s.FeedShed(Unit{G: g, Data: data, Range: m.GOPs[g], Seq: m.Seq}, ShedNone)
+		if feedErr = s.Reserve(context.Background()); feedErr == nil {
+			tk, feedErr = s.FeedShed(Unit{G: g, Data: data, Range: m.GOPs[g], Seq: m.Seq}, ShedNone)
+		}
 		if tk != nil {
 			tasks <- tk
 		}
@@ -71,6 +73,57 @@ func poolDecode(t *testing.T, data []byte, m *StreamMap, opt Options, stopAt int
 	close(tasks)
 	wg.Wait()
 	return s.Finish(feedErr)
+}
+
+// TestSessionWindowClosesOnDelivery: a group holds its place in the
+// session's scan-ahead window until its last picture is delivered, not
+// until its task returns. With a window of two, group 1 decoded ahead of
+// group 0 still waits in the reorder buffer, so a third group cannot be
+// fed — Reserve returns ctx's error — until group 0 is delivered.
+func TestSessionWindowClosesOnDelivery(t *testing.T) {
+	res := testStream(t, 64, 48, 24, 8)
+	m, err := Scan(res.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shown := 0
+	s, err := NewSession(Options{Workers: 1, MaxInFlight: 2, Sink: func(*frame.Frame) { shown++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(ctx context.Context, g int) (*SessionTask, error) {
+		if err := s.Reserve(ctx); err != nil {
+			return nil, err
+		}
+		return s.FeedShed(Unit{G: g, Data: res.Data, Range: m.GOPs[g], Seq: m.Seq}, ShedNone)
+	}
+	var tks [3]*SessionTask
+	for g := 0; g < 2; g++ {
+		if tks[g], err = feed(context.Background(), g); err != nil || tks[g] == nil {
+			t.Fatalf("group %d: task %v, err %v", g, tks[g], err)
+		}
+	}
+	var scr Scratch
+	if err := s.Run(tks[1], 0, &scr); err != nil || shown != 0 {
+		t.Fatalf("group 1 ran first: err %v, %d frames shown", err, shown)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := feed(ctx, 2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a third group fed while groups 0 and 1 were undelivered: err %v", err)
+	}
+	if err := s.Run(tks[0], 0, &scr); err != nil || shown != 16 {
+		t.Fatalf("group 0: err %v, %d frames shown", err, shown)
+	}
+	if tks[2], err = feed(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(tks[2], 0, &scr); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Finish(nil); err != nil || st.Displayed != 24 || st.LeakedFrameBytes != 0 {
+		t.Fatalf("finish: %+v, %v", st, err)
+	}
 }
 
 // dropSlice returns data without the bytes of one slice of group g's

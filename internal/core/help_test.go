@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -40,6 +41,9 @@ func helpDecode(t testing.TB, data []byte, opt Options, help bool, prep func(*Se
 	var scr, hscr Scratch
 	units := 0
 	for gi := range m.GOPs {
+		if err := sess.Reserve(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		tk, ferr := sess.FeedShed(Unit{G: gi, Data: data, Range: m.GOPs[gi], Seq: m.Seq}, ShedNone)
 		if ferr != nil {
 			runErr = ferr
@@ -92,6 +96,9 @@ func TestSessionTaskBytesBorrowed(t *testing.T) {
 	var scr Scratch
 	var total int64
 	for gi := range m.GOPs {
+		if err := sess.Reserve(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		tk, err := sess.FeedShed(Unit{G: gi, Data: res.Data, Range: m.GOPs[gi], Seq: m.Seq}, ShedNone)
 		if err != nil || tk == nil {
 			t.Fatalf("group %d: task %v, err %v", gi, tk, err)
@@ -431,6 +438,9 @@ func helpTask(t *testing.T, data []byte, sink func(*frame.Frame)) (*Session, *Se
 	}
 	sess, err := NewSession(Options{Workers: 2, Sink: sink})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Reserve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	tk, err := sess.FeedShed(Unit{G: 0, Data: data, Range: m.GOPs[0], Seq: m.Seq}, ShedNone)

@@ -32,17 +32,20 @@ const (
 // same plan in different orders, and the plan leaves no decision to
 // execution order.
 type plan struct {
-	// pics is a window of the planned pictures: a group's pictures leave
-	// it (retire) once every one of them has been decoded and handed to the
-	// display process — nothing still to run can name them, because
-	// references never leave a group — and take with them all that a
-	// picture pins: the unit's bytes and ranges, bounds, task lists and
-	// coverage. What is left is what a failed run's teardown must reclaim.
-	// planned counts the pictures that have passed through (the scan
-	// goroutine's, read by others once it is done). mu guards pics where
-	// groups retire on worker goroutines while the scan plans on.
+	// pics is a window of the planned pictures, in feed order, and groups
+	// the groups it holds, oldest first. A group leaves both (retire) once
+	// the display process has delivered its last picture: every picture of
+	// it has then completed and let go of what it read, and nothing still
+	// to run can name them, because references never leave a group. With
+	// it goes all that a picture pins: the unit's bytes and ranges,
+	// bounds, task lists and coverage. What is left is what a failed run's
+	// teardown must reclaim. planned counts the pictures that have passed
+	// through (the scan goroutine's, read by others once it is done). mu
+	// guards pics and groups, which delivery retires on worker goroutines
+	// while the scan plans on.
 	mu      sync.Mutex
 	pics    []*picState
+	groups  []planGroup
 	planned int
 	// pre holds the plan-time error accounting (dropped pictures and
 	// GOPs); slice-level damage is discovered during execution.
@@ -111,16 +114,27 @@ func buildPlan(data []byte, m *StreamMap, opt Options) (*plan, error) {
 	return &b.pl, nil
 }
 
-// retire drops a finished group's pictures from the plan (see plan.pics).
-func (pl *plan) retire(ps []*picState) {
-	if len(ps) == 0 {
-		return
-	}
+// planGroup is one group in the plan's window: how many of plan.pics are
+// its pictures, the display index after its last, and its compressed
+// bytes.
+type planGroup struct {
+	pics, end int
+	bytes     int64
+}
+
+// retire is told, in display order, of each picture delivered. Once that
+// is the oldest group's last, the group leaves the plan (see plan.pics)
+// and retire returns its bytes and true.
+func (pl *plan) retire(idx int) (int64, bool) {
 	pl.mu.Lock()
-	if i := slices.Index(pl.pics, ps[0]); i >= 0 {
-		pl.pics = slices.Delete(pl.pics, i, i+len(ps))
+	defer pl.mu.Unlock()
+	if len(pl.groups) == 0 || idx+1 != pl.groups[0].end {
+		return 0, false
 	}
-	pl.mu.Unlock()
+	g := pl.groups[0]
+	pl.groups = slices.Delete(pl.groups, 0, 1)
+	pl.pics = slices.Delete(pl.pics, 0, g.pics)
+	return g.bytes, true
 }
 
 // addGOP plans one group of pictures. data holds the bytes the group's
@@ -334,6 +348,7 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	}
 	pl.mu.Lock()
 	pl.pics = append(pl.pics, cands...)
+	pl.groups = append(pl.groups, planGroup{pics: n, end: b.displayBase + n, bytes: int64(gop.End - gop.Offset)})
 	pl.mu.Unlock()
 	pl.planned += n
 	b.displayBase += n

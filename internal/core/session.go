@@ -18,22 +18,29 @@ import (
 
 // Session is one stream's decode engine: the sequence header, the plan
 // grown from the scanned groups, the frame pool, the display process, the
-// first error and the run's Stats, and the teardown that reclaims all of
-// it. It owns no workers. Two drivers run it: the multi-stream service,
-// whose scan goroutine Feeds it and whose *shared* worker pool executes
-// the tasks it hands back through Run — the inversion that lets N streams
-// multiplex onto one pool — and StreamExecutor, which adds a scan-ahead
-// window and workers of its own (its GOP-grain workers call Run too; its
-// slice workers run the same plan through a slice queue).
+// first error and the run's Stats, the scan-ahead window, and the teardown
+// that reclaims all of it. It owns no workers. Two drivers run it: the
+// multi-stream service, whose scan goroutine Feeds it and whose *shared*
+// worker pool executes the tasks it hands back through Run — the inversion
+// that lets N streams multiplex onto one pool — and StreamExecutor, which
+// adds workers of its own (its GOP-grain workers call Run too; its slice
+// workers run the same plan through a slice queue).
 //
-// Concurrency contract: FeedShed and Finish are called from a single
-// goroutine (the stream's feeder); Run may be called concurrently from
-// any number of pool workers, one call per task, and SessionTask.Help and
-// Wake by others while it runs — only Run's worker displays; SetShed and
-// SetDegraded may be called from any goroutine and apply to units
-// planned after the call. Tasks of one session may run concurrently
-// and in any order — each task is one group of pictures, and the
-// plan's per-GOP reference reset makes groups independent.
+// The window holds Options.MaxInFlight groups fed and not yet delivered:
+// Reserve takes a place in it for the next FeedShed, and a group gives its
+// place back, leaves the plan and stops being charged its bytes at one
+// point, when the display process delivers its last picture. So what a
+// stream holds is bounded by the window, however its tasks finish.
+//
+// Concurrency contract: Reserve, FeedShed and Finish are called from a
+// single goroutine (the stream's feeder), a Reserve before every FeedShed;
+// Reserve blocks while the window is full. Run may be called concurrently
+// from any number of pool workers, one call per task, and SessionTask.Help
+// and Wake by others while it runs — only Run's worker displays; SetShed
+// and SetDegraded may be called from any goroutine and apply to units
+// planned after the call. Tasks of one session may run concurrently and in
+// any order — each task is one group of pictures, and the plan's per-GOP
+// reference reset makes groups independent.
 type Session struct {
 	opt  Options
 	lane int // obs lane for this stream's display + service events
@@ -46,6 +53,9 @@ type Session struct {
 	started bool
 
 	wallStart time.Time
+
+	window chan struct{} // a place per group fed and not yet delivered
+	held   atomic.Int64  // those groups' compressed bytes
 
 	shed     atomic.Int32 // ShedLevel for subsequently planned units
 	degraded atomic.Bool  // resilience floor for subsequently planned units
@@ -75,10 +85,6 @@ type SessionTask struct {
 	// degraded). Run decodes under it so execution-time damage handling
 	// matches the plan's promises.
 	policy Resilience
-
-	// unit is the StreamExecutor window slot the task holds (nil in the
-	// service, whose per-stream token gate plays that part).
-	unit *unitState
 }
 
 // Pictures returns how many pictures the task will complete.
@@ -123,9 +129,10 @@ func NewSession(opt Options) (*Session, error) {
 
 func newSession(opt Options) *Session {
 	s := &Session{
-		opt:  opt,
-		lane: obs.LaneDisplay,
-		st:   &Stats{Mode: opt.Mode, Workers: opt.EffectiveWorkers(), Kernels: kernels.Describe()},
+		opt:    opt,
+		lane:   obs.LaneDisplay,
+		st:     &Stats{Mode: opt.Mode, Workers: opt.EffectiveWorkers(), Kernels: kernels.Describe()},
+		window: make(chan struct{}, opt.EffectiveMaxInFlight()),
 	}
 	s.errs.done = make(chan struct{})
 	return s
@@ -159,6 +166,35 @@ func (s *Session) Abort(err error) { s.errs.set(err) }
 // Err returns the first latched failure, nil while healthy.
 func (s *Session) Err() error { return s.errs.get() }
 
+// Failed returns a channel closed once a failure is latched.
+func (s *Session) Failed() <-chan struct{} { return s.errs.done }
+
+// Reserve blocks until the scan-ahead window has a place for one more
+// group, which the next FeedShed takes. It returns ctx's error on
+// cancellation and the latched failure once there is one, holding no
+// place either way.
+func (s *Session) Reserve(ctx context.Context) error {
+	select {
+	case s.window <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.errs.done:
+		return s.Err()
+	}
+}
+
+// delivered is told, in display order, of each picture the display
+// process delivers. The last of the oldest group in flight releases that
+// group: it leaves the plan, stops being charged and gives back its place
+// in the window.
+func (s *Session) delivered(idx int) {
+	if bytes, ok := s.pb.pl.retire(idx); ok {
+		s.held.Add(-bytes)
+		<-s.window
+	}
+}
+
 // start builds the engine once the first unit has brought the frame
 // geometry; opt.Mode must be resolved by then.
 func (s *Session) start(u *Unit) {
@@ -168,7 +204,7 @@ func (s *Session) start(u *Unit) {
 	s.pb = newPlanBuilder(&s.seq, s.opt)
 	s.pool = frame.NewPool(s.seq.Width, s.seq.Height)
 	s.pool.SetStore(s.opt.Frames)
-	s.disp = newDisplay(s.pool, s.opt.Sink, s.opt.Obs)
+	s.disp = newDisplay(s.pool, s.opt.Sink, s.delivered, s.opt.Obs)
 	s.disp.lane = s.lane
 }
 
@@ -179,9 +215,15 @@ func (s *Session) start(u *Unit) {
 // and floor, which the service's slack predictor raises to sacrifice a
 // single already-doomed frame's B pictures before the ladder escalates
 // every stream; it plans under the session's resilience floor
-// (SetDegraded). FeedShed never blocks: the driver provides the
-// backpressure.
-func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
+// (SetDegraded). FeedShed never blocks: it uses the place Reserve took,
+// which the task holds until its last picture is delivered, and gives it
+// back at once when it returns no task.
+func (s *Session) FeedShed(u Unit, floor ShedLevel) (t *SessionTask, err error) {
+	defer func() {
+		if t == nil {
+			<-s.window
+		}
+	}()
 	if err := s.errs.get(); err != nil {
 		return nil, err
 	}
@@ -224,7 +266,7 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	if len(ps) == 0 {
 		return nil, nil
 	}
-	t := &SessionTask{
+	t = &SessionTask{
 		s:           s,
 		pics:        ps,
 		g:           u.G,
@@ -237,6 +279,7 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	}
 	t.q = sliceQueue{pics: slices.Clone(ps), pool: s.pool, solo: true, closed: true}
 	t.q.cond = sync.NewCond(&t.q.mu)
+	s.held.Add(t.bytes)
 	return t, nil
 }
 
@@ -287,9 +330,10 @@ type Scratch struct{ s sliceScratch }
 // Run executes one task on worker wi with that worker's scratch: decode
 // or substitute every picture of the group, releasing reference holds and
 // pushing each completed frame to the display process (which drains in
-// display order into the sink), after which the group leaves the plan. If
-// the session has already failed, Run returns the latched error without
-// decoding — the drain path that keeps teardown prompt. A decode error is
+// display order into the sink and releases the group once it has delivered
+// the last of its pictures). If the session has already failed, Run
+// returns the latched error without decoding — the drain path that keeps
+// teardown prompt. A decode error is
 // latched and returned. With Options.Profile the task's cost fills the
 // group's Stats.GOPCosts entry (its slices' fill Stats.SliceProf, as in
 // the slice modes). Workers calling Help
@@ -314,7 +358,6 @@ func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 		s.noteTask(t, wi, t1, false)
 		return err
 	}
-	s.pb.pl.retire(t.pics)
 	cost := s.noteTask(t, wi, t1, s.opt.Profile)
 	s.opt.Cost.Observe(t.bytes, cost)
 	return nil
@@ -367,9 +410,9 @@ func (t *SessionTask) Wake() {
 // stream-side verdict: nil on a clean end of stream, the context's error
 // on cancellation. Any failure — cause or a latched decode error —
 // switches Finish into teardown: the frames in the reorder buffer and
-// those of the pictures still in the plan (a group leaves it once every
-// picture of it has been decoded and handed to display) are forcibly
-// reclaimed, so a cancelled stream holds no picture memory. Stats are
+// those of the pictures still in the plan (a group leaves it once its last
+// picture has been delivered) are forcibly reclaimed, so a cancelled
+// stream holds no picture memory. Stats are
 // returned in both cases; LeakedFrameBytes reports pool bytes still
 // unaccounted (always zero — the cancellation and teardown tests assert
 // it). Either way the pool's idle frames then go back to Options.Frames,

@@ -87,9 +87,6 @@ type picState struct {
 	damaged int          // slices whose parse/reconstruction failed
 	resyncs int          // damaged slices recovered by a later startcode
 
-	// unit is the in-flight GOP buffer this picture decodes from; retired
-	// when its last picture completes.
-	unit *unitState
 	// prof, with Options.Profile in a slice mode, holds per task where its
 	// costs go: windows of the picture's PicProfile.SliceCosts.
 	prof [][]time.Duration
@@ -585,8 +582,8 @@ func (q *sliceQueue) shipPic(p *picState) {
 // slice worker, a task's owner and its helpers alike: take a task, run it
 // and finish it; complete (conceal, publish, hand to display, ship) each
 // picture finish or take hands over; stop when take has nothing more. note
-// hears of every task run (ti, from t0) and picture shipped (ti -1). A
-// FailFast failure fails the queue and is returned.
+// hears of every task run (ti, from t0). A FailFast failure fails the
+// queue and is returned.
 func (s *Session) drive(q *sliceQueue, wi int, ws *WorkerStats, opt Options, scr *sliceScratch, leave func() bool, note func(p *picState, ti int, t0 time.Time)) error {
 	for {
 		p, ti, ok := q.take(wi, ws, leave)
@@ -624,7 +621,6 @@ func (s *Session) drive(q *sliceQueue, wi int, ws *WorkerStats, opt Options, scr
 		releaseHolds(s.pool, p)
 		s.disp.push(p.frame, p.displayIdx)
 		q.shipPic(p)
-		note(p, -1, time.Time{})
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpeg2par/internal/mpeg2"
@@ -52,66 +51,31 @@ func (u *Unit) ShedSavings(l ShedLevel) int64 {
 	return b
 }
 
-// unitState tracks one in-flight unit: its buffered bytes stay charged
-// against the pipeline gauge, and its scan-ahead window slot stays
-// occupied, until the last picture decoded from it completes.
-type unitState struct {
-	exec      *StreamExecutor
-	bytes     int64
-	remaining int32       // pictures (or whole-group tasks) not yet completed
-	pics      []*picState // slice grain: the pictures to take out of the plan
-}
-
-// retire records one completed picture (or group task); the last one
-// releases the unit's bytes and its window slot, unblocking the scan
-// process, and takes the unit's slice-grain pictures out of the plan —
-// unless the run has failed, when Finish needs them to reclaim their
-// frames. (Session.Run takes a whole group out of the plan itself.)
-func (u *unitState) retire() {
-	if atomic.AddInt32(&u.remaining, -1) != 0 {
-		return
-	}
-	e := u.exec
-	if e.s.Err() == nil {
-		e.s.pb.pl.retire(u.pics)
-	}
-	e.mu.Lock()
-	e.unitBytes -= u.bytes
-	e.mu.Unlock()
-	<-e.sem
-}
-
-// StreamExecutor is the single-stream decode engine: a Session plus a
-// scan-ahead window and workers of its own. The scan Feeds it groups of
-// pictures as they are discovered (or, from a finished scan, one after
-// the other), the workers decode the plan the session grows from them,
-// and the session's display process delivers frames in display order as
-// soon as they are ready — all long before the stream has been fully
-// read. GOP-grain and sequential workers pull the session's tasks and
-// execute them through Session.Run, as the service's pool does; slice
-// workers take the same plan's tasks from a slice queue.
+// StreamExecutor is the single-stream decode engine: a Session plus
+// workers of its own. The scan Feeds it groups of pictures as they are
+// discovered (or, from a finished scan, one after the other), the workers
+// decode the plan the session grows from them, and the session's display
+// process delivers frames in display order as soon as they are ready — all
+// long before the stream has been fully read. GOP-grain and sequential
+// workers pull the session's tasks and execute them through Session.Run,
+// as the service's pool does; slice workers take the same plan's tasks
+// from a slice queue.
 //
-// Feed and Finish must be called from a single goroutine (the scan
-// process); the workers it starts are internal. How the stream is cut into
-// reads never shows in the output: the plan of a group depends on the
-// group alone.
+// Feed, AdjustBuffered, NoteScanned and Finish must be called from a
+// single goroutine (the scan process); the workers it starts are internal.
+// How the stream is cut into reads never shows in the output: the plan of
+// a group depends on the group alone.
 type StreamExecutor struct {
 	ctx context.Context
 	s   *Session
 
 	workers int
-	// sem is the scan-ahead window: one slot per in-flight unit. Feed
-	// blocks acquiring a slot — the backpressure that bounds buffered
-	// bitstream bytes by the window, never by stream length.
-	sem chan struct{}
 
 	tasks chan *SessionTask // ModeGOP / ModeSequential intake
 	q     *sliceQueue       // slice-mode intake
 
-	mu        sync.Mutex
 	winBytes  int64 // scanner window bytes (AdjustBuffered)
-	unitBytes int64 // live unit bytes
-	peakBytes int64
+	peakBytes int64 // most of window and fed groups' bytes at once
 	leadPeak  int
 
 	wg sync.WaitGroup
@@ -140,7 +104,6 @@ func NewStreamExecutor(ctx context.Context, opt Options) (*StreamExecutor, error
 		ctx:     ctx,
 		s:       newSession(opt),
 		workers: opt.EffectiveWorkers(),
-		sem:     make(chan struct{}, opt.EffectiveMaxInFlight()),
 	}, nil
 }
 
@@ -164,9 +127,9 @@ func (e *StreamExecutor) start(u *Unit) {
 		}
 		return
 	}
-	// Each queued task holds a window slot, so the channel never blocks
-	// a send at this capacity.
-	e.tasks = make(chan *SessionTask, cap(e.sem))
+	// Each queued task holds a place in the session's window, so the
+	// channel never blocks a send at this capacity.
+	e.tasks = make(chan *SessionTask, cap(e.s.window))
 	for wi := 0; wi < e.workers; wi++ {
 		e.wg.Add(1)
 		go e.gopWorker(wi)
@@ -194,54 +157,27 @@ func (e *StreamExecutor) resolveAuto(u *Unit) {
 }
 
 // Feed hands one scanned group of pictures to the workers. It blocks
-// while the scan-ahead window is full (backpressure against the scan
-// process) and returns early with the context's error on cancellation,
-// or with the first worker error once one is latched.
+// while the session's scan-ahead window is full (backpressure against the
+// scan process) and returns early with the context's error on
+// cancellation, or with the first worker error once one is latched.
 func (e *StreamExecutor) Feed(u Unit) error {
 	s := e.s
-	if err := s.Err(); err != nil {
-		return err
-	}
 	feedStart := time.Now()
-	select {
-	case e.sem <- struct{}{}:
-	case <-e.ctx.Done():
-		return e.ctx.Err()
-	case <-s.errs.done:
-		return s.Err()
+	if err := s.Reserve(e.ctx); err != nil {
+		return err
 	}
 	s.opt.Obs.Record(obs.KindFeed, obs.LaneScan, feedStart, time.Since(feedStart), u.G, -1, -1)
 	if !s.started {
 		e.start(&u)
 	}
-	us := &unitState{exec: e, bytes: int64(u.Range.End - u.Range.Offset)}
-	e.mu.Lock()
-	e.unitBytes += us.bytes
-	if t := e.unitBytes + e.winBytes; t > e.peakBytes {
-		e.peakBytes = t
-	}
-	e.mu.Unlock()
-
 	t, err := s.FeedShed(u, ShedNone)
-	if err != nil {
+	if t == nil {
 		return err
 	}
-	switch {
-	case t == nil:
-		// Empty or policy-dropped group: nothing will decode from the
-		// unit, release it immediately.
-		us.remaining = 1
-		us.retire()
-	case e.q != nil:
-		us.remaining = int32(len(t.pics))
-		us.pics = t.pics
-		for _, p := range t.pics {
-			p.unit = us
-		}
+	e.notePeak()
+	if e.q != nil {
 		e.q.append(t.pics)
-	default:
-		us.remaining = 1
-		t.unit = us
+	} else {
 		e.tasks <- t
 	}
 	return nil
@@ -250,12 +186,14 @@ func (e *StreamExecutor) Feed(u Unit) error {
 // AdjustBuffered charges (or releases) scanner window bytes against the
 // pipeline's in-flight gauge.
 func (e *StreamExecutor) AdjustBuffered(delta int64) {
-	e.mu.Lock()
 	e.winBytes += delta
-	if t := e.unitBytes + e.winBytes; t > e.peakBytes {
-		e.peakBytes = t
-	}
-	e.mu.Unlock()
+	e.notePeak()
+}
+
+// notePeak samples the in-flight gauge: the scanner window and the groups
+// fed and not yet delivered.
+func (e *StreamExecutor) notePeak() {
+	e.peakBytes = max(e.peakBytes, e.winBytes+e.s.held.Load())
 }
 
 // NoteScanned samples the scan-lead gauge: how far the scan process has
@@ -265,12 +203,7 @@ func (e *StreamExecutor) NoteScanned(pictures int) {
 	if e.s.disp != nil {
 		displayed = e.s.disp.count()
 	}
-	lead := pictures - displayed
-	e.mu.Lock()
-	if lead > e.leadPeak {
-		e.leadPeak = lead
-	}
-	e.mu.Unlock()
+	e.leadPeak = max(e.leadPeak, pictures-displayed)
 }
 
 // Finish closes the intake, joins the workers, and completes the run
@@ -297,10 +230,8 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 		st.Errors.Add(e.q.sum.es)
 		st.Split.Add(e.q.sum.sst)
 	}
-	e.mu.Lock()
 	st.PeakInFlightBytes = e.peakBytes
 	st.ScanLeadPeak = e.leadPeak
-	e.mu.Unlock()
 	return e.s.Finish(scanErr)
 }
 
@@ -327,14 +258,12 @@ func (e *StreamExecutor) gopWorker(wi int) {
 				ws.Busy += time.Since(t1)
 				ws.Tasks++
 			}
-			t.unit.retire()
 		}
 	})
 }
 
-// sliceWorker is the fine-grained worker, on the 2-D task queue: the queue
-// grows while the scan runs, and each completed picture retires its share
-// of the unit that carried its bytes.
+// sliceWorker is the fine-grained worker, on the 2-D task queue, which
+// grows while the scan runs.
 func (e *StreamExecutor) sliceWorker(wi int) {
 	defer e.wg.Done()
 	s, opt := e.s, &e.s.opt
@@ -342,10 +271,6 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 		ws := &s.st.WorkerStats[wi]
 		var scr sliceScratch
 		s.Abort(s.drive(e.q, wi, ws, *opt, &scr, nil, func(p *picState, ti int, t0 time.Time) {
-			if ti < 0 {
-				p.unit.retire()
-				return
-			}
 			cost := time.Since(t0)
 			ws.Busy += cost
 			ws.Tasks++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sync"
@@ -339,6 +340,9 @@ func TestCoverageAllocs(t *testing.T) {
 	}
 	sess, err := NewSession(Options{Workers: 2, Sink: func(*frame.Frame) {}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Reserve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	tk, err := sess.FeedShed(Unit{G: 0, Data: res.Data, Range: m.GOPs[0], Seq: m.Seq}, ShedNone)

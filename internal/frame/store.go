@@ -69,11 +69,8 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) take(width, height int) (f *Frame, recycled bool) {
 	key := [2]int{Coded(width), Coded(height)}
 	s.mu.Lock()
-	if l := s.spare[key]; len(l) > 0 {
-		f = l[len(l)-1]
-		l[len(l)-1] = nil
-		s.spare[key] = l[:len(l)-1]
-		s.st.SpareBytes -= int64(f.Bytes())
+	if len(s.spare[key]) > 0 {
+		f = s.pop(key)
 		s.lend(int64(f.Bytes()))
 		s.st.Reused++
 		s.mu.Unlock()
@@ -87,6 +84,20 @@ func (s *Store) take(width, height int) (f *Frame, recycled bool) {
 	s.st.Fresh++
 	s.mu.Unlock()
 	return f, false
+}
+
+// pop takes the last spare frame of a geometry that has one, under s.mu.
+func (s *Store) pop(key [2]int) *Frame {
+	l := s.spare[key]
+	f := l[len(l)-1]
+	l[len(l)-1] = nil
+	if l = l[:len(l)-1]; len(l) == 0 {
+		delete(s.spare, key)
+	} else {
+		s.spare[key] = l
+	}
+	s.st.SpareBytes -= int64(f.Bytes())
+	return f
 }
 
 // attach registers a tenant.
@@ -122,17 +133,16 @@ func (s *Store) handBack(idle []*Frame, lent int64) {
 		s.st.WorkingBytes = max(s.peaks[0], s.peaks[1], s.peaks[2])
 	}
 	bound := s.st.Bound()
-	for key, l := range s.spare {
-		for len(l) > 0 && s.st.SpareBytes > bound {
-			s.st.SpareBytes -= int64(l[len(l)-1].Bytes())
-			l[len(l)-1] = nil
-			l = l[:len(l)-1]
+	for s.st.SpareBytes > bound {
+		// Largest frames first: a fixed order (the map's is random) that
+		// keeps as many frames as the bound allows.
+		var key [2]int
+		for k := range s.spare {
+			if k[0]*k[1] > key[0]*key[1] || k[0]*k[1] == key[0]*key[1] && k[0] > key[0] {
+				key = k
+			}
 		}
-		if len(l) == 0 {
-			delete(s.spare, key)
-		} else {
-			s.spare[key] = l
-		}
+		s.pop(key)
 	}
 	for _, f := range idle {
 		if s.st.SpareBytes+int64(f.Bytes()) > bound {

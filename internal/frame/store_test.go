@@ -123,6 +123,29 @@ func TestStoreBound(t *testing.T) {
 	}
 }
 
+// A hand-back that lowers the bound trims the largest frames first,
+// whatever the map's order: of five small frames and a big one in stock, a
+// bound of three small frames keeps three small frames.
+func TestStoreTrimsLargestFirst(t *testing.T) {
+	small, big := New(48, 32), New(352, 240)
+	for run := 0; run < 100; run++ {
+		s := NewStore()
+		live := tenant(s, 48, 32, 3) // three small frames lent: the bound
+		gone := tenant(s, 48, 32, 0)
+		// The stock a burst's hand-backs would leave.
+		for i := 0; i < 5; i++ {
+			s.spare[[2]int{48, 32}] = append(s.spare[[2]int{48, 32}], New(48, 32))
+		}
+		s.spare[[2]int{352, 240}] = []*Frame{New(352, 240)}
+		s.st.SpareBytes = int64(5*small.Bytes() + big.Bytes())
+		gone.HandBack()
+		if st := s.Stats(); st.Bound() != int64(3*small.Bytes()) || st.SpareBytes != st.Bound() || len(s.spare[[2]int{48, 32}]) != 3 {
+			t.Fatalf("run %d: bound %d, %d spare bytes in %d small frames, want 3 small frames", run, st.Bound(), st.SpareBytes, len(s.spare[[2]int{48, 32}]))
+		}
+		live.HandBack()
+	}
+}
+
 // A burst of thirty-two streams, then two at a time: while the burst
 // drains, each stream that takes an ended one's place draws its frames
 // from the stock, and within six hand-backs of the burst's last (three

@@ -32,6 +32,9 @@ func helpFree(t *testing.T, data []byte, policy core.Resilience, ix *vldsplit.In
 	}
 	var scr core.Scratch
 	_, _, err = scan.ScanUnits(context.Background(), scan.Source{Data: data}, 0, true, nil, nil, func(u core.Unit) error {
+		if err := sess.Reserve(context.Background()); err != nil {
+			return err
+		}
 		tk, err := sess.FeedShed(u, core.ShedNone)
 		if err != nil || tk == nil {
 			return err

@@ -24,9 +24,8 @@ type StreamConfig struct {
 	// (never enforced by dropping — shedding is the ladder's job) and
 	// drive the overload controller. Zero disables.
 	Deadline time.Duration
-	// MaxInFlight bounds the stream's scan-ahead: how many planned
-	// groups may be queued or decoding at once before its scanner
-	// blocks. Default 4.
+	// MaxInFlight bounds the stream's scan-ahead: how many groups may be
+	// fed and not yet delivered before its scanner blocks. Default 4.
 	MaxInFlight int
 	// Resilience is the stream's requested error policy (the ladder may
 	// temporarily floor it at conceal-picture while degraded).
@@ -64,11 +63,7 @@ type stream struct {
 	pauseExp    int // backoff exponent (doubles each pause episode)
 	pausedCount int
 
-	tokens  chan struct{} // MaxInFlight gate
 	wgTasks sync.WaitGroup
-
-	failOnce sync.Once
-	failCh   chan struct{} // closed at first failure (unblocks the gate)
 
 	lastProgress atomic.Int64 // UnixNano of last feed/complete/display/resume
 
@@ -99,13 +94,10 @@ type feedMark struct {
 const maxLatencySamples = 1 << 16
 
 // fail latches the stream's first failure: the session aborts (queued
-// tasks become drains) and the token gate unblocks. Safe anywhere,
+// tasks become drains, and the feed stops waiting). Safe anywhere,
 // including under srv.mu.
 func (st *stream) fail(err error) {
-	st.failOnce.Do(func() {
-		st.sess.Abort(err)
-		close(st.failCh)
-	})
+	st.sess.Abort(err)
 	st.srv.cond.Broadcast()
 }
 
@@ -199,8 +191,8 @@ func (st *stream) accountUndelivered() {
 }
 
 // complete is a pool worker's epilogue for one task: progress and
-// fairness bookkeeping, the admission estimator's bytes-per-picture
-// sample, then the token release that re-opens the stream's gate.
+// fairness bookkeeping and the admission estimator's bytes-per-picture
+// sample.
 func (st *stream) complete(tk *task, err error) {
 	if err != nil {
 		st.fail(err)
@@ -215,7 +207,6 @@ func (st *stream) complete(tk *task, err error) {
 	s.notePicBytesLocked(t.Bytes(), t.Pictures())
 	s.mu.Unlock()
 	st.touch()
-	<-st.tokens
 	st.wgTasks.Done()
 }
 
@@ -307,22 +298,21 @@ func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) 
 		weight:   float64(cfg.Priority + 1),
 		demand:   demand,
 		srv:      s,
-		failCh:   make(chan struct{}),
 		deadline: cfg.Deadline,
 	}
 	maxInFlight := cfg.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = 4
 	}
-	st.tokens = make(chan struct{}, maxInFlight)
 
 	sink := cfg.Sink
 	sess, err := core.NewSession(core.Options{
-		Workers:    s.cfg.Workers,
-		Resilience: cfg.Resilience,
-		Obs:        s.obs,
-		Cost:       s.cost,
-		Frames:     s.frames,
+		Workers:     s.cfg.Workers,
+		MaxInFlight: maxInFlight,
+		Resilience:  cfg.Resilience,
+		Obs:         s.obs,
+		Cost:        s.cost,
+		Frames:      s.frames,
 		Sink: func(f *frame.Frame) {
 			st.noteDisplayed(f.DisplayIndex)
 			if sink != nil {
@@ -349,17 +339,6 @@ func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) 
 	}
 
 	feed := func(u core.Unit) error {
-		// The token/deadline gate: one token per in-flight planned
-		// group, surrendered when the group's task completes. Blocking
-		// here is the backpressure that bounds the stream's memory and
-		// queue share.
-		select {
-		case st.tokens <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-st.failCh:
-			return st.sess.Err()
-		}
 		if interval > 0 {
 			if d := time.Until(due); d > 0 {
 				t := time.NewTimer(d)
@@ -367,14 +346,18 @@ func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) 
 				case <-t.C:
 				case <-ctx.Done():
 					t.Stop()
-					<-st.tokens
 					return ctx.Err()
-				case <-st.failCh:
+				case <-st.sess.Failed():
 					t.Stop()
-					<-st.tokens
 					return st.sess.Err()
 				}
 			}
+		}
+		// A place in the session's window, held until the group's last
+		// picture is delivered: blocking here is the backpressure that
+		// bounds the stream's memory and queue share.
+		if err := st.sess.Reserve(ctx); err != nil {
+			return err
 		}
 		// Price the unit before planning it: a negative-slack frame sheds
 		// at plan time (this frame only — the ladder stays where it is).
@@ -384,13 +367,8 @@ func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) 
 		}
 		ladder := st.sess.ShedLevel()
 		t, err := st.sess.FeedShed(u, sp.floor)
-		if err != nil {
-			<-st.tokens
-			return err
-		}
 		if t == nil {
-			<-st.tokens
-			return nil
+			return err
 		}
 		if sp.floor > ladder && t.ShedPictures() > 0 {
 			st.dmu.Lock()

@@ -12,9 +12,9 @@
 // where they lie), at most MaxInFlight units — a closed group's bytes
 // and scanned ranges, handed over by the scan and forgotten there — with
 // their planned pictures, the slice queue's depth window and the reorder
-// buffer. A group's pictures leave the plan when every one of them has
-// been decoded and handed to the display process (its unit retires);
-// nothing later can name them, since references never leave a group.
+// buffer. A group leaves the plan, and the window, when the display
+// process delivers its last picture; nothing later can name its pictures,
+// since references never leave a group.
 // Stats.PeakInFlightBytes gauges window + units; DESIGN.md, "Streaming
 // pipeline", has the table.
 package stream
@@ -193,7 +193,7 @@ func ScanUnits(ctx context.Context, src Source, chunkSize int, lenient bool, gau
 			return err
 		}
 		// The unit owns the range the scan has just let go of until its
-		// last picture completes.
+		// last picture is delivered.
 		u := core.Unit{G: g, Seq: *ss.Seq(), Base: gr.Offset, Data: w.bytes(gr.Offset, gr.End), Range: *gr}
 		if w.r != nil {
 			// Copy the group out of the window so the window can slide on.

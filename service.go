@@ -81,7 +81,7 @@ func WithFrameDeadline(d time.Duration) StreamOption {
 }
 
 // WithStreamMaxInFlight bounds the stream's scan-ahead: how many
-// groups of pictures may be queued or decoding at once before its
+// groups of pictures may be fed and not yet delivered before its
 // scanner blocks (default 4).
 func WithStreamMaxInFlight(n int) StreamOption {
 	return func(c *server.StreamConfig) { c.MaxInFlight = n }
