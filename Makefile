@@ -49,14 +49,15 @@ bench:
 # frame-memory bound, the poisoned-frame golden (slice mode recycles
 # frames in schedule order, so a pixel no decode writes may ship on some
 # runs only), the split goldens (which segments verify while others
-# still run depends on the schedule) and the scan-ahead window's bounds
-# (which tasks finish first depends on the schedule), so that a
+# still run depends on the schedule), the scan-ahead window's bounds
+# (which tasks finish first depends on the schedule) and the cancellation
+# tests (where a cancel lands depends on the schedule), so that a
 # schedule-dependent breach shows up here and not by luck.
 smoke:
 	$(GO) run ./cmd/mpeg2bench -timeline -trace /tmp/mpeg2par-trace.json > /dev/null
 	$(GO) run ./cmd/mpeg2load -streams 64 > /dev/null
-	$(GO) test -count=20 -run '^(TestFrameMemoryBounded|TestSessionWindowClosesOnDelivery|TestResilientGolden|TestSplitIndexedBitExact|TestSplitDefaultGrainBitExact|TestPoisonedIndexFallsBack)$$' ./internal/core/
-	$(GO) test -count=20 -run '^TestFeedMarksSpanFramesInFlight$$' ./internal/server/
+	$(GO) test -count=20 -run '^(TestFrameMemoryBounded|TestSessionWindowClosesOnDelivery|TestResilientGolden|TestSplitIndexedBitExact|TestSplitDefaultGrainBitExact|TestPoisonedIndexFallsBack|TestCancelAtEveryPicture)$$' ./internal/core/
+	$(GO) test -count=20 -run '^(TestFeedMarksSpanFramesInFlight|TestCancelMidHelp|TestCancelAtEveryPicture)$$' ./internal/server/
 
 # Short corpus-seeded fuzz runs: the one list of the repo's fuzz targets
 # (CI calls this target). The one target that decodes on several goroutines

@@ -143,7 +143,9 @@ func WithEventSink(fn func(TimelineEvent)) Option {
 //
 // Cancelling ctx (or exceeding its deadline) tears the pipeline down —
 // scan, workers, and display — without goroutine leaks or frame-pool
-// loss, and Decode returns the context's error.
+// loss: once ctx is done no further frame reaches the sink, and Decode
+// returns the context's error, however late the cancel lands — after the
+// whole stream was scanned, or while the sink holds the last frame.
 //
 // The returned Stats are non-nil even alongside an error, carrying the
 // teardown gauges (notably Stats.LeakedFrameBytes, always zero).

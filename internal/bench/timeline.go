@@ -124,7 +124,7 @@ func (r *TimelineResult) WriteText(w io.Writer) {
 		r.Stats.Pictures, r.Stats.Wall, r.Stats.PicturesPerSecond())
 	r.Summary.WriteText(w)
 	// The event stream times a blocked take; whether the worker slept in
-	// it (and paid a wake-up) or polled is the executor's own count.
+	// it (and paid a wake-up) or polled is the workers' own count.
 	fmt.Fprintf(w, "  parks (sleeps inside those waits), by worker:")
 	for _, ws := range r.Stats.WorkerStats {
 		fmt.Fprintf(w, " %d", ws.Parks)

@@ -54,7 +54,7 @@ func modeOfHint(h sched.ModeHint) Mode {
 }
 
 // projectGeometry replicates a single-group geometry n times: the
-// executor's forecast of the stream from its first group, sized
+// session's forecast of the stream from its first group, sized
 // to what the scan-ahead window can hold in flight. Multi-group
 // geometries pass through unchanged.
 func projectGeometry(g sched.Geometry, n int) sched.Geometry {

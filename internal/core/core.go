@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"mpeg2par/internal/decoder"
@@ -138,6 +139,19 @@ type Options struct {
 	// decode draws its frames from it and hands the idle ones back when it
 	// finishes. Nil allocates per decode.
 	Frames *frame.Store
+}
+
+// check returns the first bad option as an ErrBadOption.
+func (o Options) check() error {
+	switch {
+	case o.Workers < 1:
+		return badOption("Workers=%d (need at least one worker)", o.Workers)
+	case o.SplitParts < 0:
+		return badOption("SplitParts=%d (must be >= 0)", o.SplitParts)
+	case o.Mode < ModeGOP || o.Mode > ModeAuto:
+		return badOption("Mode=%d (unknown mode)", int(o.Mode))
+	}
+	return nil
 }
 
 // EffectiveWorkers returns the worker count a decode in this mode
@@ -286,10 +300,9 @@ func (s *Stats) PicturesPerSecond() float64 {
 
 // Decode runs the parallel decoder over a complete elementary stream.
 func Decode(data []byte, opt Options) (*Stats, error) {
-	// The executor first: a bad option is reported before the scan is paid
-	// for, and whatever the scan would have said.
-	e, err := NewStreamExecutor(context.TODO(), opt)
-	if err != nil {
+	// A bad option is reported before the scan is paid for, and whatever
+	// the scan would have said.
+	if err := opt.check(); err != nil {
 		return nil, err
 	}
 	scanFn := Scan
@@ -302,29 +315,101 @@ func Decode(data []byte, opt Options) (*Stats, error) {
 		return nil, err
 	}
 	opt.Obs.Record(obs.KindScan, obs.LaneScan, scanStart, m.ScanTime, -1, -1, -1)
-	return e.decodeScanned(data, m)
+	return DecodeScanned(data, m, opt)
 }
 
 // DecodeScanned runs the parallel decoder over a pre-scanned stream
-// (callers sweeping worker counts scan once): the streaming executor, fed
-// each scanned group as a unit that borrows the caller's bytes.
+// (callers sweeping worker counts scan once), fed each scanned group as a
+// unit that borrows the caller's bytes.
 func DecodeScanned(data []byte, m *StreamMap, opt Options) (*Stats, error) {
-	e, err := NewStreamExecutor(context.TODO(), opt)
+	st, err := DecodeUnits(context.TODO(), opt, func(s *Session, feed func(Unit) error) error {
+		var peak int64
+		for g := range m.GOPs {
+			if err := feed(Unit{G: g, Data: data, Range: m.GOPs[g], Seq: m.Seq}); err != nil {
+				return err
+			}
+			peak = max(peak, s.Held())
+		}
+		s.NoteScan(m.TotalPictures, m.ScanTime, peak, 0)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return e.decodeScanned(data, m)
-}
-
-func (e *StreamExecutor) decodeScanned(data []byte, m *StreamMap) (*Stats, error) {
-	var feedErr error
-	for g := 0; g < len(m.GOPs) && feedErr == nil; g++ {
-		feedErr = e.Feed(Unit{G: g, Data: data, Range: m.GOPs[g], Seq: m.Seq})
-	}
-	st, err := e.Finish(feedErr)
-	if err != nil {
-		return nil, err
-	}
-	st.ScanTime, st.ScanRate = m.ScanTime, m.ScanRate()
 	return st, nil
 }
+
+// DecodeUnits runs one stream's session on a Pool of its own, in feed
+// order: the decode under Decode, DecodeScanned and the streaming decoder.
+// scan feeds the session its units in stream order; feed blocks while the
+// scan-ahead window is full and returns ctx's error or the session's
+// failure once there is one, and scan's error ends the decode. The workers
+// start at the first feed, once ModeAuto has resolved. The Stats are nil
+// only for a bad option.
+func DecodeUnits(ctx context.Context, opt Options, scan func(s *Session, feed func(Unit) error) error) (*Stats, error) {
+	s, err := NewSession(ctx, opt)
+	if err != nil {
+		return nil, err
+	}
+	var f fifo
+	p := NewPool(&f.mu, &f, opt.Obs)
+	f.p = p
+	err = scan(s, func(u Unit) error {
+		t0 := time.Now()
+		if err := s.Reserve(ctx); err != nil {
+			return err
+		}
+		opt.Obs.Record(obs.KindFeed, obs.LaneScan, t0, time.Since(t0), u.G, -1, -1)
+		started := s.started
+		t, err := s.FeedShed(u, ShedNone)
+		if !started && s.started {
+			p.Start(s.opt.Mode.String(), s.st.Workers)
+			if s.opt.Mode.sliceGrain() {
+				f.push(&s.sq)
+			}
+		}
+		if t != nil {
+			f.push(t)
+		}
+		return err
+	})
+	// The failure first, so that workers drain queued tasks instead of
+	// decoding them; then the intake closes and the workers leave.
+	s.Abort(err)
+	s.sq.q.close()
+	f.mu.Lock()
+	f.closed = true
+	p.Wake()
+	f.mu.Unlock()
+	s.st.WorkerStats = p.Wait()
+	return s.Finish(err)
+}
+
+// fifo is a single-stream decode's order: its tasks in feed order.
+type fifo struct {
+	mu     sync.Mutex
+	p      *Pool
+	q      []Job
+	closed bool
+}
+
+func (f *fifo) push(t *SessionTask) {
+	f.mu.Lock()
+	f.q = append(f.q, t)
+	f.p.Queue(1)
+	f.mu.Unlock()
+}
+
+func (f *fifo) Next() Job {
+	if len(f.q) == 0 {
+		return nil
+	}
+	j := f.q[0]
+	f.q = f.q[1:]
+	f.p.Queue(-1)
+	return j
+}
+
+func (f *fifo) Drained() bool { return f.closed && len(f.q) == 0 }
+
+func (f *fifo) Done(Job, error) {}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,8 +31,9 @@ type displayProc struct {
 	sink      func(*frame.Frame)
 	delivered func(idx int) // told of each delivery, in display order (Session.delivered)
 	obs       *obs.Tracer
-	lane      int          // obs lane of delivery events (a stream lane in the service)
-	displayed atomic.Int64 // read without mu, so a slow sink never holds up its readers
+	lane      int             // obs lane of delivery events (a stream lane in the service)
+	ctx       context.Context // once it is cancelled, nothing more is delivered
+	displayed atomic.Int64    // read without mu, so a slow sink never holds up its readers
 	err       error
 }
 
@@ -41,7 +43,8 @@ func newDisplay(pool *frame.Pool, sink func(*frame.Frame), delivered func(int), 
 
 // push hands one decoded picture (with its absolute display index) to the
 // display process, which displays everything now in order and returns it
-// to the pool.
+// to the pool — unless the session's context has been cancelled: what is
+// left then waits for the teardown (abandon).
 func (d *displayProc) push(f *frame.Frame, idx int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -54,7 +57,7 @@ func (d *displayProc) push(f *frame.Frame, idx int) {
 	d.pending[idx] = f
 	for {
 		g, ok := d.pending[d.next]
-		if !ok {
+		if !ok || d.ctx.Err() != nil {
 			return
 		}
 		delete(d.pending, d.next)

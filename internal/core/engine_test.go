@@ -11,27 +11,25 @@ import (
 	"mpeg2par/internal/frame"
 )
 
-// execDecode drives a StreamExecutor in the given mode as the streaming
-// decoder does: one unit per scanned group, then Finish. With stopAt > 0
-// the decode is cancelled once stopAt groups have been fed.
+// execDecode decodes as the streaming decoder does, on DecodeUnits' pool:
+// one unit per scanned group. With stopAt > 0 the decode is cancelled once
+// stopAt groups have been fed.
 func execDecode(t *testing.T, data []byte, m *StreamMap, opt Options, stopAt int) (*Stats, error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	e, err := NewStreamExecutor(ctx, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var feedErr error
-	for g := 0; g < len(m.GOPs) && feedErr == nil; g++ {
-		if stopAt > 0 && g == stopAt {
-			cancel()
-			feedErr = ctx.Err()
-			break
+	return DecodeUnits(ctx, opt, func(_ *Session, feed func(Unit) error) error {
+		for g := range m.GOPs {
+			if stopAt > 0 && g == stopAt {
+				cancel()
+				return ctx.Err()
+			}
+			if err := feed(Unit{G: g, Data: data, Range: m.GOPs[g], Seq: m.Seq}); err != nil {
+				return err
+			}
 		}
-		feedErr = e.Feed(Unit{G: g, Data: data, Range: m.GOPs[g], Seq: m.Seq})
-	}
-	return e.Finish(feedErr)
+		return nil
+	})
 }
 
 // poolDecode drives a Session as the service does: this goroutine feeds
@@ -40,7 +38,7 @@ func execDecode(t *testing.T, data []byte, m *StreamMap, opt Options, stopAt int
 // decode is cancelled once stopAt groups have been fed.
 func poolDecode(t *testing.T, data []byte, m *StreamMap, opt Options, stopAt int) (*Stats, error) {
 	t.Helper()
-	s, err := NewSession(opt)
+	s, err := NewSession(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func TestSessionWindowClosesOnDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	shown := 0
-	s, err := NewSession(Options{Workers: 1, MaxInFlight: 2, Sink: func(*frame.Frame) { shown++ }})
+	s, err := NewSession(context.Background(), Options{Workers: 1, MaxInFlight: 2, Sink: func(*frame.Frame) { shown++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +148,11 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestEngineParity: the streaming decoder's GOP mode and the service's
-// shared pool run one engine (Session.Run), so on a clean and on a faulted
-// stream, under every policy, they deliver the same frames and the same
-// counts — or fail with the same error — and both tear down a cancelled
-// decode with no frame bytes and no goroutines left behind.
+// TestEngineParity: GOP mode on DecodeUnits' pool and a session whose tasks
+// two goroutines run by hand through Session.Run are one engine, so on a
+// clean and on a faulted stream, under every policy, they deliver the same
+// frames and the same counts — or fail with the same error — and both tear
+// down a cancelled decode with no frame bytes and no goroutines left behind.
 func TestEngineParity(t *testing.T) {
 	clean := testStream(t, 96, 64, 16, 4).Data
 	streams := []struct {
@@ -172,7 +170,7 @@ func TestEngineParity(t *testing.T) {
 			stB, errB := poolDecode(t, sc.data, m, Options{Workers: 2, Resilience: policy, Sink: b.add}, 0)
 			name := sc.name + "/" + policy.String()
 			if (errA == nil) != (errB == nil) || errA != nil && errA.Error() != errB.Error() {
-				t.Fatalf("%s: executor err %v, session err %v", name, errA, errB)
+				t.Fatalf("%s: pool decode err %v, hand-run session err %v", name, errA, errB)
 			}
 			if wantErr := sc.name == "faulted" && policy == FailFast; (errA != nil) != wantErr {
 				t.Fatalf("%s: err %v, want an error: %v", name, errA, wantErr)
@@ -185,7 +183,7 @@ func TestEngineParity(t *testing.T) {
 			}
 			if stA.Work != stB.Work || stA.Errors != stB.Errors || stA.Shed != stB.Shed ||
 				stA.Pictures != stB.Pictures || stA.Displayed != stB.Displayed {
-				t.Fatalf("%s: executor stats %+v / %+v / %d of %d, session %+v / %+v / %d of %d", name,
+				t.Fatalf("%s: pool decode stats %+v / %+v / %d of %d, session %+v / %+v / %d of %d", name,
 					stA.Work, stA.Errors, stA.Displayed, stA.Pictures, stB.Work, stB.Errors, stB.Displayed, stB.Pictures)
 			}
 			if len(a.frames) != stA.Displayed || len(b.frames) != len(a.frames) {
@@ -193,7 +191,7 @@ func TestEngineParity(t *testing.T) {
 			}
 			for i := range a.frames {
 				if !a.frames[i].Equal(b.frames[i]) {
-					t.Fatalf("%s: frame %d differs between executor and session", name, i)
+					t.Fatalf("%s: frame %d differs between the pool decode and the hand-run session", name, i)
 				}
 			}
 		}
@@ -224,7 +222,7 @@ func TestEngineParity(t *testing.T) {
 	for _, run := range []struct {
 		name string
 		fn   func(*testing.T, []byte, *StreamMap, Options, int) (*Stats, error)
-	}{{"executor", execDecode}, {"session", poolDecode}} {
+	}{{"pool decode", execDecode}, {"hand-run session", poolDecode}} {
 		base := runtime.NumGoroutine()
 		st, err := run.fn(t, clean, m, Options{Mode: ModeGOP, Workers: 2, Sink: func(*frame.Frame) {}}, 2)
 		if !errors.Is(err, context.Canceled) {

@@ -30,7 +30,7 @@ func helpDecode(t testing.TB, data []byte, opt Options, help bool, prep func(*Se
 	}
 	var sink collectSink
 	opt.Sink = sink.add
-	sess, err := NewSession(opt)
+	sess, err := NewSession(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSessionTaskBytesBorrowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(Options{Workers: 1, Sink: func(*frame.Frame) {}})
+	sess, err := NewSession(context.Background(), Options{Workers: 1, Sink: func(*frame.Frame) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func helpTask(t *testing.T, data []byte, sink func(*frame.Frame)) (*Session, *Se
 	if sink == nil {
 		sink = func(*frame.Frame) {}
 	}
-	sess, err := NewSession(Options{Workers: 2, Sink: sink})
+	sess, err := NewSession(context.Background(), Options{Workers: 2, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,18 +191,6 @@ func (q *sliceQueue) hold(wi int, on bool) {
 	}
 }
 
-// newSliceQueue builds the empty, open queue of a slice-mode decode.
-func newSliceQueue(pool *frame.Pool, opt Options) *sliceQueue {
-	q := &sliceQueue{
-		pool:     pool,
-		improved: opt.Mode == ModeSliceImproved,
-		depth:    opt.Workers + 4,
-		obs:      opt.Obs, workers: opt.Workers,
-	}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
 // append adds pictures to the tail of the queue (the scan process feeding
 // tasks as it discovers them).
 func (q *sliceQueue) append(ps []*picState) {
@@ -578,8 +566,8 @@ func (q *sliceQueue) shipPic(p *picState) {
 	q.mu.Unlock()
 }
 
-// drive is the loop every worker of a slice queue runs — an executor's
-// slice worker, a task's owner and its helpers alike: take a task, run it
+// drive is the loop every worker of a slice queue runs — a stream queue's
+// helpers, a task's owner and its helpers alike: take a task, run it
 // and finish it; complete (conceal, publish, hand to display, ship) each
 // picture finish or take hands over; stop when take has nothing more. note
 // hears of every task run (ti, from t0). A FailFast failure fails the

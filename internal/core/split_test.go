@@ -214,9 +214,12 @@ func TestErrBadOption(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: message %q does not name %s", tc.name, err, tc.want)
 		}
-		if _, err := NewStreamExecutor(context.Background(), tc.opt); !errors.Is(err, ErrBadOption) {
-			t.Fatalf("%s: NewStreamExecutor err %v, want ErrBadOption", tc.name, err)
+		if _, err := NewSession(context.Background(), tc.opt); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("%s: NewSession err %v, want ErrBadOption", tc.name, err)
 		}
+	}
+	if _, err := NewSession(context.Background(), Options{Workers: 0}); !errors.Is(err, ErrBadOption) {
+		t.Fatalf("NewSession(Workers 0) err %v, want ErrBadOption", err)
 	}
 	if _, err := Decode(res.Data, Options{Mode: ModeSliceImproved, Workers: 1}); err != nil {
 		t.Fatalf("valid options rejected: %v", err)

@@ -338,7 +338,7 @@ func TestCoverageAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(Options{Workers: 2, Sink: func(*frame.Frame) {}})
+	sess, err := NewSession(context.Background(), Options{Workers: 2, Sink: func(*frame.Frame) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

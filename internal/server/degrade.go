@@ -57,7 +57,7 @@ func (s *Server) SetDegradation(rung int) {
 	s.mu.Lock()
 	s.setRungLocked(rung, time.Now())
 	s.mu.Unlock()
-	s.cond.Broadcast()
+	s.pool.Wake()
 }
 
 // setRungLocked moves the ladder and applies the new rung to every
@@ -146,7 +146,7 @@ func (s *Server) tick(now time.Time) {
 	// for as long as anyone stays paused, so only runnable backlog feeds
 	// the signal.
 	if !s.cfg.DisableAutoDegrade {
-		load := float64(int(s.backlog.Load())-pausedPending) / float64(s.cfg.Workers)
+		load := float64(s.pool.Queued()-pausedPending) / float64(s.cfg.Workers)
 		hot := load > s.cfg.HighWater || s.missEWMA > s.cfg.MissHigh
 		cold := load < s.cfg.LowWater && s.missEWMA < s.cfg.MissLow
 		if now.Sub(s.lastMove) >= s.cfg.Dwell {
@@ -164,7 +164,7 @@ func (s *Server) tick(now time.Time) {
 	s.mu.Unlock()
 	// Wake workers: resumed streams' queues are runnable again, and a
 	// drained-but-parked worker re-checks the exit condition.
-	s.cond.Broadcast()
+	s.pool.Wake()
 }
 
 // pauseLowestLocked pauses every unpaused stream of the lowest priority

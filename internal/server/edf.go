@@ -125,7 +125,8 @@ func (s *Server) pickEDFLocked(now time.Time) *task {
 func (s *Server) takeLocked(st *stream) *task {
 	tk := st.pending[0]
 	st.pending = st.pending[1:]
-	s.backlog.Add(-1)
+	st.inFlight++
+	s.pool.Queue(-1)
 	s.pendingCost -= tk.cost
 	if s.pendingCost < 0 {
 		s.pendingCost = 0

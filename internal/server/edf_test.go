@@ -92,11 +92,12 @@ func qstream(id, prio int, heads ...*task) *stream {
 // queue gauges.
 func edfServer(streams ...*stream) *Server {
 	s := &Server{streams: make(map[int]*stream)}
+	s.pool = core.NewPool(&s.mu, (*order)(s), nil)
 	s.cfg.StarveWindow = 2 * time.Second
 	s.cfg.BestEffortLag = 500 * time.Millisecond
 	for _, st := range streams {
 		s.streams[st.id] = st
-		s.backlog.Add(int64(len(st.pending)))
+		s.pool.Queue(len(st.pending))
 		for _, tk := range st.pending {
 			s.pendingCost += tk.cost
 		}
@@ -175,7 +176,7 @@ func TestPickEDFOrdering(t *testing.T) {
 	})
 
 	t.Run("paused streams are skipped", func(t *testing.T) {
-		sess, err := core.NewSession(core.Options{Workers: 1})
+		sess, err := core.NewSession(context.Background(), core.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,15 +197,15 @@ func TestPickEDFOrdering(t *testing.T) {
 			qstream(1, 0, &task{enq: now, deadline: ms(10), cost: 5 * time.Millisecond}),
 			qstream(2, 0, &task{enq: now, deadline: ms(50), cost: 7 * time.Millisecond}),
 		)
-		if s.backlog.Load() != 2 || s.pendingCost != 12*time.Millisecond {
-			t.Fatalf("setup: backlog %d pendingCost %v", s.backlog.Load(), s.pendingCost)
+		if s.pool.Queued() != 2 || s.pendingCost != 12*time.Millisecond {
+			t.Fatalf("setup: backlog %d pendingCost %v", s.pool.Queued(), s.pendingCost)
 		}
 		tk := s.pickEDFLocked(now)
 		if tk == nil || tk.st.id != 1 {
 			t.Fatalf("picked %+v, want stream 1", tk)
 		}
-		if s.backlog.Load() != 1 || s.pendingCost != 7*time.Millisecond {
-			t.Fatalf("after take: backlog %d pendingCost %v", s.backlog.Load(), s.pendingCost)
+		if s.pool.Queued() != 1 || s.pendingCost != 7*time.Millisecond {
+			t.Fatalf("after take: backlog %d pendingCost %v", s.pool.Queued(), s.pendingCost)
 		}
 		if len(tk.st.pending) != 0 {
 			t.Fatal("task not popped from its stream queue")
@@ -376,7 +377,7 @@ func TestPlanSlackPricesTheGroup(t *testing.T) {
 	s.cfg.Workers = 1
 	st := &stream{srv: s, deadline: 10 * time.Second}
 	price := func(src scan.Source) (plans []slackPlan, groups []int64) {
-		_, _, err := scan.ScanUnits(context.Background(), src, 1024, false, nil, nil, func(u core.Unit) error {
+		err := scan.ScanUnits(context.Background(), src, 1024, false, nil, func(u core.Unit) error {
 			plans = append(plans, s.planSlack(st, &u))
 			groups = append(groups, int64(u.Range.End-u.Range.Offset))
 			return nil

@@ -26,12 +26,12 @@ import (
 func helpFree(t *testing.T, data []byte, policy core.Resilience, ix *vldsplit.Index) (*core.Stats, []*frame.Frame, error) {
 	t.Helper()
 	var sink collectSink
-	sess, err := core.NewSession(core.Options{Workers: 2, Resilience: policy, SplitIndex: ix, Sink: sink.add})
+	sess, err := core.NewSession(context.Background(), core.Options{Workers: 2, Resilience: policy, SplitIndex: ix, Sink: sink.add})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var scr core.Scratch
-	_, _, err = scan.ScanUnits(context.Background(), scan.Source{Data: data}, 0, true, nil, nil, func(u core.Unit) error {
+	err = scan.ScanUnits(context.Background(), scan.Source{Data: data}, 0, true, sess, func(u core.Unit) error {
 		if err := sess.Reserve(context.Background()); err != nil {
 			return err
 		}

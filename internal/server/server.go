@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mpeg2par/internal/core"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/sched"
@@ -179,20 +180,15 @@ type Server struct {
 	frames *frame.Store
 
 	mu      sync.Mutex
-	cond    *sync.Cond // wakes pool workers (new task, resume, close)
+	pool    *core.Pool // the shared workers, under mu and the server's order
 	closed  bool
 	streams map[int]*stream
 	nextID  int
 	nslots  int     // admitted + granted-not-yet-registered streams
 	demand  float64 // Σ admitted demand, in workers
 	waiters []*waiter
-	// backlog counts queued (not yet running) tasks across all streams;
-	// written under mu, read without it by helping workers.
-	backlog atomic.Int64
-	open    []*task // running tasks that took helpers (the offer rule, pool.go)
 
 	nDeadline   int           // admitted streams with a frame deadline (EDF trigger)
-	busy        int           // workers currently running a task
 	pendingCost time.Duration // Σ predicted cost of queued tasks (slack input)
 
 	rung     int // degradation ladder position, 0..3
@@ -211,9 +207,8 @@ type Server struct {
 	pauses     atomic.Int64
 	wedged     atomic.Int64
 	slackSheds atomic.Int64 // pictures shed by per-frame slack prediction
-	assists    atomic.Int64 // tasks an idle worker helped
 	stopMon    chan struct{}
-	wg         sync.WaitGroup
+	wg         sync.WaitGroup // the monitor
 }
 
 // NewServer starts the shared pool and the overload monitor.
@@ -227,12 +222,8 @@ func NewServer(cfg Config) *Server {
 		streams: make(map[int]*stream),
 		stopMon: make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.obs.SetMeta("service", cfg.Workers)
-	for wi := 0; wi < cfg.Workers; wi++ {
-		s.wg.Add(1)
-		go s.worker(wi)
-	}
+	s.pool = core.NewPool(&s.mu, (*order)(s), s.obs)
+	s.pool.Start("service", cfg.Workers)
 	s.wg.Add(1)
 	go s.monitor()
 	return s
@@ -245,6 +236,7 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.pool.Wait()
 		s.wg.Wait()
 		return nil
 	}
@@ -259,9 +251,10 @@ func (s *Server) Close() error {
 		}
 	}
 	s.waiters = nil
+	s.pool.Wake()
 	s.mu.Unlock()
-	s.cond.Broadcast()
 	close(s.stopMon)
+	s.pool.Wait()
 	s.wg.Wait()
 	return nil
 }
@@ -434,7 +427,7 @@ func (s *Server) unregister(st *stream) {
 	if st.deadline > 0 {
 		s.nDeadline--
 	}
-	s.backlog.Add(-int64(len(st.pending)))
+	s.pool.Queue(-len(st.pending))
 	for _, tk := range st.pending {
 		s.pendingCost -= tk.cost
 	}
@@ -443,8 +436,8 @@ func (s *Server) unregister(st *stream) {
 	}
 	st.pending = nil
 	s.releaseLocked(st.demand)
+	s.pool.Wake()
 	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // notePicBytesLocked feeds the admission estimator's bytes-per-picture
@@ -481,7 +474,7 @@ type Metrics struct {
 	MissEWMA   float64
 	DemandUsed float64 // Σ admitted demand, in workers
 	SlackSheds int64   // pictures shed by per-frame slack prediction
-	Assists    int64   // tasks an idle worker decoded units of (see the offer rule in pool.go)
+	Assists    int64   // tasks an idle worker decoded units of (see the offer rule, core.Pool)
 	// Frame lending across streams (frame.Store). A stream's frames come
 	// from the spare stock finished streams left or are allocated; once
 	// streams of one size follow each other FramesReused should dwarf
@@ -499,7 +492,7 @@ func (s *Server) Metrics() Metrics {
 		Workers:    s.cfg.Workers,
 		Streams:    len(s.streams),
 		QueuedAdm:  len(s.waiters),
-		Backlog:    int(s.backlog.Load()),
+		Backlog:    s.pool.Queued(),
 		Rung:       s.rung,
 		MissEWMA:   s.missEWMA,
 		DemandUsed: s.demand,
@@ -512,7 +505,7 @@ func (s *Server) Metrics() Metrics {
 	m.Displayed = s.displays.Load()
 	m.Misses = s.misses.Load()
 	m.SlackSheds = s.slackSheds.Load()
-	m.Assists = s.assists.Load()
+	m.Assists = s.pool.Assists()
 	fs := s.frames.Stats()
 	m.FramesReused, m.FramesFresh = fs.Reused, fs.Fresh
 	m.SpareBytes, m.SparePeakBytes = fs.SpareBytes, fs.PeakBytes

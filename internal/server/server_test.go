@@ -808,3 +808,38 @@ func TestWeightedFairShare(t *testing.T) {
 		t.Fatalf("priority inversion: hi wall %v vs lo wall %v", rhi.ss.Stats.Wall, rlo.ss.Stats.Wall)
 	}
 }
+
+// TestCancelAtEveryPicture: a stream cancelled from its sink at picture k,
+// for every k of a three-group stream, returns the context's error — also
+// once every group has been fed, and once the last picture has been
+// delivered — delivers nothing after the cancel, and leaves no frame bytes
+// and no goroutines behind.
+func TestCancelAtEveryPicture(t *testing.T) {
+	const pics = 12
+	data := testStream(t, 64, 48, pics, 4)
+	base := runtime.NumGoroutine()
+	srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true})
+	pool := runtime.NumGoroutine()
+	for k := 1; k <= pics; k++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		shown := 0
+		ss, err := srv.Decode(ctx, scan.Source{Data: data}, server.StreamConfig{
+			Resilience: core.ConcealSlice,
+			Sink: func(*frame.Frame) {
+				if shown++; shown == k {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at picture %d: err %v, want context.Canceled", k, err)
+		}
+		if shown != k || ss.Stats == nil || ss.Stats.LeakedFrameBytes != 0 {
+			t.Fatalf("cancelled at picture %d: %d pictures delivered, stats %+v", k, shown, ss.Stats)
+		}
+		waitGoroutines(t, pool)
+	}
+	srv.Close()
+	waitGoroutines(t, base)
+}

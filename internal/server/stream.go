@@ -98,7 +98,7 @@ const maxLatencySamples = 1 << 16
 // including under srv.mu.
 func (st *stream) fail(err error) {
 	st.sess.Abort(err)
-	st.srv.cond.Broadcast()
+	st.srv.pool.Wake()
 }
 
 func (st *stream) touch() { st.lastProgress.Store(time.Now().UnixNano()) }
@@ -190,22 +190,18 @@ func (st *stream) accountUndelivered() {
 	st.dmu.Unlock()
 }
 
-// complete is a pool worker's epilogue for one task: progress and
-// fairness bookkeeping and the admission estimator's bytes-per-picture
-// sample.
+// complete is a pool worker's epilogue for one task, under srv.mu:
+// progress and fairness bookkeeping and the admission estimator's
+// bytes-per-picture sample.
 func (st *stream) complete(tk *task, err error) {
 	if err != nil {
 		st.fail(err)
 	}
-	s, t := st.srv, tk.t
-	s.mu.Lock()
-	s.closeLocked(tk)
+	t := tk.t
 	st.inFlight--
-	s.busy--
 	st.mustServe = false // the post-resume service window has been honored
 	st.served += float64(t.Pictures())
-	s.notePicBytesLocked(t.Bytes(), t.Pictures())
-	s.mu.Unlock()
+	st.srv.notePicBytesLocked(t.Bytes(), t.Pictures())
 	st.touch()
 	st.wgTasks.Done()
 }
@@ -262,6 +258,9 @@ func (ss *StreamStats) latencyQ(q float64) time.Duration {
 // pool decode, in-order delivery. It blocks until the stream completes,
 // is rejected, fails, or ctx is cancelled; the caller typically runs it
 // on the connection's goroutine. StreamStats is non-nil in every case.
+// The stream's session watches ctx until it finishes: after a cancel no
+// frame reaches the sink, and Decode returns ctx's error even if the
+// cancel lands after the last group was fed or the last frame delivered.
 //
 // Teardown is leak-free by construction: cancellation or failure drains
 // the stream's queued tasks through the pool (no decode, just
@@ -306,7 +305,7 @@ func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) 
 	}
 
 	sink := cfg.Sink
-	sess, err := core.NewSession(core.Options{
+	sess, err := core.NewSession(ctx, core.Options{
 		Workers:     s.cfg.Workers,
 		MaxInFlight: maxInFlight,
 		Resilience:  cfg.Resilience,
@@ -344,10 +343,7 @@ func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) 
 				t := time.NewTimer(d)
 				select {
 				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return ctx.Err()
-				case <-st.sess.Failed():
+				case <-st.sess.Failed(): // a cancel of ctx fails the session
 					t.Stop()
 					return st.sess.Err()
 				}
@@ -394,7 +390,7 @@ func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) 
 	// Scanning is always lenient: whether damage fails the stream is the
 	// plan's decision under the stream's (possibly degraded) policy, so
 	// the ladder can floor resilience mid-stream without re-scanning.
-	pics, scanDur, scanErr := scan.ScanUnits(ctx, src, cfg.ChunkSize, true, nil, nil, feed)
+	scanErr := scan.ScanUnits(ctx, src, cfg.ChunkSize, true, sess, feed)
 	if scanErr != nil {
 		st.fail(scanErr)
 	}
@@ -403,10 +399,6 @@ func (s *Server) Decode(ctx context.Context, src scan.Source, cfg StreamConfig) 
 	st.accountUndelivered()
 
 	stats, derr := sess.Finish(scanErr)
-	stats.ScanTime = scanDur
-	if scanDur > 0 {
-		stats.ScanRate = float64(pics) / scanDur.Seconds()
-	}
 	st.dmu.Lock()
 	ss.Stats = stats
 	ss.DeadlineMisses = st.misses

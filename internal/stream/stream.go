@@ -57,14 +57,31 @@ type Source struct {
 // the incremental scan state machine across it. The window keeps, at
 // most, the open group of pictures plus the unscanned tail — the floor
 // ScanState.KeepFrom reports. Without a reader the window is the whole
-// in-memory stream, never slid, grown or written.
+// in-memory stream, never slid, grown or written, and holds no bytes of
+// its own. With a session it samples the scan-side gauges: its bytes plus
+// the session's held ones, and its pictures less those displayed.
 type windowScanner struct {
 	r     io.Reader // nil: buf is the caller's stream
 	chunk int
 	ss    *core.ScanState
 	buf   []byte
-	base  int         // absolute stream offset of buf[0]
-	gauge func(int64) // in-flight byte accounting hook, may be nil
+	base  int // absolute stream offset of buf[0]
+	s     *core.Session
+	peak  int64
+	lead  int
+}
+
+// sample samples the scan-side gauges.
+func (w *windowScanner) sample() {
+	if w.s == nil {
+		return
+	}
+	win := int64(0)
+	if w.r != nil {
+		win = int64(len(w.buf))
+	}
+	w.peak = max(w.peak, win+w.s.Held())
+	w.lead = max(w.lead, w.ss.Pictures()-w.s.Displayed())
 }
 
 // bytes returns the window's view of absolute range [from, to).
@@ -84,9 +101,6 @@ func (w *windowScanner) fill(searchFrom int) (eof bool, err error) {
 	if keep := w.ss.KeepFrom(searchFrom); keep > w.base {
 		n := copy(w.buf, w.buf[keep-w.base:])
 		w.buf = w.buf[:n]
-		if w.gauge != nil {
-			w.gauge(int64(-(keep - w.base)))
-		}
 		w.base = keep
 	}
 	// Read into the capacity that is left, a chunk at most; the window
@@ -98,9 +112,7 @@ func (w *windowScanner) fill(searchFrom int) (eof bool, err error) {
 	}
 	n, rerr := w.r.Read(w.buf[len(w.buf):min(cap(w.buf), len(w.buf)+w.chunk)])
 	w.buf = w.buf[:len(w.buf)+n]
-	if n > 0 && w.gauge != nil {
-		w.gauge(int64(n))
-	}
+	w.sample()
 	if rerr != nil && rerr != io.EOF {
 		return false, fmt.Errorf("stream: read at %d: %w", w.base+len(w.buf), rerr)
 	}
@@ -113,7 +125,7 @@ func (w *windowScanner) fill(searchFrom int) (eof bool, err error) {
 // header parse see the same bytes the batch scan would — the
 // equivalence the chunk-boundary tests pin down. Returns the total
 // stream length.
-func (w *windowScanner) run(ctx context.Context, note func(int)) (int, error) {
+func (w *windowScanner) run(ctx context.Context) (int, error) {
 	searchFrom := 0 // absolute offset scanning resumes from
 	for {
 		if err := ctx.Err(); err != nil {
@@ -142,9 +154,7 @@ func (w *windowScanner) run(ctx context.Context, note func(int)) (int, error) {
 			if err := w.ss.Step(w.buf, w.base, abs); err != nil {
 				return end, err
 			}
-			if note != nil {
-				note(w.ss.Pictures())
-			}
+			w.sample()
 			searchFrom = abs + 4
 		}
 		if eof {
@@ -171,23 +181,24 @@ func rebaseGOP(gr *core.GOPRange, delta int) {
 
 // ScanUnits drives the incremental scan over src, invoking feed with each
 // closed group of pictures as a core.Unit, exactly the units stream.Decode
-// feeds its executor. A unit's Data is its group's bytes, with the scanned
+// feeds its session. A unit's Data is its group's bytes, with the scanned
 // range rebased to them: for an in-memory source a subslice of src.Data —
 // nothing is copied, and the bytes a unit holds in flight are the
 // caller's — and for a reader, scanned in chunkSize-byte reads, a copy, so
-// that the window can slide on. A feed error aborts the scan and is returned.
-// gauge (may be nil) receives the window's byte deltas, none for an
-// in-memory source; note (may be nil) is called with the running picture
-// count after every scan step. Returns the pictures scanned and the
-// scan-side wall time.
+// that the window can slide on. A feed error aborts the scan and is
+// returned. With a session s (may be nil), the scan records in its Stats
+// the scan time — the scan's wall time less the time spent in feed, which
+// waits for the window (and, in the service, for pacing) and plans — the
+// scan rate, PeakInFlightBytes and ScanLeadPeak.
 //
 // This is the scan front half of the streaming pipeline with the decode
 // back half factored out — the multi-stream service uses it to feed
 // per-stream sessions whose tasks a shared pool executes.
-func ScanUnits(ctx context.Context, src Source, chunkSize int, lenient bool, gauge func(int64), note func(int), feed func(core.Unit) error) (int, time.Duration, error) {
+func ScanUnits(ctx context.Context, src Source, chunkSize int, lenient bool, s *core.Session, feed func(core.Unit) error) error {
 	ss := core.NewScanState(lenient)
 	w := newWindowScanner(src, chunkSize, ss)
-	w.gauge = gauge
+	w.s = s
+	var fed time.Duration
 	ss.OnGOP = func(g int, gr *core.GOPRange) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -200,46 +211,46 @@ func ScanUnits(ctx context.Context, src Source, chunkSize int, lenient bool, gau
 			u.Data = append([]byte(nil), u.Data...)
 		}
 		rebaseGOP(&u.Range, u.Base)
+		t0 := time.Now()
+		defer func() { fed += time.Since(t0); w.sample() }()
 		return feed(u)
 	}
 	scanStart := time.Now()
-	total, err := w.run(ctx, note)
+	total, err := w.run(ctx)
 	if err == nil {
 		_, err = ss.Finish(total)
 	}
-	return ss.Pictures(), time.Since(scanStart), err
+	if s != nil {
+		s.NoteScan(ss.Pictures(), time.Since(scanStart)-fed, w.peak, w.lead)
+	}
+	return err
 }
 
 // Decode runs the full streaming pipeline over r: incremental scan,
-// parallel decode in the configured mode, in-order display through the
-// sink. It blocks until the stream is exhausted and every picture
-// displayed, or until ctx is cancelled — cancellation tears down scan,
-// workers, and display without leaking goroutines or frame memory.
+// parallel decode in the configured mode on core.DecodeUnits' pool, in-order
+// display through the sink. It blocks until the stream is exhausted and
+// every picture displayed, or until ctx is cancelled — cancellation tears
+// down scan, workers, and display without leaking goroutines or frame
+// memory, delivers nothing more, and returns ctx's error even when it lands
+// after the last picture has been scanned or delivered.
 //
 // Unlike the batch API, the returned Stats are non-nil even alongside
 // an error, carrying the teardown gauges (notably LeakedFrameBytes).
 func Decode(ctx context.Context, src Source, opt Options) (*core.Stats, error) {
-	exec, err := core.NewStreamExecutor(ctx, opt.Options)
-	if err != nil {
-		return &core.Stats{Mode: opt.Mode, Workers: opt.EffectiveWorkers()}, err
-	}
-	lastScan := time.Now()
-	pics, scanDur, scanErr := ScanUnits(ctx, src, opt.ChunkSize, opt.Resilience != core.FailFast,
-		exec.AdjustBuffered, exec.NoteScanned,
-		func(u core.Unit) error {
+	st, err := core.DecodeUnits(ctx, opt.Options, func(s *core.Session, feed func(core.Unit) error) error {
+		lastScan := time.Now()
+		return ScanUnits(ctx, src, opt.ChunkSize, opt.Resilience != core.FailFast, s, func(u core.Unit) error {
 			// The scan lane's span for this group covers reading + scanning
-			// since the previous group closed; Feed's backpressure block is
-			// recorded separately (KindFeed) so the two never double-count.
+			// since the previous group closed; the feed's backpressure block
+			// is recorded separately (KindFeed) so the two never double-count.
 			opt.Obs.Record(obs.KindScan, obs.LaneScan, lastScan, time.Since(lastScan), u.G, -1, -1)
-			err := exec.Feed(u)
+			err := feed(u)
 			lastScan = time.Now()
 			return err
 		})
-
-	st, err := exec.Finish(scanErr)
-	st.ScanTime = scanDur
-	if scanDur > 0 {
-		st.ScanRate = float64(pics) / scanDur.Seconds()
+	})
+	if st == nil {
+		return &core.Stats{Mode: opt.Mode, Workers: opt.EffectiveWorkers()}, err
 	}
 	return st, err
 }
@@ -251,7 +262,7 @@ func Decode(ctx context.Context, src Source, opt Options) (*core.Stats, error) {
 func ScanReader(r io.Reader, chunkSize int, lenient bool) (*core.StreamMap, error) {
 	start := time.Now()
 	ss := core.NewScanState(lenient)
-	total, err := newWindowScanner(Source{R: r}, chunkSize, ss).run(context.Background(), nil)
+	total, err := newWindowScanner(Source{R: r}, chunkSize, ss).run(context.Background())
 	if err != nil {
 		return nil, err
 	}

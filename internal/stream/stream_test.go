@@ -707,3 +707,30 @@ func TestFailFastErrorTeardown(t *testing.T) {
 		}
 	}
 }
+
+// TestScanTimeExcludesWaits: Stats.ScanTime is the scan's own work. A
+// window of one group and a sink that naps 2 ms a frame keep the scan
+// waiting for a place most of the decode, in the streaming decoder and in
+// the service alike, and the scan time must not hold those waits.
+func TestScanTimeExcludesWaits(t *testing.T) {
+	const pics, nap = 30, 2 * time.Millisecond
+	data := testStream(t, 64, 48, pics, 5)
+	sink := func(*frame.Frame) { time.Sleep(nap) }
+	st, err := stream.Decode(context.Background(), stream.Source{R: bytes.NewReader(data)}, stream.Options{
+		Options: core.Options{Mode: core.ModeGOP, Workers: 1, MaxInFlight: 1, Sink: sink},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.NewServer(server.Config{Workers: 1})
+	defer srv.Close()
+	ss, err := srv.Decode(context.Background(), stream.Source{Data: data}, server.StreamConfig{MaxInFlight: 1, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*core.Stats{"stream": st, "server": ss.Stats} {
+		if st.ScanTime <= 0 || st.ScanTime >= pics*nap/4 {
+			t.Errorf("%s: scan time %v over %v of naps in the sink", name, st.ScanTime, pics*nap)
+		}
+	}
+}

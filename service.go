@@ -155,7 +155,10 @@ func NewServer(cfg ServerConfig) *Server {
 // connection's goroutine, one call per concurrent viewer. The returned
 // StreamStats is non-nil in every case; cancellation and teardown leak
 // no goroutines and no pooled frames (StreamStats.Stats.LeakedFrameBytes
-// is zero).
+// is zero). A cancel is seen for the stream's whole life: once ctx is
+// cancelled no further frame reaches the sink, and Decode returns ctx's
+// error — also when the cancel lands after the last group was fed, or
+// while the sink holds the last frame.
 func (sv *Server) Decode(ctx context.Context, src Source, opts ...StreamOption) (*StreamStats, error) {
 	var cfg server.StreamConfig
 	for _, o := range opts {
