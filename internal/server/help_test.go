@@ -255,8 +255,12 @@ func TestHelperDecodesWhileOwnerDisplays(t *testing.T) {
 
 // TestCancelMidHelp: a stream cancelled while an idle worker helps its
 // group tears down like any other — the context's error, no frame bytes
-// and no goroutines left behind. The sink holds the last frame until the
-// cancellation lands, so a loaded host cannot finish the stream first.
+// and no goroutines left behind. The sink holds the first frame until a
+// helper has decoded part of the group: with one group in flight the
+// owner waits there while the group's next picture is runnable, so the
+// helper's unit comes before the cancel under any schedule. It holds the
+// last frame until the cancel lands, so a loaded host cannot finish the
+// stream first.
 func TestCancelMidHelp(t *testing.T) {
 	const pics = 65
 	data := testStream(t, 352, 240, pics, 13)
@@ -265,10 +269,12 @@ func TestCancelMidHelp(t *testing.T) {
 	srv := server.NewServer(server.Config{Workers: 2, DisableAutoDegrade: true, Obs: tr})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var unhelped atomic.Bool
 	go func() {
 		select {
 		case <-helped:
 		case <-time.After(10 * time.Second):
+			unhelped.Store(true)
 		}
 		cancel()
 	}()
@@ -276,11 +282,20 @@ func TestCancelMidHelp(t *testing.T) {
 	ss, err := srv.Decode(ctx, scan.Source{Data: data}, server.StreamConfig{
 		Resilience: core.ConcealSlice, MaxInFlight: 1,
 		Sink: func(*frame.Frame) {
-			if shown.Add(1) == pics {
+			switch shown.Add(1) {
+			case 1:
+				select {
+				case <-helped:
+				case <-ctx.Done():
+				}
+			case pics:
 				<-ctx.Done()
 			}
 		},
 	})
+	if unhelped.Load() {
+		t.Fatal("no idle worker helped the first group within 10 s while its owner held the first frame")
+	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
