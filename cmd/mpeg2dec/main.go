@@ -36,7 +36,6 @@ func main() {
 	mode := flag.String("mode", "seq", "decoder: seq, gop, slice, slice-improved, auto")
 	workers := flag.Int("workers", 1, "worker processes for parallel modes")
 	yuv := flag.String("yuv", "", "write decoded frames as planar YUV 4:2:0")
-	conceal := flag.Bool("conceal", false, "legacy alias for -resilience conceal-slice")
 	resilience := flag.String("resilience", "failfast",
 		"damage policy: failfast, conceal-slice, conceal-picture, drop-gop")
 	fault := flag.String("fault", "", "inject a fault before decoding, e.g. bitflip:8 or gilbert:loss=0.02,pkt=188")
@@ -52,9 +51,6 @@ func main() {
 	policy, err := mpeg2par.ParseResilience(*resilience)
 	if err != nil {
 		fatal("%v", err)
-	}
-	if *conceal && policy == mpeg2par.FailFast {
-		policy = mpeg2par.ConcealSlice
 	}
 
 	// The source: a reader streamed incrementally, unless fault

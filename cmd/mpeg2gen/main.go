@@ -103,10 +103,3 @@ func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "mpeg2gen: "+format+"\n", args...)
 	os.Exit(1)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -12,7 +12,7 @@ import (
 
 // LocalityRow is one variant sample of the layout/affinity locality
 // study (the cachesim A/B behind the adopted frame layout and task
-// steering — see DESIGN.md "Kernel dispatch & memory layout").
+// steering — see DESIGN.md, "Trace and cache models").
 type LocalityRow struct {
 	Study    string  `json:"study"`   // "layout" or "affinity"
 	Variant  string  `json:"variant"` // dense/padded, round-robin/band

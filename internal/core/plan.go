@@ -431,7 +431,7 @@ func buildRowGroups(slices []SliceRange, bounds []int, params *mpeg2.PicturePara
 // split slice also its entry state, its join and its verify (ns/extra-seg,
 // 0.65 µs, quartiles 0.59–1.08). Each constant is the median over sixteen
 // runs of its per-run ratio, rounded up; 2 CPUs, asm(avx2), go1.24
-// (EXPERIMENTS.md, "A split slice pays per macroblock, not per segment").
+// (experiments/pr37-split-grain/README.md, "Segment cost (`segcost.txt`)").
 const (
 	rowGroupMBs = 17 // 20 · ns/task-outside ÷ ns/MB
 	segmentMBs  = 49 // 20 · ns/extra-seg ÷ ns/MB

@@ -138,9 +138,10 @@ type sliceQueue struct {
 	// the display process. While busy > 0 whatever the taker waits for is
 	// at most one band task away, so it polls gen, which every change to
 	// the queue bumps; at busy == 0 only the scan process or the frame
-	// consumer can end the wait, which has no bound, so it sleeps on cond. Sleeping costs the wake-up: the
-	// woken goroutine sits in the waker's run queue until another P steals
-	// it, a picture's worth of time at SIF (DESIGN.md, "Slice queue").
+	// consumer can end the wait, which has no bound, so it sleeps on cond.
+	// Sleeping costs the wake-up: the woken goroutine sits in the waker's
+	// run queue until another P steals it, a picture's worth of time at SIF
+	// (DESIGN.md, "Slice-queue synchronisation").
 	out  []bool
 	busy int
 	gen  atomic.Uint64

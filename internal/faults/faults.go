@@ -389,10 +389,3 @@ func gilbertLoss(data []byte, protect int, s Spec, rng *rand.Rand, rep *Report) 
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

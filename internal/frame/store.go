@@ -17,7 +17,7 @@ import "sync"
 // does not hold it open. Under a steady load that peak is what the live
 // streams draw between them, so what one stream hands back is the next
 // one's; a window of three turnovers, not two, covers the spread of what
-// one stream draws (DESIGN.md, "What a stream costs"). A burst's stock goes
+// one stream draws (DESIGN.md, "Frames"). A burst's stock goes
 // three turnovers after the load falls; with no live tenant the bound is
 // zero and the store is empty, and a frame larger than the bound is never
 // kept.

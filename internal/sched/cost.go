@@ -1,9 +1,8 @@
 // Package sched is the cost-model-driven adaptive scheduler: it turns
 // the scan process's structural index into decode-cost estimates and
 // uses them to (a) pack task queues in longest-processing-time-first
-// order, (b) choose a parallelization mode and worker count for a
-// workload up front, and (c) adapt the active worker count online from
-// observed utilization.
+// order and (b) choose a parallelization mode and worker count for a
+// workload up front.
 //
 // The paper's Figures 5-7 attribute the gap between ideal and achieved
 // speedup to load imbalance and synchronization overhead; both are

@@ -25,6 +25,13 @@ const (
 	rungReject = 3
 )
 
+// The deadline-miss-rate (EWMA) thresholds that escalate and
+// de-escalate the ladder.
+const (
+	missHigh = 0.3
+	missLow  = 0.05
+)
+
 // applyRung pushes one rung's shed/degrade settings into a session.
 // Called with s.mu held (rung moves and stream registration serialize
 // on it); takes effect at the stream's next planned unit.
@@ -119,7 +126,7 @@ func (s *Server) tick(now time.Time) {
 	} else if len(s.streams) == 0 {
 		// Nobody is admitted, so no frame can miss. The rate must decay
 		// all the same: at the reject rung only arrivals could refresh
-		// it, and a stale rate above MissLow would reject them for good.
+		// it, and a stale rate above missLow would reject them for good.
 		s.missEWMA -= 0.3 * s.missEWMA
 	}
 
@@ -147,8 +154,8 @@ func (s *Server) tick(now time.Time) {
 	// the signal.
 	if !s.cfg.DisableAutoDegrade {
 		load := float64(s.pool.Queued()-pausedPending) / float64(s.cfg.Workers)
-		hot := load > s.cfg.HighWater || s.missEWMA > s.cfg.MissHigh
-		cold := load < s.cfg.LowWater && s.missEWMA < s.cfg.MissLow
+		hot := load > s.cfg.HighWater || s.missEWMA > missHigh
+		cold := load < s.cfg.LowWater && s.missEWMA < missLow
 		if now.Sub(s.lastMove) >= s.cfg.Dwell {
 			switch {
 			case hot && s.rung < rungReject:

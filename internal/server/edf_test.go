@@ -304,7 +304,7 @@ func TestDemandForUncalibratedIsConservative(t *testing.T) {
 
 // TestLadderLeavesRejectRungWhenEmpty: the miss-rate EWMA is refreshed by
 // displays, and at the reject rung an emptied server has none — a rate left
-// above MissLow by the overload that raised the ladder must still decay, or
+// above missLow by the overload that raised the ladder must still decay, or
 // the server rejects every arrival for good (a disturbed host did that to
 // svc-paced once: 769 of 818 streams rejected).
 func TestLadderLeavesRejectRungWhenEmpty(t *testing.T) {

@@ -71,9 +71,6 @@ type Config struct {
 	// HighWater / LowWater are the backlog-per-worker thresholds that
 	// escalate / de-escalate the ladder. Defaults 2.0 / 0.5.
 	HighWater, LowWater float64
-	// MissHigh / MissLow are the deadline-miss-rate (EWMA) thresholds
-	// that escalate / de-escalate the ladder. Defaults 0.3 / 0.05.
-	MissHigh, MissLow float64
 	// Dwell is the minimum time between ladder moves. Default 200ms.
 	Dwell time.Duration
 	// PauseBase / PauseMax bound the rung-3 pause backoff: a paused
@@ -127,12 +124,6 @@ func (c *Config) normalize() {
 	}
 	if c.LowWater <= 0 {
 		c.LowWater = 0.5
-	}
-	if c.MissHigh <= 0 {
-		c.MissHigh = 0.3
-	}
-	if c.MissLow <= 0 {
-		c.MissLow = 0.05
 	}
 	if c.Dwell <= 0 {
 		c.Dwell = 200 * time.Millisecond

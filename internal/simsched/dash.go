@@ -134,10 +134,3 @@ func SimulateGOPDSMQueues(tasks []GOPTask, workers int, cfg DSMConfig) Result {
 	}
 	return ws.result(makespan)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
